@@ -1,12 +1,10 @@
 //! Design-choice ablations (see DESIGN.md §5): prints the ablation report,
-//! then benchmarks the amplification sweep.
+//! then benchmarks the whole ablations campaign.
 
 use ssdhammer_bench::{ablations, harness};
 
 fn main() {
-    println!("\n{}", ablations::render(5));
+    println!("\n{}", ablations::render(&ablations::run(5)));
 
-    harness::bench("ablations", "amplification_sweep", 10, || {
-        ablations::amplification_sweep(5)
-    });
+    harness::bench("ablations", "campaign", 10, || ablations::run(5));
 }

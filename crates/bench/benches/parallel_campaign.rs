@@ -1,36 +1,31 @@
-//! The deterministic parallel campaign runner at scale: shards a large
-//! Monte-Carlo campaign across worker threads, prints per-thread-count
-//! timings, and reports the speedup of 4 workers over 1. The estimates are
-//! asserted bit-identical first — the whole point of the runner is that
-//! threads buy wall-clock time and nothing else.
+//! The deterministic campaign runner on `repro prob`'s path: shards the
+//! §4.3 Monte-Carlo campaign across worker threads, prints
+//! per-thread-count timings, and reports the speedup of 4 workers over 1.
+//! The estimates are asserted bit-identical first — the whole point of the
+//! runner is that threads buy wall-clock time and nothing else.
 
-use ssdhammer_bench::harness;
-use ssdhammer_core::AttackParams;
-
-const TRIALS: u32 = 40_000_000;
+use ssdhammer_bench::{harness, sec43};
 
 fn main() {
-    let params = AttackParams::paper_example(1 << 18);
-
-    let baseline = params.monte_carlo_useful_flip_sharded(TRIALS, 11, 1);
+    let baseline = sec43::run_with_threads(11, 1).monte_carlo;
     for threads in [2, 4, 8] {
-        let p = params.monte_carlo_useful_flip_sharded(TRIALS, 11, threads);
+        let p = sec43::run_with_threads(11, threads).monte_carlo;
         assert_eq!(
             p.to_bits(),
             baseline.to_bits(),
             "estimate diverged at {threads} threads"
         );
     }
-    println!("40M-trial Monte-Carlo estimate: {baseline:.6} (identical at 1/2/4/8 threads)\n");
+    println!("§4.3 Monte-Carlo estimate: {baseline:.6} (identical at 1/2/4/8 threads)\n");
 
-    let t1 = harness::bench("campaign", "mc_40m_threads_1", 5, || {
-        params.monte_carlo_useful_flip_sharded(TRIALS, 11, 1)
+    let t1 = harness::bench("campaign", "prob_threads_1", 20, || {
+        sec43::run_with_threads(11, 1)
     });
-    let t4 = harness::bench("campaign", "mc_40m_threads_4", 5, || {
-        params.monte_carlo_useful_flip_sharded(TRIALS, 11, 4)
+    let t4 = harness::bench("campaign", "prob_threads_4", 20, || {
+        sec43::run_with_threads(11, 4)
     });
-    harness::bench("campaign", "mc_40m_threads_8", 5, || {
-        params.monte_carlo_useful_flip_sharded(TRIALS, 11, 8)
+    harness::bench("campaign", "prob_threads_8", 20, || {
+        sec43::run_with_threads(11, 8)
     });
     println!("\nspeedup at 4 threads: {:.2}x", t1 / t4);
 }

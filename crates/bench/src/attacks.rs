@@ -10,15 +10,10 @@
 //! single-row metadata mirrors cannot provide them) report the typed error
 //! instead of a result — that, too, is a finding.
 //!
-//! Cells are sharded across a supervised campaign ([`Supervisor`] over
-//! the same deterministic [`Campaign`] sharding), so the output document
-//! is bit-identical for any `--threads` value — and, with
+//! Cells run as the shards of one supervised campaign, so the output
+//! document is bit-identical for any `--threads` value — and, with
 //! `--checkpoint`/`--resume`, bit-identical whether or not the campaign
 //! was killed and resumed partway.
-//!
-//! [`Campaign`]: ssdhammer_simkit::parallel::Campaign
-
-use std::path::Path;
 
 use ssdhammer_core::{pattern_names, victim_names, AttackError, AttackPipeline};
 use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
@@ -27,6 +22,8 @@ use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
+
+use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
 
 /// One (pattern, victim) cell of the campaign grid.
 #[derive(Debug, Clone)]
@@ -190,29 +187,35 @@ pub fn run_filtered(
     pattern: Option<&str>,
     victim: Option<&str>,
 ) -> Result<Vec<GridCell>, AttackError> {
-    let report = run_supervised(seed, threads, pattern, victim, None, false, None)?;
-    Ok(report.values().cloned().collect())
+    Ok(campaign(seed, threads, pattern, victim, &ScenarioCfg::default())?.into_complete())
 }
 
-/// [`run_filtered`] under full supervision: panic isolation, optional
-/// checkpoint persistence after every completed cell (`checkpoint` +
-/// `resume`), and the `abort_after` kill-switch CI uses to prove a
-/// resumed grid is bit-identical to an uninterrupted one.
+/// The (optionally filtered) grid campaign under `cfg`'s campaign flags:
+/// one supervised shard per cell, each on a device seeded from its
+/// position.
 ///
 /// # Errors
 ///
 /// [`AttackError::UnknownPattern`] / [`AttackError::UnknownVictim`] as in
-/// [`run_filtered`]; checkpoint I/O failures panic (the file the user
-/// asked for cannot be written).
-pub fn run_supervised(
+/// [`run_filtered`].
+///
+/// # Panics
+///
+/// When `cfg` names a checkpoint for a filtered grid. A checkpoint knows
+/// its seed, tag and cell count but not the filter, and every
+/// single-pattern filter has the same cell count, so resuming under
+/// another filter would restore the wrong cells.
+pub fn campaign(
     seed: u64,
     threads: usize,
     pattern: Option<&str>,
     victim: Option<&str>,
-    checkpoint: Option<&Path>,
-    resume: bool,
-    abort_after: Option<usize>,
+    cfg: &ScenarioCfg,
 ) -> Result<SupervisedReport<GridCell>, AttackError> {
+    assert!(
+        cfg.checkpoint.is_none() || (pattern.is_none() && victim.is_none()),
+        "a checkpoint covers the whole grid, not a --pattern/--victim filter"
+    );
     let patterns: Vec<&'static str> = match pattern {
         Some(p) => vec![*pattern_names()
             .iter()
@@ -231,27 +234,32 @@ pub fn run_supervised(
         .iter()
         .flat_map(|p| victims.iter().map(move |v| (*p, *v)))
         .collect();
-    let mut sup = Supervisor::new(seed)
+    let sup = Supervisor::new(seed)
         .with_tag("attack-grid")
         .with_threads(threads);
-    if let Some(n) = abort_after {
-        sup = sup.with_stop_after(n);
-    }
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| {
+    let codec = JsonCodec {
+        encode: GridCell::to_json,
+        decode: GridCell::from_json,
+    };
+    Ok(cfg.run_campaign(sup, cells.len(), codec, |ctx| {
         let (p, v) = cells[ctx.trial.index];
         run_cell(ctx.trial.seed, p, v)
-    };
-    Ok(match checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: GridCell::to_json,
-                decode: GridCell::from_json,
-            };
-            sup.run_checkpointed(cells.len(), path, resume, codec, shard)
-                .expect("attack-grid checkpoint")
-        }
-        None => sup.run(cells.len(), shard),
-    })
+    }))
+}
+
+/// The grid's structured document: the cell array, wrapped with the
+/// partial-result marker when cells are missing.
+#[must_use]
+pub fn document(report: &SupervisedReport<GridCell>) -> Json {
+    let cells: Vec<GridCell> = report.values().cloned().collect();
+    campaign_document(report, cells.to_json())
+}
+
+/// The grid's text report, with a warning when cells are missing.
+#[must_use]
+pub fn render_report(report: &SupervisedReport<GridCell>) -> String {
+    let cells: Vec<GridCell> = report.values().cloned().collect();
+    campaign_render(report, render(&cells))
 }
 
 /// Renders the grid as a table.
@@ -332,12 +340,32 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let uninterrupted = run_filtered(11, 2, None, None).expect("grid");
-        let killed =
-            run_supervised(11, 2, None, None, Some(&path), false, Some(3)).expect("killed grid");
+        let killed = campaign(
+            11,
+            2,
+            None,
+            None,
+            &ScenarioCfg {
+                checkpoint: Some(path.clone()),
+                abort_after: Some(3),
+                ..ScenarioCfg::default()
+            },
+        )
+        .expect("killed grid");
         assert!(killed.degraded());
         assert_eq!(killed.values().count(), 3);
-        let resumed =
-            run_supervised(11, 1, None, None, Some(&path), true, None).expect("resumed grid");
+        let resumed = campaign(
+            11,
+            1,
+            None,
+            None,
+            &ScenarioCfg {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..ScenarioCfg::default()
+            },
+        )
+        .expect("resumed grid");
         assert!(!resumed.degraded());
         assert_eq!(resumed.resumed, 3);
         let resumed_cells: Vec<GridCell> = resumed.values().cloned().collect();
@@ -346,6 +374,19 @@ mod tests {
             uninterrupted.to_json().to_string()
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    #[should_panic(expected = "a checkpoint covers the whole grid")]
+    fn a_filtered_grid_refuses_to_resume_a_checkpoint() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("ssdhammer-attacks-filter-{}", std::process::id()));
+        let resume = ScenarioCfg {
+            checkpoint: Some(path),
+            resume: true,
+            ..ScenarioCfg::default()
+        };
+        let _ = campaign(11, 1, Some("one_sided"), None, &resume);
     }
 
     #[test]
@@ -362,10 +403,8 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro attacks` (the unfiltered grid; the binary's
-/// `--pattern`/`--victim` flags route through [`run_filtered`]).
+/// `--pattern`/`--victim` flags route through [`campaign`]).
 #[derive(Debug, Clone, Copy)]
 pub struct AttacksScenario;
 
@@ -375,30 +414,10 @@ impl Scenario for AttacksScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        if cfg.checkpoint.is_none() && cfg.abort_after.is_none() {
-            return run_filtered(seed, threads, None, None)
-                .expect("unfiltered grid")
-                .to_json();
-        }
-        // Supervised form: completed cells plus the partial-result marker.
-        let report = run_supervised(
-            seed,
-            threads,
-            None,
-            None,
-            cfg.checkpoint.as_deref(),
-            cfg.resume,
-            cfg.abort_after,
-        )
-        .expect("unfiltered grid");
-        let cells: Vec<GridCell> = report.values().cloned().collect();
-        Json::obj([
-            ("degraded", Json::from(report.degraded())),
-            ("cells", cells.to_json()),
-        ])
+        document(&campaign(seed, threads, None, None, &cfg).expect("unfiltered grid"))
     }
 
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_filtered(seed, threads, None, None).expect("unfiltered grid"))
+    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
+        render_report(&campaign(seed, threads, None, None, &cfg).expect("unfiltered grid"))
     }
 }

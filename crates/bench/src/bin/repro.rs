@@ -11,6 +11,8 @@
 //!
 //! Run `repro help` for the generated command and flag reference.
 
+use std::path::PathBuf;
+
 use ssdhammer_bench::scenario::{Scenario, ScenarioCfg};
 use ssdhammer_bench::{
     ablations, attacks, benchmark, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec43, sec5,
@@ -23,28 +25,12 @@ struct Ctx {
     seed: u64,
     threads: usize,
     json: bool,
-    full: bool,
     quick: bool,
     pattern: Option<String>,
     victim: Option<String>,
-    checkpoint: Option<String>,
-    resume: bool,
-    abort_after: Option<usize>,
-    soak: Option<usize>,
-    replay: Option<String>,
-}
-
-impl Ctx {
-    fn cfg(&self) -> ScenarioCfg {
-        ScenarioCfg {
-            full: self.full,
-            checkpoint: self.checkpoint.as_ref().map(std::path::PathBuf::from),
-            resume: self.resume,
-            abort_after: self.abort_after,
-            soak: self.soak,
-            replay: self.replay.as_ref().map(std::path::PathBuf::from),
-        }
-    }
+    /// Everything a scenario reads: `--full`, the campaign flags, and the
+    /// fuzz modes.
+    cfg: ScenarioCfg,
 }
 
 /// How a subcommand executes.
@@ -169,15 +155,10 @@ fn main() {
         seed: 7,
         threads: 1,
         json: false,
-        full: false,
         quick: false,
         pattern: None,
         victim: None,
-        checkpoint: None,
-        resume: false,
-        abort_after: None,
-        soak: None,
-        replay: None,
+        cfg: ScenarioCfg::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -210,22 +191,22 @@ fn main() {
                     .unwrap_or_else(|| die("--threads needs a positive number"));
             }
             "--checkpoint" => {
-                ctx.checkpoint = Some(
+                ctx.cfg.checkpoint = Some(
                     it.next()
-                        .cloned()
+                        .map(PathBuf::from)
                         .unwrap_or_else(|| die("--checkpoint needs a path")),
                 );
             }
-            "--resume" => ctx.resume = true,
+            "--resume" => ctx.cfg.resume = true,
             "--abort-after" => {
-                ctx.abort_after = Some(
+                ctx.cfg.abort_after = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .unwrap_or_else(|| die("--abort-after needs a number")),
                 );
             }
             "--soak" => {
-                ctx.soak = Some(
+                ctx.cfg.soak = Some(
                     it.next()
                         .and_then(|s| s.parse().ok())
                         .filter(|&n| n >= 1)
@@ -233,14 +214,14 @@ fn main() {
                 );
             }
             "--replay" => {
-                ctx.replay = Some(
+                ctx.cfg.replay = Some(
                     it.next()
-                        .cloned()
+                        .map(PathBuf::from)
                         .unwrap_or_else(|| die("--replay needs a directory")),
                 );
             }
             "--json" => ctx.json = true,
-            "--full" => ctx.full = true,
+            "--full" => ctx.cfg.full = true,
             "--quick" => ctx.quick = true,
             "--help" | "-h" => {
                 print_help();
@@ -255,6 +236,10 @@ fn main() {
     match experiment.as_deref().unwrap_or("all") {
         "help" => print_help(),
         "all" => {
+            if ctx.cfg.checkpoint.is_some() {
+                // One checkpoint file holds one campaign.
+                die("--checkpoint needs a single experiment, not all");
+            }
             for cmd in COMMANDS.iter().filter(|c| c.in_all) {
                 run_cmd(cmd, &ctx);
                 println!();
@@ -273,10 +258,11 @@ fn run_cmd(cmd: &Cmd, ctx: &Ctx) {
             if ctx.json {
                 println!(
                     "{}",
-                    s.run(ctx.cfg(), ctx.seed, ctx.threads).to_string_pretty()
+                    s.run(ctx.cfg.clone(), ctx.seed, ctx.threads)
+                        .to_string_pretty()
                 );
             } else {
-                print!("{}", s.render(ctx.cfg(), ctx.seed, ctx.threads));
+                print!("{}", s.render(ctx.cfg.clone(), ctx.seed, ctx.threads));
             }
         }
         Runner::Custom(f) => f(ctx),
@@ -301,11 +287,16 @@ fn run_fig1(ctx: &Ctx) {
 
 /// The pattern × victim campaign grid, with the registry-name filters.
 fn run_attacks(ctx: &Ctx) {
-    let cells = attacks::run_filtered(
+    if ctx.cfg.checkpoint.is_some() && (ctx.pattern.is_some() || ctx.victim.is_some()) {
+        // The checkpoint does not record the filter.
+        die("--checkpoint covers the whole grid; drop --pattern/--victim");
+    }
+    let report = attacks::campaign(
         ctx.seed,
         ctx.threads,
         ctx.pattern.as_deref(),
         ctx.victim.as_deref(),
+        &ctx.cfg,
     )
     .unwrap_or_else(|e| {
         use ssdhammer_core::{pattern_names, victim_names};
@@ -315,9 +306,9 @@ fn run_attacks(ctx: &Ctx) {
         std::process::exit(2);
     });
     if ctx.json {
-        println!("{}", cells.to_json().to_string_pretty());
+        println!("{}", attacks::document(&report).to_string_pretty());
     } else {
-        print!("{}", attacks::render(&cells));
+        print!("{}", attacks::render_report(&report));
     }
 }
 
@@ -375,11 +366,16 @@ fn print_help() {
     println!("  --quick       bench only: fast-demo scenarios for CI smoke runs");
     println!("  --pattern P   attacks only: run a single hammer pattern's cells");
     println!("  --victim V    attacks only: run a single victim structure's cells");
-    println!("  --checkpoint F  torture/fuzz: persist completed shards to F after each one");
-    println!("  --resume      torture/fuzz: restore completed shards from --checkpoint first");
-    println!("  --abort-after N  torture/fuzz: stop launching shards after N (kill simulation)");
     println!("  --soak N      fuzz only: run N episodes (default 24, or 64 with --full)");
     println!("  --replay DIR  fuzz only: replay persisted corpus cases instead of soaking");
+    println!();
+    println!("campaign flags (table1, prob, ablations, faults, defenses, attacks,");
+    println!("torture, fuzz; a resumed run prints what an uninterrupted one does):");
+    println!("  --checkpoint F  persist completed shards to F after each one (one");
+    println!("                experiment; attacks: the unfiltered grid only)");
+    println!("  --resume      restore completed shards from --checkpoint first");
+    println!("  --abort-after N  stop launching shards after N (kill simulation);");
+    println!("                the partial report is marked degraded");
 }
 
 fn die(msg: &str) -> ! {

@@ -12,8 +12,9 @@
 //! host consumes them (L2P-Correct, scrubber). Only silent redirections
 //! are usable by the paper's exploit chain.
 //!
-//! Trials are sharded across a [`Campaign`], so the output is bit-identical
-//! for any `--threads` value.
+//! Trials run as the shards of one supervised campaign, so the output is
+//! bit-identical for any `--threads` value and honours `--checkpoint`,
+//! `--resume` and `--abort-after`.
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
 use ssdhammer_dram::{
@@ -23,8 +24,10 @@ use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
 use ssdhammer_nvme::{ScrubberConfig, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::parallel::Campaign;
+use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
+
+use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
 
 /// Independent attack trials per defense configuration.
 const TRIALS: usize = 3;
@@ -78,6 +81,32 @@ struct TrialOutcome {
     degraded: bool,
 }
 
+impl ToJson for TrialOutcome {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("flips", Json::from(self.flips)),
+            ("silent", Json::from(self.silent)),
+            ("loud", Json::from(self.loud)),
+            ("repairs", Json::from(self.repairs)),
+            ("degraded", Json::from(self.degraded)),
+        ])
+    }
+}
+
+impl TrialOutcome {
+    /// Decodes a checkpointed trial; `None` makes the supervisor re-run the
+    /// shard live.
+    fn from_json(j: &Json) -> Option<TrialOutcome> {
+        Some(TrialOutcome {
+            flips: j.get("flips")?.as_u64()?,
+            silent: j.get("silent")?.as_u64()?,
+            loud: j.get("loud")?.as_u64()?,
+            repairs: j.get("repairs")?.as_u64()?,
+            degraded: j.get("degraded")?.as_bool()?,
+        })
+    }
+}
+
 /// Deterministically vulnerable DDR4: every row flippable, so a trial's
 /// outcome is decided by the defense, not by profile sampling.
 fn demo_profile() -> ModuleProfile {
@@ -107,30 +136,30 @@ fn base_config(seed: u64) -> SsdConfig {
 }
 
 /// The six defense configurations of the matrix, in report order.
-fn configure(defense: usize, seed: u64) -> (&'static str, SsdConfig) {
+const DEFENSES: [&str; 6] = [
+    "no defense",
+    "TRR",
+    "PARA",
+    "L2P-Detect",
+    "L2P-Correct",
+    "scrubber + L2P-Correct",
+];
+
+/// The device configuration of [`DEFENSES`]`[defense]`.
+fn configure(defense: usize, seed: u64) -> SsdConfig {
     match defense {
-        0 => ("no defense", base_config(seed)),
-        1 => ("TRR", base_config(seed).with_trr(TrrConfig::default())),
-        2 => (
-            "PARA",
-            base_config(seed).with_para(ParaConfig {
-                refresh_probability: 0.05,
-            }),
-        ),
-        3 => (
-            "L2P-Detect",
-            base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Detect)),
-        ),
-        4 => (
-            "L2P-Correct",
-            base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct)),
-        ),
-        _ => (
-            "scrubber + L2P-Correct",
-            base_config(seed)
-                .with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
-                .with_scrubber(ScrubberConfig::default()),
-        ),
+        0 => base_config(seed),
+        1 => base_config(seed).with_trr(TrrConfig::default()),
+        2 => base_config(seed).with_para(ParaConfig {
+            refresh_probability: 0.05,
+        }),
+        3 => base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Detect)),
+        4 => {
+            base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
+        }
+        _ => base_config(seed)
+            .with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
+            .with_scrubber(ScrubberConfig::default()),
     }
 }
 
@@ -168,31 +197,45 @@ pub fn run(seed: u64) -> Vec<DefenseRow> {
 /// output is bit-identical for any thread count.
 #[must_use]
 pub fn run_with_threads(seed: u64, threads: usize) -> Vec<DefenseRow> {
-    const DEFENSES: usize = 6;
-    let outcomes: Vec<(usize, &'static str, TrialOutcome)> = Campaign::new(seed)
+    let trials = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
+    matrix(trials.iter().map(Some))
+}
+
+/// The defense campaign under `cfg`'s campaign flags: one supervised shard
+/// per (defense, trial) pair, defense-major, each seeded from its position.
+fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<TrialOutcome> {
+    let sup = Supervisor::new(seed)
         .with_tag("defenses")
-        .with_threads(threads)
-        .run(DEFENSES * TRIALS, |trial| {
-            let defense = trial.index / TRIALS;
-            let (label, config) = configure(defense, trial.seed);
-            (defense, label, attack_trial(config))
-        });
-    let mut rows: Vec<DefenseRow> = Vec::with_capacity(DEFENSES);
-    for (defense, label, t) in outcomes {
-        if rows.len() <= defense {
-            rows.push(DefenseRow {
-                defense: label,
-                trials: 0,
-                successes: 0,
-                success_probability: 0.0,
-                flips: 0,
-                silent_redirections: 0,
-                loud_failures: 0,
-                repairs: 0,
-                degraded: 0,
-            });
-        }
-        let row = &mut rows[defense];
+        .with_threads(threads);
+    let codec = JsonCodec {
+        encode: TrialOutcome::to_json,
+        decode: TrialOutcome::from_json,
+    };
+    cfg.run_campaign(sup, DEFENSES.len() * TRIALS, codec, |ctx| {
+        attack_trial(configure(ctx.trial.index / TRIALS, ctx.trial.seed))
+    })
+}
+
+/// Sums per-trial outcomes, in shard order (`None` for a shard that did not
+/// complete), into one row per defense.
+fn matrix<'a>(trials: impl Iterator<Item = Option<&'a TrialOutcome>>) -> Vec<DefenseRow> {
+    let mut rows: Vec<DefenseRow> = DEFENSES
+        .iter()
+        .map(|&defense| DefenseRow {
+            defense,
+            trials: 0,
+            successes: 0,
+            success_probability: 0.0,
+            flips: 0,
+            silent_redirections: 0,
+            loud_failures: 0,
+            repairs: 0,
+            degraded: 0,
+        })
+        .collect();
+    for (i, t) in trials.enumerate() {
+        let Some(t) = t else { continue };
+        let row = &mut rows[i / TRIALS];
         row.trials += 1;
         row.successes += u64::from(t.silent > 0);
         row.flips += t.flips;
@@ -276,8 +319,6 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro defenses`.
 #[derive(Debug, Clone, Copy)]
 pub struct DefensesScenario;
@@ -287,11 +328,15 @@ impl Scenario for DefensesScenario {
         "defenses"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_with_threads(seed, threads).to_json()
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+        let report = campaign(seed, threads, &cfg);
+        let rows = matrix(report.outcomes.iter().map(ShardOutcome::value));
+        campaign_document(&report, rows.to_json())
     }
 
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_with_threads(seed, threads))
+    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
+        let report = campaign(seed, threads, &cfg);
+        let rows = matrix(report.outcomes.iter().map(ShardOutcome::value));
+        campaign_render(&report, render(&rows))
     }
 }

@@ -5,8 +5,9 @@
 //! many faults were injected, how many the stack recovered, and how many
 //! surfaced as (honest) failures.
 //!
-//! Scenarios are sharded across a [`Campaign`], so the output is
-//! bit-identical for any `--threads` value.
+//! Scenarios run as the shards of one supervised campaign, so the output
+//! is bit-identical for any `--threads` value and honours `--checkpoint`,
+//! `--resume` and `--abort-after`.
 
 use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
 use ssdhammer_flash::{FlashArray, FlashGeometry};
@@ -14,14 +15,16 @@ use ssdhammer_ftl::{Ftl, FtlConfig, FtlError};
 use ssdhammer_nvme::{Command, ControllerConfig, NsId, RetryPolicy, Ssd, SsdConfig};
 use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::parallel::Campaign;
+use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::{Lba, SimClock, BLOCK_SIZE};
+
+use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
 
 /// One fault-injection scenario's outcome.
 #[derive(Debug, Clone)]
 pub struct FaultRow {
     /// Scenario name.
-    pub scenario: &'static str,
+    pub scenario: String,
     /// Faults the plane injected.
     pub injected: u64,
     /// Faults the recovery stack absorbed (the host saw success).
@@ -35,12 +38,26 @@ pub struct FaultRow {
 impl ToJson for FaultRow {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("scenario", Json::from(self.scenario)),
+            ("scenario", Json::str(self.scenario.as_str())),
             ("injected", Json::from(self.injected)),
             ("recovered", Json::from(self.recovered)),
             ("failed", Json::from(self.failed)),
             ("degraded", Json::from(self.degraded)),
         ])
+    }
+}
+
+impl FaultRow {
+    /// Decodes a checkpointed row; `None` makes the supervisor re-run the
+    /// shard live.
+    fn from_json(j: &Json) -> Option<FaultRow> {
+        Some(FaultRow {
+            scenario: j.get("scenario")?.as_str()?.to_owned(),
+            injected: j.get("injected")?.as_u64()?,
+            recovered: j.get("recovered")?.as_u64()?,
+            failed: j.get("failed")?.as_u64()?,
+            degraded: j.get("degraded")?.as_bool()?,
+        })
     }
 }
 
@@ -86,7 +103,7 @@ fn read_retry(seed: u64) -> FaultRow {
         }
     }
     FaultRow {
-        scenario: "read-retry ladder",
+        scenario: "read-retry ladder".into(),
         injected: ftl.fault_plane().fired("flash.read_fail"),
         recovered,
         failed,
@@ -108,7 +125,7 @@ fn ecc_escalation(seed: u64) -> FaultRow {
     }
     let t = ftl.telemetry();
     FaultRow {
-        scenario: "ECC escalation",
+        scenario: "ECC escalation".into(),
         injected: ftl.fault_plane().fired("flash.read_fail"),
         recovered: t.ecc_corrected,
         failed: t.uncorrectable_reads + t.silent_corruptions,
@@ -139,7 +156,7 @@ fn bad_block_remap(seed: u64) -> FaultRow {
         let _ = round;
     }
     FaultRow {
-        scenario: "bad-block remap",
+        scenario: "bad-block remap".into(),
         injected: ftl.fault_plane().fired("flash.program_fail"),
         recovered: ftl.telemetry().bad_block_remaps,
         failed,
@@ -200,7 +217,7 @@ fn journal_replay(seed: u64) -> FaultRow {
         })
         .count() as u64;
     FaultRow {
-        scenario: "power-loss replay",
+        scenario: "power-loss replay".into(),
         injected: 1,
         recovered: replayed,
         failed: resurrected,
@@ -239,7 +256,7 @@ fn nvme_timeout(seed: u64) -> FaultRow {
     }
     let snap = ssd.snapshot_telemetry();
     FaultRow {
-        scenario: "nvme timeout/retry",
+        scenario: "nvme timeout/retry".into(),
         injected: snap.counter("nvme.timeouts").unwrap_or(0),
         recovered,
         failed,
@@ -265,18 +282,29 @@ pub fn run(seed: u64) -> Vec<FaultRow> {
 /// bit-identical for any thread count.
 #[must_use]
 pub fn run_with_threads(seed: u64, threads: usize) -> Vec<FaultRow> {
-    type Scenario = fn(u64) -> FaultRow;
-    const SCENARIOS: [Scenario; 5] = [
+    campaign(seed, threads, &ScenarioCfg::default()).into_complete()
+}
+
+/// The fault campaign under `cfg`'s campaign flags: one supervised shard
+/// per scenario, each seeded from its position.
+fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<FaultRow> {
+    const SCENARIOS: [fn(u64) -> FaultRow; 5] = [
         read_retry,
         ecc_escalation,
         bad_block_remap,
         journal_replay,
         nvme_timeout,
     ];
-    Campaign::new(seed)
+    let sup = Supervisor::new(seed)
         .with_tag("faults")
-        .with_threads(threads)
-        .run(SCENARIOS.len(), |trial| SCENARIOS[trial.index](trial.seed))
+        .with_threads(threads);
+    let codec = JsonCodec {
+        encode: FaultRow::to_json,
+        decode: FaultRow::from_json,
+    };
+    cfg.run_campaign(sup, SCENARIOS.len(), codec, |ctx| {
+        SCENARIOS[ctx.trial.index](ctx.trial.seed)
+    })
 }
 
 /// Renders the scenario table.
@@ -326,8 +354,6 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro faults`.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultsScenario;
@@ -337,11 +363,15 @@ impl Scenario for FaultsScenario {
         "faults"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_with_threads(seed, threads).to_json()
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+        let report = campaign(seed, threads, &cfg);
+        let rows: Vec<FaultRow> = report.values().cloned().collect();
+        campaign_document(&report, rows.to_json())
     }
 
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_with_threads(seed, threads))
+    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
+        let report = campaign(seed, threads, &cfg);
+        let rows: Vec<FaultRow> = report.values().cloned().collect();
+        campaign_render(&report, render(&rows))
     }
 }

@@ -44,6 +44,7 @@ use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
 use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
 
+use crate::scenario::{Scenario, ScenarioCfg};
 use crate::torture::torture_sites;
 
 /// Structured-result schema identifier.
@@ -546,21 +547,6 @@ impl SsdFuzz {
 
 // ---- campaign ---------------------------------------------------------------
 
-/// Campaign options beyond `(seed, threads)` — the `repro fuzz` flags.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FuzzOpts<'a> {
-    /// Larger episode count (`--full`).
-    pub full: bool,
-    /// Episode-count override (`--soak N`).
-    pub soak: Option<usize>,
-    /// Persist completed episodes to this checkpoint file.
-    pub checkpoint: Option<&'a Path>,
-    /// Restore completed episodes from the checkpoint before running.
-    pub resume: bool,
-    /// Stop launching new episodes after this many.
-    pub abort_after: Option<usize>,
-}
-
 /// Ops per generated episode.
 const OPS_PER_EPISODE: usize = 40;
 
@@ -569,8 +555,9 @@ const OPS_PER_EPISODE: usize = 40;
 /// it has to cover several ddmin/param-shrink alternations.
 const SHRINK_BUDGET: usize = 4000;
 
-fn episode_count(opts: &FuzzOpts<'_>) -> usize {
-    opts.soak.unwrap_or(if opts.full { 64 } else { 24 })
+/// Episodes a soak runs: `--soak N`, else 64 at `--full` and 24 otherwise.
+fn episode_count(cfg: &ScenarioCfg) -> usize {
+    cfg.soak.unwrap_or(if cfg.full { 64 } else { 24 })
 }
 
 /// One supervised shard's result: did the episode diverge, and if so into
@@ -664,36 +651,28 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
     }
 }
 
-/// Runs the soak campaign: `episodes` supervised episodes, divergences
-/// auto-shrunk and bucketed into the structured result document. The
-/// document is bit-identical for any `threads`, and — when checkpointed,
-/// killed, and resumed — bit-identical to an uninterrupted run.
+/// Runs the soak campaign under `cfg` (episode count from `soak`/`full`;
+/// the campaign flags checkpoint, resume, or abort it): supervised
+/// episodes, divergences auto-shrunk and bucketed into the structured
+/// result document. The document is bit-identical for any `threads`, and —
+/// when checkpointed, killed, and resumed — bit-identical to an
+/// uninterrupted run.
 #[must_use]
-pub fn run_soak(seed: u64, threads: usize, opts: &FuzzOpts<'_>) -> Json {
-    let episodes = episode_count(opts);
+pub fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+    let episodes = episode_count(cfg);
     let target = SsdFuzz::default();
     let registry = Telemetry::new();
-    let mut sup = Supervisor::new(seed)
+    let sup = Supervisor::new(seed)
         .with_tag("fuzz")
         .with_threads(threads)
         .with_sim_budget(SimDuration::from_secs(600))
         .with_max_retries(1)
         .attach_telemetry(&registry);
-    if let Some(n) = opts.abort_after {
-        sup = sup.with_stop_after(n);
-    }
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| run_one(&target, ctx.trial.seed);
-    let report = match opts.checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: encode_outcome,
-                decode: decode_outcome,
-            };
-            sup.run_checkpointed(episodes, path, opts.resume, codec, shard)
-                .expect("fuzz checkpoint")
-        }
-        None => sup.run(episodes, shard),
+    let codec = JsonCodec {
+        encode: encode_outcome,
+        decode: decode_outcome,
     };
+    let report = cfg.run_campaign(sup, episodes, codec, |ctx| run_one(&target, ctx.trial.seed));
     count_outcomes(&registry, &report);
     document(seed, episodes, &report)
 }
@@ -946,8 +925,6 @@ pub fn render(doc: &Json) -> String {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro fuzz [--soak N | --replay DIR]`.
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzScenario;
@@ -956,17 +933,7 @@ impl FuzzScenario {
     fn run_cfg(cfg: &ScenarioCfg, seed: u64, threads: usize) -> Json {
         match &cfg.replay {
             Some(dir) => run_replay(dir),
-            None => run_soak(
-                seed,
-                threads,
-                &FuzzOpts {
-                    full: cfg.full,
-                    soak: cfg.soak,
-                    checkpoint: cfg.checkpoint.as_deref(),
-                    resume: cfg.resume,
-                    abort_after: cfg.abort_after,
-                },
-            ),
+            None => run_soak(seed, threads, cfg),
         }
     }
 }
@@ -993,9 +960,9 @@ mod tests {
         run_soak(
             seed,
             threads,
-            &FuzzOpts {
+            &ScenarioCfg {
                 soak: Some(episodes),
-                ..FuzzOpts::default()
+                ..ScenarioCfg::default()
             },
         )
     }
@@ -1096,22 +1063,22 @@ mod tests {
         let killed = run_soak(
             7,
             2,
-            &FuzzOpts {
+            &ScenarioCfg {
                 soak: Some(6),
-                checkpoint: Some(&path),
+                checkpoint: Some(path.clone()),
                 abort_after: Some(2),
-                ..FuzzOpts::default()
+                ..ScenarioCfg::default()
             },
         );
         assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
         let resumed = run_soak(
             7,
             1,
-            &FuzzOpts {
+            &ScenarioCfg {
                 soak: Some(6),
-                checkpoint: Some(&path),
+                checkpoint: Some(path.clone()),
                 resume: true,
-                ..FuzzOpts::default()
+                ..ScenarioCfg::default()
             },
         );
         assert_eq!(resumed.to_string(), uninterrupted);

@@ -4,6 +4,12 @@
 
 use ssdhammer_core::AttackParams;
 use ssdhammer_simkit::json::{Json, ToJson};
+use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport};
+
+use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+
+/// Monte-Carlo trials behind the estimate.
+const MC_TRIALS: u32 = 400_000;
 
 /// The reproduced §4.3 numbers.
 #[derive(Debug, Clone)]
@@ -37,16 +43,45 @@ pub fn run(seed: u64) -> Sec43Result {
 }
 
 /// Like [`run`], sharding the Monte-Carlo campaign across `threads` worker
-/// threads via `simkit::parallel`. The result — including every bit of the
-/// Monte-Carlo estimate — is identical for any thread count; the repro
-/// suite's determinism test holds the JSON output to that.
+/// threads. The result — including every bit of the Monte-Carlo estimate —
+/// is identical for any thread count; the repro suite's determinism test
+/// holds the JSON output to that.
 #[must_use]
 pub fn run_with_threads(seed: u64, threads: usize) -> Sec43Result {
-    let params = AttackParams::paper_example(1 << 18);
-    let analytic = params.useful_flip_probability();
+    let hits = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
+    result(hits.into_iter().map(Some))
+}
+
+/// The paper's illustration parameters on a 1 GiB SSD.
+fn params() -> AttackParams {
+    AttackParams::paper_example(1 << 18)
+}
+
+/// The Monte-Carlo campaign under `cfg`'s campaign flags: one supervised
+/// shard per [`AttackParams::MC_CHUNK_TRIALS`]-trial chunk, returning the
+/// chunk's useful-flip hits.
+fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<u64> {
+    let params = params();
+    let codec = JsonCodec {
+        encode: |hits| Json::from(*hits),
+        decode: Json::as_u64,
+    };
+    cfg.run_campaign(
+        AttackParams::mc_supervisor(seed, threads),
+        AttackParams::mc_chunks(MC_TRIALS),
+        codec,
+        |ctx| params.mc_chunk_hits(MC_TRIALS, ctx.trial),
+    )
+}
+
+/// The reproduced numbers from per-chunk hits in chunk order (`None` for a
+/// chunk that did not complete): the Monte-Carlo estimate covers the
+/// completed chunks' trials.
+fn result(chunk_hits: impl IntoIterator<Item = Option<u64>>) -> Sec43Result {
+    let params = params();
     Sec43Result {
-        analytic,
-        monte_carlo: params.monte_carlo_useful_flip_sharded(400_000, seed, threads),
+        analytic: params.useful_flip_probability(),
+        monte_carlo: AttackParams::mc_estimate(MC_TRIALS, chunk_hits),
         cumulative: (1..=12).map(|n| params.cumulative_success(n)).collect(),
         cycles_to_half: params.cycles_for_success(0.5),
     }
@@ -92,8 +127,6 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro prob`.
 #[derive(Debug, Clone, Copy)]
 pub struct Sec43Scenario;
@@ -103,11 +136,15 @@ impl Scenario for Sec43Scenario {
         "prob"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_with_threads(seed, threads).to_json()
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+        let report = campaign(seed, threads, &cfg);
+        let r = result(report.outcomes.iter().map(|o| o.value().copied()));
+        campaign_document(&report, r.to_json())
     }
 
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_with_threads(seed, threads))
+    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
+        let report = campaign(seed, threads, &cfg);
+        let r = result(report.outcomes.iter().map(|o| o.value().copied()));
+        campaign_render(&report, render(&r))
     }
 }

@@ -11,8 +11,10 @@ use ssdhammer_dram::{
     hammer::measure_min_flip_rate, DramGeometry, DramModule, MappingKind, ModuleProfile,
 };
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::parallel::Campaign;
+use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimClock;
+
+use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
 
 /// One reproduced row of Table 1.
 #[derive(Debug, Clone)]
@@ -42,6 +44,23 @@ impl ToJson for Table1Row {
     }
 }
 
+impl Table1Row {
+    /// Decodes a checkpointed row; `None` makes the supervisor re-run the
+    /// shard live.
+    fn from_json(j: &Json) -> Option<Table1Row> {
+        Some(Table1Row {
+            year: u16::try_from(j.get("year")?.as_u64()?).ok()?,
+            refs: j.get("refs")?.as_str()?.to_owned(),
+            module: j.get("module")?.as_str()?.to_owned(),
+            paper_kaps: u32::try_from(j.get("paper_kaps")?.as_u64()?).ok()?,
+            measured_kaps: match j.get("measured_kaps")? {
+                Json::Null => None,
+                m => Some(m.as_f64()?),
+            },
+        })
+    }
+}
+
 /// Runs the full Table 1 reproduction, single-threaded.
 #[must_use]
 pub fn run(seed: u64) -> Vec<Table1Row> {
@@ -49,36 +68,44 @@ pub fn run(seed: u64) -> Vec<Table1Row> {
 }
 
 /// Like [`run`], measuring the 14 independent module rows across `threads`
-/// worker threads via `simkit::parallel`. Each row builds its own module
-/// and clock from the same `seed` the sequential path uses, and the runner
-/// merges rows in table order — the output is bit-identical for any thread
-/// count.
+/// worker threads; the output is bit-identical for any thread count.
 #[must_use]
 pub fn run_with_threads(seed: u64, threads: usize) -> Vec<Table1Row> {
+    campaign(seed, threads, &ScenarioCfg::default()).into_complete()
+}
+
+/// The Table 1 campaign under `cfg`'s campaign flags: one supervised shard
+/// per module row. Each row builds its own module and clock from `seed`,
+/// and rows merge in table order.
+fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Table1Row> {
     let profiles = ModuleProfile::table1();
-    Campaign::new(seed)
+    let sup = Supervisor::new(seed)
         .with_tag("table1")
-        .with_threads(threads)
-        .run(profiles.len(), |trial| {
-            let (year, refs, profile) = &profiles[trial.index];
-            let paper_kaps = profile.min_flip_rate_kaps;
-            let factory = move || {
-                DramModule::builder(DramGeometry::tiny_test())
-                    .profile(profile.clone())
-                    .mapping(MappingKind::Linear)
-                    .seed(seed)
-                    .without_timing()
-                    .build(SimClock::new())
-            };
-            let measured = measure_min_flip_rate(&factory, 50_000.0, 20_000_000.0, 1, 0.02);
-            Table1Row {
-                year: *year,
-                refs: (*refs).to_owned(),
-                module: profile.name.clone(),
-                paper_kaps,
-                measured_kaps: measured.map(|m| m.min_rate / 1000.0),
-            }
-        })
+        .with_threads(threads);
+    let codec = JsonCodec {
+        encode: Table1Row::to_json,
+        decode: Table1Row::from_json,
+    };
+    cfg.run_campaign(sup, profiles.len(), codec, |ctx| {
+        let (year, refs, profile) = &profiles[ctx.trial.index];
+        let paper_kaps = profile.min_flip_rate_kaps;
+        let factory = move || {
+            DramModule::builder(DramGeometry::tiny_test())
+                .profile(profile.clone())
+                .mapping(MappingKind::Linear)
+                .seed(seed)
+                .without_timing()
+                .build(SimClock::new())
+        };
+        let measured = measure_min_flip_rate(&factory, 50_000.0, 20_000_000.0, 1, 0.02);
+        Table1Row {
+            year: *year,
+            refs: (*refs).to_owned(),
+            module: profile.name.clone(),
+            paper_kaps,
+            measured_kaps: measured.map(|m| m.min_rate / 1000.0),
+        }
+    })
 }
 
 /// Formats the reproduced table like the paper's.
@@ -153,8 +180,6 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
 /// [`Scenario`] wrapper: `repro table1`.
 #[derive(Debug, Clone, Copy)]
 pub struct Table1Scenario;
@@ -164,11 +189,15 @@ impl Scenario for Table1Scenario {
         "table1"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_with_threads(seed, threads).to_json()
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+        let report = campaign(seed, threads, &cfg);
+        let rows: Vec<Table1Row> = report.values().cloned().collect();
+        campaign_document(&report, rows.to_json())
     }
 
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_with_threads(seed, threads))
+    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
+        let report = campaign(seed, threads, &cfg);
+        let rows: Vec<Table1Row> = report.values().cloned().collect();
+        campaign_render(&report, render(&rows))
     }
 }

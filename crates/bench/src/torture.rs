@@ -27,8 +27,6 @@
 //! `--checkpoint`/`--resume` persist completed shards so an interrupted
 //! campaign finishes bit-identical to an uninterrupted one.
 
-use std::path::Path;
-
 use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
 use ssdhammer_flash::{FlashArray, FlashGeometry};
 use ssdhammer_ftl::{Ftl, FtlConfig, FtlError, ReadOutcome, CRASH_SITES};
@@ -41,6 +39,8 @@ use ssdhammer_simkit::torture::{
     census_config, measure_crossings, CrashPoint, CrashVerdict, SiteCrossings, TorturePlan,
 };
 use ssdhammer_simkit::{Lba, SimClock, SimDuration, BLOCK_SIZE};
+
+use crate::scenario::{Scenario, ScenarioCfg};
 
 /// Structured-result schema identifier.
 pub const SCHEMA: &str = "ssdhammer-torture-v1";
@@ -65,21 +65,6 @@ impl ToJson for CrashOutcome {
             ("verdict", self.verdict.to_json()),
         ])
     }
-}
-
-/// Campaign options beyond `(seed, threads)` — the `repro torture` flags.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TortureOpts<'a> {
-    /// Larger workload and a sampling (non-exhaustive) crash schedule.
-    pub full: bool,
-    /// Persist completed shards to this checkpoint file.
-    pub checkpoint: Option<&'a Path>,
-    /// Restore completed shards from the checkpoint before running.
-    pub resume: bool,
-    /// Stop launching new shards after this many (kill-switch used by the
-    /// checkpoint/resume round-trip in CI; skipped shards mark the run
-    /// degraded).
-    pub abort_after: Option<usize>,
 }
 
 /// Every site the campaign registers: the five in-operation
@@ -389,10 +374,6 @@ fn judge(
 
 // ---- campaign ---------------------------------------------------------------
 
-fn encode_outcome(o: &CrashOutcome) -> Json {
-    o.to_json()
-}
-
 fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
     let site = j.get("site").and_then(Json::as_str)?.to_string();
     let index = j.get("index").and_then(Json::as_u64)?;
@@ -416,43 +397,34 @@ fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
     })
 }
 
-/// Runs the full campaign: census, crash-schedule enumeration, one
-/// supervised shard per crash point, merged into the structured result
-/// document. The document is bit-identical for any `threads`, and — when
-/// checkpointed, killed, and resumed — bit-identical to an uninterrupted
-/// run.
+/// Runs the full campaign under `cfg` (`full` picks the larger workload
+/// and a sampling crash schedule; the campaign flags checkpoint, resume,
+/// or abort it): census, crash-schedule enumeration, one supervised shard
+/// per crash point, merged into the structured result document. The
+/// document is bit-identical for any `threads`, and — when checkpointed,
+/// killed, and resumed — bit-identical to an uninterrupted run.
 #[must_use]
-pub fn run_supervised(seed: u64, threads: usize, opts: &TortureOpts<'_>) -> Json {
-    let crossings = census(seed, opts.full);
-    let plan = TorturePlan::enumerate(&crossings, plan_limit(opts.full), seed);
+pub fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+    let crossings = census(seed, cfg.full);
+    let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
     let registry = Telemetry::new();
-    let mut sup = Supervisor::new(seed)
+    let sup = Supervisor::new(seed)
         .with_tag("torture")
         .with_threads(threads)
         .with_sim_budget(SimDuration::from_secs(600))
         .with_max_retries(1)
         .attach_telemetry(&registry);
-    if let Some(n) = opts.abort_after {
-        sup = sup.with_stop_after(n);
-    }
+    let codec = JsonCodec {
+        encode: CrashOutcome::to_json,
+        decode: decode_outcome,
+    };
     // Every shard replays the *same* seed and workload — only the injected
     // cut differs — so the shard closure ignores `ctx.trial.seed` and keys
     // off the trial index alone. The shard clock feeds the watchdog.
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| {
-        run_crash_point(seed, opts.full, &plan.points[ctx.trial.index], ctx.clock())
-    };
-    let report = match opts.checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: encode_outcome,
-                decode: decode_outcome,
-            };
-            sup.run_checkpointed(plan.points.len(), path, opts.resume, codec, shard)
-                .expect("torture checkpoint")
-        }
-        None => sup.run(plan.points.len(), shard),
-    };
-    let doc = document(seed, opts.full, &crossings, &plan, &report);
+    let report = cfg.run_campaign(sup, plan.points.len(), codec, |ctx| {
+        run_crash_point(seed, cfg.full, &plan.points[ctx.trial.index], ctx.clock())
+    });
+    let doc = document(seed, cfg.full, &crossings, &plan, &report);
     count_verdicts(&registry, &plan, &report);
     doc
 }
@@ -463,9 +435,9 @@ pub fn run(seed: u64, threads: usize, full: bool) -> Json {
     run_supervised(
         seed,
         threads,
-        &TortureOpts {
+        &ScenarioCfg {
             full,
-            ..TortureOpts::default()
+            ..ScenarioCfg::default()
         },
     )
 }
@@ -719,11 +691,9 @@ mod tests {
         let doc = run_supervised(
             7,
             2,
-            &TortureOpts {
-                full: false,
-                checkpoint: None,
-                resume: false,
+            &ScenarioCfg {
                 abort_after: Some(0),
+                ..ScenarioCfg::default()
             },
         );
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
@@ -750,22 +720,20 @@ mod tests {
         let killed = run_supervised(
             7,
             2,
-            &TortureOpts {
-                full: false,
-                checkpoint: Some(&path),
-                resume: false,
+            &ScenarioCfg {
+                checkpoint: Some(path.clone()),
                 abort_after: Some(5),
+                ..ScenarioCfg::default()
             },
         );
         assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
         let resumed = run_supervised(
             7,
             1,
-            &TortureOpts {
-                full: false,
-                checkpoint: Some(&path),
+            &ScenarioCfg {
+                checkpoint: Some(path.clone()),
                 resume: true,
-                abort_after: None,
+                ..ScenarioCfg::default()
             },
         );
         assert_eq!(resumed.to_string(), uninterrupted);
@@ -775,23 +743,9 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
-
-/// [`Scenario`] wrapper: `repro torture` (the binary's `--checkpoint`,
-/// `--resume`, and `--abort-after` flags route through the cfg).
+/// [`Scenario`] wrapper: `repro torture`.
 #[derive(Debug, Clone, Copy)]
 pub struct TortureScenario;
-
-impl TortureScenario {
-    fn opts(cfg: &ScenarioCfg) -> TortureOpts<'_> {
-        TortureOpts {
-            full: cfg.full,
-            checkpoint: cfg.checkpoint.as_deref(),
-            resume: cfg.resume,
-            abort_after: cfg.abort_after,
-        }
-    }
-}
 
 impl Scenario for TortureScenario {
     fn name(&self) -> &'static str {
@@ -799,10 +753,10 @@ impl Scenario for TortureScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_supervised(seed, threads, &Self::opts(&cfg))
+        run_supervised(seed, threads, &cfg)
     }
 
     fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_supervised(seed, threads, &Self::opts(&cfg)))
+        render(&run_supervised(seed, threads, &cfg))
     }
 }

@@ -1,5 +1,4 @@
-//! The deterministic parallel campaign runner's core promise, held at the
-//! experiment level: sharding a reproduction across worker threads changes
+//! The campaign runner's core promise, held at the experiment level: sharding a reproduction across worker threads changes
 //! wall-clock time and nothing else — the emitted JSON is byte-identical
 //! for any thread count.
 
@@ -25,12 +24,12 @@ fn table1_json_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn amplification_sweep_is_identical_across_thread_counts() {
-    let base = ablations::amplification_sweep_threads(5, 1);
-    let four = ablations::amplification_sweep_threads(5, 4);
-    assert_eq!(
-        format!("{base:?}"),
-        format!("{four:?}"),
-        "ablation sweep diverged at 4 threads"
-    );
+fn ablations_json_is_byte_identical_across_thread_counts() {
+    let base = ablations::run_with_threads(5, 1)
+        .to_json()
+        .to_string_pretty();
+    let four = ablations::run_with_threads(5, 4)
+        .to_json()
+        .to_string_pretty();
+    assert_eq!(base, four, "ablations JSON diverged at 4 threads");
 }

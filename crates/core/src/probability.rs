@@ -17,8 +17,8 @@
 //! P(useful) = (F_v/2)/C_v · (F_v/2 + F_a)/PB = F_v(F_v + 2F_a) / (4·C_v·PB)
 //! ```
 
-use ssdhammer_simkit::parallel::Campaign;
 use ssdhammer_simkit::rng::{seeded, Rng};
+use ssdhammer_simkit::supervisor::{Supervisor, Trial};
 
 /// The parameters of one attack configuration (all in 4 KiB blocks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +136,8 @@ impl AttackParams {
     ///
     /// Structurally independent of the closed form — used to cross-check it.
     /// The whole run draws from one sequential RNG stream; for a
-    /// thread-count-independent parallel estimate, use
-    /// [`AttackParams::monte_carlo_useful_flip_sharded`].
+    /// thread-count-independent parallel estimate, run the chunked
+    /// estimator on [`AttackParams::mc_supervisor`].
     #[must_use]
     pub fn monte_carlo_useful_flip(&self, trials: u32, seed: u64) -> f64 {
         self.assert_valid();
@@ -149,34 +149,61 @@ impl AttackParams {
     /// changes the estimate (thread count never does).
     pub const MC_CHUNK_TRIALS: u32 = 8_192;
 
-    /// Monte-Carlo estimate restructured for the deterministic parallel
-    /// campaign runner: trials are split into fixed
-    /// [`Self::MC_CHUNK_TRIALS`]-sized chunks, chunk `c` draws from an RNG
-    /// seeded `derive_seed(seed, "mc", c)`, and chunk hit counts are summed
-    /// after the runner's in-order merge. The estimate is a pure function
-    /// of `(self, trials, seed)` — sharding across any number of worker
-    /// threads returns bit-identical results.
+    /// The campaign behind the chunked Monte-Carlo estimate, the form of
+    /// [`AttackParams::monte_carlo_useful_flip`] built for the
+    /// deterministic campaign runner: a `trials`-trial estimate splits into
+    /// [`Self::mc_chunks`] fixed [`Self::MC_CHUNK_TRIALS`]-trial chunks,
+    /// shard `c` runs [`Self::mc_chunk_hits`] drawing from
+    /// `derive_seed(seed, "mc", c)`, and [`Self::mc_estimate`] sums the
+    /// chunk hits after the runner's in-order merge. The estimate is a pure
+    /// function of `(self, trials, seed)` — sharding across any number of
+    /// worker threads returns bit-identical results.
     #[must_use]
-    pub fn monte_carlo_useful_flip_sharded(&self, trials: u32, seed: u64, threads: usize) -> f64 {
+    pub fn mc_supervisor(seed: u64, threads: usize) -> Supervisor {
+        Supervisor::new(seed).with_tag("mc").with_threads(threads)
+    }
+
+    /// Chunks — campaign shards — a `trials`-trial estimate splits into.
+    #[must_use]
+    pub fn mc_chunks(trials: u32) -> usize {
+        trials.div_ceil(Self::MC_CHUNK_TRIALS) as usize
+    }
+
+    /// One shard of the chunked estimator: useful-flip hits among chunk
+    /// `chunk.index`'s trials, drawn from `chunk.seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters fail [`AttackParams::validate`].
+    #[must_use]
+    pub fn mc_chunk_hits(&self, trials: u32, chunk: Trial) -> u64 {
         self.assert_valid();
-        if trials == 0 {
-            return 0.0;
+        u64::from(self.mc_hits(Self::mc_chunk_trials(trials, chunk.index), chunk.seed))
+    }
+
+    /// The chunked estimate of a `trials`-trial campaign from its per-chunk
+    /// hits in chunk order, `None` for a chunk that did not complete: the
+    /// hit rate over the completed chunks' trials (`0.0` when none did).
+    #[must_use]
+    pub fn mc_estimate(trials: u32, chunk_hits: impl IntoIterator<Item = Option<u64>>) -> f64 {
+        let (mut hits, mut covered) = (0u64, 0u32);
+        for (index, chunk) in chunk_hits.into_iter().enumerate() {
+            if let Some(h) = chunk {
+                hits += h;
+                covered += Self::mc_chunk_trials(trials, index);
+            }
         }
-        let chunks = trials.div_ceil(Self::MC_CHUNK_TRIALS);
-        let hits = Campaign::new(seed)
-            .with_tag("mc")
-            .with_threads(threads)
-            .run_fold(
-                chunks as usize,
-                |trial| {
-                    let lo = trial.index as u32 * Self::MC_CHUNK_TRIALS;
-                    let n = Self::MC_CHUNK_TRIALS.min(trials - lo);
-                    u64::from(self.mc_hits(n, trial.seed))
-                },
-                0u64,
-                |acc, h| acc + h,
-            );
-        hits as f64 / f64::from(trials)
+        if covered == 0 {
+            0.0
+        } else {
+            hits as f64 / f64::from(covered)
+        }
+    }
+
+    /// Trials chunk `index` of a `trials`-trial estimate covers: a full
+    /// chunk, except possibly the last.
+    fn mc_chunk_trials(trials: u32, index: usize) -> u32 {
+        Self::MC_CHUNK_TRIALS.min(trials - index as u32 * Self::MC_CHUNK_TRIALS)
     }
 
     /// Useful-flip hits over `trials` draws from one RNG stream.
@@ -253,21 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_monte_carlo_agrees_and_is_thread_count_independent() {
-        let params = AttackParams::paper_example(1 << 18);
-        let analytic = params.useful_flip_probability();
-        let one = params.monte_carlo_useful_flip_sharded(200_000, 11, 1);
-        assert!(
-            (one - analytic).abs() < 0.003,
-            "sharded mc {one} vs analytic {analytic}"
-        );
-        for threads in [2, 4, 8] {
-            let many = params.monte_carlo_useful_flip_sharded(200_000, 11, threads);
-            assert!(
-                many.to_bits() == one.to_bits(),
-                "estimate diverged at {threads} threads: {many} vs {one}"
-            );
-        }
+    fn chunked_estimate_covers_only_completed_chunks() {
+        // Two full chunks and a 100-trial tail; the middle chunk is missing.
+        let trials = 2 * AttackParams::MC_CHUNK_TRIALS + 100;
+        assert_eq!(AttackParams::mc_chunks(trials), 3);
+        let partial = AttackParams::mc_estimate(trials, [Some(800), None, Some(10)]);
+        let covered = f64::from(AttackParams::MC_CHUNK_TRIALS + 100);
+        assert_eq!(partial.to_bits(), (810.0 / covered).to_bits());
+        assert_eq!(AttackParams::mc_estimate(trials, [None, None, None]), 0.0);
     }
 
     #[test]

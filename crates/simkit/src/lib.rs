@@ -16,8 +16,6 @@
 //!   views.
 //! * [`rng`] — seed-derivation helpers making every stochastic component
 //!   reproducible.
-//! * [`parallel`] — the deterministic sharded campaign runner behind
-//!   `repro --threads N`: results are bit-identical for any thread count.
 //! * [`crc32c`] — the checksum ext4 applies to extent-tree metadata (and
 //!   pointedly does *not* apply to legacy indirect blocks, which is what the
 //!   paper's end-to-end exploit rides on).
@@ -30,9 +28,10 @@
 //! * [`torture`] — deterministic crash-point enumeration over fault-plane
 //!   sites: census a workload's site crossings, then cut power at every
 //!   one (or a seeded-stratified sample) and check recovery.
-//! * [`supervisor`] — supervised campaign execution over [`parallel`]:
-//!   sim-time budget watchdog, `catch_unwind` panic isolation with seeded
-//!   retry, and checkpoint/resume of long campaigns.
+//! * [`supervisor`] — the one campaign runner behind `repro --threads N`:
+//!   deterministic sharding (results are bit-identical for any thread
+//!   count), a sim-time budget watchdog, `catch_unwind` panic isolation
+//!   with seeded retry, and checkpoint/resume of long campaigns.
 //! * [`fuzz`] — seeded model-based fuzzing: generate op interleavings,
 //!   differentially check them against a shadow model, auto-shrink
 //!   divergences with delta debugging, and bucket failures by signature.
@@ -60,7 +59,6 @@ mod crc32c;
 pub mod faultplane;
 pub mod fuzz;
 pub mod json;
-pub mod parallel;
 pub mod rng;
 pub mod stats;
 pub mod supervisor;

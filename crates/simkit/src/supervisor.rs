@@ -1,9 +1,32 @@
-//! Supervised campaign execution: watchdog, panic isolation, checkpoint.
+//! The campaign runner: deterministic sharding under supervision.
 //!
-//! [`parallel::Campaign`] assumes every trial closure returns; a runaway or
-//! panicking shard takes the whole campaign (and the repro run around it)
-//! down with it. The [`Supervisor`] wraps the same deterministic sharding
-//! with the robustness layers a long fleet-scale campaign needs:
+//! Every multi-trial experiment in the workspace — Monte-Carlo sweeps,
+//! per-module measurement campaigns, the attack grid, the torture and fuzz
+//! campaigns — runs its trials as the shards of one [`Supervisor`]. Each
+//! shard builds its own simulated device from a seed and shares no state,
+//! so shards spread across [`std::thread`] workers while the output stays
+//! **bit-identical regardless of thread count**, which the repro suite
+//! asserts (see the `--threads` flag on the `repro` binary).
+//!
+//! The determinism rule is simple and worth stating once:
+//!
+//! 1. **Seeds are positional.** Shard `i` of a campaign seeded `root`
+//!    always runs with [`rng::derive_seed`]`(root, tag, i)` — a splitmix64
+//!    mix of the campaign seed, a per-campaign tag, and the shard index.
+//!    Which worker thread executes shard `i` has no influence on its seed.
+//! 2. **Results merge in index order.** Workers pull shard indices from a
+//!    shared atomic counter (so a slow shard does not stall the others),
+//!    tag each result with its index, and the runner sorts the merged
+//!    results by index. The caller observes what a sequential loop would
+//!    have produced.
+//!
+//! Anything seeded *per shard* and merged *by index* is therefore safe to
+//! run at any parallelism; anything that threads RNG state across shards is
+//! not, and must be restructured (see `ssdhammer-core`'s chunked
+//! Monte-Carlo estimator for the pattern).
+//!
+//! On top of that sharding, the supervisor adds the robustness layers a
+//! long campaign needs:
 //!
 //! * **Sim-time budget watchdog** — each shard receives a fresh
 //!   [`ShardCtx`] carrying a [`SimClock`] and an optional budget; shards
@@ -27,12 +50,22 @@
 //!
 //! The merged [`SupervisedReport`] keeps per-shard outcomes in trial order
 //! and exposes a [`SupervisedReport::degraded`] flag scenario JSON can
-//! surface when partial results were aggregated.
+//! surface when partial results were aggregated; callers that need every
+//! shard take [`SupervisedReport::into_complete`].
 //!
 //! # Examples
 //!
 //! ```
 //! use ssdhammer_simkit::supervisor::{ShardOutcome, Supervisor};
+//!
+//! let doubled = Supervisor::new(42).with_threads(4).run(10, |ctx| {
+//!     // ctx.trial.seed is derive_seed(42, "trial", ctx.trial.index);
+//!     // build a device from it here. The value lands at its index.
+//!     ctx.trial.index as u64 * 2
+//! });
+//! let sequential = Supervisor::new(42).run(10, |ctx| ctx.trial.index as u64 * 2);
+//! assert_eq!(doubled.outcomes, sequential.outcomes);
+//! assert_eq!(doubled.into_complete(), (0..10).map(|i| i * 2).collect::<Vec<_>>());
 //!
 //! let report = Supervisor::new(42).with_threads(4).run(8, |ctx| {
 //!     if ctx.trial.index == 3 {
@@ -55,13 +88,23 @@ use std::sync::Mutex;
 
 use crate::clock::SimClock;
 use crate::json::Json;
-use crate::parallel::{Campaign, Trial};
 use crate::rng;
 use crate::telemetry::{CounterHandle, Telemetry};
 use crate::time::SimDuration;
 
 /// Checkpoint file schema identifier.
 pub const CHECKPOINT_SCHEMA: &str = "ssdhammer-supervisor-ckpt-v1";
+
+/// A shard's position in its campaign and the seed it runs with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trial {
+    /// Position of this shard in the campaign (`0..trials`). Results are
+    /// merged in this order.
+    pub index: usize,
+    /// Seed for this shard: `derive_seed(campaign_seed, tag, index)`.
+    /// Independent of the executing thread.
+    pub seed: u64,
+}
 
 /// Per-shard context handed to supervised closures.
 #[derive(Debug, Clone)]
@@ -199,6 +242,28 @@ impl<T> SupervisedReport<T> {
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.outcomes.iter().filter_map(ShardOutcome::value)
     }
+
+    /// Every shard's value in trial order, for callers whose result only
+    /// means something when the whole campaign completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first shard that did not complete, printing its
+    /// outcome (index and seed replay it) — an isolated shard panic
+    /// resurfaces here instead of silently shrinking the result.
+    #[must_use]
+    pub fn into_complete(self) -> Vec<T>
+    where
+        T: fmt::Debug,
+    {
+        self.outcomes
+            .into_iter()
+            .map(|outcome| match outcome {
+                ShardOutcome::Ok(v) => v,
+                failed => panic!("campaign incomplete: {failed:?}"),
+            })
+            .collect()
+    }
 }
 
 /// A `(encode, decode)` pair teaching the checkpoint writer how to persist
@@ -276,7 +341,7 @@ struct SupervisorTel {
     dropped: CounterHandle,
 }
 
-/// A supervised, checkpointable campaign over [`Campaign`] shards.
+/// A supervised, checkpointable, deterministically sharded campaign.
 ///
 /// See the [module docs](self) for the robustness layers.
 #[derive(Clone)]
@@ -306,15 +371,17 @@ impl Supervisor {
         }
     }
 
-    /// Sets the worker-thread count (see [`Campaign::with_threads`]).
+    /// Sets the worker-thread count. `0` and `1` both mean "run inline on
+    /// the calling thread"; larger values shard across that many
+    /// `std::thread` workers.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.threads = threads.max(1);
         self
     }
 
-    /// Sets the per-campaign seed-derivation tag (see
-    /// [`Campaign::with_tag`]).
+    /// Sets the tag mixed into per-shard seed derivation, separating the
+    /// seed streams of campaigns that share a root seed.
     #[must_use]
     pub fn with_tag(mut self, tag: &'static str) -> Self {
         self.tag = tag;
@@ -365,7 +432,7 @@ impl Supervisor {
     /// The seed shard `index` will receive on its first attempt.
     #[must_use]
     pub fn trial_seed(&self, index: usize) -> u64 {
-        self.campaign().trial_seed(index)
+        rng::derive_seed(self.seed, self.tag, index as u64)
     }
 
     /// Runs `trials` supervised shards and merges their outcomes in trial
@@ -436,12 +503,6 @@ impl Supervisor {
         }
     }
 
-    fn campaign(&self) -> Campaign {
-        Campaign::new(self.seed)
-            .with_tag(self.tag)
-            .with_threads(self.threads)
-    }
-
     fn run_inner<T, F>(
         &self,
         trials: usize,
@@ -456,7 +517,11 @@ impl Supervisor {
         let resumed = cached.len();
         let cached = Mutex::new(cached);
         let live_started = AtomicUsize::new(0);
-        let shards: Vec<(ShardOutcome<T>, u32)> = self.campaign().run(trials, |trial| {
+        let shards: Vec<(ShardOutcome<T>, u32)> = shard_in_order(self.threads, trials, |index| {
+            let trial = Trial {
+                index,
+                seed: self.trial_seed(index),
+            };
             if let Some(v) = cached
                 .lock()
                 .expect("supervisor cache poisoned")
@@ -667,6 +732,46 @@ impl Supervisor {
     }
 }
 
+/// Runs `f(0..trials)` on up to `threads` workers and returns the results
+/// in index order — bit-identical for any thread count. Workers claim
+/// indices by atomic counter (work stealing: a slow shard, e.g. a table1 row
+/// whose binary search needs extra windows, leaves no worker idle), and the
+/// index tags keep the merge deterministic.
+fn shard_in_order<T, F>(threads: usize, trials: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = threads.min(trials.max(1));
+    if workers <= 1 {
+        return (0..trials).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(trials));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut local: Vec<(usize, T)> = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= trials {
+                        break;
+                    }
+                    local.push((i, f(i)));
+                }
+                collected
+                    .lock()
+                    .expect("supervisor worker panicked while merging")
+                    .extend(local);
+            });
+        }
+    });
+    let mut merged = collected.into_inner().expect("supervisor merge poisoned");
+    merged.sort_by_key(|&(i, _)| i);
+    debug_assert_eq!(merged.len(), trials);
+    merged.into_iter().map(|(_, t)| t).collect()
+}
+
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -760,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_run_matches_campaign_semantics() {
+    fn clean_run_merges_in_trial_order() {
         let report = Supervisor::new(7)
             .with_threads(4)
             .run(16, |ctx| ctx.trial.index as u64 * 3);
@@ -768,11 +873,48 @@ mod tests {
         assert_eq!(report.resumed, 0);
         let values: Vec<u64> = report.values().copied().collect();
         assert_eq!(values, (0..16).map(|i| i * 3).collect::<Vec<_>>());
-        // Shard seeds line up with the underlying campaign's.
-        assert_eq!(
-            Supervisor::new(7).trial_seed(5),
-            Campaign::new(7).trial_seed(5)
+        assert_eq!(report.into_complete(), values);
+    }
+
+    #[test]
+    fn seeds_are_positional_tagged_and_distinct() {
+        let seeds = Supervisor::new(1234)
+            .with_threads(3)
+            .run(16, |ctx| ctx.trial.seed)
+            .into_complete();
+        for (i, &s) in seeds.iter().enumerate() {
+            assert_eq!(s, rng::derive_seed(1234, "trial", i as u64));
+        }
+        let mut dedup = seeds.clone();
+        dedup.sort_unstable();
+        dedup.dedup();
+        assert_eq!(dedup.len(), seeds.len(), "per-shard seeds must differ");
+        assert_ne!(
+            Supervisor::new(5).with_tag("mc").trial_seed(0),
+            Supervisor::new(5).with_tag("table1").trial_seed(0)
         );
+    }
+
+    #[test]
+    fn empty_and_oversubscribed_campaigns() {
+        let none = Supervisor::new(3)
+            .with_threads(8)
+            .run(0, |ctx| ctx.trial.index);
+        assert!(none.outcomes.is_empty() && !none.degraded());
+        let few = Supervisor::new(3)
+            .with_threads(32)
+            .run(3, |ctx| ctx.trial.index * 10);
+        assert_eq!(few.into_complete(), vec![0, 10, 20]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Panicked { index: 2")]
+    fn into_complete_resurfaces_an_isolated_panic() {
+        let report = Supervisor::new(9).with_threads(2).run(4, |ctx| {
+            assert!(ctx.trial.index != 2, "boom");
+            ctx.trial.index
+        });
+        let _ = report.into_complete();
     }
 
     #[test]

@@ -201,15 +201,15 @@ pub const ALLOWLIST: &[(Rule, &str, &str)] = &[
     ),
     (
         Rule::R1,
-        "crates/simkit/src/parallel.rs",
-        "the Campaign work queue claims trial indices with Relaxed; results \
-         are merged in trial-index order, so claim order cannot leak",
+        "crates/simkit/src/supervisor.rs",
+        "the campaign work queue claims shard indices with Relaxed; results \
+         are merged in shard-index order, so claim order cannot leak",
     ),
     (
         Rule::R1,
         "crates/cloud/src/partition.rs",
         "tenant views share one Ssd via Rc<RefCell<..>>, which is !Send: the \
-         compiler already forbids it crossing Campaign worker threads",
+         compiler already forbids it crossing campaign worker threads",
     ),
 ];
 
@@ -307,7 +307,7 @@ impl<'a> FileCtx<'a> {
                     && self.crate_name.is_some_and(|c| SIM_CRATES.contains(&c))
             }
             Rule::T1 | Rule::T2 | Rule::T3 => self.class != FileClass::Test && not_tooling,
-            // Shared mutable state is a hazard in any code a Campaign run
+            // Shared mutable state is a hazard in any code a campaign shard
             // can execute — library, bin, and the bench drivers alike.
             Rule::R1 => {
                 self.class != FileClass::Test && self.class != FileClass::Example && not_tooling

@@ -54,10 +54,11 @@ pub struct FnSym {
     pub returns_result: bool,
     /// Every call edge found in the body.
     pub calls: Vec<CallRef>,
-    /// Whether the body mentions `Campaign` (a parallel-campaign root).
+    /// Whether the body mentions `Supervisor` (a campaign root: its shard
+    /// closures run on worker threads).
     pub uses_campaign: bool,
-    /// Interior-mutability suspects mentioned in the body:
-    /// `(ident, line, col)` for `Cell`/`RefCell`/`Rc`.
+    /// Shared-mutable-state suspects mentioned in the body:
+    /// `(ident, line, col)` for `Cell`/`RefCell`/`Rc`/`Relaxed`.
     pub suspects: Vec<(String, u32, u32)>,
 }
 
@@ -108,7 +109,8 @@ pub struct TelemetryLit {
 /// An RNG construction whose seed argument is a bare numeric literal.
 #[derive(Debug, Clone)]
 pub struct SeedSite {
-    /// The constructor (`seeded`, `seed_from_u64`, `derive_seed`, `Campaign::new`).
+    /// The constructor (`seeded`, `seed_from_u64`, `derive_seed`,
+    /// `Supervisor::new`).
     pub ctor: String,
     /// The literal seed as written.
     pub literal: String,
@@ -178,8 +180,11 @@ const STATIC_INTERIOR: &[&str] = &[
     "RwLock",
 ];
 
-/// Idents tracked as shared-mutable-state suspects in function bodies.
-const BODY_SUSPECTS: &[&str] = &["Cell", "RefCell", "Rc"];
+/// Idents tracked as shared-mutable-state suspects in function bodies:
+/// interior-mutability types (R1 flags them where a campaign shard can
+/// reach them) and `Relaxed` orderings (flagged anywhere in a deterministic
+/// crate).
+const BODY_SUSPECTS: &[&str] = &["Cell", "RefCell", "Rc", "Relaxed"];
 
 /// RNG constructors whose first argument S1 audits.
 const SEED_CTORS: &[&str] = &["seeded", "seed_from_u64", "derive_seed"];
@@ -304,7 +309,7 @@ fn scan_pointwise(
     }
 
     // Literal-seed RNG construction: `seeded(42)`, `derive_seed(7, …)`,
-    // `Campaign::new(42)`.
+    // `Supervisor::new(42)`.
     if next_paren && SEED_CTORS.contains(&tok.text.as_str()) {
         if let Some(&arg) = code.get(ci + 2) {
             if tokens[arg].kind == TokenKind::Number {
@@ -318,7 +323,7 @@ fn scan_pointwise(
             }
         }
     }
-    if tok.text == "Campaign"
+    if tok.text == "Supervisor"
         && code.get(ci + 1).is_some_and(|&n| tokens[n].text == ":")
         && code.get(ci + 3).is_some_and(|&n| tokens[n].text == "new")
         && code.get(ci + 4).is_some_and(|&n| tokens[n].text == "(")
@@ -326,7 +331,7 @@ fn scan_pointwise(
         if let Some(&arg) = code.get(ci + 5) {
             if tokens[arg].kind == TokenKind::Number {
                 syms.seeds.push(SeedSite {
-                    ctor: "Campaign::new".into(),
+                    ctor: "Supervisor::new".into(),
                     literal: tokens[arg].text.clone(),
                     line: tok.line,
                     col: tok.col,
@@ -653,7 +658,7 @@ fn parse_fn(
         if t.kind != TokenKind::Ident {
             continue;
         }
-        if t.text == "Campaign" {
+        if t.text == "Supervisor" {
             sym.uses_campaign = true;
         }
         if BODY_SUSPECTS.contains(&t.text.as_str()) {
@@ -894,7 +899,7 @@ fn helper(cfg: Config) -> u32 { 0 }
         let src = "\
 fn shard(seed: u64) -> u64 {
     let shared = std::rc::Rc::new(3u64);
-    Campaign::new(seed).run(4, |t| t.index as u64).len() as u64 + *shared
+    Supervisor::new(seed).run(4, |ctx| ctx.trial.index).outcomes.len() as u64 + *shared
 }
 ";
         let syms = extract_source("crates/bench/src/x.rs", src);
@@ -949,12 +954,12 @@ fn f(seed: u64) {
     let a = seeded(42);
     let b = seeded(seed);
     let c = derive_seed(7, \"tag\", 0);
-    let d = Campaign::new(99);
+    let d = Supervisor::new(99);
 }
 ";
         let syms = extract_source("crates/ftl/src/x.rs", src);
         let ctors: Vec<&str> = syms.seeds.iter().map(|s| s.ctor.as_str()).collect();
-        assert_eq!(ctors, vec!["seeded", "derive_seed", "Campaign::new"]);
+        assert_eq!(ctors, vec!["seeded", "derive_seed", "Supervisor::new"]);
         assert_eq!(syms.seeds[0].literal, "42");
     }
 

@@ -9,7 +9,7 @@
 //! * **R1 — determinism race.** `static mut`, `static`s with
 //!   interior-mutability types, `Ordering::Relaxed` in deterministic
 //!   crates, and `Cell`/`RefCell`/`Rc` in functions reachable from a
-//!   `simkit::parallel::Campaign` worker closure (computed over the
+//!   `simkit::supervisor::Supervisor` shard closure (computed over the
 //!   name-based call graph). Shared mutable state a worker can reach is
 //!   how 1-thread and 4-thread runs diverge.
 //! * **T2 — telemetry registry.** Every dotted telemetry name the
@@ -28,7 +28,7 @@
 //!   recovery and nvme retry paths are the motivating targets: a dropped
 //!   error there silently un-makes the fault model.
 //! * **S1 — seed hygiene.** RNG construction (`seeded`, `seed_from_u64`,
-//!   `derive_seed`, `Campaign::new`) from a bare numeric literal in
+//!   `derive_seed`, `Supervisor::new`) from a bare numeric literal in
 //!   library code. Seeds must be plumbed from configuration so every
 //!   stream stays reproducible *and* steerable; hard-coded seeds belong
 //!   in tests and the bench harness's `wallclock` module only.
@@ -57,7 +57,7 @@ pub struct SymStats {
     pub use_edges: usize,
     /// Telemetry-name literals collected.
     pub telemetry_literals: usize,
-    /// Functions reachable from a `Campaign` worker closure.
+    /// Functions reachable from a `Supervisor` shard closure.
     pub campaign_reachable: usize,
 }
 
@@ -165,7 +165,7 @@ impl Workspace {
         s
     }
 
-    /// Functions reachable from any `Campaign`-using function, as
+    /// Functions reachable from any `Supervisor`-using function, as
     /// `(file index, fn index)` pairs, over the name-based call graph.
     /// Test-scope functions are neither roots nor targets.
     fn campaign_reachable(&self) -> BTreeSet<(usize, usize)> {
@@ -273,7 +273,7 @@ impl Workspace {
                             col: *col,
                             message: format!(
                                 "`{name}` in `{}`, which is reachable from a \
-                                 `Campaign` worker closure; interior mutability \
+                                 `Supervisor` shard closure; interior mutability \
                                  shared across trials breaks thread-count \
                                  determinism",
                                 g.name
@@ -656,7 +656,7 @@ Prose about `dotted.names` is ignored.
         let ws = ws_with(&[
             (
                 "crates/bench/src/camp.rs",
-                "fn shard(seed: u64) { Campaign::new(seed).run(4, |t| helper(t.index)); }\n",
+                "fn shard(seed: u64) { Supervisor::new(seed).run(4, |ctx| helper(ctx.trial.index)); }\n",
             ),
             (
                 "crates/ftl/src/helper.rs",
@@ -670,6 +670,16 @@ Prose about `dotted.names` is ignored.
         let report = ws.analyze();
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].file, "crates/ftl/src/helper.rs");
+        assert_eq!(report.violations[0].rule, Rule::R1);
+    }
+
+    #[test]
+    fn r1_flags_relaxed_only_in_deterministic_crates() {
+        let src = "pub fn claim(n: &AtomicUsize) -> usize { n.fetch_add(1, Ordering::Relaxed) }\n";
+        let ws = ws_with(&[("crates/ftl/src/q.rs", src), ("crates/bench/src/q.rs", src)]);
+        let report = ws.analyze();
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].file, "crates/ftl/src/q.rs");
         assert_eq!(report.violations[0].rule, Rule::R1);
     }
 

@@ -7,8 +7,8 @@
 //! stages, `find_attack_sites`, `AttackParams`), the simulation substrate
 //! (`SimClock`, `SimDuration`,
 //! `Lba`), the batched multi-queue front end (`Command`, `Completion`,
-//! `QueuePairHandle`, `Arbiter`), the deterministic parallel campaign
-//! runner (`Campaign`), the storage seam (`BlockDevice`, `RamDisk`), the
+//! `QueuePairHandle`, `Arbiter`), the deterministic campaign runner
+//! (`Supervisor`), the storage seam (`BlockDevice`, `RamDisk`), the
 //! shared observability layer (`Telemetry`, `TelemetrySnapshot`), and the
 //! unified [`Error`]/[`Result`] pair.
 //!
@@ -30,7 +30,7 @@
 
 pub use crate::error::{Error, Result};
 
-pub use ssdhammer_simkit::parallel::Campaign;
+pub use ssdhammer_simkit::supervisor::Supervisor;
 pub use ssdhammer_simkit::telemetry::{Telemetry, TelemetrySnapshot, TraceEvent};
 pub use ssdhammer_simkit::{
     BlockDevice, ByteSize, Lba, RamDisk, SimClock, SimDuration, SimTime, BLOCK_SIZE,

@@ -118,7 +118,7 @@ fn power_loss_replay_is_deterministic_across_thread_counts() {
     use ssdhammer::ftl::{Ftl, FtlConfig, FtlError};
     use ssdhammer::prelude::{Lba, BLOCK_SIZE};
     use ssdhammer::simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
-    use ssdhammer::simkit::parallel::Campaign;
+    use ssdhammer::simkit::supervisor::Supervisor;
     use ssdhammer::simkit::SimClock;
 
     fn tiny_dram(seed: u64) -> DramModule {
@@ -176,24 +176,18 @@ fn power_loss_replay_is_deterministic_across_thread_counts() {
         (table, forward + &replay)
     }
 
+    let campaign = || Supervisor::new(1234).with_tag("power-loss-determinism");
     let run = |threads: usize| {
-        Campaign::new(1234)
-            .with_tag("power-loss-determinism")
+        campaign()
             .with_threads(threads)
-            .run(3, |t| trial(t.seed))
+            .run(3, |ctx| trial(ctx.trial.seed))
+            .into_complete()
     };
     let single = run(1);
     let multi = run(4);
     assert_eq!(single, multi, "thread count must not change any byte");
     // And the trial itself is replayable: same seed, same bytes.
-    assert_eq!(
-        single[0],
-        trial(
-            Campaign::new(1234)
-                .with_tag("power-loss-determinism")
-                .trial_seed(0)
-        )
-    );
+    assert_eq!(single[0], trial(campaign().trial_seed(0)));
     // Different seeds model different fault histories. (The table is
     // identical by construction — read faults never move mappings and the
     // cut tick is pinned — but the retry/recovery telemetry diverges.)
