@@ -1,6 +1,8 @@
 //! The NAND array simulator: erase-before-program semantics, in-order page
 //! programming, per-channel pipelining, wear, and bad blocks.
 
+use std::sync::Arc;
+
 use ssdhammer_simkit::faultplane::FaultPlane;
 use ssdhammer_simkit::rng::{derive_seed, seeded, Rng};
 use ssdhammer_simkit::telemetry::{CounterHandle, Telemetry};
@@ -139,7 +141,8 @@ impl FlashHandles {
 
 #[derive(Debug)]
 struct PageData {
-    data: Box<[u8]>,
+    /// Never mutated once stored, so identical pages can share it.
+    data: Arc<[u8]>,
     oob: Box<[u8]>,
 }
 
@@ -183,6 +186,9 @@ pub struct FlashArray {
     /// single hottest operation in the simulator and O(1) indexing beats a
     /// tree walk over hundreds of thousands of programmed pages.
     pages: Vec<Option<PageData>>,
+    /// The last page programmed: a new page with the same bytes shares its
+    /// storage instead of holding a copy (fills of one payload are common).
+    last_programmed: Option<Ppn>,
     blocks: Vec<BlockState>,
     channel_busy_until: Vec<SimTime>,
     tel: FlashHandles,
@@ -237,6 +243,7 @@ impl FlashArray {
             timing,
             clock,
             pages,
+            last_programmed: None,
             blocks,
             tel: FlashHandles::bind(Telemetry::new()),
             max_pe_cycles: 3000,
@@ -548,10 +555,15 @@ impl FlashArray {
         }
         let mut oob_buf = vec![0u8; self.geometry.oob_bytes as usize].into_boxed_slice();
         oob_buf[..oob.len()].copy_from_slice(oob);
-        self.pages[ppn.as_u64() as usize] = Some(PageData {
-            data: data.into(),
-            oob: oob_buf,
-        });
+        let previous = self
+            .last_programmed
+            .and_then(|p| self.pages[p.as_u64() as usize].as_ref());
+        let data = match previous {
+            Some(prev) if *prev.data == *data => Arc::clone(&prev.data),
+            _ => Arc::from(data),
+        };
+        self.pages[ppn.as_u64() as usize] = Some(PageData { data, oob: oob_buf });
+        self.last_programmed = Some(ppn);
         let done = self.schedule(
             self.geometry.channel_of(block),
             SimDuration::from_nanos(self.timing.t_program_ns + self.timing.t_xfer_ns),
@@ -827,6 +839,84 @@ mod tests {
         a.program_page(Ppn(0), &page(0x11), b"").unwrap();
         let (d, _) = a.read_page(Ppn(0)).unwrap();
         assert!(d.iter().all(|&b| b == 0x11));
+    }
+
+    fn shares_storage(a: &FlashArray, x: Ppn, y: Ppn) -> bool {
+        match (&a.pages[x.as_u64() as usize], &a.pages[y.as_u64() as usize]) {
+            (Some(p), Some(q)) => Arc::ptr_eq(&p.data, &q.data),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn consecutive_identical_programs_share_storage_and_read_back() {
+        let mut a = array();
+        a.program_page(Ppn(0), &page(0x3C), b"first").unwrap();
+        a.program_page(Ppn(1), &page(0x3C), b"second").unwrap();
+        assert!(shares_storage(&a, Ppn(0), Ppn(1)));
+        for ppn in [Ppn(0), Ppn(1)] {
+            assert_eq!(a.read_page(ppn).unwrap().0.as_ref(), page(0x3C).as_slice());
+        }
+        // Only the data is shared; each page keeps its own OOB.
+        assert_eq!(&a.read_oob(Ppn(0)).unwrap()[..5], b"first");
+        assert_eq!(&a.read_oob(Ppn(1)).unwrap()[..6], b"second");
+    }
+
+    #[test]
+    fn erasing_one_shared_copy_leaves_the_other() {
+        let mut a = array();
+        let other = a.geometry().first_page(BlockId(1));
+        a.program_page(Ppn(0), &page(0x77), b"").unwrap();
+        a.program_page(other, &page(0x77), b"").unwrap();
+        assert!(shares_storage(&a, Ppn(0), other));
+        a.erase_block(BlockId(0)).unwrap();
+        assert!(a.read_page(Ppn(0)).unwrap().0.iter().all(|&b| b == 0xFF));
+        assert_eq!(
+            a.read_page(other).unwrap().0.as_ref(),
+            page(0x77).as_slice()
+        );
+        // The erased page is gone, so a later identical program stores anew.
+        a.program_page(Ppn(0), &page(0x77), b"").unwrap();
+        a.erase_block(BlockId(1)).unwrap();
+        assert_eq!(
+            a.read_page(Ppn(0)).unwrap().0.as_ref(),
+            page(0x77).as_slice()
+        );
+    }
+
+    #[test]
+    fn read_disturb_on_one_shared_copy_spares_the_other() {
+        let mut a = array();
+        a.set_read_disturb_limit(8);
+        let other = a.geometry().first_page(BlockId(1));
+        a.program_page(Ppn(0), &page(0x00), b"").unwrap();
+        a.program_page(other, &page(0x00), b"").unwrap();
+        assert!(shares_storage(&a, Ppn(0), other));
+        let mut disturbed = false;
+        for _ in 0..16 {
+            disturbed |= a.read_page(Ppn(0)).unwrap().0.iter().any(|&b| b != 0);
+        }
+        assert!(disturbed, "reads past the limit return flipped bits");
+        assert!(a.read_page(other).unwrap().0.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn differing_content_is_never_shared() {
+        let mut a = array();
+        let mut near = page(0x10);
+        near[4095] ^= 1;
+        a.program_page(Ppn(0), &page(0x10), b"").unwrap();
+        a.program_page(Ppn(1), &near, b"").unwrap();
+        // Equal to page 0 but not to the page programmed just before it.
+        a.program_page(Ppn(2), &page(0x10), b"").unwrap();
+        assert!(!shares_storage(&a, Ppn(0), Ppn(1)));
+        assert!(!shares_storage(&a, Ppn(1), Ppn(2)));
+        assert!(!shares_storage(&a, Ppn(0), Ppn(2)));
+        assert_eq!(a.read_page(Ppn(1)).unwrap().0.as_ref(), near.as_slice());
+        assert_eq!(
+            a.read_page(Ppn(2)).unwrap().0.as_ref(),
+            page(0x10).as_slice()
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * **No caching**: every metadata and data access goes to the device, so
 //!   when the FTL under the device redirects an LBA, the filesystem
 //!   faithfully follows the corrupted pointer chain — the behaviour §4.2
-//!   exploits.
+//!   exploits. Nothing is kept between operations, and within one operation
+//!   each metadata block is read once: an allocation reads each bitmap block
+//!   once, and a directory operation makes one pass that resolves the
+//!   extent map once and stops at the named entry.
 //! * Directories always use extent addressing; regular files choose
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
@@ -94,23 +97,13 @@ pub struct FileSystem<S: BlockDevice> {
     dev: S,
     sb: SuperBlock,
     pub(crate) tel: FsHandles,
-    /// Reusable block buffer for leaf routines (bitmap probes, inode table
-    /// access) that never nest another scratch use. The device overwrites
-    /// every byte on a successful read, so stale contents are never
-    /// observable; reusing one allocation avoids a 4 KiB zero per access on
-    /// the hottest paths (inode allocation probes the bitmap millions of
-    /// times per spray cycle).
+    /// Reusable block buffer for leaf routines (bitmap bit tests and
+    /// updates, inode table access) that never nest another scratch use.
+    /// The device overwrites every byte on a successful read, so stale
+    /// contents are never observable; reusing one allocation avoids a 4 KiB
+    /// zero on every `read_inode`/`write_inode`, which each path operation
+    /// calls several times.
     scratch: Box<[u8; BLOCK_SIZE]>,
-    /// Single-entry extent-leaf validation cache: the last leaf block that
-    /// passed [`FileSystem::check_extent_leaf`], keyed by block number AND
-    /// exact content. Directory scans resolve every logical block through
-    /// the same leaf, re-reading it each time; when the freshly read bytes
-    /// are identical to the validated copy the checksum pass is skipped.
-    /// Any content change (a rewrite, a read-disturb flip) misses the cache
-    /// and revalidates in full, so observable behavior is unchanged.
-    leaf_cache_block: Option<FsBlock>,
-    leaf_cache: Box<[u8; BLOCK_SIZE]>,
-    leaf_cache_entries: usize,
 }
 
 /// Handles into the shared [`Telemetry`] registry (metric names `fs.*`).
@@ -158,9 +151,6 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_block: None,
-            leaf_cache: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_entries: 0,
         };
         // Reserve the metadata blocks in the block bitmap.
         for b in 0..sb.data_start {
@@ -195,9 +185,6 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_block: None,
-            leaf_cache: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_entries: 0,
         })
     }
 
@@ -301,27 +288,35 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(())
     }
 
-    /// Allocates the first free data block.
-    fn alloc_block(&mut self) -> FsResult<FsBlock> {
+    /// Sets and returns the lowest clear bit in `first..limit` of the bitmap
+    /// starting at block `start`, reading each bitmap block at most once.
+    fn alloc_bit(&mut self, start: u32, first: u32, limit: u32) -> FsResult<u32> {
+        const BITS: u32 = BLOCK_SIZE as u32 * 8;
         let mut buf = [0u8; BLOCK_SIZE];
-        for bb in 0..self.sb.block_bitmap_len {
-            let block = self.sb.block_bitmap_start + bb;
-            self.read_raw_into(block, &mut buf)?;
+        for bb in first / BITS..limit.div_ceil(BITS) {
+            self.read_raw_into(start + bb, &mut buf)?;
             for (byte_idx, byte) in buf.iter_mut().enumerate() {
-                if *byte == 0xFF {
+                let base = bb * BITS + byte_idx as u32 * 8;
+                // Bits below `first` count as taken.
+                let below = first.saturating_sub(base).min(8);
+                let bit = (*byte | ((1u16 << below) - 1) as u8).trailing_ones();
+                if bit == 8 {
                     continue;
                 }
-                let free_bit = byte.trailing_ones();
-                let index = bb * (BLOCK_SIZE as u32 * 8) + byte_idx as u32 * 8 + free_bit;
-                if index >= self.sb.total_blocks {
+                if base + bit >= limit {
                     return Err(FsError::NoSpace);
                 }
-                *byte |= 1 << free_bit;
-                self.write_raw(block, &buf)?;
-                return Ok(index);
+                *byte |= 1 << bit;
+                self.write_raw(start + bb, &buf)?;
+                return Ok(base + bit);
             }
         }
         Err(FsError::NoSpace)
+    }
+
+    /// Allocates the first free data block.
+    fn alloc_block(&mut self) -> FsResult<FsBlock> {
+        self.alloc_bit(self.sb.block_bitmap_start, 0, self.sb.total_blocks)
     }
 
     fn free_block(&mut self, b: FsBlock) -> FsResult<()> {
@@ -335,14 +330,10 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(())
     }
 
+    /// Allocates the lowest free inode; inode 0 is never handed out.
     fn alloc_ino(&mut self) -> FsResult<Ino> {
-        for i in 1..self.sb.inode_count {
-            if !self.bitmap_get(self.sb.inode_bitmap_start, i)? {
-                self.bitmap_set(self.sb.inode_bitmap_start, i, true)?;
-                return Ok(Ino(i));
-            }
-        }
-        Err(FsError::NoSpace)
+        self.alloc_bit(self.sb.inode_bitmap_start, 1, self.sb.inode_count)
+            .map(Ino)
     }
 
     fn free_ino(&mut self, ino: Ino) -> FsResult<()> {
@@ -408,19 +399,15 @@ impl<S: BlockDevice> FileSystem<S> {
     fn map_block(&mut self, inode: &Inode, logical: u32) -> FsResult<Option<FsBlock>> {
         match &inode.map {
             InodeMap::Extents { inline, leaf } => {
-                let find = |extents: &[Extent]| {
-                    extents
-                        .iter()
-                        .find(|e| e.logical <= logical && logical < e.logical + e.len)
-                        .map(|e| e.start + (logical - e.logical))
-                };
-                if let Some(b) = find(inline) {
+                if let Some(b) = extent_find(inline, logical) {
                     return Ok(Some(b));
                 }
-                if let Some(leaf_block) = leaf {
-                    return self.extent_leaf_lookup(*leaf_block, logical);
+                match leaf {
+                    Some(leaf_block) => {
+                        Ok(extent_find(&self.read_extent_leaf(*leaf_block)?, logical))
+                    }
+                    None => Ok(None),
                 }
-                Ok(None)
             }
             InodeMap::Indirect {
                 direct,
@@ -597,30 +584,12 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(entries)
     }
 
-    /// [`FileSystem::check_extent_leaf`] behind the single-entry validation
-    /// cache: a byte-identical re-read of the last validated leaf skips the
-    /// checksum; anything else validates in full and repopulates the cache.
-    fn check_extent_leaf_cached(
-        &mut self,
-        block: FsBlock,
-        buf: &[u8; BLOCK_SIZE],
-    ) -> FsResult<usize> {
-        if self.leaf_cache_block == Some(block) && self.leaf_cache[..] == buf[..] {
-            return Ok(self.leaf_cache_entries);
-        }
-        let entries = Self::check_extent_leaf(buf)?;
-        self.leaf_cache_block = Some(block);
-        self.leaf_cache.copy_from_slice(buf);
-        self.leaf_cache_entries = entries;
-        Ok(entries)
-    }
-
     /// Reads and verifies a depth-1 extent leaf block (checksummed like
     /// ext4's).
     fn read_extent_leaf(&mut self, block: FsBlock) -> FsResult<Vec<Extent>> {
         let mut buf = [0u8; BLOCK_SIZE];
         self.read_raw_into(block, &mut buf)?;
-        let entries = self.check_extent_leaf_cached(block, &buf)?;
+        let entries = Self::check_extent_leaf(&buf)?;
         let mut out = Vec::with_capacity(entries);
         for i in 0..entries {
             let off = 12 + i * 12;
@@ -633,23 +602,14 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(out)
     }
 
-    /// Resolves `logical` through a depth-1 extent leaf without
-    /// materializing the extent list: same device read and validation as
-    /// [`FileSystem::read_extent_leaf`], but the entries are scanned in
-    /// place (in stored order, matching the materialized `find`).
-    fn extent_leaf_lookup(&mut self, block: FsBlock, logical: u32) -> FsResult<Option<FsBlock>> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        self.read_raw_into(block, &mut buf)?;
-        let entries = self.check_extent_leaf_cached(block, &buf)?;
-        for i in 0..entries {
-            let off = 12 + i * 12;
-            let e_logical = le_u32(&buf, off);
-            let e_len = le_u32(&buf, off + 4);
-            if e_logical <= logical && logical < e_logical + e_len {
-                return Ok(Some(le_u32(&buf, off + 8) + (logical - e_logical)));
-            }
+    /// An extent map's whole extent list: the inline extents, then the
+    /// leaf's, read and verified once.
+    fn all_extents(&mut self, inline: &[Extent], leaf: Option<FsBlock>) -> FsResult<Vec<Extent>> {
+        let mut all = inline.to_vec();
+        if let Some(leaf_block) = leaf {
+            all.extend(self.read_extent_leaf(leaf_block)?);
         }
-        Ok(None)
+        Ok(all)
     }
 
     fn write_extent_leaf(&mut self, block: FsBlock, extents: &[Extent]) -> FsResult<()> {
@@ -670,113 +630,117 @@ impl<S: BlockDevice> FileSystem<S> {
 
     // ---- directories -------------------------------------------------------
 
-    fn dir_entries(&mut self, dir: &Inode) -> FsResult<Vec<Dirent>> {
-        let mut out = Vec::new();
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            let buf = self.read_raw(fsb)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                if let Some(d) = Dirent::decode(&buf[off..off + DIRENT_SIZE])? {
-                    out.push(d);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn dir_lookup(&mut self, dir: &Inode, name: &str) -> FsResult<Option<Dirent>> {
-        // Streaming scan: same device reads and validation as materializing
-        // the whole directory via `dir_entries` — every block is read and
-        // every live entry decoded (so corruption anywhere still surfaces,
-        // and simulated time is unchanged) — but only the match is copied
-        // out, instead of one heap allocation per entry scanned.
-        let mut found: Option<Dirent> = None;
+    /// One pass over a directory's slots in on-disk order: the routine
+    /// behind every directory operation. The block map is resolved once per
+    /// pass (one extent-leaf read, not one per block) and each directory
+    /// block is read once. `visit` sees every slot below `dir.size`, live or
+    /// free, then the append slot when it falls inside the last block; the
+    /// pass stops early when `visit` returns `true`.
+    fn dir_scan(&mut self, dir: &Inode, mut visit: impl FnMut(Slot<'_>) -> bool) -> FsResult<()> {
+        let extents = match &dir.map {
+            InodeMap::Extents { inline, leaf } => Some(self.all_extents(inline, *leaf)?),
+            InodeMap::Indirect { .. } => None,
+        };
         let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
         let mut buf = [0u8; BLOCK_SIZE];
         for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
+            let fsb = match &extents {
+                Some(extents) => extent_find(extents, b),
+                None => self.map_block(dir, b)?,
+            };
+            let Some(fsb) = fsb else {
                 continue;
             };
             self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                if let Some(d) = DirentRef::decode(&buf[off..off + DIRENT_SIZE])? {
-                    if found.is_none() && d.name == name {
-                        found = Some(d.to_dirent());
-                    }
-                }
-            }
-        }
-        Ok(found)
-    }
-
-    fn dir_insert(&mut self, dir_ino: Ino, dir: &mut Inode, entry: &Dirent) -> FsResult<()> {
-        // Find a free slot in existing blocks.
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        let mut buf = [0u8; BLOCK_SIZE];
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                if DirentRef::decode(&buf[off..off + DIRENT_SIZE])?.is_none() {
-                    buf[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
-                    self.write_raw(fsb, &buf)?;
+            for off in (0..BLOCK_SIZE).step_by(DIRENT_SIZE) {
+                let pos = u64::from(b) * BLOCK_SIZE as u64 + off as u64;
+                let append = pos >= dir.size;
+                let entry = if append {
+                    None
+                } else {
+                    DirentRef::decode(&buf[off..off + DIRENT_SIZE])?
+                };
+                let slot = Slot {
+                    fsb,
+                    block: &buf,
+                    off,
+                    pos,
+                    entry,
+                };
+                if visit(slot) || append {
                     return Ok(());
                 }
             }
         }
-        // Append a new slot (possibly a new block).
-        let logical = (dir.size / BLOCK_SIZE as u64) as u32;
-        let within = (dir.size % BLOCK_SIZE as u64) as usize;
-        let fsb = self.map_block_alloc(dir, logical)?;
-        let mut buf = self.read_raw(fsb)?;
-        buf[within..within + DIRENT_SIZE].copy_from_slice(&entry.encode());
-        self.write_raw(fsb, &buf)?;
-        dir.size += DIRENT_SIZE as u64;
+        Ok(())
+    }
+
+    /// Looks `name` up in one pass that stops at the entry, also noting the
+    /// first free slot seen before it.
+    fn dir_find(&mut self, dir: &Inode, name: &str) -> FsResult<DirFind> {
+        let mut found = DirFind {
+            hit: None,
+            free: None,
+        };
+        self.dir_scan(dir, |slot| match slot.entry {
+            Some(d) if d.name == name => {
+                found.hit = Some((d.to_dirent(), slot.keep()));
+                true
+            }
+            None if found.free.is_none() => {
+                found.free = Some(slot.keep());
+                false
+            }
+            _ => false,
+        })?;
+        Ok(found)
+    }
+
+    /// Every live entry, in slot order.
+    pub(crate) fn dir_entries(&mut self, dir: &Inode) -> FsResult<Vec<Dirent>> {
+        let mut out = Vec::new();
+        self.dir_scan(dir, |slot| {
+            out.extend(slot.entry.map(DirentRef::to_dirent));
+            false
+        })?;
+        Ok(out)
+    }
+
+    /// Writes `entry` into `free`, the first free slot a pass found, or —
+    /// when the directory had none — into a new block appended to it.
+    fn dir_insert(
+        &mut self,
+        dir_ino: Ino,
+        dir: &mut Inode,
+        free: Option<DirSlot>,
+        entry: &Dirent,
+    ) -> FsResult<()> {
+        let mut slot = match free {
+            Some(slot) => slot,
+            None => {
+                let logical = (dir.size / BLOCK_SIZE as u64) as u32;
+                let fsb = self.map_block_alloc(dir, logical)?;
+                DirSlot {
+                    fsb,
+                    block: Box::new(self.read_raw(fsb)?),
+                    off: (dir.size % BLOCK_SIZE as u64) as usize,
+                    pos: dir.size,
+                }
+            }
+        };
+        slot.block[slot.off..slot.off + DIRENT_SIZE].copy_from_slice(&entry.encode());
+        self.write_raw(slot.fsb, &slot.block)?;
+        if slot.pos < dir.size {
+            return Ok(());
+        }
+        dir.size = slot.pos + DIRENT_SIZE as u64;
         self.write_inode(dir_ino, dir)
     }
 
-    fn dir_remove(&mut self, dir: &Inode, name: &str) -> FsResult<Dirent> {
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        let mut buf = [0u8; BLOCK_SIZE];
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                let hit = match DirentRef::decode(&buf[off..off + DIRENT_SIZE])? {
-                    Some(d) if d.name == name => Some(d.to_dirent()),
-                    _ => None,
-                };
-                if let Some(d) = hit {
-                    buf[off..off + DIRENT_SIZE].fill(0);
-                    self.write_raw(fsb, &buf)?;
-                    return Ok(d);
-                }
-            }
-        }
-        Err(FsError::NotFound)
+    /// Frees the slot a pass found its entry in.
+    fn dir_clear(&mut self, mut slot: DirSlot) -> FsResult<()> {
+        slot.block[slot.off..slot.off + DIRENT_SIZE].fill(0);
+        self.write_raw(slot.fsb, &slot.block)
     }
 
     // ---- path resolution ---------------------------------------------------
@@ -794,6 +758,22 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(parts)
     }
 
+    /// Follows `parts` down from the root, one directory pass per component.
+    fn walk(&mut self, parts: &[&str]) -> FsResult<Ino> {
+        let mut cur = ROOT_INO;
+        for part in parts {
+            let inode = self.read_inode(cur)?;
+            if inode.ftype != FileType::Directory {
+                return Err(FsError::NotADirectory);
+            }
+            match self.dir_find(&inode, part)?.hit {
+                Some((d, _)) => cur = d.ino,
+                None => return Err(FsError::NotFound),
+            }
+        }
+        Ok(cur)
+    }
+
     /// Resolves an absolute path to its inode number.
     ///
     /// # Errors
@@ -802,18 +782,7 @@ impl<S: BlockDevice> FileSystem<S> {
     /// errors.
     pub fn lookup(&mut self, path: &str) -> FsResult<Ino> {
         let parts = Self::split_path(path)?;
-        let mut cur = ROOT_INO;
-        for part in parts {
-            let inode = self.read_inode(cur)?;
-            if inode.ftype != FileType::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            match self.dir_lookup(&inode, part)? {
-                Some(d) => cur = d.ino,
-                None => return Err(FsError::NotFound),
-            }
-        }
-        Ok(cur)
+        self.walk(&parts)
     }
 
     /// Resolves the parent directory of `path`, returning `(parent_ino,
@@ -823,18 +792,65 @@ impl<S: BlockDevice> FileSystem<S> {
         let Some((&name, ancestors)) = parts.split_last() else {
             return Err(FsError::InvalidName);
         };
-        let mut cur = ROOT_INO;
-        for part in ancestors {
-            let inode = self.read_inode(cur)?;
-            if inode.ftype != FileType::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            match self.dir_lookup(&inode, part)? {
-                Some(d) => cur = d.ino,
-                None => return Err(FsError::NotFound),
+        Ok((self.walk(ancestors)?, name))
+    }
+
+    /// Links a fresh inode at `path`: one pass over the parent both rejects
+    /// an existing name and finds the slot for the new entry.
+    fn add_entry(&mut self, path: &str, cred: Credentials, inode: &Inode) -> FsResult<Ino> {
+        let (parent_ino, name) = self.resolve_parent(path)?;
+        let mut parent = self.read_inode(parent_ino)?;
+        if parent.ftype != FileType::Directory {
+            return Err(FsError::NotADirectory);
+        }
+        if !Self::can_write(&parent, cred) {
+            return Err(FsError::PermissionDenied);
+        }
+        let found = self.dir_find(&parent, name)?;
+        if found.hit.is_some() {
+            return Err(FsError::Exists);
+        }
+        let ino = self.alloc_ino()?;
+        self.write_inode(ino, inode)?;
+        let entry = Dirent {
+            ino,
+            ftype: inode.ftype,
+            name: name.to_owned(),
+        };
+        self.dir_insert(parent_ino, &mut parent, found.free, &entry)?;
+        Ok(ino)
+    }
+
+    /// Unlinks the `ftype` entry at `path` and frees its inode and blocks,
+    /// clearing the slot the parent pass found it in.
+    fn remove_entry(&mut self, path: &str, cred: Credentials, ftype: FileType) -> FsResult<()> {
+        let (parent_ino, name) = self.resolve_parent(path)?;
+        let parent = self.read_inode(parent_ino)?;
+        if !Self::can_write(&parent, cred) {
+            return Err(FsError::PermissionDenied);
+        }
+        let Some((entry, slot)) = self.dir_find(&parent, name)?.hit else {
+            return Err(FsError::NotFound);
+        };
+        match (entry.ftype, ftype) {
+            (FileType::Directory, FileType::Regular) => return Err(FsError::IsADirectory),
+            (FileType::Regular, FileType::Directory) => return Err(FsError::NotADirectory),
+            _ => {}
+        }
+        let inode = self.read_inode(entry.ino)?;
+        if ftype == FileType::Directory {
+            let mut empty = true;
+            self.dir_scan(&inode, |slot| {
+                empty = slot.entry.is_none();
+                !empty
+            })?;
+            if !empty {
+                return Err(FsError::DirectoryNotEmpty);
             }
         }
-        Ok((cur, name))
+        self.dir_clear(slot)?;
+        self.release_blocks(&inode)?;
+        self.free_ino(entry.ino)
     }
 
     // ---- public operations -------------------------------------------------
@@ -856,30 +872,8 @@ impl<S: BlockDevice> FileSystem<S> {
         if self.sb.extents_only && addressing == AddressingMode::Indirect {
             return Err(FsError::PermissionDenied);
         }
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let mut parent = self.read_inode(parent_ino)?;
-        if parent.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        if self.dir_lookup(&parent, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        let ino = self.alloc_ino()?;
         let inode = Inode::new(FileType::Regular, perms, cred.uid, addressing);
-        self.write_inode(ino, &inode)?;
-        self.dir_insert(
-            parent_ino,
-            &mut parent,
-            &Dirent {
-                ino,
-                ftype: FileType::Regular,
-                name: name.to_owned(),
-            },
-        )?;
-        Ok(ino)
+        self.add_entry(path, cred, &inode)
     }
 
     /// Creates a directory.
@@ -888,35 +882,13 @@ impl<S: BlockDevice> FileSystem<S> {
     ///
     /// Same classes as [`FileSystem::create`].
     pub fn mkdir(&mut self, path: &str, cred: Credentials, perms: u16) -> FsResult<Ino> {
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let mut parent = self.read_inode(parent_ino)?;
-        if parent.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        if self.dir_lookup(&parent, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        let ino = self.alloc_ino()?;
         let inode = Inode::new(
             FileType::Directory,
             perms,
             cred.uid,
             AddressingMode::Extents,
         );
-        self.write_inode(ino, &inode)?;
-        self.dir_insert(
-            parent_ino,
-            &mut parent,
-            &Dirent {
-                ino,
-                ftype: FileType::Directory,
-                name: name.to_owned(),
-            },
-        )?;
-        Ok(ino)
+        self.add_entry(path, cred, &inode)
     }
 
     /// Lists a directory.
@@ -1012,21 +984,7 @@ impl<S: BlockDevice> FileSystem<S> {
     ///
     /// [`FsError::IsADirectory`] for directories, permission and I/O errors.
     pub fn unlink(&mut self, path: &str, cred: Credentials) -> FsResult<()> {
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let parent = self.read_inode(parent_ino)?;
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        let Some(entry) = self.dir_lookup(&parent, name)? else {
-            return Err(FsError::NotFound);
-        };
-        if entry.ftype == FileType::Directory {
-            return Err(FsError::IsADirectory);
-        }
-        let inode = self.read_inode(entry.ino)?;
-        self.dir_remove(&parent, name)?;
-        self.release_blocks(&inode)?;
-        self.free_ino(entry.ino)
+        self.remove_entry(path, cred, FileType::Regular)
     }
 
     /// Removes an empty directory.
@@ -1035,24 +993,7 @@ impl<S: BlockDevice> FileSystem<S> {
     ///
     /// [`FsError::DirectoryNotEmpty`], permission, and I/O errors.
     pub fn rmdir(&mut self, path: &str, cred: Credentials) -> FsResult<()> {
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let parent = self.read_inode(parent_ino)?;
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        let Some(entry) = self.dir_lookup(&parent, name)? else {
-            return Err(FsError::NotFound);
-        };
-        if entry.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        let dir = self.read_inode(entry.ino)?;
-        if !self.dir_entries(&dir)?.is_empty() {
-            return Err(FsError::DirectoryNotEmpty);
-        }
-        self.dir_remove(&parent, name)?;
-        self.release_blocks(&dir)?;
-        self.free_ino(entry.ino)
+        self.remove_entry(path, cred, FileType::Directory)
     }
 
     /// All filesystem blocks a file references (data + its metadata blocks:
@@ -1061,12 +1002,8 @@ impl<S: BlockDevice> FileSystem<S> {
         let mut out = Vec::new();
         match &inode.map {
             InodeMap::Extents { inline, leaf } => {
-                let mut extents = inline.clone();
-                if let Some(lb) = leaf {
-                    out.push(*lb);
-                    extents.extend(self.read_extent_leaf(*lb)?);
-                }
-                for e in &extents {
+                out.extend(*leaf);
+                for e in &self.all_extents(inline, *leaf)? {
                     for i in 0..e.len {
                         out.push(e.start + i);
                     }
@@ -1125,30 +1062,27 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&from_parent, cred) || !Self::can_write(&to_parent, cred) {
             return Err(FsError::PermissionDenied);
         }
-        let Some(entry) = self.dir_lookup(&from_parent, from_name)? else {
+        let Some((entry, slot)) = self.dir_find(&from_parent, from_name)?.hit else {
             return Err(FsError::NotFound);
         };
-        if self.dir_lookup(&to_parent, to_name)?.is_some() {
+        let target = self.dir_find(&to_parent, to_name)?;
+        if target.hit.is_some() {
             return Err(FsError::Exists);
         }
-        if to_name.len() > MAX_NAME {
-            return Err(FsError::InvalidName);
-        }
-        self.dir_remove(&from_parent, from_name)?;
-        // Re-read: removing may have touched shared dir state when both
-        // parents are the same directory.
-        if to_parent_ino == from_parent_ino {
-            to_parent = self.read_inode(to_parent_ino)?;
-        }
-        self.dir_insert(
-            to_parent_ino,
-            &mut to_parent,
-            &Dirent {
-                ino: entry.ino,
-                ftype: entry.ftype,
-                name: to_name.to_owned(),
-            },
-        )
+        self.dir_clear(slot)?;
+        // Within one directory the slot just cleared may now be the first
+        // free one, so the insert takes its slot from a fresh pass.
+        let free = if to_parent_ino == from_parent_ino {
+            self.dir_find(&to_parent, to_name)?.free
+        } else {
+            target.free
+        };
+        let moved = Dirent {
+            ino: entry.ino,
+            ftype: entry.ftype,
+            name: to_name.to_owned(),
+        };
+        self.dir_insert(to_parent_ino, &mut to_parent, free, &moved)
     }
 
     /// Changes permission bits. Only the owner or root may do this.
@@ -1320,11 +1254,6 @@ impl<S: BlockDevice> FileSystem<S> {
         self.bitmap_get(self.sb.block_bitmap_start, b)
     }
 
-    /// Directory listing without permission checks (fsck helper).
-    pub(crate) fn dir_entries_for_fsck(&mut self, dir: &Inode) -> FsResult<Vec<Dirent>> {
-        self.dir_entries(dir)
-    }
-
     /// Inode allocation state (fsck helper).
     pub(crate) fn ino_allocated_for_fsck(&mut self, ino: Ino) -> FsResult<bool> {
         self.ino_allocated(ino)
@@ -1340,6 +1269,55 @@ impl<S: BlockDevice> FileSystem<S> {
         }
         Ok(())
     }
+}
+
+/// Resolves file-logical `logical` through `extents`, first match wins.
+fn extent_find(extents: &[Extent], logical: u32) -> Option<FsBlock> {
+    extents
+        .iter()
+        .find(|e| e.logical <= logical && logical < e.logical + e.len)
+        .map(|e| e.start + (logical - e.logical))
+}
+
+/// A directory slot as a pass read it: the block holding it, borrowed.
+struct Slot<'a> {
+    fsb: FsBlock,
+    block: &'a [u8; BLOCK_SIZE],
+    /// Byte offset of the slot in `block`.
+    off: usize,
+    /// Byte offset of the slot in the directory; `>= size` for the append
+    /// slot.
+    pos: u64,
+    /// The live entry, or `None` for a free slot.
+    entry: Option<DirentRef<'a>>,
+}
+
+impl Slot<'_> {
+    fn keep(&self) -> DirSlot {
+        DirSlot {
+            fsb: self.fsb,
+            block: Box::new(*self.block),
+            off: self.off,
+            pos: self.pos,
+        }
+    }
+}
+
+/// A [`Slot`] kept past its pass, with the block's bytes as that pass read
+/// them, so the operation writes back the block it read.
+struct DirSlot {
+    fsb: FsBlock,
+    block: Box<[u8; BLOCK_SIZE]>,
+    off: usize,
+    pos: u64,
+}
+
+/// What [`FileSystem::dir_find`]'s pass found.
+struct DirFind {
+    /// The named entry and its slot.
+    hit: Option<(Dirent, DirSlot)>,
+    /// The first free slot before the entry (or anywhere, without one).
+    free: Option<DirSlot>,
 }
 
 fn nonzero(b: FsBlock) -> Option<FsBlock> {
@@ -1670,13 +1648,75 @@ mod tests {
     #[test]
     fn duplicate_create_rejected() {
         let mut f = fs();
-        f.create("/dup", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
+        for name in ["/a", "/b", "/dup"] {
+            f.create(name, ROOT, 0o644, AddressingMode::Extents)
+                .unwrap();
+        }
+        f.unlink("/a", ROOT).unwrap();
+        // The pass meets the freed slot first but must go on to "/dup".
         assert_eq!(
             f.create("/dup", ROOT, 0o644, AddressingMode::Extents)
                 .unwrap_err(),
             FsError::Exists
         );
+        let names = |f: &mut FileSystem<RamDisk>| -> Vec<String> {
+            f.readdir("/", ROOT)
+                .unwrap()
+                .into_iter()
+                .map(|d| d.name)
+                .collect()
+        };
+        // A new name takes the freed slot, ahead of the older entries.
+        f.create("/d", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        assert_eq!(names(&mut f), ["d", "b", "dup"]);
+        // Renaming within the directory reuses the slot it frees.
+        let b = f.lookup("/b").unwrap();
+        f.rename("/b", "/e", ROOT).unwrap();
+        assert_eq!(f.lookup("/b").unwrap_err(), FsError::NotFound);
+        assert_eq!(f.lookup("/e").unwrap(), b);
+        assert_eq!(names(&mut f), ["d", "e", "dup"]);
+        assert!(f.fsck().unwrap().is_clean());
+    }
+
+    /// Create and unlink read each directory block at most once: the cost
+    /// is the directory's size plus a constant, independent of how many
+    /// inodes are allocated or how the directory's extents are stored.
+    #[test]
+    fn create_and_unlink_read_each_directory_block_once() {
+        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
+        f.mkdir("/d", ROOT, 0o755).unwrap();
+        let pad = f
+            .create("/pad", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        for i in 0..1100u32 {
+            f.create(&format!("/d/f{i}"), ROOT, 0o644, AddressingMode::Extents)
+                .unwrap();
+            // Interleave a data block with each new directory block so the
+            // directory's extents cannot merge and spill to a leaf.
+            if i % 64 == 0 {
+                f.write_file_block(pad, ROOT, i / 64, &block_of(1)).unwrap();
+            }
+        }
+        let dir_ino = f.lookup("/d").unwrap();
+        let dir = f.read_inode(dir_ino).unwrap();
+        let blocks = dir.size.div_ceil(BLOCK_SIZE as u64);
+        assert!(blocks >= 16, "directory of {blocks} blocks");
+        assert!(matches!(dir.map, InodeMap::Extents { leaf: Some(_), .. }));
+        let reads = f.shared_telemetry().counter("fs.block_reads");
+        let before = reads.get();
+        f.create("/d/new", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        let create = reads.get() - before;
+        let before = reads.get();
+        f.unlink("/d/new", ROOT).unwrap();
+        let unlink = reads.get() - before;
+        for (op, cost) in [("create", create), ("unlink", unlink)] {
+            assert!(
+                cost <= blocks + 12,
+                "{op} read {cost} blocks for a {blocks}-block directory"
+            );
+        }
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl<S: BlockDevice> FileSystem<S> {
                 }
             }
             if inode.ftype == FileType::Directory {
-                let entries = match self.dir_entries_for_fsck(&inode) {
+                let entries = match self.dir_entries(&inode) {
                     Ok(e) => e,
                     Err(_) => {
                         report.issues.push(FsckIssue::BadInode {

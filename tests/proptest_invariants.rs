@@ -299,6 +299,162 @@ fn fs_operation_sequences_stay_consistent() {
     }
 }
 
+/// Random create / unlink / mkdir / rmdir sequences follow the allocation
+/// policy exactly, checked against a lowest-free-bit model: each new inode
+/// is the lowest free number (never 0), each new directory block the lowest
+/// free block, and each new entry takes its directory's first free slot or,
+/// without one, is appended. Every slot on disk is compared after each op.
+#[test]
+fn fs_allocation_follows_the_lowest_free_policy() {
+    use ssdhammer::fs::{Dirent, FileType, FsError, Ino, InodeMap, DIRENT_SIZE};
+    use ssdhammer::simkit::BlockDevice;
+    use std::collections::BTreeSet;
+
+    const SLOTS_PER_BLOCK: usize = BLOCK_SIZE / DIRENT_SIZE;
+    /// A slot's live entry: name, inode, is-a-directory.
+    type Entry = (String, u32, bool);
+    struct Dir {
+        path: String,
+        ino: u32,
+        slots: Vec<Option<Entry>>,
+        blocks: Vec<u32>,
+    }
+    fn lowest_free(used: &BTreeSet<u32>, from: u32) -> u32 {
+        (from..).find(|i| !used.contains(i)).unwrap()
+    }
+
+    let mut rng = seeded(110);
+    for case in 0..12 {
+        let mut fs = FileSystem::format(RamDisk::new(2048)).unwrap();
+        let mut inodes: BTreeSet<u32> = [0, 1].into();
+        let mut blocks: BTreeSet<u32> = (0..fs.superblock().data_start).collect();
+        let mut dirs = vec![Dir {
+            path: String::new(),
+            ino: 1,
+            slots: Vec::new(),
+            blocks: Vec::new(),
+        }];
+        for step in 0..400 {
+            // Half the operations target the root so it grows past a block.
+            let d = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(0..dirs.len())
+            };
+            let name = format!("e{}", rng.gen_range(0u32..160));
+            let path = format!("{}/{name}", dirs[d].path);
+            let ctx = format!("case {case} step {step} {path}");
+            let at = dirs[d]
+                .slots
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|(n, ..)| *n == name));
+            let existing = at.and_then(|i| dirs[d].slots[i].clone());
+            match rng.gen_range(0u32..20) {
+                op @ 0..=12 => {
+                    let is_dir = op == 12;
+                    if is_dir && dirs.len() >= 6 {
+                        continue;
+                    }
+                    let got = if is_dir {
+                        fs.mkdir(&path, ROOT, 0o755)
+                    } else {
+                        fs.create(&path, ROOT, 0o644, AddressingMode::Extents)
+                    };
+                    if existing.is_some() {
+                        assert_eq!(got, Err(FsError::Exists), "{ctx}");
+                        continue;
+                    }
+                    let ino = lowest_free(&inodes, 1);
+                    assert_eq!(got, Ok(Ino(ino)), "{ctx}");
+                    inodes.insert(ino);
+                    let dir = &mut dirs[d];
+                    let entry = Some((name, ino, is_dir));
+                    match dir.slots.iter().position(Option::is_none) {
+                        Some(free) => dir.slots[free] = entry,
+                        None => {
+                            if dir.slots.len() % SLOTS_PER_BLOCK == 0 {
+                                let b = lowest_free(&blocks, 0);
+                                blocks.insert(b);
+                                dir.blocks.push(b);
+                            }
+                            dir.slots.push(entry);
+                        }
+                    }
+                    if is_dir {
+                        dirs.push(Dir {
+                            path,
+                            ino,
+                            slots: Vec::new(),
+                            blocks: Vec::new(),
+                        });
+                    }
+                }
+                13..=16 => {
+                    let got = fs.unlink(&path, ROOT);
+                    match existing {
+                        None => assert_eq!(got, Err(FsError::NotFound), "{ctx}"),
+                        Some((_, _, true)) => assert_eq!(got, Err(FsError::IsADirectory), "{ctx}"),
+                        Some((_, ino, false)) => {
+                            assert_eq!(got, Ok(()), "{ctx}");
+                            dirs[d].slots[at.unwrap()] = None;
+                            inodes.remove(&ino);
+                        }
+                    }
+                }
+                _ => {
+                    let got = fs.rmdir(&path, ROOT);
+                    match existing {
+                        None => assert_eq!(got, Err(FsError::NotFound), "{ctx}"),
+                        Some((_, _, false)) => {
+                            assert_eq!(got, Err(FsError::NotADirectory), "{ctx}")
+                        }
+                        Some((_, ino, true)) => {
+                            let child = dirs.iter().position(|x| x.ino == ino).unwrap();
+                            if dirs[child].slots.iter().any(Option::is_some) {
+                                assert_eq!(got, Err(FsError::DirectoryNotEmpty), "{ctx}");
+                                continue;
+                            }
+                            assert_eq!(got, Ok(()), "{ctx}");
+                            dirs[d].slots[at.unwrap()] = None;
+                            inodes.remove(&ino);
+                            for b in dirs.remove(child).blocks {
+                                blocks.remove(&b);
+                            }
+                        }
+                    }
+                }
+            }
+            // Every directory's block list and every slot match the model.
+            for dir in &dirs {
+                let inode = fs.read_inode(Ino(dir.ino)).unwrap();
+                assert_eq!(inode.size, (dir.slots.len() * DIRENT_SIZE) as u64, "{ctx}");
+                let InodeMap::Extents { inline, leaf: None } = &inode.map else {
+                    panic!("{ctx}: {} spilled its extents", dir.path);
+                };
+                let on_disk: Vec<u32> = inline
+                    .iter()
+                    .flat_map(|e| e.start..e.start + e.len)
+                    .collect();
+                assert_eq!(on_disk, dir.blocks, "{ctx}: blocks of {:?}", dir.path);
+                let mut buf = [0u8; BLOCK_SIZE];
+                for (i, want) in dir.slots.iter().enumerate() {
+                    if i % SLOTS_PER_BLOCK == 0 {
+                        let b = dir.blocks[i / SLOTS_PER_BLOCK];
+                        fs.device_mut().read(Lba(u64::from(b)), &mut buf).unwrap();
+                    }
+                    let off = i % SLOTS_PER_BLOCK * DIRENT_SIZE;
+                    let got = Dirent::decode(&buf[off..off + DIRENT_SIZE])
+                        .unwrap()
+                        .map(|e| (e.name, e.ino.0, e.ftype == FileType::Directory));
+                    assert_eq!(&got, want, "{ctx}: slot {i} of {:?}", dir.path);
+                }
+            }
+        }
+        let report = fs.fsck().unwrap();
+        assert!(report.is_clean(), "case {case}: {:?}", report.issues);
+    }
+}
+
 /// Robustness: parsing attacker-controllable or corrupted on-disk bytes
 /// never panics — mounting garbage, decoding garbage inodes/dirents all
 /// fail cleanly.
