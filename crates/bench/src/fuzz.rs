@@ -42,7 +42,7 @@ use ssdhammer_simkit::json::Json;
 use ssdhammer_simkit::rng::{Rng, SimRng};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
-use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
+use ssdhammer_simkit::{Lba, BLOCK_SIZE};
 
 use crate::scenario::{Scenario, ScenarioCfg};
 use crate::torture::torture_sites;
@@ -665,7 +665,6 @@ pub fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
     let sup = Supervisor::new(seed)
         .with_tag("fuzz")
         .with_threads(threads)
-        .with_sim_budget(SimDuration::from_secs(600))
         .with_max_retries(1)
         .attach_telemetry(&registry);
     let codec = JsonCodec {

@@ -915,7 +915,7 @@ impl DramModule {
             bank_acts.sort_unstable_by_key(|&(row, _)| row);
             trr.tracked_rows(&bank_acts)
         });
-        let trr_suppressions = self.tel.trr_suppressions.clone();
+        let trr_suppressions = &self.tel.trr_suppressions;
         // Open-row dwell scales per-ACT disturbance *after* TRR capping: the
         // sampler counts activations, not row-open time, which is exactly
         // the blind spot RowPress exploits. A factor of 1.0 is a bit-exact

@@ -4,16 +4,17 @@
 //! may lead to more severe damage if the corruption happens on critical file
 //! system metadata … rendering the file system unmountable." `fsck` is how
 //! experiments quantify that outcome: it walks every allocated inode,
-//! verifies extent checksums, and cross-checks block references against the
-//! allocation bitmap.
+//! verifies extent checksums, cross-checks block references against the
+//! allocation bitmap, and checks each directory's hash index against its
+//! leaves.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ssdhammer_simkit::{BlockDevice, StorageError};
 
 use crate::error::{FsError, FsResult};
 use crate::fs::FileSystem;
-use crate::layout::{FileType, Ino};
+use crate::layout::{name_hash, FileType, Ino, Inode};
 
 /// One inconsistency found by [`FileSystem::fsck`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +58,25 @@ pub enum FsckIssue {
         /// The missing target.
         target: Ino,
     },
+    /// A directory's hash index is malformed (bad magic or limit, hashes
+    /// that do not strictly increase from 0, a leaf outside the directory)
+    /// or references a leaf twice, or a leaf cannot be read as entries.
+    BadDirectory {
+        /// The directory.
+        dir: Ino,
+        /// What failed.
+        reason: String,
+    },
+    /// A live entry sits in a leaf other than the one its hash selects, so
+    /// lookups of its name cannot find it.
+    MisplacedDirent {
+        /// The directory.
+        dir: Ino,
+        /// The entry name.
+        name: String,
+        /// The leaf (directory-logical block) holding it.
+        leaf: u32,
+    },
     /// The device itself reported the failure (an uncorrectable read the
     /// FTL's recovery stack caught and surfaced loudly). Unlike the
     /// structural variants above — which mean a *silent* redirection
@@ -89,6 +109,13 @@ impl core::fmt::Display for FsckIssue {
             FsckIssue::DanglingDirent { dir, name, target } => {
                 write!(f, "{dir}: entry '{name}' points at missing {target}")
             }
+            FsckIssue::BadDirectory { dir, reason } => {
+                write!(f, "{dir}: bad directory: {reason}")
+            }
+            FsckIssue::MisplacedDirent { dir, name, leaf } => write!(
+                f,
+                "{dir}: entry '{name}' sits in leaf {leaf}, not the leaf its hash selects"
+            ),
             FsckIssue::DeviceError { ino, reason } => {
                 write!(f, "{ino}: device reported: {reason}")
             }
@@ -226,25 +253,7 @@ impl<S: BlockDevice> FileSystem<S> {
                 }
             }
             if inode.ftype == FileType::Directory {
-                let entries = match self.dir_entries(&inode) {
-                    Ok(e) => e,
-                    Err(_) => {
-                        report.issues.push(FsckIssue::BadInode {
-                            ino,
-                            reason: "unreadable directory".into(),
-                        });
-                        continue;
-                    }
-                };
-                for d in entries {
-                    if !self.ino_allocated_for_fsck(d.ino)? {
-                        report.issues.push(FsckIssue::DanglingDirent {
-                            dir: ino,
-                            name: d.name,
-                            target: d.ino,
-                        });
-                    }
-                }
+                self.fsck_directory(ino, &inode, &mut report.issues)?;
             }
         }
         self.tel.fsck_runs.incr();
@@ -265,13 +274,78 @@ impl<S: BlockDevice> FileSystem<S> {
         }
         Ok(report)
     }
+
+    /// Checks one directory by walking its leaves in index order: the index
+    /// decodes (its hashes strictly increase from 0 and its leaves are
+    /// blocks of the directory), references each leaf once, and every live
+    /// entry sits in the leaf its hash selects and names an allocated inode.
+    fn fsck_directory(
+        &mut self,
+        dir: Ino,
+        inode: &Inode,
+        issues: &mut Vec<FsckIssue>,
+    ) -> FsResult<()> {
+        let mut entries = Vec::new();
+        let walked = self.dir_walk(inode, |pos, d| {
+            entries.push((pos, d.to_dirent()));
+            false
+        });
+        let index = match walked {
+            Ok(index) => index,
+            Err(FsError::Io(StorageError::Uncorrectable { lba })) => {
+                issues.push(FsckIssue::DeviceError {
+                    ino: dir,
+                    reason: format!("directory unreadable: uncorrectable at {lba}"),
+                });
+                return Ok(());
+            }
+            Err(FsError::Io(e)) => return Err(FsError::Io(e)),
+            Err(FsError::Corrupted(reason)) => {
+                issues.push(FsckIssue::BadDirectory { dir, reason });
+                return Ok(());
+            }
+            Err(other) => {
+                issues.push(FsckIssue::BadDirectory {
+                    dir,
+                    reason: other.to_string(),
+                });
+                return Ok(());
+            }
+        };
+        let mut leaves = BTreeSet::new();
+        for &(_, leaf) in &index.entries {
+            if !leaves.insert(leaf) {
+                issues.push(FsckIssue::BadDirectory {
+                    dir,
+                    reason: format!("leaf {leaf} referenced twice by the index"),
+                });
+            }
+        }
+        for (pos, d) in entries {
+            if index.position(name_hash(&d.name)) != pos {
+                issues.push(FsckIssue::MisplacedDirent {
+                    dir,
+                    name: d.name.clone(),
+                    leaf: index.entries[pos].1,
+                });
+            }
+            if !self.ino_allocated_for_fsck(d.ino)? {
+                issues.push(FsckIssue::DanglingDirent {
+                    dir,
+                    name: d.name,
+                    target: d.ino,
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fs::Credentials;
-    use crate::layout::AddressingMode;
+    use crate::layout::{AddressingMode, DirIndex};
     use ssdhammer_simkit::{Lba, RamDisk, BLOCK_SIZE};
 
     const ROOT: Credentials = Credentials::root();
@@ -413,6 +487,48 @@ mod tests {
             .any(|i| matches!(i, FsckIssue::DeviceError { ino: i, .. } if *i == ino)));
         // Contrast: the silent-redirection tests above yield zero
         // device-detected findings — the device served wrong data cleanly.
+    }
+
+    /// fsck checks each directory's index against its leaves: entries in
+    /// a leaf their hash does not select, and a leaf the index references
+    /// twice, are reported.
+    #[test]
+    fn directory_index_damage_is_reported() {
+        let mut f = FileSystem::format(RamDisk::new(2048)).unwrap();
+        f.mkdir("/d", ROOT, 0o755).unwrap();
+        for i in 0..100 {
+            f.create(&format!("/d/f{i}"), ROOT, 0o644, AddressingMode::Extents)
+                .unwrap();
+        }
+        let dir_ino = f.lookup("/d").unwrap();
+        let dir = f.read_inode(dir_ino).unwrap();
+        let blocks = (dir.size / BLOCK_SIZE as u64) as u32;
+        let crate::layout::InodeMap::Extents { inline, .. } = &dir.map else {
+            panic!()
+        };
+        let at = Lba(u64::from(inline[0].start));
+        let mut buf = [0u8; BLOCK_SIZE];
+        f.device_mut().read(at, &mut buf).unwrap();
+        let index = DirIndex::decode(&buf, blocks).unwrap();
+        assert!(index.entries.len() >= 2, "{index:?}");
+        let (first, second) = (index.entries[0].1, index.entries[1].1);
+        for (leaves, finding) in [
+            ((second, first), "misplaced"),
+            ((first, first), "referenced twice"),
+        ] {
+            let mut tampered = index.clone();
+            (tampered.entries[0].1, tampered.entries[1].1) = leaves;
+            f.device_mut().write(at, &tampered.encode()).unwrap();
+            let report = f.fsck().unwrap();
+            let found = report.issues.iter().any(|i| match i {
+                FsckIssue::MisplacedDirent { dir, .. } => *dir == dir_ino && finding == "misplaced",
+                FsckIssue::BadDirectory { dir, reason } => {
+                    *dir == dir_ino && reason.contains(finding)
+                }
+                _ => false,
+            });
+            assert!(found, "{finding}: {:?}", report.issues);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! On-disk structures: superblock, inodes, directory entries, extent trees.
+//! On-disk structures: superblock, inodes, directory entries and indexes,
+//! extent trees.
 //!
 //! The design mirrors the two ext4 file-mapping mechanisms the paper
 //! contrasts (§4.2):
@@ -58,6 +59,16 @@ pub const DIRENT_SIZE: usize = 64;
 
 /// Maximum file-name length.
 pub const MAX_NAME: usize = DIRENT_SIZE - 6;
+
+/// Magic of a directory's hash-index block.
+pub const DIR_INDEX_MAGIC: u32 = 0x5844_4944; // "DIDX"
+
+/// Index-block header: magic(4) count(2) limit(2).
+const DIR_INDEX_HEADER: usize = 8;
+
+/// `(hash, leaf)` entries one index block holds: the most leaves a
+/// directory can have.
+pub const DIR_INDEX_LIMIT: usize = (BLOCK_SIZE - DIR_INDEX_HEADER) / 8;
 
 /// File type bits (stored in the inode mode's high nibble).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -534,6 +545,126 @@ impl<'a> DirentRef<'a> {
     }
 }
 
+/// The `i`-th little-endian `u32` of `bytes`. Decoders run it over
+/// `chunks_exact` of a whole block, where it compiles to one load;
+/// [`le_u32`]'s bounds-tolerant copy costs several nanoseconds per field.
+pub(crate) fn word(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes([
+        bytes[4 * i],
+        bytes[4 * i + 1],
+        bytes[4 * i + 2],
+        bytes[4 * i + 3],
+    ])
+}
+
+/// The hash that places `name` in its directory's index: the CRC-32C of
+/// its bytes.
+pub(crate) fn name_hash(name: &str) -> u32 {
+    crc32c(name.as_bytes())
+}
+
+/// A directory's one-level hash index (ext4's `dx_root`), stored in the
+/// directory's logical block 0. Every other block is a leaf of
+/// [`DIRENT_SIZE`]-byte entries. Entry `i` sends every name whose hash (the
+/// CRC-32C of its bytes) lies in `entries[i].0..entries[i + 1].0` to leaf
+/// `entries[i].1`; the first hash is 0, so each name has exactly one leaf.
+///
+/// On disk: magic(4) count(2) limit(2), then `count` pairs of
+/// hash(4) leaf(4). Like the directory entries, the block carries no
+/// checksum.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DirIndex {
+    /// `(lowest hash, leaf logical block)` pairs, hashes strictly
+    /// increasing from 0.
+    pub entries: Vec<(u32, u32)>,
+}
+
+impl DirIndex {
+    /// A fresh directory's index: every hash goes to leaf 1.
+    pub(crate) fn fresh() -> DirIndex {
+        DirIndex {
+            entries: vec![(0, 1)],
+        }
+    }
+
+    /// Position of the entry whose hash range covers `hash`.
+    #[must_use]
+    pub fn position(&self, hash: u32) -> usize {
+        self.entries
+            .partition_point(|&(h, _)| h <= hash)
+            .saturating_sub(1)
+    }
+
+    /// Serializes into an index block.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`DIR_INDEX_LIMIT`] entries (splits check the
+    /// limit first).
+    #[must_use]
+    pub fn encode(&self) -> [u8; BLOCK_SIZE] {
+        assert!(
+            self.entries.len() <= DIR_INDEX_LIMIT,
+            "directory index overflow"
+        );
+        let mut buf = [0u8; BLOCK_SIZE];
+        buf[0..4].copy_from_slice(&DIR_INDEX_MAGIC.to_le_bytes());
+        buf[4..6].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
+        buf[6..8].copy_from_slice(&(DIR_INDEX_LIMIT as u16).to_le_bytes());
+        for (i, (hash, leaf)) in self.entries.iter().enumerate() {
+            let off = DIR_INDEX_HEADER + i * 8;
+            buf[off..off + 4].copy_from_slice(&hash.to_le_bytes());
+            buf[off + 4..off + 8].copy_from_slice(&leaf.to_le_bytes());
+        }
+        buf
+    }
+
+    /// Deserializes and validates the index of a directory of `blocks`
+    /// blocks.
+    ///
+    /// # Errors
+    ///
+    /// [`FsError::Corrupted`] on a bad magic or limit, a count of zero or
+    /// above the limit, hashes that do not start at 0 and strictly
+    /// increase, or a leaf outside the directory's blocks `1..blocks`.
+    pub fn decode(buf: &[u8; BLOCK_SIZE], blocks: u32) -> FsResult<DirIndex> {
+        let magic = le_u32(buf, 0);
+        if magic != DIR_INDEX_MAGIC {
+            return Err(FsError::Corrupted(format!(
+                "bad directory index magic {magic:#x}"
+            )));
+        }
+        let count = u16::from_le_bytes([buf[4], buf[5]]) as usize;
+        let limit = u16::from_le_bytes([buf[6], buf[7]]) as usize;
+        if limit != DIR_INDEX_LIMIT || count == 0 || count > limit {
+            return Err(FsError::Corrupted(format!(
+                "directory index count {count}, limit {limit}"
+            )));
+        }
+        let mut entries: Vec<(u32, u32)> = Vec::with_capacity(count);
+        let pairs = buf[DIR_INDEX_HEADER..DIR_INDEX_HEADER + count * 8].chunks_exact(8);
+        for (i, pair) in pairs.enumerate() {
+            let (hash, leaf) = (word(pair, 0), word(pair, 1));
+            let in_order = match entries.last() {
+                None => hash == 0,
+                Some(&(prev, _)) => hash > prev,
+            };
+            if !in_order {
+                return Err(FsError::Corrupted(format!(
+                    "directory index hash {hash:#010x} out of order at entry {i}"
+                )));
+            }
+            if leaf == 0 || leaf >= blocks {
+                return Err(FsError::Corrupted(format!(
+                    "directory index leaf {leaf} outside the directory's {blocks} blocks"
+                )));
+            }
+            entries.push((hash, leaf));
+        }
+        Ok(DirIndex { entries })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,6 +790,43 @@ mod tests {
         buf[0] = 1; // ino 1
         buf[4] = 200; // absurd name length
         assert!(Dirent::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn dir_index_roundtrip_and_position() {
+        let index = DirIndex {
+            entries: vec![(0, 1), (0x4000_0000, 3), (0x9000_0000, 2)],
+        };
+        assert_eq!(DirIndex::decode(&index.encode(), 4).unwrap(), index);
+        assert_eq!(index.position(0), 0);
+        assert_eq!(index.position(0x3FFF_FFFF), 0);
+        assert_eq!(index.position(0x4000_0000), 1);
+        assert_eq!(index.position(u32::MAX), 2);
+        assert_eq!(DirIndex::fresh().position(u32::MAX), 0);
+    }
+
+    #[test]
+    fn dir_index_rejects_malformed_blocks() {
+        let corrupted = |index: &DirIndex, blocks: u32, edit: &dyn Fn(&mut [u8; BLOCK_SIZE])| {
+            let mut buf = index.encode();
+            edit(&mut buf);
+            matches!(DirIndex::decode(&buf, blocks), Err(FsError::Corrupted(_)))
+        };
+        let two = DirIndex {
+            entries: vec![(0, 1), (7, 2)],
+        };
+        assert!(corrupted(&two, 3, &|b| b[0] ^= 1), "magic");
+        assert!(corrupted(&two, 3, &|b| b[6] ^= 1), "limit");
+        assert!(corrupted(&two, 3, &|b| b[4..6].fill(0)), "empty");
+        assert!(corrupted(&two, 3, &|b| b[4..6].fill(0xFF)), "count > limit");
+        assert!(corrupted(&two, 3, &|b| b[8] = 1), "first hash not 0");
+        assert!(corrupted(&two, 3, &|b| b[16..20].fill(0)), "equal hashes");
+        assert!(corrupted(&two, 2, &|_| {}), "leaf past the end");
+        assert!(
+            corrupted(&two, 3, &|b| b[20..24].fill(0)),
+            "leaf 0 is the index"
+        );
+        assert!(!corrupted(&two, 3, &|_| {}));
     }
 
     #[test]

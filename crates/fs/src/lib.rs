@@ -19,7 +19,10 @@
 //!
 //! The filesystem performs **no caching**: every metadata access re-reads
 //! the device, so an FTL-level redirection beneath it takes effect
-//! immediately — the property the attack depends on.
+//! immediately — the property the attack depends on. Directories are
+//! hash-indexed like ext4's `dir_index` (a one-level [`DirIndex`] in each
+//! directory's first block), so a path operation reads the index and one
+//! leaf however large the directory grows.
 //!
 //! [`FileSystem::fsck`] quantifies §3.2's data-corruption outcome: wild
 //! pointers, references to free blocks, double references, and dangling
@@ -56,7 +59,7 @@ pub use error::{FsError, FsResult};
 pub use fs::{Credentials, FileSystem, Stat, EXTENTS_PER_LEAF};
 pub use fsck::{FsckIssue, FsckReport};
 pub use layout::{
-    AddressingMode, Dirent, DirentRef, Extent, FileType, FsBlock, Ino, Inode, InodeMap, SuperBlock,
-    DIRECT_PTRS, DIRENT_SIZE, INLINE_EXTENTS, INODES_PER_BLOCK, INODE_SIZE, MAX_NAME,
-    PTRS_PER_BLOCK, ROOT_INO,
+    AddressingMode, DirIndex, Dirent, DirentRef, Extent, FileType, FsBlock, Ino, Inode, InodeMap,
+    SuperBlock, DIRECT_PTRS, DIRENT_SIZE, DIR_INDEX_LIMIT, DIR_INDEX_MAGIC, INLINE_EXTENTS,
+    INODES_PER_BLOCK, INODE_SIZE, MAX_NAME, PTRS_PER_BLOCK, ROOT_INO,
 };

@@ -1,6 +1,7 @@
 //! The §4 cloud case study, end to end: an unprivileged process inside a
 //! victim VM, helped by a co-located attacker VM sharing the same SSD,
-//! leaks the victim's root-owned SSH private key by rowhammering the FTL.
+//! tries to leak the victim's root-owned SSH private key by rowhammering
+//! the FTL. Whether one device leaks depends on its seed.
 //!
 //! Run with: `cargo run --release --example info_leak`
 
@@ -48,6 +49,13 @@ fn main() -> Result<()> {
             .collect();
         println!("\nSUCCESS — the unprivileged attacker recovered root's key:");
         println!("  {printable}...");
+    } else if outcome.aborted_by_corruption {
+        println!(
+            "\nFlips corrupted the victim filesystem's metadata after {} cycle(s), \
+             ending the attack loop (§3.2's corruption outcome; EXPERIMENTS.md E4 \
+             has the seed distribution).",
+            outcome.cycles.len()
+        );
     } else {
         println!(
             "\nAttack did not converge within {} cycles.",

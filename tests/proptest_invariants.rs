@@ -300,55 +300,85 @@ fn fs_operation_sequences_stay_consistent() {
 }
 
 /// Random create / unlink / mkdir / rmdir sequences follow the allocation
-/// policy exactly, checked against a lowest-free-bit model: each new inode
-/// is the lowest free number (never 0), each new directory block the lowest
-/// free block, and each new entry takes its directory's first free slot or,
-/// without one, is appended. Every slot on disk is compared after each op.
+/// and placement policy exactly, checked against a model. Each new inode is
+/// the lowest free number (never 0) and each new block the lowest free
+/// block. A new directory is an index block and one empty leaf. Each entry
+/// takes the first free slot of the leaf its CRC-32C hash selects; a full
+/// leaf first splits at its median hash (moved up past a run of equal
+/// hashes that reaches the leaf's lowest) into a block appended to the
+/// directory, the entries at or above the split hash moving in slot order
+/// to the front of the new leaf. Every directory's block map, index and
+/// on-disk slot are compared after each op.
 #[test]
 fn fs_allocation_follows_the_lowest_free_policy() {
-    use ssdhammer::fs::{Dirent, FileType, FsError, Ino, InodeMap, DIRENT_SIZE};
+    use ssdhammer::fs::{DirIndex, Dirent, FileType, FsError, Ino, InodeMap, DIRENT_SIZE};
     use ssdhammer::simkit::BlockDevice;
     use std::collections::BTreeSet;
 
-    const SLOTS_PER_BLOCK: usize = BLOCK_SIZE / DIRENT_SIZE;
+    const SLOTS: usize = BLOCK_SIZE / DIRENT_SIZE;
     /// A slot's live entry: name, inode, is-a-directory.
     type Entry = (String, u32, bool);
     struct Dir {
         path: String,
         ino: u32,
-        slots: Vec<Option<Entry>>,
+        /// Blocks by directory-logical number: 0 is the index.
         blocks: Vec<u32>,
+        /// `(lowest hash, leaf)` pairs in index order.
+        index: Vec<(u32, u32)>,
+        /// Slots of each leaf, by directory-logical number (0 unused).
+        leaves: Vec<Vec<Option<Entry>>>,
     }
-    fn lowest_free(used: &BTreeSet<u32>, from: u32) -> u32 {
-        (from..).find(|i| !used.contains(i)).unwrap()
+    impl Dir {
+        /// Position in the index of the leaf `name` hashes to.
+        fn position(&self, name: &str) -> usize {
+            let hash = crc32c(name.as_bytes());
+            self.index.partition_point(|&(h, _)| h <= hash) - 1
+        }
+        /// `(leaf, slot)` holding `name`.
+        fn find(&self, name: &str) -> Option<(usize, usize)> {
+            let leaf = self.index[self.position(name)].1 as usize;
+            let slot = self.leaves[leaf]
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|(n, ..)| n == name))?;
+            Some((leaf, slot))
+        }
+    }
+    fn lowest_free(used: &mut BTreeSet<u32>) -> u32 {
+        let b = (0..).find(|i| !used.contains(i)).unwrap();
+        used.insert(b);
+        b
+    }
+    fn new_dir(path: String, ino: u32, used: &mut BTreeSet<u32>) -> Dir {
+        let index = lowest_free(used);
+        Dir {
+            path,
+            ino,
+            blocks: vec![index, lowest_free(used)],
+            index: vec![(0, 1)],
+            leaves: vec![Vec::new(), vec![None; SLOTS]],
+        }
     }
 
     let mut rng = seeded(110);
+    let mut splits = 0;
     for case in 0..12 {
-        let mut fs = FileSystem::format(RamDisk::new(2048)).unwrap();
-        let mut inodes: BTreeSet<u32> = [0, 1].into();
+        let mut fs = FileSystem::format(RamDisk::new(8192)).unwrap();
+        let mut inodes: BTreeSet<u32> = [0].into();
         let mut blocks: BTreeSet<u32> = (0..fs.superblock().data_start).collect();
-        let mut dirs = vec![Dir {
-            path: String::new(),
-            ino: 1,
-            slots: Vec::new(),
-            blocks: Vec::new(),
-        }];
-        for step in 0..400 {
-            // Half the operations target the root so it grows past a block.
+        let root_ino = lowest_free(&mut inodes);
+        let mut dirs = vec![new_dir(String::new(), root_ino, &mut blocks)];
+        for step in 0..1200 {
+            // Half the operations target the root so its leaves split.
             let d = if rng.gen_bool(0.5) {
                 0
             } else {
                 rng.gen_range(0..dirs.len())
             };
-            let name = format!("e{}", rng.gen_range(0u32..160));
+            let name = format!("e{}", rng.gen_range(0u32..600));
             let path = format!("{}/{name}", dirs[d].path);
             let ctx = format!("case {case} step {step} {path}");
-            let at = dirs[d]
-                .slots
-                .iter()
-                .position(|s| s.as_ref().is_some_and(|(n, ..)| *n == name));
-            let existing = at.and_then(|i| dirs[d].slots[i].clone());
+            let at = dirs[d].find(&name);
+            let existing = at.and_then(|(leaf, slot)| dirs[d].leaves[leaf][slot].clone());
             match rng.gen_range(0u32..20) {
                 op @ 0..=12 => {
                     let is_dir = op == 12;
@@ -364,29 +394,45 @@ fn fs_allocation_follows_the_lowest_free_policy() {
                         assert_eq!(got, Err(FsError::Exists), "{ctx}");
                         continue;
                     }
-                    let ino = lowest_free(&inodes, 1);
-                    assert_eq!(got, Ok(Ino(ino)), "{ctx}");
-                    inodes.insert(ino);
+                    let hash = crc32c(name.as_bytes());
                     let dir = &mut dirs[d];
-                    let entry = Some((name, ino, is_dir));
-                    match dir.slots.iter().position(Option::is_none) {
-                        Some(free) => dir.slots[free] = entry,
-                        None => {
-                            if dir.slots.len() % SLOTS_PER_BLOCK == 0 {
-                                let b = lowest_free(&blocks, 0);
-                                blocks.insert(b);
-                                dir.blocks.push(b);
+                    let mut pos = dir.position(&name);
+                    let mut leaf = dir.index[pos].1 as usize;
+                    if dir.leaves[leaf].iter().all(Option::is_some) {
+                        splits += 1;
+                        let hash_of = |e: &Option<Entry>| crc32c(e.as_ref().unwrap().0.as_bytes());
+                        let mut sorted: Vec<u32> = dir.leaves[leaf].iter().map(hash_of).collect();
+                        sorted.sort_unstable();
+                        let median = sorted[SLOTS / 2];
+                        let split = if median > sorted[0] {
+                            median
+                        } else {
+                            *sorted.iter().find(|&&h| h > median).unwrap()
+                        };
+                        let new_leaf = dir.blocks.len();
+                        dir.blocks.push(lowest_free(&mut blocks));
+                        dir.leaves.push(vec![None; SLOTS]);
+                        let mut next = 0;
+                        for slot in 0..SLOTS {
+                            if hash_of(&dir.leaves[leaf][slot]) >= split {
+                                dir.leaves[new_leaf][next] = dir.leaves[leaf][slot].take();
+                                next += 1;
                             }
-                            dir.slots.push(entry);
+                        }
+                        dir.index.insert(pos + 1, (split, new_leaf as u32));
+                        if hash >= split {
+                            pos += 1;
+                            leaf = new_leaf;
                         }
                     }
+                    assert_eq!(dir.index[pos].1 as usize, leaf);
+                    let ino = lowest_free(&mut inodes);
+                    assert_eq!(got, Ok(Ino(ino)), "{ctx}");
+                    let free = dir.leaves[leaf].iter().position(Option::is_none).unwrap();
+                    dir.leaves[leaf][free] = Some((name, ino, is_dir));
                     if is_dir {
-                        dirs.push(Dir {
-                            path,
-                            ino,
-                            slots: Vec::new(),
-                            blocks: Vec::new(),
-                        });
+                        let child = new_dir(path, ino, &mut blocks);
+                        dirs.push(child);
                     }
                 }
                 13..=16 => {
@@ -396,7 +442,8 @@ fn fs_allocation_follows_the_lowest_free_policy() {
                         Some((_, _, true)) => assert_eq!(got, Err(FsError::IsADirectory), "{ctx}"),
                         Some((_, ino, false)) => {
                             assert_eq!(got, Ok(()), "{ctx}");
-                            dirs[d].slots[at.unwrap()] = None;
+                            let (leaf, slot) = at.unwrap();
+                            dirs[d].leaves[leaf][slot] = None;
                             inodes.remove(&ino);
                         }
                     }
@@ -410,54 +457,63 @@ fn fs_allocation_follows_the_lowest_free_policy() {
                         }
                         Some((_, ino, true)) => {
                             let child = dirs.iter().position(|x| x.ino == ino).unwrap();
-                            if dirs[child].slots.iter().any(Option::is_some) {
+                            if dirs[child].leaves.iter().flatten().any(Option::is_some) {
                                 assert_eq!(got, Err(FsError::DirectoryNotEmpty), "{ctx}");
                                 continue;
                             }
                             assert_eq!(got, Ok(()), "{ctx}");
-                            dirs[d].slots[at.unwrap()] = None;
+                            let (leaf, slot) = at.unwrap();
+                            dirs[d].leaves[leaf][slot] = None;
                             inodes.remove(&ino);
-                            for b in dirs.remove(child).blocks {
+                            let gone = dirs.remove(child);
+                            for b in gone.blocks {
                                 blocks.remove(&b);
                             }
                         }
                     }
                 }
             }
-            // Every directory's block list and every slot match the model.
+            // Every directory's block map, index and slots match the model.
             for dir in &dirs {
+                let ctx = format!("{ctx}: {:?}", dir.path);
                 let inode = fs.read_inode(Ino(dir.ino)).unwrap();
-                assert_eq!(inode.size, (dir.slots.len() * DIRENT_SIZE) as u64, "{ctx}");
+                assert_eq!(inode.size, (dir.blocks.len() * BLOCK_SIZE) as u64, "{ctx}");
                 let InodeMap::Extents { inline, leaf: None } = &inode.map else {
-                    panic!("{ctx}: {} spilled its extents", dir.path);
+                    panic!("{ctx}: spilled its extents");
                 };
                 let on_disk: Vec<u32> = inline
                     .iter()
                     .flat_map(|e| e.start..e.start + e.len)
                     .collect();
-                assert_eq!(on_disk, dir.blocks, "{ctx}: blocks of {:?}", dir.path);
+                assert_eq!(on_disk, dir.blocks, "{ctx}: blocks");
                 let mut buf = [0u8; BLOCK_SIZE];
-                for (i, want) in dir.slots.iter().enumerate() {
-                    if i % SLOTS_PER_BLOCK == 0 {
-                        let b = dir.blocks[i / SLOTS_PER_BLOCK];
-                        fs.device_mut().read(Lba(u64::from(b)), &mut buf).unwrap();
+                fs.device_mut()
+                    .read(Lba(u64::from(dir.blocks[0])), &mut buf)
+                    .unwrap();
+                let index = DirIndex::decode(&buf, dir.blocks.len() as u32).unwrap();
+                assert_eq!(index.entries, dir.index, "{ctx}: index");
+                for (logical, want) in dir.leaves.iter().enumerate().skip(1) {
+                    let b = dir.blocks[logical];
+                    fs.device_mut().read(Lba(u64::from(b)), &mut buf).unwrap();
+                    for (slot, want) in want.iter().enumerate() {
+                        let off = slot * DIRENT_SIZE;
+                        let got = Dirent::decode(&buf[off..off + DIRENT_SIZE])
+                            .unwrap()
+                            .map(|e| (e.name, e.ino.0, e.ftype == FileType::Directory));
+                        assert_eq!(&got, want, "{ctx}: leaf {logical} slot {slot}");
                     }
-                    let off = i % SLOTS_PER_BLOCK * DIRENT_SIZE;
-                    let got = Dirent::decode(&buf[off..off + DIRENT_SIZE])
-                        .unwrap()
-                        .map(|e| (e.name, e.ino.0, e.ftype == FileType::Directory));
-                    assert_eq!(&got, want, "{ctx}: slot {i} of {:?}", dir.path);
                 }
             }
         }
         let report = fs.fsck().unwrap();
         assert!(report.is_clean(), "case {case}: {:?}", report.issues);
     }
+    assert!(splits >= 48, "only {splits} leaf splits exercised");
 }
 
 /// Robustness: parsing attacker-controllable or corrupted on-disk bytes
-/// never panics — mounting garbage, decoding garbage inodes/dirents all
-/// fail cleanly.
+/// never panics — mounting garbage, decoding garbage inodes, dirents and
+/// directory indexes all fail cleanly.
 #[test]
 fn fs_decoders_never_panic_on_garbage() {
     use ssdhammer::simkit::BlockDevice;
@@ -474,11 +530,19 @@ fn fs_decoders_never_panic_on_garbage() {
             FileSystem::mount(disk).is_err()
                 || bytes[..4] == ssdhammer::fs::SuperBlock::compute(64).unwrap().encode()[..4]
         );
-        // Garbage inode and dirent decode.
+        // Garbage inode, dirent and directory-index decode.
         let mut ibuf = [0u8; ssdhammer::fs::INODE_SIZE];
         ibuf.copy_from_slice(&bytes[..ssdhammer::fs::INODE_SIZE]);
         let _ = ssdhammer::fs::Inode::decode(&ibuf);
         let _ = ssdhammer::fs::Dirent::decode(&bytes[..ssdhammer::fs::DIRENT_SIZE]);
+        let _ = ssdhammer::fs::DirIndex::decode(&bytes, rng.gen_range(0u32..1024));
+        // A valid header over garbage entries reaches the per-entry checks.
+        let mut index = bytes;
+        index[..4].copy_from_slice(&ssdhammer::fs::DIR_INDEX_MAGIC.to_le_bytes());
+        let count = rng.gen_range(0u16..ssdhammer::fs::DIR_INDEX_LIMIT as u16 + 1);
+        index[4..6].copy_from_slice(&count.to_le_bytes());
+        index[6..8].copy_from_slice(&(ssdhammer::fs::DIR_INDEX_LIMIT as u16).to_le_bytes());
+        let _ = ssdhammer::fs::DirIndex::decode(&index, u32::MAX);
     }
 }
 
