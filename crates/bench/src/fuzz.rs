@@ -2,16 +2,21 @@
 //! of host block ops, scrubber pumps, registry-driven hammer bursts, and
 //! armed crash-point cuts, executed against the real [`Ssd`]/FTL stack and
 //! differentially checked — every observable result — against the
-//! [`ShadowDisk`] oracle shared with the torture campaign.
+//! [`ShadowDisk`] oracle.
 //!
-//! The oracle extends PR 9's write/trim/flush shadow to the full contract:
-//! reads must return content the operation history allows, a device that
-//! loudly degraded to read-only must never acknowledge another mutation,
-//! typed errors must be *legal* for the operation that surfaced them
-//! ([`error_is_legal`]), a hammer burst on the invulnerable test module
-//! must never flip a bit, and every power cut — armed mid-operation via
-//! [`FuzzOp::ArmCut`] or clean via [`FuzzOp::PowerCycle`] — must remount
-//! into a state the shadow accepts.
+//! The executor here (`SsdFuzz::run`) is the one place a device is
+//! driven against the shadow: the torture campaign
+//! ([`crate::torture`]) replays its fixed workload through it with one
+//! [`FuzzOp::ArmCut`] per crash point. The oracle checks that reads return
+//! content the operation history allows, that a device that loudly
+//! degraded to read-only never acknowledges another mutation, that typed
+//! errors are *legal* for the operation that surfaced them
+//! ([`error_is_legal`]), that a hammer burst on the invulnerable test
+//! module never flips a bit, and that every power cut — armed
+//! mid-operation via [`FuzzOp::ArmCut`] or clean via
+//! [`FuzzOp::PowerCycle`] — remounts idempotently (a second recovery from
+//! the same flash rebuilds the same L2P table, journal-replay count,
+//! read-only flag and free-block count) into a state the shadow accepts.
 //!
 //! On divergence the engine ([`ssdhammer_simkit::fuzz`]) auto-shrinks the
 //! sequence to a minimal repro (ddmin over ops, then per-op parameters),
@@ -21,11 +26,12 @@
 //! regression tests.
 //!
 //! The device under fuzz is deliberately *invulnerable* (no weak DRAM
-//! cells) and fault-free except for the one armed cut: any divergence is a
-//! stack bug, not an injected upset. Victim [`configure`] hooks are not
-//! applied for the same reason — the hammer op drives the registry's
-//! pattern planning and the real `hammer_reads` path, against a module
-//! where the correct observable outcome is "no flips".
+//! cells) and fault-free except for the one armed cut (and, in torture's
+//! workload, one program failure): any divergence is a stack bug, not an
+//! injected upset. Victim [`configure`] hooks are not applied for the same
+//! reason — the hammer op drives the registry's pattern planning and the
+//! real `hammer_reads` path, against a module where the correct observable
+//! outcome is "no flips".
 //!
 //! [`configure`]: ssdhammer_core::attack::Victim::configure
 
@@ -42,7 +48,8 @@ use ssdhammer_simkit::json::Json;
 use ssdhammer_simkit::rng::{Rng, SimRng};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
-use ssdhammer_simkit::{Lba, BLOCK_SIZE};
+use ssdhammer_simkit::torture::{census_config, measure_crossings, SiteCrossings};
+use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
 
 use crate::scenario::{Scenario, ScenarioCfg};
 use crate::torture::torture_sites;
@@ -53,7 +60,8 @@ pub const SCHEMA: &str = "ssdhammer-fuzz-v1";
 /// Schema identifier of one persisted corpus case.
 pub const CASE_SCHEMA: &str = "ssdhammer-fuzz-case-v1";
 
-/// LBA span the generator (and the oracle readback) covers.
+/// LBA span the generator covers; the oracle's readback span is never
+/// smaller (a longer hand-built sequence widens it).
 const SPAN: u64 = 12;
 
 /// Fixed device seed: the op sequence carries all per-episode variation,
@@ -93,6 +101,10 @@ pub enum FuzzOp {
     /// the sequence is baked into the device's fault plane at build, so
     /// deleting the op during shrinking removes the cut.
     ArmCut(u8, u8),
+    /// Fail the flash program at consult `.0` (once), so the sequence
+    /// crosses grown-bad-block retirement. Baked in at build like
+    /// [`FuzzOp::ArmCut`]; the generator never draws it — it is torture's.
+    FailProgram(u8),
 }
 
 /// Draws one op from the episode stream, write-heavy so state builds up.
@@ -166,15 +178,22 @@ fn encode_op(op: &FuzzOp) -> Json {
             ("site", Json::from(u64::from(site))),
             ("crossing", Json::from(u64::from(crossing))),
         ]),
+        FuzzOp::FailProgram(program) => Json::obj([
+            ("op", Json::str("fail_program")),
+            ("program", Json::from(u64::from(program))),
+        ]),
     }
 }
 
+/// Decodes one op. LBAs outside the generator's span are rejected, so a
+/// decoded case can never size the shadow or index past it.
 fn decode_op(j: &Json) -> Option<FuzzOp> {
     let field = |k: &str| j.get(k).and_then(Json::as_u64);
+    let lba = || field("lba").filter(|&l| l < SPAN);
     Some(match j.get("op").and_then(Json::as_str)? {
-        "read" => FuzzOp::Read(field("lba")?),
-        "write" => FuzzOp::Write(field("lba")?, u8::try_from(field("fill")?).ok()?),
-        "trim" => FuzzOp::Trim(field("lba")?),
+        "read" => FuzzOp::Read(lba()?),
+        "write" => FuzzOp::Write(lba()?, u8::try_from(field("fill")?).ok()?),
+        "trim" => FuzzOp::Trim(lba()?),
         "flush" => FuzzOp::Flush,
         "scrub" => FuzzOp::Scrub,
         "hammer" => FuzzOp::Hammer(u8::try_from(field("combo")?).ok()?),
@@ -183,6 +202,7 @@ fn decode_op(j: &Json) -> Option<FuzzOp> {
             u8::try_from(field("site")?).ok()?,
             u8::try_from(field("crossing")?).ok()?,
         ),
+        "fail_program" => FuzzOp::FailProgram(u8::try_from(field("program")?).ok()?),
         _ => return None,
     })
 }
@@ -204,22 +224,65 @@ impl Default for SsdFuzz {
     }
 }
 
+/// What one execution of an op sequence observed.
+#[derive(Debug)]
+pub(crate) struct Run {
+    /// The first divergence the oracle caught, if any.
+    pub(crate) failure: Option<Failure>,
+    /// Whether the sequence's armed cut fired (`false` without an `ArmCut`).
+    pub(crate) cut_fired: bool,
+    /// Lawful but visible degradation: typed errors, read-only devices,
+    /// failed recoveries. The fuzz verdict ignores it; torture reports it.
+    pub(crate) loud: Vec<String>,
+    /// How often the run crossed each of [`torture_sites`], in that order.
+    pub(crate) crossings: Vec<SiteCrossings>,
+    /// Simulated time the device spent, across every remount.
+    pub(crate) elapsed: SimDuration,
+}
+
+/// The sequence's first armed cut as `(site, crossing)`.
+fn armed_cut(ops: &[FuzzOp]) -> Option<(&'static str, u64)> {
+    let sites = torture_sites();
+    ops.iter().find_map(|op| match *op {
+        FuzzOp::ArmCut(site, crossing) => {
+            Some((sites[usize::from(site) % sites.len()], u64::from(crossing)))
+        }
+        _ => None,
+    })
+}
+
+/// Fires once, at consult `k` of its site.
+fn once_at(k: u64) -> FaultSpec {
+    FaultSpec::always().with_window(k, k + 1).with_max_fires(1)
+}
+
+/// LBAs the shadow covers: the generator's span, or more when a hand-built
+/// sequence (torture's `--full` workload) addresses more.
+fn span(ops: &[FuzzOp]) -> u64 {
+    ops.iter()
+        .filter_map(|op| match *op {
+            FuzzOp::Read(l) | FuzzOp::Write(l, _) | FuzzOp::Trim(l) => Some(l + 1),
+            _ => None,
+        })
+        .fold(SPAN, u64::max)
+}
+
 impl SsdFuzz {
     /// The device-under-fuzz configuration for a given op sequence: tiny
-    /// geometry, journal every mutation, resident metadata (torture's
-    /// recovery-critical shape), and at most one armed crash point — the
-    /// sequence's first [`FuzzOp::ArmCut`].
+    /// geometry, journal every mutation, resident metadata (the
+    /// recovery-critical shape), every torture site registered at
+    /// probability zero so the run counts its crossings, and at most one
+    /// armed cut and one program failure — the sequence's first
+    /// [`FuzzOp::ArmCut`] and [`FuzzOp::FailProgram`].
     fn config(&self, ops: &[FuzzOp]) -> SsdConfig {
-        let sites = torture_sites();
-        let mut faults = FaultPlaneConfig::new();
-        if let Some(FuzzOp::ArmCut(site, crossing)) =
-            ops.iter().find(|op| matches!(op, FuzzOp::ArmCut(..)))
+        let mut faults = census_config(&FaultPlaneConfig::new(), &torture_sites());
+        if let Some((site, crossing)) = armed_cut(ops) {
+            faults = faults.with_site(site, once_at(crossing));
+        }
+        if let Some(&FuzzOp::FailProgram(program)) =
+            ops.iter().find(|op| matches!(op, FuzzOp::FailProgram(_)))
         {
-            let k = u64::from(*crossing);
-            faults = faults.with_site(
-                sites[usize::from(*site) % sites.len()],
-                FaultSpec::always().with_window(k, k + 1).with_max_fires(1),
-            );
+            faults = faults.with_site("flash.program_fail", once_at(u64::from(program)));
         }
         SsdConfig::test_small(DEVICE_SEED)
             .with_flash_geometry(FlashGeometry::tiny_test())
@@ -232,79 +295,31 @@ impl SsdFuzz {
             )
             .with_fault_plane(faults)
     }
-}
 
-/// Executor state threaded through one sequence.
-struct Exec {
-    ssd: Ssd,
-    config: SsdConfig,
-    shadow: ShadowDisk,
-    /// Whether the sequence armed a cut (PowerLoss legality).
-    cut_armed: bool,
-}
-
-impl Exec {
-    /// Remounts after a power cut and oracle-checks the recovered state:
-    /// the full span must read back content the shadow allows.
-    fn remount(&mut self, ssd: Ssd) -> Result<(), Failure> {
-        match ssd.power_cycle(&self.config) {
-            Ok(s) => {
-                self.ssd = s;
-                if self.ssd.ftl().is_read_only() {
-                    self.shadow.mark_read_only();
-                }
-                self.readback("recover")
-            }
-            // Recovery failing loudly is lawful degradation; the episode
-            // simply ends with nothing left to check.
-            Err(_) => Err(Failure {
-                signature: "episode.over".to_string(),
-                detail: String::new(),
-            }),
+    /// Executes `ops` on a fresh device and oracle-checks every result:
+    /// the one executor both the fuzz and torture campaigns run.
+    #[must_use]
+    pub(crate) fn run(&self, ops: &[FuzzOp]) -> Run {
+        let armed = armed_cut(ops);
+        let config = self.config(ops);
+        let ssd = Ssd::build(config.clone());
+        let clock = ssd.clock().clone();
+        let start = clock.now();
+        let plane = ssd.ftl().fault_plane().clone();
+        let mut x = Exec {
+            config,
+            shadow: ShadowDisk::new(span(ops)),
+            cut_armed: armed.is_some(),
+            loud: Vec::new(),
+        };
+        let failure = x.drive(ssd, ops).err();
+        Run {
+            failure,
+            cut_fired: armed.is_some_and(|(site, _)| plane.fired(site) > 0),
+            loud: x.loud,
+            crossings: measure_crossings(&plane, &torture_sites()),
+            elapsed: clock.elapsed_since(start),
         }
-    }
-
-    /// Full-span differential readback. `stage` prefixes the signature so
-    /// a post-recovery divergence buckets apart from a steady-state one.
-    fn readback(&mut self, stage: &str) -> Result<(), Failure> {
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        for lba in 0..self.shadow.span() {
-            match self.ssd.ftl_mut().read(Lba(lba), &mut buf) {
-                Ok(ReadOutcome::Wild { entry }) => {
-                    return Err(Failure {
-                        signature: format!("{stage}.wild_entry"),
-                        detail: format!("lba {lba}: wild L2P entry {entry:#x}"),
-                    });
-                }
-                Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                    return Err(Failure {
-                        signature: format!("{stage}.guard_mismatch"),
-                        detail: format!("lba {lba}: guard mismatch at {ppn}"),
-                    });
-                }
-                Ok(_) => {
-                    if !self.shadow.acceptable(lba, &buf) {
-                        return Err(Failure {
-                            signature: format!("{stage}.divergence"),
-                            detail: format!(
-                                "lba {lba}: read fill {:#04x}, shadow allows {}",
-                                buf[0],
-                                self.shadow.describe(lba)
-                            ),
-                        });
-                    }
-                }
-                Err(e) => {
-                    if !error_is_legal(HostOp::Read, &e, self.cut_armed) {
-                        return Err(Failure {
-                            signature: format!("{stage}.illegal_error.{}", e.signature()),
-                            detail: format!("lba {lba}: illegal read error: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -320,228 +335,258 @@ impl FuzzTarget for SsdFuzz {
     }
 
     fn execute(&self, ops: &[FuzzOp]) -> Verdict {
-        match self.execute_inner(ops) {
-            Ok(()) => Verdict::Pass,
-            // "episode.over" is the lawful-early-end sentinel, not a bug.
-            Err(f) if f.signature == "episode.over" => Verdict::Pass,
-            Err(f) => Verdict::Fail(f),
+        match self.run(ops).failure {
+            None => Verdict::Pass,
+            Some(f) => Verdict::Fail(f),
         }
     }
 }
 
-impl SsdFuzz {
-    fn execute_inner(&self, ops: &[FuzzOp]) -> Result<(), Failure> {
-        let config = self.config(ops);
-        let ssd = Ssd::try_build(config.clone()).map_err(|e| Failure {
-            signature: "build.failed".to_string(),
-            detail: format!("device assembly failed: {e}"),
-        })?;
-        let mut x = Exec {
-            ssd,
-            config,
-            shadow: ShadowDisk::new(SPAN),
-            cut_armed: ops.iter().any(|op| matches!(op, FuzzOp::ArmCut(..))),
-        };
-        for &op in ops {
-            self.step(&mut x, op)?;
-        }
-        x.readback("final")
+/// What a recovery rebuilt: the state two recoveries from the same flash
+/// must agree on.
+struct Recovered {
+    l2p: Vec<u8>,
+    replayed: u64,
+    read_only: bool,
+    free_blocks: usize,
+}
+
+impl Recovered {
+    /// Reads the remounted device; `replayed_before` is the registry's
+    /// journal-replay count before this recovery.
+    fn of(ssd: &Ssd, replayed_before: u64) -> Result<Recovered, FtlError> {
+        let ftl = ssd.ftl();
+        Ok(Recovered {
+            l2p: ftl.l2p_snapshot()?,
+            replayed: ftl.telemetry().journal_replayed - replayed_before,
+            read_only: ftl.is_read_only(),
+            free_blocks: ftl.free_block_count(),
+        })
     }
 
-    /// Executes one op and checks its observable result. `Err` carries
-    /// either a real divergence or the `episode.over` sentinel.
-    fn step(&self, x: &mut Exec, op: FuzzOp) -> Result<(), Failure> {
-        let cut_armed = x.cut_armed;
-        let illegal = |host_op: HostOp, what: &str, e: &FtlError| -> Option<Failure> {
-            (!error_is_legal(host_op, e, cut_armed)).then(|| Failure {
-                signature: format!("{what}.illegal_error.{}", e.signature()),
-                detail: format!("illegal {what} error: {e}"),
+    /// The first field on which two recoveries disagree.
+    fn difference(&self, other: &Recovered) -> Option<&'static str> {
+        [
+            ("L2P", self.l2p != other.l2p),
+            ("journal replay count", self.replayed != other.replayed),
+            ("read-only flag", self.read_only != other.read_only),
+            ("free-block count", self.free_blocks != other.free_blocks),
+        ]
+        .into_iter()
+        .find_map(|(field, differs)| differs.then_some(field))
+    }
+}
+
+/// Executor state threaded through one sequence; the device itself is
+/// passed by value, because a remount consumes it.
+struct Exec {
+    config: SsdConfig,
+    shadow: ShadowDisk,
+    /// Whether the sequence armed a cut (PowerLoss legality).
+    cut_armed: bool,
+    loud: Vec<String>,
+}
+
+impl Exec {
+    /// Runs every op, then reads the whole span back.
+    fn drive(&mut self, mut ssd: Ssd, ops: &[FuzzOp]) -> Result<(), Failure> {
+        for &op in ops {
+            match self.step(ssd, op)? {
+                Some(next) => ssd = next,
+                // Recovery failed loudly: nothing is left to check.
+                None => return Ok(()),
+            }
+        }
+        self.readback(&mut ssd, "final")
+    }
+
+    /// Executes one op and checks its observable result. Returns the
+    /// device to continue with, or `None` once a recovery failed.
+    fn step(&mut self, mut ssd: Ssd, op: FuzzOp) -> Result<Option<Ssd>, Failure> {
+        let (what, host_op, result) = match op {
+            FuzzOp::Read(lba) => ("read", HostOp::Read, self.read(&mut ssd, lba, "read")?),
+            FuzzOp::Write(lba, fill) => (
+                "write",
+                HostOp::Write,
+                ssd.ftl_mut().write(Lba(lba), &[fill; BLOCK_SIZE]).map(drop),
+            ),
+            FuzzOp::Trim(lba) => ("trim", HostOp::Trim, ssd.ftl_mut().trim(Lba(lba))),
+            FuzzOp::Flush => ("flush", HostOp::Flush, ssd.ftl_mut().flush()),
+            FuzzOp::Scrub => ("scrub", HostOp::Scrub, ssd.ftl_mut().scrub_chunk(8, 4)),
+            FuzzOp::Hammer(i) => ("hammer", HostOp::Hammer, hammer(&mut ssd, i)?),
+            FuzzOp::PowerCycle => return self.remount(ssd),
+            // Baked into the fault plane at build.
+            FuzzOp::ArmCut(..) | FuzzOp::FailProgram(_) => return Ok(Some(ssd)),
+        };
+        match (result, op) {
+            (Ok(()), FuzzOp::Write(lba, _) | FuzzOp::Trim(lba)) if self.shadow.read_only() => {
+                return Err(Failure {
+                    signature: format!("{what}.succeeded_read_only"),
+                    detail: format!("lba {lba}: {what} acknowledged after read-only degradation"),
+                });
+            }
+            (Ok(()), FuzzOp::Write(lba, fill)) => self.shadow.commit_write(lba, fill),
+            (Ok(()), FuzzOp::Trim(lba)) => self.shadow.commit_trim(lba),
+            (Ok(()), _) => {}
+            // The one power-loss path. A read changes nothing, so only a
+            // write or TRIM leaves an uncertain LBA.
+            (Err(FtlError::PowerLoss), _) => {
+                match op {
+                    FuzzOp::Write(lba, fill) => self.shadow.interrupt_write(lba, fill),
+                    FuzzOp::Trim(lba) => self.shadow.interrupt_trim(lba),
+                    _ => {}
+                }
+                return self.remount(ssd);
+            }
+            (Err(e), _) if !error_is_legal(host_op, &e, self.cut_armed) => {
+                return Err(Failure {
+                    signature: format!("{what}.illegal_error.{}", e.signature()),
+                    detail: format!("illegal {what} error: {e}"),
+                });
+            }
+            (Err(e), _) => {
+                if matches!(e, FtlError::ReadOnly) {
+                    self.shadow.mark_read_only();
+                }
+                self.loud.push(format!("{what}: {e}"));
+            }
+        }
+        Ok(Some(ssd))
+    }
+
+    /// The one per-read check: reads `lba` and holds the content served to
+    /// the shadow. `stage` prefixes the signature so a post-recovery
+    /// divergence buckets apart from a steady-state one. The device's
+    /// typed error, if any, comes back for the caller to judge.
+    fn read(&self, ssd: &mut Ssd, lba: u64, stage: &str) -> Result<Result<(), FtlError>, Failure> {
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        let fail = |kind: &str, detail: String| {
+            Err(Failure {
+                signature: format!("{stage}.{kind}"),
+                detail,
             })
         };
-        match op {
-            FuzzOp::Read(lba) => {
-                // Per-op read check: the same oracle as the readback pass,
-                // scoped to one LBA.
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                match x.ssd.ftl_mut().read(Lba(lba), &mut buf) {
-                    Ok(ReadOutcome::Wild { entry }) => {
-                        return Err(Failure {
-                            signature: "read.wild_entry".to_string(),
-                            detail: format!("lba {lba}: wild L2P entry {entry:#x}"),
-                        });
-                    }
-                    Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                        return Err(Failure {
-                            signature: "read.guard_mismatch".to_string(),
-                            detail: format!("lba {lba}: guard mismatch at {ppn}"),
-                        });
-                    }
-                    Ok(_) => {
-                        if !x.shadow.acceptable(lba, &buf) {
-                            return Err(Failure {
-                                signature: "read.divergence".to_string(),
-                                detail: format!(
-                                    "lba {lba}: read fill {:#04x}, shadow allows {}",
-                                    buf[0],
-                                    x.shadow.describe(lba)
-                                ),
-                            });
-                        }
-                    }
-                    Err(FtlError::PowerLoss) => {
-                        // A read changes nothing; no uncertainty to record.
-                        let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                        return x.remount(ssd);
-                    }
-                    Err(e) => {
-                        if let Some(f) = illegal(HostOp::Read, "read", &e) {
-                            return Err(f);
-                        }
-                    }
+        match ssd.ftl_mut().read(Lba(lba), &mut buf) {
+            Ok(ReadOutcome::Wild { entry }) => fail(
+                "wild_entry",
+                format!("lba {lba}: wild L2P entry {entry:#x}"),
+            ),
+            Ok(ReadOutcome::GuardMismatch { ppn }) => fail(
+                "guard_mismatch",
+                format!("lba {lba}: guard mismatch at {ppn}"),
+            ),
+            Ok(_) if !self.shadow.acceptable(lba, &buf) => fail(
+                "divergence",
+                format!(
+                    "lba {lba}: read fill {:#04x}, shadow allows {}",
+                    buf[0],
+                    self.shadow.describe(lba)
+                ),
+            ),
+            Ok(_) => Ok(Ok(())),
+            Err(e) => Ok(Err(e)),
+        }
+    }
+
+    /// Full-span differential readback; a lawful read error is loud.
+    fn readback(&mut self, ssd: &mut Ssd, stage: &str) -> Result<(), Failure> {
+        for lba in 0..self.shadow.span() {
+            if let Err(e) = self.read(ssd, lba, stage)? {
+                if !error_is_legal(HostOp::Read, &e, self.cut_armed) {
+                    return Err(Failure {
+                        signature: format!("{stage}.illegal_error.{}", e.signature()),
+                        detail: format!("lba {lba}: illegal read error: {e}"),
+                    });
                 }
+                self.loud.push(format!("lba {lba}: {e}"));
             }
-            FuzzOp::Write(lba, fill) => {
-                let data = vec![fill; BLOCK_SIZE];
-                match x.ssd.ftl_mut().write(Lba(lba), &data) {
-                    Ok(_) => {
-                        if x.shadow.read_only() {
-                            return Err(Failure {
-                                signature: "write.succeeded_read_only".to_string(),
-                                detail: format!(
-                                    "lba {lba}: write acknowledged after read-only degradation"
-                                ),
-                            });
-                        }
-                        x.shadow.commit_write(lba, fill);
-                    }
-                    Err(FtlError::PowerLoss) => {
-                        x.shadow.interrupt_write(lba, fill);
-                        let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                        return x.remount(ssd);
-                    }
-                    Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                    Err(e) => {
-                        if let Some(f) = illegal(HostOp::Write, "write", &e) {
-                            return Err(f);
-                        }
-                    }
-                }
-            }
-            FuzzOp::Trim(lba) => match x.ssd.ftl_mut().trim(Lba(lba)) {
-                Ok(()) => {
-                    if x.shadow.read_only() {
-                        return Err(Failure {
-                            signature: "trim.succeeded_read_only".to_string(),
-                            detail: format!(
-                                "lba {lba}: trim acknowledged after read-only degradation"
-                            ),
-                        });
-                    }
-                    x.shadow.commit_trim(lba);
-                }
-                Err(FtlError::PowerLoss) => {
-                    x.shadow.interrupt_trim(lba);
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Trim, "trim", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Flush => match x.ssd.ftl_mut().flush() {
-                Ok(()) => {}
-                Err(FtlError::PowerLoss) => {
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Flush, "flush", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Scrub => match x.ssd.ftl_mut().scrub_chunk(8, 4) {
-                Ok(()) => {}
-                Err(FtlError::PowerLoss) => {
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Scrub, "scrub", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Hammer(i) => return self.hammer(x, i),
-            FuzzOp::PowerCycle => {
-                let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                return x.remount(ssd);
-            }
-            FuzzOp::ArmCut(..) => {} // baked into the fault plane at build
         }
         Ok(())
     }
 
-    /// One registry-driven hammer burst: plan the combo's pattern over the
-    /// victim's target rows; when the invulnerable module yields no
-    /// plannable sites (the common case), aim the burst at mapped-span
-    /// entries so the real `hammer_reads` path still runs. Either way the
-    /// oracle is the same: a lawful result and zero flips.
-    fn hammer(&self, x: &mut Exec, i: u8) -> Result<(), Failure> {
-        let grid = combos();
-        let (pattern, victim_name) = grid[usize::from(i) % grid.len()];
-        let victim = make_victim(victim_name).expect("registered victim");
-        let targets = victim.target_rows(x.ssd.ftl());
-        let sites = enumerate_sites(x.ssd.ftl(), &targets);
-        let hammerer = make_hammerer(pattern).expect("registered pattern");
-        let result = match hammerer.plan(&sites) {
-            Ok(plan) => x.ssd.ftl_mut().hammer_reads_with(
-                &plan.pattern,
-                HAMMER_REQUESTS,
-                HAMMER_RATE * plan.rate_scale,
-                plan.opts,
-            ),
-            Err(_) => {
-                let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
-                x.ssd.ftl_mut().hammer_reads_with(
-                    &lbas,
-                    HAMMER_REQUESTS,
-                    HAMMER_RATE,
-                    HammerOptions::default(),
-                )
+    /// Pulls the power and remounts twice from the same flash: both
+    /// recoveries must rebuild the same state, and the second device must
+    /// read back what the shadow allows. A recovery that fails outright is
+    /// lawful, loud degradation and ends the episode (`None`).
+    fn remount(&mut self, ssd: Ssd) -> Result<Option<Ssd>, Failure> {
+        let replayed = |ssd: &Ssd| ssd.ftl().telemetry().journal_replayed;
+        let before = replayed(&ssd);
+        let first = match ssd.power_cycle(&self.config) {
+            Ok(s) => s,
+            Err(e) => {
+                self.loud.push(format!("recover failed: {e}"));
+                return Ok(None);
             }
         };
-        match result {
-            Ok(report) => {
-                if !report.flips.is_empty() {
-                    return Err(Failure {
-                        signature: "hammer.flips_on_invulnerable".to_string(),
-                        detail: format!(
-                            "{} flips from {pattern}x{victim_name} on the invulnerable module",
-                            report.flips.len()
-                        ),
-                    });
-                }
-            }
-            Err(FtlError::PowerLoss) => {
-                let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                return x.remount(ssd);
-            }
+        let once = match Recovered::of(&first, before) {
+            Ok(r) => r,
             Err(e) => {
-                if !error_is_legal(HostOp::Hammer, &e, x.cut_armed) {
-                    return Err(Failure {
-                        signature: format!("hammer.illegal_error.{}", e.signature()),
-                        detail: format!("illegal hammer error: {e}"),
-                    });
-                }
+                self.loud.push(format!("l2p snapshot failed: {e}"));
+                return Ok(None);
             }
+        };
+        let not_idempotent = |detail: String| Failure {
+            signature: "recover.not_idempotent".to_string(),
+            detail: format!("recovery not idempotent: {detail}"),
+        };
+        let between = replayed(&first);
+        let mut ssd = first
+            .power_cycle(&self.config)
+            .map_err(|e| not_idempotent(format!("second remount failed: {e}")))?;
+        let twice = Recovered::of(&ssd, between)
+            .map_err(|e| not_idempotent(format!("second snapshot failed: {e}")))?;
+        if let Some(field) = once.difference(&twice) {
+            return Err(not_idempotent(format!("{field} differs across remounts")));
         }
-        Ok(())
+        if twice.read_only {
+            self.shadow.mark_read_only();
+            self.loud
+                .push("device read-only after recovery".to_string());
+        }
+        self.readback(&mut ssd, "recover")?;
+        Ok(Some(ssd))
+    }
+}
+
+/// One registry-driven hammer burst: plan the combo's pattern over the
+/// victim's target rows; when the invulnerable module yields no plannable
+/// sites (the common case), aim the burst at mapped-span entries so the
+/// real `hammer_reads` path still runs. Either way the oracle is the same:
+/// a lawful result and zero flips.
+fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
+    let grid = combos();
+    let (pattern, victim_name) = grid[usize::from(i) % grid.len()];
+    let victim = make_victim(victim_name).expect("registered victim");
+    let targets = victim.target_rows(ssd.ftl());
+    let sites = enumerate_sites(ssd.ftl(), &targets);
+    let hammerer = make_hammerer(pattern).expect("registered pattern");
+    let result = match hammerer.plan(&sites) {
+        Ok(plan) => ssd.ftl_mut().hammer_reads_with(
+            &plan.pattern,
+            HAMMER_REQUESTS,
+            HAMMER_RATE * plan.rate_scale,
+            plan.opts,
+        ),
+        Err(_) => {
+            let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
+            ssd.ftl_mut().hammer_reads_with(
+                &lbas,
+                HAMMER_REQUESTS,
+                HAMMER_RATE,
+                HammerOptions::default(),
+            )
+        }
+    };
+    match result {
+        Ok(report) if !report.flips.is_empty() => Err(Failure {
+            signature: "hammer.flips_on_invulnerable".to_string(),
+            detail: format!(
+                "{} flips from {pattern}x{victim_name} on the invulnerable module",
+                report.flips.len()
+            ),
+        }),
+        Ok(_) => Ok(Ok(())),
+        Err(e) => Ok(Err(e)),
     }
 }
 
@@ -977,6 +1022,7 @@ mod tests {
             FuzzOp::Hammer(5),
             FuzzOp::PowerCycle,
             FuzzOp::ArmCut(2, 4),
+            FuzzOp::FailProgram(2),
         ];
         for op in ops {
             assert_eq!(decode_op(&encode_op(&op)), Some(op), "{op:?}");
@@ -1051,6 +1097,25 @@ mod tests {
             SsdFuzz { verify_crc: false }.execute(&ops),
             Verdict::Fail(_)
         ));
+    }
+
+    #[test]
+    fn cases_addressing_past_the_generator_span_are_unreadable() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("ssdhammer-fuzz-span-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let case = format!(
+            r#"{{"schema":"{CASE_SCHEMA}","name":"past-span","seed":0,"signature":"","ops":[{{"op":"write","lba":{SPAN},"fill":1}}]}}"#
+        );
+        std::fs::write(dir.join("past-span.json"), case).unwrap();
+        let doc = run_replay(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = doc.get("results").and_then(Json::as_arr).expect("results");
+        assert_eq!(
+            results[0].get("status").and_then(Json::as_str),
+            Some("unreadable")
+        );
+        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

@@ -1,26 +1,15 @@
-//! A minimal wall-clock bench harness.
-//!
-//! The benches under `benches/` use `harness = false`, so each is a plain
-//! binary with a `main`. This module provides the shared timing loop:
-//! a short warmup, a fixed number of measured samples, and a one-line
-//! min/mean/max report. It is intentionally tiny — no statistics beyond
-//! what a human needs to spot a regression — because the workspace builds
-//! without external crates.
+//! The wall-clock-only reporting path.
 //!
 //! All host-clock access lives in the [`wallclock`] submodule. That is the
 //! one sanctioned `std::time::Instant` user outside `simkit` (lint rule D1's
-//! allowlist points here): the timings it produces are printed for humans
-//! and never feed back into simulated state, so they cannot perturb a
-//! deterministic run.
+//! allowlist points here): the timings it produces are reported for humans
+//! (`repro bench`, the `perfbench` benchmark) and never feed back into
+//! simulated state, so they cannot perturb a deterministic run.
 
-use std::hint::black_box;
-
-/// The wall-clock-only reporting path.
-///
 /// Everything measured against the host clock funnels through this module,
 /// so the D1 allowlist entry for `harness.rs` has a single, auditable
-/// surface. The rest of the harness consumes the returned plain seconds and
-/// does arithmetic and formatting only.
+/// surface. Callers consume the returned plain seconds and do arithmetic
+/// and formatting only.
 pub mod wallclock {
     use std::time::Instant;
 
@@ -35,52 +24,9 @@ pub mod wallclock {
     }
 }
 
-/// Times `f` over `samples` measured runs (after one warmup run) and prints
-/// a `group/name: min/mean/max` line. Returns the mean seconds per run.
-pub fn bench<T>(group: &str, name: &str, samples: usize, mut f: impl FnMut() -> T) -> f64 {
-    assert!(samples > 0, "need at least one sample");
-    black_box(f());
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        times.push(wallclock::time_once(&mut f));
-    }
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    println!(
-        "{group}/{name}: {} samples, min {} mean {} max {}",
-        samples,
-        human(min),
-        human(mean),
-        human(max)
-    );
-    mean
-}
-
-/// Renders seconds with a unit matched to the magnitude.
-fn human(secs: f64) -> String {
-    if secs >= 1.0 {
-        format!("{secs:.3}s")
-    } else if secs >= 1e-3 {
-        format!("{:.3}ms", secs * 1e3)
-    } else if secs >= 1e-6 {
-        format!("{:.3}us", secs * 1e6)
-    } else {
-        format!("{:.1}ns", secs * 1e9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_runs_and_reports_mean() {
-        let mut calls = 0u32;
-        let mean = bench("t", "noop", 3, || calls += 1);
-        assert_eq!(calls, 4, "one warmup + three samples");
-        assert!(mean >= 0.0);
-    }
 
     #[test]
     fn wallclock_times_are_nonnegative_and_ordered() {
@@ -96,13 +42,5 @@ mod tests {
         };
         let longer = wallclock::time_once(&mut slow);
         assert!(longer >= 0.0);
-    }
-
-    #[test]
-    fn human_units() {
-        assert_eq!(human(2.5), "2.500s");
-        assert_eq!(human(0.002), "2.000ms");
-        assert_eq!(human(3e-6), "3.000us");
-        assert_eq!(human(5e-9), "5.0ns");
     }
 }

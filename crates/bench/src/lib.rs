@@ -1,8 +1,8 @@
 //! # ssdhammer-bench
 //!
 //! The experiment library regenerating **every table and figure** of
-//! *Rowhammering Storage Devices* (HotStorage '21), shared between the
-//! Criterion benches (`benches/`) and the `repro` binary.
+//! *Rowhammering Storage Devices* (HotStorage '21) behind the `repro`
+//! binary.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -20,20 +20,22 @@
 //! fault-injection plane against the FTL recovery stack, and the
 //! [`torture`] module enumerates power-cut crash points across every
 //! recovery-critical site and checks each recovery against a shadow-model
-//! oracle (DESIGN.md §17). The [`fuzz`] module (`repro fuzz`) grows that
-//! oracle into a model-based fuzzer: seeded random op interleavings are
-//! differentially checked against the shadow model, divergences
-//! auto-shrink to minimal repros, and the committed `corpus/` directory
-//! replays them as regression tests (DESIGN.md §18).
+//! oracle (DESIGN.md §17). The [`fuzz`] module (`repro fuzz`) owns that
+//! oracle and the one executor that drives a device against it: torture
+//! replays its crash points through it, and the fuzzer checks seeded
+//! random op interleavings with it, auto-shrinks divergences to minimal
+//! repros, and replays the committed `corpus/` directory as regression
+//! tests (DESIGN.md §18).
 //!
 //! Every experiment module exposes a unit struct implementing
 //! [`scenario::Scenario`] — one uniform `run(cfg, seed, threads) -> Json`
 //! / `render` entry point that the `repro` binary's subcommand registry
 //! dispatches through. The [`benchmark`] module (`repro bench`) times the
-//! hot paths and writes `BENCH_9.json`.
+//! hot paths and writes `BENCH_9.json`; host time is read only through
+//! [`harness::wallclock`].
 //!
 //! Run `cargo run -p ssdhammer-bench --bin repro -- all` for the complete
-//! text reproduction, or `cargo bench` for the timed harnesses.
+//! text reproduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,44 +2,46 @@
 //! enumerate every crash point a recovery-critical workload crosses —
 //! journal appends, meta-mirror write-throughs, grown-bad-block remaps,
 //! scrub repair passes, explicit L2P flushes, and the classic pre-op
-//! `ftl.power_loss` gate — cut power at each one, remount with
-//! [`Ftl::recover`], and check the recovered device against a shadow
-//! model.
+//! `ftl.power_loss` gate — cut power at each one, remount, and check the
+//! recovered device against a shadow model.
 //!
-//! The oracle accepts exactly three honest outcomes per crash point:
-//! the recovered state matches the shadow model ([`CrashVerdict::Clean`]),
-//! or the device degraded *loudly* — typed errors, read-only — with
-//! nothing silently wrong ([`CrashVerdict::LoudDegraded`]). The LBA whose
-//! operation the cut interrupted is *uncertain*: either its pre-op or its
-//! post-op content is acceptable, never anything else. Serving bytes the
-//! shadow model rules out, without any error, is
-//! [`CrashVerdict::SilentCorruption`] — the failure the campaign exists
-//! to catch. Recovery must also be idempotent: remounting twice yields
-//! the same L2P table and replay telemetry as remounting once.
+//! The workload is a fixed [`FuzzOp`] sequence, and each crash point
+//! `site@k` replays it with one [`FuzzOp::ArmCut`] in front, through the
+//! fuzz campaign's executor and oracle (`SsdFuzz::run`): every remount
+//! recovers twice and must rebuild the same L2P table, journal-replay
+//! count, read-only flag and free-block count, and every read — per op
+//! and across the whole span after each remount and at the end — must
+//! return content the shadow model allows. The LBA whose operation the cut
+//! interrupted is *uncertain*: either its pre-op or its post-op content is
+//! acceptable, never anything else.
 //!
-//! Crash points come from a census pass ([`census_config`]): the workload
-//! runs once with every site configured at probability zero, the plane
-//! counts crossings, and [`TorturePlan::enumerate`] turns the census into
-//! the schedule — exhaustive in the default configuration, seeded
-//! stratified sampling at `--full` scale. Each point then replays as one
-//! shard under a [`Supervisor`]: panics are isolated with the shard's
-//! seed captured, runaway shards become typed timeouts, and
-//! `--checkpoint`/`--resume` persist completed shards so an interrupted
-//! campaign finishes bit-identical to an uninterrupted one.
+//! The run maps onto four verdicts: the recovered state matches the shadow
+//! model ([`CrashVerdict::Clean`]); the device degraded *loudly* — lawful
+//! typed errors, read-only — with nothing silently wrong
+//! ([`CrashVerdict::LoudDegraded`]); the oracle caught a divergence —
+//! bytes the shadow rules out, a wild mapping, an illegal error, or a
+//! recovery that is not idempotent ([`CrashVerdict::SilentCorruption`],
+//! the failure the campaign exists to catch); or the cut never fired
+//! ([`CrashVerdict::NotTriggered`]).
+//!
+//! Crash points come from a census pass: the workload runs once with every
+//! site configured at probability zero, the plane counts crossings, and
+//! [`TorturePlan::enumerate`] turns the census into the schedule —
+//! exhaustive in the default configuration, seeded stratified sampling at
+//! `--full` scale. Each point then replays as one shard under a
+//! [`Supervisor`]: panics are isolated with the shard's seed captured,
+//! shards that overrun the simulated-time budget become typed timeouts,
+//! and `--checkpoint`/`--resume` persist completed shards so an
+//! interrupted campaign finishes bit-identical to an uninterrupted one.
 
-use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
-use ssdhammer_flash::{FlashArray, FlashGeometry};
-use ssdhammer_ftl::{Ftl, FtlConfig, FtlError, ReadOutcome, CRASH_SITES};
-use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
-use ssdhammer_simkit::fuzz::ShadowDisk;
+use ssdhammer_ftl::CRASH_SITES;
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
-use ssdhammer_simkit::torture::{
-    census_config, measure_crossings, CrashPoint, CrashVerdict, SiteCrossings, TorturePlan,
-};
-use ssdhammer_simkit::{Lba, SimClock, SimDuration, BLOCK_SIZE};
+use ssdhammer_simkit::torture::{CrashPoint, CrashVerdict, SiteCrossings, TorturePlan};
+use ssdhammer_simkit::{SimClock, SimDuration};
 
+use crate::fuzz::{FuzzOp, Run, SsdFuzz};
 use crate::scenario::{Scenario, ScenarioCfg};
 
 /// Structured-result schema identifier.
@@ -78,48 +80,28 @@ pub fn torture_sites() -> Vec<&'static str> {
 
 // ---- workload ---------------------------------------------------------------
 
-/// One deterministic workload step.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Write `[fill; BLOCK_SIZE]` to the LBA.
-    Write(u64, u8),
-    /// TRIM the LBA.
-    Trim(u64),
-    /// Explicit journal flush (the NVMe Flush path).
-    Flush,
-    /// One background scrub chunk (8 L2P entries, 4 patrol reads).
-    Scrub,
-}
-
-/// LBA span the workload (and the oracle readback) covers.
-fn lba_span(full: bool) -> u64 {
-    if full {
-        24
-    } else {
-        12
-    }
-}
-
-/// The recovery-critical workload: write rounds with interleaved TRIMs,
-/// explicit flushes, and scrub chunks, sized to cross every registered
-/// crash site while fitting the tiny journal region.
-fn workload(full: bool) -> Vec<Op> {
-    let span = lba_span(full);
-    let rounds = if full { 3 } else { 2 };
-    let mut ops = Vec::new();
+/// The recovery-critical workload: one program failure at the third
+/// program (a data page, so the workload crosses grown-bad-block
+/// retirement exactly once), then write rounds over 12 LBAs (24 at
+/// `--full`) with interleaved TRIMs, explicit flushes, and scrub chunks,
+/// sized to cross every registered crash site while fitting the tiny
+/// journal region.
+fn workload(full: bool) -> Vec<FuzzOp> {
+    let (span, rounds) = if full { (24, 3) } else { (12, 2) };
+    let mut ops = vec![FuzzOp::FailProgram(2)];
     for round in 0..rounds {
         for lba in 0..span {
-            ops.push(Op::Write(lba, fill_byte(lba, round)));
+            ops.push(FuzzOp::Write(lba, fill_byte(lba, round)));
         }
         if round + 1 == rounds {
             // TRIMs late in the schedule: their durability is exactly what
             // journal-append and meta-mirror cuts stress.
             for lba in (1..span).step_by(4) {
-                ops.push(Op::Trim(lba));
+                ops.push(FuzzOp::Trim(lba));
             }
         }
-        ops.push(Op::Flush);
-        ops.push(Op::Scrub);
+        ops.push(FuzzOp::Flush);
+        ops.push(FuzzOp::Scrub);
     }
     ops
 }
@@ -144,231 +126,55 @@ fn plan_limit(full: bool) -> usize {
     }
 }
 
-/// Base (non-crash) faults: one deterministic program failure at the
-/// third program attempt — a data page, so the workload crosses the
-/// grown-bad-block retirement path exactly once.
-fn base_faults() -> FaultPlaneConfig {
-    FaultPlaneConfig::new().with_site(
-        "flash.program_fail",
-        FaultSpec::always().with_window(2, 3).with_max_fires(1),
-    )
-}
-
-/// The device-under-torture configuration: journal every mutation (so
-/// TRIM durability is on the line at every cut), two journal blocks, and
-/// the resident metadata mirror (so meta write-throughs happen at all).
-fn torture_config() -> FtlConfig {
-    FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(2)
-        .with_meta_resident(true)
-}
-
-/// Builds the tiny device under torture on `clock`. Flash seed is fixed
-/// (no factory-bad blocks in the tiny geometry); the fault plane is
-/// seeded with the workload seed so census and torture runs share one
-/// deterministic consult stream per site.
-fn device(seed: u64, clock: &SimClock, faults: &FaultPlaneConfig) -> Ftl {
-    let dram = DramModule::builder(DramGeometry::tiny_test())
-        .profile(ModuleProfile::invulnerable())
-        .mapping(MappingKind::Linear)
-        .seed(seed)
-        .without_timing()
-        .build(clock.clone());
-    let mut nand = FlashArray::new(FlashGeometry::tiny_test(), clock.clone(), 1);
-    nand.set_fault_plane(FaultPlane::new(seed, faults));
-    Ftl::new(dram, nand, torture_config()).expect("torture FTL assembly")
-}
-
-fn fresh_dram(seed: u64) -> DramModule {
-    DramModule::builder(DramGeometry::tiny_test())
-        .profile(ModuleProfile::invulnerable())
-        .mapping(MappingKind::Linear)
-        .seed(seed)
-        .without_timing()
-        .build(SimClock::new())
-}
-
-// ---- shadow model -----------------------------------------------------------
-
-// The oracle state lives in [`ShadowDisk`] (shared with the fuzzer);
-// these adapters translate workload ops into its commit/interrupt calls.
-
-/// Applies a completed (host-acknowledged) operation.
-fn commit(shadow: &mut ShadowDisk, op: Op) {
-    match op {
-        Op::Write(lba, fill) => shadow.commit_write(lba, fill),
-        Op::Trim(lba) => shadow.commit_trim(lba),
-        Op::Flush | Op::Scrub => {}
-    }
-}
-
-/// Marks the interrupted operation's LBA as uncertain.
-fn interrupt(shadow: &mut ShadowDisk, op: Op) {
-    match op {
-        Op::Write(lba, fill) => shadow.interrupt_write(lba, fill),
-        Op::Trim(lba) => shadow.interrupt_trim(lba),
-        Op::Flush | Op::Scrub => {}
-    }
-}
-
 // ---- census + per-point replay ----------------------------------------------
 
-/// Runs the workload once with every crash site registered at probability
-/// zero and reads back how often each was crossed.
-fn census(seed: u64, full: bool) -> Vec<SiteCrossings> {
-    let sites = torture_sites();
-    let faults = census_config(&base_faults(), &sites);
-    let clock = SimClock::new();
-    let mut ftl = device(seed, &clock, &faults);
-    for op in workload(full) {
-        apply(&mut ftl, op).expect("census workload must complete uncut");
-    }
-    measure_crossings(ftl.fault_plane(), &sites)
+/// Runs the workload once, uncut, and reads back how often it crossed each
+/// site (the executor registers every site at probability zero).
+fn census(full: bool) -> Vec<SiteCrossings> {
+    let run = SsdFuzz::default().run(&workload(full));
+    assert!(
+        run.failure.is_none() && run.loud.is_empty(),
+        "census workload must complete uncut and clean: {:?} {:?}",
+        run.failure,
+        run.loud
+    );
+    run.crossings
 }
 
-fn apply(ftl: &mut Ftl, op: Op) -> Result<(), FtlError> {
-    match op {
-        Op::Write(lba, fill) => {
-            let data = vec![fill; BLOCK_SIZE];
-            ftl.write(Lba(lba), &data).map(|_| ())
-        }
-        Op::Trim(lba) => ftl.trim(Lba(lba)),
-        Op::Flush => ftl.flush(),
-        Op::Scrub => ftl.scrub_chunk(8, 4),
-    }
-}
-
-/// Replays the workload with power cut at `point`, remounts, and checks
-/// the recovered device against the shadow model.
-fn run_crash_point(seed: u64, full: bool, point: &CrashPoint, clock: &SimClock) -> CrashOutcome {
-    let sites = torture_sites();
-    let faults = census_config(&base_faults(), &sites).with_site(point.site.clone(), point.spec());
-    let span = lba_span(full);
-    let mut ftl = device(seed, clock, &faults);
-    let mut shadow = ShadowDisk::new(span);
-    let mut loud: Vec<String> = Vec::new();
-    let mut cut = false;
-    for op in workload(full) {
-        match apply(&mut ftl, op) {
-            Ok(()) => commit(&mut shadow, op),
-            Err(FtlError::PowerLoss) => {
-                interrupt(&mut shadow, op);
-                cut = true;
-                break;
-            }
-            // Honest pre-cut degradation (e.g. read-only): the operation
-            // did not happen; the shadow stays put and the workload
-            // continues toward the scheduled cut.
-            Err(e) => loud.push(format!("workload: {e}")),
-        }
-    }
-    let verdict = judge(seed, span, ftl, &shadow, cut, point, loud);
+/// Replays the workload with power cut at `point` and judges the run,
+/// advancing `clock` by the device's simulated time so the shard's
+/// sim-time watchdog sees it.
+fn run_crash_point(full: bool, point: &CrashPoint, clock: &SimClock) -> CrashOutcome {
+    let site = torture_sites()
+        .iter()
+        .position(|&s| s == point.site)
+        .expect("plan sites are torture sites");
+    let cut = FuzzOp::ArmCut(
+        u8::try_from(site).expect("site index fits an ArmCut"),
+        u8::try_from(point.index).expect("crossing fits an ArmCut"),
+    );
+    let mut ops = vec![cut];
+    ops.extend(workload(full));
+    let run = SsdFuzz::default().run(&ops);
+    clock.advance(run.elapsed);
     CrashOutcome {
         site: point.site.clone(),
         index: point.index,
-        verdict,
+        verdict: judge(run),
     }
 }
 
-/// The invariant oracle: remount twice (idempotency), then read back the
-/// whole LBA span against the shadow model.
-fn judge(
-    seed: u64,
-    span: u64,
-    ftl: Ftl,
-    shadow: &ShadowDisk,
-    cut: bool,
-    point: &CrashPoint,
-    mut loud: Vec<String>,
-) -> CrashVerdict {
-    if !cut || ftl.fault_plane().fired(&point.site) == 0 {
-        return CrashVerdict::NotTriggered;
-    }
-    // First remount. The recovered FTL shares the run's fault plane, whose
-    // crash spec is exhausted (max_fires = 1), so recovery itself runs cut-free.
-    let config = torture_config();
-    let (_lost_dram, nand) = ftl.into_parts();
-    let first = match Ftl::recover(fresh_dram(seed ^ 1), nand, config) {
-        Ok(f) => f,
-        Err(e) => {
-            return CrashVerdict::LoudDegraded {
-                detail: format!("recover failed: {e}"),
-            }
-        }
-    };
-    let snap_once = match first.l2p_snapshot() {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashVerdict::LoudDegraded {
-                detail: format!("l2p snapshot failed: {e}"),
-            }
-        }
-    };
-    let replayed_once = first.telemetry().journal_replayed;
-    // Second remount from the same flash: recovery must be idempotent. A
-    // divergence here is an invariant violation, not honest degradation.
-    let (_lost_dram, nand) = first.into_parts();
-    let mut ftl = match Ftl::recover(fresh_dram(seed ^ 2), nand, config) {
-        Ok(f) => f,
-        Err(e) => {
-            return CrashVerdict::SilentCorruption {
-                detail: format!("recovery not idempotent: second remount failed: {e}"),
-            }
-        }
-    };
-    match ftl.l2p_snapshot() {
-        Ok(snap_twice) if snap_twice == snap_once => {}
-        Ok(_) => {
-            return CrashVerdict::SilentCorruption {
-                detail: "recovery not idempotent: L2P differs across remounts".to_string(),
-            }
-        }
-        Err(e) => {
-            return CrashVerdict::SilentCorruption {
-                detail: format!("recovery not idempotent: second snapshot failed: {e}"),
-            }
-        }
-    }
-    if ftl.telemetry().journal_replayed != replayed_once {
-        return CrashVerdict::SilentCorruption {
-            detail: "recovery not idempotent: journal replay count differs".to_string(),
-        };
-    }
-    if ftl.is_read_only() {
-        loud.push("device read-only after recovery".to_string());
-    }
-    // Full readback: every LBA must hold content the shadow model allows,
-    // or fail loudly.
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for lba in 0..span {
-        match ftl.read(Lba(lba), &mut buf) {
-            Err(e) => loud.push(format!("lba {lba}: {e}")),
-            Ok(ReadOutcome::Wild { entry }) => {
-                loud.push(format!("lba {lba}: wild entry {entry:#x}"));
-            }
-            Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                loud.push(format!("lba {lba}: guard mismatch at {ppn}"));
-            }
-            Ok(_) => {
-                if !shadow.acceptable(lba, &buf) {
-                    return CrashVerdict::SilentCorruption {
-                        detail: format!(
-                            "lba {lba}: read fill {:#04x}, shadow allows {}",
-                            buf[0],
-                            shadow.describe(lba)
-                        ),
-                    };
-                }
-            }
-        }
-    }
-    if loud.is_empty() {
-        CrashVerdict::Clean
-    } else {
-        CrashVerdict::LoudDegraded {
-            detail: loud.join("; "),
-        }
+/// Maps an executor run onto the campaign's verdicts.
+fn judge(run: Run) -> CrashVerdict {
+    match run.failure {
+        Some(f) => CrashVerdict::SilentCorruption {
+            detail: format!("{}: {}", f.signature, f.detail),
+        },
+        None if !run.cut_fired => CrashVerdict::NotTriggered,
+        None if run.loud.is_empty() => CrashVerdict::Clean,
+        None => CrashVerdict::LoudDegraded {
+            detail: run.loud.join("; "),
+        },
     }
 }
 
@@ -405,7 +211,7 @@ fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
 /// killed, and resumed — bit-identical to an uninterrupted run.
 #[must_use]
 pub fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
-    let crossings = census(seed, cfg.full);
+    let crossings = census(cfg.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
     let registry = Telemetry::new();
     let sup = Supervisor::new(seed)
@@ -418,11 +224,11 @@ pub fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
         encode: CrashOutcome::to_json,
         decode: decode_outcome,
     };
-    // Every shard replays the *same* seed and workload — only the injected
-    // cut differs — so the shard closure ignores `ctx.trial.seed` and keys
-    // off the trial index alone. The shard clock feeds the watchdog.
+    // Every shard replays the *same* workload — only the injected cut
+    // differs — so the shard closure ignores `ctx.trial.seed` and keys off
+    // the trial index alone. The shard clock feeds the watchdog.
     let report = cfg.run_campaign(sup, plan.points.len(), codec, |ctx| {
-        run_crash_point(seed, cfg.full, &plan.points[ctx.trial.index], ctx.clock())
+        run_crash_point(cfg.full, &plan.points[ctx.trial.index], ctx.clock())
     });
     let doc = document(seed, cfg.full, &crossings, &plan, &report);
     count_verdicts(&registry, &plan, &report);
@@ -623,7 +429,7 @@ mod tests {
 
     #[test]
     fn census_crosses_every_registered_site() {
-        let crossings = census(7, false);
+        let crossings = census(false);
         for s in &crossings {
             assert!(
                 s.crossings > 0,
@@ -675,6 +481,21 @@ mod tests {
         );
         assert_eq!(summary.get("not_triggered").and_then(Json::as_u64), Some(0));
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn crash_points_drive_the_sim_time_watchdog() {
+        let plan = TorturePlan::enumerate(&census(false), plan_limit(false), 7);
+        let report = Supervisor::new(7)
+            .with_sim_budget(SimDuration::ZERO)
+            .run(1, |ctx| {
+                run_crash_point(false, &plan.points[0], ctx.clock())
+            });
+        assert!(
+            matches!(report.outcomes[0], ShardOutcome::Timeout { .. }),
+            "{:?}",
+            report.outcomes[0]
+        );
     }
 
     #[test]

@@ -460,7 +460,8 @@ pub struct FtlTelemetry {
     pub bad_block_remaps: u64,
     /// Journal pages checkpointed to flash.
     pub journal_checkpoints: u64,
-    /// Journal entries applied during the last [`Ftl::recover`].
+    /// Journal entries replayed by [`Ftl::recover`], summed over every
+    /// recovery recorded in this registry.
     pub journal_replayed: u64,
     /// Simulated power-loss events taken.
     pub power_losses: u64,

@@ -636,9 +636,12 @@ impl Ssd {
         if let Some(para) = config.para {
             dram_builder = dram_builder.para(para);
         }
-        let dram = dram_builder.build(clock.clone());
-        let mut ftl = Ftl::recover(dram, nand, config.ftl)?;
-        ftl.attach_telemetry(&tel.registry);
+        let mut dram = dram_builder.build(clock.clone());
+        // Recovery records into the registry the device keeps: `Ftl::recover`
+        // adopts the DRAM's registry, so its journal-replay count and
+        // torn-tail traces land where the campaign reads them.
+        dram.attach_telemetry(&tel.registry);
+        let ftl = Ftl::recover(dram, nand, config.ftl)?;
         let now = clock.now();
         let flash_read =
             SimDuration::from_nanos(config.flash_timing.t_read_ns + config.flash_timing.t_xfer_ns);
@@ -1674,6 +1677,29 @@ mod tests {
         let qp = s.create_queue_pair(8);
         let c = s.roundtrip(qp, Command::Identify).unwrap();
         assert!(matches!(c.result, CmdResult::Identify(_)));
+    }
+
+    #[test]
+    fn power_cycle_records_recovery_into_the_device_registry() {
+        use ssdhammer_simkit::faultplane::FaultSpec;
+        // The seventh journal append is cut mid-page: six records replay,
+        // the torn seventh is truncated.
+        let config = SsdConfig::test_small(3)
+            .with_ftl(FtlConfig::default().with_journal_checkpoint_every(1))
+            .with_fault_plane(FaultPlaneConfig::new().with_site(
+                "ftl.crash.journal_append",
+                FaultSpec::always().with_window(6, 7).with_max_fires(1),
+            ));
+        let mut s = Ssd::build(config.clone());
+        for lba in 0..6 {
+            s.ftl_mut().write(Lba(lba), &[0x5A; BLOCK_SIZE]).unwrap();
+        }
+        assert!(s.ftl_mut().write(Lba(6), &[0x5A; BLOCK_SIZE]).is_err());
+        let registry = s.telemetry();
+        let s = s.power_cycle(&config).expect("remount");
+        assert_eq!(s.ftl().telemetry().journal_replayed, 6);
+        assert_eq!(registry.counter_value("recovery.journal_replayed"), Some(6));
+        assert_eq!(registry.trace_events("ftl.journal.torn_tail").len(), 1);
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! * **Triage** — [`bucket`] groups cases by signature; equal signatures
 //!   are the same bug for reporting and corpus-dedup purposes.
 //!
-//! The [`ShadowDisk`] here is the shared oracle state: what the host
-//! knows an acknowledged operation history implies about device contents,
-//! extended beyond the torture campaign's write/trim model with at most
-//! one *uncertain* LBA (the operation a power cut interrupted) and
-//! sticky read-only degradation. Both the power-cut torture campaign and
-//! the fuzz harness in the bench crate check readback against it.
+//! The [`ShadowDisk`] here is the oracle state: what the host knows an
+//! acknowledged operation history implies about device contents — one
+//! expected fill per LBA, at most one *uncertain* LBA (the operation a
+//! power cut interrupted), and sticky read-only degradation. The bench
+//! crate's one device executor (`bench::fuzz`) checks every read against
+//! it, and both the fuzz and the power-cut torture campaigns run through
+//! that executor.
 //!
 //! Everything is a pure function of its inputs: same target, same seed,
 //! same budget — same minimized case, at any thread count.

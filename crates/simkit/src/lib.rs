@@ -27,13 +27,15 @@
 //!   fault sequences.
 //! * [`torture`] — deterministic crash-point enumeration over fault-plane
 //!   sites: census a workload's site crossings, then cut power at every
-//!   one (or a seeded-stratified sample) and check recovery.
+//!   one (or a seeded-stratified sample) and check recovery (in the bench
+//!   crate, through the fuzz executor).
 //! * [`supervisor`] — the one campaign runner behind `repro --threads N`:
 //!   deterministic sharding (results are bit-identical for any thread
 //!   count), a sim-time budget watchdog, `catch_unwind` panic isolation
 //!   with seeded retry, and checkpoint/resume of long campaigns.
 //! * [`fuzz`] — seeded model-based fuzzing: generate op interleavings,
-//!   differentially check them against a shadow model, auto-shrink
+//!   differentially check them against a shadow model (the one oracle
+//!   state both the fuzz and torture campaigns use), auto-shrink
 //!   divergences with delta debugging, and bucket failures by signature.
 //! * [`json`] — a dependency-free JSON document model used to export
 //!   telemetry snapshots and experiment results.

@@ -19,7 +19,10 @@
 //!    exactly once, at exactly the chosen consult ([`CrashPoint::spec`]).
 //!    Re-running the workload with that spec cuts power at the chosen
 //!    site crossing; the caller then recovers the device and checks its
-//!    invariant oracle, recording a [`CrashVerdict`].
+//!    invariant oracle, recording a [`CrashVerdict`]. (`bench::torture`
+//!    does both through `bench::fuzz`'s executor: the point becomes an
+//!    armed-cut op in front of a fixed op sequence, so one oracle judges
+//!    the fuzz and torture campaigns.)
 //!
 //! Everything is a pure function of `(census, limit, seed)`, so the plan —
 //! and therefore the whole torture campaign — is bit-identical across

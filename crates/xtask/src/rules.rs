@@ -215,16 +215,14 @@ pub const ALLOWLIST: &[(Rule, &str, &str)] = &[
 
 /// Crates whose collections sit on the deterministic result path (D2).
 const DETERMINISTIC_CRATES: &[&str] = &[
-    "simkit", "dram", "flash", "ftl", "nvme", "fs", "core", "cloud", "workload",
+    "simkit", "dram", "flash", "ftl", "nvme", "fs", "core", "cloud",
 ];
 
 /// Crates whose library code must return errors instead of panicking (P1).
 /// `simkit` is infrastructure, not simulation: its remaining panics are
 /// mutex-poisoning `expect`s that cannot trip unless another thread already
 /// panicked, so it is deliberately outside the P1 set.
-const SIM_CRATES: &[&str] = &[
-    "dram", "flash", "ftl", "nvme", "fs", "core", "cloud", "workload",
-];
+const SIM_CRATES: &[&str] = &["dram", "flash", "ftl", "nvme", "fs", "core", "cloud"];
 
 /// Which build target a file belongs to, derived from its path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

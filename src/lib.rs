@@ -46,7 +46,6 @@ pub use ssdhammer_fs as fs;
 pub use ssdhammer_ftl as ftl;
 pub use ssdhammer_nvme as nvme;
 pub use ssdhammer_simkit as simkit;
-pub use ssdhammer_workload as workload;
 
 /// The README's Rust examples, compiled and run as doctests so they cannot
 /// drift from the API.
