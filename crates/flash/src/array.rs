@@ -139,11 +139,53 @@ impl FlashHandles {
     }
 }
 
+/// A programmed page. Its bytes are never mutated once stored, so any
+/// number of pages and readers may hold the same allocation: a program of
+/// bytes equal to the previous page's, a program from a
+/// [`PageBytes::Shared`] handle, and every clean [`FlashArray::read_page`]
+/// share it. Read disturb flips bits in a private copy, and so must any
+/// caller that models corruption of what it read.
 #[derive(Debug)]
 struct PageData {
-    /// Never mutated once stored, so identical pages can share it.
     data: Arc<[u8]>,
     oob: Box<[u8]>,
+}
+
+/// The bytes handed to [`FlashArray::program_page`].
+///
+/// A reference to bytes (`&[u8]`, `&Vec<u8>`, `&[u8; N]`, anything
+/// `AsRef<[u8]>`) converts into [`PageBytes::Borrowed`]; an `Arc<[u8]>` from
+/// [`FlashArray::read_page`] converts into [`PageBytes::Shared`]. Both go
+/// through the same validation, timing and fault-plane consult.
+#[derive(Debug, Clone)]
+pub enum PageBytes<'a> {
+    /// The caller's bytes: stored as a copy, or as a share of the
+    /// previously programmed page's storage when the bytes are equal.
+    Borrowed(&'a [u8]),
+    /// A page handle as [`FlashArray::read_page`] returns it: stored as is,
+    /// with no copy and no compare (how the FTL relocates a page).
+    Shared(Arc<[u8]>),
+}
+
+impl PageBytes<'_> {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            PageBytes::Borrowed(bytes) => bytes,
+            PageBytes::Shared(stored) => stored,
+        }
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for PageBytes<'a> {
+    fn from(bytes: &'a T) -> Self {
+        PageBytes::Borrowed(bytes.as_ref())
+    }
+}
+
+impl From<Arc<[u8]>> for PageBytes<'_> {
+    fn from(stored: Arc<[u8]>) -> Self {
+        PageBytes::Shared(stored)
+    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -186,6 +228,8 @@ pub struct FlashArray {
     /// single hottest operation in the simulator and O(1) indexing beats a
     /// tree walk over hundreds of thousands of programmed pages.
     pages: Vec<Option<PageData>>,
+    /// What every erased page reads as: one all-`0xFF` page, shared.
+    erased: Arc<[u8]>,
     /// The last page programmed: a new page with the same bytes shares its
     /// storage instead of holding a copy (fills of one payload are common).
     last_programmed: Option<Ppn>,
@@ -243,6 +287,7 @@ impl FlashArray {
             timing,
             clock,
             pages,
+            erased: vec![0xFF; geometry.page_bytes as usize].into(),
             last_programmed: None,
             blocks,
             tel: FlashHandles::bind(Telemetry::new()),
@@ -380,79 +425,75 @@ impl FlashArray {
     /// Reads a page. Erased pages read as all-`0xFF` (NAND convention).
     /// Returns the page data and the operation's completion time.
     ///
+    /// The data is the stored page's own handle, not a copy: stored bytes
+    /// are never mutated, so the caller may keep it, compare it, or program
+    /// it into another page ([`PageBytes::Shared`]) at no cost.
+    ///
     /// Each read disturbs the block slightly; past
     /// [`FlashArray::read_disturb_limit`] reads since the last erase, the
-    /// returned data carries deterministic bit errors whose count grows with
-    /// the excess (the stored charge degrades — only an erase heals it).
+    /// returned data is a private copy carrying deterministic bit errors
+    /// whose count grows with the excess (the stored charge degrades — only
+    /// an erase heals it).
     ///
     /// # Errors
     ///
     /// [`FlashError::OutOfRange`], [`FlashError::BadBlock`], or — with a
     /// fault plane installed — [`FlashError::ReadFailed`].
-    pub fn read_page(&mut self, ppn: Ppn) -> Result<(Box<[u8]>, SimTime), FlashError> {
-        self.read_page_inner(ppn, true)
+    pub fn read_page(&mut self, ppn: Ppn) -> Result<(Arc<[u8]>, SimTime), FlashError> {
+        self.read(ppn, true)
     }
 
     /// Reads a page in *recovery-assisted* mode: the `flash.read_fail`
     /// fault site is not consulted, modeling the slower read-retry voltage
-    /// sweep the FTL falls back to after normal reads keep failing. Timing
-    /// and read-disturb accounting are identical to [`FlashArray::read_page`].
+    /// sweep the FTL falls back to after normal reads keep failing. Data,
+    /// timing and read-disturb accounting are identical to
+    /// [`FlashArray::read_page`].
     ///
     /// # Errors
     ///
     /// [`FlashError::OutOfRange`] or [`FlashError::BadBlock`].
-    pub fn read_page_assisted(&mut self, ppn: Ppn) -> Result<(Box<[u8]>, SimTime), FlashError> {
-        self.read_page_inner(ppn, false)
+    pub fn read_page_assisted(&mut self, ppn: Ppn) -> Result<(Arc<[u8]>, SimTime), FlashError> {
+        self.read(ppn, false)
     }
 
     /// [`FlashArray::read_page`] into a caller-provided buffer of exactly
-    /// one page, avoiding the per-read allocation. Semantics, timing, and
-    /// read-disturb accounting are identical.
+    /// one page, for a caller that needs the bytes in its own buffer (the
+    /// host read path): one copy, and no write to the stored page's
+    /// reference count. Semantics, timing, and read-disturb accounting are
+    /// identical.
     ///
     /// # Errors
     ///
     /// Same as [`FlashArray::read_page`], plus [`FlashError::BadBufferLen`]
     /// when `buf` is not exactly one page.
     pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<SimTime, FlashError> {
-        self.read_page_inner_into(ppn, true, buf)
-    }
-
-    /// [`FlashArray::read_page_assisted`] into a caller-provided buffer.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlashArray::read_page_assisted`], plus
-    /// [`FlashError::BadBufferLen`] when `buf` is not exactly one page.
-    pub fn read_page_assisted_into(
-        &mut self,
-        ppn: Ppn,
-        buf: &mut [u8],
-    ) -> Result<SimTime, FlashError> {
-        self.read_page_inner_into(ppn, false, buf)
-    }
-
-    fn read_page_inner(
-        &mut self,
-        ppn: Ppn,
-        inject: bool,
-    ) -> Result<(Box<[u8]>, SimTime), FlashError> {
-        let mut data = vec![0u8; self.geometry.page_bytes as usize].into_boxed_slice();
-        let done = self.read_page_inner_into(ppn, inject, &mut data)?;
-        Ok((data, done))
-    }
-
-    fn read_page_inner_into(
-        &mut self,
-        ppn: Ppn,
-        inject: bool,
-        buf: &mut [u8],
-    ) -> Result<SimTime, FlashError> {
         if buf.len() != self.geometry.page_bytes as usize {
             return Err(FlashError::BadBufferLen {
                 got: buf.len(),
                 expected: self.geometry.page_bytes as usize,
             });
         }
+        let seed = self.seed;
+        let (stored, errors, done) = self.sense(ppn, true)?;
+        buf.copy_from_slice(stored);
+        disturb(seed, ppn, errors, buf);
+        Ok(done)
+    }
+
+    fn read(&mut self, ppn: Ppn, inject: bool) -> Result<(Arc<[u8]>, SimTime), FlashError> {
+        let seed = self.seed;
+        let (stored, errors, done) = self.sense(ppn, inject)?;
+        if errors == 0 {
+            return Ok((Arc::clone(stored), done));
+        }
+        let mut data = stored.to_vec();
+        disturb(seed, ppn, errors, &mut data);
+        Ok((data.into(), done))
+    }
+
+    /// Charges one read of `ppn` and returns the stored bytes with the
+    /// number of read-disturb bit errors the caller's copy must carry.
+    fn sense(&mut self, ppn: Ppn, inject: bool) -> Result<(&Arc<[u8]>, u64, SimTime), FlashError> {
         let block = self.checked_block(ppn)?;
         let done = self.schedule(
             self.geometry.channel_of(block),
@@ -471,21 +512,17 @@ impl FlashArray {
                 return Err(FlashError::ReadFailed { ppn, bits });
             }
         }
-        match &self.pages[ppn.as_u64() as usize] {
-            Some(p) => buf.copy_from_slice(&p.data),
-            None => buf.fill(0xFF),
-        }
+        let mut errors = 0;
         if excess > 0 {
             // One more flipped bit per further `limit/8` reads, up to 32.
-            let errors = (1 + excess / (self.read_disturb_limit / 8).max(1)).min(32);
-            let bits = u64::from(self.geometry.page_bytes) * 8;
-            for e in 0..errors {
-                let bit = derive_seed(self.seed, "read-disturb", ppn.as_u64() ^ (e << 48)) % bits;
-                buf[(bit / 8) as usize] ^= 1 << (bit % 8);
-            }
+            errors = (1 + excess / (self.read_disturb_limit / 8).max(1)).min(32);
             self.tel.read_disturb_errors.add(errors);
         }
-        Ok(done)
+        let stored = match &self.pages[ppn.as_u64() as usize] {
+            Some(p) => &p.data,
+            None => &self.erased,
+        };
+        Ok((stored, errors, done))
     }
 
     /// Reads a page's OOB area. Erased pages read as all-`0xFF`.
@@ -504,6 +541,10 @@ impl FlashArray {
     /// Programs a page with `data` and up to `oob_bytes` of OOB metadata.
     /// Returns the completion time.
     ///
+    /// `data` is borrowed bytes or a shared page handle ([`PageBytes`]);
+    /// which one changes only where the bytes are stored, never the
+    /// checks, timing, fault-plane consult or counters.
+    ///
     /// # Errors
     ///
     /// * [`FlashError::NotErased`] if the page was already programmed.
@@ -514,16 +555,17 @@ impl FlashArray {
     /// * [`FlashError::ProgramFailed`] when the fault plane fires; the page
     ///   slot is burned (consumed but unwritten) and the operation's time
     ///   is still charged, as on real NAND.
-    pub fn program_page(
+    pub fn program_page<'a>(
         &mut self,
         ppn: Ppn,
-        data: &[u8],
+        data: impl Into<PageBytes<'a>>,
         oob: &[u8],
     ) -> Result<SimTime, FlashError> {
+        let data = data.into();
         let block = self.checked_block(ppn)?;
-        if data.len() != self.geometry.page_bytes as usize {
+        if data.as_slice().len() != self.geometry.page_bytes as usize {
             return Err(FlashError::BadBufferLen {
-                got: data.len(),
+                got: data.as_slice().len(),
                 expected: self.geometry.page_bytes as usize,
             });
         }
@@ -555,12 +597,15 @@ impl FlashArray {
         }
         let mut oob_buf = vec![0u8; self.geometry.oob_bytes as usize].into_boxed_slice();
         oob_buf[..oob.len()].copy_from_slice(oob);
-        let previous = self
-            .last_programmed
-            .and_then(|p| self.pages[p.as_u64() as usize].as_ref());
-        let data = match previous {
-            Some(prev) if *prev.data == *data => Arc::clone(&prev.data),
-            _ => Arc::from(data),
+        let data = match data {
+            PageBytes::Shared(stored) => stored,
+            PageBytes::Borrowed(bytes) => match self
+                .last_programmed
+                .and_then(|p| self.pages[p.as_u64() as usize].as_ref())
+            {
+                Some(prev) if *prev.data == *bytes => Arc::clone(&prev.data),
+                _ => Arc::from(bytes),
+            },
         };
         self.pages[ppn.as_u64() as usize] = Some(PageData { data, oob: oob_buf });
         self.last_programmed = Some(ppn);
@@ -667,6 +712,15 @@ impl FlashArray {
             .filter(|(_, s)| !s.bad)
             .map(|(i, _)| BlockId(i as u64))
             .collect()
+    }
+}
+
+/// Flips `errors` deterministic bits of `ppn`'s read-disturbed copy.
+fn disturb(seed: u64, ppn: Ppn, errors: u64, bytes: &mut [u8]) {
+    let bits = bytes.len() as u64 * 8;
+    for e in 0..errors {
+        let bit = derive_seed(seed, "read-disturb", ppn.as_u64() ^ (e << 48)) % bits;
+        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
     }
 }
 
@@ -898,6 +952,40 @@ mod tests {
         }
         assert!(disturbed, "reads past the limit return flipped bits");
         assert!(a.read_page(other).unwrap().0.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_page_programmed_from_a_shared_handle_outlives_its_disturbed_erased_source() {
+        let mut a = array();
+        a.set_read_disturb_limit(8);
+        let moved = a.geometry().first_page(BlockId(1));
+        a.program_page(Ppn(0), &page(0x00), b"src").unwrap();
+        let (handle, _) = a.read_page(Ppn(0)).unwrap();
+        a.program_page(moved, handle, b"dst").unwrap();
+        assert!(shares_storage(&a, Ppn(0), moved));
+        // Past the limit the source's reads come back as private copies
+        // with flipped bits; the storage both pages share keeps its bytes.
+        let mut disturbed = 0;
+        for _ in 0..16 {
+            let (data, _) = a.read_page(Ppn(0)).unwrap();
+            let stored = &a.pages[0].as_ref().unwrap().data;
+            if data.iter().any(|&b| b != 0) {
+                disturbed += 1;
+                assert!(!Arc::ptr_eq(&data, stored));
+            } else {
+                assert!(
+                    Arc::ptr_eq(&data, stored),
+                    "a clean read is the stored handle"
+                );
+            }
+        }
+        assert!(disturbed > 0, "reads past the limit return flipped bits");
+        a.erase_block(BlockId(0)).unwrap();
+        assert_eq!(
+            a.read_page(moved).unwrap().0.as_ref(),
+            page(0x00).as_slice()
+        );
+        assert_eq!(&a.read_oob(moved).unwrap()[..3], b"dst");
     }
 
     #[test]

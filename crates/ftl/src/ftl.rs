@@ -6,16 +6,17 @@
 //! update is a real access to the simulated [`DramModule`], so host I/O
 //! produces DRAM row activations — the attack surface.
 
+use std::sync::Arc;
+
 use ssdhammer_dram::{DramError, DramModule, EccOutcome, HammerOptions, HammerReport};
-use ssdhammer_flash::{BlockId, FlashArray, FlashError, Ppn};
-use ssdhammer_simkit::bytes::{le_u32, le_u64};
+use ssdhammer_flash::{BlockId, FlashArray, FlashError, PageBytes, Ppn};
 use ssdhammer_simkit::faultplane::FaultPlane;
 use ssdhammer_simkit::rng::derive_seed;
 use ssdhammer_simkit::telemetry::{CounterHandle, GaugeHandle, Telemetry};
 use ssdhammer_simkit::{DramAddr, Lba, SimClock, SimTime, BLOCK_SIZE};
 
 use crate::integrity::{IntegrityMode, IntegrityPlane, VerifyOutcome};
-use crate::journal::{self, JournalEntry};
+use crate::journal::{self, dword, word, JournalEntry};
 use crate::l2p::{L2pLayout, L2pTable};
 use crate::meta::{MetaKind, MetaPlane};
 
@@ -614,21 +615,27 @@ pub struct Ftl {
     patrol_cursor: u64,
 }
 
+/// Bytes of the FTL's record in a page's OOB area.
+const OOB_BYTES: usize = 20;
+
 /// OOB layout: little-endian LBA (8 bytes), write sequence (8 bytes), then
 /// the DIF guard tag (4 bytes; zero when DIF is off).
-fn encode_oob(lba: Lba, seq: u64, guard: u32) -> [u8; 20] {
-    let mut oob = [0u8; 20];
+fn encode_oob(lba: Lba, seq: u64, guard: u32) -> [u8; OOB_BYTES] {
+    let mut oob = [0u8; OOB_BYTES];
     oob[..8].copy_from_slice(&lba.as_u64().to_le_bytes());
     oob[8..16].copy_from_slice(&seq.to_le_bytes());
     oob[16..].copy_from_slice(&guard.to_le_bytes());
     oob
 }
 
+/// Inverse of [`encode_oob`]. An OOB area too short for the record decodes
+/// like an erased one (every field all ones), which every caller already
+/// treats as "no data page here".
 fn decode_oob(oob: &[u8]) -> (Lba, u64, u32) {
-    let lba = le_u64(oob, 0);
-    let seq = le_u64(oob, 8);
-    let guard = le_u32(oob, 16);
-    (Lba(lba), seq, guard)
+    match oob.first_chunk::<OOB_BYTES>() {
+        Some(record) => (Lba(dword(record, 0)), dword(record, 1), word(record, 4)),
+        None => (Lba(u64::MAX), u64::MAX, u32::MAX),
+    }
 }
 
 /// Decodes a raw 32-bit L2P word into the mapping it represents.
@@ -1189,7 +1196,14 @@ impl Ftl {
                 })
             }
             Some(ppn) => {
-                let completed = self.read_page_recovered_into(ppn, buf)?;
+                let completed = match self.nand.read_page_into(ppn, buf) {
+                    Err(FlashError::ReadFailed { bits, .. }) => {
+                        let (page, done) = self.recover_failed_read(ppn, bits)?;
+                        buf.copy_from_slice(&page);
+                        done
+                    }
+                    read => read?,
+                };
                 if self.config.dif {
                     let oob = self.nand.read_oob(ppn)?;
                     let (_, _, stored_guard) = decode_oob(&oob);
@@ -1245,7 +1259,7 @@ impl Ftl {
         } else {
             0
         };
-        let (ppn, seq, completed) = self.program_relocatable(lba, data, guard)?;
+        let (ppn, seq, completed) = self.program_relocatable(lba, data.into(), guard)?;
         self.tel.l2p_writes.incr();
         self.l2p_set(lba, Some(ppn))?;
         self.mark_valid(ppn);
@@ -1389,7 +1403,6 @@ impl Ftl {
         let total_pages = self.nand.geometry().total_pages();
         let mut issued = 0u32;
         let mut scanned = 0u64;
-        let mut page = vec![0u8; self.nand.geometry().page_bytes as usize];
         while issued < flash_reads && scanned < total_pages {
             let ppn = Ppn(self.patrol_cursor);
             self.patrol_cursor = (self.patrol_cursor + 1) % total_pages;
@@ -1399,7 +1412,7 @@ impl Ftl {
             }
             issued += 1;
             self.tel.scrub_flash_reads.incr();
-            match self.read_page_recovered_into(ppn, &mut page) {
+            match self.read_page_recovered(ppn) {
                 Ok(_) => {}
                 // Already counted in `recovery.uncorrectable_reads`; the
                 // host read path will surface it to the owner.
@@ -1591,61 +1604,61 @@ impl Ftl {
         }
     }
 
-    /// The read-recovery ladder: re-issue failed media reads up to
+    /// Reads a page through the read-recovery ladder. Returns the flash's
+    /// page handle, which may share the stored page's bytes.
+    fn read_page_recovered(&mut self, ppn: Ppn) -> Result<(Arc<[u8]>, SimTime), FtlError> {
+        match self.nand.read_page(ppn) {
+            Err(FlashError::ReadFailed { bits, .. }) => self.recover_failed_read(ppn, bits),
+            read => Ok(read?),
+        }
+    }
+
+    /// The read-recovery ladder, entered when a media read of `ppn` failed
+    /// with `bits` flipped: re-issue the read up to
     /// [`FtlConfig::read_retry_max`] times; when the ladder is exhausted,
     /// classify the residual flipped bits with the SEC-DED model —
     /// correctable errors are served via an assisted read, detectable ones
     /// surface as [`FtlError::Uncorrectable`], and beyond-detection flips
     /// come back as silently wrong data (DIF, when enabled, is the last
-    /// line of defense).
-    fn read_page_recovered(&mut self, ppn: Ppn) -> Result<(Box<[u8]>, SimTime), FtlError> {
-        let mut data = vec![0u8; self.nand.geometry().page_bytes as usize].into_boxed_slice();
-        let done = self.read_page_recovered_into(ppn, &mut data)?;
-        Ok((data, done))
-    }
-
-    /// [`Ftl::read_page_recovered`] into a caller-provided buffer,
-    /// avoiding the per-read page allocation on the hot host-read path.
-    fn read_page_recovered_into(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<SimTime, FtlError> {
+    /// line of defense) in a private copy.
+    fn recover_failed_read(
+        &mut self,
+        ppn: Ppn,
+        mut bits: u32,
+    ) -> Result<(Arc<[u8]>, SimTime), FtlError> {
         let mut attempt = 0u32;
-        loop {
-            match self.nand.read_page_into(ppn, buf) {
-                Ok(done) => return Ok(done),
-                Err(FlashError::ReadFailed { bits, .. }) => {
-                    if attempt < self.config.read_retry_max {
-                        attempt += 1;
-                        self.tel.read_retries.incr();
-                        continue;
-                    }
-                    match EccOutcome::classify(bits as usize) {
-                        outcome if outcome.returns_clean_data() => {
-                            let done = self.nand.read_page_assisted_into(ppn, buf)?;
-                            self.tel.ecc_corrected.incr();
-                            return Ok(done);
-                        }
-                        EccOutcome::SilentCorruption => {
-                            let done = self.nand.read_page_assisted_into(ppn, buf)?;
-                            self.tel.silent_corruptions.incr();
-                            let bit = derive_seed(
-                                self.fault_plane.seed(),
-                                "silent-corruption",
-                                ppn.as_u64(),
-                            ) % (buf.len() as u64 * 8);
-                            buf[(bit / 8) as usize] ^= 1 << (bit % 8);
-                            return Ok(done);
-                        }
-                        _ => {
-                            self.tel.uncorrectable_reads.incr();
-                            self.tel.registry.trace(
-                                self.clock.now(),
-                                "ftl.uncorrectable",
-                                format!("{ppn} unreadable after {attempt} retries"),
-                            );
-                            return Err(FtlError::Uncorrectable { ppn });
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
+        while attempt < self.config.read_retry_max {
+            attempt += 1;
+            self.tel.read_retries.incr();
+            match self.nand.read_page(ppn) {
+                Err(FlashError::ReadFailed { bits: again, .. }) => bits = again,
+                read => return Ok(read?),
+            }
+        }
+        match EccOutcome::classify(bits as usize) {
+            outcome if outcome.returns_clean_data() => {
+                let read = self.nand.read_page_assisted(ppn)?;
+                self.tel.ecc_corrected.incr();
+                Ok(read)
+            }
+            EccOutcome::SilentCorruption => {
+                let (page, done) = self.nand.read_page_assisted(ppn)?;
+                self.tel.silent_corruptions.incr();
+                // Flip a copy: the stored bytes may be shared.
+                let mut data = page.to_vec();
+                let bit = derive_seed(self.fault_plane.seed(), "silent-corruption", ppn.as_u64())
+                    % (data.len() as u64 * 8);
+                data[(bit / 8) as usize] ^= 1 << (bit % 8);
+                Ok((data.into(), done))
+            }
+            _ => {
+                self.tel.uncorrectable_reads.incr();
+                self.tel.registry.trace(
+                    self.clock.now(),
+                    "ftl.uncorrectable",
+                    format!("{ppn} unreadable after {attempt} retries"),
+                );
+                Err(FtlError::Uncorrectable { ppn })
             }
         }
     }
@@ -1657,7 +1670,7 @@ impl Ftl {
     fn program_relocatable(
         &mut self,
         lba: Lba,
-        data: &[u8],
+        data: PageBytes<'_>,
         guard: u32,
     ) -> Result<(Ppn, u64, SimTime), FtlError> {
         loop {
@@ -1666,7 +1679,7 @@ impl Ftl {
             self.write_seq += 1;
             match self
                 .nand
-                .program_page(ppn, data, &encode_oob(lba, seq, guard))
+                .program_page(ppn, data.clone(), &encode_oob(lba, seq, guard))
             {
                 Ok(done) => return Ok((ppn, seq, done)),
                 Err(FlashError::ProgramFailed { .. }) => {
@@ -1777,10 +1790,12 @@ impl Ftl {
         }
     }
 
-    /// Moves every valid page out of `block` (without erasing it). Pages
-    /// that fail the whole read-recovery ladder are dropped: their LBA is
-    /// unmapped — honest data loss — rather than left pointing at a dead
-    /// block.
+    /// Moves every valid page out of `block` (without erasing it). Each
+    /// destination page shares the handle the read returned, so a move
+    /// copies no bytes; the simulated reads and programs are charged as
+    /// before. Pages that fail the whole read-recovery ladder are dropped:
+    /// their LBA is unmapped — honest data loss — rather than left pointing
+    /// at a dead block.
     fn relocate_valid_pages(&mut self, block: BlockId) -> Result<(), FtlError> {
         let first = self.nand.geometry().first_page(block).as_u64();
         for p in first..first + u64::from(self.nand.geometry().pages_per_block) {
@@ -1795,7 +1810,7 @@ impl Ftl {
                     // No journal entry: the relocated page's OOB (with its
                     // fresh sequence) already records this mapping for the
                     // recovery scan.
-                    let (dst, _, _) = self.program_relocatable(lba, &data, guard)?;
+                    let (dst, _, _) = self.program_relocatable(lba, data.into(), guard)?;
                     self.tel.l2p_writes.incr();
                     self.l2p_set(lba, Some(dst))?;
                     self.mark_invalid(src);
@@ -2440,6 +2455,20 @@ mod tests {
             );
             assert_eq!(out[0], 7, "cold data intact at {lba}");
         }
+    }
+
+    #[test]
+    fn oob_records_roundtrip_and_short_areas_decode_as_erased() {
+        let record = encode_oob(Lba(77), 9, 0xDEAD_BEEF);
+        assert_eq!(decode_oob(&record), (Lba(77), 9, 0xDEAD_BEEF));
+        // The flash hands back its whole OOB area, padded after the record.
+        let mut area = [0xA5; 32];
+        area[..OOB_BYTES].copy_from_slice(&record);
+        assert_eq!(decode_oob(&area), (Lba(77), 9, 0xDEAD_BEEF));
+        let erased = (Lba(u64::MAX), u64::MAX, u32::MAX);
+        assert_eq!(decode_oob(&[0xFF; 32]), erased);
+        assert_eq!(decode_oob(&record[..OOB_BYTES - 1]), erased);
+        assert_eq!(decode_oob(&[]), erased);
     }
 
     #[test]

@@ -224,12 +224,6 @@ impl IntegrityPlane {
         self.code_base
     }
 
-    /// DRAM address of `slot`'s code byte (experiments and tests).
-    #[must_use]
-    pub fn code_addr(&self, slot: u64) -> DramAddr {
-        self.code_base.offset(slot)
-    }
-
     /// DRAM address of `slot`'s mirror entry (experiments and tests; only
     /// meaningful in [`IntegrityMode::Correct`]).
     #[must_use]

@@ -21,7 +21,6 @@
 //! [`Ftl::recover`]: crate::Ftl::recover
 //! [`FtlConfig::journal_checkpoint_every`]: crate::FtlConfig::journal_checkpoint_every
 
-use ssdhammer_simkit::bytes::{le_u32, le_u64};
 use ssdhammer_simkit::crc32c;
 
 /// Sentinel OOB LBA marking a page as journal payload rather than data.
@@ -56,6 +55,24 @@ pub(crate) struct JournalEntry {
 pub(crate) struct DecodedPage {
     pub entries: Vec<JournalEntry>,
     pub torn: bool,
+}
+
+/// Little-endian `u32` word `i` (bytes `4i..4i + 4`) of a fixed-width
+/// record. The record's type fixes its length, so a decoder checks the
+/// length once when it takes the record, not once per field.
+pub(crate) fn word<const N: usize>(record: &[u8; N], i: usize) -> u32 {
+    u32::from_le_bytes([
+        record[4 * i],
+        record[4 * i + 1],
+        record[4 * i + 2],
+        record[4 * i + 3],
+    ])
+}
+
+/// Little-endian `u64` double word `i` (bytes `8i..8i + 8`) of a
+/// fixed-width record; see [`word`].
+pub(crate) fn dword<const N: usize>(record: &[u8; N], i: usize) -> u64 {
+    u64::from(word(record, 2 * i)) | u64::from(word(record, 2 * i + 1)) << 32
 }
 
 /// Entries that fit one journal page of `page_bytes`.
@@ -118,29 +135,29 @@ pub(crate) fn decode_page(page: &[u8]) -> DecodedPage {
 ///
 /// [`FtlConfig::with_journal_verify_crc`]: crate::FtlConfig::with_journal_verify_crc
 pub(crate) fn decode_page_with(page: &[u8], verify_crc: bool) -> DecodedPage {
-    if page.len() < HEADER_BYTES || le_u32(page, 0) != PAGE_MAGIC {
+    let Some((header, body)) = page
+        .split_first_chunk::<HEADER_BYTES>()
+        .filter(|(header, _)| word(header, 0) == PAGE_MAGIC)
+    else {
         return DecodedPage {
             entries: Vec::new(),
             torn: false,
         };
-    }
-    let count = le_u32(page, 4) as usize;
-    let max = entries_per_page(page.len());
-    let claimed = count.min(max);
+    };
+    let count = word(header, 1) as usize;
+    let (records, _) = body.as_chunks::<ENTRY_BYTES>();
+    let claimed = count.min(records.len());
     let mut entries = Vec::with_capacity(claimed);
-    let mut torn = count > max;
-    for i in 0..claimed {
-        let at = HEADER_BYTES + i * ENTRY_BYTES;
-        if verify_crc
-            && crc32c(&page[at..at + ENTRY_PAYLOAD_BYTES]) != le_u32(page, at + ENTRY_PAYLOAD_BYTES)
-        {
+    let mut torn = count > records.len();
+    for record in &records[..claimed] {
+        if verify_crc && crc32c(&record[..ENTRY_PAYLOAD_BYTES]) != word(record, 5) {
             torn = true;
             break;
         }
         entries.push(JournalEntry {
-            lba: le_u64(page, at),
-            seq: le_u64(page, at + 8),
-            ppn: le_u32(page, at + 16),
+            lba: dword(record, 0),
+            seq: dword(record, 1),
+            ppn: word(record, 4),
         });
     }
     DecodedPage { entries, torn }
@@ -194,6 +211,14 @@ mod tests {
         assert!(decode_page(&vec![0xFFu8; 4096]).entries.is_empty());
         assert!(decode_page(&vec![0u8; 4096]).entries.is_empty());
         assert!(decode_page(&[1, 2, 3]).entries.is_empty());
+        // Truncated inside the header: the magic alone is not a page.
+        assert_eq!(
+            decode_page(&PAGE_MAGIC.to_le_bytes()),
+            DecodedPage {
+                entries: Vec::new(),
+                torn: false
+            }
+        );
     }
 
     #[test]
@@ -213,6 +238,12 @@ mod tests {
         page[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         let decoded = decode_page(&page);
         assert_eq!(decoded.entries, entries);
+        assert!(decoded.torn);
+        // A page cut short mid-record claims more than it holds the same
+        // way: the whole records before the cut replay.
+        let cut = &encode_page(&entries, 4096)[..HEADER_BYTES + 2 * ENTRY_BYTES + 5];
+        let decoded = decode_page(cut);
+        assert_eq!(decoded.entries, entries[..2]);
         assert!(decoded.torn);
     }
 

@@ -173,33 +173,6 @@ impl L2pTable {
         Ok((raw != INVALID_ENTRY).then(|| Ppn(u64::from(raw))))
     }
 
-    /// Reads many entries through one call: the batch counterpart of
-    /// [`L2pTable::get`]. Each element of `lbas` still costs exactly one
-    /// timed DRAM access in input order — batching amortizes the call
-    /// overhead without changing simulated time, activation order, or any
-    /// other observable of the per-access path.
-    ///
-    /// Results are appended to `out` (cleared first), one per input LBA.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first DRAM error; `out` then holds the results of the
-    /// accesses completed before it.
-    pub fn lookup_batch(
-        &self,
-        dram: &mut DramModule,
-        lbas: &[Lba],
-        out: &mut Vec<Option<Ppn>>,
-    ) -> Result<(), DramError> {
-        out.clear();
-        out.reserve(lbas.len());
-        for &lba in lbas {
-            let raw = dram.read_u32(self.entry_addr(lba))?;
-            out.push((raw != INVALID_ENTRY).then(|| Ppn(u64::from(raw))));
-        }
-        Ok(())
-    }
-
     /// Reads many entries through the non-disturbing DRAM backdoor: no row
     /// activations, no simulated time. For observers only — snapshots,
     /// diagnostics, integrity audits — never for the timed host path.

@@ -133,6 +133,57 @@ fn silent_corruption_is_caught_by_dif_but_not_without_it() {
 }
 
 #[test]
+fn gc_relocation_moves_pages_intact_except_where_the_ecc_ladder_says() {
+    // Every media read fails and nothing retries, so each page the first
+    // GC run relocates is classified by ECC: corrected (moved intact),
+    // silent (moved with one flipped bit) or uncorrectable (dropped).
+    let faults = FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always());
+    let mut ftl = faulty_ftl(7, FtlConfig::default().with_read_retry_max(0), faults);
+    let lbas = ftl.capacity_lbas();
+    let mut written: Vec<Vec<u8>> = (0..lbas).map(|lba| block(lba as u8)).collect();
+    for (lba, data) in written.iter().enumerate() {
+        ftl.write(Lba(lba as u64), data).unwrap();
+    }
+    assert_eq!(ftl.telemetry().gc_runs, 0);
+    // Overwrite every other LBA until GC runs: the victim is half valid.
+    for lba in (0..lbas).step_by(2) {
+        written[lba as usize] = block(!(lba as u8));
+        ftl.write(Lba(lba), &written[lba as usize]).unwrap();
+        if ftl.telemetry().gc_runs > 0 {
+            break;
+        }
+    }
+    let t = ftl.telemetry();
+    assert_eq!(t.gc_runs, 1);
+    assert!(t.gc_relocated > 0 && t.ecc_corrected > 0);
+    assert!(t.silent_corruptions > 0 && t.uncorrectable_reads > 0);
+    let mappings: Vec<_> = (0..lbas)
+        .map(|lba| ftl.peek_mapping(Lba(lba)).unwrap())
+        .collect();
+    let (_, mut nand) = ftl.into_parts();
+    let (mut flipped, mut unmapped) = (0, 0);
+    for (lba, mapping) in mappings.into_iter().enumerate() {
+        let Some(ppn) = mapping else {
+            unmapped += 1;
+            continue;
+        };
+        let (data, _) = nand.read_page_assisted(ppn).unwrap();
+        let bits: u32 = data
+            .iter()
+            .zip(&written[lba])
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
+        assert!(
+            bits <= 1,
+            "lba {lba}: {bits} bits differ from what was written"
+        );
+        flipped += u64::from(bits);
+    }
+    assert_eq!(flipped, t.silent_corruptions);
+    assert_eq!(unmapped, t.uncorrectable_reads);
+}
+
+#[test]
 fn program_failure_remaps_to_another_block() {
     let faults = FaultPlaneConfig::new()
         .with_site("flash.program_fail", FaultSpec::always().with_max_fires(1));

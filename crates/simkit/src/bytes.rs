@@ -1,7 +1,7 @@
 //! Panic-free little-endian field readers for fixed on-media layouts.
 //!
-//! The filesystem and FTL decode superblocks, inodes, dirents, and OOB
-//! metadata from fixed byte offsets. Spelled with slice indexing plus
+//! The filesystem decodes superblocks, inodes and dirents from fixed byte
+//! offsets. Spelled with slice indexing plus
 //! `try_into().unwrap()`, every such read is a latent panic on the library
 //! path — exactly what lint rule P1 forbids. These helpers express the
 //! same reads without a panic: bytes past the end of the buffer read as

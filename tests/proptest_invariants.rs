@@ -71,15 +71,22 @@ fn crc32c_detects_single_bit_errors() {
 }
 
 /// FTL read-your-writes against a plain model under random operations.
+/// The last case spans the whole device long enough to put garbage
+/// collection in steady state; the short ones never run it.
 #[test]
 fn ftl_matches_model() {
     let mut rng = seeded(104);
-    for case in 0..15 {
+    for case in 0..16 {
         let mut ftl = Ftl::tiny_for_tests(1).unwrap();
         let mut model: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
-        let n_ops = rng.gen_range(1usize..120);
+        let gc_heavy = case == 15;
+        let (n_ops, lbas) = if gc_heavy {
+            (6_000, ftl.capacity_lbas())
+        } else {
+            (rng.gen_range(1usize..120), 300)
+        };
         for _ in 0..n_ops {
-            let lba = rng.gen_range(0u64..300);
+            let lba = rng.gen_range(0u64..lbas);
             let op = rng.gen_range(0u8..3);
             let fill = rng.next_u64() as u8;
             match op {
@@ -99,6 +106,9 @@ fn ftl_matches_model() {
                     assert!(buf.iter().all(|&b| b == expected));
                 }
             }
+        }
+        if gc_heavy {
+            assert!(ftl.telemetry().gc_relocated > 0, "GC relocated nothing");
         }
     }
 }
