@@ -119,10 +119,7 @@ fn fast_path_point(seed: u64, fast: bool) -> FastPathRow {
         for c in completions.drain(..) {
             total_us += c.latency().as_secs_f64() * 1e6;
             match c.result {
-                CmdResult::Read {
-                    data,
-                    mapped: false,
-                } => ssd.recycle_buffer(data),
+                CmdResult::Read { mapped: false, .. } => {}
                 other => panic!("expected unmapped read, got {other:?}"),
             }
         }

@@ -9,7 +9,8 @@
 //! 3. **sec43 Monte Carlo** — the §4.3 probability-of-success campaign.
 //! 4. **multi-queue engine at queue-depth saturation** — batched
 //!    submit/process/drain of read commands through the allocation-free
-//!    completion path (`drain_completions_into` + `recycle_buffer`).
+//!    completion path (`drain_completions_into`; read data is the shared
+//!    flash page, not a copy).
 //!
 //! The document separates *deterministic result fields* (per-scenario
 //! `result` subtrees — byte-identical for a fixed seed at any thread
@@ -105,10 +106,7 @@ fn mq_saturation(seed: u64, quick: bool) -> (Json, u64) {
             commands += 1;
             device_us += c.latency().as_secs_f64() * 1e6;
             match c.result {
-                CmdResult::Read { data, mapped: m } => {
-                    mapped += u64::from(m);
-                    ssd.recycle_buffer(data);
-                }
+                CmdResult::Read { mapped: m, .. } => mapped += u64::from(m),
                 other => panic!("expected read completion, got {other:?}"),
             }
         }

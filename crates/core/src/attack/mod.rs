@@ -23,8 +23,10 @@
 //! path, so ECC correction and ECC-uncorrectable failures are visible the
 //! way the firmware would see them.
 //!
-//! Every stage is also name-keyed ([`registry`]), so the full
-//! pattern × victim grid can be enumerated from a command line.
+//! Every stage is also name-keyed ([`pattern_names`], [`victim_names`],
+//! [`placement_names`]; [`make_hammerer`], [`make_victim`],
+//! [`make_placement`]), so the full pattern × victim grid ([`combos`]) can
+//! be enumerated from a command line.
 
 use ssdhammer_flash::Ppn;
 use ssdhammer_ftl::{Ftl, FtlError};

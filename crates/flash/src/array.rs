@@ -458,9 +458,9 @@ impl FlashArray {
 
     /// [`FlashArray::read_page`] into a caller-provided buffer of exactly
     /// one page, for a caller that needs the bytes in its own buffer (the
-    /// host read path): one copy, and no write to the stored page's
-    /// reference count. Semantics, timing, and read-disturb accounting are
-    /// identical.
+    /// FTL's copying host read, which the block-device views use): one
+    /// copy, and no write to the stored page's reference count. Semantics,
+    /// timing, and read-disturb accounting are identical.
     ///
     /// # Errors
     ///

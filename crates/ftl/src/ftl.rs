@@ -613,6 +613,9 @@ pub struct Ftl {
     scrub_cursor: u64,
     /// Next physical page the flash patrol will consider.
     patrol_cursor: u64,
+    /// The one all-zero page [`Ftl::read_shared`] serves for every read
+    /// that returns zeroes (unmapped, wild, guard mismatch).
+    zeroes: Arc<[u8]>,
 }
 
 /// Bytes of the FTL's record in a page's OOB area.
@@ -649,6 +652,72 @@ fn dif_guard(lba: Lba, data: &[u8]) -> u32 {
     state = ssdhammer_simkit::crc32c_update(state, &lba.as_u64().to_le_bytes());
     state = ssdhammer_simkit::crc32c_update(state, data);
     !state
+}
+
+/// Where a host read delivers its page: a caller's buffer ([`Ftl::read`])
+/// or a page handle ([`Ftl::read_shared`]; `None` stands for the FTL's zero
+/// page). `Ftl::read_to` is generic over it, so both forms run one read.
+trait ReadSink {
+    /// Rejects a sink that cannot hold one block.
+    fn check_len(&self) -> Result<(), FtlError>;
+    /// Senses `ppn` from flash into the sink.
+    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError>;
+    /// Takes the page the recovery ladder returned.
+    fn recovered(&mut self, page: Arc<[u8]>);
+    /// Serves zeroes.
+    fn zero(&mut self);
+    /// The bytes sensed.
+    fn bytes(&self) -> &[u8];
+}
+
+impl ReadSink for [u8] {
+    fn check_len(&self) -> Result<(), FtlError> {
+        if self.len() == BLOCK_SIZE {
+            Ok(())
+        } else {
+            Err(FtlError::BadBufferLen { got: self.len() })
+        }
+    }
+
+    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError> {
+        nand.read_page_into(ppn, self)
+    }
+
+    fn recovered(&mut self, page: Arc<[u8]>) {
+        self.copy_from_slice(&page);
+    }
+
+    fn zero(&mut self) {
+        self.fill(0);
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl ReadSink for Option<Arc<[u8]>> {
+    fn check_len(&self) -> Result<(), FtlError> {
+        Ok(())
+    }
+
+    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError> {
+        let (page, done) = nand.read_page(ppn)?;
+        *self = Some(page);
+        Ok(done)
+    }
+
+    fn recovered(&mut self, page: Arc<[u8]>) {
+        *self = Some(page);
+    }
+
+    fn zero(&mut self) {
+        *self = None;
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.as_deref().unwrap_or_default()
+    }
 }
 
 impl Ftl {
@@ -783,6 +852,7 @@ impl Ftl {
             meta,
             scrub_cursor: 0,
             patrol_cursor: 0,
+            zeroes: vec![0u8; BLOCK_SIZE].into(),
         })
     }
 
@@ -1155,23 +1225,59 @@ impl Ftl {
         }
     }
 
-    /// Reads one block. Returns what the mapping resolved to.
+    /// Reads one block into `buf`. Returns what the mapping resolved to.
+    ///
+    /// The page is copied into `buf` straight from the flash array
+    /// ([`FlashArray::read_page_into`]) and no page handle is taken: the
+    /// form for callers that keep the bytes in a buffer of their own (the
+    /// block-device views). [`Ftl::read_shared`] is the same read
+    /// returning the page itself.
     ///
     /// # Errors
     ///
     /// Out-of-range LBAs, bad buffer sizes, or substrate errors.
     pub fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<ReadOutcome, FtlError> {
+        self.read_to(lba, buf)
+    }
+
+    /// Reads one block without copying it: returns what the mapping
+    /// resolved to and the page as a shared handle. A clean mapped read
+    /// returns the flash page's own handle ([`FlashArray::read_page`]);
+    /// unmapped, wild and guard-mismatch reads return one all-zero page the
+    /// FTL holds; only a read whose bytes differ from the stored ones (read
+    /// disturb, or the recovery ladder's silent corruption) returns a
+    /// private copy. Stored pages are never mutated, so the handle keeps
+    /// what was read after the LBA is rewritten and its block erased.
+    ///
+    /// Checks, lookups, flash time, recovery, DIF and read refresh are
+    /// those of [`Ftl::read`]: both forms run one implementation.
+    ///
+    /// # Errors
+    ///
+    /// Out-of-range LBAs or substrate errors.
+    pub fn read_shared(&mut self, lba: Lba) -> Result<(ReadOutcome, Arc<[u8]>), FtlError> {
+        let mut page = None;
+        let outcome = self.read_to(lba, &mut page)?;
+        Ok((outcome, page.unwrap_or_else(|| Arc::clone(&self.zeroes))))
+    }
+
+    /// The one host read behind [`Ftl::read`] and [`Ftl::read_shared`]:
+    /// range and power checks, the amplified L2P lookup, unmapped and wild
+    /// entries, the recovery ladder, the DIF guard and read refresh.
+    fn read_to<S: ReadSink + ?Sized>(
+        &mut self,
+        lba: Lba,
+        sink: &mut S,
+    ) -> Result<ReadOutcome, FtlError> {
         self.check_lba(lba)?;
-        if buf.len() != BLOCK_SIZE {
-            return Err(FtlError::BadBufferLen { got: buf.len() });
-        }
+        sink.check_len()?;
         if !self.powered {
             return Err(FtlError::PowerLoss);
         }
         self.tel.host_reads.incr();
         match self.amplified_get(lba)? {
             None => {
-                buf.fill(0);
+                sink.zero();
                 if self.config.unmapped_fast_path {
                     Ok(ReadOutcome::Unmapped)
                 } else {
@@ -1180,7 +1286,7 @@ impl Ftl {
                 }
             }
             Some(ppn) if ppn.as_u64() >= self.nand.geometry().total_pages() => {
-                buf.fill(0);
+                sink.zero();
                 self.tel.redirections_detected.incr();
                 self.tel.registry.trace(
                     self.clock.now(),
@@ -1196,10 +1302,10 @@ impl Ftl {
                 })
             }
             Some(ppn) => {
-                let completed = match self.nand.read_page_into(ppn, buf) {
+                let completed = match sink.sense(&mut self.nand, ppn) {
                     Err(FlashError::ReadFailed { bits, .. }) => {
                         let (page, done) = self.recover_failed_read(ppn, bits)?;
-                        buf.copy_from_slice(&page);
+                        sink.recovered(page);
                         done
                     }
                     read => read?,
@@ -1207,11 +1313,11 @@ impl Ftl {
                 if self.config.dif {
                     let oob = self.nand.read_oob(ppn)?;
                     let (_, _, stored_guard) = decode_oob(&oob);
-                    if stored_guard != dif_guard(lba, buf) {
+                    if stored_guard != dif_guard(lba, sink.bytes()) {
                         // The page's guard was computed for a different
                         // (LBA, data) pair: a misdirected mapping (or
                         // corrupted data). Fail loudly, leak nothing.
-                        buf.fill(0);
+                        sink.zero();
                         self.tel.redirections_detected.incr();
                         self.tel.registry.trace(
                             self.clock.now(),

@@ -87,26 +87,37 @@ fn exhausted_ladder_escalates_into_ecc_classification() {
 #[test]
 fn silent_corruption_is_caught_by_dif_but_not_without_it() {
     let faults = || FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always());
-    // Without DIF: silently corrupted data is served as a normal read.
-    let mut plain = faulty_ftl(9, FtlConfig::default().with_read_retry_max(0), faults());
-    for lba in 0..60u64 {
-        plain.write(Lba(lba), &block(0x3C)).unwrap();
-    }
+    // Without DIF: silently corrupted data is served as a normal read, by
+    // the copying read and by the shared one alike.
     let mut out = block(0);
-    let mut silently_wrong = 0u64;
-    for lba in 0..60u64 {
-        if let Ok(ReadOutcome::Mapped { .. }) = plain.read(Lba(lba), &mut out) {
-            if out != block(0x3C) {
-                silently_wrong += 1;
+    for shared in [false, true] {
+        let mut plain = faulty_ftl(9, FtlConfig::default().with_read_retry_max(0), faults());
+        for lba in 0..60u64 {
+            plain.write(Lba(lba), &block(0x3C)).unwrap();
+        }
+        let mut silently_wrong = 0u64;
+        for lba in 0..60u64 {
+            let read = if shared {
+                plain.read_shared(Lba(lba)).map(|(outcome, page)| {
+                    out.copy_from_slice(&page);
+                    outcome
+                })
+            } else {
+                plain.read(Lba(lba), &mut out)
+            };
+            if let Ok(ReadOutcome::Mapped { .. }) = read {
+                if out != block(0x3C) {
+                    silently_wrong += 1;
+                }
             }
         }
+        assert!(plain.telemetry().silent_corruptions > 0);
+        assert_eq!(
+            silently_wrong,
+            plain.telemetry().silent_corruptions,
+            "every silent corruption serves wrong data undetected (shared: {shared})"
+        );
     }
-    assert!(plain.telemetry().silent_corruptions > 0);
-    assert_eq!(
-        silently_wrong,
-        plain.telemetry().silent_corruptions,
-        "every silent corruption serves wrong data undetected"
-    );
 
     // With DIF: the same fault stream turns silent corruptions into loud
     // guard mismatches; no wrong data reaches the host.

@@ -1,5 +1,7 @@
 //! NVMe-ish command set, completions, and controller configuration.
 
+use std::sync::Arc;
+
 use ssdhammer_dram::HammerOptions;
 use ssdhammer_ftl::FtlError;
 use ssdhammer_simkit::{Lba, SimDuration, SimTime};
@@ -283,8 +285,14 @@ pub struct HealthLog {
 pub enum CmdResult {
     /// Read completed; the data and whether the mapping was live.
     Read {
-        /// The block contents.
-        data: Box<[u8]>,
+        /// The block contents, shared rather than copied
+        /// ([`Ftl::read_shared`](ssdhammer_ftl::Ftl::read_shared)): a clean
+        /// mapped read carries the stored flash page itself, an unmapped
+        /// or wild read the FTL's one zero page, and only bytes that change
+        /// on the way out (read disturb, a silent ECC miss, an encrypted
+        /// namespace's decryption) come as a private copy. Stored pages
+        /// are never mutated, so the data stays what was read.
+        data: Arc<[u8]>,
         /// True when the read hit a mapped physical page (vs unmapped/wild).
         mapped: bool,
     },
@@ -449,34 +457,6 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Sets the interface generation.
-    #[must_use]
-    pub fn with_interface(mut self, interface: InterfaceGen) -> Self {
-        self.interface = interface;
-        self
-    }
-
-    /// Sets (or clears) the I/O rate limit in commands/second.
-    #[must_use]
-    pub fn with_rate_limit_iops(mut self, iops: Option<f64>) -> Self {
-        self.rate_limit_iops = iops;
-        self
-    }
-
-    /// Sets the queue arbitration scheme.
-    #[must_use]
-    pub fn with_arbiter(mut self, arbiter: Arbiter) -> Self {
-        self.arbiter = arbiter;
-        self
-    }
-
-    /// Sets the I/O core count.
-    #[must_use]
-    pub fn with_io_cores(mut self, cores: u32) -> Self {
-        self.io_cores = cores;
-        self
-    }
-
     /// Sets the timeout/retry policy.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {

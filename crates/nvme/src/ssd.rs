@@ -2,6 +2,7 @@
 //! namespaces, queue pairs, service-rate modeling, and IOPS accounting.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use ssdhammer_dram::{
     DramGeometry, DramModule, EccConfig, HammerOptions, HammerReport, MappingKind, ModuleProfile,
@@ -55,24 +56,10 @@ impl Default for ScrubberConfig {
 }
 
 impl ScrubberConfig {
-    /// Sets the chunk interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
     /// Sets the entries verified per chunk.
     #[must_use]
     pub fn with_chunk_entries(mut self, entries: u64) -> Self {
         self.chunk_entries = entries;
-        self
-    }
-
-    /// Sets the flash patrol reads per chunk.
-    #[must_use]
-    pub fn with_flash_reads_per_chunk(mut self, reads: u32) -> Self {
-        self.flash_reads_per_chunk = reads;
         self
     }
 
@@ -230,13 +217,6 @@ impl SsdConfig {
     #[must_use]
     pub fn with_flash_geometry(mut self, geometry: FlashGeometry) -> Self {
         self.flash_geometry = geometry;
-        self
-    }
-
-    /// Replaces the NAND latencies.
-    #[must_use]
-    pub fn with_flash_timing(mut self, timing: FlashTiming) -> Self {
-        self.flash_timing = timing;
         self
     }
 
@@ -431,10 +411,6 @@ pub struct Ssd {
     /// `nvme.abort`); the same plane (shared streams) drives the flash and
     /// FTL sites.
     fault_plane: FaultPlane,
-    /// Recycled read-completion payloads: `execute` draws block buffers
-    /// here instead of allocating per I/O; callers hand them back through
-    /// [`Ssd::recycle_buffer`] after consuming a [`CmdResult::Read`].
-    buf_pool: Vec<Box<[u8]>>,
     /// Reused scratch for the arbitration round in [`Ssd::process_all`].
     arb_scratch: Vec<(QpId, u32)>,
     tel: SsdHandles,
@@ -464,9 +440,9 @@ impl Ssd {
         Self::try_build_with_telemetry(config, telemetry).expect("SSD assembly failed")
     }
 
-    /// Fallible assembly: like [`Ssd::build`] but surfaces recoverable
-    /// configuration errors (e.g. an L2P table that does not fit in DRAM)
-    /// as [`NvmeError::Ftl`] instead of panicking.
+    /// Fallible assembly: like [`Ssd::build_with_telemetry`] but surfaces
+    /// recoverable configuration errors (e.g. an L2P table that does not
+    /// fit in DRAM) as [`NvmeError::Ftl`] instead of panicking.
     ///
     /// # Errors
     ///
@@ -477,15 +453,6 @@ impl Ssd {
     /// Structurally invalid geometry (zero blocks, over-provisioning
     /// exceeding the array) still asserts — those are programming errors,
     /// not runtime conditions.
-    pub fn try_build(config: SsdConfig) -> Result<Self, NvmeError> {
-        Self::try_build_with_telemetry(config, Telemetry::new())
-    }
-
-    /// Fallible variant of [`Ssd::build_with_telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// [`NvmeError::Ftl`] wrapping the FTL's assembly failure.
     pub fn try_build_with_telemetry(
         config: SsdConfig,
         telemetry: Telemetry,
@@ -544,7 +511,6 @@ impl Ssd {
             scrub_duty,
             stats_started: now,
             fault_plane,
-            buf_pool: Vec::new(),
             arb_scratch: Vec::new(),
             tel: SsdHandles::bind(telemetry),
         })
@@ -665,7 +631,6 @@ impl Ssd {
             scrub_duty,
             stats_started: now,
             fault_plane,
-            buf_pool: Vec::new(),
             arb_scratch: Vec::new(),
             tel,
         })
@@ -1025,15 +990,11 @@ impl Ssd {
         Ok(())
     }
 
-    /// Returns a consumed [`CmdResult::Read`] payload to the controller's
-    /// buffer pool so the next read command reuses it instead of
-    /// allocating. Buffers of the wrong size are dropped; the pool is
-    /// bounded so a burst of unreturned buffers cannot grow it unboundedly.
-    pub fn recycle_buffer(&mut self, buf: Box<[u8]>) {
-        const POOL_CAP: usize = 4096;
-        if buf.len() == BLOCK_SIZE && self.buf_pool.len() < POOL_CAP {
-            self.buf_pool.push(buf);
-        }
+    /// Drops a consumed [`CmdResult::Read`] payload. Read data is a shared
+    /// page handle, not a pooled buffer, so there is nothing to recycle:
+    /// letting the payload go out of scope does the same.
+    pub fn recycle_buffer(&mut self, buf: Arc<[u8]>) {
+        drop(buf);
     }
 
     /// Convenience: submit one command and process it synchronously.
@@ -1176,40 +1137,28 @@ impl Ssd {
                     Ok(l) => l,
                     Err(e) => return (CmdResult::Error(e), None),
                 };
-                // Draw the payload buffer from the recycle pool; the FTL
-                // overwrites every byte on success, so no zeroing is needed.
-                let mut buf = self
-                    .buf_pool
-                    .pop()
-                    .unwrap_or_else(|| vec![0u8; BLOCK_SIZE].into_boxed_slice());
-                match self.ftl.read(device_lba, &mut buf) {
-                    Ok(ReadOutcome::GuardMismatch { .. }) => {
-                        self.recycle_buffer(buf);
+                match self.ftl.read_shared(device_lba) {
+                    Ok((ReadOutcome::GuardMismatch { .. }, _)) => {
                         (CmdResult::Error(NvmeError::Integrity { ns, lba }), None)
                     }
-                    Ok(outcome) => {
-                        let ready = match outcome {
-                            ReadOutcome::Mapped { completed, .. } => Some(completed),
-                            ReadOutcome::SlowUnmapped { completed } => Some(completed),
-                            _ => None,
+                    Ok((outcome, page)) => {
+                        let (mapped, ready) = match outcome {
+                            ReadOutcome::Mapped { completed, .. } => (true, Some(completed)),
+                            ReadOutcome::SlowUnmapped { completed } => (false, Some(completed)),
+                            _ => (false, None),
                         };
-                        if matches!(outcome, ReadOutcome::Mapped { .. }) {
-                            if let Some(key) = self.ns_key(ns) {
-                                apply_cipher(key, lba, &mut buf);
+                        // Decrypt into a copy: the page may be the stored one.
+                        let data = match self.ns_key(ns) {
+                            Some(key) if mapped => {
+                                let mut plain = page.to_vec();
+                                apply_cipher(key, lba, &mut plain);
+                                plain.into()
                             }
-                        }
-                        (
-                            CmdResult::Read {
-                                data: buf,
-                                mapped: matches!(outcome, ReadOutcome::Mapped { .. }),
-                            },
-                            ready,
-                        )
+                            _ => page,
+                        };
+                        (CmdResult::Read { data, mapped }, ready)
                     }
-                    Err(e) => {
-                        self.recycle_buffer(buf);
-                        (CmdResult::Error(e.into()), None)
-                    }
+                    Err(e) => (CmdResult::Error(e.into()), None),
                 }
             }
             Command::Write { ns, lba, data } => {
@@ -1762,7 +1711,11 @@ mod tests {
             panic!("expected read data");
         };
         assert!(mapped);
-        assert_eq!(out, data);
+        assert_eq!(*out, *data);
+        // A clean read completes with the stored flash page, not a copy.
+        let device_lba = s.translate(ns, Lba(3)).unwrap();
+        let (_, stored) = s.ftl_mut().read_shared(device_lba).unwrap();
+        assert!(Arc::ptr_eq(&out, &stored));
     }
 
     #[test]
@@ -1776,6 +1729,54 @@ mod tests {
         };
         assert!(!mapped);
         assert!(data.iter().all(|&b| b == 0));
+        // Every unmapped read completes with the FTL's one zero page.
+        let r = s.roundtrip(qp, Command::Read { ns, lba: Lba(10) }).unwrap();
+        let CmdResult::Read { data: again, .. } = r.result else {
+            panic!("expected read data");
+        };
+        assert!(Arc::ptr_eq(&data, &again));
+    }
+
+    #[test]
+    fn read_data_outlives_a_rewrite_and_the_erase_of_its_block() {
+        // A completion may hold the stored flash page itself; what the host
+        // holds stays what was read after the LBA is rewritten and garbage
+        // collection erases the block the page lived in.
+        let config = SsdConfig::test_small(1).with_flash_geometry(FlashGeometry::tiny_test());
+        let mut s = Ssd::build(config);
+        let ns = s.create_namespace(256).unwrap();
+        let qp = s.create_queue_pair(8);
+        let write = |s: &mut Ssd, lba: u64, byte: u8| {
+            let data = vec![byte; BLOCK_SIZE].into_boxed_slice();
+            let c = s
+                .roundtrip(
+                    qp,
+                    Command::Write {
+                        ns,
+                        lba: Lba(lba),
+                        data,
+                    },
+                )
+                .unwrap();
+            assert!(c.is_ok(), "{:?}", c.result);
+        };
+        write(&mut s, 0, 0xA5);
+        let r = s.roundtrip(qp, Command::Read { ns, lba: Lba(0) }).unwrap();
+        let CmdResult::Read { data, mapped: true } = r.result else {
+            panic!("expected a mapped read, got {:?}", r.result);
+        };
+        let device_lba = s.translate(ns, Lba(0)).unwrap();
+        let ppn = s.ftl().peek_mapping(device_lba).unwrap().unwrap();
+        let block = s.ftl().nand().geometry().block_of(ppn);
+        let erases = s.ftl().nand().pe_cycles(block).unwrap();
+        let mut i = 0u64;
+        while s.ftl().nand().pe_cycles(block).unwrap() == erases {
+            assert!(i < 10_000, "garbage collection never erased {block:?}");
+            write(&mut s, i % 64, 0x5A);
+            i += 1;
+        }
+        assert_ne!(s.ftl().peek_mapping(device_lba).unwrap(), Some(ppn));
+        assert!(data.iter().all(|&b| b == 0xA5));
     }
 
     #[test]
@@ -2031,12 +2032,15 @@ mod tests {
             },
         )
         .unwrap();
-        // Host round-trip is transparent.
-        let c = s.roundtrip(qp, Command::Read { ns, lba: Lba(3) }).unwrap();
-        let CmdResult::Read { data, .. } = c.result else {
-            panic!()
-        };
-        assert_eq!(data, plaintext);
+        // Host round-trip is transparent, and stays so on a second read:
+        // decryption works on a copy, never on the stored page.
+        for _ in 0..2 {
+            let c = s.roundtrip(qp, Command::Read { ns, lba: Lba(3) }).unwrap();
+            let CmdResult::Read { data, .. } = c.result else {
+                panic!()
+            };
+            assert_eq!(*data, *plaintext);
+        }
         // But the physical page holds ciphertext.
         let device_lba = s.translate(ns, Lba(3)).unwrap();
         let mut raw = vec![0u8; BLOCK_SIZE];
@@ -2085,7 +2089,7 @@ mod tests {
             panic!()
         };
         assert_ne!(
-            data, secret,
+            *data, *secret,
             "wrong-tweak decryption must not reveal the secret"
         );
         assert!(

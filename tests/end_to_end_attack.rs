@@ -2,6 +2,8 @@
 //! command interface — no bulk fast paths — plus the full pipeline at the
 //! prototype scale.
 
+use std::sync::Arc;
+
 use ssdhammer::core::{find_attack_sites, setup_entries, snapshot_mappings};
 use ssdhammer::dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
 use ssdhammer::flash::FlashGeometry;
@@ -75,7 +77,7 @@ fn redirection_changes_data_served_over_nvme() {
     let qp = ssd.create_queue_pair(8);
     // Completions drain in submission order, so batched reads come back in
     // the same order the per-command loop produced them.
-    let read_all = |ssd: &mut Ssd| -> Vec<Box<[u8]>> {
+    let read_all = |ssd: &mut Ssd| -> Vec<Arc<[u8]>> {
         let mut out = Vec::new();
         for chunk in site.victim_lbas.chunks(qp.depth()) {
             let batch: Vec<Command> = chunk.iter().map(|&lba| Command::Read { ns, lba }).collect();

@@ -104,6 +104,8 @@ fn ftl_matches_model() {
                     let expected = model.get(&lba).copied().unwrap_or(0);
                     assert_eq!(buf[0], expected, "case {case} lba {lba}");
                     assert!(buf.iter().all(|&b| b == expected));
+                    let (_, page) = ftl.read_shared(Lba(lba)).unwrap();
+                    assert_eq!(*page, buf, "read_shared, case {case} lba {lba}");
                 }
             }
         }
@@ -244,6 +246,12 @@ fn dif_never_serves_wrong_data_silently() {
             "case {case}: redirected read must fail verification, got {outcome:?}"
         );
         assert!(buf.iter().all(|&x| x == 0), "no data leaks on failure");
+        let (outcome, page) = ftl.read_shared(Lba(a)).unwrap();
+        assert!(matches!(outcome, ReadOutcome::GuardMismatch { .. }));
+        assert_eq!(
+            *page, [0u8; BLOCK_SIZE],
+            "no data leaks through the shared read"
+        );
     }
 }
 
