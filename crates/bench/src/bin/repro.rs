@@ -7,7 +7,7 @@
 //! the usage string, the `all` loop) is generated from that table. Most
 //! experiments dispatch through their module's [`Scenario`] impl; the few
 //! with extra side effects (fig1's telemetry snapshot file, the escalation
-//! demo, the `bench` harness) use custom runners.
+//! demo, the attack grid's filters) use custom runners.
 //!
 //! Run `repro help` for the generated command and flag reference.
 
@@ -15,8 +15,8 @@ use std::path::PathBuf;
 
 use ssdhammer_bench::scenario::{Scenario, ScenarioCfg};
 use ssdhammer_bench::{
-    ablations, attacks, benchmark, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec43, sec5,
-    table1, torture,
+    ablations, attacks, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec43, sec5, table1,
+    torture,
 };
 use ssdhammer_simkit::json::ToJson;
 
@@ -25,7 +25,6 @@ struct Ctx {
     seed: u64,
     threads: usize,
     json: bool,
-    quick: bool,
     pattern: Option<String>,
     victim: Option<String>,
     /// Everything a scenario reads: `--full`, the campaign flags, and the
@@ -140,12 +139,6 @@ static COMMANDS: &[Cmd] = &[
         runner: Runner::Scenario(&fuzz::FuzzScenario),
         in_all: false,
     },
-    Cmd {
-        name: "bench",
-        help: "perf baseline — times the hot paths, writes BENCH_9.json",
-        runner: Runner::Custom(run_bench),
-        in_all: false,
-    },
 ];
 
 fn main() {
@@ -155,7 +148,6 @@ fn main() {
         seed: 7,
         threads: 1,
         json: false,
-        quick: false,
         pattern: None,
         victim: None,
         cfg: ScenarioCfg::default(),
@@ -222,7 +214,6 @@ fn main() {
             }
             "--json" => ctx.json = true,
             "--full" => ctx.cfg.full = true,
-            "--quick" => ctx.quick = true,
             "--help" | "-h" => {
                 print_help();
                 return;
@@ -332,28 +323,22 @@ fn run_escalation(ctx: &Ctx) {
     }
 }
 
-/// The perf baseline: times the hot paths, writes `BENCH_9.json`, and
-/// self-checks that the document parses.
-fn run_bench(ctx: &Ctx) {
-    let report = benchmark::run(ctx.seed, ctx.threads, ctx.quick);
-    let text = report.doc.to_string_pretty();
-    ssdhammer_simkit::json::Json::parse(&text).expect("BENCH document must parse");
-    let path = "BENCH_9.json";
-    match std::fs::write(path, &text) {
-        Ok(()) => eprintln!("bench report written to {path}"),
-        Err(e) => eprintln!("repro: could not write {path}: {e}"),
-    }
-    println!("{text}");
-}
-
 fn print_help() {
-    println!("repro <experiment> [--seed N] [--threads N] [--json] [--full] [--quick]");
+    println!("repro <experiment> [--seed N] [--threads N] [--json] [--full]");
     println!();
     println!("experiments:");
     for c in COMMANDS {
         println!("  {:<13} {}", c.name, c.help);
     }
-    println!("  all           every experiment above except bench");
+    let skipped: Vec<&str> = COMMANDS
+        .iter()
+        .filter(|c| !c.in_all)
+        .map(|c| c.name)
+        .collect();
+    println!(
+        "  all           every experiment above except {}",
+        skipped.join(" and ")
+    );
     println!();
     println!("flags:");
     println!("  --seed N      manufacturing-variation seed (default 7)");
@@ -363,7 +348,6 @@ fn print_help() {
     println!("  --full        fig3: run the paper-prototype-scale configuration");
     println!("                (1 GiB SSD, 5% spray cap, 5-minute hammer bursts);");
     println!("                torture: larger workload with a sampled crash schedule");
-    println!("  --quick       bench only: fast-demo scenarios for CI smoke runs");
     println!("  --pattern P   attacks only: run a single hammer pattern's cells");
     println!("  --victim V    attacks only: run a single victim structure's cells");
     println!("  --soak N      fuzz only: run N episodes (default 24, or 64 with --full)");
@@ -382,7 +366,7 @@ fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
     eprintln!(
-        "usage: repro [{}|all] [--seed N] [--threads N] [--json] [--full] [--quick]",
+        "usage: repro [{}|all] [--seed N] [--threads N] [--json] [--full]",
         names.join("|")
     );
     std::process::exit(2);

@@ -2,9 +2,10 @@
 //!
 //! All host-clock access lives in the [`wallclock`] submodule. That is the
 //! one sanctioned `std::time::Instant` user outside `simkit` (lint rule D1's
-//! allowlist points here): the timings it produces are reported for humans
-//! (`repro bench`, the `perfbench` benchmark) and never feed back into
-//! simulated state, so they cannot perturb a deterministic run.
+//! allowlist points here). Its only caller is the `perfbench` benchmark
+//! (`perfbench/src/trace.rs`), which reports the timings for humans; they
+//! never feed back into simulated state, so they cannot perturb a
+//! deterministic run. Nothing `repro` prints depends on the host clock.
 
 /// Everything measured against the host clock funnels through this module,
 /// so the D1 allowlist entry for `harness.rs` has a single, auditable

@@ -30,9 +30,11 @@
 //! Every experiment module exposes a unit struct implementing
 //! [`scenario::Scenario`] — one uniform `run(cfg, seed, threads) -> Json`
 //! / `render` entry point that the `repro` binary's subcommand registry
-//! dispatches through. The [`benchmark`] module (`repro bench`) times the
-//! hot paths and writes `BENCH_9.json`; host time is read only through
-//! [`harness::wallclock`].
+//! dispatches through. Every output is a pure function of the seed: the
+//! golden test (`tests/golden.rs`) pins `repro all --full`, its Figure 1
+//! telemetry file, `repro torture --full` and a fuzz soak byte for byte.
+//! Host time belongs to the `perfbench` benchmark alone, which reads it
+//! through [`harness::wallclock`].
 //!
 //! Run `cargo run -p ssdhammer-bench --bin repro -- all` for the complete
 //! text reproduction.
@@ -42,7 +44,6 @@
 
 pub mod ablations;
 pub mod attacks;
-pub mod benchmark;
 pub mod defenses;
 pub mod faults;
 pub mod fig1;

@@ -1,7 +1,7 @@
 //! The uniform scenario API: every experiment module exposes one entry
 //! point with the same shape, so callers (the `repro` binary's subcommand
-//! registry, the bench harness, tests) can drive any experiment without
-//! knowing its module-specific function zoo.
+//! registry, tests) can drive any experiment without knowing its
+//! module-specific function zoo.
 //!
 //! A scenario is a unit struct implementing [`Scenario`]; the impl lives in
 //! the experiment's own module next to the functions it wraps. `run`

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use ssdhammer_dram::RowKey;
 use ssdhammer_ftl::Ftl;
 
-use crate::recon::AttackSite;
+use crate::recon::{l2p_rows, AttackSite};
 
 /// An aggressor-row selection policy. Given the victim's target rows, find
 /// row triples whose aggressors the attacker can activate through host
@@ -21,30 +21,15 @@ pub trait Placement {
 /// Enumerates every usable aggressor site around `targets`: the victim row
 /// must carry weak cells and both physical neighbors must hold L2P entries
 /// (the attacker's only lever is host reads of mapped LBAs). Sites are
-/// sorted weakest victim first, then by bank and row — the same order
-/// [`crate::recon::find_attack_sites`] uses.
+/// sorted weakest victim first, then by bank and row;
+/// [`crate::recon::find_attack_sites`] is this search over every L2P row.
 #[must_use]
 pub fn enumerate_sites(ftl: &Ftl, targets: &[RowKey]) -> Vec<AttackSite> {
     let dram = ftl.dram();
     let geometry = *dram.mapping().geometry();
     let table = ftl.table();
     // Rows holding L2P entries — the aggressor candidates.
-    let l2p_rows: BTreeSet<RowKey> = {
-        let row_bytes = u64::from(geometry.row_bytes);
-        let base = ftl.config().l2p_base.as_u64();
-        let end = base + table.size_bytes();
-        let mut rows = BTreeSet::new();
-        let mut addr = base - base % row_bytes;
-        while addr < end {
-            rows.insert(
-                dram.mapping()
-                    .decode(ssdhammer_simkit::DramAddr(addr))
-                    .row_key(),
-            );
-            addr += row_bytes;
-        }
-        rows
-    };
+    let l2p_rows = l2p_rows(ftl);
     let unique: BTreeSet<RowKey> = targets.iter().copied().collect();
     let mut sites = Vec::new();
     for &victim in &unique {

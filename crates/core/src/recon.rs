@@ -10,9 +10,13 @@
 //! which triples place the victim row's entries in the *victim* partition
 //! while both aggressor rows are reachable from the *attacker* partition.
 
+use std::collections::BTreeSet;
+
 use ssdhammer_dram::RowKey;
 use ssdhammer_ftl::Ftl;
-use ssdhammer_simkit::Lba;
+use ssdhammer_simkit::{DramAddr, Lba};
+
+use crate::attack::enumerate_sites;
 
 /// A device-LBA range (a partition's slice of the shared FTL).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,66 +69,30 @@ pub struct AttackSite {
 /// Enumerates up to `max_sites` attack sites, weakest victims first.
 ///
 /// Only rows that (a) contain weak cells, (b) have both physical neighbors,
-/// and (c) whose triple rows all hold L2P entries qualify. The scan visits
-/// only the DRAM rows the L2P table actually occupies (derived from the
-/// table's address range through the controller mapping), not the whole
-/// module.
+/// and (c) whose triple rows all hold L2P entries qualify. This is
+/// [`enumerate_sites`] over every DRAM row the L2P table occupies (derived
+/// from the table's address range through the controller mapping, not the
+/// whole module), keeping the sites whose victim row holds entries.
 #[must_use]
 pub fn find_attack_sites(ftl: &Ftl, max_sites: usize) -> Vec<AttackSite> {
-    let dram = ftl.dram();
-    let mapping = dram.mapping();
-    let geometry = *mapping.geometry();
-    let table = ftl.table();
-    let row_bytes = u64::from(geometry.row_bytes);
-    let base = ftl.config().l2p_base.as_u64();
-    // Rows the table occupies: decode each table-resident address row.
-    let mut occupied = std::collections::BTreeSet::new();
-    let first_row_addr = base - base % row_bytes;
-    let end = base + table.size_bytes();
-    let mut addr = first_row_addr;
-    while addr < end {
-        occupied.insert(mapping.decode(ssdhammer_simkit::DramAddr(addr)).row_key());
-        addr += row_bytes;
-    }
-    let mut sites = Vec::new();
-    for &victim in &occupied {
-        if victim.row == 0 || victim.row + 1 >= geometry.rows_per_bank {
-            continue;
-        }
-        let above = RowKey {
-            bank: victim.bank,
-            row: victim.row - 1,
-        };
-        let below = RowKey {
-            bank: victim.bank,
-            row: victim.row + 1,
-        };
-        if !occupied.contains(&above) || !occupied.contains(&below) {
-            continue;
-        }
-        let cells = dram.profile_row(victim);
-        let Some(weakest) = cells.first() else {
-            continue;
-        };
-        let victim_lbas = table.lbas_in_row(dram, victim.bank, victim.row);
-        let above_lbas = table.lbas_in_row(dram, above.bank, above.row);
-        let below_lbas = table.lbas_in_row(dram, below.bank, below.row);
-        if victim_lbas.is_empty() || above_lbas.is_empty() || below_lbas.is_empty() {
-            continue;
-        }
-        sites.push(AttackSite {
-            victim,
-            above,
-            below,
-            victim_lbas,
-            above_lbas,
-            below_lbas,
-            weakest_threshold: weakest.threshold,
-        });
-    }
-    sites.sort_by_key(|s| (s.weakest_threshold, s.victim.bank, s.victim.row));
+    let rows: Vec<RowKey> = l2p_rows(ftl).into_iter().collect();
+    let mut sites = enumerate_sites(ftl, &rows);
+    sites.retain(|s| !s.victim_lbas.is_empty());
     sites.truncate(max_sites);
     sites
+}
+
+/// The DRAM rows the L2P table occupies: the row of every row-sized step
+/// through the table's address range, decoded by the controller mapping.
+pub(crate) fn l2p_rows(ftl: &Ftl) -> BTreeSet<RowKey> {
+    let mapping = ftl.dram().mapping();
+    let row_bytes = u64::from(mapping.geometry().row_bytes);
+    let base = ftl.config().l2p_base.as_u64();
+    let end = base + ftl.table().size_bytes();
+    (base - base % row_bytes..end)
+        .step_by(row_bytes as usize)
+        .map(|addr| mapping.decode(DramAddr(addr)).row_key())
+        .collect()
 }
 
 /// An attack site usable across a partition boundary: the aggressor rows can

@@ -19,9 +19,8 @@ impl core::fmt::Display for NsId {
 /// Identifies a queue pair.
 ///
 /// Ordered so that queue collections iterate deterministically — the
-/// arbiter in [`process_all`] visits active queues in ascending id order.
-///
-/// [`process_all`]: https://docs.rs/ssdhammer-nvme
+/// round-robin in [`Ssd::process_all`](crate::Ssd::process_all) visits
+/// active queues in ascending id order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QpId(pub u32);
 
@@ -33,24 +32,22 @@ impl core::fmt::Display for QpId {
 
 /// Handle to a created queue pair, returned by `create_queue_pair`.
 ///
-/// Carries the queue's identity alongside its submission-queue depth and
-/// arbitration weight, so call sites no longer thread a bare [`QpId`] plus
-/// out-of-band knowledge of the depth they asked for. The handle is `Copy`
-/// and converts into [`QpId`] wherever one is expected, so it can be passed
-/// directly to `submit`, `submit_batch`, `process`, and
-/// `drain_completions`.
+/// Carries the queue's identity alongside its submission-queue depth, so
+/// call sites no longer thread a bare [`QpId`] plus out-of-band knowledge
+/// of the depth they asked for. The handle is `Copy` and converts into
+/// [`QpId`] wherever one is expected, so it can be passed directly to
+/// `submit`, `submit_batch`, `process`, and `drain_completions`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueuePairHandle {
     id: QpId,
     depth: usize,
-    weight: u32,
 }
 
 impl QueuePairHandle {
     /// Assembles a handle (crate-internal; hosts receive handles from
     /// `create_queue_pair`).
-    pub(crate) fn new(id: QpId, depth: usize, weight: u32) -> Self {
-        QueuePairHandle { id, depth, weight }
+    pub(crate) fn new(id: QpId, depth: usize) -> Self {
+        QueuePairHandle { id, depth }
     }
 
     /// The queue pair's identity.
@@ -65,32 +62,12 @@ impl QueuePairHandle {
     pub fn depth(&self) -> usize {
         self.depth
     }
-
-    /// Weighted-round-robin arbitration weight (commands served per
-    /// arbitration round when the controller runs [`Arbiter::WeightedRoundRobin`]).
-    #[must_use]
-    pub fn weight(&self) -> u32 {
-        self.weight
-    }
 }
 
 impl From<QueuePairHandle> for QpId {
     fn from(h: QueuePairHandle) -> QpId {
         h.id
     }
-}
-
-/// How `process_all` shares controller service among active queue pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Arbiter {
-    /// One command per active queue per round, ascending [`QpId`] order —
-    /// NVMe's mandatory arbitration scheme.
-    #[default]
-    RoundRobin,
-    /// Up to `weight` commands per queue per round (weights set at
-    /// `create_queue_pair_weighted` time) — NVMe's optional WRR scheme,
-    /// which a cloud host uses to bias service toward premium tenants.
-    WeightedRoundRobin,
 }
 
 /// Host-visible commands. LBAs are namespace-relative.
@@ -445,8 +422,6 @@ pub struct ControllerConfig {
     /// IOs below the rowhammering access rate" mitigation. Commands are
     /// delayed, not rejected.
     pub rate_limit_iops: Option<f64>,
-    /// Queue arbitration scheme used by `process_all`.
-    pub arbiter: Arbiter,
     /// I/O processing cores on the controller: the upper bound on how many
     /// saturated queue pairs can be serviced concurrently, and therefore on
     /// the multi-queue IOPS ceiling `max_iops` reports (§2.3's feasibility
@@ -470,7 +445,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             interface: InterfaceGen::Pcie4,
             rate_limit_iops: None,
-            arbiter: Arbiter::default(),
             io_cores: 4,
             retry: RetryPolicy::default(),
         }

@@ -20,10 +20,9 @@
 //!   mitigation (delaying, not rejecting, commands).
 //! * [`Ssd::submit_batch`] / [`Ssd::process_all`] /
 //!   [`Ssd::drain_completions`] form the batched multi-queue path: commands
-//!   are enqueued in bulk, serviced under a pluggable [`Arbiter`]
-//!   (round-robin or weighted round-robin across queue pairs), and drained
-//!   per queue. [`Ssd::max_iops`] reports the multi-queue ceiling this
-//!   unlocks.
+//!   are enqueued in bulk, serviced round-robin across queue pairs (one
+//!   command per active queue per round), and drained per queue.
+//!   [`Ssd::max_iops`] reports the multi-queue ceiling this unlocks.
 //! * [`Ssd::hammer_reads`] is the aggregated attack path; it rides the same
 //!   batch machinery as a [`Command::VendorHammer`] burst and honours the
 //!   same service-rate bounds as per-command submission.
@@ -57,7 +56,7 @@ mod command;
 mod ssd;
 
 pub use command::{
-    Arbiter, CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData,
-    InterfaceGen, NsId, NvmeError, QpId, QueuePairHandle, RetryPolicy,
+    CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, InterfaceGen, NsId,
+    NvmeError, QpId, QueuePairHandle, RetryPolicy,
 };
-pub use ssd::{Namespace, ScrubberConfig, Ssd, SsdConfig, SsdStats};
+pub use ssd::{Namespace, ScrubberConfig, Ssd, SsdConfig};

@@ -12,14 +12,13 @@ use ssdhammer_flash::{FlashArray, FlashGeometry, FlashTiming};
 use ssdhammer_ftl::{Ftl, FtlConfig, ReadOutcome};
 use ssdhammer_simkit::{
     faultplane::{FaultPlane, FaultPlaneConfig},
-    stats::{LatencyHistogram, RateMeter},
     telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Telemetry, TelemetrySnapshot},
     BlockDevice, Lba, SimClock, SimDuration, SimTime, StorageError, StorageResult, BLOCK_SIZE,
 };
 
 use crate::command::{
-    Arbiter, CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, NsId,
-    NvmeError, QpId, QueuePairHandle,
+    CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, NsId, NvmeError,
+    QpId, QueuePairHandle,
 };
 
 /// Background patrol-scrubber schedule.
@@ -301,8 +300,6 @@ fn apply_cipher(key: u64, lba: Lba, buf: &mut [u8]) {
 #[derive(Debug)]
 struct QueuePair {
     depth: usize,
-    /// WRR arbitration weight (commands served per arbitration round).
-    weight: u32,
     sq: VecDeque<(u64, Command)>,
     cq: VecDeque<Completion>,
     /// Per-queue-pair counters in the shared registry
@@ -316,18 +313,6 @@ struct QueuePair {
     /// Commands aborted on this queue by the fault plane
     /// (`nvme.qp<N>.aborts`).
     aborts: CounterHandle,
-}
-
-/// Point-in-time view of the device's statistics in the shared
-/// [`Telemetry`] registry (metric names `nvme.*`).
-#[derive(Debug, Clone)]
-pub struct SsdStats {
-    /// Commands completed.
-    pub completed: u64,
-    /// Command rate meter (against simulated time).
-    pub iops: RateMeter,
-    /// Latency distribution.
-    pub latency: LatencyHistogram,
 }
 
 /// Handles into the shared registry, resolved once at build time.
@@ -405,15 +390,38 @@ pub struct Ssd {
     /// Service capacity the scrubber steals (precomputed from the flash
     /// timing at build; subtracted from `max_iops`).
     scrub_duty: f64,
-    /// When command accounting started (anchors the IOPS rate meter).
+    /// When command accounting started, and `nvme.completions` at that
+    /// instant: `nvme.iops` is the completion rate since then. A remount
+    /// restarts both, while the registry's counters carry over.
     stats_started: SimTime,
+    completions_at_start: u64,
     /// Fault-injection sites the controller consults (`nvme.timeout`,
     /// `nvme.abort`); the same plane (shared streams) drives the flash and
     /// FTL sites.
     fault_plane: FaultPlane,
     /// Reused scratch for the arbitration round in [`Ssd::process_all`].
-    arb_scratch: Vec<(QpId, u32)>,
+    arb_scratch: Vec<QpId>,
     tel: SsdHandles,
+}
+
+/// The device's DRAM module as `config` describes it, on `clock`. A build
+/// and every remount construct it here, so a remounted device models the
+/// same DRAM (its contents are what a power cut loses).
+fn dram_module(config: &SsdConfig, clock: &SimClock) -> DramModule {
+    let mut builder = DramModule::builder(config.dram_geometry)
+        .profile(config.dram_profile.clone())
+        .mapping(config.dram_mapping)
+        .seed(config.seed);
+    if let Some(ecc) = config.ecc {
+        builder = builder.ecc(ecc);
+    }
+    if let Some(trr) = config.trr {
+        builder = builder.trr(trr);
+    }
+    if let Some(para) = config.para {
+        builder = builder.para(para);
+    }
+    builder.build(clock.clone())
 }
 
 impl Ssd {
@@ -458,20 +466,7 @@ impl Ssd {
         telemetry: Telemetry,
     ) -> Result<Self, NvmeError> {
         let clock = SimClock::new();
-        let mut dram_builder = DramModule::builder(config.dram_geometry)
-            .profile(config.dram_profile.clone())
-            .mapping(config.dram_mapping)
-            .seed(config.seed);
-        if let Some(ecc) = config.ecc {
-            dram_builder = dram_builder.ecc(ecc);
-        }
-        if let Some(trr) = config.trr {
-            dram_builder = dram_builder.trr(trr);
-        }
-        if let Some(para) = config.para {
-            dram_builder = dram_builder.para(para);
-        }
-        let dram = dram_builder.build(clock.clone());
+        let dram = dram_module(&config, &clock);
         let mut nand = FlashArray::with_timing(
             config.flash_geometry,
             config.flash_timing,
@@ -488,16 +483,34 @@ impl Ssd {
         // One registry for the whole device: DRAM, flash, FTL, and the NVMe
         // front end all record into it.
         ftl.attach_telemetry(&telemetry);
+        Ok(Self::fresh(
+            &config,
+            clock,
+            ftl,
+            fault_plane,
+            SsdHandles::bind(telemetry),
+        ))
+    }
+
+    /// A device around `ftl` with fresh volatile state: no namespaces, no
+    /// queue pairs, command ids from 1, and the service, scrub and IOPS
+    /// accounting anchored at the clock's present. Both a build and a
+    /// remount start here.
+    fn fresh(
+        config: &SsdConfig,
+        clock: SimClock,
+        ftl: Ftl,
+        fault_plane: FaultPlane,
+        tel: SsdHandles,
+    ) -> Self {
         let now = clock.now();
         let flash_read =
             SimDuration::from_nanos(config.flash_timing.t_read_ns + config.flash_timing.t_xfer_ns);
-        let scrub_duty = config.scrubber.map_or(0.0, |s| s.duty_fraction(flash_read));
-        let next_scrub = config.scrubber.map_or(now, |s| now + s.interval);
-        Ok(Ssd {
+        Ssd {
             ftl,
             clock,
             controller: config.controller,
-            model: config.model,
+            model: config.model.clone(),
             namespaces: BTreeMap::new(),
             next_ns: 1,
             allocated_blocks: 0,
@@ -507,13 +520,14 @@ impl Ssd {
             hammer_qp: None,
             next_service: now,
             scrubber: config.scrubber,
-            next_scrub,
-            scrub_duty,
+            next_scrub: config.scrubber.map_or(now, |s| now + s.interval),
+            scrub_duty: config.scrubber.map_or(0.0, |s| s.duty_fraction(flash_read)),
             stats_started: now,
+            completions_at_start: tel.completions.get(),
             fault_plane,
             arb_scratch: Vec::new(),
-            tel: SsdHandles::bind(telemetry),
-        })
+            tel,
+        }
     }
 
     /// The shared registry every layer of this device records into.
@@ -522,15 +536,19 @@ impl Ssd {
         self.tel.registry.clone()
     }
 
-    /// Freezes the shared registry, first publishing derived gauges
-    /// (`nvme.iops`, `nvme.max_iops`) computed against the simulated clock.
+    /// Freezes the shared registry, first publishing derived gauges:
+    /// `nvme.iops`, completions per simulated second since the device was
+    /// built or last power-cycled (0 before any time has passed), and
+    /// `nvme.max_iops`, the controller ceiling [`Ssd::max_iops`].
     #[must_use]
     pub fn snapshot_telemetry(&self) -> TelemetrySnapshot {
-        let stats = self.stats();
-        self.tel
-            .registry
-            .gauge("nvme.iops")
-            .set(stats.iops.rate_per_sec(self.clock.now()));
+        let elapsed = self.clock.now().saturating_since(self.stats_started);
+        let iops = if elapsed.is_zero() {
+            0.0
+        } else {
+            (self.tel.completions.get() - self.completions_at_start) as f64 / elapsed.as_secs_f64()
+        };
+        self.tel.registry.gauge("nvme.iops").set(iops);
         self.tel
             .registry
             .gauge("nvme.max_iops")
@@ -579,8 +597,6 @@ impl Ssd {
         let Ssd {
             ftl,
             clock,
-            controller,
-            model,
             namespaces,
             next_ns,
             allocated_blocks,
@@ -589,63 +605,18 @@ impl Ssd {
             ..
         } = self;
         let (_lost_dram, nand) = ftl.into_parts();
-        let mut dram_builder = DramModule::builder(config.dram_geometry)
-            .profile(config.dram_profile.clone())
-            .mapping(config.dram_mapping)
-            .seed(config.seed);
-        if let Some(ecc) = config.ecc {
-            dram_builder = dram_builder.ecc(ecc);
-        }
-        if let Some(trr) = config.trr {
-            dram_builder = dram_builder.trr(trr);
-        }
-        if let Some(para) = config.para {
-            dram_builder = dram_builder.para(para);
-        }
-        let mut dram = dram_builder.build(clock.clone());
+        let mut dram = dram_module(config, &clock);
         // Recovery records into the registry the device keeps: `Ftl::recover`
         // adopts the DRAM's registry, so its journal-replay count and
         // torn-tail traces land where the campaign reads them.
         dram.attach_telemetry(&tel.registry);
         let ftl = Ftl::recover(dram, nand, config.ftl)?;
-        let now = clock.now();
-        let flash_read =
-            SimDuration::from_nanos(config.flash_timing.t_read_ns + config.flash_timing.t_xfer_ns);
-        let scrub_duty = config.scrubber.map_or(0.0, |s| s.duty_fraction(flash_read));
-        let next_scrub = config.scrubber.map_or(now, |s| now + s.interval);
         Ok(Ssd {
-            ftl,
-            clock,
-            controller,
-            model,
             namespaces,
             next_ns,
             allocated_blocks,
-            queues: BTreeMap::new(),
-            next_qp: 1,
-            next_cid: 1,
-            hammer_qp: None,
-            next_service: now,
-            scrubber: config.scrubber,
-            next_scrub,
-            scrub_duty,
-            stats_started: now,
-            fault_plane,
-            arb_scratch: Vec::new(),
-            tel,
+            ..Self::fresh(config, clock, ftl, fault_plane, tel)
         })
-    }
-
-    /// Point-in-time view of the device statistics.
-    #[must_use]
-    pub fn stats(&self) -> SsdStats {
-        let mut iops = RateMeter::started_at(self.stats_started);
-        iops.record(self.tel.completions.get());
-        SsdStats {
-            completed: self.tel.completions.get(),
-            iops,
-            latency: self.tel.service_latency.read(),
-        }
     }
 
     /// Unallocated device blocks available for new namespaces.
@@ -746,27 +717,13 @@ impl Ssd {
 
     // ---- queue pairs -------------------------------------------------------
 
-    /// Creates a queue pair with the given submission-queue depth and
-    /// arbitration weight 1.
+    /// Creates a queue pair with the given submission-queue depth.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
     pub fn create_queue_pair(&mut self, depth: usize) -> QueuePairHandle {
-        self.create_queue_pair_weighted(depth, 1)
-    }
-
-    /// Like [`Ssd::create_queue_pair`], with an explicit weighted-round-robin
-    /// arbitration weight: under [`Arbiter::WeightedRoundRobin`],
-    /// [`Ssd::process_all`] services up to `weight` commands from this queue
-    /// per arbitration round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` or `weight` is zero.
-    pub fn create_queue_pair_weighted(&mut self, depth: usize, weight: u32) -> QueuePairHandle {
         assert!(depth > 0, "queue depth must be positive");
-        assert!(weight > 0, "arbitration weight must be positive");
         let id = QpId(self.next_qp);
         self.next_qp += 1;
         let registry = &self.tel.registry;
@@ -774,7 +731,6 @@ impl Ssd {
             id,
             QueuePair {
                 depth,
-                weight,
                 sq: VecDeque::new(),
                 cq: VecDeque::new(),
                 submissions: registry.counter(&format!("nvme.qp{}.submissions", id.0)),
@@ -784,7 +740,7 @@ impl Ssd {
                 aborts: registry.counter(&format!("nvme.qp{}.aborts", id.0)),
             },
         );
-        QueuePairHandle::new(id, depth, weight)
+        QueuePairHandle::new(id, depth)
     }
 
     /// Enqueues a command; returns its command id.
@@ -856,41 +812,30 @@ impl Ssd {
         Ok(())
     }
 
-    /// Services **all** active queue pairs to completion under the
-    /// controller's configured [`Arbiter`], returning the number of
-    /// commands serviced.
+    /// Services **all** active queue pairs to completion round-robin,
+    /// returning the number of commands serviced.
     ///
-    /// Round-robin takes one command per active queue per round;
-    /// weighted round-robin takes up to each queue's weight per round.
-    /// Queues are visited in ascending [`QpId`] order within a round, so
-    /// the service schedule — and therefore every completion timestamp —
-    /// is deterministic.
+    /// Each round takes one command from every active queue, visiting
+    /// queues in ascending [`QpId`] order (NVMe's mandatory arbitration
+    /// scheme), so the service schedule — and therefore every completion
+    /// timestamp — is deterministic.
     pub fn process_all(&mut self) -> u64 {
         let mut serviced = 0u64;
+        let mut active = std::mem::take(&mut self.arb_scratch);
         loop {
-            let mut active = std::mem::take(&mut self.arb_scratch);
             active.clear();
             active.extend(
                 self.queues
                     .iter()
                     .filter(|(_, q)| !q.sq.is_empty())
-                    .map(|(&id, q)| (id, q.weight)),
+                    .map(|(&id, _)| id),
             );
             if active.is_empty() {
                 self.arb_scratch = active;
                 return serviced;
             }
-            for &(id, weight) in &active {
-                let burst = match self.controller.arbiter {
-                    Arbiter::RoundRobin => 1,
-                    Arbiter::WeightedRoundRobin => weight,
-                };
-                for _ in 0..burst {
-                    if !self.service_one(id) {
-                        break;
-                    }
-                    serviced += 1;
-                }
+            for &id in &active {
+                serviced += u64::from(self.service_one(id));
             }
         }
     }
@@ -1652,6 +1597,26 @@ mod tests {
     }
 
     #[test]
+    fn power_cycle_restarts_the_iops_window() {
+        let config = SsdConfig::test_small(3);
+        let mut s = Ssd::build(config.clone());
+        let ns = s.create_namespace(64).unwrap();
+        let qp = s.create_queue_pair(32);
+        let cmds: Vec<Command> = (0..32).map(|i| Command::Read { ns, lba: Lba(i) }).collect();
+        s.submit_batch(qp, &cmds).unwrap();
+        s.process_all();
+        let before = s.snapshot_telemetry();
+        assert!(before.gauge("nvme.iops").unwrap() > 0.0);
+        // The registry keeps the pre-cut completions, but none happen after
+        // the remount: the rate since the remount is zero.
+        let s = s.power_cycle(&config).expect("remount");
+        s.clock().advance(SimDuration::from_micros(10));
+        let after = s.snapshot_telemetry();
+        assert_eq!(after.counter("nvme.completions"), Some(32));
+        assert_eq!(after.gauge("nvme.iops"), Some(0.0));
+    }
+
+    #[test]
     fn identify_reports_capacity() {
         let mut s = ssd();
         let qp = s.create_queue_pair(32);
@@ -2101,9 +2066,8 @@ mod tests {
     #[test]
     fn handle_carries_depth_and_converts_to_id() {
         let mut s = ssd();
-        let h = s.create_queue_pair_weighted(16, 3);
+        let h = s.create_queue_pair(16);
         assert_eq!(h.depth(), 16);
-        assert_eq!(h.weight(), 3);
         let id: QpId = h.into();
         assert_eq!(id, h.id());
         // Both the handle and the raw id address the same queue.
@@ -2180,40 +2144,14 @@ mod tests {
         order.sort();
         let tags: String = order.iter().map(|&(_, t)| t).collect();
         assert_eq!(tags, "abababab");
-    }
-
-    #[test]
-    fn weighted_round_robin_delivers_configured_ratio() {
-        let mut config = SsdConfig::test_small(1);
-        config.controller.arbiter = Arbiter::WeightedRoundRobin;
-        let mut s = Ssd::build(config);
-        let ns = s.create_namespace(64).unwrap();
-        let premium = s.create_queue_pair_weighted(16, 3);
-        let standard = s.create_queue_pair_weighted(16, 1);
-        let cmds: Vec<Command> = (0..12).map(|i| Command::Read { ns, lba: Lba(i) }).collect();
-        s.submit_batch(premium, &cmds).unwrap();
-        s.submit_batch(standard, &cmds).unwrap();
-        s.process_all();
-        let cp = s.drain_completions(premium).unwrap();
-        let cs = s.drain_completions(standard).unwrap();
-        let mut order: Vec<(SimTime, char)> = cp
-            .iter()
-            .map(|c| (c.completed, 'p'))
-            .chain(cs.iter().map(|c| (c.completed, 's')))
-            .collect();
-        order.sort();
-        let tags: String = order.iter().map(|&(_, t)| t).collect();
-        // 3:1 service ratio while both queues are backlogged; the standard
-        // queue's leftovers drain after premium empties.
-        assert_eq!(tags, format!("{}{}", "ppps".repeat(4), "s".repeat(8)));
         // Per-queue telemetry saw the split.
         let snap = s.snapshot_telemetry();
-        let qp_subs = |h: QueuePairHandle| {
+        let completions = |h: QueuePairHandle| {
             snap.counter(&format!("nvme.qp{}.completions", h.id().0))
                 .unwrap()
         };
-        assert_eq!(qp_subs(premium), 12);
-        assert_eq!(qp_subs(standard), 12);
+        assert_eq!(completions(a), 4);
+        assert_eq!(completions(b), 4);
     }
 
     #[test]

@@ -130,11 +130,6 @@ pub trait BlockDevice {
     }
 }
 
-/// Former name of [`BlockDevice`], kept as an alias for downstream code
-/// written against the pre-redesign trait. New code should import
-/// [`BlockDevice`] directly.
-pub use BlockDevice as BlockStorage;
-
 /// A plain in-memory block device, sparse until written.
 ///
 /// # Examples

@@ -19,7 +19,7 @@
 //! * [`crc32c`] — the checksum ext4 applies to extent-tree metadata (and
 //!   pointedly does *not* apply to legacy indirect blocks, which is what the
 //!   paper's end-to-end exploit rides on).
-//! * [`stats`] — counters, simulated-time rate meters, latency histograms.
+//! * [`stats`] — the log-bucketed latency histogram telemetry records into.
 //! * [`telemetry`] — the shared, stack-wide metrics registry and bounded
 //!   event trace every layer records into.
 //! * [`faultplane`] — the seeded fault-injection plane device crates
@@ -69,7 +69,7 @@ mod time;
 pub mod torture;
 mod units;
 
-pub use blockdev::{BlockDevice, BlockStorage, RamDisk, StorageError, StorageResult};
+pub use blockdev::{BlockDevice, RamDisk, StorageError, StorageResult};
 pub use clock::SimClock;
 pub use crc32c::{crc32c, update as crc32c_update};
 pub use time::{SimDuration, SimTime};

@@ -1,101 +1,9 @@
-//! Lightweight measurement helpers: counters, rate meters over simulated
-//! time, and log-bucketed latency histograms.
+//! Log-bucketed latency histograms over simulated durations: the storage
+//! behind every telemetry histogram.
 
 use core::fmt;
 
-use crate::time::{SimDuration, SimTime};
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    #[must_use]
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one event.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current count.
-    #[must_use]
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Counts events against the simulated clock and reports a rate.
-///
-/// # Examples
-///
-/// ```
-/// use ssdhammer_simkit::{stats::RateMeter, SimDuration, SimTime};
-///
-/// let mut m = RateMeter::started_at(SimTime::ZERO);
-/// m.record(1000);
-/// let rate = m.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(1));
-/// assert!((rate - 1_000_000.0).abs() < 1.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateMeter {
-    started: SimTime,
-    events: u64,
-}
-
-impl RateMeter {
-    /// Creates a meter anchored at `start`.
-    #[must_use]
-    pub fn started_at(start: SimTime) -> Self {
-        RateMeter {
-            started: start,
-            events: 0,
-        }
-    }
-
-    /// Records `n` events.
-    pub fn record(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Total events recorded.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per simulated second as of `now`. Returns 0.0 before any time
-    /// has elapsed.
-    #[must_use]
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.started);
-        if dt.is_zero() {
-            0.0
-        } else {
-            self.events as f64 / dt.as_secs_f64()
-        }
-    }
-
-    /// Resets the meter to start counting from `now`.
-    pub fn reset(&mut self, now: SimTime) {
-        self.started = now;
-        self.events = 0;
-    }
-}
+use crate::time::SimDuration;
 
 /// A power-of-two-bucketed histogram of durations, good for latency
 /// distributions across six orders of magnitude without allocation.
@@ -212,36 +120,6 @@ impl fmt::Display for LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn rate_meter_computes_rate() {
-        let mut m = RateMeter::started_at(SimTime::from_nanos(1_000));
-        m.record(500);
-        let now = SimTime::from_nanos(1_000) + SimDuration::from_millis(1);
-        assert!((m.rate_per_sec(now) - 500_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn rate_meter_zero_elapsed_is_zero() {
-        let m = RateMeter::started_at(SimTime::ZERO);
-        assert_eq!(m.rate_per_sec(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn rate_meter_reset() {
-        let mut m = RateMeter::started_at(SimTime::ZERO);
-        m.record(10);
-        m.reset(SimTime::from_nanos(100));
-        assert_eq!(m.events(), 0);
-    }
 
     #[test]
     fn histogram_tracks_mean_and_max() {

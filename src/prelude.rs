@@ -7,7 +7,7 @@
 //! stages, `find_attack_sites`, `AttackParams`), the simulation substrate
 //! (`SimClock`, `SimDuration`,
 //! `Lba`), the batched multi-queue front end (`Command`, `Completion`,
-//! `QueuePairHandle`, `Arbiter`), the deterministic campaign runner
+//! `QueuePairHandle`), the deterministic campaign runner
 //! (`Supervisor`), the storage seam (`BlockDevice`, `RamDisk`), the
 //! shared observability layer (`Telemetry`, `TelemetrySnapshot`), and the
 //! unified [`Error`]/[`Result`] pair.
@@ -41,9 +41,7 @@ pub use ssdhammer_dram::{
 };
 pub use ssdhammer_flash::{FlashArray, FlashGeometry};
 pub use ssdhammer_ftl::{Ftl, FtlConfig, L2pLayout};
-pub use ssdhammer_nvme::{
-    Arbiter, CmdResult, Command, Completion, QueuePairHandle, Ssd, SsdConfig,
-};
+pub use ssdhammer_nvme::{CmdResult, Command, Completion, QueuePairHandle, Ssd, SsdConfig};
 
 pub use ssdhammer_core::{
     find_attack_sites, probe_sites, setup_entries, AttackError, AttackOutcome, AttackParams,
