@@ -22,7 +22,7 @@ use ssdhammer_dram::{
 };
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
-use ssdhammer_nvme::{ScrubberConfig, Ssd, SsdConfig};
+use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
@@ -159,7 +159,7 @@ fn configure(defense: usize, seed: u64) -> SsdConfig {
         }
         _ => base_config(seed)
             .with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
-            .with_scrubber(ScrubberConfig::default()),
+            .with_scrubber(true),
     }
 }
 

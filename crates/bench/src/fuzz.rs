@@ -809,18 +809,6 @@ fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome
 
 // ---- corpus -----------------------------------------------------------------
 
-/// Serializes a minimized case in the corpus file format.
-#[must_use]
-pub fn case_to_json(name: &str, seed: u64, signature: &str, ops: &[FuzzOp]) -> Json {
-    Json::obj([
-        ("schema", Json::str(CASE_SCHEMA)),
-        ("name", Json::str(name)),
-        ("seed", Json::from(seed)),
-        ("signature", Json::str(signature)),
-        ("ops", Json::Arr(ops.iter().map(encode_op).collect())),
-    ])
-}
-
 fn case_from_json(doc: &Json) -> Option<(String, Vec<FuzzOp>)> {
     if doc.get("schema").and_then(Json::as_str) != Some(CASE_SCHEMA) {
         return None;

@@ -50,13 +50,12 @@ fn measure_act_rate(interface: InterfaceGen, seed: u64) -> (f64, f64) {
     config.dram_mapping = MappingKind::Linear;
     config.flash_geometry = FlashGeometry::mib64();
     config.controller.interface = interface;
-    let io_cores = config.controller.io_cores;
     let mut ssd = Ssd::build(config);
     // The paper's attacker drives the device from multiple deep queue pairs;
     // one saturated pair per I/O core lifts `max_iops` to the controller's
     // full multi-queue ceiling, which is the rate this feasibility sweep
     // (and Table 1's minimum-rate check) measures against.
-    for _ in 0..io_cores {
+    for _ in 0..Ssd::IO_CORES {
         let _ = ssd.create_queue_pair(usize::try_from(Ssd::QD_SATURATION).expect("depth"));
     }
     let report = ssd

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ssdhammer_core::LbaRange;
-use ssdhammer_nvme::{NsId, Ssd};
+use ssdhammer_nvme::{Namespace, NsId, Ssd};
 use ssdhammer_simkit::{BlockDevice, Lba, StorageError, StorageResult};
 
 /// A shared handle to the one physical SSD of the host.
@@ -88,6 +88,19 @@ impl PartitionView {
     pub fn ssd(&self) -> &SharedSsd {
         &self.ssd
     }
+
+    /// Runs `op` on the namespace view of this partition, holding the
+    /// device borrow for the one operation.
+    fn with_view<T>(
+        &self,
+        op: impl FnOnce(&mut Namespace<'_>) -> StorageResult<T>,
+    ) -> StorageResult<T> {
+        let mut ssd = self.ssd.borrow_mut();
+        let mut view = ssd.namespace(self.ns).map_err(|e| StorageError::Rejected {
+            reason: e.to_string(),
+        })?;
+        op(&mut view)
+    }
 }
 
 impl BlockDevice for PartitionView {
@@ -99,27 +112,15 @@ impl BlockDevice for PartitionView {
     }
 
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
-        let mut ssd = self.ssd.borrow_mut();
-        let mut view = ssd.namespace(self.ns).map_err(|e| StorageError::Rejected {
-            reason: e.to_string(),
-        })?;
-        view.read(lba, buf)
+        self.with_view(|view| view.read(lba, buf))
     }
 
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
-        let mut ssd = self.ssd.borrow_mut();
-        let mut view = ssd.namespace(self.ns).map_err(|e| StorageError::Rejected {
-            reason: e.to_string(),
-        })?;
-        view.write(lba, buf)
+        self.with_view(|view| view.write(lba, buf))
     }
 
     fn trim(&mut self, lba: Lba) -> StorageResult<()> {
-        let mut ssd = self.ssd.borrow_mut();
-        let mut view = ssd.namespace(self.ns).map_err(|e| StorageError::Rejected {
-            reason: e.to_string(),
-        })?;
-        view.trim(lba)
+        self.with_view(|view| view.trim(lba))
     }
 }
 

@@ -23,6 +23,11 @@ pub enum CloudError {
     Fs(FsError),
     /// A raw partition access failed.
     Storage(StorageError),
+    /// A device LBA outside the tenant's own partition.
+    OutsidePartition {
+        /// The offending device LBA.
+        lba: Lba,
+    },
 }
 
 impl From<NvmeError> for CloudError {
@@ -49,6 +54,7 @@ impl core::fmt::Display for CloudError {
             CloudError::Nvme(e) => write!(f, "nvme: {e}"),
             CloudError::Fs(e) => write!(f, "fs: {e}"),
             CloudError::Storage(e) => write!(f, "storage: {e}"),
+            CloudError::OutsidePartition { lba } => write!(f, "device {lba} outside the partition"),
         }
     }
 }
@@ -306,12 +312,6 @@ impl VictimVm {
             .first()
             .map(|e| Lba(self.range.start.as_u64() + u64::from(e.start))))
     }
-
-    /// The inode of the "sudo" binary (for experiment plumbing).
-    #[must_use]
-    pub fn sudo_ino(&self) -> Ino {
-        self.sudo_ino
-    }
 }
 
 /// Outcome of the victim executing its setuid binary.
@@ -385,13 +385,17 @@ impl AttackerVm {
     ///
     /// # Errors
     ///
-    /// Propagates device errors; fails if any LBA is outside the partition.
+    /// Propagates device errors; [`CloudError::OutsidePartition`] names
+    /// the first LBA outside the partition.
     pub fn hammer_device_lbas(
         &mut self,
         device_lbas: &[Lba],
         requests: u64,
         request_rate: f64,
     ) -> Result<HammerReport, CloudError> {
+        if let Some(&lba) = device_lbas.iter().find(|&&l| !self.range.contains(l)) {
+            return Err(CloudError::OutsidePartition { lba });
+        }
         let relative: Vec<Lba> = device_lbas
             .iter()
             .map(|&l| self.range.to_relative(l))
@@ -468,12 +472,17 @@ mod tests {
         let victim = VictimVm::provision(&s, 2048, 16);
         let mut victim = victim.unwrap();
         let mut attacker = AttackerVm::provision(&s, 2048).unwrap();
-        // A device LBA in the victim partition must be rejected.
+        // A device LBA in the victim partition is rejected by name, and no
+        // read of the burst reaches the device.
         let victim_lba = victim.range().start;
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            attacker.hammer_device_lbas(&[victim_lba], 10, 1000.0)
-        }));
-        assert!(result.is_err(), "out-of-partition hammering must fail");
+        let own_lba = attacker.range.start;
+        let submissions = || s.borrow().telemetry().counter("nvme.submissions").get();
+        let before = submissions();
+        assert_eq!(
+            attacker.hammer_device_lbas(&[own_lba, victim_lba], 10, 1000.0),
+            Err(CloudError::OutsidePartition { lba: victim_lba })
+        );
+        assert_eq!(submissions(), before);
         let _ = victim.fs();
     }
 }

@@ -194,12 +194,6 @@ impl AttackPipeline {
         self
     }
 
-    /// The victim's registry name.
-    #[must_use]
-    pub fn victim_name(&self) -> &'static str {
-        self.victim.name()
-    }
-
     /// Applies the victim's device requirements to a build config (call
     /// before `Ssd::build` when constructing a device for this pipeline).
     pub fn configure(&self, config: &mut SsdConfig) {

@@ -130,7 +130,7 @@ impl Victim for L2pEntries {
         let dram = ftl.dram();
         let mapping = dram.mapping();
         let row_bytes = u64::from(mapping.geometry().row_bytes);
-        let base = ftl.config().l2p_base.as_u64();
+        let base = ftl.table().base().as_u64();
         let end = base + ftl.table().size_bytes();
         let mut rows = BTreeSet::new();
         let mut addr = base - base % row_bytes;

@@ -87,7 +87,7 @@ pub fn find_attack_sites(ftl: &Ftl, max_sites: usize) -> Vec<AttackSite> {
 pub(crate) fn l2p_rows(ftl: &Ftl) -> BTreeSet<RowKey> {
     let mapping = ftl.dram().mapping();
     let row_bytes = u64::from(mapping.geometry().row_bytes);
-    let base = ftl.config().l2p_base.as_u64();
+    let base = ftl.table().base().as_u64();
     let end = base + ftl.table().size_bytes();
     (base - base % row_bytes..end)
         .step_by(row_bytes as usize)

@@ -40,6 +40,12 @@ use crate::profile::{ModuleProfile, RowPolicy};
 use crate::trr::TrrConfig;
 use crate::weakcells::{weak_cells_for_row, WeakCell};
 
+/// Access latency when the row buffer already holds the row.
+const T_ROW_HIT: SimDuration = SimDuration::from_nanos(15);
+
+/// Access latency including precharge + activate on a row-buffer miss.
+const T_ROW_MISS: SimDuration = SimDuration::from_nanos(45);
+
 /// Errors surfaced by DRAM accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -785,7 +791,7 @@ impl DramModule {
         self.discount[lane] = self.raw_pressure(key);
         self.open_rows[key.bank as usize] = key.row;
         if self.timing_enabled {
-            self.clock.advance(self.profile.t_row_miss * n);
+            self.clock.advance(T_ROW_MISS * n);
         }
         Ok(())
     }
@@ -889,12 +895,8 @@ impl DramModule {
     /// Advances the clock by the access latency, when timing is enabled.
     fn charge_access_time(&mut self, row_hit: bool) {
         if self.timing_enabled {
-            let d = if row_hit {
-                self.profile.t_row_hit
-            } else {
-                self.profile.t_row_miss
-            };
-            self.clock.advance(d);
+            self.clock
+                .advance(if row_hit { T_ROW_HIT } else { T_ROW_MISS });
         }
     }
 

@@ -87,10 +87,6 @@ pub struct ModuleProfile {
     pub distance2_factor: f64,
     /// Refresh window (64 ms unless a mitigation shortens it).
     pub refresh_interval: SimDuration,
-    /// Access latency when the row buffer already holds the row.
-    pub t_row_hit: SimDuration,
-    /// Access latency including precharge + activate on a row-buffer miss.
-    pub t_row_miss: SimDuration,
     /// Row-buffer policy.
     pub row_policy: RowPolicy,
 }
@@ -123,8 +119,6 @@ impl ModuleProfile {
             weak_cells_per_row: 2.0,
             distance2_factor: 0.0,
             refresh_interval: refresh,
-            t_row_hit: SimDuration::from_nanos(15),
-            t_row_miss: SimDuration::from_nanos(45),
             row_policy: RowPolicy::OpenPage,
         }
     }

@@ -345,25 +345,14 @@ impl FlashArray {
         self.tel = FlashHandles::bind(telemetry.clone());
     }
 
-    /// Program/erase endurance per block.
-    #[must_use]
-    pub fn max_pe_cycles(&self) -> u32 {
-        self.max_pe_cycles
-    }
-
     /// Overrides the endurance limit (for wear tests).
     pub fn set_max_pe_cycles(&mut self, cycles: u32) {
         self.max_pe_cycles = cycles;
     }
 
-    /// Reads a block tolerates between erases before read disturb corrupts
-    /// returned data.
-    #[must_use]
-    pub fn read_disturb_limit(&self) -> u64 {
-        self.read_disturb_limit
-    }
-
-    /// Overrides the read-disturb tolerance (for tests and FTL tuning).
+    /// Overrides the read-disturb tolerance: the reads a block tolerates
+    /// between erases before read disturb corrupts returned data (for tests
+    /// and FTL tuning).
     pub fn set_read_disturb_limit(&mut self, limit: u64) {
         assert!(limit > 0, "limit must be positive");
         self.read_disturb_limit = limit;
@@ -429,11 +418,11 @@ impl FlashArray {
     /// are never mutated, so the caller may keep it, compare it, or program
     /// it into another page ([`PageBytes::Shared`]) at no cost.
     ///
-    /// Each read disturbs the block slightly; past
-    /// [`FlashArray::read_disturb_limit`] reads since the last erase, the
-    /// returned data is a private copy carrying deterministic bit errors
-    /// whose count grows with the excess (the stored charge degrades — only
-    /// an erase heals it).
+    /// Each read disturbs the block slightly; past the read-disturb limit
+    /// ([`FlashArray::set_read_disturb_limit`]) of reads since the last
+    /// erase, the returned data is a private copy carrying deterministic bit
+    /// errors whose count grows with the excess (the stored charge degrades
+    /// — only an erase heals it).
     ///
     /// # Errors
     ///

@@ -32,15 +32,15 @@
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
 
-use ssdhammer_simkit::bytes::le_u32;
+use ssdhammer_simkit::record::word;
 use ssdhammer_simkit::telemetry::{CounterHandle, Telemetry};
 use ssdhammer_simkit::{BlockDevice, Lba, BLOCK_SIZE};
 
 use crate::error::{FsError, FsResult};
 use crate::layout::{
-    name_hash, word, AddressingMode, DirIndex, Dirent, DirentRef, Extent, FileType, FsBlock, Ino,
-    Inode, InodeMap, SuperBlock, DIRECT_PTRS, DIRENT_SIZE, DIR_INDEX_LIMIT, EXTENT_MAGIC,
-    INLINE_EXTENTS, INODES_PER_BLOCK, INODE_SIZE, MAX_NAME, PTRS_PER_BLOCK, ROOT_INO,
+    name_hash, AddressingMode, DirIndex, Dirent, DirentRef, Extent, FileType, FsBlock, Ino, Inode,
+    InodeMap, SuperBlock, DIRECT_PTRS, DIRENT_SIZE, DIR_INDEX_LIMIT, EXTENT_MAGIC, INLINE_EXTENTS,
+    INODES_PER_BLOCK, INODE_SIZE, MAX_NAME, PTRS_PER_BLOCK, ROOT_INO,
 };
 
 /// Extents per depth-1 leaf block: header(12) + n·12 + crc(4) ≤ 4096.
@@ -610,7 +610,7 @@ impl<S: BlockDevice> FileSystem<S> {
                 "extent leaf magic {magic:#06x}"
             )));
         }
-        let stored = le_u32(buf, BLOCK_SIZE - 4);
+        let stored = word(buf, BLOCK_SIZE / 4 - 1);
         if ssdhammer_simkit::crc32c(&buf[..BLOCK_SIZE - 4]) != stored {
             return Err(FsError::Corrupted("extent leaf checksum mismatch".into()));
         }
@@ -629,8 +629,9 @@ impl<S: BlockDevice> FileSystem<S> {
         let mut buf = [0u8; BLOCK_SIZE];
         self.read_raw_into(block, &mut buf)?;
         let entries = Self::check_extent_leaf(&buf)?;
-        Ok(buf[12..12 + entries * 12]
-            .chunks_exact(12)
+        let (records, _) = buf[12..12 + entries * 12].as_chunks::<12>();
+        Ok(records
+            .iter()
             .map(|e| Extent {
                 logical: word(e, 0),
                 len: word(e, 1),
@@ -1416,12 +1417,13 @@ fn nonzero(b: FsBlock) -> Option<FsBlock> {
 }
 
 fn read_ptr(buf: &[u8; BLOCK_SIZE], index: usize) -> FsBlock {
-    le_u32(buf, index * 4)
+    word(buf, index)
 }
 
 /// The nonzero pointers of an indirect block, in order.
 fn nonzero_ptrs(buf: &[u8; BLOCK_SIZE]) -> impl Iterator<Item = FsBlock> + '_ {
-    buf.chunks_exact(4).map(|p| word(p, 0)).filter(|&p| p != 0)
+    let (ptrs, _) = buf.as_chunks::<4>();
+    ptrs.iter().map(|p| word(p, 0)).filter(|&p| p != 0)
 }
 
 fn write_ptr(buf: &mut [u8; BLOCK_SIZE], index: usize, value: FsBlock) {

@@ -11,7 +11,7 @@
 //!   Our indirect blocks are raw arrays of block pointers with no integrity
 //!   protection whatsoever, faithfully reproducing the exploited weakness.
 
-use ssdhammer_simkit::bytes::{le_u32, le_u64};
+use ssdhammer_simkit::record::{dword, word};
 use ssdhammer_simkit::{crc32c, BLOCK_SIZE};
 
 use crate::error::{FsError, FsResult};
@@ -265,14 +265,16 @@ impl Inode {
     /// [`FsError::Corrupted`] on bad magic, bad type bits, impossible
     /// extent counts, or extent checksum mismatch.
     pub fn decode(buf: &[u8; INODE_SIZE]) -> FsResult<Inode> {
+        // The map area starts at byte 24: word 6 of the inode.
+        const AREA: usize = 6;
         let mode = u16::from_le_bytes([buf[0], buf[1]]);
         let ftype = FileType::from_bits(mode)?;
         let perms = u16::from_le_bytes([buf[2], buf[3]]);
-        let uid = le_u32(buf, 4);
+        let uid = word(buf, 1);
         let links = u16::from_le_bytes([buf[8], buf[9]]);
-        let size = le_u64(buf, 12);
-        let tag = le_u32(buf, 20);
-        let area = &buf[24..];
+        let size = dword(buf, 3);
+        let tag = word(buf, 5);
+        let area = &buf[4 * AREA..];
         let map = match tag {
             1 => {
                 let magic = u16::from_le_bytes([area[0], area[1]]);
@@ -286,9 +288,9 @@ impl Inode {
                     )));
                 }
                 let depth = u16::from_le_bytes([area[6], area[7]]);
-                let leaf_raw = le_u32(area, 8);
+                let leaf_raw = word(buf, AREA + 2);
                 let tail = 12 + INLINE_EXTENTS * 12;
-                let stored = le_u32(area, tail);
+                let stored = word(buf, AREA + tail / 4);
                 let computed = crc32c(&area[..tail]);
                 if stored != computed {
                     return Err(FsError::Corrupted(
@@ -296,14 +298,13 @@ impl Inode {
                     ));
                 }
                 let mut inline = Vec::with_capacity(entries);
-                let mut off = 12;
-                for _ in 0..entries {
+                for k in 0..entries {
+                    let w = AREA + 3 + 3 * k;
                     inline.push(Extent {
-                        logical: le_u32(area, off),
-                        len: le_u32(area, off + 4),
-                        start: le_u32(area, off + 8),
+                        logical: word(buf, w),
+                        len: word(buf, w + 1),
+                        start: word(buf, w + 2),
                     });
-                    off += 12;
                 }
                 InodeMap::Extents {
                     inline,
@@ -313,12 +314,12 @@ impl Inode {
             2 => {
                 let mut direct = [0u32; DIRECT_PTRS];
                 for (i, d) in direct.iter_mut().enumerate() {
-                    *d = le_u32(area, i * 4);
+                    *d = word(buf, AREA + i);
                 }
                 InodeMap::Indirect {
                     direct,
-                    single: le_u32(area, 48),
-                    double: le_u32(area, 52),
+                    single: word(buf, AREA + 12),
+                    double: word(buf, AREA + 13),
                 }
             }
             other => {
@@ -424,15 +425,15 @@ impl SuperBlock {
     ///
     /// [`FsError::Corrupted`] on bad magic or checksum.
     pub fn decode(buf: &[u8; BLOCK_SIZE]) -> FsResult<SuperBlock> {
-        let magic = le_u32(buf, 0);
+        let magic = word(buf, 0);
         if magic != FS_MAGIC {
             return Err(FsError::Corrupted(format!("bad fs magic {magic:#x}")));
         }
-        let stored = le_u32(buf, 60);
+        let stored = word(buf, 15);
         if crc32c(&buf[..40]) != stored {
             return Err(FsError::Corrupted("superblock checksum mismatch".into()));
         }
-        let f = |i: usize| le_u32(buf, 4 + i * 4);
+        let f = |i: usize| word(buf, 1 + i);
         Ok(SuperBlock {
             total_blocks: f(0),
             inode_count: f(1),
@@ -503,14 +504,18 @@ pub struct DirentRef<'a> {
 }
 
 impl<'a> DirentRef<'a> {
-    /// Deserializes from [`DIRENT_SIZE`] bytes without allocating. A zero
-    /// inode yields `None` (free slot).
+    /// Deserializes from the first [`DIRENT_SIZE`] bytes of `buf` without
+    /// allocating. A zero inode yields `None` (free slot).
     ///
     /// # Errors
     ///
-    /// [`FsError::Corrupted`] on malformed entries.
+    /// [`FsError::Corrupted`] on malformed entries or a buffer shorter than
+    /// one entry.
     pub fn decode(buf: &'a [u8]) -> FsResult<Option<DirentRef<'a>>> {
-        let ino = le_u32(buf, 0);
+        let Some(buf) = buf.first_chunk::<DIRENT_SIZE>() else {
+            return Err(FsError::Corrupted(format!("dirent of {} bytes", buf.len())));
+        };
+        let ino = word(buf, 0);
         if ino == 0 {
             return Ok(None);
         }
@@ -543,18 +548,6 @@ impl<'a> DirentRef<'a> {
             name: self.name.to_owned(),
         }
     }
-}
-
-/// The `i`-th little-endian `u32` of `bytes`. Decoders run it over
-/// `chunks_exact` of a whole block, where it compiles to one load;
-/// [`le_u32`]'s bounds-tolerant copy costs several nanoseconds per field.
-pub(crate) fn word(bytes: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes([
-        bytes[4 * i],
-        bytes[4 * i + 1],
-        bytes[4 * i + 2],
-        bytes[4 * i + 3],
-    ])
 }
 
 /// The hash that places `name` in its directory's index: the CRC-32C of
@@ -628,7 +621,7 @@ impl DirIndex {
     /// above the limit, hashes that do not start at 0 and strictly
     /// increase, or a leaf outside the directory's blocks `1..blocks`.
     pub fn decode(buf: &[u8; BLOCK_SIZE], blocks: u32) -> FsResult<DirIndex> {
-        let magic = le_u32(buf, 0);
+        let magic = word(buf, 0);
         if magic != DIR_INDEX_MAGIC {
             return Err(FsError::Corrupted(format!(
                 "bad directory index magic {magic:#x}"
@@ -642,8 +635,8 @@ impl DirIndex {
             )));
         }
         let mut entries: Vec<(u32, u32)> = Vec::with_capacity(count);
-        let pairs = buf[DIR_INDEX_HEADER..DIR_INDEX_HEADER + count * 8].chunks_exact(8);
-        for (i, pair) in pairs.enumerate() {
+        let (pairs, _) = buf[DIR_INDEX_HEADER..DIR_INDEX_HEADER + count * 8].as_chunks::<8>();
+        for (i, pair) in pairs.iter().enumerate() {
             let (hash, leaf) = (word(pair, 0), word(pair, 1));
             let in_order = match entries.last() {
                 None => hash == 0,

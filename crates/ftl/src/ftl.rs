@@ -11,12 +11,13 @@ use std::sync::Arc;
 use ssdhammer_dram::{DramError, DramModule, EccOutcome, HammerOptions, HammerReport};
 use ssdhammer_flash::{BlockId, FlashArray, FlashError, PageBytes, Ppn};
 use ssdhammer_simkit::faultplane::FaultPlane;
+use ssdhammer_simkit::record::{dword, word};
 use ssdhammer_simkit::rng::derive_seed;
 use ssdhammer_simkit::telemetry::{CounterHandle, GaugeHandle, Telemetry};
 use ssdhammer_simkit::{DramAddr, Lba, SimClock, SimTime, BLOCK_SIZE};
 
 use crate::integrity::{IntegrityMode, IntegrityPlane, VerifyOutcome};
-use crate::journal::{self, dword, word, JournalEntry};
+use crate::journal::{self, JournalEntry};
 use crate::l2p::{L2pLayout, L2pTable};
 use crate::meta::{MetaKind, MetaPlane};
 
@@ -193,18 +194,17 @@ pub const CRASH_SITES: &[&str] = &[
     "ftl.crash.l2p_flush",
 ];
 
+/// DRAM byte address where the L2P table starts: the bottom of DRAM.
+const L2P_BASE: DramAddr = DramAddr(0);
+
+/// Garbage collection starts when the free-block count drops to this.
+const GC_FREE_THRESHOLD: usize = 2;
+
 /// FTL construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FtlConfig {
     /// L2P placement policy.
     pub l2p_layout: L2pLayout,
-    /// DRAM byte address where the L2P table starts.
-    pub l2p_base: DramAddr,
-    /// Blocks reserved as overprovisioning (not exported). `0` selects an
-    /// automatic 1/16 of all blocks (min 2).
-    pub overprovision_blocks: u32,
-    /// Garbage collection starts when the free-block count drops to this.
-    pub gc_free_threshold: u32,
     /// DRAM activations of the entry's row per host I/O. The paper's SPDK
     /// prototype amplified to 5 per request to compensate for its slow
     /// testbed (§4.1); real firmware corresponds to 1.
@@ -257,9 +257,6 @@ impl Default for FtlConfig {
     fn default() -> Self {
         FtlConfig {
             l2p_layout: L2pLayout::Linear,
-            l2p_base: DramAddr(0),
-            overprovision_blocks: 0,
-            gc_free_threshold: 2,
             hammer_amplification: 1,
             unmapped_fast_path: true,
             // Half the flash default tolerance: hot metadata pages (e.g. a
@@ -287,27 +284,6 @@ impl FtlConfig {
     #[must_use]
     pub fn with_l2p_layout(mut self, layout: L2pLayout) -> Self {
         self.l2p_layout = layout;
-        self
-    }
-
-    /// Replaces the DRAM byte address where the L2P table starts.
-    #[must_use]
-    pub fn with_l2p_base(mut self, base: DramAddr) -> Self {
-        self.l2p_base = base;
-        self
-    }
-
-    /// Replaces the overprovisioning reservation (`0` = automatic 1/16).
-    #[must_use]
-    pub fn with_overprovision_blocks(mut self, blocks: u32) -> Self {
-        self.overprovision_blocks = blocks;
-        self
-    }
-
-    /// Replaces the garbage-collection trigger threshold.
-    #[must_use]
-    pub fn with_gc_free_threshold(mut self, threshold: u32) -> Self {
-        self.gc_free_threshold = threshold;
         self
     }
 
@@ -636,7 +612,7 @@ fn encode_oob(lba: Lba, seq: u64, guard: u32) -> [u8; OOB_BYTES] {
 /// treats as "no data page here".
 fn decode_oob(oob: &[u8]) -> (Lba, u64, u32) {
     match oob.first_chunk::<OOB_BYTES>() {
-        Some(record) => (Lba(dword(record, 0)), dword(record, 1), word(record, 4)),
+        Some(record) => (Lba(dword(record, 0)), dword(record, 2), word(record, 4)),
         None => (Lba(u64::MAX), u64::MAX, u32::MAX),
     }
 }
@@ -745,11 +721,8 @@ impl Ftl {
             "flash too large for 32-bit L2P entries"
         );
         let mut good = nand.good_blocks();
-        let op = if config.overprovision_blocks == 0 {
-            ((geometry.total_blocks() / 16) as u32).max(2)
-        } else {
-            config.overprovision_blocks
-        };
+        // Overprovisioning (not exported): 1/16 of all blocks, at least 2.
+        let op = ((geometry.total_blocks() / 16) as u32).max(2);
         // Journaling reserves whole blocks off the top of the good list
         // (the highest ids, so data blocks keep their usual placement).
         let journal_reserve = if config.journal_checkpoint_every > 0 {
@@ -764,12 +737,10 @@ impl Ftl {
         let journal_region = good.split_off(good.len() - journal_reserve);
         let exported_lbas =
             (good.len() as u64 - u64::from(op)) * u64::from(geometry.pages_per_block);
-        let table = L2pTable::new(config.l2p_base, exported_lbas, config.l2p_layout);
+        let table = L2pTable::new(L2P_BASE, exported_lbas, config.l2p_layout);
         let dram_cap = dram.mapping().geometry().total_bytes().as_u64();
-        if config.l2p_base.as_u64() + table.size_bytes() > dram_cap {
-            return Err(FtlError::Dram(DramError::OutOfRange {
-                addr: config.l2p_base,
-            }));
+        if L2P_BASE.as_u64() + table.size_bytes() > dram_cap {
+            return Err(FtlError::Dram(DramError::OutOfRange { addr: L2P_BASE }));
         }
         table.init(&mut dram)?;
         // The integrity plane claims the far end of DRAM — distant rows the
@@ -777,7 +748,7 @@ impl Ftl {
         let integrity = if config.integrity == IntegrityMode::Off {
             None
         } else {
-            let primary_end = config.l2p_base.as_u64() + table.size_bytes();
+            let primary_end = L2P_BASE.as_u64() + table.size_bytes();
             let plane = IntegrityPlane::plan(
                 config.integrity,
                 table.size_bytes() / 4,
@@ -800,14 +771,14 @@ impl Ftl {
         // small, fall back to row-aligned regions after the table, below the
         // integrity plane's reservation at the top of DRAM.
         let meta = if config.meta_resident {
-            let primary_end = config.l2p_base.as_u64() + table.size_bytes();
+            let primary_end = L2P_BASE.as_u64() + table.size_bytes();
             let limit = integrity
                 .as_ref()
                 .map_or(dram_cap, |p| p.region_start().as_u64());
             let row_bytes = u64::from(dram.mapping().geometry().row_bytes);
             let tail_free =
                 config.l2p_layout == L2pLayout::Linear && config.integrity == IntegrityMode::Off;
-            let entries_end = config.l2p_base.as_u64() + exported_lbas * 4;
+            let entries_end = L2P_BASE.as_u64() + exported_lbas * 4;
             let plane = tail_free
                 .then(|| MetaPlane::plan_packed(geometry.total_blocks(), entries_end, primary_end))
                 .flatten()
@@ -2080,7 +2051,7 @@ impl Ftl {
     /// the free pool is above the threshold (or no further progress is
     /// possible).
     fn maybe_gc(&mut self) -> Result<(), FtlError> {
-        while (self.free_blocks.len() as u32) <= self.config.gc_free_threshold {
+        while self.free_blocks.len() <= GC_FREE_THRESHOLD {
             // Victim: sealed block with fewest valid pages.
             let Some((idx, &victim)) =
                 self.sealed_blocks.iter().enumerate().min_by_key(|(_, &b)| {
@@ -2153,16 +2124,10 @@ mod tests {
     fn builder_setters_override_defaults() {
         let c = FtlConfig::default()
             .with_l2p_layout(L2pLayout::Hashed { key: 9 })
-            .with_l2p_base(DramAddr(4096))
-            .with_overprovision_blocks(4)
-            .with_gc_free_threshold(3)
             .with_hammer_amplification(5)
             .with_unmapped_fast_path(false)
             .with_read_refresh_threshold(None)
             .with_dif(true);
-        assert_eq!(c.l2p_base, DramAddr(4096));
-        assert_eq!(c.overprovision_blocks, 4);
-        assert_eq!(c.gc_free_threshold, 3);
         assert_eq!(c.hammer_amplification, 5);
         assert!(!c.unmapped_fast_path);
         assert_eq!(c.read_refresh_threshold, None);

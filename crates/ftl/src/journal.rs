@@ -22,6 +22,7 @@
 //! [`FtlConfig::journal_checkpoint_every`]: crate::FtlConfig::journal_checkpoint_every
 
 use ssdhammer_simkit::crc32c;
+use ssdhammer_simkit::record::{dword, word};
 
 /// Sentinel OOB LBA marking a page as journal payload rather than data.
 pub(crate) const JOURNAL_LBA_MARKER: u64 = u64::MAX - 1;
@@ -55,24 +56,6 @@ pub(crate) struct JournalEntry {
 pub(crate) struct DecodedPage {
     pub entries: Vec<JournalEntry>,
     pub torn: bool,
-}
-
-/// Little-endian `u32` word `i` (bytes `4i..4i + 4`) of a fixed-width
-/// record. The record's type fixes its length, so a decoder checks the
-/// length once when it takes the record, not once per field.
-pub(crate) fn word<const N: usize>(record: &[u8; N], i: usize) -> u32 {
-    u32::from_le_bytes([
-        record[4 * i],
-        record[4 * i + 1],
-        record[4 * i + 2],
-        record[4 * i + 3],
-    ])
-}
-
-/// Little-endian `u64` double word `i` (bytes `8i..8i + 8`) of a
-/// fixed-width record; see [`word`].
-pub(crate) fn dword<const N: usize>(record: &[u8; N], i: usize) -> u64 {
-    u64::from(word(record, 2 * i)) | u64::from(word(record, 2 * i + 1)) << 32
 }
 
 /// Entries that fit one journal page of `page_bytes`.
@@ -156,7 +139,7 @@ pub(crate) fn decode_page_with(page: &[u8], verify_crc: bool) -> DecodedPage {
         }
         entries.push(JournalEntry {
             lba: dword(record, 0),
-            seq: dword(record, 1),
+            seq: dword(record, 2),
             ppn: word(record, 4),
         });
     }

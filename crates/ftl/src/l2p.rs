@@ -76,10 +76,10 @@ impl L2pTable {
         self.slots * 4
     }
 
-    /// The layout in use.
+    /// DRAM byte address where the table starts.
     #[must_use]
-    pub fn layout(&self) -> L2pLayout {
-        self.layout
+    pub fn base(&self) -> DramAddr {
+        self.base
     }
 
     /// Keyed affine bijection over the slot space (odd multiplier mod 2^k).

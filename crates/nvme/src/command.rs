@@ -366,50 +366,35 @@ impl core::fmt::Display for InterfaceGen {
 
 /// How the controller handles commands that miss their completion deadline
 /// (injected via the `nvme.timeout` fault site): each timed-out attempt
-/// costs `timeout` of simulated time, then the command is retried after an
-/// exponentially growing backoff (`backoff << attempt`) up to `max_retries`
-/// times before completing with [`NvmeError::Timeout`]. All delays advance
-/// the simulation clock — never the wall clock.
+/// costs [`RetryPolicy::TIMEOUT`] of simulated time, then the command is
+/// retried after an exponentially growing backoff
+/// ([`RetryPolicy::BACKOFF`]` << attempt`) up to `max_retries` times before
+/// completing with [`NvmeError::Timeout`]. All delays advance the
+/// simulation clock — never the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retries after the first timed-out attempt before failing the command.
     pub max_retries: u32,
-    /// Completion deadline charged per timed-out attempt.
-    pub timeout: SimDuration,
-    /// Base backoff before a retry; doubles per attempt.
-    pub backoff: SimDuration,
 }
 
 impl RetryPolicy {
+    /// Completion deadline charged per timed-out attempt.
+    pub const TIMEOUT: SimDuration = SimDuration::from_micros(500);
+
+    /// Base backoff before a retry; doubles per attempt.
+    pub const BACKOFF: SimDuration = SimDuration::from_micros(50);
+
     /// Sets the retry budget.
     #[must_use]
     pub fn with_max_retries(mut self, retries: u32) -> Self {
         self.max_retries = retries;
         self
     }
-
-    /// Sets the per-attempt completion deadline.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: SimDuration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Sets the base retry backoff (doubles per attempt).
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: SimDuration) -> Self {
-        self.backoff = backoff;
-        self
-    }
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            timeout: SimDuration::from_micros(500),
-            backoff: SimDuration::from_micros(50),
-        }
+        RetryPolicy { max_retries: 3 }
     }
 }
 
@@ -422,11 +407,6 @@ pub struct ControllerConfig {
     /// IOs below the rowhammering access rate" mitigation. Commands are
     /// delayed, not rejected.
     pub rate_limit_iops: Option<f64>,
-    /// I/O processing cores on the controller: the upper bound on how many
-    /// saturated queue pairs can be serviced concurrently, and therefore on
-    /// the multi-queue IOPS ceiling `max_iops` reports (§2.3's feasibility
-    /// argument assumes the host drives multiple queue pairs).
-    pub io_cores: u32,
     /// Timeout/retry handling for commands the fault plane stalls.
     pub retry: RetryPolicy,
 }
@@ -445,7 +425,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             interface: InterfaceGen::Pcie4,
             rate_limit_iops: None,
-            io_cores: 4,
             retry: RetryPolicy::default(),
         }
     }

@@ -26,9 +26,11 @@
 //! * [`Ssd::hammer_reads`] is the aggregated attack path; it rides the same
 //!   batch machinery as a [`Command::VendorHammer`] burst and honours the
 //!   same service-rate bounds as per-command submission.
-//! * [`Ssd`] and [`Namespace`] implement
-//!   [`ssdhammer_simkit::BlockDevice`], so the ext4-like filesystem mounts
-//!   directly on the whole drive or on one namespace.
+//! * [`Namespace`] implements [`ssdhammer_simkit::BlockDevice`], so the
+//!   ext4-like filesystem mounts on one namespace. The view and the
+//!   read/write/trim commands share one data path: namespace translation,
+//!   the tenant cipher, the FTL write and trim, and the error
+//!   classification.
 //!
 //! # Examples
 //!
@@ -59,4 +61,4 @@ pub use command::{
     CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, InterfaceGen, NsId,
     NvmeError, QpId, QueuePairHandle, RetryPolicy,
 };
-pub use ssd::{Namespace, ScrubberConfig, Ssd, SsdConfig};
+pub use ssd::{Namespace, Ssd, SsdConfig};

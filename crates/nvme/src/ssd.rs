@@ -9,7 +9,7 @@ use ssdhammer_dram::{
     ParaConfig, TrrConfig,
 };
 use ssdhammer_flash::{FlashArray, FlashGeometry, FlashTiming};
-use ssdhammer_ftl::{Ftl, FtlConfig, ReadOutcome};
+use ssdhammer_ftl::{Ftl, FtlConfig, FtlError, ReadOutcome};
 use ssdhammer_simkit::{
     faultplane::{FaultPlane, FaultPlaneConfig},
     telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Telemetry, TelemetrySnapshot},
@@ -18,63 +18,34 @@ use ssdhammer_simkit::{
 
 use crate::command::{
     CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, NsId, NvmeError,
-    QpId, QueuePairHandle,
+    QpId, QueuePairHandle, RetryPolicy,
 };
 
-/// Background patrol-scrubber schedule.
-///
-/// Every `interval` of simulated time the controller steals a slice of its
-/// service capacity to run one [`Ftl::scrub_chunk`]: `chunk_entries` L2P
-/// entries are read through the verified path (DRAM ECC and the integrity
-/// plane classify and repair what they can) and `flash_reads_per_chunk`
-/// patrol reads sweep mapped flash pages through the recovery path. The
-/// stolen slice shows up in [`Ssd::max_iops`] as a duty-cycle reduction —
-/// scrubbing is not free, which is exactly the trade §5's mitigation
-/// discussion prices.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScrubberConfig {
-    /// Simulated time between scrub chunks.
-    pub interval: SimDuration,
-    /// L2P entries verified per chunk.
-    pub chunk_entries: u64,
-    /// Flash patrol reads issued per chunk.
-    pub flash_reads_per_chunk: u32,
-}
+// Background patrol-scrubber schedule. Every `SCRUB_INTERVAL` of simulated
+// time the controller steals a slice of its service capacity to run one
+// [`Ftl::scrub_chunk`]: `SCRUB_CHUNK_ENTRIES` L2P entries are read through
+// the verified path (DRAM ECC and the integrity plane classify and repair
+// what they can) and `SCRUB_FLASH_READS` patrol reads sweep mapped flash
+// pages through the recovery path. One 512-entry chunk plus two patrol
+// reads every 50 ms sweeps a 4 Ki-entry table in under half a second while
+// costing the controller well under 1% of its service capacity. The stolen
+// slice shows up in [`Ssd::max_iops`] as a duty-cycle reduction — scrubbing
+// is not free, which is exactly the trade §5's mitigation discussion prices.
+const SCRUB_INTERVAL: SimDuration = SimDuration::from_millis(50);
+const SCRUB_CHUNK_ENTRIES: u64 = 512;
+const SCRUB_FLASH_READS: u32 = 2;
 
-impl Default for ScrubberConfig {
-    fn default() -> Self {
-        // One 512-entry chunk plus two patrol reads every 50 ms sweeps a
-        // 4 Ki-entry table in under half a second while costing the
-        // controller well under 1% of its service capacity.
-        ScrubberConfig {
-            interval: SimDuration::from_millis(50),
-            chunk_entries: 512,
-            flash_reads_per_chunk: 2,
-        }
-    }
-}
-
-impl ScrubberConfig {
-    /// Sets the entries verified per chunk.
-    #[must_use]
-    pub fn with_chunk_entries(mut self, entries: u64) -> Self {
-        self.chunk_entries = entries;
-        self
-    }
-
-    /// Fraction of controller service time a chunk consumes, given the
-    /// device's flash read latency: the duty cycle [`Ssd::max_iops`]
-    /// subtracts. An uncached L2P entry check costs one DRAM activation
-    /// (~60 ns); a patrol read costs a full tR + transfer.
-    #[must_use]
-    pub fn duty_fraction(&self, flash_read: SimDuration) -> f64 {
-        const ENTRY_CHECK_NANOS: f64 = 60.0;
-        let busy = (self.chunk_entries as f64).mul_add(
-            ENTRY_CHECK_NANOS,
-            f64::from(self.flash_reads_per_chunk) * flash_read.as_nanos() as f64,
-        );
-        (busy / self.interval.as_nanos() as f64).min(0.9)
-    }
+/// Fraction of controller service time the scrubber consumes, given the
+/// device's flash read latency: the duty cycle [`Ssd::max_iops`]
+/// subtracts. An uncached L2P entry check costs one DRAM activation
+/// (~60 ns); a patrol read costs a full tR + transfer.
+fn scrub_duty(flash_read: SimDuration) -> f64 {
+    const ENTRY_CHECK_NANOS: f64 = 60.0;
+    let busy = (SCRUB_CHUNK_ENTRIES as f64).mul_add(
+        ENTRY_CHECK_NANOS,
+        f64::from(SCRUB_FLASH_READS) * flash_read.as_nanos() as f64,
+    );
+    (busy / SCRUB_INTERVAL.as_nanos() as f64).min(0.9)
 }
 
 /// Full device configuration.
@@ -92,8 +63,8 @@ pub struct SsdConfig {
     pub trr: Option<TrrConfig>,
     /// Optional PARA (probabilistic adjacent-row activation) on the DRAM.
     pub para: Option<ParaConfig>,
-    /// Optional background patrol scrubber.
-    pub scrubber: Option<ScrubberConfig>,
+    /// Background patrol scrubber on or off.
+    pub scrubber: bool,
     /// NAND organization.
     pub flash_geometry: FlashGeometry,
     /// NAND latencies.
@@ -125,7 +96,7 @@ impl SsdConfig {
             ecc: None,
             trr: None,
             para: None,
-            scrubber: None,
+            scrubber: false,
             flash_geometry: FlashGeometry::gib1(),
             flash_timing: FlashTiming::default(),
             ftl: FtlConfig::default(),
@@ -147,7 +118,7 @@ impl SsdConfig {
             ecc: None,
             trr: None,
             para: None,
-            scrubber: None,
+            scrubber: false,
             flash_geometry: FlashGeometry::mib64(),
             flash_timing: FlashTiming::default(),
             ftl: FtlConfig::default(),
@@ -205,10 +176,10 @@ impl SsdConfig {
         self
     }
 
-    /// Enables the background patrol scrubber.
+    /// Switches the background patrol scrubber on or off.
     #[must_use]
-    pub fn with_scrubber(mut self, scrubber: ScrubberConfig) -> Self {
-        self.scrubber = Some(scrubber);
+    pub fn with_scrubber(mut self, on: bool) -> Self {
+        self.scrubber = on;
         self
     }
 
@@ -383,9 +354,9 @@ pub struct Ssd {
     /// Earliest instant the controller may begin the next command
     /// (service-rate / rate-limit modeling).
     next_service: SimTime,
-    /// Background scrubber schedule, if enabled.
-    scrubber: Option<ScrubberConfig>,
-    /// Next instant a scrub chunk is owed.
+    /// Whether the background scrubber runs.
+    scrubber: bool,
+    /// Next instant a scrub chunk is owed, when the scrubber runs.
     next_scrub: SimTime,
     /// Service capacity the scrubber steals (precomputed from the flash
     /// timing at build; subtracted from `max_iops`).
@@ -520,8 +491,12 @@ impl Ssd {
             hammer_qp: None,
             next_service: now,
             scrubber: config.scrubber,
-            next_scrub: config.scrubber.map_or(now, |s| now + s.interval),
-            scrub_duty: config.scrubber.map_or(0.0, |s| s.duty_fraction(flash_read)),
+            next_scrub: now + SCRUB_INTERVAL,
+            scrub_duty: if config.scrubber {
+                scrub_duty(flash_read)
+            } else {
+                0.0
+            },
             stats_started: now,
             completions_at_start: tel.completions.get(),
             fault_plane,
@@ -669,10 +644,6 @@ impl Ssd {
         Ok(id)
     }
 
-    fn ns_key(&self, ns: NsId) -> Option<u64> {
-        self.namespaces.get(&ns).and_then(|i| i.key)
-    }
-
     /// Number of blocks in `ns`.
     ///
     /// # Errors
@@ -688,11 +659,41 @@ impl Ssd {
     ///
     /// [`NvmeError::InvalidNamespace`] / [`NvmeError::OutOfRange`].
     pub fn translate(&self, ns: NsId, lba: Lba) -> Result<Lba, NvmeError> {
+        Ok(self.locate(ns, lba)?.0)
+    }
+
+    /// Where namespace-relative `lba` of `ns` lives: its device (FTL) LBA
+    /// and the namespace's tenant key, from one namespace lookup.
+    fn locate(&self, ns: NsId, lba: Lba) -> Result<(Lba, Option<u64>), NvmeError> {
         let info = self.ns_info(ns)?;
         if lba.as_u64() >= info.blocks {
             return Err(NvmeError::OutOfRange { ns, lba });
         }
-        Ok(Lba(info.start.as_u64() + lba.as_u64()))
+        Ok((Lba(info.start.as_u64() + lba.as_u64()), info.key))
+    }
+
+    /// Writes one namespace block, encrypted under the tenant key if the
+    /// namespace has one, and returns when its flash program completes.
+    /// The write command and the block-device view both write here.
+    fn write_block(&mut self, ns: NsId, lba: Lba, data: &[u8]) -> Result<SimTime, NvmeError> {
+        let (device_lba, key) = self.locate(ns, lba)?;
+        // A wrong-length buffer goes to the FTL unencrypted, which rejects it.
+        let written = match (key, <&[u8; BLOCK_SIZE]>::try_from(data)) {
+            (Some(key), Ok(plain)) => {
+                // A stack copy avoids a heap allocation per encrypted write.
+                let mut enc = *plain;
+                apply_cipher(key, lba, &mut enc);
+                self.ftl.write(device_lba, &enc)
+            }
+            _ => self.ftl.write(device_lba, data),
+        };
+        Ok(written?)
+    }
+
+    /// Unmaps one namespace block: the trim command's and the view's path.
+    fn trim_block(&mut self, ns: NsId, lba: Lba) -> Result<(), NvmeError> {
+        let (device_lba, _) = self.locate(ns, lba)?;
+        Ok(self.ftl.trim(device_lba)?)
     }
 
     fn ns_info(&self, ns: NsId) -> Result<&NamespaceInfo, NvmeError> {
@@ -968,20 +969,20 @@ impl Ssd {
 
     /// Executes one command, absorbing injected completion timeouts
     /// (`nvme.timeout` fault site) through the controller's
-    /// [`RetryPolicy`](crate::RetryPolicy): each timed-out attempt burns the
+    /// [`RetryPolicy`]: each timed-out attempt burns the
     /// deadline on the simulated clock, then the command is re-issued after
     /// an exponentially growing backoff; the retry budget exhausted, it
     /// completes with [`NvmeError::Timeout`]. A timed-out attempt never
     /// reaches the FTL, so retries cannot double-apply side effects.
     fn execute_with_retry(&mut self, cid: u64, cmd: Command) -> Completion {
-        let policy = self.controller.retry;
+        let max_retries = self.controller.retry.max_retries;
         let submitted = self.clock.now();
         let mut attempt = 0u32;
         while self.fault_plane.fires("nvme.timeout") {
             self.tel.timeouts.incr();
             // The attempt holds the command until its deadline expires.
-            self.clock.advance(policy.timeout);
-            if attempt >= policy.max_retries {
+            self.clock.advance(RetryPolicy::TIMEOUT);
+            if attempt >= max_retries {
                 self.tel.retry_exhausted.incr();
                 self.tel.registry.trace(
                     self.clock.now(),
@@ -997,7 +998,7 @@ impl Ssd {
             }
             self.tel.retries.incr();
             self.clock.advance(SimDuration::from_nanos(
-                policy.backoff.as_nanos() << attempt.min(32),
+                RetryPolicy::BACKOFF.as_nanos() << attempt.min(32),
             ));
             attempt += 1;
         }
@@ -1015,16 +1016,18 @@ impl Ssd {
     /// scrubber forgives debt beyond a sweep's worth rather than stalling
     /// the device.
     fn pump_scrubber(&mut self) {
-        let Some(cfg) = self.scrubber else { return };
+        if !self.scrubber {
+            return;
+        }
         const MAX_CATCHUP: u32 = 64;
         let mut ran = 0u32;
         while self.clock.now() >= self.next_scrub {
-            self.next_scrub += cfg.interval;
+            self.next_scrub += SCRUB_INTERVAL;
             if ran < MAX_CATCHUP {
                 ran += 1;
                 if self
                     .ftl
-                    .scrub_chunk(cfg.chunk_entries, cfg.flash_reads_per_chunk)
+                    .scrub_chunk(SCRUB_CHUNK_ENTRIES, SCRUB_FLASH_READS)
                     .is_err()
                 {
                     // Power loss mid-experiment: the patrol resumes at the
@@ -1057,7 +1060,9 @@ impl Ssd {
         self.clock.advance_to(start);
         self.clock
             .advance(self.controller.interface.command_overhead());
-        let (result, data_ready) = self.execute_inner(cmd);
+        let (result, data_ready) = self
+            .execute_inner(cmd)
+            .unwrap_or_else(|e| (CmdResult::Error(e), None));
         let mut earliest_next = self.clock.now();
         if let Some(limit) = self.controller.rate_limit_iops {
             earliest_next = earliest_next.max(start + SimDuration::from_rate_per_sec(limit));
@@ -1075,70 +1080,38 @@ impl Ssd {
         }
     }
 
-    fn execute_inner(&mut self, cmd: Command) -> (CmdResult, Option<SimTime>) {
-        match cmd {
+    /// Runs one command's work; the result and when its data is ready.
+    fn execute_inner(&mut self, cmd: Command) -> Result<(CmdResult, Option<SimTime>), NvmeError> {
+        Ok(match cmd {
             Command::Read { ns, lba } => {
-                let device_lba = match self.translate(ns, lba) {
-                    Ok(l) => l,
-                    Err(e) => return (CmdResult::Error(e), None),
+                let (device_lba, key) = self.locate(ns, lba)?;
+                let (outcome, page) = self.ftl.read_shared(device_lba)?;
+                let (mapped, ready) = read_status(ns, lba, outcome)?;
+                // Decrypt into a copy: the page may be the stored one.
+                let data = match key.filter(|_| mapped) {
+                    Some(key) => {
+                        let mut plain = page.to_vec();
+                        apply_cipher(key, lba, &mut plain);
+                        plain.into()
+                    }
+                    None => page,
                 };
-                match self.ftl.read_shared(device_lba) {
-                    Ok((ReadOutcome::GuardMismatch { .. }, _)) => {
-                        (CmdResult::Error(NvmeError::Integrity { ns, lba }), None)
-                    }
-                    Ok((outcome, page)) => {
-                        let (mapped, ready) = match outcome {
-                            ReadOutcome::Mapped { completed, .. } => (true, Some(completed)),
-                            ReadOutcome::SlowUnmapped { completed } => (false, Some(completed)),
-                            _ => (false, None),
-                        };
-                        // Decrypt into a copy: the page may be the stored one.
-                        let data = match self.ns_key(ns) {
-                            Some(key) if mapped => {
-                                let mut plain = page.to_vec();
-                                apply_cipher(key, lba, &mut plain);
-                                plain.into()
-                            }
-                            _ => page,
-                        };
-                        (CmdResult::Read { data, mapped }, ready)
-                    }
-                    Err(e) => (CmdResult::Error(e.into()), None),
-                }
+                (CmdResult::Read { data, mapped }, ready)
             }
             Command::Write { ns, lba, data } => {
-                let device_lba = match self.translate(ns, lba) {
-                    Ok(l) => l,
-                    Err(e) => return (CmdResult::Error(e), None),
-                };
-                let mut data = data;
-                if let Some(key) = self.ns_key(ns) {
-                    apply_cipher(key, lba, &mut data);
-                }
-                match self.ftl.write(device_lba, &data) {
-                    Ok(completed) => (CmdResult::Write, Some(completed)),
-                    Err(e) => (CmdResult::Error(e.into()), None),
-                }
+                (CmdResult::Write, Some(self.write_block(ns, lba, &data)?))
             }
             Command::Trim { ns, lba } => {
-                let device_lba = match self.translate(ns, lba) {
-                    Ok(l) => l,
-                    Err(e) => return (CmdResult::Error(e), None),
-                };
-                match self.ftl.trim(device_lba) {
-                    Ok(()) => (CmdResult::Trim, None),
-                    Err(e) => (CmdResult::Error(e.into()), None),
-                }
+                self.trim_block(ns, lba)?;
+                (CmdResult::Trim, None)
             }
-            Command::Flush { ns } => match self.ns_info(ns) {
+            Command::Flush { ns } => {
                 // Flush checkpoints any buffered L2P journal tail so an
                 // orderly shutdown loses nothing at the next remount.
-                Ok(_) => match self.ftl.flush() {
-                    Ok(()) => (CmdResult::Flush, None),
-                    Err(e) => (CmdResult::Error(e.into()), None),
-                },
-                Err(e) => (CmdResult::Error(e), None),
-            },
+                self.ns_info(ns)?;
+                self.ftl.flush()?;
+                (CmdResult::Flush, None)
+            }
             Command::Identify => (
                 CmdResult::Identify(IdentifyData {
                     model: self.model.clone(),
@@ -1149,7 +1122,7 @@ impl Ssd {
             ),
             Command::GetLogPage => (CmdResult::HealthLog(self.health_log()), None),
             Command::VendorHammer { .. } => unreachable!("handled in execute"),
-        }
+        })
     }
 
     /// Executes an aggregated hammer burst. Unlike per-command execution,
@@ -1172,8 +1145,8 @@ impl Ssd {
         let submitted = self.clock.now();
         self.pump_scrubber();
         let effective = rate.min(self.max_iops());
-        let slice = self.scrubber.map(|s| {
-            let per_interval = s.interval.as_nanos() as f64 / 1e9 * effective;
+        let slice = self.scrubber.then(|| {
+            let per_interval = SCRUB_INTERVAL.as_nanos() as f64 / 1e9 * effective;
             (per_interval as u64).max(1)
         });
         let mut remaining = requests;
@@ -1333,7 +1306,7 @@ impl Ssd {
     ///
     /// A host that opens several deep queue pairs keeps all of the
     /// controller's I/O cores busy, so the ceiling scales with the number
-    /// of saturated queues up to [`ControllerConfig::io_cores`] (§2.3's
+    /// of saturated queues up to [`Self::IO_CORES`] (§2.3's
     /// feasibility numbers assume exactly this multi-queue driving). A
     /// single queue — or none, for the aggregated hammer path's internal
     /// queue — leaves the ceiling at the single-core roundtrip rate.
@@ -1354,7 +1327,7 @@ impl Ssd {
     /// queues (depth below [`Self::QD_SATURATION`]) cannot keep a core busy
     /// and contribute proportionally. The total is clamped to at least 1
     /// (the controller always services commands) and at most
-    /// [`ControllerConfig::io_cores`].
+    /// [`Self::IO_CORES`].
     fn queue_parallelism(&self) -> f64 {
         // The internal hammer queue is excluded: a vendor burst's rate is
         // already accounted wholesale, and its bookkeeping queue is not a
@@ -1366,65 +1339,66 @@ impl Ssd {
             .filter(|(&id, _)| Some(id) != internal)
             .map(|(_, q)| (q.depth as f64 / f64::from(Self::QD_SATURATION)).min(1.0))
             .sum();
-        per_queue.clamp(1.0, f64::from(self.controller.io_cores))
+        per_queue.clamp(1.0, f64::from(Self::IO_CORES))
     }
 
     /// Submission-queue depth at which one queue pair saturates a single
     /// controller I/O core.
     pub const QD_SATURATION: u32 = 4;
+
+    /// I/O processing cores on the controller: the upper bound on how many
+    /// saturated queue pairs can be serviced concurrently, and therefore on
+    /// the multi-queue IOPS ceiling [`Ssd::max_iops`] reports (§2.3's
+    /// feasibility argument assumes the host drives multiple queue pairs).
+    pub const IO_CORES: u32 = 4;
 }
 
-/// The whole drive as a [`BlockDevice`]: device LBAs straight into the FTL,
-/// the single-tenant "host owns the entire disk" view (Figure 2 (a) with one
-/// partition). Namespace carving and per-tenant encryption do not apply —
-/// use [`Ssd::namespace`] for those.
-impl BlockDevice for Ssd {
-    fn capacity_blocks(&self) -> u64 {
-        self.ftl.capacity_lbas()
+/// Whether a host read returned the stored block, and when its flash read
+/// completes. A DIF guard mismatch fails as [`NvmeError::Integrity`].
+/// Only a mapped read returns stored ciphertext, so only a mapped read is
+/// decrypted; unmapped and wild reads return zeroes either way.
+fn read_status(
+    ns: NsId,
+    lba: Lba,
+    outcome: ReadOutcome,
+) -> Result<(bool, Option<SimTime>), NvmeError> {
+    match outcome {
+        ReadOutcome::GuardMismatch { .. } => Err(NvmeError::Integrity { ns, lba }),
+        ReadOutcome::Mapped { completed, .. } => Ok((true, Some(completed))),
+        ReadOutcome::SlowUnmapped { completed } => Ok((false, Some(completed))),
+        _ => Ok((false, None)),
     }
+}
 
-    fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
-        self.check_access(lba, buf.len())?;
-        match self.ftl.read(lba, buf) {
-            Ok(ReadOutcome::GuardMismatch { .. }) => Err(StorageError::Uncorrectable { lba }),
-            Ok(_) => Ok(()),
-            Err(ssdhammer_ftl::FtlError::Dram(_))
-            | Err(ssdhammer_ftl::FtlError::Uncorrectable { .. })
-            | Err(ssdhammer_ftl::FtlError::L2pIntegrity { .. }) => {
-                Err(StorageError::Uncorrectable { lba })
-            }
-            Err(e) => Err(StorageError::Rejected {
-                reason: e.to_string(),
-            }),
-        }
-    }
-
-    fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
-        self.check_access(lba, buf.len())?;
-        self.ftl
-            .write(lba, buf)
-            .map(|_| ())
-            .map_err(|e| StorageError::Rejected {
-                reason: e.to_string(),
-            })
-    }
-
-    fn trim(&mut self, lba: Lba) -> StorageResult<()> {
-        if lba.as_u64() >= self.capacity_blocks() {
-            return Err(StorageError::OutOfRange {
-                lba,
-                capacity: self.capacity_blocks(),
-            });
-        }
-        self.ftl.trim(lba).map_err(|e| StorageError::Rejected {
+/// How a block-device view reports a failed host I/O at `lba` of a
+/// `capacity`-block view: data the device cannot return (a DIF mismatch,
+/// an uncorrectable DRAM, flash or L2P-integrity error) is
+/// [`StorageError::Uncorrectable`], an address past the namespace is
+/// [`StorageError::OutOfRange`], and every other failure is
+/// [`StorageError::Rejected`] with the device's reason.
+fn storage_error(e: NvmeError, lba: Lba, capacity: u64) -> StorageError {
+    match e {
+        NvmeError::OutOfRange { .. } => StorageError::OutOfRange { lba, capacity },
+        NvmeError::Integrity { .. }
+        | NvmeError::Ftl(
+            FtlError::Dram(_) | FtlError::Uncorrectable { .. } | FtlError::L2pIntegrity { .. },
+        ) => StorageError::Uncorrectable { lba },
+        // The FTL's reason, without the NVMe layer's `ftl:` prefix.
+        NvmeError::Ftl(e) => StorageError::Rejected {
             reason: e.to_string(),
-        })
+        },
+        e => StorageError::Rejected {
+            reason: e.to_string(),
+        },
     }
 }
 
 /// A [`BlockDevice`] view over one namespace, suitable for mounting a
-/// filesystem on. All operations go through the full NVMe → FTL → DRAM/flash
-/// path.
+/// filesystem on. It shares the NVMe executor's data path: namespace
+/// translation, the tenant cipher, the FTL write and trim, and the error
+/// classification. It does not share the executor's queue, command
+/// overhead, flash wait or `nvme.*` accounting, so a view I/O costs only
+/// the FTL's DRAM time on the simulated clock.
 #[derive(Debug)]
 pub struct Namespace<'a> {
     ssd: &'a mut Ssd,
@@ -1447,76 +1421,33 @@ impl BlockDevice for Namespace<'_> {
         self.blocks
     }
 
+    /// Copies the block into `buf`; the read command instead hands out the
+    /// stored page ([`Ftl::read_shared`]).
     fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
         self.check_access(lba, buf.len())?;
-        let device_lba =
-            self.ssd
-                .translate(self.ns, lba)
-                .map_err(|_| StorageError::OutOfRange {
-                    lba,
-                    capacity: self.capacity_blocks(),
-                })?;
-        match self.ssd.ftl.read(device_lba, buf) {
-            Ok(ReadOutcome::GuardMismatch { .. }) => Err(StorageError::Uncorrectable { lba }),
-            Ok(outcome) => {
-                if matches!(outcome, ReadOutcome::Mapped { .. }) {
-                    if let Some(key) = self.ssd.ns_key(self.ns) {
-                        apply_cipher(key, lba, buf);
-                    }
-                }
-                Ok(())
+        let ssd = &mut *self.ssd;
+        let read = ssd.locate(self.ns, lba).and_then(|(device_lba, key)| {
+            let (mapped, _) = read_status(self.ns, lba, ssd.ftl.read(device_lba, buf)?)?;
+            if let Some(key) = key.filter(|_| mapped) {
+                apply_cipher(key, lba, buf);
             }
-            Err(ssdhammer_ftl::FtlError::Dram(_))
-            | Err(ssdhammer_ftl::FtlError::Uncorrectable { .. })
-            | Err(ssdhammer_ftl::FtlError::L2pIntegrity { .. }) => {
-                Err(StorageError::Uncorrectable { lba })
-            }
-            Err(e) => Err(StorageError::Rejected {
-                reason: e.to_string(),
-            }),
-        }
+            Ok(())
+        });
+        read.map_err(|e| storage_error(e, lba, self.blocks))
     }
 
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
         self.check_access(lba, buf.len())?;
-        let device_lba =
-            self.ssd
-                .translate(self.ns, lba)
-                .map_err(|_| StorageError::OutOfRange {
-                    lba,
-                    capacity: self.capacity_blocks(),
-                })?;
-        match self.ssd.ns_key(self.ns) {
-            Some(key) => {
-                // check_access validated the length; a stack copy avoids a
-                // heap allocation per encrypted write.
-                let mut enc = [0u8; BLOCK_SIZE];
-                enc.copy_from_slice(buf);
-                apply_cipher(key, lba, &mut enc);
-                self.ssd.ftl.write(device_lba, &enc)
-            }
-            None => self.ssd.ftl.write(device_lba, buf),
-        }
-        .map(|_| ())
-        .map_err(|e| StorageError::Rejected {
-            reason: e.to_string(),
-        })
+        self.ssd
+            .write_block(self.ns, lba, buf)
+            .map(|_| ())
+            .map_err(|e| storage_error(e, lba, self.blocks))
     }
 
     fn trim(&mut self, lba: Lba) -> StorageResult<()> {
-        let device_lba =
-            self.ssd
-                .translate(self.ns, lba)
-                .map_err(|_| StorageError::OutOfRange {
-                    lba,
-                    capacity: self.capacity_blocks(),
-                })?;
         self.ssd
-            .ftl
-            .trim(device_lba)
-            .map_err(|e| StorageError::Rejected {
-                reason: e.to_string(),
-            })
+            .trim_block(self.ns, lba)
+            .map_err(|e| storage_error(e, lba, self.blocks))
     }
 }
 
@@ -2161,7 +2092,7 @@ mod tests {
         // One deep queue: still single-core.
         let _a = s.create_queue_pair(64);
         assert!((s.max_iops() - single_core).abs() < 1e-6);
-        // Four deep queues: the ceiling quadruples (io_cores = 4).
+        // Four deep queues: the ceiling quadruples (`Ssd::IO_CORES` = 4).
         let _b = s.create_queue_pair(64);
         let _c = s.create_queue_pair(64);
         let _d = s.create_queue_pair(64);
@@ -2256,9 +2187,9 @@ mod tests {
     fn para_and_scrubber_setters_override_preset_fields() {
         let c = SsdConfig::test_small(1)
             .with_para(ParaConfig::default())
-            .with_scrubber(ScrubberConfig::default().with_chunk_entries(128));
+            .with_scrubber(true);
         assert!(c.para.is_some());
-        assert_eq!(c.scrubber.unwrap().chunk_entries, 128);
+        assert!(c.scrubber);
         // Presets stay intact underneath the overrides.
         assert_eq!(c.flash_geometry, SsdConfig::test_small(1).flash_geometry);
     }
@@ -2266,9 +2197,7 @@ mod tests {
     #[test]
     fn scrubber_duty_lowers_the_iops_ceiling() {
         let base = Ssd::build(SsdConfig::test_small(1)).max_iops();
-        let scrubbed =
-            Ssd::build(SsdConfig::test_small(1).with_scrubber(ScrubberConfig::default()))
-                .max_iops();
+        let scrubbed = Ssd::build(SsdConfig::test_small(1).with_scrubber(true)).max_iops();
         assert!(
             scrubbed < base,
             "scrubbing steals service capacity: {scrubbed} !< {base}"
@@ -2295,7 +2224,7 @@ mod tests {
         let config = SsdConfig::test_small(1)
             .with_flash_geometry(integrity_flash())
             .with_ftl(FtlConfig::default().with_integrity(ssdhammer_ftl::IntegrityMode::Correct))
-            .with_scrubber(ScrubberConfig::default());
+            .with_scrubber(true);
         let mut s = Ssd::build(config);
         let ns = s.create_namespace(64).unwrap();
         let qp = s.create_queue_pair(8);
@@ -2367,5 +2296,47 @@ mod tests {
             "detect mode fails loudly instead of redirecting: {:?}",
             r.result
         );
+    }
+
+    #[test]
+    fn view_and_command_classify_an_l2p_failure_alike() {
+        // A Detect-mode integrity failure on the L2P lookup fails every
+        // host I/O on that block: a command with the FTL's typed error, the
+        // view with `Uncorrectable` at the namespace-relative LBA, for
+        // writes and trims as for reads.
+        let config = SsdConfig::test_small(1)
+            .with_flash_geometry(integrity_flash())
+            .with_ftl(FtlConfig::default().with_integrity(ssdhammer_ftl::IntegrityMode::Detect));
+        let mut s = Ssd::build(config);
+        s.create_namespace(8).unwrap();
+        let ns = s.create_namespace(64).unwrap();
+        s.namespace(ns)
+            .unwrap()
+            .write(Lba(5), &[0x55u8; BLOCK_SIZE])
+            .unwrap();
+        let addr = s.ftl().table().entry_addr(s.translate(ns, Lba(5)).unwrap());
+        let raw = s.ftl_mut().dram_mut().read_u32(addr).unwrap();
+        s.ftl_mut().dram_mut().write_u32(addr, raw ^ 0x10).unwrap();
+        let qp = s.create_queue_pair(8);
+        for cmd in [
+            Command::Read { ns, lba: Lba(5) },
+            Command::Trim { ns, lba: Lba(5) },
+        ] {
+            let c = s.roundtrip(qp, cmd).unwrap();
+            assert!(
+                matches!(
+                    c.result,
+                    CmdResult::Error(NvmeError::Ftl(FtlError::L2pIntegrity { .. }))
+                ),
+                "{:?}",
+                c.result
+            );
+        }
+        let mut view = s.namespace(ns).unwrap();
+        let mut out = [0u8; BLOCK_SIZE];
+        let uncorrectable = Err(StorageError::Uncorrectable { lba: Lba(5) });
+        assert_eq!(view.read(Lba(5), &mut out), uncorrectable);
+        assert_eq!(view.write(Lba(5), &[1u8; BLOCK_SIZE]), uncorrectable);
+        assert_eq!(view.trim(Lba(5)), uncorrectable);
     }
 }

@@ -75,10 +75,7 @@ fn transient_timeouts_recover_within_the_retry_budget() {
 fn retried_commands_pay_their_backoff_on_the_sim_clock() {
     let faults =
         FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::always().with_max_fires(2));
-    let retry = RetryPolicy::default()
-        .with_max_retries(4)
-        .with_timeout(SimDuration::from_micros(500))
-        .with_backoff(SimDuration::from_micros(50));
+    let retry = RetryPolicy::default().with_max_retries(4);
     let mut ssd = faulty_ssd(1, faults, retry);
     let ns = ssd.create_namespace(64).unwrap();
     let qp = ssd.create_queue_pair(4);
@@ -86,9 +83,11 @@ fn retried_commands_pay_their_backoff_on_the_sim_clock() {
     ssd.process(qp).unwrap();
     let c = ssd.drain_completions(qp).unwrap().pop().unwrap();
     assert!(c.is_ok(), "two timeouts, then success");
-    // Two burned deadlines (500us each) + backoffs (50us, 100us) are all
+    // Two burned deadlines + backoffs (one, then two base backoffs) are all
     // simulated time, reflected in the command's completion latency.
-    let floor = SimDuration::from_micros(2 * 500 + 50 + 100);
+    let floor = SimDuration::from_nanos(
+        2 * RetryPolicy::TIMEOUT.as_nanos() + 3 * RetryPolicy::BACKOFF.as_nanos(),
+    );
     assert!(
         c.latency() >= floor,
         "latency {:?} must cover deadlines and backoff {:?}",

@@ -65,11 +65,10 @@ pub type StorageResult<T> = Result<T, StorageError>;
 ///
 /// This is the composition seam of the stack: filesystems, workload
 /// replayers, and attack spray phases are generic over `&mut impl
-/// BlockDevice`, so the same code runs against the full simulated [`Ssd`],
-/// a single NVMe [`Namespace`], a tenant partition view, or the in-memory
+/// BlockDevice`, so the same code runs against an NVMe [`Namespace`] of the
+/// simulated SSD, a tenant partition view over one, or the in-memory
 /// [`RamDisk`] test double. All blocks are [`BLOCK_SIZE`] bytes.
 ///
-/// [`Ssd`]: https://docs.rs/ssdhammer-nvme
 /// [`Namespace`]: https://docs.rs/ssdhammer-nvme
 pub trait BlockDevice {
     /// Number of addressable blocks.

@@ -70,24 +70,6 @@ impl FaultSpec {
         self.window = Some((start, end));
         self
     }
-
-    /// Firing probability per eligible consult.
-    #[must_use]
-    pub fn probability(&self) -> f64 {
-        self.probability
-    }
-
-    /// Fire-count cap, if any.
-    #[must_use]
-    pub fn max_fires(&self) -> Option<u64> {
-        self.max_fires
-    }
-
-    /// Consult-index window, if any.
-    #[must_use]
-    pub fn window(&self) -> Option<(u64, u64)> {
-        self.window
-    }
 }
 
 /// Declarative map of fault sites to their triggers; lives on builder

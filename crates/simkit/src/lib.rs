@@ -12,8 +12,9 @@
 //!   newtypes that keep logical, physical, and DRAM address spaces apart in
 //!   the type system.
 //! * [`BlockDevice`] and the in-memory [`RamDisk`] — the 4 KiB block-device
-//!   contract implemented by the full SSD, NVMe namespaces, and partition
-//!   views.
+//!   contract implemented by NVMe namespaces and partition views.
+//! * [`record`] — the little-endian field reader of every fixed-width
+//!   on-media record decoder.
 //! * [`rng`] — seed-derivation helpers making every stochastic component
 //!   reproducible.
 //! * [`crc32c`] — the checksum ext4 applies to extent-tree metadata (and
@@ -55,12 +56,12 @@
 #![warn(missing_docs)]
 
 mod blockdev;
-pub mod bytes;
 mod clock;
 mod crc32c;
 pub mod faultplane;
 pub mod fuzz;
 pub mod json;
+pub mod record;
 pub mod rng;
 pub mod stats;
 pub mod supervisor;

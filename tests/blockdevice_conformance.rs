@@ -1,9 +1,12 @@
 //! One conformance suite, three devices: the `BlockDevice` trait contract
-//! checked against every implementor — the full simulated [`Ssd`], a single
-//! NVMe namespace view, and the in-memory [`RamDisk`] test double. Code
-//! written against `&mut impl BlockDevice` (the filesystem, the workload
-//! replayers, the spray phase) may rely on exactly these behaviors.
+//! checked against every implementor — an NVMe namespace view of the
+//! simulated [`Ssd`], a tenant's [`PartitionView`] (the disk the victim
+//! filesystem mounts in every case study), and the in-memory [`RamDisk`]
+//! test double. Code written against `&mut impl BlockDevice` (the
+//! filesystem, the workload replayers, the spray phase) may rely on exactly
+//! these behaviors.
 
+use ssdhammer::cloud::{PartitionView, SharedSsd};
 use ssdhammer::dram::ModuleProfile;
 use ssdhammer::nvme::{Ssd, SsdConfig};
 use ssdhammer::prelude::{BlockDevice, Lba, RamDisk, BLOCK_SIZE};
@@ -81,16 +84,22 @@ fn ramdisk_conforms() {
 }
 
 #[test]
-fn ssd_conforms() {
-    conformance(&mut quiet_ssd(9));
-}
-
-#[test]
 fn namespace_view_conforms() {
     let mut ssd = quiet_ssd(9);
     let ns = ssd.create_namespace(64).unwrap();
     let mut view = ssd.namespace(ns).unwrap();
     conformance(&mut view);
+}
+
+/// A partition that does not start at device LBA 0, so the view's
+/// namespace translation is exercised, not the identity.
+#[test]
+fn partition_view_conforms() {
+    let shared = SharedSsd::new(quiet_ssd(9));
+    shared.create_partition(100).unwrap();
+    let (ns, range) = shared.create_partition(64).unwrap();
+    assert_eq!(range.start, Lba(100));
+    conformance(&mut PartitionView::new(shared, ns));
 }
 
 // ---- error-path conformance: fault-induced failures through the trait ------
@@ -111,27 +120,30 @@ fn ssd_read_only_degradation_rejects_writes_but_serves_reads() {
                     .with_site("flash.program_fail", FaultSpec::always().with_max_fires(1)),
             ),
     );
+    let ns = ssd.create_namespace(32).unwrap();
     let mut block = [0u8; BLOCK_SIZE];
     block[0] = 0x42;
     // The triggering write completes (its program was relocated), but the
     // remap exceeded the zero budget and degraded the device.
-    ssd.write(Lba(0), &block).unwrap();
+    ssd.namespace(ns).unwrap().write(Lba(0), &block).unwrap();
     assert!(ssd.ftl().is_read_only());
+    let mut view = ssd.namespace(ns).unwrap();
     assert!(matches!(
-        ssd.write(Lba(1), &block),
+        view.write(Lba(1), &block),
         Err(StorageError::Rejected { .. })
     ));
     assert!(matches!(
-        ssd.trim(Lba(0)),
+        view.trim(Lba(0)),
         Err(StorageError::Rejected { .. })
     ));
     let mut out = [0u8; BLOCK_SIZE];
-    ssd.read(Lba(0), &mut out).unwrap();
+    view.read(Lba(0), &mut out).unwrap();
     assert_eq!(out[0], 0x42, "reads keep working after degradation");
 }
 
 /// Unrecoverable media reads surface as `StorageError::Uncorrectable` with
-/// the failing LBA — through both the whole-drive and the namespace views.
+/// the failing view-relative LBA — through both views a tenant mounts: the
+/// namespace view and the partition view over it.
 #[test]
 fn fault_induced_uncorrectable_reads_propagate_through_both_views() {
     let config = SsdConfig::test_small(9)
@@ -141,16 +153,30 @@ fn fault_induced_uncorrectable_reads_propagate_through_both_views() {
             FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always()),
         );
 
-    // Whole-drive view.
+    // Namespace view.
     let mut ssd = Ssd::build(config.clone());
+    let ns = ssd.create_namespace(32).unwrap();
+    assert_uncorrectable_reads(&mut ssd.namespace(ns).unwrap());
+
+    // Partition view of a second partition, so view-relative and device
+    // LBAs differ.
+    let shared = SharedSsd::new(Ssd::build(config));
+    shared.create_partition(32).unwrap();
+    let (ns, _) = shared.create_partition(32).unwrap();
+    assert_uncorrectable_reads(&mut PartitionView::new(shared, ns));
+}
+
+/// Writes 32 blocks under an always-firing read fault and checks that every
+/// failed read is `Uncorrectable` at the LBA that was read.
+fn assert_uncorrectable_reads(dev: &mut impl BlockDevice) {
     let block = [7u8; BLOCK_SIZE];
     for lba in 0..32u64 {
-        ssd.write(Lba(lba), &block).unwrap();
+        dev.write(Lba(lba), &block).unwrap();
     }
     let mut out = [0u8; BLOCK_SIZE];
     let mut uncorrectable = 0;
     for lba in 0..32u64 {
-        match ssd.read(Lba(lba), &mut out) {
+        match dev.read(Lba(lba), &mut out) {
             Ok(()) => {}
             Err(StorageError::Uncorrectable { lba: reported }) => {
                 assert_eq!(reported, Lba(lba));
@@ -160,26 +186,6 @@ fn fault_induced_uncorrectable_reads_propagate_through_both_views() {
         }
     }
     assert!(uncorrectable > 0, "p=1.0 injection must defeat some reads");
-
-    // Namespace view: same contract, namespace-relative LBA in the error.
-    let mut ssd = Ssd::build(config);
-    let ns = ssd.create_namespace(32).unwrap();
-    let mut view = ssd.namespace(ns).unwrap();
-    for lba in 0..32u64 {
-        view.write(Lba(lba), &block).unwrap();
-    }
-    let mut uncorrectable = 0;
-    for lba in 0..32u64 {
-        match view.read(Lba(lba), &mut out) {
-            Ok(()) => {}
-            Err(StorageError::Uncorrectable { lba: reported }) => {
-                assert_eq!(reported, Lba(lba));
-                uncorrectable += 1;
-            }
-            Err(e) => panic!("unexpected error class: {e}"),
-        }
-    }
-    assert!(uncorrectable > 0);
 }
 
 /// A powered-off (crashed) device rejects everything rather than serving
@@ -194,22 +200,24 @@ fn power_loss_rejects_all_operations() {
                     .with_site("ftl.power_loss", FaultSpec::always().with_window(4, 5)),
             ),
     );
+    let ns = ssd.create_namespace(32).unwrap();
+    let mut view = ssd.namespace(ns).unwrap();
     let block = [1u8; BLOCK_SIZE];
     for lba in 0..4u64 {
-        ssd.write(Lba(lba), &block).unwrap();
+        view.write(Lba(lba), &block).unwrap();
     }
     // The fifth mutation hits the power cut.
     assert!(matches!(
-        ssd.write(Lba(4), &block),
+        view.write(Lba(4), &block),
         Err(StorageError::Rejected { .. })
     ));
     let mut out = [0u8; BLOCK_SIZE];
     assert!(matches!(
-        ssd.read(Lba(0), &mut out),
+        view.read(Lba(0), &mut out),
         Err(StorageError::Rejected { .. })
     ));
     assert!(matches!(
-        ssd.trim(Lba(0)),
+        view.trim(Lba(0)),
         Err(StorageError::Rejected { .. })
     ));
 }
@@ -255,43 +263,10 @@ fn corrupt_beyond_repair(ssd: &mut Ssd, lba: Lba) {
     corrupt_u32(ssd, mirror, 0b1100);
 }
 
-/// Unrepairable L2P divergence degrades the device to read-only: the poisoned
-/// LBA fails loudly as `Uncorrectable`, mutations are rejected typed, and
-/// intact blocks keep reading back their data.
-#[test]
-fn integrity_degradation_rejects_writes_but_serves_reads() {
-    let mut ssd = integrity_ssd(9);
-    let mut block = [0u8; BLOCK_SIZE];
-    for lba in 0..4u64 {
-        block[0] = lba as u8 + 1;
-        ssd.write(Lba(lba), &block).unwrap();
-    }
-    corrupt_beyond_repair(&mut ssd, Lba(1));
-
-    // Consuming the poisoned entry is loud, never a silent redirection.
-    let mut out = [0u8; BLOCK_SIZE];
-    assert!(matches!(
-        ssd.read(Lba(1), &mut out),
-        Err(StorageError::Uncorrectable { lba: Lba(1) })
-    ));
-    assert!(ssd.ftl().is_read_only(), "divergence degrades the device");
-
-    // Degraded-mode contract: mutations rejected with a typed error …
-    assert!(matches!(
-        ssd.write(Lba(2), &block),
-        Err(StorageError::Rejected { .. })
-    ));
-    assert!(matches!(
-        ssd.trim(Lba(0)),
-        Err(StorageError::Rejected { .. })
-    ));
-    // … while intact blocks are still served.
-    ssd.read(Lba(3), &mut out).unwrap();
-    assert_eq!(out[0], 4, "intact reads keep working after degradation");
-}
-
-/// The namespace view honors the same degraded-mode contract: reads of
-/// intact blocks succeed, mutations come back `Rejected`.
+/// Unrepairable L2P divergence degrades the device to read-only: through
+/// the namespace view the poisoned LBA fails loudly as `Uncorrectable`,
+/// mutations are rejected typed, and intact blocks keep reading back their
+/// data.
 #[test]
 fn namespace_view_honors_integrity_degradation() {
     let mut ssd = integrity_ssd(9);
@@ -307,13 +282,17 @@ fn namespace_view_honors_integrity_degradation() {
     // The first namespace starts at absolute LBA 0, so view-relative and
     // drive-absolute coordinates coincide here.
     corrupt_beyond_repair(&mut ssd, Lba(1));
-    let mut view = ssd.namespace(ns).unwrap();
 
+    // Consuming the poisoned entry is loud, never a silent redirection.
     let mut out = [0u8; BLOCK_SIZE];
     assert!(matches!(
-        view.read(Lba(1), &mut out),
+        ssd.namespace(ns).unwrap().read(Lba(1), &mut out),
         Err(StorageError::Uncorrectable { lba: Lba(1) })
     ));
+    assert!(ssd.ftl().is_read_only(), "divergence degrades the device");
+
+    // Degraded-mode contract: mutations rejected with a typed error …
+    let mut view = ssd.namespace(ns).unwrap();
     assert!(matches!(
         view.write(Lba(2), &block),
         Err(StorageError::Rejected { .. })
@@ -322,6 +301,7 @@ fn namespace_view_honors_integrity_degradation() {
         view.trim(Lba(0)),
         Err(StorageError::Rejected { .. })
     ));
+    // … while intact blocks are still served.
     view.read(Lba(3), &mut out).unwrap();
-    assert_eq!(out[0], 4);
+    assert_eq!(out[0], 4, "intact reads keep working after degradation");
 }
