@@ -17,9 +17,7 @@
 //! `--resume` and `--abort-after`.
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
-use ssdhammer_dram::{
-    DramGeneration, DramGeometry, MappingKind, ModuleProfile, ParaConfig, TrrConfig,
-};
+use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile, ParaConfig, TrrConfig};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
 use ssdhammer_nvme::{Ssd, SsdConfig};
@@ -107,15 +105,6 @@ impl TrialOutcome {
     }
 }
 
-/// Deterministically vulnerable DDR4: every row flippable, so a trial's
-/// outcome is decided by the defense, not by profile sampling.
-fn demo_profile() -> ModuleProfile {
-    let mut p = ModuleProfile::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 100);
-    p.row_vulnerable_prob = 1.0;
-    p.weak_cells_per_row = 8.0;
-    p
-}
-
 /// A flash geometry small enough that the tiny test DRAM holds both the
 /// 4 Ki-entry L2P table (16 KiB) and a Correct-mode integrity plane
 /// (24 KiB). Shared by every row so the configurations differ only in
@@ -128,11 +117,13 @@ fn small_flash() -> FlashGeometry {
 }
 
 fn base_config(seed: u64) -> SsdConfig {
-    SsdConfig::test_small(seed)
-        .with_dram_geometry(DramGeometry::tiny_test())
-        .with_dram_profile(demo_profile())
-        .with_dram_mapping(MappingKind::Linear)
-        .with_flash_geometry(small_flash())
+    SsdConfig {
+        dram_geometry: DramGeometry::tiny_test(),
+        dram_profile: ModuleProfile::demo_ddr4(),
+        dram_mapping: MappingKind::Linear,
+        flash_geometry: small_flash(),
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 /// The six defense configurations of the matrix, in report order.
@@ -149,17 +140,38 @@ const DEFENSES: [&str; 6] = [
 fn configure(defense: usize, seed: u64) -> SsdConfig {
     match defense {
         0 => base_config(seed),
-        1 => base_config(seed).with_trr(TrrConfig::default()),
-        2 => base_config(seed).with_para(ParaConfig {
-            refresh_probability: 0.05,
-        }),
-        3 => base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Detect)),
-        4 => {
-            base_config(seed).with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
-        }
-        _ => base_config(seed)
-            .with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct))
-            .with_scrubber(true),
+        1 => SsdConfig {
+            trr: Some(TrrConfig::default()),
+            ..base_config(seed)
+        },
+        2 => SsdConfig {
+            para: Some(ParaConfig {
+                refresh_probability: 0.05,
+            }),
+            ..base_config(seed)
+        },
+        3 => SsdConfig {
+            ftl: FtlConfig {
+                integrity: IntegrityMode::Detect,
+                ..FtlConfig::default()
+            },
+            ..base_config(seed)
+        },
+        4 => SsdConfig {
+            ftl: FtlConfig {
+                integrity: IntegrityMode::Correct,
+                ..FtlConfig::default()
+            },
+            ..base_config(seed)
+        },
+        _ => SsdConfig {
+            ftl: FtlConfig {
+                integrity: IntegrityMode::Correct,
+                ..FtlConfig::default()
+            },
+            scrubber: true,
+            ..base_config(seed)
+        },
     }
 }
 

@@ -89,7 +89,14 @@ fn fresh_dram(seed: u64) -> DramModule {
 fn read_retry(seed: u64) -> FaultRow {
     let faults =
         FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::with_probability(0.5));
-    let mut ftl = tiny_ftl(seed, FtlConfig::default().with_read_retry_max(8), &faults);
+    let mut ftl = tiny_ftl(
+        seed,
+        FtlConfig {
+            read_retry_max: 8,
+            ..FtlConfig::default()
+        },
+        &faults,
+    );
     let mut buf = vec![0u8; BLOCK_SIZE];
     let mut recovered = 0u64;
     let mut failed = 0u64;
@@ -114,7 +121,14 @@ fn read_retry(seed: u64) -> FaultRow {
 /// Persistent read failures escalating into SEC-DED ECC classification.
 fn ecc_escalation(seed: u64) -> FaultRow {
     let faults = FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always());
-    let mut ftl = tiny_ftl(seed, FtlConfig::default().with_read_retry_max(0), &faults);
+    let mut ftl = tiny_ftl(
+        seed,
+        FtlConfig {
+            read_retry_max: 0,
+            ..FtlConfig::default()
+        },
+        &faults,
+    );
     let buf = vec![0x3Cu8; BLOCK_SIZE];
     for lba in 0..100u64 {
         ftl.write(Lba(lba), &buf).expect("write");
@@ -123,12 +137,17 @@ fn ecc_escalation(seed: u64) -> FaultRow {
     for lba in 0..100u64 {
         let _ = ftl.read(Lba(lba), &mut out);
     }
-    let t = ftl.telemetry();
+    let tel = ftl.shared_telemetry();
     FaultRow {
         scenario: "ECC escalation".into(),
         injected: ftl.fault_plane().fired("flash.read_fail"),
-        recovered: t.ecc_corrected,
-        failed: t.uncorrectable_reads + t.silent_corruptions,
+        recovered: tel.counter_value("recovery.ecc_corrected").unwrap_or(0),
+        failed: tel
+            .counter_value("recovery.uncorrectable_reads")
+            .unwrap_or(0)
+            + tel
+                .counter_value("recovery.silent_corruptions")
+                .unwrap_or(0),
         degraded: ftl.is_read_only(),
     }
 }
@@ -142,7 +161,14 @@ fn bad_block_remap(seed: u64) -> FaultRow {
         "flash.program_fail",
         FaultSpec::with_probability(0.02).with_max_fires(3),
     );
-    let mut ftl = tiny_ftl(seed, FtlConfig::default().with_remap_budget(16), &faults);
+    let mut ftl = tiny_ftl(
+        seed,
+        FtlConfig {
+            remap_budget: 16,
+            ..FtlConfig::default()
+        },
+        &faults,
+    );
     let buf = vec![0xA5u8; BLOCK_SIZE];
     let mut failed = 0u64;
     for round in 0..6u64 {
@@ -158,7 +184,10 @@ fn bad_block_remap(seed: u64) -> FaultRow {
     FaultRow {
         scenario: "bad-block remap".into(),
         injected: ftl.fault_plane().fired("flash.program_fail"),
-        recovered: ftl.telemetry().bad_block_remaps,
+        recovered: ftl
+            .shared_telemetry()
+            .counter_value("recovery.bad_block_remaps")
+            .unwrap_or(0),
         failed,
         degraded: ftl.is_read_only(),
     }
@@ -169,9 +198,11 @@ fn journal_replay(seed: u64) -> FaultRow {
     // Checkpoint every entry: the journal is durable up to the very
     // mutation the power cut lands on, so no trim can resurrect. (Larger
     // intervals trade that worst-case window for fewer journal writes.)
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(2);
+    let config = FtlConfig {
+        journal_checkpoint_every: 1,
+        journal_blocks: 2,
+        ..FtlConfig::default()
+    };
     let faults = FaultPlaneConfig::new()
         .with_site("ftl.power_loss", FaultSpec::always().with_window(70, 71));
     let mut ftl = tiny_ftl(seed, config, &faults);
@@ -206,7 +237,10 @@ fn journal_replay(seed: u64) -> FaultRow {
     let recovered_ftl = Ftl::recover(fresh_dram(seed ^ 1), nand, config).expect("remount");
     // Trims checkpointed before the cut must not resurrect. (Entries still
     // buffered in lost DRAM at the cut are honest, bounded losses.)
-    let replayed = recovered_ftl.telemetry().journal_replayed;
+    let replayed = recovered_ftl
+        .shared_telemetry()
+        .counter_value("recovery.journal_replayed")
+        .unwrap_or(0);
     let resurrected = trimmed
         .iter()
         .filter(|&&lba| {
@@ -229,12 +263,15 @@ fn journal_replay(seed: u64) -> FaultRow {
 fn nvme_timeout(seed: u64) -> FaultRow {
     let faults =
         FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::with_probability(0.4));
-    let retry = RetryPolicy::default().with_max_retries(4);
-    let mut ssd = Ssd::build(
-        SsdConfig::test_small(seed)
-            .with_fault_plane(faults)
-            .with_controller(ControllerConfig::default().with_retry(retry)),
-    );
+    let retry = RetryPolicy { max_retries: 4 };
+    let mut ssd = Ssd::build(SsdConfig {
+        fault_plane: faults,
+        controller: ControllerConfig {
+            retry,
+            ..ControllerConfig::default()
+        },
+        ..SsdConfig::test_small(seed)
+    });
     let ns = ssd.create_namespace(256).expect("namespace");
     let qp = ssd.create_queue_pair(32);
     let mut failed = 0u64;

@@ -83,7 +83,10 @@ pub fn run_with_telemetry(seed: u64) -> (Fig1Result, TelemetrySnapshot) {
     let site = find_attack_sites(ssd.ftl(), 1).pop().expect("site");
     let outcome = AttackPipeline::new(
         TwoSided,
-        L2pEntries::default().with_setup_aggressors(true),
+        L2pEntries {
+            setup_aggressors: true,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(1_500_000.0)

@@ -284,16 +284,18 @@ impl SsdFuzz {
         {
             faults = faults.with_site("flash.program_fail", once_at(u64::from(program)));
         }
-        SsdConfig::test_small(DEVICE_SEED)
-            .with_flash_geometry(FlashGeometry::tiny_test())
-            .with_ftl(
-                FtlConfig::default()
-                    .with_journal_checkpoint_every(1)
-                    .with_journal_blocks(2)
-                    .with_meta_resident(true)
-                    .with_journal_verify_crc(self.verify_crc),
-            )
-            .with_fault_plane(faults)
+        SsdConfig {
+            flash_geometry: FlashGeometry::tiny_test(),
+            ftl: FtlConfig {
+                journal_checkpoint_every: 1,
+                journal_blocks: 2,
+                meta_resident: true,
+                journal_verify_crc: self.verify_crc,
+                ..FtlConfig::default()
+            },
+            fault_plane: faults,
+            ..SsdConfig::test_small(DEVICE_SEED)
+        }
     }
 
     /// Executes `ops` on a fresh device and oracle-checks every result:
@@ -358,7 +360,11 @@ impl Recovered {
         let ftl = ssd.ftl();
         Ok(Recovered {
             l2p: ftl.l2p_snapshot()?,
-            replayed: ftl.telemetry().journal_replayed - replayed_before,
+            replayed: ssd
+                .telemetry()
+                .counter_value("recovery.journal_replayed")
+                .unwrap_or(0)
+                - replayed_before,
             read_only: ftl.is_read_only(),
             free_blocks: ftl.free_block_count(),
         })
@@ -509,7 +515,11 @@ impl Exec {
     /// read back what the shadow allows. A recovery that fails outright is
     /// lawful, loud degradation and ends the episode (`None`).
     fn remount(&mut self, ssd: Ssd) -> Result<Option<Ssd>, Failure> {
-        let replayed = |ssd: &Ssd| ssd.ftl().telemetry().journal_replayed;
+        let replayed = |ssd: &Ssd| {
+            ssd.telemetry()
+                .counter_value("recovery.journal_replayed")
+                .unwrap_or(0)
+        };
         let before = replayed(&ssd);
         let first = match ssd.power_cycle(&self.config) {
             Ok(s) => s,

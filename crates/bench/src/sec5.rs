@@ -7,9 +7,7 @@ use ssdhammer_core::{
     diff_mappings, find_attack_sites, setup_entries, snapshot_host_mappings, AttackError,
     AttackPipeline, CrossBank, Hammerer, L2pEntries, ManySided, OneLocation, SameBank, TwoSided,
 };
-use ssdhammer_dram::{
-    DramGeneration, DramGeometry, EccConfig, MappingKind, ModuleProfile, TrrConfig,
-};
+use ssdhammer_dram::{DramGeometry, EccConfig, MappingKind, ModuleProfile, TrrConfig};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::L2pLayout;
 use ssdhammer_nvme::{Ssd, SsdConfig};
@@ -40,17 +38,10 @@ impl ToJson for Sec5Row {
     }
 }
 
-fn demo_profile() -> ModuleProfile {
-    let mut p = ModuleProfile::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 100);
-    p.row_vulnerable_prob = 1.0;
-    p.weak_cells_per_row = 8.0;
-    p
-}
-
 fn base_config(seed: u64) -> SsdConfig {
     let mut c = SsdConfig::test_small(seed);
     c.dram_geometry = DramGeometry::tiny_test();
-    c.dram_profile = demo_profile();
+    c.dram_profile = ModuleProfile::demo_ddr4();
     c.dram_mapping = MappingKind::Linear;
     c.flash_geometry = FlashGeometry::mib64();
     c
@@ -135,7 +126,7 @@ pub fn run(seed: u64) -> Vec<Sec5Row> {
     push("TRR vs many-sided (6 pairs)", attack_many_sided(trr));
 
     let mut refresh = base_config(seed);
-    refresh.dram_profile = demo_profile().with_refresh_multiplier(16);
+    refresh.dram_profile = ModuleProfile::demo_ddr4().with_refresh_multiplier(16);
     push("16x refresh rate", attack(refresh, TwoSided));
 
     let mut limited = base_config(seed);

@@ -542,10 +542,7 @@ mod tests {
             rows_per_bank: 128,
             ..ssdhammer_dram::DramGeometry::tiny_test()
         };
-        config.ssd.ftl = config
-            .ssd
-            .ftl
-            .with_integrity(ssdhammer_ftl::IntegrityMode::Correct);
+        config.ssd.ftl.integrity = ssdhammer_ftl::IntegrityMode::Correct;
         let outcome = run_case_study(&config).unwrap();
         assert!(
             !outcome.success,

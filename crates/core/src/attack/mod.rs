@@ -261,7 +261,10 @@ mod tests {
     fn fig1_pipeline(rate: f64, millis: u64, site: AttackSite) -> AttackPipeline {
         AttackPipeline::new(
             TwoSided,
-            L2pEntries::default().with_setup_aggressors(true),
+            L2pEntries {
+                setup_aggressors: true,
+                ..L2pEntries::default()
+            },
             CrossBank,
         )
         .with_rate(rate)

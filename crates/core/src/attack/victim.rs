@@ -105,22 +105,6 @@ impl Default for L2pEntries {
     }
 }
 
-impl L2pEntries {
-    /// Sets whether setup materializes the victim entries.
-    #[must_use]
-    pub fn with_setup_victims(mut self, enabled: bool) -> Self {
-        self.setup_victims = enabled;
-        self
-    }
-
-    /// Sets whether setup also materializes the aggressor entries.
-    #[must_use]
-    pub fn with_setup_aggressors(mut self, enabled: bool) -> Self {
-        self.setup_aggressors = enabled;
-        self
-    }
-}
-
 impl Victim for L2pEntries {
     fn name(&self) -> &'static str {
         "l2p"

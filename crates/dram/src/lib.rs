@@ -71,8 +71,7 @@ pub use ecc::{EccConfig, EccOutcome, ECC_WORD_BITS};
 pub use geometry::{DramGeometry, Location, RowKey};
 pub use mapping::{AddressMapping, MappingKind};
 pub use module::{
-    DramError, DramModule, DramModuleBuilder, DramTelemetry, FlipDirection, FlipEvent,
-    HammerOptions, HammerReport,
+    DramError, DramModule, DramModuleBuilder, FlipDirection, FlipEvent, HammerOptions, HammerReport,
 };
 pub use para::ParaConfig;
 pub use profile::{DramGeneration, ModuleProfile, RowPolicy};

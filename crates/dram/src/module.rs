@@ -99,28 +99,6 @@ pub struct FlipEvent {
     pub addr: DramAddr,
 }
 
-/// Point-in-time view of the module's counters in the shared
-/// [`Telemetry`] registry (metric names `dram.*`).
-#[derive(Debug, Default, Clone)]
-pub struct DramTelemetry {
-    /// Row activations issued.
-    pub activations: u64,
-    /// Accesses served from the open row buffer.
-    pub row_hits: u64,
-    /// Read operations.
-    pub reads: u64,
-    /// Write operations.
-    pub writes: u64,
-    /// Total bitflips applied to stored data.
-    pub flips: u64,
-    /// Single-bit errors ECC corrected.
-    pub ecc_corrected: u64,
-    /// Double-bit errors ECC detected (failed reads).
-    pub ecc_uncorrectable: u64,
-    /// Words returned with ≥3 flipped bits (silent corruption).
-    pub ecc_silent: u64,
-}
-
 /// Handles into the shared registry, resolved once so the hot path is a
 /// single atomic add per metric.
 #[derive(Debug, Clone)]
@@ -262,7 +240,9 @@ pub struct DramModule {
     /// [`DramModule::run_hammer_with`] call with a non-default factor.
     open_row_dwell: f64,
     tel: DramHandles,
-    flip_log: Vec<FlipEvent>,
+    /// Flips of the [`DramModule::run_hammer_with`] burst in progress
+    /// (`None` outside a burst): each burst reports its own flips.
+    burst_flips: Option<Vec<FlipEvent>>,
 }
 
 /// Builder for [`DramModule`].
@@ -371,7 +351,7 @@ impl DramModuleBuilder {
             open_rows: vec![u32::MAX; self.geometry.total_banks() as usize],
             open_row_dwell: 1.0,
             tel: DramHandles::bind(self.telemetry.unwrap_or_default()),
-            flip_log: Vec::new(),
+            burst_flips: None,
         }
     }
 }
@@ -411,21 +391,6 @@ impl DramModule {
         &self.clock
     }
 
-    /// Point-in-time view of this module's counters.
-    #[must_use]
-    pub fn telemetry(&self) -> DramTelemetry {
-        DramTelemetry {
-            activations: self.tel.activations.get(),
-            row_hits: self.tel.row_hits.get(),
-            reads: self.tel.reads.get(),
-            writes: self.tel.writes.get(),
-            flips: self.tel.flips.get(),
-            ecc_corrected: self.tel.ecc_corrected.get(),
-            ecc_uncorrectable: self.tel.ecc_uncorrectable.get(),
-            ecc_silent: self.tel.ecc_silent.get(),
-        }
-    }
-
     /// The shared registry this module records into.
     #[must_use]
     pub fn shared_telemetry(&self) -> Telemetry {
@@ -439,17 +404,6 @@ impl DramModule {
     /// [`Ssd`]: https://docs.rs/ssdhammer-nvme
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tel = DramHandles::bind(telemetry.clone());
-    }
-
-    /// All flips recorded so far (also see [`DramModule::drain_flips`]).
-    #[must_use]
-    pub fn flip_log(&self) -> &[FlipEvent] {
-        &self.flip_log
-    }
-
-    /// Removes and returns the recorded flips.
-    pub fn drain_flips(&mut self) -> Vec<FlipEvent> {
-        std::mem::take(&mut self.flip_log)
     }
 
     /// Offline profiling: the weak cells of `row` on this specific module.
@@ -648,7 +602,7 @@ impl DramModule {
 
         self.open_row_dwell = opts.dwell_factor;
         let start = self.clock.now();
-        let flips_before = self.flip_log.len();
+        self.burst_flips = Some(Vec::new());
         let mut issued = 0u64;
         let mut activations = 0u64;
         let window = self.profile.refresh_interval;
@@ -704,7 +658,7 @@ impl DramModule {
                 activations as f64 / elapsed.as_secs_f64()
             },
             windows,
-            flips: self.flip_log[flips_before..].to_vec(),
+            flips: self.burst_flips.take().unwrap_or_default(),
             elapsed,
         })
     }
@@ -1047,13 +1001,15 @@ impl DramModule {
                         }
                     ),
                 );
-                self.flip_log.push(FlipEvent {
-                    time: now,
-                    row: victim,
-                    bit: cell.bit,
-                    direction,
-                    addr,
-                });
+                if let Some(flips) = self.burst_flips.as_mut() {
+                    flips.push(FlipEvent {
+                        time: now,
+                        row: victim,
+                        bit: cell.bit,
+                        direction,
+                        addr,
+                    });
+                }
             }
         }
         self.tel.flips.add(flipped_indices.len() as u64);
@@ -1185,6 +1141,13 @@ mod tests {
         p
     }
 
+    /// Counter `name` of `m`'s registry; an unregistered name fails the test.
+    fn counter(m: &DramModule, name: &str) -> u64 {
+        m.shared_telemetry()
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("counter {name} is not registered"))
+    }
+
     /// Address of column 0 of (bank, row) under the module's mapping.
     fn row_addr(m: &DramModule, bank: u32, row: u32) -> DramAddr {
         m.mapping()
@@ -1226,18 +1189,21 @@ mod tests {
         for _ in 0..10 {
             m.read(DramAddr(0), &mut buf).unwrap();
         }
-        assert_eq!(m.telemetry().activations, 1);
-        assert_eq!(m.telemetry().row_hits, 9);
+        assert_eq!(counter(&m, "dram.activations"), 1);
+        assert_eq!(counter(&m, "dram.row_hits"), 9);
     }
 
     #[test]
     fn closed_page_activates_every_access() {
-        let mut m = tiny(ModuleProfile::invulnerable().with_row_policy(RowPolicy::ClosedPage));
+        let mut m = tiny(ModuleProfile {
+            row_policy: RowPolicy::ClosedPage,
+            ..ModuleProfile::invulnerable()
+        });
         let mut buf = [0u8; 4];
         for _ in 0..10 {
             m.read(DramAddr(0), &mut buf).unwrap();
         }
-        assert_eq!(m.telemetry().activations, 10);
+        assert_eq!(counter(&m, "dram.activations"), 10);
     }
 
     #[test]
@@ -1250,7 +1216,7 @@ mod tests {
             m.read(a, &mut buf).unwrap();
             m.read(b, &mut buf).unwrap();
         }
-        assert_eq!(m.telemetry().activations, 10);
+        assert_eq!(counter(&m, "dram.activations"), 10);
     }
 
     #[test]
@@ -1269,7 +1235,7 @@ mod tests {
                 .any(|f| f.row == RowKey { bank: 0, row: 5 }),
             "expected a flip on the victim row; report: {report:?}"
         );
-        assert!(m.telemetry().flips > 0);
+        assert!(counter(&m, "dram.flips") > 0);
     }
 
     #[test]
@@ -1297,7 +1263,10 @@ mod tests {
 
     #[test]
     fn one_location_works_under_closed_page() {
-        let mut m = tiny(eager_profile().with_row_policy(RowPolicy::ClosedPage));
+        let mut m = tiny(ModuleProfile {
+            row_policy: RowPolicy::ClosedPage,
+            ..eager_profile()
+        });
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4)];
@@ -1323,7 +1292,7 @@ mod tests {
             m.read(b, &mut buf).unwrap();
             m.read(victim, &mut buf).unwrap();
         }
-        assert_eq!(m.telemetry().flips, 0);
+        assert_eq!(counter(&m, "dram.flips"), 0);
     }
 
     #[test]
@@ -1339,7 +1308,7 @@ mod tests {
         m.write(victim, &[0xFFu8; 1024]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
         m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
-        assert!(m.telemetry().flips > 0);
+        assert!(counter(&m, "dram.flips") > 0);
         // Jump far ahead: data stays corrupted.
         m.clock().advance(SimDuration::from_secs(10));
         let mut buf = vec![0u8; 1024];
@@ -1369,7 +1338,7 @@ mod tests {
             }
             m.clock().advance(SimDuration::from_millis(64));
         }
-        assert_eq!(m.telemetry().flips, 0);
+        assert_eq!(counter(&m, "dram.flips"), 0);
     }
 
     #[test]
@@ -1416,7 +1385,7 @@ mod tests {
         assert!(
             !report.flips.is_empty(),
             "many-sided should overwhelm the sampler: {:?}",
-            m.telemetry()
+            m.shared_telemetry().snapshot().counters
         );
     }
 
@@ -1435,8 +1404,7 @@ mod tests {
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
         let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
         assert!(report.flips.is_empty(), "PARA should cap the pressure");
-        let snap = m.shared_telemetry().snapshot();
-        assert!(snap.counter("dram.para_suppressions").unwrap_or(0) > 0);
+        assert!(counter(&m, "dram.para_suppressions") > 0);
     }
 
     #[test]
@@ -1458,7 +1426,7 @@ mod tests {
         assert!(
             !report.flips.is_empty(),
             "under-provisioned PARA is overwhelmed: {:?}",
-            m.telemetry()
+            m.shared_telemetry().snapshot().counters
         );
     }
 
@@ -1490,7 +1458,7 @@ mod tests {
         assert!(
             report.flips.is_empty(),
             "PARA backstops TRR against many-sided: {:?}",
-            m.telemetry()
+            m.shared_telemetry().snapshot().counters
         );
     }
 
@@ -1507,14 +1475,14 @@ mod tests {
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
         m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
         assert!(
-            m.telemetry().flips > 0,
+            counter(&m, "dram.flips") > 0,
             "cells should still flip physically"
         );
         // Reads see corrected data (flips on this seed land in distinct words).
         let mut buf = vec![0u8; 1024];
         m.read(victim, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0xFF), "ECC should hide the flips");
-        assert!(m.telemetry().ecc_corrected > 0);
+        assert!(counter(&m, "dram.ecc.corrected") > 0);
     }
 
     #[test]

@@ -132,49 +132,6 @@ impl ModuleProfile {
         self
     }
 
-    /// Switches the row-buffer policy.
-    #[must_use]
-    pub fn with_row_policy(mut self, policy: RowPolicy) -> Self {
-        self.row_policy = policy;
-        self
-    }
-
-    /// Replaces the weakest-cell hammer-count threshold.
-    #[must_use]
-    pub fn with_hc_first(mut self, hc_first: u64) -> Self {
-        self.hc_first = hc_first;
-        self
-    }
-
-    /// Replaces the per-cell threshold spread (0 = every weak cell flips
-    /// exactly at `hc_first`).
-    #[must_use]
-    pub fn with_threshold_spread(mut self, spread: f64) -> Self {
-        self.threshold_spread = spread;
-        self
-    }
-
-    /// Replaces the probability that a row contains any weak cells.
-    #[must_use]
-    pub fn with_row_vulnerable_prob(mut self, prob: f64) -> Self {
-        self.row_vulnerable_prob = prob;
-        self
-    }
-
-    /// Replaces the expected number of weak cells per vulnerable row.
-    #[must_use]
-    pub fn with_weak_cells_per_row(mut self, cells: f64) -> Self {
-        self.weak_cells_per_row = cells;
-        self
-    }
-
-    /// Replaces the distance-2 (half-double) coupling factor (0 disables).
-    #[must_use]
-    pub fn with_distance2_factor(mut self, factor: f64) -> Self {
-        self.distance2_factor = factor;
-        self
-    }
-
     /// An invulnerable control profile (no cell flips at any rate).
     #[must_use]
     pub fn invulnerable() -> Self {
@@ -306,26 +263,24 @@ impl ModuleProfile {
             3000,
         )
     }
+
+    /// The mitigation demos' DDR4 module (§5 matrix, defense matrix,
+    /// `mitigations` example): it flips at 100 K accesses/s, below every
+    /// Table 1 row, and every row holds 8 weak cells, so an attack's
+    /// outcome is decided by the defense, not by profile sampling.
+    #[must_use]
+    pub fn demo_ddr4() -> Self {
+        ModuleProfile {
+            row_vulnerable_prob: 1.0,
+            weak_cells_per_row: 8.0,
+            ..Self::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 100)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_setters_override_preset_fields() {
-        let p = ModuleProfile::invulnerable()
-            .with_hc_first(1000)
-            .with_threshold_spread(0.25)
-            .with_row_vulnerable_prob(0.5)
-            .with_weak_cells_per_row(8.0)
-            .with_distance2_factor(0.6);
-        assert_eq!(p.hc_first, 1000);
-        assert_eq!(p.threshold_spread, 0.25);
-        assert_eq!(p.row_vulnerable_prob, 0.5);
-        assert_eq!(p.weak_cells_per_row, 8.0);
-        assert_eq!(p.distance2_factor, 0.6);
-    }
 
     #[test]
     fn hc_first_is_rate_times_window() {

@@ -27,6 +27,13 @@ fn module(profile: ModuleProfile, seed: u64) -> DramModule {
         .build(SimClock::new())
 }
 
+/// Counter `name` of `m`'s registry; an unregistered name fails the test.
+fn counter(m: &DramModule, name: &str) -> u64 {
+    m.shared_telemetry()
+        .counter_value(name)
+        .unwrap_or_else(|| panic!("counter {name} is not registered"))
+}
+
 fn row_addr(m: &DramModule, bank: u32, row: u32) -> DramAddr {
     m.mapping().encode(Location { bank, row, col: 0 })
 }
@@ -126,9 +133,9 @@ fn ecc_without_scrub_eventually_fails_uncorrectable() {
     assert!(
         result.is_err(),
         "two latent flips in one word must fail the read; telemetry: {:?}",
-        m.telemetry()
+        m.shared_telemetry().snapshot().counters
     );
-    assert!(m.telemetry().ecc_uncorrectable > 0);
+    assert!(counter(&m, "dram.ecc.uncorrectable") > 0);
 }
 
 /// With scrub-on-correct, periodic reads between hammer bursts heal single
@@ -180,21 +187,18 @@ fn configs_are_stable_value_types() {
     assert_ne!(format!("{p:?}"), String::new());
 }
 
-/// The flip telemetry log matches the aggregate counter and drains cleanly.
+/// A burst's report lists exactly the flips `dram.flips` counted, each at
+/// an address that decodes to its recorded row.
 #[test]
-fn flip_log_is_consistent_and_drainable() {
+fn hammer_report_flips_match_the_counter() {
     let mut m = module(eager(0.0), 3);
     let victim = row_addr(&m, 0, 5);
     m.write(victim, &[0xFF; 64]).unwrap();
     let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-    m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
-    let total = m.telemetry().flips;
-    assert_eq!(m.flip_log().len() as u64, total);
-    let drained = m.drain_flips();
-    assert_eq!(drained.len() as u64, total);
-    assert!(m.flip_log().is_empty());
-    // Flip addresses decode back to their recorded rows.
-    for f in &drained {
+    let report = m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+    assert!(!report.flips.is_empty());
+    assert_eq!(report.flips.len() as u64, counter(&m, "dram.flips"));
+    for f in &report.flips {
         let loc = m.mapping().decode(f.addr);
         assert_eq!(loc.row_key(), f.row);
     }

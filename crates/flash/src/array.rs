@@ -94,25 +94,6 @@ impl core::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
-/// Point-in-time view of the array's counters in the shared
-/// [`Telemetry`] registry (metric names `flash.*`).
-#[derive(Debug, Default, Clone)]
-pub struct FlashTelemetry {
-    /// Page reads.
-    pub reads: u64,
-    /// Page programs.
-    pub programs: u64,
-    /// Block erases.
-    pub erases: u64,
-    /// Erases rejected because the block wore out.
-    pub wear_failures: u64,
-    /// Bits corrupted in returned data due to read disturb.
-    pub read_disturb_errors: u64,
-    /// Blocks that went bad after manufacturing (wear-out, erase failures,
-    /// or FTL retirement via [`FlashArray::mark_bad`]).
-    pub grown_bad: u64,
-}
-
 /// Handles into the shared registry, resolved once at bind time.
 #[derive(Debug, Clone)]
 struct FlashHandles {
@@ -315,19 +296,6 @@ impl FlashArray {
     #[must_use]
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
-    }
-
-    /// Point-in-time view of this array's counters.
-    #[must_use]
-    pub fn telemetry(&self) -> FlashTelemetry {
-        FlashTelemetry {
-            reads: self.tel.reads.get(),
-            programs: self.tel.programs.get(),
-            erases: self.tel.erases.get(),
-            wear_failures: self.tel.wear_failures.get(),
-            read_disturb_errors: self.tel.read_disturb_errors.get(),
-            grown_bad: self.tel.grown_bad.get(),
-        }
     }
 
     /// The shared registry this array records into.
@@ -724,6 +692,13 @@ mod tests {
         a
     }
 
+    /// Counter `name` of `a`'s registry; an unregistered name fails the test.
+    fn counter(a: &FlashArray, name: &str) -> u64 {
+        a.shared_telemetry()
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("counter {name} is not registered"))
+    }
+
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; 4096]
     }
@@ -802,7 +777,7 @@ mod tests {
             a.read_page(a.geometry().first_page(BlockId(2))),
             Err(FlashError::BadBlock { block: BlockId(2) })
         );
-        assert_eq!(a.telemetry().wear_failures, 1);
+        assert_eq!(counter(&a, "flash.wear_failures"), 1);
     }
 
     #[test]
@@ -853,8 +828,14 @@ mod tests {
         a.program_page(Ppn(0), &page(1), b"").unwrap();
         a.read_page(Ppn(0)).unwrap();
         a.erase_block(BlockId(0)).unwrap();
-        let t = a.telemetry();
-        assert_eq!((t.reads, t.programs, t.erases), (1, 1, 1));
+        assert_eq!(
+            (
+                counter(&a, "flash.reads"),
+                counter(&a, "flash.programs"),
+                counter(&a, "flash.erases")
+            ),
+            (1, 1, 1)
+        );
     }
 
     #[test]
@@ -875,7 +856,7 @@ mod tests {
             corrupted |= d.iter().any(|&b| b != 0x00);
         }
         assert!(corrupted, "read disturb should corrupt returned data");
-        assert!(a.telemetry().read_disturb_errors > 0);
+        assert!(counter(&a, "flash.read_disturb_errors") > 0);
         // Erase resets the counter; fresh data reads clean again.
         a.erase_block(BlockId(0)).unwrap();
         assert_eq!(a.reads_since_erase(BlockId(0)).unwrap(), 0);
@@ -999,10 +980,10 @@ mod tests {
     #[test]
     fn dummy_read_charges_channel_time_only() {
         let mut a = array();
-        let before = a.telemetry().reads;
+        let before = counter(&a, "flash.reads");
         let t = a.charge_dummy_read(3);
         assert!(t > ssdhammer_simkit::SimTime::ZERO);
-        assert_eq!(a.telemetry().reads, before + 1);
+        assert_eq!(counter(&a, "flash.reads"), before + 1);
         // No page state was touched.
         assert_eq!(a.reads_since_erase(BlockId(1)).unwrap(), 0);
     }
@@ -1054,7 +1035,7 @@ mod tests {
             Err(FlashError::EraseFailed { block: BlockId(1) })
         );
         assert!(a.is_bad(BlockId(1)).unwrap());
-        assert_eq!(a.telemetry().grown_bad, 1);
+        assert_eq!(counter(&a, "flash.grown_bad"), 1);
         // Other blocks still work once the single fire is spent.
         a.erase_block(BlockId(0)).unwrap();
     }
@@ -1064,10 +1045,10 @@ mod tests {
         let mut a = array();
         a.mark_bad(BlockId(2)).unwrap();
         assert!(a.is_bad(BlockId(2)).unwrap());
-        assert_eq!(a.telemetry().grown_bad, 1);
+        assert_eq!(counter(&a, "flash.grown_bad"), 1);
         // Idempotent: no double count.
         a.mark_bad(BlockId(2)).unwrap();
-        assert_eq!(a.telemetry().grown_bad, 1);
+        assert_eq!(counter(&a, "flash.grown_bad"), 1);
         assert_eq!(a.mark_bad(BlockId(999_999)), Err(FlashError::OutOfRange));
     }
 

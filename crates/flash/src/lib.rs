@@ -40,5 +40,5 @@
 mod array;
 mod geometry;
 
-pub use array::{FlashArray, FlashError, FlashTelemetry, PageBytes};
+pub use array::{FlashArray, FlashError, PageBytes};
 pub use geometry::{BlockId, FlashGeometry, FlashTiming, Ppn};

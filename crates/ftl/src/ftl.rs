@@ -276,97 +276,6 @@ impl Default for FtlConfig {
     }
 }
 
-impl FtlConfig {
-    // Builder-style setters over `Default`:
-    // `FtlConfig::default().with_l2p_layout(L2pLayout::hashed()).with_dif(true)`.
-
-    /// Replaces the L2P placement policy.
-    #[must_use]
-    pub fn with_l2p_layout(mut self, layout: L2pLayout) -> Self {
-        self.l2p_layout = layout;
-        self
-    }
-
-    /// Replaces the per-I/O row-activation amplification factor.
-    #[must_use]
-    pub fn with_hammer_amplification(mut self, factor: u32) -> Self {
-        self.hammer_amplification = factor;
-        self
-    }
-
-    /// Enables or disables the unmapped-read fast path.
-    #[must_use]
-    pub fn with_unmapped_fast_path(mut self, enabled: bool) -> Self {
-        self.unmapped_fast_path = enabled;
-        self
-    }
-
-    /// Replaces the read-refresh relocation threshold (`None` disables).
-    #[must_use]
-    pub fn with_read_refresh_threshold(mut self, threshold: Option<u64>) -> Self {
-        self.read_refresh_threshold = threshold;
-        self
-    }
-
-    /// Enables or disables T10-DIF-style block integrity.
-    #[must_use]
-    pub fn with_dif(mut self, enabled: bool) -> Self {
-        self.dif = enabled;
-        self
-    }
-
-    /// Replaces the read-retry ladder depth.
-    #[must_use]
-    pub fn with_read_retry_max(mut self, retries: u32) -> Self {
-        self.read_retry_max = retries;
-        self
-    }
-
-    /// Replaces the grown-bad-block remap budget.
-    #[must_use]
-    pub fn with_remap_budget(mut self, budget: u32) -> Self {
-        self.remap_budget = budget;
-        self
-    }
-
-    /// Replaces the journal checkpoint interval (`0` disables journaling).
-    #[must_use]
-    pub fn with_journal_checkpoint_every(mut self, entries: u32) -> Self {
-        self.journal_checkpoint_every = entries;
-        self
-    }
-
-    /// Replaces the journal region size in blocks.
-    #[must_use]
-    pub fn with_journal_blocks(mut self, blocks: u32) -> Self {
-        self.journal_blocks = blocks;
-        self
-    }
-
-    /// Replaces the L2P integrity protection mode.
-    #[must_use]
-    pub fn with_integrity(mut self, mode: IntegrityMode) -> Self {
-        self.integrity = mode;
-        self
-    }
-
-    /// Enables or disables the DRAM-resident metadata plane.
-    #[must_use]
-    pub fn with_meta_resident(mut self, enabled: bool) -> Self {
-        self.meta_resident = enabled;
-        self
-    }
-
-    /// Enables or disables journal-replay CRC verification. A fuzz-oracle
-    /// test hook ([`FtlConfig::journal_verify_crc`]); leave on everywhere
-    /// else.
-    #[must_use]
-    pub fn with_journal_verify_crc(mut self, enabled: bool) -> Self {
-        self.journal_verify_crc = enabled;
-        self
-    }
-}
-
 /// What a read translated to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -401,69 +310,6 @@ pub enum ReadOutcome {
     },
 }
 
-/// Point-in-time view of the FTL's counters in the shared
-/// [`Telemetry`] registry (metric names `ftl.*`).
-#[derive(Debug, Default, Clone)]
-pub struct FtlTelemetry {
-    /// Host reads served.
-    pub host_reads: u64,
-    /// Host writes served.
-    pub host_writes: u64,
-    /// Host trims served.
-    pub host_trims: u64,
-    /// Garbage-collection victim blocks processed.
-    pub gc_runs: u64,
-    /// Pages relocated by garbage collection or read-refresh.
-    pub gc_relocated: u64,
-    /// Blocks relocated preemptively due to read disturb.
-    pub read_refreshes: u64,
-    /// L2P table lookups issued through simulated DRAM.
-    pub l2p_reads: u64,
-    /// L2P table updates issued through simulated DRAM.
-    pub l2p_writes: u64,
-    /// Reads whose mapping resolved somewhere provably wrong (wild entries
-    /// and DIF guard mismatches).
-    pub redirections_detected: u64,
-    /// Media read failures recovered by re-issuing the read.
-    pub read_retries: u64,
-    /// Reads recovered by ECC after the retry ladder was exhausted.
-    pub ecc_corrected: u64,
-    /// Reads whose flipped bits exceeded ECC detection: wrong data was
-    /// served as if clean (caught only by DIF, when enabled).
-    pub silent_corruptions: u64,
-    /// Reads that stayed unreadable through the whole recovery ladder.
-    pub uncorrectable_reads: u64,
-    /// Blocks retired grown-bad and remapped away from.
-    pub bad_block_remaps: u64,
-    /// Journal pages checkpointed to flash.
-    pub journal_checkpoints: u64,
-    /// Journal entries replayed by [`Ftl::recover`], summed over every
-    /// recovery recorded in this registry.
-    pub journal_replayed: u64,
-    /// Simulated power-loss events taken.
-    pub power_losses: u64,
-    /// 1 when the device has degraded to read-only mode.
-    pub read_only: f64,
-    /// L2P entries whose integrity verification found a mismatch.
-    pub integrity_detected: u64,
-    /// Single-bit L2P entry errors repaired in place (SEC-DED).
-    pub integrity_repaired: u64,
-    /// Multi-bit L2P entry errors restored from the distant mirror.
-    pub integrity_mirror_repairs: u64,
-    /// L2P entries where primary and mirror both diverged beyond repair
-    /// (each degrades the device to read-only).
-    pub integrity_unrepairable: u64,
-    /// L2P entries verified by the patrol scrubber.
-    pub scrub_entries_checked: u64,
-    /// Errors repaired during patrol scrubs (DRAM ECC, flash ECC, or
-    /// integrity-plane repairs attributable to the scrub pass).
-    pub scrub_repairs: u64,
-    /// Flash patrol reads issued by the scrubber.
-    pub scrub_flash_reads: u64,
-    /// Completed full sweeps of the L2P table.
-    pub scrub_sweeps: u64,
-}
-
 /// Handles into the shared registry, resolved once at bind time.
 #[derive(Debug, Clone)]
 struct FtlHandles {
@@ -494,6 +340,10 @@ struct FtlHandles {
     scrub_repairs: CounterHandle,
     scrub_flash_reads: CounterHandle,
     scrub_sweeps: CounterHandle,
+    /// The DRAM's `dram.ecc.corrected`, read by `Ftl::repairs_total`.
+    dram_ecc_corrected: CounterHandle,
+    /// The NAND's `flash.programs`, read by `Ftl::write_amplification`.
+    flash_programs: CounterHandle,
 }
 
 impl FtlHandles {
@@ -525,6 +375,8 @@ impl FtlHandles {
             scrub_repairs: registry.counter("scrub.repairs"),
             scrub_flash_reads: registry.counter("scrub.flash_reads"),
             scrub_sweeps: registry.counter("scrub.sweeps"),
+            dram_ecc_corrected: registry.counter("dram.ecc.corrected"),
+            flash_programs: registry.counter("flash.programs"),
             registry,
         }
     }
@@ -992,39 +844,6 @@ impl Ftl {
         &self.config
     }
 
-    /// Aggregate counters.
-    #[must_use]
-    pub fn telemetry(&self) -> FtlTelemetry {
-        FtlTelemetry {
-            host_reads: self.tel.host_reads.get(),
-            host_writes: self.tel.host_writes.get(),
-            host_trims: self.tel.host_trims.get(),
-            gc_runs: self.tel.gc_runs.get(),
-            gc_relocated: self.tel.gc_relocated.get(),
-            read_refreshes: self.tel.read_refreshes.get(),
-            l2p_reads: self.tel.l2p_reads.get(),
-            l2p_writes: self.tel.l2p_writes.get(),
-            redirections_detected: self.tel.redirections_detected.get(),
-            read_retries: self.tel.read_retries.get(),
-            ecc_corrected: self.tel.ecc_corrected.get(),
-            silent_corruptions: self.tel.silent_corruptions.get(),
-            uncorrectable_reads: self.tel.uncorrectable_reads.get(),
-            bad_block_remaps: self.tel.bad_block_remaps.get(),
-            journal_checkpoints: self.tel.journal_checkpoints.get(),
-            journal_replayed: self.tel.journal_replayed.get(),
-            power_losses: self.tel.power_losses.get(),
-            read_only: self.tel.read_only.get(),
-            integrity_detected: self.tel.integrity_detected.get(),
-            integrity_repaired: self.tel.integrity_repaired.get(),
-            integrity_mirror_repairs: self.tel.integrity_mirror_repairs.get(),
-            integrity_unrepairable: self.tel.integrity_unrepairable.get(),
-            scrub_entries_checked: self.tel.scrub_entries_checked.get(),
-            scrub_repairs: self.tel.scrub_repairs.get(),
-            scrub_flash_reads: self.tel.scrub_flash_reads.get(),
-            scrub_sweeps: self.tel.scrub_sweeps.get(),
-        }
-    }
-
     /// The shared registry this FTL (and its DRAM and NAND) records into.
     #[must_use]
     pub fn shared_telemetry(&self) -> Telemetry {
@@ -1040,7 +859,8 @@ impl Ftl {
         self.tel = FtlHandles::bind(telemetry.clone());
     }
 
-    /// The DRAM module (experiments inspect flips and telemetry through it).
+    /// The DRAM module (experiments profile rows and peek at cells through
+    /// it).
     #[must_use]
     pub fn dram(&self) -> &DramModule {
         &self.dram
@@ -1507,7 +1327,7 @@ impl Ftl {
     /// scrubs, flash ECC recoveries, integrity-plane repairs) — sampled
     /// around a scrub chunk to charge `scrub.repairs`.
     fn repairs_total(&self) -> u64 {
-        self.dram.telemetry().ecc_corrected
+        self.tel.dram_ecc_corrected.get()
             + self.tel.ecc_corrected.get()
             + self.tel.integrity_repaired.get()
             + self.tel.integrity_mirror_repairs.get()
@@ -1540,7 +1360,7 @@ impl Ftl {
         if host_writes == 0 {
             0.0
         } else {
-            self.nand.telemetry().programs as f64 / host_writes as f64
+            self.tel.flash_programs.get() as f64 / host_writes as f64
         }
     }
 
@@ -2120,18 +1940,12 @@ mod tests {
         vec![fill; BLOCK_SIZE]
     }
 
-    #[test]
-    fn builder_setters_override_defaults() {
-        let c = FtlConfig::default()
-            .with_l2p_layout(L2pLayout::Hashed { key: 9 })
-            .with_hammer_amplification(5)
-            .with_unmapped_fast_path(false)
-            .with_read_refresh_threshold(None)
-            .with_dif(true);
-        assert_eq!(c.hammer_amplification, 5);
-        assert!(!c.unmapped_fast_path);
-        assert_eq!(c.read_refresh_threshold, None);
-        assert!(c.dif);
+    /// Counter `name` of the FTL's registry; an unregistered name fails the
+    /// test.
+    fn counter(ftl: &Ftl, name: &str) -> u64 {
+        ftl.shared_telemetry()
+            .counter_value(name)
+            .unwrap_or_else(|| panic!("counter {name} is not registered"))
     }
 
     /// FTL over the given flash and an eagerly vulnerable DRAM for attack
@@ -2183,7 +1997,7 @@ mod tests {
         let outcome = ftl.read(Lba(100), &mut out).unwrap();
         assert_eq!(outcome, ReadOutcome::Unmapped);
         assert_eq!(out, block(0));
-        assert_eq!(ftl.nand().telemetry().reads, 0);
+        assert_eq!(counter(&ftl, "flash.reads"), 0);
     }
 
     #[test]
@@ -2250,7 +2064,7 @@ mod tests {
                 ftl.write(Lba(lba), &block((round % 251) as u8)).unwrap();
             }
         }
-        assert!(ftl.telemetry().gc_runs > 0, "GC must have run");
+        assert!(counter(&ftl, "ftl.gc_runs") > 0, "GC must have run");
         // All data still correct.
         let mut out = block(0);
         for lba in 0..cap / 4 {
@@ -2258,6 +2072,10 @@ mod tests {
             assert_eq!(out[0], 19);
         }
         assert!(ftl.write_amplification() >= 1.0);
+        assert_eq!(
+            ftl.write_amplification(),
+            counter(&ftl, "flash.programs") as f64 / counter(&ftl, "ftl.host_writes") as f64
+        );
     }
 
     #[test]
@@ -2308,8 +2126,8 @@ mod tests {
                 ftl5.read(l, &mut out).unwrap();
             }
         }
-        let a1 = ftl1.dram().telemetry().activations;
-        let a5 = ftl5.dram().telemetry().activations;
+        let a1 = counter(&ftl1, "dram.activations");
+        let a5 = counter(&ftl5, "dram.activations");
         assert!(
             a5 > a1 * 4,
             "5x amplification should ~5x activations: {a1} vs {a5}"
@@ -2414,7 +2232,7 @@ mod tests {
     #[test]
     fn gc_itself_activates_dram_rows() {
         let mut ftl = Ftl::tiny_for_tests(1).unwrap();
-        let before = ftl.dram().telemetry().activations;
+        let before = counter(&ftl, "dram.activations");
         let cap = ftl.capacity_lbas();
         // Fill the device, then keep overwriting half of it: GC victims then
         // carry live data from the cold half interleaved by allocation order,
@@ -2427,8 +2245,8 @@ mod tests {
                 ftl.write(Lba(lba), &block(round as u8)).unwrap();
             }
         }
-        assert!(ftl.telemetry().gc_relocated > 0);
-        assert!(ftl.dram().telemetry().activations > before);
+        assert!(counter(&ftl, "ftl.gc_relocated") > 0);
+        assert!(counter(&ftl, "dram.activations") > before);
     }
 
     #[test]
@@ -2516,7 +2334,10 @@ mod tests {
                 ftl.write(Lba(lba), &block((round % 251) as u8)).unwrap();
             }
         }
-        assert!(ftl.telemetry().gc_relocated > 0, "GC must have moved pages");
+        assert!(
+            counter(&ftl, "ftl.gc_relocated") > 0,
+            "GC must have moved pages"
+        );
         let mut out = block(0);
         for lba in (1..cap).step_by(16) {
             let outcome = ftl.read(Lba(lba), &mut out).unwrap();
@@ -2625,7 +2446,7 @@ mod tests {
                 "refresh must keep data clean"
             );
         }
-        assert!(protected.telemetry().read_refreshes > 0);
+        assert!(counter(&protected, "ftl.read_refreshes") > 0);
     }
 
     fn integrity_ftl(mode: IntegrityMode) -> Ftl {
@@ -2638,7 +2459,15 @@ mod tests {
             .without_timing()
             .build(clock.clone());
         let nand = FlashArray::new(FlashGeometry::tiny_test(), clock, 1);
-        Ftl::new(dram, nand, FtlConfig::default().with_integrity(mode)).unwrap()
+        Ftl::new(
+            dram,
+            nand,
+            FtlConfig {
+                integrity: mode,
+                ..FtlConfig::default()
+            },
+        )
+        .unwrap()
     }
 
     /// XORs `mask` into the entry word at `addr` through the DRAM backdoor
@@ -2668,9 +2497,9 @@ mod tests {
             Err(FtlError::L2pIntegrity { lba: Lba(1) })
         );
         assert_eq!(out, block(0), "nothing leaks");
-        assert_eq!(ftl.telemetry().integrity_detected, 1);
+        assert_eq!(counter(&ftl, "integrity.detected"), 1);
         assert_eq!(
-            ftl.telemetry().integrity_repaired,
+            counter(&ftl, "integrity.repaired"),
             0,
             "Detect never repairs"
         );
@@ -2690,7 +2519,7 @@ mod tests {
         let outcome = ftl.read(Lba(3), &mut out).unwrap();
         assert!(matches!(outcome, ReadOutcome::Mapped { .. }), "{outcome:?}");
         assert_eq!(out, block(0x33));
-        assert_eq!(ftl.telemetry().integrity_repaired, 1);
+        assert_eq!(counter(&ftl, "integrity.repaired"), 1);
         // The repair rewrote the primary entry: the flip is really gone.
         assert_eq!(ftl.peek_mapping(Lba(3)).unwrap(), before);
     }
@@ -2706,7 +2535,7 @@ mod tests {
         let mut out = block(0);
         ftl.read(Lba(4), &mut out).unwrap();
         assert_eq!(out, block(0x44));
-        assert_eq!(ftl.telemetry().integrity_mirror_repairs, 1);
+        assert_eq!(counter(&ftl, "integrity.mirror_repairs"), 1);
         assert_eq!(ftl.peek_mapping(Lba(4)).unwrap(), before);
     }
 
@@ -2728,7 +2557,7 @@ mod tests {
             Err(FtlError::L2pIntegrity { lba: Lba(5) })
         );
         assert!(ftl.is_read_only(), "unrepairable divergence degrades");
-        assert_eq!(ftl.telemetry().integrity_unrepairable, 1);
+        assert_eq!(counter(&ftl, "integrity.unrepairable"), 1);
         // Degraded-mode contract: writes rejected, intact reads still served.
         assert_eq!(ftl.write(Lba(7), &block(0)), Err(FtlError::ReadOnly));
         ftl.read(Lba(6), &mut out).unwrap();
@@ -2746,14 +2575,14 @@ mod tests {
                 ftl.write(Lba(lba), &block((round % 251) as u8)).unwrap();
             }
         }
-        assert!(ftl.telemetry().gc_runs > 0, "GC must have run");
+        assert!(counter(&ftl, "ftl.gc_runs") > 0, "GC must have run");
         let mut out = block(0);
         for lba in (0..cap / 2).step_by(7) {
             let outcome = ftl.read(Lba(lba), &mut out).unwrap();
             assert!(matches!(outcome, ReadOutcome::Mapped { .. }), "{outcome:?}");
             assert_eq!(out[0], 7);
         }
-        assert_eq!(ftl.telemetry().integrity_detected, 0, "no false positives");
+        assert_eq!(counter(&ftl, "integrity.detected"), 0, "no false positives");
     }
 
     #[test]
@@ -2770,10 +2599,13 @@ mod tests {
             corrupt_u32(&mut ftl, addr, 1 << 3);
         }
         ftl.scrub_chunk(ftl.capacity_lbas(), 0).unwrap();
-        let t = ftl.telemetry();
-        assert_eq!(t.scrub_entries_checked, ftl.capacity_lbas());
-        assert_eq!(t.scrub_repairs, 3, "each flip repaired exactly once");
-        assert_eq!(t.scrub_sweeps, 1);
+        assert_eq!(counter(&ftl, "scrub.entries_checked"), ftl.capacity_lbas());
+        assert_eq!(
+            counter(&ftl, "scrub.repairs"),
+            3,
+            "each flip repaired exactly once"
+        );
+        assert_eq!(counter(&ftl, "scrub.sweeps"), 1);
         for (lba, exp) in before.iter().enumerate() {
             assert_eq!(ftl.peek_mapping(Lba(lba as u64)).unwrap(), *exp);
         }
@@ -2786,10 +2618,10 @@ mod tests {
             ftl.write(Lba(lba), &block(1)).unwrap();
         }
         ftl.scrub_chunk(0, 5).unwrap();
-        assert_eq!(ftl.telemetry().scrub_flash_reads, 5);
+        assert_eq!(counter(&ftl, "scrub.flash_reads"), 5);
         ftl.scrub_chunk(0, 100).unwrap();
         // Only 16 valid pages exist; the patrol never reads unmapped pages.
-        assert_eq!(ftl.telemetry().scrub_flash_reads, 5 + 16);
+        assert_eq!(counter(&ftl, "scrub.flash_reads"), 5 + 16);
     }
 
     #[test]
@@ -2803,7 +2635,10 @@ mod tests {
         };
         let mut ftl = vulnerable_ftl_with(
             flash,
-            FtlConfig::default().with_integrity(IntegrityMode::Correct),
+            FtlConfig {
+                integrity: IntegrityMode::Correct,
+                ..FtlConfig::default()
+            },
         );
         let table = *ftl.table();
         let victim_lbas = table.lbas_in_row(ftl.dram(), 0, 5);
@@ -2831,10 +2666,12 @@ mod tests {
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
-        let t = ftl.telemetry();
+        let repaired = counter(&ftl, "integrity.repaired");
+        let mirror_repairs = counter(&ftl, "integrity.mirror_repairs");
         assert!(
-            t.integrity_repaired + t.integrity_mirror_repairs > 0,
-            "hammer flips must have been repaired: {t:?}"
+            repaired + mirror_repairs > 0,
+            "hammer flips must have been repaired: {repaired} in place, \
+             {mirror_repairs} from the mirror"
         );
     }
 

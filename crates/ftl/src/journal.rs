@@ -112,11 +112,11 @@ pub(crate) fn decode_page(page: &[u8]) -> DecodedPage {
 /// as-is — including a torn tail whose zeroed trailing bytes decode as a
 /// live `lba → ppn 0` mapping. That is exactly the wrong-mapping bug the
 /// CRCs exist to prevent; the knob exists (via
-/// [`FtlConfig::with_journal_verify_crc`]) so the fuzz oracle's
+/// [`FtlConfig::journal_verify_crc`]) so the fuzz oracle's
 /// planted-bug test can prove it catches the corruption when the defense
 /// is off. Never disable it outside such a test.
 ///
-/// [`FtlConfig::with_journal_verify_crc`]: crate::FtlConfig::with_journal_verify_crc
+/// [`FtlConfig::journal_verify_crc`]: crate::FtlConfig::journal_verify_crc
 pub(crate) fn decode_page_with(page: &[u8], verify_crc: bool) -> DecodedPage {
     let Some((header, body)) = page
         .split_first_chunk::<HEADER_BYTES>()

@@ -49,9 +49,7 @@ mod journal;
 mod l2p;
 pub mod meta;
 
-pub use ftl::{
-    error_is_legal, Ftl, FtlConfig, FtlError, FtlTelemetry, HostOp, ReadOutcome, CRASH_SITES,
-};
+pub use ftl::{error_is_legal, Ftl, FtlConfig, FtlError, HostOp, ReadOutcome, CRASH_SITES};
 pub use integrity::{IntegrityMode, SecdedOutcome};
 pub use l2p::{L2pLayout, L2pTable, INVALID_ENTRY};
 pub use meta::{MetaKind, MetaPlane};

@@ -22,6 +22,14 @@ fn fresh_dram(seed: u64) -> DramModule {
         .build(SimClock::new())
 }
 
+/// Counter `name` of the FTL's registry; an unregistered name fails the
+/// test.
+fn counter(ftl: &Ftl, name: &str) -> u64 {
+    ftl.shared_telemetry()
+        .counter_value(name)
+        .unwrap_or_else(|| panic!("counter {name} is not registered"))
+}
+
 /// A tiny FTL whose NAND consults the given fault sites.
 fn faulty_ftl(seed: u64, config: FtlConfig, faults: FaultPlaneConfig) -> Ftl {
     let clock = SimClock::new();
@@ -43,7 +51,14 @@ fn transient_read_failures_recover_through_retries() {
     // astronomically unlikely (and the fixed seed makes it impossible).
     let faults =
         FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::with_probability(0.5));
-    let mut ftl = faulty_ftl(7, FtlConfig::default().with_read_retry_max(8), faults);
+    let mut ftl = faulty_ftl(
+        7,
+        FtlConfig {
+            read_retry_max: 8,
+            ..FtlConfig::default()
+        },
+        faults,
+    );
     for lba in 0..50u64 {
         ftl.write(Lba(lba), &block(lba as u8)).unwrap();
     }
@@ -53,9 +68,11 @@ fn transient_read_failures_recover_through_retries() {
         assert!(matches!(outcome, ReadOutcome::Mapped { .. }));
         assert_eq!(out[0], lba as u8, "lba {lba}");
     }
-    let t = ftl.telemetry();
-    assert!(t.read_retries > 0, "retries must have fired");
-    assert_eq!(t.uncorrectable_reads, 0);
+    assert!(
+        counter(&ftl, "recovery.read_retries") > 0,
+        "retries must have fired"
+    );
+    assert_eq!(counter(&ftl, "recovery.uncorrectable_reads"), 0);
 }
 
 #[test]
@@ -63,7 +80,14 @@ fn exhausted_ladder_escalates_into_ecc_classification() {
     // Every read fails, no retries: each read goes straight to SEC-DED
     // classification of its 1-3 flipped bits.
     let faults = FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always());
-    let mut ftl = faulty_ftl(7, FtlConfig::default().with_read_retry_max(0), faults);
+    let mut ftl = faulty_ftl(
+        7,
+        FtlConfig {
+            read_retry_max: 0,
+            ..FtlConfig::default()
+        },
+        faults,
+    );
     for lba in 0..60u64 {
         ftl.write(Lba(lba), &block(0x3C)).unwrap();
     }
@@ -77,11 +101,13 @@ fn exhausted_ladder_escalates_into_ecc_classification() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    let t = ftl.telemetry();
     assert!(corrected > 0, "some reads must be ECC-served");
     assert!(uncorrectable > 0, "some reads must stay unreadable");
-    assert_eq!(t.ecc_corrected + t.silent_corruptions, corrected);
-    assert_eq!(t.uncorrectable_reads, uncorrectable);
+    assert_eq!(
+        counter(&ftl, "recovery.ecc_corrected") + counter(&ftl, "recovery.silent_corruptions"),
+        corrected
+    );
+    assert_eq!(counter(&ftl, "recovery.uncorrectable_reads"), uncorrectable);
 }
 
 #[test]
@@ -91,7 +117,14 @@ fn silent_corruption_is_caught_by_dif_but_not_without_it() {
     // the copying read and by the shared one alike.
     let mut out = block(0);
     for shared in [false, true] {
-        let mut plain = faulty_ftl(9, FtlConfig::default().with_read_retry_max(0), faults());
+        let mut plain = faulty_ftl(
+            9,
+            FtlConfig {
+                read_retry_max: 0,
+                ..FtlConfig::default()
+            },
+            faults(),
+        );
         for lba in 0..60u64 {
             plain.write(Lba(lba), &block(0x3C)).unwrap();
         }
@@ -111,10 +144,10 @@ fn silent_corruption_is_caught_by_dif_but_not_without_it() {
                 }
             }
         }
-        assert!(plain.telemetry().silent_corruptions > 0);
+        assert!(counter(&plain, "recovery.silent_corruptions") > 0);
         assert_eq!(
             silently_wrong,
-            plain.telemetry().silent_corruptions,
+            counter(&plain, "recovery.silent_corruptions"),
             "every silent corruption serves wrong data undetected (shared: {shared})"
         );
     }
@@ -123,7 +156,11 @@ fn silent_corruption_is_caught_by_dif_but_not_without_it() {
     // guard mismatches; no wrong data reaches the host.
     let mut guarded = faulty_ftl(
         9,
-        FtlConfig::default().with_read_retry_max(0).with_dif(true),
+        FtlConfig {
+            read_retry_max: 0,
+            dif: true,
+            ..FtlConfig::default()
+        },
         faults(),
     );
     for lba in 0..60u64 {
@@ -139,8 +176,8 @@ fn silent_corruption_is_caught_by_dif_but_not_without_it() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert!(guarded.telemetry().silent_corruptions > 0);
-    assert_eq!(mismatches, guarded.telemetry().silent_corruptions);
+    assert!(counter(&guarded, "recovery.silent_corruptions") > 0);
+    assert_eq!(mismatches, counter(&guarded, "recovery.silent_corruptions"));
 }
 
 #[test]
@@ -149,25 +186,33 @@ fn gc_relocation_moves_pages_intact_except_where_the_ecc_ladder_says() {
     // GC run relocates is classified by ECC: corrected (moved intact),
     // silent (moved with one flipped bit) or uncorrectable (dropped).
     let faults = FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always());
-    let mut ftl = faulty_ftl(7, FtlConfig::default().with_read_retry_max(0), faults);
+    let mut ftl = faulty_ftl(
+        7,
+        FtlConfig {
+            read_retry_max: 0,
+            ..FtlConfig::default()
+        },
+        faults,
+    );
     let lbas = ftl.capacity_lbas();
     let mut written: Vec<Vec<u8>> = (0..lbas).map(|lba| block(lba as u8)).collect();
     for (lba, data) in written.iter().enumerate() {
         ftl.write(Lba(lba as u64), data).unwrap();
     }
-    assert_eq!(ftl.telemetry().gc_runs, 0);
+    assert_eq!(counter(&ftl, "ftl.gc_runs"), 0);
     // Overwrite every other LBA until GC runs: the victim is half valid.
     for lba in (0..lbas).step_by(2) {
         written[lba as usize] = block(!(lba as u8));
         ftl.write(Lba(lba), &written[lba as usize]).unwrap();
-        if ftl.telemetry().gc_runs > 0 {
+        if counter(&ftl, "ftl.gc_runs") > 0 {
             break;
         }
     }
-    let t = ftl.telemetry();
-    assert_eq!(t.gc_runs, 1);
-    assert!(t.gc_relocated > 0 && t.ecc_corrected > 0);
-    assert!(t.silent_corruptions > 0 && t.uncorrectable_reads > 0);
+    let silent = counter(&ftl, "recovery.silent_corruptions");
+    let uncorrectable = counter(&ftl, "recovery.uncorrectable_reads");
+    assert_eq!(counter(&ftl, "ftl.gc_runs"), 1);
+    assert!(counter(&ftl, "ftl.gc_relocated") > 0 && counter(&ftl, "recovery.ecc_corrected") > 0);
+    assert!(silent > 0 && uncorrectable > 0);
     let mappings: Vec<_> = (0..lbas)
         .map(|lba| ftl.peek_mapping(Lba(lba)).unwrap())
         .collect();
@@ -190,8 +235,8 @@ fn gc_relocation_moves_pages_intact_except_where_the_ecc_ladder_says() {
         );
         flipped += u64::from(bits);
     }
-    assert_eq!(flipped, t.silent_corruptions);
-    assert_eq!(unmapped, t.uncorrectable_reads);
+    assert_eq!(flipped, silent);
+    assert_eq!(unmapped, uncorrectable);
 }
 
 #[test]
@@ -204,11 +249,10 @@ fn program_failure_remaps_to_another_block() {
     let mut out = block(0);
     ftl.read(Lba(0), &mut out).unwrap();
     assert_eq!(out, block(0xAA));
-    let t = ftl.telemetry();
-    assert_eq!(t.bad_block_remaps, 1);
+    assert_eq!(counter(&ftl, "recovery.bad_block_remaps"), 1);
     assert_eq!(ftl.remap_events(), 1);
     assert!(!ftl.is_read_only());
-    assert_eq!(ftl.nand().telemetry().grown_bad, 1);
+    assert_eq!(counter(&ftl, "flash.grown_bad"), 1);
 }
 
 #[test]
@@ -229,9 +273,9 @@ fn remap_preserves_valid_data_in_the_failing_block() {
         assert!(matches!(outcome, ReadOutcome::Mapped { .. }), "lba {lba}");
         assert_eq!(out, block(lba as u8 + 1), "lba {lba}");
     }
-    assert_eq!(ftl.telemetry().bad_block_remaps, 1);
+    assert_eq!(counter(&ftl, "recovery.bad_block_remaps"), 1);
     assert!(
-        ftl.telemetry().gc_relocated > 0,
+        counter(&ftl, "ftl.gc_relocated") > 0,
         "live pages were evacuated"
     );
 }
@@ -240,11 +284,23 @@ fn remap_preserves_valid_data_in_the_failing_block() {
 fn remap_budget_exhaustion_degrades_to_read_only() {
     let faults = FaultPlaneConfig::new()
         .with_site("flash.program_fail", FaultSpec::always().with_max_fires(1));
-    let mut ftl = faulty_ftl(5, FtlConfig::default().with_remap_budget(0), faults);
+    let mut ftl = faulty_ftl(
+        5,
+        FtlConfig {
+            remap_budget: 0,
+            ..FtlConfig::default()
+        },
+        faults,
+    );
     // The triggering write completes (in-flight operations finish)...
     ftl.write(Lba(0), &block(0x11)).unwrap();
     assert!(ftl.is_read_only());
-    assert_eq!(ftl.telemetry().read_only, 1.0);
+    assert_eq!(
+        ftl.shared_telemetry()
+            .snapshot()
+            .gauge("recovery.read_only"),
+        Some(1.0)
+    );
     // ...but subsequent mutations are rejected while reads keep working.
     assert_eq!(ftl.write(Lba(1), &block(0x22)), Err(FtlError::ReadOnly));
     assert_eq!(ftl.trim(Lba(0)), Err(FtlError::ReadOnly));
@@ -258,9 +314,11 @@ fn journal_reservation_reduces_exported_capacity() {
     let plain = faulty_ftl(1, FtlConfig::default(), FaultPlaneConfig::new());
     let journaled = faulty_ftl(
         1,
-        FtlConfig::default()
-            .with_journal_checkpoint_every(1)
-            .with_journal_blocks(2),
+        FtlConfig {
+            journal_checkpoint_every: 1,
+            journal_blocks: 2,
+            ..FtlConfig::default()
+        },
         FaultPlaneConfig::new(),
     );
     // tiny flash: 16 blocks x 64 pages; auto OP = 2 blocks; journal = 2.
@@ -270,9 +328,11 @@ fn journal_reservation_reduces_exported_capacity() {
 
 #[test]
 fn journal_replay_restores_trims_and_mappings_exactly() {
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(8)
-        .with_journal_blocks(2);
+    let config = FtlConfig {
+        journal_checkpoint_every: 8,
+        journal_blocks: 2,
+        ..FtlConfig::default()
+    };
     let mut ftl = faulty_ftl(1, config, FaultPlaneConfig::new());
     for lba in 0..100u64 {
         ftl.write(Lba(lba), &block((lba % 251) as u8)).unwrap();
@@ -286,14 +346,14 @@ fn journal_replay_restores_trims_and_mappings_exactly() {
     // An orderly shutdown flushes the buffered journal tail; after that the
     // on-flash journal covers every mutation.
     ftl.flush().unwrap();
-    assert!(ftl.telemetry().journal_checkpoints > 0);
+    assert!(counter(&ftl, "recovery.journal_checkpoints") > 0);
     assert_eq!(ftl.journal_pending(), 0, "flush leaves no buffered tail");
     let table_before = ftl.l2p_snapshot().unwrap();
 
     // Power cut: DRAM (and the in-memory table) is lost; flash survives.
     let (_lost_dram, nand) = ftl.into_parts();
     let recovered = Ftl::recover(fresh_dram(2), nand, config).unwrap();
-    assert!(recovered.telemetry().journal_replayed > 0);
+    assert!(counter(&recovered, "recovery.journal_replayed") > 0);
     assert_eq!(
         recovered.l2p_snapshot().unwrap(),
         table_before,
@@ -337,9 +397,11 @@ fn without_journal_trims_resurrect_after_crash() {
 
 #[test]
 fn power_loss_fault_takes_device_offline_until_remount() {
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(2);
+    let config = FtlConfig {
+        journal_checkpoint_every: 1,
+        journal_blocks: 2,
+        ..FtlConfig::default()
+    };
     // The 21st mutation attempt hits the power cut.
     let faults = FaultPlaneConfig::new()
         .with_site("ftl.power_loss", FaultSpec::always().with_window(20, 21));
@@ -356,7 +418,7 @@ fn power_loss_fault_takes_device_offline_until_remount() {
         }
     }
     assert_eq!(cut_at, Some(20), "power cut fires at the configured tick");
-    assert_eq!(ftl.telemetry().power_losses, 1);
+    assert_eq!(counter(&ftl, "recovery.power_losses"), 1);
     // Everything fails while offline.
     let mut out = block(0);
     assert_eq!(ftl.read(Lba(0), &mut out), Err(FtlError::PowerLoss));
@@ -379,9 +441,11 @@ fn power_loss_fault_takes_device_offline_until_remount() {
 fn journal_region_exhaustion_degrades_to_read_only() {
     // One journal block of 64 pages, one entry per checkpoint: the 64
     // mutations fill the region; the 65th finds it full and degrades.
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(1);
+    let config = FtlConfig {
+        journal_checkpoint_every: 1,
+        journal_blocks: 1,
+        ..FtlConfig::default()
+    };
     let mut ftl = faulty_ftl(1, config, FaultPlaneConfig::new());
     for lba in 0..64u64 {
         ftl.write(Lba(lba), &block(1)).unwrap();
@@ -398,19 +462,21 @@ fn journal_region_exhaustion_degrades_to_read_only() {
 
 #[test]
 fn flush_checkpoints_buffered_entries() {
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(1000)
-        .with_journal_blocks(2);
+    let config = FtlConfig {
+        journal_checkpoint_every: 1000,
+        journal_blocks: 2,
+        ..FtlConfig::default()
+    };
     let mut ftl = faulty_ftl(1, config, FaultPlaneConfig::new());
     for lba in 0..10u64 {
         ftl.write(Lba(lba), &block(2)).unwrap();
     }
     ftl.trim(Lba(3)).unwrap();
     assert_eq!(ftl.journal_pending(), 11);
-    assert_eq!(ftl.telemetry().journal_checkpoints, 0);
+    assert_eq!(counter(&ftl, "recovery.journal_checkpoints"), 0);
     ftl.flush().unwrap();
     assert_eq!(ftl.journal_pending(), 0);
-    assert_eq!(ftl.telemetry().journal_checkpoints, 1);
+    assert_eq!(counter(&ftl, "recovery.journal_checkpoints"), 1);
     // The flushed trim survives a crash even though the interval (1000)
     // was never reached.
     let (_lost, nand) = ftl.into_parts();

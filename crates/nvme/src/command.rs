@@ -383,13 +383,6 @@ impl RetryPolicy {
 
     /// Base backoff before a retry; doubles per attempt.
     pub const BACKOFF: SimDuration = SimDuration::from_micros(50);
-
-    /// Sets the retry budget.
-    #[must_use]
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
 }
 
 impl Default for RetryPolicy {
@@ -409,15 +402,6 @@ pub struct ControllerConfig {
     pub rate_limit_iops: Option<f64>,
     /// Timeout/retry handling for commands the fault plane stalls.
     pub retry: RetryPolicy,
-}
-
-impl ControllerConfig {
-    /// Sets the timeout/retry policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 impl Default for ControllerConfig {

@@ -128,102 +128,6 @@ impl SsdConfig {
             model: "ssdhammer test 64MiB".to_owned(),
         }
     }
-
-    // Builder-style setters: every preset (`paper_prototype`, `test_small`)
-    // returns a complete config, and these chain field overrides onto it —
-    // `SsdConfig::test_small(7).with_dram_mapping(MappingKind::default_xor())`
-    // instead of a `let mut` + field-assignment block.
-
-    /// Replaces the on-board DRAM organization.
-    #[must_use]
-    pub fn with_dram_geometry(mut self, geometry: DramGeometry) -> Self {
-        self.dram_geometry = geometry;
-        self
-    }
-
-    /// Replaces the DRAM vulnerability profile.
-    #[must_use]
-    pub fn with_dram_profile(mut self, profile: ModuleProfile) -> Self {
-        self.dram_profile = profile;
-        self
-    }
-
-    /// Replaces the memory-controller address mapping.
-    #[must_use]
-    pub fn with_dram_mapping(mut self, mapping: MappingKind) -> Self {
-        self.dram_mapping = mapping;
-        self
-    }
-
-    /// Enables SEC-DED ECC on the DRAM.
-    #[must_use]
-    pub fn with_ecc(mut self, ecc: EccConfig) -> Self {
-        self.ecc = Some(ecc);
-        self
-    }
-
-    /// Enables TRR on the DRAM.
-    #[must_use]
-    pub fn with_trr(mut self, trr: TrrConfig) -> Self {
-        self.trr = Some(trr);
-        self
-    }
-
-    /// Enables PARA on the DRAM.
-    #[must_use]
-    pub fn with_para(mut self, para: ParaConfig) -> Self {
-        self.para = Some(para);
-        self
-    }
-
-    /// Switches the background patrol scrubber on or off.
-    #[must_use]
-    pub fn with_scrubber(mut self, on: bool) -> Self {
-        self.scrubber = on;
-        self
-    }
-
-    /// Replaces the NAND organization.
-    #[must_use]
-    pub fn with_flash_geometry(mut self, geometry: FlashGeometry) -> Self {
-        self.flash_geometry = geometry;
-        self
-    }
-
-    /// Replaces the FTL policy block.
-    #[must_use]
-    pub fn with_ftl(mut self, ftl: FtlConfig) -> Self {
-        self.ftl = ftl;
-        self
-    }
-
-    /// Replaces the controller behaviour block.
-    #[must_use]
-    pub fn with_controller(mut self, controller: ControllerConfig) -> Self {
-        self.controller = controller;
-        self
-    }
-
-    /// Replaces the fault-injection site configuration.
-    #[must_use]
-    pub fn with_fault_plane(mut self, faults: FaultPlaneConfig) -> Self {
-        self.fault_plane = faults;
-        self
-    }
-
-    /// Replaces the manufacturing-variation seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the Identify model string.
-    #[must_use]
-    pub fn with_model(mut self, model: impl Into<String>) -> Self {
-        self.model = model.into();
-        self
-    }
 }
 
 /// Folds one sub-burst's report into the running aggregate when the
@@ -537,7 +441,7 @@ impl Ssd {
         &self.clock
     }
 
-    /// The FTL (experiments reach DRAM telemetry through it).
+    /// The FTL (experiments reach the L2P table and the DRAM through it).
     #[must_use]
     pub fn ftl(&self) -> &Ftl {
         &self.ftl
@@ -1180,14 +1084,16 @@ impl Ssd {
     /// the payload of [`Command::GetLogPage`].
     #[must_use]
     pub fn health_log(&self) -> HealthLog {
-        let snap = self.tel.registry.snapshot();
-        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        let reg = &self.tel.registry;
         HealthLog {
-            grown_bad_blocks: c("flash.grown_bad"),
-            scrub_repairs: c("scrub.repairs"),
-            uncorrectable_reads: c("recovery.uncorrectable_reads"),
-            integrity_detected: c("integrity.detected"),
-            integrity_repaired: c("integrity.repaired") + c("integrity.mirror_repairs"),
+            grown_bad_blocks: reg.counter_value("flash.grown_bad").unwrap_or(0),
+            scrub_repairs: reg.counter_value("scrub.repairs").unwrap_or(0),
+            uncorrectable_reads: reg
+                .counter_value("recovery.uncorrectable_reads")
+                .unwrap_or(0),
+            integrity_detected: reg.counter_value("integrity.detected").unwrap_or(0),
+            integrity_repaired: reg.counter_value("integrity.repaired").unwrap_or(0)
+                + reg.counter_value("integrity.mirror_repairs").unwrap_or(0),
             read_only: self.ftl.is_read_only(),
         }
     }
@@ -1460,27 +1366,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_setters_override_preset_fields() {
-        let c = SsdConfig::test_small(1)
-            .with_dram_mapping(MappingKind::default_xor())
-            .with_ecc(EccConfig::default())
-            .with_trr(TrrConfig::default())
-            .with_ftl(FtlConfig::default().with_dif(true))
-            .with_seed(9)
-            .with_model("custom");
-        assert_eq!(c.dram_mapping, MappingKind::default_xor());
-        assert!(c.ecc.is_some() && c.trr.is_some());
-        assert!(c.ftl.dif);
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.model, "custom");
-        // Presets stay intact underneath the overrides.
-        assert_eq!(c.flash_geometry, SsdConfig::test_small(1).flash_geometry);
-    }
-
-    #[test]
     fn power_cycle_recovers_flushed_data_on_a_shared_timeline() {
-        let config = SsdConfig::test_small(3)
-            .with_ftl(FtlConfig::default().with_journal_checkpoint_every(1));
+        let config = SsdConfig {
+            ftl: FtlConfig {
+                journal_checkpoint_every: 1,
+                ..FtlConfig::default()
+            },
+            ..SsdConfig::test_small(3)
+        };
         let mut s = Ssd::build(config.clone());
         let before = s.clock().now();
         let block = vec![0x5A; BLOCK_SIZE];
@@ -1509,12 +1402,17 @@ mod tests {
         use ssdhammer_simkit::faultplane::FaultSpec;
         // The seventh journal append is cut mid-page: six records replay,
         // the torn seventh is truncated.
-        let config = SsdConfig::test_small(3)
-            .with_ftl(FtlConfig::default().with_journal_checkpoint_every(1))
-            .with_fault_plane(FaultPlaneConfig::new().with_site(
+        let config = SsdConfig {
+            ftl: FtlConfig {
+                journal_checkpoint_every: 1,
+                ..FtlConfig::default()
+            },
+            fault_plane: FaultPlaneConfig::new().with_site(
                 "ftl.crash.journal_append",
                 FaultSpec::always().with_window(6, 7).with_max_fires(1),
-            ));
+            ),
+            ..SsdConfig::test_small(3)
+        };
         let mut s = Ssd::build(config.clone());
         for lba in 0..6 {
             s.ftl_mut().write(Lba(lba), &[0x5A; BLOCK_SIZE]).unwrap();
@@ -1522,7 +1420,12 @@ mod tests {
         assert!(s.ftl_mut().write(Lba(6), &[0x5A; BLOCK_SIZE]).is_err());
         let registry = s.telemetry();
         let s = s.power_cycle(&config).expect("remount");
-        assert_eq!(s.ftl().telemetry().journal_replayed, 6);
+        assert_eq!(
+            s.ftl()
+                .shared_telemetry()
+                .counter_value("recovery.journal_replayed"),
+            Some(6)
+        );
         assert_eq!(registry.counter_value("recovery.journal_replayed"), Some(6));
         assert_eq!(registry.trace_events("ftl.journal.torn_tail").len(), 1);
     }
@@ -1638,7 +1541,10 @@ mod tests {
         // A completion may hold the stored flash page itself; what the host
         // holds stays what was read after the LBA is rewritten and garbage
         // collection erases the block the page lived in.
-        let config = SsdConfig::test_small(1).with_flash_geometry(FlashGeometry::tiny_test());
+        let config = SsdConfig {
+            flash_geometry: FlashGeometry::tiny_test(),
+            ..SsdConfig::test_small(1)
+        };
         let mut s = Ssd::build(config);
         let ns = s.create_namespace(256).unwrap();
         let qp = s.create_queue_pair(8);
@@ -2184,20 +2090,13 @@ mod tests {
     }
 
     #[test]
-    fn para_and_scrubber_setters_override_preset_fields() {
-        let c = SsdConfig::test_small(1)
-            .with_para(ParaConfig::default())
-            .with_scrubber(true);
-        assert!(c.para.is_some());
-        assert!(c.scrubber);
-        // Presets stay intact underneath the overrides.
-        assert_eq!(c.flash_geometry, SsdConfig::test_small(1).flash_geometry);
-    }
-
-    #[test]
     fn scrubber_duty_lowers_the_iops_ceiling() {
         let base = Ssd::build(SsdConfig::test_small(1)).max_iops();
-        let scrubbed = Ssd::build(SsdConfig::test_small(1).with_scrubber(true)).max_iops();
+        let scrubbed = Ssd::build(SsdConfig {
+            scrubber: true,
+            ..SsdConfig::test_small(1)
+        })
+        .max_iops();
         assert!(
             scrubbed < base,
             "scrubbing steals service capacity: {scrubbed} !< {base}"
@@ -2221,10 +2120,15 @@ mod tests {
 
     #[test]
     fn scrubber_repairs_corrupted_entries_between_commands() {
-        let config = SsdConfig::test_small(1)
-            .with_flash_geometry(integrity_flash())
-            .with_ftl(FtlConfig::default().with_integrity(ssdhammer_ftl::IntegrityMode::Correct))
-            .with_scrubber(true);
+        let config = SsdConfig {
+            flash_geometry: integrity_flash(),
+            ftl: FtlConfig {
+                integrity: ssdhammer_ftl::IntegrityMode::Correct,
+                ..FtlConfig::default()
+            },
+            scrubber: true,
+            ..SsdConfig::test_small(1)
+        };
         let mut s = Ssd::build(config);
         let ns = s.create_namespace(64).unwrap();
         let qp = s.create_queue_pair(8);
@@ -2267,9 +2171,14 @@ mod tests {
 
     #[test]
     fn integrity_detect_fails_reads_loudly_over_nvme() {
-        let config = SsdConfig::test_small(1)
-            .with_flash_geometry(integrity_flash())
-            .with_ftl(FtlConfig::default().with_integrity(ssdhammer_ftl::IntegrityMode::Detect));
+        let config = SsdConfig {
+            flash_geometry: integrity_flash(),
+            ftl: FtlConfig {
+                integrity: ssdhammer_ftl::IntegrityMode::Detect,
+                ..FtlConfig::default()
+            },
+            ..SsdConfig::test_small(1)
+        };
         let mut s = Ssd::build(config);
         let ns = s.create_namespace(64).unwrap();
         let qp = s.create_queue_pair(8);
@@ -2304,9 +2213,14 @@ mod tests {
         // host I/O on that block: a command with the FTL's typed error, the
         // view with `Uncorrectable` at the namespace-relative LBA, for
         // writes and trims as for reads.
-        let config = SsdConfig::test_small(1)
-            .with_flash_geometry(integrity_flash())
-            .with_ftl(FtlConfig::default().with_integrity(ssdhammer_ftl::IntegrityMode::Detect));
+        let config = SsdConfig {
+            flash_geometry: integrity_flash(),
+            ftl: FtlConfig {
+                integrity: ssdhammer_ftl::IntegrityMode::Detect,
+                ..FtlConfig::default()
+            },
+            ..SsdConfig::test_small(1)
+        };
         let mut s = Ssd::build(config);
         s.create_namespace(8).unwrap();
         let ns = s.create_namespace(64).unwrap();

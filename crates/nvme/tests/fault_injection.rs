@@ -15,17 +15,20 @@ fn write_cmd(ns: ssdhammer_nvme::NsId, lba: u64, fill: u8) -> Command {
 }
 
 fn faulty_ssd(seed: u64, faults: FaultPlaneConfig, retry: RetryPolicy) -> Ssd {
-    Ssd::build(
-        SsdConfig::test_small(seed)
-            .with_fault_plane(faults)
-            .with_controller(ControllerConfig::default().with_retry(retry)),
-    )
+    Ssd::build(SsdConfig {
+        fault_plane: faults,
+        controller: ControllerConfig {
+            retry,
+            ..ControllerConfig::default()
+        },
+        ..SsdConfig::test_small(seed)
+    })
 }
 
 #[test]
 fn persistent_timeouts_surface_as_per_command_errors() {
     let faults = FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::always());
-    let retry = RetryPolicy::default().with_max_retries(2);
+    let retry = RetryPolicy { max_retries: 2 };
     let mut ssd = faulty_ssd(1, faults, retry);
     let ns = ssd.create_namespace(256).unwrap();
     let qp = ssd.create_queue_pair(8);
@@ -42,8 +45,8 @@ fn persistent_timeouts_surface_as_per_command_errors() {
         assert_eq!(c.error(), Some(&NvmeError::Timeout { retries: 2 }));
     }
     // No write reached the FTL: every attempt timed out pre-execution.
-    assert_eq!(ssd.ftl().telemetry().host_writes, 0);
     let snap = ssd.snapshot_telemetry();
+    assert_eq!(snap.counter("ftl.host_writes"), Some(0));
     assert_eq!(snap.counter("nvme.timeouts"), Some(12)); // 4 cmds x 3 attempts
     assert_eq!(snap.counter("nvme.retries"), Some(8)); // 4 cmds x 2 retries
 }
@@ -52,7 +55,7 @@ fn persistent_timeouts_surface_as_per_command_errors() {
 fn transient_timeouts_recover_within_the_retry_budget() {
     let faults =
         FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::with_probability(0.4));
-    let retry = RetryPolicy::default().with_max_retries(6);
+    let retry = RetryPolicy { max_retries: 6 };
     let mut ssd = faulty_ssd(3, faults, retry);
     let ns = ssd.create_namespace(256).unwrap();
     let qp = ssd.create_queue_pair(32);
@@ -75,7 +78,7 @@ fn transient_timeouts_recover_within_the_retry_budget() {
 fn retried_commands_pay_their_backoff_on_the_sim_clock() {
     let faults =
         FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::always().with_max_fires(2));
-    let retry = RetryPolicy::default().with_max_retries(4);
+    let retry = RetryPolicy { max_retries: 4 };
     let mut ssd = faulty_ssd(1, faults, retry);
     let ns = ssd.create_namespace(64).unwrap();
     let qp = ssd.create_queue_pair(4);
@@ -138,7 +141,7 @@ fn aborts_are_counted_per_queue_pair() {
 fn fault_telemetry_reports_consults_and_fires() {
     let faults =
         FaultPlaneConfig::new().with_site("nvme.timeout", FaultSpec::with_probability(0.5));
-    let mut ssd = faulty_ssd(5, faults, RetryPolicy::default().with_max_retries(10));
+    let mut ssd = faulty_ssd(5, faults, RetryPolicy { max_retries: 10 });
     let ns = ssd.create_namespace(64).unwrap();
     let qp = ssd.create_queue_pair(16);
     let cmds: Vec<Command> = (0..16).map(|i| write_cmd(ns, i, 7)).collect();

@@ -72,8 +72,8 @@ impl FaultSpec {
     }
 }
 
-/// Declarative map of fault sites to their triggers; lives on builder
-/// configs (`SsdConfig::with_fault_plane`) and compiles into a
+/// Declarative map of fault sites to their triggers; lives on device
+/// configs (the `SsdConfig::fault_plane` field) and compiles into a
 /// [`FaultPlane`] at device assembly time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlaneConfig {

@@ -30,7 +30,10 @@ fn main() -> Result<()> {
     // a rewrite would bump their OOB sequence numbers and move the truth.
     let outcome = AttackPipeline::new(
         TwoSided,
-        L2pEntries::default().with_setup_victims(false),
+        L2pEntries {
+            setup_victims: false,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(1_000_000.0)

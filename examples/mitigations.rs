@@ -7,15 +7,7 @@
 //!
 //! Run with: `cargo run --release --example mitigations`
 
-use ssdhammer::dram::DramGeneration;
 use ssdhammer::prelude::*;
-
-fn vulnerable_profile() -> ModuleProfile {
-    let mut p = ModuleProfile::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 100);
-    p.row_vulnerable_prob = 1.0;
-    p.weak_cells_per_row = 8.0;
-    p
-}
 
 /// Double-sided (or single/one-location) attack; returns (flips, host-visible
 /// redirections).
@@ -27,7 +19,10 @@ fn attack(config: SsdConfig, hammerer: impl Hammerer + 'static) -> (u64, usize) 
     };
     let outcome = AttackPipeline::new(
         hammerer,
-        L2pEntries::default().with_setup_aggressors(true),
+        L2pEntries {
+            setup_aggressors: true,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(1_000_000.0)
@@ -59,7 +54,7 @@ fn attack_many_sided(config: SsdConfig) -> (u64, usize) {
 fn main() {
     let base = || {
         let mut c = SsdConfig::test_small(42);
-        c.dram_profile = vulnerable_profile();
+        c.dram_profile = ModuleProfile::demo_ddr4();
         c
     };
 
@@ -83,7 +78,7 @@ fn main() {
     report("TRR vs many-sided (6 pairs)", attack_many_sided(trr));
 
     let mut fast_refresh = base();
-    fast_refresh.dram_profile = vulnerable_profile().with_refresh_multiplier(16);
+    fast_refresh.dram_profile = ModuleProfile::demo_ddr4().with_refresh_multiplier(16);
     report("16x refresh rate", attack(fast_refresh, TwoSided));
 
     let mut limited = base();

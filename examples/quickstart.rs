@@ -14,11 +14,15 @@ use ssdhammer::prelude::*;
 fn main() -> Result<()> {
     // A small SSD whose on-board DRAM flips at ≥200K accesses/s — in the
     // range Table 1 reports for modern modules.
-    let profile =
-        ModuleProfile::from_min_rate("demo DDR4 (vulnerable)", DramGeneration::Ddr4, 2020, 200)
-            .with_row_vulnerable_prob(1.0)
-            .with_weak_cells_per_row(8.0);
-    let mut ssd = Ssd::build(SsdConfig::test_small(42).with_dram_profile(profile));
+    let profile = ModuleProfile {
+        row_vulnerable_prob: 1.0,
+        weak_cells_per_row: 8.0,
+        ..ModuleProfile::from_min_rate("demo DDR4 (vulnerable)", DramGeneration::Ddr4, 2020, 200)
+    };
+    let mut ssd = Ssd::build(SsdConfig {
+        dram_profile: profile,
+        ..SsdConfig::test_small(42)
+    });
     println!(
         "device: {} LBAs exported, L2P table {} bytes in on-board DRAM",
         ssd.ftl().capacity_lbas(),
@@ -43,7 +47,10 @@ fn main() -> Result<()> {
     // classify.
     let outcome = AttackPipeline::new(
         TwoSided,
-        L2pEntries::default().with_setup_aggressors(true),
+        L2pEntries {
+            setup_aggressors: true,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(1_000_000.0)

@@ -75,7 +75,10 @@ fn conformance(dev: &mut impl BlockDevice) {
 fn quiet_ssd(seed: u64) -> Ssd {
     // Invulnerable DRAM: the conformance suite checks the storage contract,
     // not the disturbance model.
-    Ssd::build(SsdConfig::test_small(seed).with_dram_profile(ModuleProfile::invulnerable()))
+    Ssd::build(SsdConfig {
+        dram_profile: ModuleProfile::invulnerable(),
+        ..SsdConfig::test_small(seed)
+    })
 }
 
 #[test]
@@ -111,15 +114,16 @@ use ssdhammer::simkit::faultplane::{FaultPlaneConfig, FaultSpec};
 /// mutations with `StorageError::Rejected` (not a panic, not `OutOfRange`).
 #[test]
 fn ssd_read_only_degradation_rejects_writes_but_serves_reads() {
-    let mut ssd = Ssd::build(
-        SsdConfig::test_small(9)
-            .with_dram_profile(ModuleProfile::invulnerable())
-            .with_ftl(FtlConfig::default().with_remap_budget(0))
-            .with_fault_plane(
-                FaultPlaneConfig::new()
-                    .with_site("flash.program_fail", FaultSpec::always().with_max_fires(1)),
-            ),
-    );
+    let mut ssd = Ssd::build(SsdConfig {
+        dram_profile: ModuleProfile::invulnerable(),
+        ftl: FtlConfig {
+            remap_budget: 0,
+            ..FtlConfig::default()
+        },
+        fault_plane: FaultPlaneConfig::new()
+            .with_site("flash.program_fail", FaultSpec::always().with_max_fires(1)),
+        ..SsdConfig::test_small(9)
+    });
     let ns = ssd.create_namespace(32).unwrap();
     let mut block = [0u8; BLOCK_SIZE];
     block[0] = 0x42;
@@ -146,12 +150,15 @@ fn ssd_read_only_degradation_rejects_writes_but_serves_reads() {
 /// namespace view and the partition view over it.
 #[test]
 fn fault_induced_uncorrectable_reads_propagate_through_both_views() {
-    let config = SsdConfig::test_small(9)
-        .with_dram_profile(ModuleProfile::invulnerable())
-        .with_ftl(FtlConfig::default().with_read_retry_max(0))
-        .with_fault_plane(
-            FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always()),
-        );
+    let config = SsdConfig {
+        dram_profile: ModuleProfile::invulnerable(),
+        ftl: FtlConfig {
+            read_retry_max: 0,
+            ..FtlConfig::default()
+        },
+        fault_plane: FaultPlaneConfig::new().with_site("flash.read_fail", FaultSpec::always()),
+        ..SsdConfig::test_small(9)
+    };
 
     // Namespace view.
     let mut ssd = Ssd::build(config.clone());
@@ -192,14 +199,12 @@ fn assert_uncorrectable_reads(dev: &mut impl BlockDevice) {
 /// stale data.
 #[test]
 fn power_loss_rejects_all_operations() {
-    let mut ssd = Ssd::build(
-        SsdConfig::test_small(9)
-            .with_dram_profile(ModuleProfile::invulnerable())
-            .with_fault_plane(
-                FaultPlaneConfig::new()
-                    .with_site("ftl.power_loss", FaultSpec::always().with_window(4, 5)),
-            ),
-    );
+    let mut ssd = Ssd::build(SsdConfig {
+        dram_profile: ModuleProfile::invulnerable(),
+        fault_plane: FaultPlaneConfig::new()
+            .with_site("ftl.power_loss", FaultSpec::always().with_window(4, 5)),
+        ..SsdConfig::test_small(9)
+    });
     let ns = ssd.create_namespace(32).unwrap();
     let mut view = ssd.namespace(ns).unwrap();
     let block = [1u8; BLOCK_SIZE];
@@ -232,15 +237,18 @@ use ssdhammer::simkit::DramAddr;
 /// enough that the tiny test DRAM holds the L2P table plus the SEC-DED
 /// codes and the mirror region.
 fn integrity_ssd(seed: u64) -> Ssd {
-    Ssd::build(
-        SsdConfig::test_small(seed)
-            .with_dram_profile(ModuleProfile::invulnerable())
-            .with_flash_geometry(FlashGeometry {
-                blocks_per_plane: 32,
-                ..FlashGeometry::tiny_test()
-            })
-            .with_ftl(FtlConfig::default().with_integrity(IntegrityMode::Correct)),
-    )
+    Ssd::build(SsdConfig {
+        dram_profile: ModuleProfile::invulnerable(),
+        flash_geometry: FlashGeometry {
+            blocks_per_plane: 32,
+            ..FlashGeometry::tiny_test()
+        },
+        ftl: FtlConfig {
+            integrity: IntegrityMode::Correct,
+            ..FtlConfig::default()
+        },
+        ..SsdConfig::test_small(seed)
+    })
 }
 
 /// XORs `mask` into the entry word at `addr` through the DRAM backdoor,

@@ -50,7 +50,10 @@ fn reboot_heals_hammered_l2p_entries() {
     // skip the pipeline's own victim rewrite to keep it valid.
     let outcome = AttackPipeline::new(
         TwoSided,
-        L2pEntries::default().with_setup_victims(false),
+        L2pEntries {
+            setup_victims: false,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(5_000_000.0)

@@ -133,9 +133,11 @@ fn power_loss_replay_is_deterministic_across_thread_counts() {
     // One trial: run a faulted workload to the power cut, remount, and
     // return the replayed table plus the telemetry JSON.
     fn trial(seed: u64) -> (Vec<u8>, String) {
-        let config = FtlConfig::default()
-            .with_journal_checkpoint_every(1)
-            .with_journal_blocks(2);
+        let config = FtlConfig {
+            journal_checkpoint_every: 1,
+            journal_blocks: 2,
+            ..FtlConfig::default()
+        };
         let faults = FaultPlaneConfig::new()
             .with_site("flash.read_fail", FaultSpec::with_probability(0.2))
             .with_site("ftl.power_loss", FaultSpec::always().with_window(60, 61));

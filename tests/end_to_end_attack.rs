@@ -12,16 +12,20 @@ use ssdhammer::nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer::simkit::Lba;
 
 fn eager_config(seed: u64) -> SsdConfig {
-    let profile = ModuleProfile::from_min_rate("eager", DramGeneration::Ddr3, 2021, 1)
-        .with_hc_first(1000)
-        .with_threshold_spread(0.0)
-        .with_row_vulnerable_prob(1.0)
-        .with_weak_cells_per_row(8.0);
-    SsdConfig::test_small(seed)
-        .with_dram_geometry(DramGeometry::tiny_test())
-        .with_dram_profile(profile)
-        .with_dram_mapping(MappingKind::Linear)
-        .with_flash_geometry(FlashGeometry::mib64())
+    let profile = ModuleProfile {
+        hc_first: 1000,
+        threshold_spread: 0.0,
+        row_vulnerable_prob: 1.0,
+        weak_cells_per_row: 8.0,
+        ..ModuleProfile::from_min_rate("eager", DramGeneration::Ddr3, 2021, 1)
+    };
+    SsdConfig {
+        dram_geometry: DramGeometry::tiny_test(),
+        dram_profile: profile,
+        dram_mapping: MappingKind::Linear,
+        flash_geometry: FlashGeometry::mib64(),
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 /// Figure 1, driven exclusively by individual NVMe read commands: the
@@ -62,7 +66,7 @@ fn per_command_nvme_reads_flip_l2p_bits() {
         before, after,
         "per-command reads should corrupt the victim row's L2P entries"
     );
-    assert!(ssd.ftl().dram().telemetry().flips > 0);
+    assert!(ssd.telemetry().counter_value("dram.flips").unwrap() > 0);
 }
 
 /// A redirected mapping is observable through ordinary NVMe reads: the
@@ -108,8 +112,13 @@ fn redirection_changes_data_served_over_nvme() {
 /// FTL).
 #[test]
 fn paper_prototype_scale_assembles_and_has_sites() {
-    let config =
-        SsdConfig::paper_prototype(11).with_ftl(FtlConfig::default().with_hammer_amplification(5));
+    let config = SsdConfig {
+        ftl: FtlConfig {
+            hammer_amplification: 5,
+            ..FtlConfig::default()
+        },
+        ..SsdConfig::paper_prototype(11)
+    };
     let ssd = Ssd::build(config);
     assert_eq!(
         ssd.ftl().table().size_bytes(),
@@ -143,9 +152,14 @@ fn paper_prototype_scale_assembles_and_has_sites() {
 #[test]
 fn amplification_scales_activation_rate() {
     let measure = |amp: u32| -> f64 {
-        let config = eager_config(3)
-            .with_ftl(FtlConfig::default().with_hammer_amplification(amp))
-            .with_dram_profile(ModuleProfile::invulnerable());
+        let config = SsdConfig {
+            ftl: FtlConfig {
+                hammer_amplification: amp,
+                ..FtlConfig::default()
+            },
+            dram_profile: ModuleProfile::invulnerable(),
+            ..eager_config(3)
+        };
         let mut ssd = Ssd::build(config);
         let report = ssd
             .hammer_device_reads(&[Lba(0), Lba(512)], 100_000, 1_000_000.0)

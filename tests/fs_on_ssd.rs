@@ -56,7 +56,12 @@ fn fs_survives_ftl_garbage_collection() {
         }
     }
     assert!(
-        shared.borrow().ftl().telemetry().gc_runs > 0,
+        shared
+            .borrow()
+            .telemetry()
+            .counter_value("ftl.gc_runs")
+            .unwrap()
+            > 0,
         "churn should have triggered GC"
     );
     for b in 0..128u32 {

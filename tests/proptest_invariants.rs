@@ -110,7 +110,13 @@ fn ftl_matches_model() {
             }
         }
         if gc_heavy {
-            assert!(ftl.telemetry().gc_relocated > 0, "GC relocated nothing");
+            assert!(
+                ftl.shared_telemetry()
+                    .counter_value("ftl.gc_relocated")
+                    .unwrap()
+                    > 0,
+                "GC relocated nothing"
+            );
         }
     }
 }
@@ -707,10 +713,12 @@ fn recovery_is_idempotent_for_any_crash_point() {
     use ssdhammer::simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
     use ssdhammer::simkit::SimClock;
 
-    let config = FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(2)
-        .with_meta_resident(true);
+    let config = FtlConfig {
+        journal_checkpoint_every: 1,
+        journal_blocks: 2,
+        meta_resident: true,
+        ..FtlConfig::default()
+    };
     let dram = |seed: u64| {
         DramModule::builder(DramGeometry::tiny_test())
             .profile(ModuleProfile::invulnerable())
@@ -761,7 +769,10 @@ fn recovery_is_idempotent_for_any_crash_point() {
         let once = Ftl::recover(dram(case ^ 0x100), nand, config)
             .unwrap_or_else(|e| panic!("case {case} ({site}@{at}): first remount {e}"));
         let snap_once = once.l2p_snapshot().expect("snapshot");
-        let tel_once = once.telemetry();
+        let replayed_once = once
+            .shared_telemetry()
+            .counter_value("recovery.journal_replayed")
+            .unwrap();
         let read_only_once = once.is_read_only();
         let free_once = once.free_block_count();
         let (_lost, nand) = once.into_parts();
@@ -772,9 +783,12 @@ fn recovery_is_idempotent_for_any_crash_point() {
             twice.l2p_snapshot().expect("snapshot"),
             "case {case} ({site}@{at}): L2P diverged across remounts"
         );
-        let tel_twice = twice.telemetry();
         assert_eq!(
-            tel_once.journal_replayed, tel_twice.journal_replayed,
+            replayed_once,
+            twice
+                .shared_telemetry()
+                .counter_value("recovery.journal_replayed")
+                .unwrap(),
             "case {case} ({site}@{at}): replay count diverged"
         );
         assert_eq!(read_only_once, twice.is_read_only(), "case {case}");

@@ -10,10 +10,15 @@ use xtask::wsrules::{glob_match, parse_registry};
 fn attack_run_populates_every_layer_of_the_shared_registry() {
     // The quickstart scenario: a small SSD whose on-board DRAM flips at
     // ≥200K accesses/s, eagerly vulnerable so the run is short.
-    let profile = ModuleProfile::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 200)
-        .with_row_vulnerable_prob(1.0)
-        .with_weak_cells_per_row(8.0);
-    let mut ssd = Ssd::build(SsdConfig::test_small(42).with_dram_profile(profile));
+    let profile = ModuleProfile {
+        row_vulnerable_prob: 1.0,
+        weak_cells_per_row: 8.0,
+        ..ModuleProfile::from_min_rate("demo DDR4", DramGeneration::Ddr4, 2020, 200)
+    };
+    let mut ssd = Ssd::build(SsdConfig {
+        dram_profile: profile,
+        ..SsdConfig::test_small(42)
+    });
 
     let site = find_attack_sites(ssd.ftl(), 8)
         .into_iter()
@@ -22,7 +27,10 @@ fn attack_run_populates_every_layer_of_the_shared_registry() {
 
     let outcome = AttackPipeline::new(
         TwoSided,
-        L2pEntries::default().with_setup_aggressors(true),
+        L2pEntries {
+            setup_aggressors: true,
+            ..L2pEntries::default()
+        },
         CrossBank,
     )
     .with_rate(1_000_000.0)
