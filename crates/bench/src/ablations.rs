@@ -9,14 +9,13 @@
 use ssdhammer_core::{
     cross_partition_sites, find_attack_sites, setup_entries, AttackPipeline, LbaRange,
 };
-use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::{DramGeneration, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::{Lba, SimDuration};
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 fn demo_profile(min_rate_kaps: u32) -> ModuleProfile {
     let mut p = ModuleProfile::from_min_rate("ablation", DramGeneration::Ddr4, 2020, min_rate_kaps);
@@ -27,12 +26,10 @@ fn demo_profile(min_rate_kaps: u32) -> ModuleProfile {
 }
 
 fn base_config(seed: u64, profile: ModuleProfile) -> SsdConfig {
-    let mut c = SsdConfig::test_small(seed);
-    c.dram_geometry = DramGeometry::tiny_test();
-    c.dram_profile = profile;
-    c.dram_mapping = MappingKind::Linear;
-    c.flash_geometry = FlashGeometry::mib64();
-    c
+    SsdConfig {
+        dram_profile: profile,
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 // ---- amplification sweep ---------------------------------------------------
@@ -215,7 +212,7 @@ fn victim_point(seed: u64, (scenario, active_victim): (&str, bool)) -> VictimAct
     let mut flips = 0usize;
     for _ in 0..100 {
         let report = ssd
-            .hammer_device_reads(&pattern, 8_000, 1_500_000.0)
+            .hammer_device_reads(&pattern, 8_000, 1_500_000.0, HammerOptions::default())
             .expect("hammer");
         flips += report.flips.iter().filter(|f| f.row == site.victim).count();
         if active_victim {
@@ -293,19 +290,6 @@ impl Ablations {
     }
 }
 
-/// Runs every sweep single-threaded.
-#[must_use]
-pub fn run(seed: u64) -> Ablations {
-    run_with_threads(seed, 1)
-}
-
-/// Like [`run`], sharding the sweep points across `threads` workers;
-/// bit-identical output for any thread count.
-#[must_use]
-pub fn run_with_threads(seed: u64, threads: usize) -> Ablations {
-    Ablations::from_points(&campaign(seed, threads, &ScenarioCfg::default()).into_complete())
-}
-
 /// The ablations campaign under `cfg`'s campaign flags: one supervised
 /// shard per sweep point.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<AblationPoint> {
@@ -320,8 +304,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Ab
 }
 
 /// Renders all ablations as one report.
-#[must_use]
-pub fn render(r: &Ablations) -> String {
+fn render(r: &Ablations) -> String {
     let mut out = String::from("ablations of DESIGN.md's called-out choices\n\n");
     out.push_str("A1: per-I/O amplification (testbed DDR3, needs 3M acc/s)\n");
     out.push_str("  amp  act-rate(M/s)  flips\n");
@@ -365,7 +348,7 @@ mod tests {
     /// All four sweeps share one campaign run.
     #[test]
     fn every_ablation_shows_its_effect() {
-        let r = run(5);
+        let r = Ablations::from_points(&campaign(5, 1, &ScenarioCfg::default()).into_complete());
 
         // A1: amplification crosses the testbed threshold, and the rate
         // scales linearly with the knob.
@@ -508,13 +491,9 @@ impl Scenario for AblationsScenario {
         "ablations"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
         let report = campaign(seed, threads, &cfg);
-        campaign_document(&report, Ablations::from_points(report.values()).to_json())
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        let report = campaign(seed, threads, &cfg);
-        campaign_render(&report, render(&Ablations::from_points(report.values())))
+        let r = Ablations::from_points(report.values());
+        campaign_output(&report, r.to_json(), render(&r))
     }
 }

@@ -16,14 +16,13 @@
 //! was killed and resumed partway.
 
 use ssdhammer_core::{pattern_names, victim_names, AttackError, AttackPipeline};
-use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::{DramGeneration, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 /// One (pattern, victim) cell of the campaign grid.
 #[derive(Debug, Clone)]
@@ -111,12 +110,11 @@ fn grid_config(seed: u64) -> SsdConfig {
     let mut p = ModuleProfile::from_min_rate("grid DDR4", DramGeneration::Ddr4, 2020, 313);
     p.row_vulnerable_prob = 1.0;
     p.weak_cells_per_row = 8.0;
-    let mut c = SsdConfig::test_small(seed);
-    c.dram_geometry = DramGeometry::tiny_test();
-    c.dram_profile = p;
-    c.dram_mapping = MappingKind::default_xor();
-    c.flash_geometry = FlashGeometry::mib64();
-    c
+    SsdConfig {
+        dram_profile: p,
+        dram_mapping: MappingKind::default_xor(),
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 /// Placement a pattern wants: many-sided needs its aggressor pairs in one
@@ -165,75 +163,61 @@ fn run_cell(seed: u64, pattern: &'static str, victim: &'static str) -> GridCell 
     cell
 }
 
-/// Runs the full grid single-threaded.
-///
-/// # Errors
-///
-/// `Unknown*` when a filter names nothing in the registries.
-pub fn run(seed: u64) -> Result<Vec<GridCell>, AttackError> {
-    run_filtered(seed, 1, None, None)
+/// Why a [`ScenarioCfg`] selects no attack grid the campaign can run.
+#[derive(Debug)]
+pub enum GridError {
+    /// `cfg.pattern` or `cfg.victim` names nothing in its registry.
+    Unknown(AttackError),
+    /// A checkpoint for a filtered grid. A checkpoint knows its seed, tag
+    /// and cell count but not the filter, and every single-pattern filter
+    /// has the same cell count, so resuming under another filter would
+    /// restore the wrong cells.
+    FilteredCheckpoint,
 }
 
-/// Runs the (optionally filtered) grid, cells sharded across `threads`
-/// workers; output is bit-identical for any thread count.
+/// The (pattern, victim) cells `cfg` selects, in grid order: every
+/// registry pattern crossed with every victim, restricted to one
+/// pattern's or one victim's cells by `cfg.pattern` and `cfg.victim`.
+/// The one check of the grid filters: [`AttacksScenario`] runs these
+/// cells, and `repro` calls it to reject a filter before anything runs.
 ///
 /// # Errors
 ///
-/// [`AttackError::UnknownPattern`] / [`AttackError::UnknownVictim`] when a
-/// filter names nothing in the registries.
-pub fn run_filtered(
-    seed: u64,
-    threads: usize,
-    pattern: Option<&str>,
-    victim: Option<&str>,
-) -> Result<Vec<GridCell>, AttackError> {
-    Ok(campaign(seed, threads, pattern, victim, &ScenarioCfg::default())?.into_complete())
-}
-
-/// The (optionally filtered) grid campaign under `cfg`'s campaign flags:
-/// one supervised shard per cell, each on a device seeded from its
-/// position.
-///
-/// # Errors
-///
-/// [`AttackError::UnknownPattern`] / [`AttackError::UnknownVictim`] as in
-/// [`run_filtered`].
-///
-/// # Panics
-///
-/// When `cfg` names a checkpoint for a filtered grid. A checkpoint knows
-/// its seed, tag and cell count but not the filter, and every
-/// single-pattern filter has the same cell count, so resuming under
-/// another filter would restore the wrong cells.
-pub fn campaign(
-    seed: u64,
-    threads: usize,
-    pattern: Option<&str>,
-    victim: Option<&str>,
-    cfg: &ScenarioCfg,
-) -> Result<SupervisedReport<GridCell>, AttackError> {
-    assert!(
-        cfg.checkpoint.is_none() || (pattern.is_none() && victim.is_none()),
-        "a checkpoint covers the whole grid, not a --pattern/--victim filter"
-    );
-    let patterns: Vec<&'static str> = match pattern {
+/// [`GridError::Unknown`] when a filter names nothing in the registries;
+/// [`GridError::FilteredCheckpoint`] when `cfg` names a checkpoint and a
+/// filter.
+pub fn grid_cells(cfg: &ScenarioCfg) -> Result<Vec<(&'static str, &'static str)>, GridError> {
+    if cfg.checkpoint.is_some() && (cfg.pattern.is_some() || cfg.victim.is_some()) {
+        return Err(GridError::FilteredCheckpoint);
+    }
+    let patterns: Vec<&'static str> = match cfg.pattern.as_deref() {
         Some(p) => vec![*pattern_names()
             .iter()
             .find(|n| **n == p)
-            .ok_or_else(|| AttackError::UnknownPattern(p.to_owned()))?],
+            .ok_or_else(|| GridError::Unknown(AttackError::UnknownPattern(p.to_owned())))?],
         None => pattern_names().to_vec(),
     };
-    let victims: Vec<&'static str> = match victim {
+    let victims: Vec<&'static str> = match cfg.victim.as_deref() {
         Some(v) => vec![*victim_names()
             .iter()
             .find(|n| **n == v)
-            .ok_or_else(|| AttackError::UnknownVictim(v.to_owned()))?],
+            .ok_or_else(|| GridError::Unknown(AttackError::UnknownVictim(v.to_owned())))?],
         None => victim_names().to_vec(),
     };
-    let cells: Vec<(&'static str, &'static str)> = patterns
+    Ok(patterns
         .iter()
         .flat_map(|p| victims.iter().map(move |v| (*p, *v)))
-        .collect();
+        .collect())
+}
+
+/// The grid campaign under `cfg`: one supervised shard per cell of
+/// [`grid_cells`], each on a device seeded from its position.
+fn campaign(
+    seed: u64,
+    threads: usize,
+    cfg: &ScenarioCfg,
+) -> Result<SupervisedReport<GridCell>, GridError> {
+    let cells = grid_cells(cfg)?;
     let sup = Supervisor::new(seed)
         .with_tag("attack-grid")
         .with_threads(threads);
@@ -247,24 +231,8 @@ pub fn campaign(
     }))
 }
 
-/// The grid's structured document: the cell array, wrapped with the
-/// partial-result marker when cells are missing.
-#[must_use]
-pub fn document(report: &SupervisedReport<GridCell>) -> Json {
-    let cells: Vec<GridCell> = report.values().cloned().collect();
-    campaign_document(report, cells.to_json())
-}
-
-/// The grid's text report, with a warning when cells are missing.
-#[must_use]
-pub fn render_report(report: &SupervisedReport<GridCell>) -> String {
-    let cells: Vec<GridCell> = report.values().cloned().collect();
-    campaign_render(report, render(&cells))
-}
-
 /// Renders the grid as a table.
-#[must_use]
-pub fn render(cells: &[GridCell]) -> String {
+fn render(cells: &[GridCell]) -> String {
     let mut out = String::from(
         "attack campaign grid: hammer pattern x victim structure\n\
          pattern       victim     placement   sites  flips  rate(M/s)  changes  silent  loud\n",
@@ -296,9 +264,22 @@ pub fn render(cells: &[GridCell]) -> String {
 mod tests {
     use super::*;
 
+    /// The grid at `threads` under `filter` (pattern, victim).
+    fn grid(
+        threads: usize,
+        (pattern, victim): (Option<&str>, Option<&str>),
+    ) -> Result<Vec<GridCell>, GridError> {
+        let cfg = ScenarioCfg {
+            pattern: pattern.map(str::to_owned),
+            victim: victim.map(str::to_owned),
+            ..ScenarioCfg::default()
+        };
+        Ok(campaign(11, threads, &cfg)?.into_complete())
+    }
+
     #[test]
     fn grid_covers_every_cell_and_flips_the_flagship() {
-        let cells = run(11).expect("grid");
+        let cells = grid(1, (None, None)).expect("grid");
         assert_eq!(cells.len(), pattern_names().len() * victim_names().len());
         assert!(cells.len() >= 16, "grid must span at least 4x4");
         let get = |p: &str, v: &str| {
@@ -321,15 +302,15 @@ mod tests {
 
     #[test]
     fn filters_select_and_reject() {
-        let one = run_filtered(11, 1, Some("two_sided"), Some("l2p")).expect("cell");
+        let one = grid(1, (Some("two_sided"), Some("l2p"))).expect("cell");
         assert_eq!(one.len(), 1);
         assert!(matches!(
-            run_filtered(11, 1, Some("nope"), None),
-            Err(AttackError::UnknownPattern(_))
+            grid(1, (Some("nope"), None)),
+            Err(GridError::Unknown(AttackError::UnknownPattern(_)))
         ));
         assert!(matches!(
-            run_filtered(11, 1, None, Some("nope")),
-            Err(AttackError::UnknownVictim(_))
+            grid(1, (None, Some("nope"))),
+            Err(GridError::Unknown(AttackError::UnknownVictim(_)))
         ));
     }
 
@@ -339,12 +320,10 @@ mod tests {
         path.push(format!("ssdhammer-attacks-resume-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let uninterrupted = run_filtered(11, 2, None, None).expect("grid");
+        let uninterrupted = grid(2, (None, None)).expect("grid");
         let killed = campaign(
             11,
             2,
-            None,
-            None,
             &ScenarioCfg {
                 checkpoint: Some(path.clone()),
                 abort_after: Some(3),
@@ -357,8 +336,6 @@ mod tests {
         let resumed = campaign(
             11,
             1,
-            None,
-            None,
             &ScenarioCfg {
                 checkpoint: Some(path.clone()),
                 resume: true,
@@ -377,22 +354,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a checkpoint covers the whole grid")]
     fn a_filtered_grid_refuses_to_resume_a_checkpoint() {
         let mut path = std::env::temp_dir();
         path.push(format!("ssdhammer-attacks-filter-{}", std::process::id()));
         let resume = ScenarioCfg {
             checkpoint: Some(path),
             resume: true,
+            pattern: Some("one_sided".to_owned()),
             ..ScenarioCfg::default()
         };
-        let _ = campaign(11, 1, Some("one_sided"), None, &resume);
+        assert!(matches!(
+            campaign(11, 1, &resume),
+            Err(GridError::FilteredCheckpoint)
+        ));
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let json = |threads| {
-            run_filtered(11, threads, None, None)
+            grid(threads, (None, None))
                 .expect("grid")
                 .to_json()
                 .to_string()
@@ -403,8 +383,13 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-/// [`Scenario`] wrapper: `repro attacks` (the unfiltered grid; the binary's
-/// `--pattern`/`--victim` flags route through [`campaign`]).
+/// [`Scenario`] wrapper: `repro attacks [--pattern P] [--victim V]`. The
+/// document is the cell array.
+///
+/// # Panics
+///
+/// When [`grid_cells`] rejects `cfg` (`repro` rejects such a command line
+/// before it runs anything).
 #[derive(Debug, Clone, Copy)]
 pub struct AttacksScenario;
 
@@ -413,11 +398,9 @@ impl Scenario for AttacksScenario {
         "attacks"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        document(&campaign(seed, threads, None, None, &cfg).expect("unfiltered grid"))
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render_report(&campaign(seed, threads, None, None, &cfg).expect("unfiltered grid"))
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let report = campaign(seed, threads, &cfg).unwrap_or_else(|e| panic!("{e:?}"));
+        let cells: Vec<GridCell> = report.values().cloned().collect();
+        campaign_output(&report, cells.to_json(), render(&cells))
     }
 }

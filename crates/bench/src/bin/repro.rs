@@ -2,142 +2,138 @@
 //! Devices* (HotStorage '21) as text, and optionally dumps the structured
 //! results as JSON.
 //!
-//! Subcommands are declared once in the [`COMMANDS`] registry — a name, a
-//! help line, and a runner — and everything else (dispatch, `repro help`,
-//! the usage string, the `all` loop) is generated from that table. Most
-//! experiments dispatch through their module's [`Scenario`] impl; the few
-//! with extra side effects (fig1's telemetry snapshot file, the escalation
-//! demo, the attack grid's filters) use custom runners.
+//! Subcommands are declared once in the [`COMMANDS`] registry — an
+//! experiment's [`Scenario`], a help line, whether `all` runs it, and the
+//! check that rejects arguments it cannot run — and everything else
+//! (dispatch, `repro help`, the usage string, the `all` loop) is
+//! generated from that table. Every subcommand runs its scenario
+//! once and prints the document (`--json`) or the text report from that
+//! one [`Output`]; an output that carries a telemetry snapshot is also
+//! written to `<name>-telemetry.json` in the working directory.
 //!
 //! Run `repro help` for the generated command and flag reference.
 
-use std::path::PathBuf;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 
-use ssdhammer_bench::scenario::{Scenario, ScenarioCfg};
+use ssdhammer_bench::attacks::GridError;
+use ssdhammer_bench::scenario::{Output, Scenario, ScenarioCfg};
 use ssdhammer_bench::{
-    ablations, attacks, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec43, sec5, table1,
-    torture,
+    ablations, attacks, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec32, sec43, sec5,
+    table1, torture,
 };
-use ssdhammer_simkit::json::ToJson;
+use ssdhammer_core::{pattern_names, victim_names};
 
-/// Parsed command-line flags, handed to every runner.
+/// Parsed command-line flags, handed to every scenario.
 struct Ctx {
     seed: u64,
     threads: usize,
     json: bool,
-    pattern: Option<String>,
-    victim: Option<String>,
-    /// Everything a scenario reads: `--full`, the campaign flags, and the
-    /// fuzz modes.
+    /// Everything a scenario reads: `--full`, the campaign flags, the
+    /// attack-grid filters and the fuzz modes.
     cfg: ScenarioCfg,
 }
 
-/// How a subcommand executes.
-enum Runner {
-    /// Dispatch through the module's uniform [`Scenario`] entry point.
-    Scenario(&'static dyn Scenario),
-    /// A bespoke runner for commands with side effects beyond stdout.
-    Custom(fn(&Ctx)),
-}
-
-/// One row of the subcommand registry.
+/// One row of the subcommand registry; the subcommand is the scenario's
+/// name.
 struct Cmd {
-    /// Subcommand name.
-    name: &'static str,
+    /// The experiment.
+    scenario: &'static dyn Scenario,
     /// One-line help text.
     help: &'static str,
-    /// Execution strategy.
-    runner: Runner,
     /// Whether `repro all` includes this command.
     in_all: bool,
+    /// Exits 2 on a command line the scenario cannot run, before any
+    /// experiment runs.
+    check: Option<fn(&ScenarioCfg)>,
 }
 
 /// The declarative subcommand registry: `help`, the usage line, and
 /// dispatch are all generated from this table.
 static COMMANDS: &[Cmd] = &[
     Cmd {
-        name: "table1",
+        scenario: &table1::Table1Scenario,
         help: "Table 1  — minimal access rate to trigger bitflips",
-        runner: Runner::Scenario(&table1::Table1Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "fig1",
+        scenario: &fig1::Fig1Scenario,
         help: "Figure 1 — two-sided FTL rowhammer redirects an LBA",
-        runner: Runner::Custom(run_fig1),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "fig2",
+        scenario: &fig2::Fig2Scenario,
         help: "Figure 2 — direct vs helper-VM setups",
-        runner: Runner::Scenario(&fig2::Fig2Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "fig3",
+        scenario: &fig3::Fig3Scenario,
         help: "Figure 3 — end-to-end ext4 indirect-block exploit",
-        runner: Runner::Scenario(&fig3::Fig3Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "prob",
+        scenario: &sec43::Sec43Scenario,
         help: "§4.3     — probability of success",
-        runner: Runner::Scenario(&sec43::Sec43Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "mitigations",
+        scenario: &sec5::Sec5Scenario,
         help: "§5       — mitigation matrix",
-        runner: Runner::Scenario(&sec5::Sec5Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "feasibility",
+        scenario: &sec23::Sec23Scenario,
         help: "§2.3     — NVMe-rate feasibility",
-        runner: Runner::Scenario(&sec23::Sec23Scenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "ablations",
+        scenario: &ablations::AblationsScenario,
         help: "design-choice ablations (DESIGN.md §5)",
-        runner: Runner::Scenario(&ablations::AblationsScenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "escalation",
+        scenario: &sec32::EscalationScenario,
         help: "§3.2     — privilege escalation via polyglot blocks",
-        runner: Runner::Custom(run_escalation),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "faults",
+        scenario: &faults::FaultsScenario,
         help: "fault-injection plane vs the FTL recovery stack",
-        runner: Runner::Scenario(&faults::FaultsScenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "defenses",
+        scenario: &defenses::DefensesScenario,
         help: "defense-in-depth matrix — attack success per defense layer",
-        runner: Runner::Scenario(&defenses::DefensesScenario),
         in_all: true,
+        check: None,
     },
     Cmd {
-        name: "attacks",
+        scenario: &attacks::AttacksScenario,
         help: "pattern x victim campaign grid (--pattern/--victim filter)",
-        runner: Runner::Custom(run_attacks),
         in_all: true,
+        check: Some(check_grid_filter),
     },
     Cmd {
-        name: "torture",
+        scenario: &torture::TortureScenario,
         help: "power-cut torture — crash-point enumeration x recovery oracle",
-        runner: Runner::Scenario(&torture::TortureScenario),
         in_all: false,
+        check: None,
     },
     Cmd {
-        name: "fuzz",
+        scenario: &fuzz::FuzzScenario,
         help: "model-based fuzz — random op soak vs the shadow oracle",
-        runner: Runner::Scenario(&fuzz::FuzzScenario),
         in_all: false,
+        check: None,
     },
 ];
 
@@ -148,70 +144,30 @@ fn main() {
         seed: 7,
         threads: 1,
         json: false,
-        pattern: None,
-        victim: None,
         cfg: ScenarioCfg::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                ctx.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--pattern" => {
-                ctx.pattern = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--pattern needs a name")),
-                );
-            }
-            "--victim" => {
-                ctx.victim = Some(
-                    it.next()
-                        .cloned()
-                        .unwrap_or_else(|| die("--victim needs a name")),
-                );
-            }
+            "--seed" => ctx.seed = value(&mut it, "--seed needs a number"),
+            "--pattern" => ctx.cfg.pattern = Some(value(&mut it, "--pattern needs a name")),
+            "--victim" => ctx.cfg.victim = Some(value(&mut it, "--victim needs a name")),
             "--threads" => {
-                ctx.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .unwrap_or_else(|| die("--threads needs a positive number"));
+                ctx.threads =
+                    value::<NonZeroUsize>(&mut it, "--threads needs a positive number").get();
             }
             "--checkpoint" => {
-                ctx.cfg.checkpoint = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| die("--checkpoint needs a path")),
-                );
+                ctx.cfg.checkpoint = Some(value(&mut it, "--checkpoint needs a path"));
             }
             "--resume" => ctx.cfg.resume = true,
             "--abort-after" => {
-                ctx.cfg.abort_after = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--abort-after needs a number")),
-                );
+                ctx.cfg.abort_after = Some(value(&mut it, "--abort-after needs a number"));
             }
             "--soak" => {
-                ctx.cfg.soak = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("--soak needs a positive number")),
-                );
+                ctx.cfg.soak =
+                    Some(value::<NonZeroUsize>(&mut it, "--soak needs a positive number").get());
             }
-            "--replay" => {
-                ctx.cfg.replay = Some(
-                    it.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| die("--replay needs a directory")),
-                );
-            }
+            "--replay" => ctx.cfg.replay = Some(value(&mut it, "--replay needs a directory")),
             "--json" => ctx.json = true,
             "--full" => ctx.cfg.full = true,
             "--help" | "-h" => {
@@ -224,101 +180,66 @@ fn main() {
             other => die(&format!("unknown argument '{other}'")),
         }
     }
-    match experiment.as_deref().unwrap_or("all") {
-        "help" => print_help(),
-        "all" => {
-            if ctx.cfg.checkpoint.is_some() {
-                // One checkpoint file holds one campaign.
-                die("--checkpoint needs a single experiment, not all");
-            }
-            for cmd in COMMANDS.iter().filter(|c| c.in_all) {
-                run_cmd(cmd, &ctx);
-                println!();
-            }
+    let name = experiment.as_deref().unwrap_or("all");
+    let cmds: Vec<&Cmd> = match name {
+        "help" => return print_help(),
+        // One checkpoint file holds one campaign.
+        "all" if ctx.cfg.checkpoint.is_some() => {
+            die("--checkpoint needs a single experiment, not all")
         }
-        name => match COMMANDS.iter().find(|c| c.name == name) {
-            Some(cmd) => run_cmd(cmd, &ctx),
+        "all" => COMMANDS.iter().filter(|c| c.in_all).collect(),
+        _ => match COMMANDS.iter().find(|c| c.scenario.name() == name) {
+            Some(cmd) => vec![cmd],
             None => die(&format!("unknown experiment '{name}'")),
         },
+    };
+    for check in cmds.iter().filter_map(|c| c.check) {
+        check(&ctx.cfg);
     }
-}
-
-fn run_cmd(cmd: &Cmd, ctx: &Ctx) {
-    match cmd.runner {
-        Runner::Scenario(s) => {
-            if ctx.json {
-                println!(
-                    "{}",
-                    s.run(ctx.cfg.clone(), ctx.seed, ctx.threads)
-                        .to_string_pretty()
-                );
-            } else {
-                print!("{}", s.render(ctx.cfg.clone(), ctx.seed, ctx.threads));
-            }
+    for cmd in cmds {
+        run_cmd(cmd, &ctx);
+        if name == "all" {
+            println!();
         }
-        Runner::Custom(f) => f(ctx),
     }
 }
 
-/// fig1 with its side effect: the device telemetry snapshot is written
-/// next to the figure output.
-fn run_fig1(ctx: &Ctx) {
-    let (r, snapshot) = fig1::run_with_telemetry(ctx.seed);
+/// Runs `cmd`'s scenario once and prints its document or its report;
+/// writes the telemetry snapshot when the output carries one.
+fn run_cmd(cmd: &Cmd, ctx: &Ctx) {
+    let Output {
+        json,
+        text,
+        telemetry,
+    } = cmd.scenario.run(ctx.cfg.clone(), ctx.seed, ctx.threads);
     if ctx.json {
-        println!("{}", r.to_json().to_string_pretty());
+        println!("{}", json.to_string_pretty());
     } else {
-        print!("{}", fig1::render(&r));
+        print!("{text}");
     }
-    let path = "fig1-telemetry.json";
-    match std::fs::write(path, snapshot.to_json().to_string_pretty()) {
-        Ok(()) => eprintln!("telemetry snapshot written to {path}"),
-        Err(e) => eprintln!("repro: could not write {path}: {e}"),
+    if let Some(snapshot) = telemetry {
+        let path = format!("{}-telemetry.json", cmd.scenario.name());
+        match std::fs::write(&path, snapshot.to_json().to_string_pretty()) {
+            Ok(()) => eprintln!("telemetry snapshot written to {path}"),
+            Err(e) => eprintln!("repro: could not write {path}: {e}"),
+        }
     }
 }
 
-/// The pattern × victim campaign grid, with the registry-name filters.
-fn run_attacks(ctx: &Ctx) {
-    if ctx.cfg.checkpoint.is_some() && (ctx.pattern.is_some() || ctx.victim.is_some()) {
+/// Rejects attack-grid filters [`attacks::grid_cells`] cannot run; an
+/// unknown name also prints both registries.
+fn check_grid_filter(cfg: &ScenarioCfg) {
+    match attacks::grid_cells(cfg) {
+        Ok(_) => {}
+        Err(GridError::Unknown(e)) => {
+            eprintln!("repro: {e}");
+            eprintln!("patterns: {}", pattern_names().join(", "));
+            eprintln!("victims:  {}", victim_names().join(", "));
+            std::process::exit(2);
+        }
         // The checkpoint does not record the filter.
-        die("--checkpoint covers the whole grid; drop --pattern/--victim");
-    }
-    let report = attacks::campaign(
-        ctx.seed,
-        ctx.threads,
-        ctx.pattern.as_deref(),
-        ctx.victim.as_deref(),
-        &ctx.cfg,
-    )
-    .unwrap_or_else(|e| {
-        use ssdhammer_core::{pattern_names, victim_names};
-        eprintln!("repro: {e}");
-        eprintln!("patterns: {}", pattern_names().join(", "));
-        eprintln!("victims:  {}", victim_names().join(", "));
-        std::process::exit(2);
-    });
-    if ctx.json {
-        println!("{}", attacks::document(&report).to_string_pretty());
-    } else {
-        print!("{}", attacks::render_report(&report));
-    }
-}
-
-/// The §3.2 privilege-escalation demo.
-fn run_escalation(ctx: &Ctx) {
-    use ssdhammer_cloud::{run_escalation, EscalationConfig};
-    let outcome = run_escalation(&EscalationConfig::fast_demo(ctx.seed)).expect("escalation run");
-    if ctx.json {
-        println!("{}", outcome.cycles.to_json().to_string_pretty());
-    } else {
-        println!(
-            "§3.2 privilege escalation: escalated={} tag={:?} simulated_time={}",
-            outcome.escalated, outcome.observed_tag, outcome.total_time
-        );
-        for c in &outcome.cycles {
-            println!(
-                "  cycle {:>2}: flips={:<4} legitimate={:<4} crashed={:<3} hijacked={}",
-                c.cycle, c.flips, c.legitimate, c.crashed, c.escalated
-            );
+        Err(GridError::FilteredCheckpoint) => {
+            die("--checkpoint covers the whole grid; drop --pattern/--victim")
         }
     }
 }
@@ -328,12 +249,12 @@ fn print_help() {
     println!();
     println!("experiments:");
     for c in COMMANDS {
-        println!("  {:<13} {}", c.name, c.help);
+        println!("  {:<13} {}", c.scenario.name(), c.help);
     }
     let skipped: Vec<&str> = COMMANDS
         .iter()
         .filter(|c| !c.in_all)
-        .map(|c| c.name)
+        .map(|c| c.scenario.name())
         .collect();
     println!(
         "  all           every experiment above except {}",
@@ -362,9 +283,17 @@ fn print_help() {
     println!("                the partial report is marked degraded");
 }
 
+/// The value after a flag, parsed; a missing or malformed value exits 2
+/// with `msg`.
+fn value<T: FromStr>(it: &mut std::slice::Iter<'_, String>, msg: &str) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| die(msg))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
-    let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|c| c.scenario.name()).collect();
     eprintln!(
         "usage: repro [{}|all] [--seed N] [--threads N] [--json] [--full]",
         names.join("|")

@@ -17,7 +17,7 @@
 //! `--resume` and `--abort-after`.
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
-use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile, ParaConfig, TrrConfig};
+use ssdhammer_dram::{ModuleProfile, ParaConfig, TrrConfig};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
 use ssdhammer_nvme::{Ssd, SsdConfig};
@@ -25,7 +25,7 @@ use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 /// Independent attack trials per defense configuration.
 const TRIALS: usize = 3;
@@ -118,9 +118,7 @@ fn small_flash() -> FlashGeometry {
 
 fn base_config(seed: u64) -> SsdConfig {
     SsdConfig {
-        dram_geometry: DramGeometry::tiny_test(),
         dram_profile: ModuleProfile::demo_ddr4(),
-        dram_mapping: MappingKind::Linear,
         flash_geometry: small_flash(),
         ..SsdConfig::test_small(seed)
     }
@@ -199,20 +197,6 @@ fn attack_trial(config: SsdConfig) -> TrialOutcome {
     }
 }
 
-/// Runs the full matrix single-threaded.
-#[must_use]
-pub fn run(seed: u64) -> Vec<DefenseRow> {
-    run_with_threads(seed, 1)
-}
-
-/// Like [`run`], sharding (defense, trial) pairs across `threads` workers;
-/// output is bit-identical for any thread count.
-#[must_use]
-pub fn run_with_threads(seed: u64, threads: usize) -> Vec<DefenseRow> {
-    let trials = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
-    matrix(trials.iter().map(Some))
-}
-
 /// The defense campaign under `cfg`'s campaign flags: one supervised shard
 /// per (defense, trial) pair, defense-major, each seeded from its position.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<TrialOutcome> {
@@ -267,8 +251,7 @@ fn matrix<'a>(trials: impl Iterator<Item = Option<&'a TrialOutcome>>) -> Vec<Def
 }
 
 /// Renders the matrix.
-#[must_use]
-pub fn render(rows: &[DefenseRow]) -> String {
+fn render(rows: &[DefenseRow]) -> String {
     let mut out = String::from(
         "defense-in-depth: Figure 1 primitive vs the integrity plane\n\
          defense                 P(success)  flips  silent  loud  repairs  degraded\n",
@@ -292,9 +275,14 @@ pub fn render(rows: &[DefenseRow]) -> String {
 mod tests {
     use super::*;
 
+    fn run(seed: u64, threads: usize) -> Vec<DefenseRow> {
+        let trials = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
+        matrix(trials.iter().map(Some))
+    }
+
     #[test]
     fn matrix_separates_the_defenses() {
-        let rows = run(7);
+        let rows = run(7, 1);
         assert_eq!(rows.len(), 6);
         let get = |name: &str| rows.iter().find(|r| r.defense.starts_with(name)).unwrap();
         // Undefended, the attack succeeds every trial.
@@ -324,7 +312,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let json = |threads| run_with_threads(7, threads).to_json().to_string();
+        let json = |threads| run(7, threads).to_json().to_string();
         assert_eq!(json(1), json(4));
     }
 }
@@ -340,15 +328,9 @@ impl Scenario for DefensesScenario {
         "defenses"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
         let report = campaign(seed, threads, &cfg);
         let rows = matrix(report.outcomes.iter().map(ShardOutcome::value));
-        campaign_document(&report, rows.to_json())
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        let report = campaign(seed, threads, &cfg);
-        let rows = matrix(report.outcomes.iter().map(ShardOutcome::value));
-        campaign_render(&report, render(&rows))
+        campaign_output(&report, rows.to_json(), render(&rows))
     }
 }

@@ -18,7 +18,7 @@ use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::{Lba, SimClock, BLOCK_SIZE};
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 /// One fault-injection scenario's outcome.
 #[derive(Debug, Clone)]
@@ -309,19 +309,6 @@ fn write_cmd(ns: NsId, lba: u64, fill: u8) -> Command {
     }
 }
 
-/// Runs every fault scenario single-threaded.
-#[must_use]
-pub fn run(seed: u64) -> Vec<FaultRow> {
-    run_with_threads(seed, 1)
-}
-
-/// Like [`run`], sharding scenarios across `threads` workers; output is
-/// bit-identical for any thread count.
-#[must_use]
-pub fn run_with_threads(seed: u64, threads: usize) -> Vec<FaultRow> {
-    campaign(seed, threads, &ScenarioCfg::default()).into_complete()
-}
-
 /// The fault campaign under `cfg`'s campaign flags: one supervised shard
 /// per scenario, each seeded from its position.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<FaultRow> {
@@ -345,8 +332,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Fa
 }
 
 /// Renders the scenario table.
-#[must_use]
-pub fn render(rows: &[FaultRow]) -> String {
+fn render(rows: &[FaultRow]) -> String {
     let mut out = String::from(
         "fault-injection scenarios: deterministic fault plane vs the recovery stack\n\
          scenario            injected  recovered  failed  degraded\n",
@@ -368,9 +354,13 @@ pub fn render(rows: &[FaultRow]) -> String {
 mod tests {
     use super::*;
 
+    fn run(seed: u64, threads: usize) -> Vec<FaultRow> {
+        campaign(seed, threads, &ScenarioCfg::default()).into_complete()
+    }
+
     #[test]
     fn scenarios_inject_and_mostly_recover() {
-        let rows = run(7);
+        let rows = run(7, 1);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert!(r.injected > 0, "{}: no faults injected", r.scenario);
@@ -384,7 +374,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let json = |threads| run_with_threads(7, threads).to_json().to_string();
+        let json = |threads| run(7, threads).to_json().to_string();
         assert_eq!(json(1), json(4));
     }
 }
@@ -400,15 +390,9 @@ impl Scenario for FaultsScenario {
         "faults"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
         let report = campaign(seed, threads, &cfg);
         let rows: Vec<FaultRow> = report.values().cloned().collect();
-        campaign_document(&report, rows.to_json())
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        let report = campaign(seed, threads, &cfg);
-        let rows: Vec<FaultRow> = report.values().cloned().collect();
-        campaign_render(&report, render(&rows))
+        campaign_output(&report, rows.to_json(), render(&rows))
     }
 }

@@ -10,8 +10,7 @@
 use ssdhammer_core::{
     find_attack_sites, AttackPipeline, CrossBank, L2pEntries, Redirection, TwoSided,
 };
-use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::{DramGeneration, ModuleProfile};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::telemetry::TelemetrySnapshot;
@@ -58,25 +57,15 @@ fn build_ssd(seed: u64) -> Ssd {
     profile.row_vulnerable_prob = 1.0;
     profile.weak_cells_per_row = 6.0;
     let mut config = SsdConfig::test_small(seed);
-    config.dram_geometry = DramGeometry::tiny_test();
     config.dram_profile = profile;
-    config.dram_mapping = MappingKind::Linear;
-    config.flash_geometry = FlashGeometry::mib64();
     config.model.clone_from(&"fig1 demo device".to_owned());
     Ssd::build(config)
-}
-
-/// Runs the Figure 1 experiment.
-#[must_use]
-pub fn run(seed: u64) -> Fig1Result {
-    run_with_telemetry(seed).0
 }
 
 /// Runs Figure 1 and also returns the attacked device's telemetry snapshot
 /// (every layer's counters from the single shared registry, plus the event
 /// trace with the flip and redirection records).
-#[must_use]
-pub fn run_with_telemetry(seed: u64) -> (Fig1Result, TelemetrySnapshot) {
+fn run(seed: u64) -> (Fig1Result, TelemetrySnapshot) {
     // The attack proper: a double-sided pipeline against the device's
     // weakest L2P site, aggressor entries included in the setup phase.
     let mut ssd = build_ssd(seed);
@@ -121,8 +110,7 @@ pub fn run_with_telemetry(seed: u64) -> (Fig1Result, TelemetrySnapshot) {
 }
 
 /// Renders the result in the spirit of the figure's caption.
-#[must_use]
-pub fn render(r: &Fig1Result) -> String {
+fn render(r: &Fig1Result) -> String {
     let mut out = format!(
         "Figure 1: two-sided FTL rowhammering\n\
          victim row: (bank {}, row {}) holding {} L2P entries\n\
@@ -152,7 +140,7 @@ mod tests {
 
     #[test]
     fn figure1_redirects_and_control_does_not() {
-        let (r, snapshot) = run_with_telemetry(9);
+        let (r, snapshot) = run(9);
         assert!(r.flips > 0);
         assert!(
             !r.redirections.is_empty(),
@@ -185,11 +173,11 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
-/// [`Scenario`] wrapper: `repro fig1`. The telemetry-snapshot side file is
-/// a `repro`-binary concern ([`run_with_telemetry`] exposes the snapshot);
-/// the scenario itself returns only the figure's result document.
+/// [`Scenario`] wrapper: `repro fig1`. Its output carries the attacked
+/// device's telemetry snapshot, which `repro` writes to
+/// `fig1-telemetry.json`.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig1Scenario;
 
@@ -198,11 +186,12 @@ impl Scenario for Fig1Scenario {
         "fig1"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Json {
-        run(seed).to_json()
-    }
-
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> String {
-        render(&run(seed))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Output {
+        let (r, snapshot) = run(seed);
+        Output {
+            json: r.to_json(),
+            text: render(&r),
+            telemetry: Some(snapshot),
+        }
     }
 }

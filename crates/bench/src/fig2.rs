@@ -10,8 +10,7 @@
 //! reachable directly).
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
-use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::ModuleProfile;
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::SimDuration;
@@ -59,10 +58,7 @@ fn sweep_point(profile: ModuleProfile, amplification: u32, seed: u64) -> (f64, u
     p.weak_cells_per_row = 24.0;
     p.threshold_spread = 0.3;
     let mut config = SsdConfig::test_small(seed);
-    config.dram_geometry = DramGeometry::tiny_test();
     config.dram_profile = p;
-    config.dram_mapping = MappingKind::Linear;
-    config.flash_geometry = FlashGeometry::mib64();
     config.ftl.hammer_amplification = amplification;
     let mut ssd = Ssd::build(config);
     let site = find_attack_sites(ssd.ftl(), 1).pop().expect("site");
@@ -80,8 +76,7 @@ fn sweep_point(profile: ModuleProfile, amplification: u32, seed: u64) -> (f64, u
 }
 
 /// Runs the Figure 2 sweep.
-#[must_use]
-pub fn run(seed: u64) -> Vec<Fig2Row> {
+fn run(seed: u64) -> Vec<Fig2Row> {
     let modules = [
         ("testbed DDR3 (3M acc/s)", ModuleProfile::testbed_ddr3()),
         ("DDR4 new 2020 (313K acc/s)", ModuleProfile::ddr4_new_2020()),
@@ -106,8 +101,7 @@ pub fn run(seed: u64) -> Vec<Fig2Row> {
 }
 
 /// Renders the sweep as a table.
-#[must_use]
-pub fn render(rows: &[Fig2Row]) -> String {
+fn render(rows: &[Fig2Row]) -> String {
     let mut out = String::from(
         "Figure 2: direct vs helper-VM setups\n\
          setup          module                       amp  act-rate(M/s)  needed(M/s)  flips  redirections\n",
@@ -162,7 +156,7 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// [`Scenario`] wrapper: `repro fig2`.
 #[derive(Debug, Clone, Copy)]
@@ -173,11 +167,8 @@ impl Scenario for Fig2Scenario {
         "fig2"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Json {
-        run(seed).to_json()
-    }
-
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> String {
-        render(&run(seed))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Output {
+        let rows = run(seed);
+        Output::new(rows.to_json(), render(&rows))
     }
 }

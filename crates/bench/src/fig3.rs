@@ -46,8 +46,7 @@ impl ToJson for Fig3Result {
 
 /// Runs the end-to-end case study at the given spray fraction (the §4.2
 /// ablation: lower spray limits stretch the time to success).
-#[must_use]
-pub fn run_with_spray(seed: u64, spray_fraction: f64, max_cycles: u32) -> Fig3Result {
+fn run_with_spray(seed: u64, spray_fraction: f64, max_cycles: u32) -> Fig3Result {
     let mut config = CaseStudyConfig::fast_demo(seed);
     config.spray_fraction = spray_fraction;
     config.max_cycles = max_cycles;
@@ -63,17 +62,10 @@ pub fn run_with_spray(seed: u64, spray_fraction: f64, max_cycles: u32) -> Fig3Re
     }
 }
 
-/// The default demo run.
-#[must_use]
-pub fn run(seed: u64) -> Fig3Result {
-    run_with_spray(seed, 0.20, 8)
-}
-
 /// The spray-limit ablation: 5 % (the paper's forced cap) vs more generous
 /// spraying. Expected shape: success time shrinks (or cycle count drops) as
 /// the spray fraction grows.
-#[must_use]
-pub fn spray_ablation(seed: u64) -> Vec<Fig3Result> {
+fn spray_ablation(seed: u64) -> Vec<Fig3Result> {
     [0.05, 0.10, 0.20]
         .into_iter()
         .map(|f| run_with_spray(seed, f, 24))
@@ -81,8 +73,7 @@ pub fn spray_ablation(seed: u64) -> Vec<Fig3Result> {
 }
 
 /// Renders one run.
-#[must_use]
-pub fn render(r: &Fig3Result) -> String {
+fn render(r: &Fig3Result) -> String {
     format!(
         "Figure 3 / §4.2: end-to-end ext4 indirect-block exploit\n\
          spray limit {:.0}% | success: {} | cycles: {} | flips: {} | corruption-only events: {} | fs-corruption abort: {} | simulated time: {}\n",
@@ -97,8 +88,7 @@ pub fn render(r: &Fig3Result) -> String {
 }
 
 /// Renders the ablation series.
-#[must_use]
-pub fn render_ablation(rows: &[Fig3Result]) -> String {
+fn render_ablation(rows: &[Fig3Result]) -> String {
     let mut out = String::from(
         "spray-limit ablation (why the paper's 5% cap inflated its 2h figure)\n\
          spray%  success  cycles  sim-time\n",
@@ -123,7 +113,7 @@ mod tests {
     fn end_to_end_leak_succeeds() {
         // Seed chosen so the demo-scale attack converges within its cycle
         // budget (the leak is probabilistic in the manufacturing seed).
-        let r = run(1);
+        let r = run_with_spray(1, 0.20, 8);
         assert!(r.success, "demo should converge: {r:?}");
         assert!(r.total_flips > 0);
         assert!(r.time > SimDuration::ZERO);
@@ -143,23 +133,16 @@ mod tests {
     }
 }
 
-// ---- paper-prototype scale ---------------------------------------------------
+// ---- scenario entry ---------------------------------------------------------
 
-/// Runs the paper-prototype-scale configuration (§4.1's 1 GiB SSD),
-/// printing a progress note to stderr — the run simulates hours of attack
-/// time.
-fn run_full(seed: u64) -> ssdhammer_cloud::CaseStudyOutcome {
+use crate::scenario::{Output, Scenario, ScenarioCfg};
+
+/// The paper-prototype-scale case study (§4.1's 1 GiB SSD), printing a
+/// progress note to stderr — the run simulates hours of attack time.
+fn run_full(seed: u64) -> Output {
     eprintln!("running the paper-prototype configuration; this simulates hours of attack time...");
-    let config = CaseStudyConfig::paper_prototype(seed);
-    run_case_study(&config).expect("case study")
-}
-
-/// The structured document for the full-scale run (`repro fig3 --full
-/// --json`).
-#[must_use]
-pub fn run_full_json(seed: u64) -> Json {
-    let outcome = run_full(seed);
-    Json::obj([
+    let outcome = run_case_study(&CaseStudyConfig::paper_prototype(seed)).expect("case study");
+    let json = Json::obj([
         ("success", Json::from(outcome.success)),
         ("cycles", outcome.cycles.to_json()),
         (
@@ -167,37 +150,27 @@ pub fn run_full_json(seed: u64) -> Json {
             Json::from(outcome.total_time.as_secs_f64()),
         ),
         ("corruption_events", Json::from(outcome.corruption_events)),
-    ])
-}
-
-/// The human-readable report for the full-scale run (`repro fig3 --full`).
-#[must_use]
-pub fn render_full(seed: u64) -> String {
-    let outcome = run_full(seed);
-    let mut out = format!(
+    ]);
+    let mut text = format!(
         "paper-prototype case study: success={} cycles={} corruption_events={} simulated_time={}\n",
         outcome.success,
         outcome.cycles.len(),
         outcome.corruption_events,
         outcome.total_time,
     );
-    out.push_str("(paper \u{a7}4.2: \"on our testbed this took about two hours\")\n");
+    text.push_str("(paper \u{a7}4.2: \"on our testbed this took about two hours\")\n");
     for c in &outcome.cycles {
-        out.push_str(&format!(
+        text.push_str(&format!(
             "  cycle {:>2}: files={} sites={} flips={} hits={} leaked={}\n",
             c.cycle, c.sprayed_files, c.sites_hammered, c.flips, c.scan_hits, c.leaked_secret
         ));
     }
-    out
+    Output::new(json, text)
 }
-
-// ---- scenario entry ---------------------------------------------------------
-
-use crate::scenario::{Scenario, ScenarioCfg};
 
 /// [`Scenario`] wrapper: `repro fig3`. `cfg.full` selects the
 /// paper-prototype scale; the fast demo also reports the spray-limit
-/// ablation in its rendered form.
+/// ablation, as the document's `spray_ablation` rows and as a table.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig3Scenario;
 
@@ -206,21 +179,16 @@ impl Scenario for Fig3Scenario {
         "fig3"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, _threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, _threads: usize) -> Output {
         if cfg.full {
-            run_full_json(seed)
-        } else {
-            run(seed).to_json()
+            return run_full(seed);
         }
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, _threads: usize) -> String {
-        if cfg.full {
-            render_full(seed)
-        } else {
-            let mut out = render(&run(seed));
-            out.push_str(&render_ablation(&spray_ablation(seed)));
-            out
-        }
+        let r = run_with_spray(seed, 0.20, 8);
+        let ablation = spray_ablation(seed);
+        let mut json = r.to_json();
+        json.push("spray_ablation", ablation.to_json());
+        let mut text = render(&r);
+        text.push_str(&render_ablation(&ablation));
+        Output::new(json, text)
     }
 }

@@ -51,7 +51,7 @@ use ssdhammer_simkit::telemetry::Telemetry;
 use ssdhammer_simkit::torture::{census_config, measure_crossings, SiteCrossings};
 use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
 
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 use crate::torture::torture_sites;
 
 /// Structured-result schema identifier.
@@ -251,11 +251,6 @@ fn armed_cut(ops: &[FuzzOp]) -> Option<(&'static str, u64)> {
     })
 }
 
-/// Fires once, at consult `k` of its site.
-fn once_at(k: u64) -> FaultSpec {
-    FaultSpec::always().with_window(k, k + 1).with_max_fires(1)
-}
-
 /// LBAs the shadow covers: the generator's span, or more when a hand-built
 /// sequence (torture's `--full` workload) addresses more.
 fn span(ops: &[FuzzOp]) -> u64 {
@@ -277,12 +272,12 @@ impl SsdFuzz {
     fn config(&self, ops: &[FuzzOp]) -> SsdConfig {
         let mut faults = census_config(&FaultPlaneConfig::new(), &torture_sites());
         if let Some((site, crossing)) = armed_cut(ops) {
-            faults = faults.with_site(site, once_at(crossing));
+            faults = faults.with_site(site, FaultSpec::once_at(crossing));
         }
         if let Some(&FuzzOp::FailProgram(program)) =
             ops.iter().find(|op| matches!(op, FuzzOp::FailProgram(_)))
         {
-            faults = faults.with_site("flash.program_fail", once_at(u64::from(program)));
+            faults = faults.with_site("flash.program_fail", FaultSpec::once_at(u64::from(program)));
         }
         SsdConfig {
             flash_geometry: FlashGeometry::tiny_test(),
@@ -571,7 +566,7 @@ fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
     let sites = enumerate_sites(ssd.ftl(), &targets);
     let hammerer = make_hammerer(pattern).expect("registered pattern");
     let result = match hammerer.plan(&sites) {
-        Ok(plan) => ssd.ftl_mut().hammer_reads_with(
+        Ok(plan) => ssd.ftl_mut().hammer_reads(
             &plan.pattern,
             HAMMER_REQUESTS,
             HAMMER_RATE * plan.rate_scale,
@@ -579,7 +574,7 @@ fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
         ),
         Err(_) => {
             let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
-            ssd.ftl_mut().hammer_reads_with(
+            ssd.ftl_mut().hammer_reads(
                 &lbas,
                 HAMMER_REQUESTS,
                 HAMMER_RATE,
@@ -712,8 +707,7 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
 /// result document. The document is bit-identical for any `threads`, and —
 /// when checkpointed, killed, and resumed — bit-identical to an
 /// uninterrupted run.
-#[must_use]
-pub fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
     let episodes = episode_count(cfg);
     let target = SsdFuzz::default();
     let registry = Telemetry::new();
@@ -837,8 +831,7 @@ fn case_from_json(doc: &Json) -> Option<(String, Vec<FuzzOp>)> {
 /// current stack and reports per-case verdicts. Each case must pass: a
 /// corpus case is a minimized repro of a past or planted divergence, and
 /// replaying clean proves the stack (with its defenses on) still holds.
-#[must_use]
-pub fn run_replay(dir: &Path) -> Json {
+fn run_replay(dir: &Path) -> Json {
     let target = SsdFuzz::default();
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .map(|entries| {
@@ -898,8 +891,7 @@ pub fn run_replay(dir: &Path) -> Json {
 }
 
 /// Renders a campaign (soak or replay) document as text.
-#[must_use]
-pub fn render(doc: &Json) -> String {
+fn render(doc: &Json) -> String {
     let get_u64 = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
     let mut out = String::from("model-based fuzz: generator > executor > oracle > shrinker\n");
     let summary = doc.get("summary");
@@ -971,26 +963,18 @@ pub fn render(doc: &Json) -> String {
 #[derive(Debug, Clone, Copy)]
 pub struct FuzzScenario;
 
-impl FuzzScenario {
-    fn run_cfg(cfg: &ScenarioCfg, seed: u64, threads: usize) -> Json {
-        match &cfg.replay {
-            Some(dir) => run_replay(dir),
-            None => run_soak(seed, threads, cfg),
-        }
-    }
-}
-
 impl Scenario for FuzzScenario {
     fn name(&self) -> &'static str {
         "fuzz"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        Self::run_cfg(&cfg, seed, threads)
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&Self::run_cfg(&cfg, seed, threads))
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let json = match &cfg.replay {
+            Some(dir) => run_replay(dir),
+            None => run_soak(seed, threads, &cfg),
+        };
+        let text = render(&json);
+        Output::new(json, text)
     }
 }
 

@@ -13,6 +13,7 @@
 //! | [`sec43`] | §4.3 — probability of success |
 //! | [`sec5`] | §5 — mitigations |
 //! | [`sec23`] | §2.3 — NVMe-rate feasibility |
+//! | [`sec32`] | §3.2 — privilege escalation via polyglot blocks |
 //!
 //! The [`ablations`] module additionally sweeps the design choices called
 //! out in DESIGN.md (amplification, fast path, mapping structure, victim
@@ -28,9 +29,11 @@
 //! tests (DESIGN.md §18).
 //!
 //! Every experiment module exposes a unit struct implementing
-//! [`scenario::Scenario`] — one uniform `run(cfg, seed, threads) -> Json`
-//! / `render` entry point that the `repro` binary's subcommand registry
-//! dispatches through. Every output is a pure function of the seed: the
+//! [`scenario::Scenario`] — its one entry point,
+//! `run(cfg, seed, threads) -> Output`, computes the experiment once and
+//! returns the JSON document, the text report and (for Figure 1) the
+//! device telemetry snapshot together. The `repro` binary dispatches every
+//! subcommand through it. Every output is a pure function of the seed: the
 //! golden test (`tests/golden.rs`) pins `repro all --full`, its Figure 1
 //! telemetry file, `repro torture --full` and a fuzz soak byte for byte.
 //! Host time belongs to the `perfbench` benchmark alone, which reads it
@@ -53,6 +56,7 @@ pub mod fuzz;
 pub mod harness;
 pub mod scenario;
 pub mod sec23;
+pub mod sec32;
 pub mod sec43;
 pub mod sec5;
 pub mod table1;

@@ -4,19 +4,19 @@
 //! module-specific function zoo.
 //!
 //! A scenario is a unit struct implementing [`Scenario`]; the impl lives in
-//! the experiment's own module next to the functions it wraps. `run`
-//! returns the structured result as [`Json`] — the same document `repro
-//! <name> --json` prints — and `render` returns the human-readable report.
-//! Both are deterministic for a fixed `(cfg, seed)`: thread count shards
-//! work but never changes output bytes.
+//! the experiment's own module next to the code it runs. `run` computes
+//! the experiment once and returns an [`Output`]: the structured document
+//! `repro <name> --json` prints, the human-readable report `repro <name>`
+//! prints, and the device telemetry snapshot when the experiment keeps
+//! one. Everything is deterministic for a fixed `(cfg, seed)`: thread count
+//! shards work but never changes output bytes.
 //!
 //! Every *campaign* scenario — one that runs many independent trials —
 //! takes the same path: its shards run on a
 //! [`Supervisor`] through [`ScenarioCfg::run_campaign`], the single place
 //! the `--checkpoint`/`--resume`/`--abort-after` flags reach the runner,
-//! and [`campaign_document`] / [`campaign_render`] mark partial results
-//! the same way in every report and fail the run on a shard that panicked
-//! or timed out.
+//! and [`campaign_output`] marks partial results the same way in every
+//! report and fails the run on a shard that panicked or timed out.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -25,11 +25,13 @@ use ssdhammer_simkit::json::Json;
 use ssdhammer_simkit::supervisor::{
     JsonCodec, ShardCtx, ShardOutcome, SupervisedReport, Supervisor,
 };
+use ssdhammer_simkit::telemetry::TelemetrySnapshot;
 
 /// Options shared by every scenario. Scenarios ignore fields that do not
-/// apply to them (`fig3`, `torture` and `fuzz` distinguish `full`); the
-/// checkpoint/resume/abort flags drive every campaign scenario through
-/// [`ScenarioCfg::run_campaign`].
+/// apply to them (`fig3`, `torture` and `fuzz` distinguish `full`; only
+/// `attacks` reads the grid filters; only `fuzz` reads `soak` and
+/// `replay`); the checkpoint/resume/abort flags drive every campaign
+/// scenario through [`ScenarioCfg::run_campaign`].
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioCfg {
     /// Run the paper-prototype-scale configuration where one exists
@@ -50,6 +52,12 @@ pub struct ScenarioCfg {
     /// Replay a directory of persisted fuzz corpus cases instead of
     /// soaking (`--replay DIR`).
     pub replay: Option<PathBuf>,
+    /// Run only this hammer pattern's cells of the attack grid
+    /// (`--pattern P`, a `pattern_names` registry entry).
+    pub pattern: Option<String>,
+    /// Run only this victim structure's cells of the attack grid
+    /// (`--victim V`, a `victim_names` registry entry).
+    pub victim: Option<String>,
 }
 
 impl ScenarioCfg {
@@ -86,12 +94,38 @@ impl ScenarioCfg {
     }
 }
 
-/// A campaign scenario's structured result. When every shard completed it
-/// is `doc` itself, so a resumed campaign prints exactly what an
+/// What one scenario run produced: the structured document, the text
+/// report, and the attacked device's telemetry snapshot for experiments
+/// that keep one (`repro` writes it to `<name>-telemetry.json`).
+#[derive(Debug, Clone)]
+pub struct Output {
+    /// The document `repro <name> --json` prints.
+    pub json: Json,
+    /// The report `repro <name>` prints.
+    pub text: String,
+    /// Every layer's counters and the event trace of the run's device.
+    pub telemetry: Option<TelemetrySnapshot>,
+}
+
+impl Output {
+    /// A run's document and report, without a telemetry snapshot.
+    #[must_use]
+    pub fn new(json: Json, text: String) -> Output {
+        Output {
+            json,
+            text,
+            telemetry: None,
+        }
+    }
+}
+
+/// A campaign scenario's output. When every shard completed it is
+/// `(json, text)` itself, so a resumed campaign prints exactly what an
 /// uninterrupted one does. When the campaign stopped early
-/// (`--abort-after`), `doc` covers only the completed shards and is wrapped
-/// with the partial-result marker:
-/// `{"degraded": true, "skipped": n, "result": doc}`.
+/// (`--abort-after`), both cover only the completed shards: the document
+/// is wrapped with the partial-result marker
+/// `{"degraded": true, "skipped": n, "result": json}`, and the report
+/// ends with a warning line.
 ///
 /// # Panics
 ///
@@ -99,40 +133,14 @@ impl ScenarioCfg {
 /// [`SupervisedReport::into_complete`] does: a failed shard fails the run
 /// instead of printing a smaller result.
 #[must_use]
-pub fn campaign_document<T: fmt::Debug>(report: &SupervisedReport<T>, doc: Json) -> Json {
-    resurface_failures(report);
-    if report.skipped == 0 {
-        return doc;
-    }
-    Json::obj([
-        ("degraded", Json::from(true)),
-        ("skipped", Json::from(report.skipped)),
-        ("result", doc),
-    ])
-}
-
-/// The text counterpart of [`campaign_document`]: `text`, plus a warning
-/// line when shards were skipped.
-///
-/// # Panics
-///
-/// As [`campaign_document`], on a panicked or timed-out shard.
-#[must_use]
-pub fn campaign_render<T: fmt::Debug>(report: &SupervisedReport<T>, mut text: String) -> String {
-    resurface_failures(report);
-    if report.skipped > 0 {
-        text.push_str(&format!(
-            "WARNING: partial results ({} shards skipped)\n",
-            report.skipped
-        ));
-    }
-    text
-}
-
-/// Panics on the first shard that ran and failed, printing its outcome
-/// (index and seed replay it). Only shards a stopped campaign never
-/// launched may be missing from a printed report.
-fn resurface_failures<T: fmt::Debug>(report: &SupervisedReport<T>) {
+pub fn campaign_output<T: fmt::Debug>(
+    report: &SupervisedReport<T>,
+    json: Json,
+    mut text: String,
+) -> Output {
+    // Only shards a stopped campaign never launched may be missing from a
+    // printed report: the first shard that ran and failed fails the run,
+    // printing its outcome (index and seed replay it).
     if let Some(failed) = report.outcomes.iter().find(|o| {
         matches!(
             o,
@@ -141,6 +149,19 @@ fn resurface_failures<T: fmt::Debug>(report: &SupervisedReport<T>) {
     }) {
         panic!("campaign shard failed: {failed:?}");
     }
+    if report.skipped == 0 {
+        return Output::new(json, text);
+    }
+    text.push_str(&format!(
+        "WARNING: partial results ({} shards skipped)\n",
+        report.skipped
+    ));
+    let json = Json::obj([
+        ("degraded", Json::from(true)),
+        ("skipped", Json::from(report.skipped)),
+        ("result", json),
+    ]);
+    Output::new(json, text)
 }
 
 /// A reproducible experiment with a uniform entry signature.
@@ -151,13 +172,10 @@ pub trait Scenario: Sync {
     /// The canonical experiment name — the `repro` subcommand.
     fn name(&self) -> &'static str;
 
-    /// Runs the experiment and returns its structured result document.
-    /// Byte-identical for a fixed `(cfg, seed)` regardless of `threads`.
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json;
-
-    /// Runs the experiment and returns the human-readable report (the
-    /// text `repro <name>` prints).
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String;
+    /// Runs the experiment once and returns its document, report and
+    /// telemetry. Byte-identical for a fixed `(cfg, seed)` regardless of
+    /// `threads`.
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output;
 }
 
 #[cfg(test)]
@@ -182,27 +200,23 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "Panicked { index: 1")]
-    fn a_panicked_shard_fails_the_document() {
-        let _ = campaign_document(&report(true, None), Json::Null);
+    fn a_panicked_shard_fails_the_output() {
+        let _ = campaign_output(&report(true, None), Json::Null, String::new());
     }
 
     #[test]
-    #[should_panic(expected = "injected shard failure")]
-    fn a_panicked_shard_fails_the_text_report() {
-        let _ = campaign_render(&report(true, None), String::new());
-    }
-
-    #[test]
-    fn skipped_shards_only_mark_the_report_partial() {
-        let partial = report(false, Some(1));
-        let doc = campaign_document(&partial, Json::Null);
+    fn skipped_shards_only_mark_the_output_partial() {
+        let partial = campaign_output(&report(false, Some(1)), Json::Null, String::new());
+        let doc = &partial.json;
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
         assert_eq!(doc.get("skipped").and_then(Json::as_u64), Some(2));
-        let text = campaign_render(&partial, String::new());
-        assert_eq!(text, "WARNING: partial results (2 shards skipped)\n");
+        assert_eq!(
+            partial.text,
+            "WARNING: partial results (2 shards skipped)\n"
+        );
 
-        let complete = report(false, None);
-        assert_eq!(campaign_document(&complete, Json::Null), Json::Null);
-        assert_eq!(campaign_render(&complete, String::from("ok\n")), "ok\n");
+        let complete = campaign_output(&report(false, None), Json::Null, String::from("ok\n"));
+        assert_eq!(complete.json, Json::Null);
+        assert_eq!(complete.text, "ok\n");
     }
 }

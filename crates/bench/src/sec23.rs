@@ -7,8 +7,7 @@
 //! We measure the DRAM activation rate each controller generation can drive
 //! through the FTL and count how many Table 1 module classes fall below it.
 
-use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::{HammerOptions, ModuleProfile};
 use ssdhammer_nvme::{InterfaceGen, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::Lba;
@@ -45,10 +44,7 @@ pub const REFERENCE_RATE: f64 = 780_000.0;
 
 fn measure_act_rate(interface: InterfaceGen, seed: u64) -> (f64, f64) {
     let mut config = SsdConfig::test_small(seed);
-    config.dram_geometry = DramGeometry::tiny_test();
     config.dram_profile = ModuleProfile::invulnerable();
-    config.dram_mapping = MappingKind::Linear;
-    config.flash_geometry = FlashGeometry::mib64();
     config.controller.interface = interface;
     let mut ssd = Ssd::build(config);
     // The paper's attacker drives the device from multiple deep queue pairs;
@@ -59,14 +55,18 @@ fn measure_act_rate(interface: InterfaceGen, seed: u64) -> (f64, f64) {
         let _ = ssd.create_queue_pair(usize::try_from(Ssd::QD_SATURATION).expect("depth"));
     }
     let report = ssd
-        .hammer_device_reads(&[Lba(0), Lba(512)], 500_000, 100_000_000.0)
+        .hammer_device_reads(
+            &[Lba(0), Lba(512)],
+            500_000,
+            100_000_000.0,
+            HammerOptions::default(),
+        )
         .expect("hammer");
     (ssd.max_iops(), report.achieved_rate)
 }
 
 /// Runs the feasibility sweep across controller generations.
-#[must_use]
-pub fn run(seed: u64) -> Vec<Sec23Row> {
+fn run(seed: u64) -> Vec<Sec23Row> {
     let rates: Vec<f64> = ModuleProfile::table1()
         .into_iter()
         .map(|(_, _, p)| f64::from(p.min_flip_rate_kaps) * 1000.0)
@@ -91,8 +91,7 @@ pub fn run(seed: u64) -> Vec<Sec23Row> {
 }
 
 /// Renders the sweep.
-#[must_use]
-pub fn render(rows: &[Sec23Row]) -> String {
+fn render(rows: &[Sec23Row]) -> String {
     let mut out = String::from(
         "§2.3: feasibility — achievable FTL DRAM activation rate vs required rates\n\
          interface   max IOPS(M)  act-rate(M/s)  attackable Table-1 modules (of 14)  >780K/s?\n",
@@ -133,7 +132,7 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// [`Scenario`] wrapper: `repro feasibility`.
 #[derive(Debug, Clone, Copy)]
@@ -144,11 +143,8 @@ impl Scenario for Sec23Scenario {
         "feasibility"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Json {
-        run(seed).to_json()
-    }
-
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> String {
-        render(&run(seed))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Output {
+        let rows = run(seed);
+        Output::new(rows.to_json(), render(&rows))
     }
 }

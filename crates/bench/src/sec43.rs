@@ -6,7 +6,7 @@ use ssdhammer_core::AttackParams;
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport};
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 /// Monte-Carlo trials behind the estimate.
 const MC_TRIALS: u32 = 400_000;
@@ -35,23 +35,6 @@ impl ToJson for Sec43Result {
     }
 }
 
-/// Runs the §4.3 reproduction with the paper's illustration parameters on a
-/// 1 GiB SSD, single-threaded.
-#[must_use]
-pub fn run(seed: u64) -> Sec43Result {
-    run_with_threads(seed, 1)
-}
-
-/// Like [`run`], sharding the Monte-Carlo campaign across `threads` worker
-/// threads. The result — including every bit of the Monte-Carlo estimate —
-/// is identical for any thread count; the repro suite's determinism test
-/// holds the JSON output to that.
-#[must_use]
-pub fn run_with_threads(seed: u64, threads: usize) -> Sec43Result {
-    let hits = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
-    result(hits.into_iter().map(Some))
-}
-
 /// The paper's illustration parameters on a 1 GiB SSD.
 fn params() -> AttackParams {
     AttackParams::paper_example(1 << 18)
@@ -59,7 +42,8 @@ fn params() -> AttackParams {
 
 /// The Monte-Carlo campaign under `cfg`'s campaign flags: one supervised
 /// shard per [`AttackParams::MC_CHUNK_TRIALS`]-trial chunk, returning the
-/// chunk's useful-flip hits.
+/// chunk's useful-flip hits. The estimate — every bit of it — is identical
+/// for any thread count.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<u64> {
     let params = params();
     let codec = JsonCodec {
@@ -88,8 +72,7 @@ fn result(chunk_hits: impl IntoIterator<Item = Option<u64>>) -> Sec43Result {
 }
 
 /// Renders the reproduction.
-#[must_use]
-pub fn render(r: &Sec43Result) -> String {
+fn render(r: &Sec43Result) -> String {
     let mut out = format!(
         "§4.3: probability of success (C_a = C_v = PB/2, F_v = C_v/4, F_a = C_a)\n\
          per-cycle useful-flip probability: analytic {:.4} (paper: 7%), Monte-Carlo {:.4}\n\
@@ -110,7 +93,8 @@ mod tests {
 
     #[test]
     fn paper_numbers_reproduce() {
-        let r = run(11);
+        let hits = campaign(11, 1, &ScenarioCfg::default()).into_complete();
+        let r = result(hits.into_iter().map(Some));
         assert!(
             (r.analytic - 0.0703).abs() < 0.001,
             "analytic {}",
@@ -136,15 +120,9 @@ impl Scenario for Sec43Scenario {
         "prob"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
         let report = campaign(seed, threads, &cfg);
         let r = result(report.outcomes.iter().map(|o| o.value().copied()));
-        campaign_document(&report, r.to_json())
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        let report = campaign(seed, threads, &cfg);
-        let r = result(report.outcomes.iter().map(|o| o.value().copied()));
-        campaign_render(&report, render(&r))
+        campaign_output(&report, r.to_json(), render(&r))
     }
 }

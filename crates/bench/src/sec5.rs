@@ -7,8 +7,7 @@ use ssdhammer_core::{
     diff_mappings, find_attack_sites, setup_entries, snapshot_host_mappings, AttackError,
     AttackPipeline, CrossBank, Hammerer, L2pEntries, ManySided, OneLocation, SameBank, TwoSided,
 };
-use ssdhammer_dram::{DramGeometry, EccConfig, MappingKind, ModuleProfile, TrrConfig};
-use ssdhammer_flash::FlashGeometry;
+use ssdhammer_dram::{EccConfig, HammerOptions, ModuleProfile, TrrConfig};
 use ssdhammer_ftl::L2pLayout;
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
@@ -39,12 +38,10 @@ impl ToJson for Sec5Row {
 }
 
 fn base_config(seed: u64) -> SsdConfig {
-    let mut c = SsdConfig::test_small(seed);
-    c.dram_geometry = DramGeometry::tiny_test();
-    c.dram_profile = ModuleProfile::demo_ddr4();
-    c.dram_mapping = MappingKind::Linear;
-    c.flash_geometry = FlashGeometry::mib64();
-    c
+    SsdConfig {
+        dram_profile: ModuleProfile::demo_ddr4(),
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 fn attack(config: SsdConfig, hammerer: impl Hammerer + 'static) -> (u64, usize) {
@@ -89,7 +86,12 @@ fn attack_blind(config: SsdConfig) -> (u64, usize) {
     setup_entries(ssd.ftl_mut(), &guessed_victim).expect("setup");
     let before = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     let report = ssd
-        .hammer_device_reads(&guessed_aggressors, 500_000, 1_000_000.0)
+        .hammer_device_reads(
+            &guessed_aggressors,
+            500_000,
+            1_000_000.0,
+            HammerOptions::default(),
+        )
         .expect("hammer");
     let after = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     (
@@ -99,8 +101,7 @@ fn attack_blind(config: SsdConfig) -> (u64, usize) {
 }
 
 /// Runs the full mitigation matrix.
-#[must_use]
-pub fn run(seed: u64) -> Vec<Sec5Row> {
+fn run(seed: u64) -> Vec<Sec5Row> {
     let mut rows = Vec::new();
     let mut push = |config: &str, (flips, redirections): (u64, usize)| {
         rows.push(Sec5Row {
@@ -175,8 +176,7 @@ impl ToJson for LeakRow {
 /// Runs the end-to-end case study under §5's data-protection mitigations:
 /// T10-DIF block integrity, per-tenant (XTS-like) encryption, and the
 /// extents-only filesystem policy.
-#[must_use]
-pub fn run_leak_matrix(seed: u64) -> Vec<LeakRow> {
+fn run_leak_matrix(seed: u64) -> Vec<LeakRow> {
     use ssdhammer_cloud::{run_case_study, CaseStudyConfig};
     let base = || {
         let mut c = CaseStudyConfig::fast_demo(seed);
@@ -207,8 +207,7 @@ pub fn run_leak_matrix(seed: u64) -> Vec<LeakRow> {
 }
 
 /// Renders the leak-level matrix.
-#[must_use]
-pub fn render_leak_matrix(rows: &[LeakRow]) -> String {
+fn render_leak_matrix(rows: &[LeakRow]) -> String {
     let mut out = String::from(
         "\n§5 (continued): data-protection mitigations vs the end-to-end leak\n\
          configuration                        cycles  flips  detections  secret leaked\n",
@@ -227,8 +226,7 @@ pub fn render_leak_matrix(rows: &[LeakRow]) -> String {
 }
 
 /// Renders the matrix.
-#[must_use]
-pub fn render(rows: &[Sec5Row]) -> String {
+fn render(rows: &[Sec5Row]) -> String {
     let mut out = String::from(
         "§5: mitigations vs the Figure 1 primitive\n\
          configuration                        flips  redirections  attack blocked\n",
@@ -291,11 +289,11 @@ mod tests {
 
 // ---- scenario entry ---------------------------------------------------------
 
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// [`Scenario`] wrapper: `repro mitigations`. The structured document
 /// carries both the mitigation matrix and the §5 leak matrix under one
-/// object, where the legacy path printed two separate documents.
+/// object.
 #[derive(Debug, Clone, Copy)]
 pub struct Sec5Scenario;
 
@@ -304,16 +302,15 @@ impl Scenario for Sec5Scenario {
         "mitigations"
     }
 
-    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Json {
-        Json::obj([
-            ("mitigations", run(seed).to_json()),
-            ("leak_matrix", run_leak_matrix(seed).to_json()),
-        ])
-    }
-
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> String {
-        let mut out = render(&run(seed));
-        out.push_str(&render_leak_matrix(&run_leak_matrix(seed)));
-        out
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, _threads: usize) -> Output {
+        let rows = run(seed);
+        let leaks = run_leak_matrix(seed);
+        let json = Json::obj([
+            ("mitigations", rows.to_json()),
+            ("leak_matrix", leaks.to_json()),
+        ]);
+        let mut text = render(&rows);
+        text.push_str(&render_leak_matrix(&leaks));
+        Output::new(json, text)
     }
 }

@@ -14,7 +14,7 @@ use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimClock;
 
-use crate::scenario::{campaign_document, campaign_render, Scenario, ScenarioCfg};
+use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
 /// One reproduced row of Table 1.
 #[derive(Debug, Clone)]
@@ -61,19 +61,6 @@ impl Table1Row {
     }
 }
 
-/// Runs the full Table 1 reproduction, single-threaded.
-#[must_use]
-pub fn run(seed: u64) -> Vec<Table1Row> {
-    run_with_threads(seed, 1)
-}
-
-/// Like [`run`], measuring the 14 independent module rows across `threads`
-/// worker threads; the output is bit-identical for any thread count.
-#[must_use]
-pub fn run_with_threads(seed: u64, threads: usize) -> Vec<Table1Row> {
-    campaign(seed, threads, &ScenarioCfg::default()).into_complete()
-}
-
 /// The Table 1 campaign under `cfg`'s campaign flags: one supervised shard
 /// per module row. Each row builds its own module and clock from `seed`,
 /// and rows merge in table order.
@@ -109,8 +96,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Ta
 }
 
 /// Formats the reproduced table like the paper's.
-#[must_use]
-pub fn render(rows: &[Table1Row]) -> String {
+fn render(rows: &[Table1Row]) -> String {
     let mut out = String::from(
         "Table 1: minimal access rate to trigger bitflips (paper vs measured)\n\
          year  refs       module                        paper(K/s)  measured(K/s)  ratio\n",
@@ -134,6 +120,10 @@ pub fn render(rows: &[Table1Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(seed: u64) -> Vec<Table1Row> {
+        campaign(seed, 1, &ScenarioCfg::default()).into_complete()
+    }
 
     #[test]
     fn all_rows_measure_and_track_calibration() {
@@ -189,15 +179,9 @@ impl Scenario for Table1Scenario {
         "table1"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
         let report = campaign(seed, threads, &cfg);
         let rows: Vec<Table1Row> = report.values().cloned().collect();
-        campaign_document(&report, rows.to_json())
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        let report = campaign(seed, threads, &cfg);
-        let rows: Vec<Table1Row> = report.values().cloned().collect();
-        campaign_render(&report, render(&rows))
+        campaign_output(&report, rows.to_json(), render(&rows))
     }
 }

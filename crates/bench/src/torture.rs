@@ -42,7 +42,7 @@ use ssdhammer_simkit::torture::{CrashPoint, CrashVerdict, SiteCrossings, Torture
 use ssdhammer_simkit::{SimClock, SimDuration};
 
 use crate::fuzz::{FuzzOp, Run, SsdFuzz};
-use crate::scenario::{Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// Structured-result schema identifier.
 pub const SCHEMA: &str = "ssdhammer-torture-v1";
@@ -209,8 +209,7 @@ fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
 /// per crash point, merged into the structured result document. The
 /// document is bit-identical for any `threads`, and — when checkpointed,
 /// killed, and resumed — bit-identical to an uninterrupted run.
-#[must_use]
-pub fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
     let crossings = census(cfg.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
     let registry = Telemetry::new();
@@ -233,19 +232,6 @@ pub fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
     let doc = document(seed, cfg.full, &crossings, &plan, &report);
     count_verdicts(&registry, &plan, &report);
     doc
-}
-
-/// Convenience entry without checkpointing.
-#[must_use]
-pub fn run(seed: u64, threads: usize, full: bool) -> Json {
-    run_supervised(
-        seed,
-        threads,
-        &ScenarioCfg {
-            full,
-            ..ScenarioCfg::default()
-        },
-    )
 }
 
 /// Registers and bumps the `torture.*` counters from the merged report.
@@ -353,8 +339,7 @@ fn document(
 }
 
 /// Renders the campaign document as a table.
-#[must_use]
-pub fn render(doc: &Json) -> String {
+fn render(doc: &Json) -> String {
     let mut out =
         String::from("power-cut torture campaign: crash-point enumeration x recovery oracle\n");
     let get_u64 = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -445,7 +430,7 @@ mod tests {
 
     #[test]
     fn every_enumerated_point_fires_and_none_corrupts_silently() {
-        let doc = run(7, 4, false);
+        let doc = run_supervised(7, 4, &ScenarioCfg::default());
         let results = doc.get("results").and_then(Json::as_arr).expect("results");
         assert!(!results.is_empty());
         // Coverage: enumerated sites == sites fired. A `not_triggered`
@@ -500,8 +485,8 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_document() {
-        let one = run(11, 1, false).to_string();
-        let four = run(11, 4, false).to_string();
+        let one = run_supervised(11, 1, &ScenarioCfg::default()).to_string();
+        let four = run_supervised(11, 4, &ScenarioCfg::default()).to_string();
         assert_eq!(one, four);
     }
 
@@ -537,7 +522,7 @@ mod tests {
         path.push(format!("ssdhammer-torture-resume-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let uninterrupted = run(7, 2, false).to_string();
+        let uninterrupted = run_supervised(7, 2, &ScenarioCfg::default()).to_string();
         let killed = run_supervised(
             7,
             2,
@@ -573,11 +558,9 @@ impl Scenario for TortureScenario {
         "torture"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        run_supervised(seed, threads, &cfg)
-    }
-
-    fn render(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_supervised(seed, threads, &cfg))
+    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let json = run_supervised(seed, threads, &cfg);
+        let text = render(&json);
+        Output::new(json, text)
     }
 }

@@ -43,32 +43,36 @@ fn killed_campaigns_resume_to_the_uninterrupted_document() {
         // A complete run prints the plain document: no partial-result
         // envelope, only the `degraded` key of torture's and fuzz's own
         // schema.
-        let uninterrupted = scenario.run(base.clone(), 7, 2);
+        let uninterrupted = scenario.run(base.clone(), 7, 2).json;
         let own_marker = matches!(name, "torture" | "fuzz");
         assert_eq!(
             degraded(&uninterrupted),
             own_marker.then_some(false),
             "{name}: uninterrupted run"
         );
-        let killed = scenario.run(
-            ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                abort_after: Some(1),
-                ..base.clone()
-            },
-            7,
-            2,
-        );
+        let killed = scenario
+            .run(
+                ScenarioCfg {
+                    checkpoint: Some(path.clone()),
+                    abort_after: Some(1),
+                    ..base.clone()
+                },
+                7,
+                2,
+            )
+            .json;
         assert_eq!(degraded(&killed), Some(true), "{name}: killed run");
-        let resumed = scenario.run(
-            ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..base
-            },
-            7,
-            1,
-        );
+        let resumed = scenario
+            .run(
+                ScenarioCfg {
+                    checkpoint: Some(path.clone()),
+                    resume: true,
+                    ..base
+                },
+                7,
+                1,
+            )
+            .json;
         assert_eq!(
             resumed.to_string(),
             uninterrupted.to_string(),
@@ -86,9 +90,8 @@ fn aborting_before_the_first_shard_marks_every_report_partial() {
             abort_after: Some(0),
             ..base
         };
-        let doc = scenario.run(cfg.clone(), 7, 2);
-        assert_eq!(degraded(&doc), Some(true), "{name}: document");
-        let text = scenario.render(cfg, 7, 2);
-        assert!(text.contains("partial results"), "{name}: {text}");
+        let out = scenario.run(cfg, 7, 2);
+        assert_eq!(degraded(&out.json), Some(true), "{name}: document");
+        assert!(out.text.contains("partial results"), "{name}: {}", out.text);
     }
 }

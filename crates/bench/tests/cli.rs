@@ -1,0 +1,65 @@
+//! `repro`'s argument errors: each rejected command line exits with
+//! status 2 before any experiment runs, and an unknown attack-grid filter
+//! prints both registries so the user can pick a valid name.
+
+use std::process::{Command, Output};
+
+use ssdhammer_core::{pattern_names, victim_names};
+
+/// Runs `repro <args>` in a fresh directory under the target tree.
+fn repro(args: &[&str]) -> Output {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli");
+    std::fs::create_dir_all(&dir).expect("create the run directory");
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("run repro")
+}
+
+/// Asserts `repro <args>` exits with status 2, printing nothing to stdout,
+/// and returns its stderr.
+fn rejected(args: &[&str]) -> String {
+    let out = repro(args);
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "repro {args:?} printed a result");
+    stderr
+}
+
+#[test]
+fn unknown_grid_filters_exit_2_and_list_the_registries() {
+    for (args, unknown) in [
+        (
+            &["attacks", "--pattern", "nope"],
+            "unknown hammer pattern \"nope\"",
+        ),
+        (&["attacks", "--victim", "nope"], "unknown victim \"nope\""),
+    ] {
+        let stderr = rejected(args);
+        assert!(stderr.contains(unknown), "{stderr}");
+        let registry = |name: &str, names: &[&str]| format!("{name}{}", names.join(", "));
+        assert!(
+            stderr.contains(&registry("patterns: ", pattern_names())),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains(&registry("victims:  ", victim_names())),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_checkpoint_needs_the_whole_grid_of_one_experiment() {
+    let stderr = rejected(&["attacks", "--pattern", "two_sided", "--checkpoint", "F"]);
+    assert!(
+        stderr.contains("--checkpoint covers the whole grid"),
+        "{stderr}"
+    );
+    let stderr = rejected(&["all", "--checkpoint", "F"]);
+    assert!(
+        stderr.contains("--checkpoint needs a single experiment, not all"),
+        "{stderr}"
+    );
+}

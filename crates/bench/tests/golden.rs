@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The flags every golden run shares.
-const COMMON: &[&str] = &["--json", "--seed", "7", "--threads", "2"];
+const COMMON: &[&str] = &["--seed", "7", "--threads", "2"];
 
 /// The shell command, run from the repo root, that prints what
 /// `repro <args>` prints in [`run_repro`].
@@ -22,10 +22,11 @@ fn command(args: &[&str]) -> String {
 }
 
 /// Runs `repro <args>` with [`COMMON`] in a fresh directory under the
-/// target tree, so side files such as `fig1-telemetry.json` stay out of
-/// the source tree. Returns that directory and the run's stdout.
-fn run_repro(args: &[&str]) -> (PathBuf, String) {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{}", args[0]));
+/// target tree named after the golden `file`, so side files such as
+/// `fig1-telemetry.json` stay out of the source tree. Returns that
+/// directory and the run's stdout.
+fn run_repro(file: &str, args: &[&str]) -> (PathBuf, String) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-{file}"));
     // Clear what an earlier run left behind; a missing directory is fine.
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the run directory");
@@ -75,8 +76,8 @@ fn mismatch(file: &str, actual: &str, regenerate: &str) -> Option<String> {
 fn deterministic_repro_outputs_match_the_golden_files() {
     let mut mismatches = Vec::new();
 
-    let args = ["all", "--full"];
-    let (dir, stdout) = run_repro(&args);
+    let args = ["all", "--full", "--json"];
+    let (dir, stdout) = run_repro("all.json", &args);
     let all = format!("{} > crates/bench/tests/golden/all.json", command(&args));
     mismatches.extend(mismatch("all.json", &stdout, &all));
     let telemetry = std::fs::read_to_string(dir.join("fig1-telemetry.json"))
@@ -90,10 +91,11 @@ fn deterministic_repro_outputs_match_the_golden_files() {
     ));
 
     for (file, args) in [
-        ("torture.json", &["torture", "--full"][..]),
-        ("fuzz.json", &["fuzz", "--soak", "16"][..]),
+        ("all.txt", &["all", "--full"][..]),
+        ("torture.json", &["torture", "--full", "--json"][..]),
+        ("fuzz.json", &["fuzz", "--soak", "16", "--json"][..]),
     ] {
-        let (_, stdout) = run_repro(args);
+        let (_, stdout) = run_repro(file, args);
         let regenerate = format!("{} > crates/bench/tests/golden/{file}", command(args));
         mismatches.extend(mismatch(file, &stdout, &regenerate));
     }

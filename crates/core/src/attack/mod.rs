@@ -17,7 +17,7 @@
 //!   many-sided patterns).
 //!
 //! Hammering still goes through the NVMe controller
-//! ([`Ssd::hammer_device_reads_with`]) so interface service rates and §5's
+//! ([`Ssd::hammer_device_reads`]) so interface service rates and §5's
 //! rate-limit mitigation apply exactly as they would to per-command
 //! submission, and victims observe their state back through the *device*
 //! path, so ECC correction and ECC-uncorrectable failures are visible the
@@ -235,8 +235,7 @@ pub fn expected_time_to_success(cycle: SimDuration, p_useful: f64) -> SimDuratio
 mod tests {
     use super::*;
     use crate::recon::{find_attack_sites, AttackSite};
-    use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile, RowKey, TrrConfig};
-    use ssdhammer_flash::FlashGeometry;
+    use ssdhammer_dram::{MappingKind, ModuleProfile, RowKey, TrrConfig};
     use ssdhammer_nvme::{Ssd, SsdConfig};
 
     fn eager_profile() -> ModuleProfile {
@@ -251,10 +250,7 @@ mod tests {
 
     fn vulnerable_ssd() -> Ssd {
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         config.dram_profile = eager_profile();
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
         Ssd::build(config)
     }
 
@@ -303,10 +299,7 @@ mod tests {
     #[test]
     fn controller_rate_limit_bounds_the_hammer() {
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         config.dram_profile = eager_profile();
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
         config.controller.rate_limit_iops = Some(10_000.0);
         let mut ssd = Ssd::build(config);
         let site = find_attack_sites(ssd.ftl(), 1).pop().unwrap();
@@ -323,10 +316,7 @@ mod tests {
     #[test]
     fn ecc_hides_redirections_from_the_host() {
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         config.dram_profile = eager_profile();
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
         config.ecc = Some(ssdhammer_dram::EccConfig::default());
         let mut ssd = Ssd::build(config);
         let site = find_attack_sites(ssd.ftl(), 1).pop().unwrap();
@@ -354,10 +344,7 @@ mod tests {
 
     fn trr_ssd() -> Ssd {
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         config.dram_profile = eager_profile();
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
         config.trr = Some(TrrConfig {
             sampler_size: 4,
             detection_threshold: 100,
@@ -435,12 +422,9 @@ mod tests {
         // a subset (the flippable ones, given their stored data) and drop
         // the rest.
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         let mut profile = eager_profile();
         profile.row_vulnerable_prob = 0.4;
         config.dram_profile = profile;
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
         let mut ssd = Ssd::build(config);
         let candidates = find_attack_sites(ssd.ftl(), 16);
         assert!(!candidates.is_empty());
@@ -457,11 +441,7 @@ mod tests {
         }
 
         // An invulnerable device confirms nothing.
-        let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
-        config.dram_mapping = MappingKind::Linear;
-        config.flash_geometry = FlashGeometry::mib64();
-        let mut clean = Ssd::build(config);
+        let mut clean = Ssd::build(SsdConfig::test_small(5));
         let confirmed = probe_sites(
             &mut clean,
             &candidates,
@@ -618,10 +598,8 @@ mod tests {
         // XOR swizzle — the §4.2 observation generalized to firmware
         // metadata.
         let mut config = SsdConfig::test_small(5);
-        config.dram_geometry = DramGeometry::tiny_test();
         config.dram_profile = eager_profile();
         config.dram_mapping = MappingKind::default_xor();
-        config.flash_geometry = FlashGeometry::mib64();
         let victim = BadBlockTable;
         victim.configure(&mut config);
         let mut ssd = Ssd::build(config);

@@ -234,7 +234,7 @@ impl AttackPipeline {
             .incr();
         let before = self.victim.observe(ssd, used)?;
         let requests = (self.rate * self.duration.as_secs_f64()).ceil() as u64;
-        let report = ssd.hammer_device_reads_with(
+        let report = ssd.hammer_device_reads(
             &plan.pattern,
             requests,
             self.rate * plan.rate_scale,

@@ -10,7 +10,7 @@
 use ssdhammer_simkit::DramAddr;
 
 use crate::geometry::RowKey;
-use crate::module::DramModule;
+use crate::module::{DramModule, HammerOptions};
 use crate::weakcells::WeakCell;
 
 /// A candidate victim row together with its weakest cell.
@@ -116,7 +116,9 @@ pub fn measure_min_flip_rate(
         let window = m.profile().refresh_interval;
         let total = (rate * window.as_secs_f64() * windows as f64).ceil() as u64;
         let aggressors = [candidate.triple[0], candidate.triple[2]];
-        let report = m.run_hammer(&aggressors, total, rate).ok()?;
+        let report = m
+            .run_hammer(&aggressors, total, rate, HammerOptions::default())
+            .ok()?;
         Some(report.flips.iter().any(|f| f.row == candidate.row))
     };
 

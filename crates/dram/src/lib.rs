@@ -29,7 +29,7 @@
 //! Flip a bit with a double-sided pattern:
 //!
 //! ```
-//! use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile, RowKey};
+//! use ssdhammer_dram::{DramGeometry, DramModule, HammerOptions, MappingKind, ModuleProfile, RowKey};
 //! use ssdhammer_simkit::SimClock;
 //!
 //! # fn main() -> Result<(), ssdhammer_dram::DramError> {
@@ -48,6 +48,7 @@
 //!     &[victim.triple[0], victim.triple[2]],
 //!     2_000_000,
 //!     1_000_000.0,
+//!     HammerOptions::default(),
 //! )?;
 //! assert!(!report.flips.is_empty());
 //! # Ok(())

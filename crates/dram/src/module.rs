@@ -140,11 +140,11 @@ impl DramHandles {
     }
 }
 
-/// Per-run knobs for [`DramModule::run_hammer_with`].
+/// Per-run knobs for [`DramModule::run_hammer`].
 ///
-/// The defaults reproduce [`DramModule::run_hammer`] exactly: a dwell factor
-/// of `1.0` multiplies every pressure contribution by one (bit-identical in
-/// IEEE-754), and an empty label suppresses per-pattern telemetry.
+/// The defaults are plain hammering: a dwell factor of `1.0` multiplies
+/// every pressure contribution by one (bit-identical in IEEE-754), and an
+/// empty label suppresses per-pattern telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HammerOptions {
     /// Open-row dwell multiplier (RowPress): each aggressor activation
@@ -237,10 +237,10 @@ pub struct DramModule {
     /// Open row per bank (`u32::MAX` = none open).
     open_rows: Vec<u32>,
     /// Open-row dwell multiplier in effect (RowPress); `1.0` outside a
-    /// [`DramModule::run_hammer_with`] call with a non-default factor.
+    /// [`DramModule::run_hammer`] call with a non-default factor.
     open_row_dwell: f64,
     tel: DramHandles,
-    /// Flips of the [`DramModule::run_hammer_with`] burst in progress
+    /// Flips of the [`DramModule::run_hammer`] burst in progress
     /// (`None` outside a burst): each burst reports its own flips.
     burst_flips: Option<Vec<FlipEvent>>,
 }
@@ -545,34 +545,10 @@ impl DramModule {
     /// generated — matching real hardware, where one-location hammering
     /// requires a closed-page controller.
     ///
-    /// # Errors
-    ///
-    /// [`DramError::OutOfRange`] if any aggressor address is out of range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aggressors` is empty or `rate_per_sec` is not positive.
-    pub fn run_hammer(
-        &mut self,
-        aggressors: &[DramAddr],
-        total_accesses: u64,
-        rate_per_sec: f64,
-    ) -> Result<HammerReport, DramError> {
-        self.run_hammer_with(
-            aggressors,
-            total_accesses,
-            rate_per_sec,
-            HammerOptions::default(),
-        )
-    }
-
-    /// [`DramModule::run_hammer`] with per-run [`HammerOptions`]: an
-    /// open-row dwell multiplier (RowPress-style patterns trade activation
-    /// rate for per-activation disturbance) and a pattern label for
-    /// `dram.pattern.<label>.activations` telemetry.
-    ///
-    /// With the default options this is bit-identical to
-    /// [`DramModule::run_hammer`].
+    /// `opts` sets an open-row dwell multiplier (RowPress-style patterns
+    /// trade activation rate for per-activation disturbance) and a pattern
+    /// label for `dram.pattern.<label>.activations` telemetry; the defaults
+    /// are plain hammering.
     ///
     /// # Errors
     ///
@@ -582,7 +558,7 @@ impl DramModule {
     ///
     /// Panics if `aggressors` is empty, `rate_per_sec` is not positive, or
     /// `opts.dwell_factor` is not positive.
-    pub fn run_hammer_with(
+    pub fn run_hammer(
         &mut self,
         aggressors: &[DramAddr],
         total_accesses: u64,
@@ -816,6 +792,7 @@ impl DramModule {
         let idx = self.clock.now().window_index(self.profile.refresh_interval);
         if idx != self.window_idx {
             self.settle_window();
+            self.count_mitigations();
             // Bumping the generation invalidates every `acts`/`discount`
             // lane at once — the O(1) equivalent of clearing both maps.
             self.gen += 1;
@@ -854,24 +831,62 @@ impl DramModule {
         }
     }
 
+    /// This window's `(row, activations)` for every row of `bank` acted
+    /// on, ordered by row to match the former sorted-map iteration the TRR
+    /// sampler was tuned against.
+    fn bank_acts(&self, bank: u32) -> Vec<(u32, u64)> {
+        let mut acts: Vec<(u32, u64)> = self
+            .acted
+            .iter()
+            .map(|&i| self.key_of_index(i))
+            .filter(|k| k.bank == bank)
+            .map(|k| (k.row, self.acts[self.row_index(k)]))
+            .collect();
+        acts.sort_unstable_by_key(|&(row, _)| row);
+        acts
+    }
+
+    /// Charges the closing window's mitigation work to telemetry, once per
+    /// window: TRR neutralizes each tracked aggressor's activations above
+    /// the detection threshold, and PARA issues ⌊n·p⌋ neighbor refreshes
+    /// for each row activated `n` times.
+    fn count_mitigations(&self) {
+        if let Some(trr) = self.trr {
+            let mut banks: Vec<u32> = self
+                .acted
+                .iter()
+                .map(|&i| self.key_of_index(i).bank)
+                .collect();
+            banks.sort_unstable();
+            banks.dedup();
+            for bank in banks {
+                let acts = self.bank_acts(bank);
+                let tracked = trr.tracked_rows(&acts);
+                let neutralized: u64 = acts
+                    .iter()
+                    .filter(|(row, _)| tracked.contains(row))
+                    .map(|&(_, n)| n.saturating_sub(trr.detection_threshold))
+                    .sum();
+                self.tel.trr_suppressions.add(neutralized);
+            }
+        }
+        if let Some(para) = self.para {
+            let refreshes: u64 = self
+                .acted
+                .iter()
+                .map(|&i| (self.acts[i as usize] as f64 * para.refresh_probability).floor() as u64)
+                .sum();
+            self.tel.para_suppressions.add(refreshes);
+        }
+    }
+
     /// Pressure accumulated on `victim` this window, before self-refresh
     /// discounting and after TRR suppression.
     fn raw_pressure(&self, victim: RowKey) -> f64 {
         let rows = self.mapping.geometry().rows_per_bank;
-        let tracked: Option<Vec<u32>> = self.trr.map(|trr| {
-            // Ordered by row to match the former sorted-map iteration the
-            // TRR sampler was tuned against.
-            let mut bank_acts: Vec<(u32, u64)> = self
-                .acted
-                .iter()
-                .map(|&i| self.key_of_index(i))
-                .filter(|k| k.bank == victim.bank)
-                .map(|k| (k.row, self.acts[self.row_index(k)]))
-                .collect();
-            bank_acts.sort_unstable_by_key(|&(row, _)| row);
-            trr.tracked_rows(&bank_acts)
-        });
-        let trr_suppressions = &self.tel.trr_suppressions;
+        let tracked: Option<Vec<u32>> = self
+            .trr
+            .map(|trr| trr.tracked_rows(&self.bank_acts(victim.bank)));
         // Open-row dwell scales per-ACT disturbance *after* TRR capping: the
         // sampler counts activations, not row-open time, which is exactly
         // the blind spot RowPress exploits. A factor of 1.0 is a bit-exact
@@ -884,9 +899,6 @@ impl DramModule {
             }
             match (&self.trr, &tracked) {
                 (Some(trr), Some(t)) if t.contains(&key.row) => {
-                    if n > trr.detection_threshold {
-                        trr_suppressions.incr();
-                    }
                     n.min(trr.detection_threshold) as f64 * dwell
                 }
                 _ => n as f64 * dwell,
@@ -909,11 +921,7 @@ impl DramModule {
             // PARA interrupts the aggressors' activation stream with
             // neighbor refreshes: the victim only accumulates the longest
             // refresh-free run. Applied after TRR so the defenses compose.
-            let capped = para.effective_pressure(p);
-            if capped < p {
-                self.tel.para_suppressions.incr();
-            }
-            p = capped;
+            p = para.effective_pressure(p);
         }
         p
     }
@@ -955,12 +963,12 @@ impl DramModule {
             return;
         }
         let now = self.clock.now();
-        let mut flipped_indices = Vec::new();
+        let mut flipped = 0u64;
         {
             let Some(row_data) = self.rows[vi].as_deref_mut() else {
                 return;
             };
-            for (i, cell) in cells.iter().enumerate() {
+            for cell in cells {
                 if (cell.threshold as f64) > pressure {
                     break; // cells are sorted by threshold
                 }
@@ -972,7 +980,7 @@ impl DramModule {
                 }
                 row_data.bytes[byte] ^= mask;
                 row_data.flipped_bits.insert(cell.bit);
-                flipped_indices.push(i);
+                flipped += 1;
                 let direction = if stored_one {
                     FlipDirection::OneToZero
                 } else {
@@ -1012,17 +1020,10 @@ impl DramModule {
                 }
             }
         }
-        self.tel.flips.add(flipped_indices.len() as u64);
-        // Remove flipped cells (they have discharged; rewriting recharges the
-        // row but these specific cells remain weak — modeled by regenerating
-        // on rewrite being unnecessary: a flipped cell that is rewritten can
-        // flip again, so re-arm it instead of dropping it permanently).
-        // Re-arming: keep the cell in the list but it will only flip again
-        // after the row is rewritten (its stored bit then matches again).
-        // Since flipping changed the stored bit to the safe value, the
-        // orientation check above already prevents double-flips, so no
-        // removal is needed.
-        let _ = flipped_indices;
+        // A flipped cell stays in the list: its stored bit is now the safe
+        // value, so the orientation check keeps it from flipping again until
+        // a rewrite recharges it.
+        self.tel.flips.add(flipped);
     }
 
     /// Evaluates every victim adjacent to any aggressor acted on this window.
@@ -1154,6 +1155,12 @@ mod tests {
             .encode(crate::geometry::Location { bank, row, col: 0 })
     }
 
+    /// Moves `m` into the next refresh window, closing the current one.
+    fn close_window(m: &mut DramModule) {
+        m.clock().advance(m.profile().refresh_interval);
+        m.read(DramAddr(0), &mut [0u8; 4]).unwrap();
+    }
+
     #[test]
     fn read_write_roundtrip() {
         let mut m = tiny(ModuleProfile::invulnerable());
@@ -1227,7 +1234,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             report
                 .flips
@@ -1246,7 +1255,9 @@ mod tests {
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
         // 1000 ACTs needed per 64ms window => rate floor ~15.6K/s. Hammer at
         // 10K/s: never enough within any window.
-        let report = m.run_hammer(&aggr, 5_000, 10_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 5_000, 10_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "no flips expected: {report:?}");
     }
 
@@ -1256,7 +1267,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty());
         assert!(report.activations < 100, "row buffer should absorb repeats");
     }
@@ -1270,7 +1283,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "closed-page one-location should flip"
@@ -1307,7 +1322,8 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 1024]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(counter(&m, "dram.flips") > 0);
         // Jump far ahead: data stays corrupted.
         m.clock().advance(SimDuration::from_secs(10));
@@ -1355,7 +1371,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "TRR should absorb double-sided");
     }
 
@@ -1381,7 +1399,9 @@ mod tests {
             aggr.push(row_addr(&m, 0, v - 1));
             aggr.push(row_addr(&m, 0, v + 1));
         }
-        let report = m.run_hammer(&aggr, 4_000_000, 20_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 4_000_000, 20_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "many-sided should overwhelm the sampler: {:?}",
@@ -1402,9 +1422,52 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "PARA should cap the pressure");
-        assert!(counter(&m, "dram.para_suppressions") > 0);
+        close_window(&mut m);
+        // 250,000 activations per aggressor in one window: ⌊250,000 · 0.05⌋
+        // refreshes each; the victim's one write activation earns none.
+        assert_eq!(counter(&m, "dram.para_suppressions"), 2 * 12_500);
+    }
+
+    #[test]
+    fn mitigation_counts_are_per_window_not_per_burst() {
+        // One window's 200,000 double-sided accesses, as one burst or as
+        // two, give the same counts once the window closes: TRR neutralizes
+        // each tracked aggressor's 100,000 - 2,000 activations above its
+        // detection threshold, and PARA issues ⌊100,000 · 0.05⌋ refreshes
+        // per aggressor.
+        let counts = |bursts: u64| {
+            let mut m = DramModule::builder(DramGeometry::tiny_test())
+                .profile(eager_profile())
+                .mapping(MappingKind::Linear)
+                .seed(7)
+                .trr(TrrConfig::default())
+                .para(ParaConfig {
+                    refresh_probability: 0.05,
+                })
+                .build(SimClock::new());
+            m.write(row_addr(&m, 0, 5), &[0xFFu8; 64]).unwrap();
+            let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
+            for _ in 0..bursts {
+                m.run_hammer(
+                    &aggr,
+                    200_000 / bursts,
+                    10_000_000.0,
+                    HammerOptions::default(),
+                )
+                .unwrap();
+            }
+            close_window(&mut m);
+            (
+                counter(&m, "dram.trr_suppressions"),
+                counter(&m, "dram.para_suppressions"),
+            )
+        };
+        assert_eq!(counts(1), (2 * 98_000, 2 * 5_000));
+        assert_eq!(counts(2), (2 * 98_000, 2 * 5_000));
     }
 
     #[test]
@@ -1422,7 +1485,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 2_000_000, 30_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 2_000_000, 30_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "under-provisioned PARA is overwhelmed: {:?}",
@@ -1454,7 +1519,9 @@ mod tests {
             aggr.push(row_addr(&m, 0, v - 1));
             aggr.push(row_addr(&m, 0, v + 1));
         }
-        let report = m.run_hammer(&aggr, 4_000_000, 20_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 4_000_000, 20_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             report.flips.is_empty(),
             "PARA backstops TRR against many-sided: {:?}",
@@ -1473,7 +1540,8 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 1024]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             counter(&m, "dram.flips") > 0,
             "cells should still flip physically"
@@ -1489,7 +1557,9 @@ mod tests {
     fn hammer_report_rates_are_consistent() {
         let mut m = tiny(ModuleProfile::invulnerable());
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 100_000, 1_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 100_000, 1_000_000.0, HammerOptions::default())
+            .unwrap();
         assert_eq!(report.activations, 100_000);
         assert!((report.achieved_rate - 1_000_000.0).abs() / 1_000_000.0 < 0.05);
         assert!((report.elapsed.as_secs_f64() - 0.1).abs() < 0.01);
@@ -1502,7 +1572,8 @@ mod tests {
         m.write_u32(victim, 0xFFFF_FFFF).unwrap();
         assert_eq!(m.read_u32(victim).unwrap(), 0xFFFF_FFFF);
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 400_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         // Some flip may or may not land inside the first 4 bytes, but the
         // value must still be readable.
         let _ = m.read_u32(victim).unwrap();

@@ -3,8 +3,8 @@
 //! serialization.
 
 use ssdhammer_dram::{
-    DramGeneration, DramGeometry, DramModule, EccConfig, Location, MappingKind, ModuleProfile,
-    RowKey,
+    DramGeneration, DramGeometry, DramModule, EccConfig, HammerOptions, Location, MappingKind,
+    ModuleProfile, RowKey,
 };
 use ssdhammer_simkit::{DramAddr, SimClock};
 
@@ -48,7 +48,9 @@ fn distance_two_hammering_flips_with_coupling_enabled() {
     m.write(victim, &[0xFF; 64]).unwrap();
     // Aggressors two rows away on each side.
     let aggr = [row_addr(&m, 0, 8), row_addr(&m, 0, 12)];
-    let report = m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+    let report = m
+        .run_hammer(&aggr, 400_000, 10_000_000.0, HammerOptions::default())
+        .unwrap();
     assert!(
         report
             .flips
@@ -68,7 +70,9 @@ fn distance_two_hammering_misses_without_coupling() {
     let victim = row_addr(&m, 0, 10);
     m.write(victim, &[0xFF; 64]).unwrap();
     let aggr = [row_addr(&m, 0, 8), row_addr(&m, 0, 12)];
-    let report = m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+    let report = m
+        .run_hammer(&aggr, 400_000, 10_000_000.0, HammerOptions::default())
+        .unwrap();
     assert!(
         report
             .flips
@@ -127,7 +131,8 @@ fn ecc_without_scrub_eventually_fails_uncorrectable() {
     // 0xAA alternating bits: every cell orientation finds flippable targets.
     m.write(victim, &[0xAA; 1024]).unwrap();
     let aggr = [row_addr(&m, 0, row - 1), row_addr(&m, 0, row + 1)];
-    m.run_hammer(&aggr, 600_000, 10_000_000.0).unwrap();
+    m.run_hammer(&aggr, 600_000, 10_000_000.0, HammerOptions::default())
+        .unwrap();
     let mut buf = [0u8; 1024];
     let result = m.read(victim, &mut buf);
     assert!(
@@ -159,7 +164,8 @@ fn ecc_with_scrub_survives_interleaved_reads() {
     let aggr = [row_addr(&m, 0, 19), row_addr(&m, 0, 21)];
     let mut buf = [0u8; 1024];
     for _ in 0..20 {
-        m.run_hammer(&aggr, 30_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 30_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         m.read(victim, &mut buf).expect("scrubbed reads never fail");
         assert!(
             buf.iter().all(|&b| b == 0xAA),
@@ -195,7 +201,9 @@ fn hammer_report_flips_match_the_counter() {
     let victim = row_addr(&m, 0, 5);
     m.write(victim, &[0xFF; 64]).unwrap();
     let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-    let report = m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+    let report = m
+        .run_hammer(&aggr, 400_000, 10_000_000.0, HammerOptions::default())
+        .unwrap();
     assert!(!report.flips.is_empty());
     assert_eq!(report.flips.len() as u64, counter(&m, "dram.flips"));
     for f in &report.flips {

@@ -105,7 +105,7 @@ pub enum HostOp {
     Flush,
     /// [`Ftl::scrub_chunk`].
     Scrub,
-    /// [`Ftl::hammer_reads`] / [`Ftl::hammer_reads_with`].
+    /// [`Ftl::hammer_reads`].
     Hammer,
 }
 
@@ -928,6 +928,41 @@ impl Ftl {
         Ok(entry)
     }
 
+    /// The mapping a host write or trim of `lba` replaces. An entry the
+    /// device cannot read — failed verification, or a word DRAM ECC gave up
+    /// on — names no page, so the mutation installs its new mapping over
+    /// it, and every valid page whose OOB record names `lba` is marked
+    /// invalid here (reading an OOB record charges no flash time, as in
+    /// GC). Left valid, such a page would be relocated by GC under a fresh
+    /// sequence and take the mapping back. An unrepairable
+    /// divergence that degraded the device to read-only still fails the
+    /// mutation.
+    fn replaced_mapping(&mut self, lba: Lba) -> Result<Option<Ppn>, FtlError> {
+        match self.amplified_get(lba) {
+            Err(
+                FtlError::L2pIntegrity { .. } | FtlError::Dram(DramError::Uncorrectable { .. }),
+            ) if !self.read_only => {
+                let mut stale = 0;
+                for p in 0..self.valid.len() as u64 {
+                    if self.valid[p as usize] && decode_oob(&self.nand.read_oob(Ppn(p))?).0 == lba {
+                        self.mark_invalid(Ppn(p));
+                        stale += 1;
+                    }
+                }
+                self.tel.registry.trace(
+                    self.clock.now(),
+                    "ftl.integrity",
+                    format!(
+                        "lba {} unreadable entry overwritten, {stale} old page(s) invalidated",
+                        lba.as_u64()
+                    ),
+                );
+                Ok(None)
+            }
+            lookup => lookup,
+        }
+    }
+
     /// L2P update through the integrity plane: writes the primary entry,
     /// then its code byte and mirror copy (when protection is on).
     fn l2p_set(&mut self, lba: Lba, ppn: Option<Ppn>) -> Result<(), FtlError> {
@@ -1150,7 +1185,7 @@ impl Ftl {
         }
         self.check_mutable()?;
         self.tel.host_writes.incr();
-        let old = self.amplified_get(lba)?;
+        let old = self.replaced_mapping(lba)?;
         let guard = if self.config.dif {
             dif_guard(lba, data)
         } else {
@@ -1178,7 +1213,7 @@ impl Ftl {
         self.check_lba(lba)?;
         self.check_mutable()?;
         self.tel.host_trims.incr();
-        let old = self.amplified_get(lba)?;
+        let old = self.replaced_mapping(lba)?;
         // Trims consume a sequence number so the journal can order them
         // against writes during replay.
         let seq = self.write_seq;
@@ -1195,7 +1230,8 @@ impl Ftl {
     /// Issues `requests` read requests round-robin over `lbas` at
     /// `request_rate` requests/second, aggregated directly into DRAM row
     /// activations (the fast path for attack workloads spanning simulated
-    /// minutes to hours).
+    /// minutes to hours). `opts` (open-row dwell, pattern telemetry label)
+    /// is forwarded to the DRAM layer.
     ///
     /// Each request activates its entry's DRAM row `hammer_amplification`
     /// times, exactly like the per-request path.
@@ -1212,26 +1248,6 @@ impl Ftl {
         lbas: &[Lba],
         requests: u64,
         request_rate: f64,
-    ) -> Result<HammerReport, FtlError> {
-        self.hammer_reads_with(lbas, requests, request_rate, HammerOptions::default())
-    }
-
-    /// [`Ftl::hammer_reads`] with per-burst [`HammerOptions`] (open-row
-    /// dwell, pattern telemetry label) forwarded to the DRAM layer. Default
-    /// options are bit-identical to [`Ftl::hammer_reads`].
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range LBAs or DRAM errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lbas` is empty or the rate is not positive.
-    pub fn hammer_reads_with(
-        &mut self,
-        lbas: &[Lba],
-        requests: u64,
-        request_rate: f64,
         opts: HammerOptions,
     ) -> Result<HammerReport, FtlError> {
         assert!(!lbas.is_empty(), "need at least one LBA");
@@ -1244,7 +1260,7 @@ impl Ftl {
         self.tel.l2p_reads.add(requests);
         let report =
             self.dram
-                .run_hammer_with(&addrs, requests * amp, request_rate * amp as f64, opts)?;
+                .run_hammer(&addrs, requests * amp, request_rate * amp as f64, opts)?;
         Ok(report)
     }
 
@@ -2159,7 +2175,9 @@ mod tests {
         // §3.1: alternating reads whose entries live in the two aggressor
         // rows. One representative LBA per row suffices to activate it.
         let pattern = [above[0], below[0]];
-        let report = ftl.hammer_reads(&pattern, 300_000, 5_000_000.0).unwrap();
+        let report = ftl
+            .hammer_reads(&pattern, 300_000, 5_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(!report.flips.is_empty(), "hammering should flip L2P bits");
 
         let after: Vec<_> = victim_lbas
@@ -2509,6 +2527,77 @@ mod tests {
     }
 
     #[test]
+    fn host_writes_and_trims_replace_an_unreadable_entry() {
+        let mut ftl = integrity_ftl(IntegrityMode::Detect);
+        ftl.write(Lba(1), &block(0x01)).unwrap();
+        ftl.write(Lba(2), &block(0x02)).unwrap();
+        let old_ppn = ftl.peek_mapping(Lba(1)).unwrap().unwrap();
+        let old_block = ftl.nand().geometry().block_of(old_ppn);
+        // Fill the rest of that block, so that the rewrite lands elsewhere.
+        let pages = u64::from(ftl.nand().geometry().pages_per_block);
+        for lba in 3..=pages {
+            ftl.write(Lba(lba), &block(0)).unwrap();
+        }
+        for lba in [Lba(1), Lba(2)] {
+            let addr = ftl.table().entry_addr(lba);
+            corrupt_u32(&mut ftl, addr, 1 << 3);
+        }
+        let mut out = block(0);
+        assert_eq!(
+            ftl.read(Lba(1), &mut out),
+            Err(FtlError::L2pIntegrity { lba: Lba(1) })
+        );
+        // The host heals one block by rewriting it and drops the other by
+        // trimming it: each new mapping goes in over the entry the device
+        // cannot read.
+        ftl.write(Lba(1), &block(0x11)).unwrap();
+        ftl.trim(Lba(2)).unwrap();
+        assert!(!ftl.is_read_only());
+        ftl.read(Lba(1), &mut out).unwrap();
+        assert_eq!(out, block(0x11));
+        // Churn every other LBA until GC has erased the block holding the
+        // replaced pages. Had either stayed valid, GC would have relocated
+        // it under a fresh sequence and mapped its LBA back to it.
+        let cap = ftl.capacity_lbas();
+        let mut round = 0u8;
+        while ftl.nand().pe_cycles(old_block).unwrap() == 0 {
+            assert!(round < 8, "GC never reclaimed block {old_block:?}");
+            for lba in 3..cap {
+                ftl.write(Lba(lba), &block(round)).unwrap();
+            }
+            round += 1;
+        }
+        let healed = |ftl: &mut Ftl| {
+            let mut out = block(0);
+            ftl.read(Lba(1), &mut out).unwrap();
+            assert!(out == block(0x11), "lba 1 reads {:#04x}, not 0x11", out[0]);
+            assert_eq!(ftl.read(Lba(2), &mut out), Ok(ReadOutcome::Unmapped));
+        };
+        healed(&mut ftl);
+        // The remount's OOB scan agrees.
+        let config = *ftl.config();
+        let (dram, nand) = ftl.into_parts();
+        healed(&mut Ftl::recover(dram, nand, config).unwrap());
+
+        // Correct mode's unrepairable divergence instead degrades the
+        // device, and the write that finds it fails.
+        let mut ftl = integrity_ftl(IntegrityMode::Correct);
+        ftl.write(Lba(5), &block(0x55)).unwrap();
+        let mirror_addr = ftl
+            .integrity_plane()
+            .unwrap()
+            .mirror_addr(ftl.table().slot_of(Lba(5)));
+        let entry_addr = ftl.table().entry_addr(Lba(5));
+        corrupt_u32(&mut ftl, entry_addr, 0b11);
+        corrupt_u32(&mut ftl, mirror_addr, 0b1100);
+        assert_eq!(
+            ftl.write(Lba(5), &block(0x56)),
+            Err(FtlError::L2pIntegrity { lba: Lba(5) })
+        );
+        assert!(ftl.is_read_only());
+    }
+
+    #[test]
     fn integrity_correct_repairs_single_bit_flip_in_place() {
         let mut ftl = integrity_ftl(IntegrityMode::Correct);
         ftl.write(Lba(3), &block(0x33)).unwrap();
@@ -2653,7 +2742,12 @@ mod tests {
             .map(|&l| ftl.peek_mapping(l).unwrap())
             .collect();
         let report = ftl
-            .hammer_reads(&[above[0], below[0]], 300_000, 5_000_000.0)
+            .hammer_reads(
+                &[above[0], below[0]],
+                300_000,
+                5_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         assert!(!report.flips.is_empty(), "bits must still flip physically");
         // The acceptance property: no victim read resolves to a *different*

@@ -300,46 +300,16 @@ fn dram_module(config: &SsdConfig, clock: &SimClock) -> DramModule {
 }
 
 impl Ssd {
-    /// Assembles the device from its configuration.
+    /// Assembles the device from its configuration. DRAM, flash, the FTL
+    /// and the NVMe front end all record into one fresh registry.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is internally inconsistent (e.g. the L2P
-    /// table does not fit in DRAM).
+    /// table does not fit in DRAM, or the geometry has zero blocks).
     #[must_use]
     pub fn build(config: SsdConfig) -> Self {
-        Self::build_with_telemetry(config, Telemetry::new())
-    }
-
-    /// Like [`Ssd::build`], but records into a caller-supplied registry —
-    /// the hook for embedding the device in a larger instrumented system.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Ssd::build`].
-    #[must_use]
-    pub fn build_with_telemetry(config: SsdConfig, telemetry: Telemetry) -> Self {
-        // lint:allow(P1) -- documented-panic constructor: geometry is validated by SsdConfig before assembly
-        Self::try_build_with_telemetry(config, telemetry).expect("SSD assembly failed")
-    }
-
-    /// Fallible assembly: like [`Ssd::build_with_telemetry`] but surfaces
-    /// recoverable configuration errors (e.g. an L2P table that does not
-    /// fit in DRAM) as [`NvmeError::Ftl`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`NvmeError::Ftl`] wrapping the FTL's assembly failure.
-    ///
-    /// # Panics
-    ///
-    /// Structurally invalid geometry (zero blocks, over-provisioning
-    /// exceeding the array) still asserts — those are programming errors,
-    /// not runtime conditions.
-    pub fn try_build_with_telemetry(
-        config: SsdConfig,
-        telemetry: Telemetry,
-    ) -> Result<Self, NvmeError> {
+        let telemetry = Telemetry::new();
         let clock = SimClock::new();
         let dram = dram_module(&config, &clock);
         let mut nand = FlashArray::with_timing(
@@ -354,17 +324,16 @@ impl Ssd {
         let fault_plane = FaultPlane::new(config.seed, &config.fault_plane);
         fault_plane.attach_telemetry(&telemetry);
         nand.set_fault_plane(fault_plane.clone());
-        let mut ftl = Ftl::new(dram, nand, config.ftl)?;
-        // One registry for the whole device: DRAM, flash, FTL, and the NVMe
-        // front end all record into it.
+        // lint:allow(P1) -- documented-panic constructor: geometry is validated by SsdConfig before assembly
+        let mut ftl = Ftl::new(dram, nand, config.ftl).expect("SSD assembly failed");
         ftl.attach_telemetry(&telemetry);
-        Ok(Self::fresh(
+        Self::fresh(
             &config,
             clock,
             ftl,
             fault_plane,
             SsdHandles::bind(telemetry),
-        ))
+        )
     }
 
     /// A device around `ftl` with fresh volatile state: no namespaces, no
@@ -1057,7 +1026,7 @@ impl Ssd {
         let mut merged: Option<HammerReport> = None;
         let result = loop {
             let n = slice.map_or(remaining, |s| remaining.min(s));
-            match self.ftl.hammer_reads_with(lbas, n, effective, opts) {
+            match self.ftl.hammer_reads(lbas, n, effective, opts) {
                 Ok(report) => {
                     merged = Some(match merged.take() {
                         None => report,
@@ -1127,12 +1096,20 @@ impl Ssd {
             .iter()
             .map(|&l| self.translate(ns, l))
             .collect::<Result<_, _>>()?;
-        self.hammer_device_reads(&device_lbas, requests, requested_rate)
+        self.hammer_device_reads(
+            &device_lbas,
+            requests,
+            requested_rate,
+            HammerOptions::default(),
+        )
     }
 
     /// Like [`Ssd::hammer_reads`] but over *device* LBAs, for single-tenant
     /// hosts that address the whole drive (e.g. Figure 2 (a) with one
-    /// partition). Applies the same controller rate bounds.
+    /// partition), with per-burst [`HammerOptions`]: an open-row dwell
+    /// multiplier (RowPress-style patterns) and a pattern label for
+    /// per-pattern DRAM activation telemetry. Applies the same controller
+    /// rate bounds.
     ///
     /// # Errors
     ///
@@ -1142,27 +1119,6 @@ impl Ssd {
     ///
     /// Panics if `lbas` is empty or `requested_rate` is not positive.
     pub fn hammer_device_reads(
-        &mut self,
-        lbas: &[Lba],
-        requests: u64,
-        requested_rate: f64,
-    ) -> Result<HammerReport, NvmeError> {
-        self.hammer_device_reads_with(lbas, requests, requested_rate, HammerOptions::default())
-    }
-
-    /// [`Ssd::hammer_device_reads`] with per-burst [`HammerOptions`]: an
-    /// open-row dwell multiplier (RowPress-style patterns) and a pattern
-    /// label for per-pattern DRAM activation telemetry. Default options are
-    /// bit-identical to [`Ssd::hammer_device_reads`].
-    ///
-    /// # Errors
-    ///
-    /// Addressing or FTL failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lbas` is empty or `requested_rate` is not positive.
-    pub fn hammer_device_reads_with(
         &mut self,
         lbas: &[Lba],
         requests: u64,
@@ -2038,7 +1994,12 @@ mod tests {
         let mut s = ssd();
         s.create_namespace(1024).unwrap();
         let report = s
-            .hammer_device_reads(&[Lba(0), Lba(512)], 5_000, 1_000_000.0)
+            .hammer_device_reads(
+                &[Lba(0), Lba(512)],
+                5_000,
+                1_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         assert!(report.activations > 0);
         let snap = s.snapshot_telemetry();
@@ -2209,10 +2170,11 @@ mod tests {
 
     #[test]
     fn view_and_command_classify_an_l2p_failure_alike() {
-        // A Detect-mode integrity failure on the L2P lookup fails every
-        // host I/O on that block: a command with the FTL's typed error, the
-        // view with `Uncorrectable` at the namespace-relative LBA, for
-        // writes and trims as for reads.
+        // A Detect-mode integrity failure on the L2P lookup fails a read of
+        // that block alike on both paths: a command with the FTL's typed
+        // error, the view with `Uncorrectable` at the namespace-relative
+        // LBA. A write or trim needs no old mapping, so both paths install
+        // the new one over the entry.
         let config = SsdConfig {
             flash_geometry: integrity_flash(),
             ftl: FtlConfig {
@@ -2229,28 +2191,32 @@ mod tests {
             .write(Lba(5), &[0x55u8; BLOCK_SIZE])
             .unwrap();
         let addr = s.ftl().table().entry_addr(s.translate(ns, Lba(5)).unwrap());
-        let raw = s.ftl_mut().dram_mut().read_u32(addr).unwrap();
-        s.ftl_mut().dram_mut().write_u32(addr, raw ^ 0x10).unwrap();
+        let poison = |s: &mut Ssd| {
+            let raw = s.ftl_mut().dram_mut().read_u32(addr).unwrap();
+            s.ftl_mut().dram_mut().write_u32(addr, raw ^ 0x10).unwrap();
+        };
+        poison(&mut s);
         let qp = s.create_queue_pair(8);
-        for cmd in [
-            Command::Read { ns, lba: Lba(5) },
-            Command::Trim { ns, lba: Lba(5) },
-        ] {
-            let c = s.roundtrip(qp, cmd).unwrap();
-            assert!(
-                matches!(
-                    c.result,
-                    CmdResult::Error(NvmeError::Ftl(FtlError::L2pIntegrity { .. }))
-                ),
-                "{:?}",
-                c.result
-            );
-        }
-        let mut view = s.namespace(ns).unwrap();
+        let c = s.roundtrip(qp, Command::Read { ns, lba: Lba(5) }).unwrap();
+        assert!(
+            matches!(
+                c.result,
+                CmdResult::Error(NvmeError::Ftl(FtlError::L2pIntegrity { .. }))
+            ),
+            "{:?}",
+            c.result
+        );
         let mut out = [0u8; BLOCK_SIZE];
-        let uncorrectable = Err(StorageError::Uncorrectable { lba: Lba(5) });
-        assert_eq!(view.read(Lba(5), &mut out), uncorrectable);
-        assert_eq!(view.write(Lba(5), &[1u8; BLOCK_SIZE]), uncorrectable);
-        assert_eq!(view.trim(Lba(5)), uncorrectable);
+        let mut view = s.namespace(ns).unwrap();
+        assert_eq!(
+            view.read(Lba(5), &mut out),
+            Err(StorageError::Uncorrectable { lba: Lba(5) })
+        );
+        assert_eq!(view.write(Lba(5), &[1u8; BLOCK_SIZE]), Ok(()));
+        view.read(Lba(5), &mut out).unwrap();
+        assert_eq!(out, [1u8; BLOCK_SIZE]);
+        poison(&mut s);
+        let c = s.roundtrip(qp, Command::Trim { ns, lba: Lba(5) }).unwrap();
+        assert!(c.is_ok(), "{:?}", c.result);
     }
 }

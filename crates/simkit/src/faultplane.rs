@@ -56,6 +56,13 @@ impl FaultSpec {
         Self::with_probability(1.0)
     }
 
+    /// A spec that fires exactly once, at consult `k` of its site (a
+    /// crash point's power cut, a fuzz case's one program failure).
+    #[must_use]
+    pub fn once_at(k: u64) -> Self {
+        Self::always().with_window(k, k + 1).with_max_fires(1)
+    }
+
     /// Caps the total number of fires for this site.
     #[must_use]
     pub fn with_max_fires(mut self, n: u64) -> Self {

@@ -16,7 +16,7 @@
 //!    point per crossed site, proportional quotas, one seeded pick per
 //!    stratum) when it does not.
 //! 3. **Replay** — each crash point converts to a [`FaultSpec`] that fires
-//!    exactly once, at exactly the chosen consult ([`CrashPoint::spec`]).
+//!    exactly once, at exactly the chosen consult ([`FaultSpec::once_at`]).
 //!    Re-running the workload with that spec cuts power at the chosen
 //!    site crossing; the caller then recovers the device and checks its
 //!    invariant oracle, recording a [`CrashVerdict`]. (`bench::torture`
@@ -60,14 +60,6 @@ pub struct CrashPoint {
 }
 
 impl CrashPoint {
-    /// The fault spec that fires exactly once, at exactly this crossing.
-    #[must_use]
-    pub fn spec(&self) -> FaultSpec {
-        FaultSpec::always()
-            .with_window(self.index, self.index + 1)
-            .with_max_fires(1)
-    }
-
     /// `site@index` label for reports and shard labels.
     #[must_use]
     pub fn label(&self) -> String {
@@ -405,7 +397,8 @@ mod tests {
             site: "ftl.crash.l2p_flush".to_string(),
             index: 2,
         };
-        let config = FaultPlaneConfig::new().with_site(point.site.clone(), point.spec());
+        let config =
+            FaultPlaneConfig::new().with_site(point.site.clone(), FaultSpec::once_at(point.index));
         let plane = FaultPlane::new(99, &config);
         let fired: Vec<bool> = (0..5).map(|_| plane.fires(&point.site)).collect();
         assert_eq!(fired, [false, false, true, false, false]);

@@ -101,6 +101,7 @@ fn main() {
 /// be the victims.
 fn attack_blind(config: SsdConfig) -> (u64, usize) {
     use ssdhammer::core::{diff_mappings, snapshot_host_mappings};
+    use ssdhammer::dram::HammerOptions;
     use ssdhammer::simkit::Lba;
 
     let mut ssd = Ssd::build(config);
@@ -111,7 +112,12 @@ fn attack_blind(config: SsdConfig) -> (u64, usize) {
     setup_entries(ssd.ftl_mut(), &guessed_victim).expect("setup");
     let before = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     let report = ssd
-        .hammer_device_reads(&guessed_aggressors, 500_000, 1_000_000.0)
+        .hammer_device_reads(
+            &guessed_aggressors,
+            500_000,
+            1_000_000.0,
+            HammerOptions::default(),
+        )
         .expect("hammer");
     let after = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     let redirs = diff_mappings(&guessed_victim, &before, &after);

@@ -7,7 +7,9 @@ use ssdhammer::core::{
     make_hammerer, make_placement, make_victim, pattern_names, placement_names, victim_names,
     AttackError, ChangeKind, MappingState, Observation,
 };
-use ssdhammer_bench::attacks;
+use ssdhammer::simkit::json::Json;
+use ssdhammer_bench::attacks::AttacksScenario;
+use ssdhammer_bench::scenario::{Scenario, ScenarioCfg};
 
 /// Every registered name instantiates a component that reports that exact
 /// name back — the contract `repro attacks --pattern/--victim` relies on.
@@ -39,25 +41,31 @@ fn registries_round_trip_every_name() {
     ));
 }
 
-/// The full pattern × victim grid covers at least 16 cells, and its
-/// serialized document is byte-identical no matter how many campaign
+/// What `repro attacks` prints (document and report) at seed 23 for
+/// `cfg`'s filters and `threads` workers.
+fn grid(cfg: ScenarioCfg, threads: usize) -> (Json, String) {
+    let out = AttacksScenario.run(cfg, 23, threads);
+    (out.json, out.text)
+}
+
+/// The full pattern × victim grid covers at least 16 cells, and what
+/// `repro attacks` prints is byte-identical no matter how many campaign
 /// worker threads sharded the cells.
 #[test]
 fn campaign_grid_is_byte_identical_across_thread_counts() {
-    use ssdhammer::simkit::json::ToJson;
-
-    let grid = |threads: usize| {
-        let cells = attacks::run_filtered(23, threads, None, None).expect("no filters, no error");
-        cells.to_json().to_string()
-    };
-    let single = grid(1);
-    let cells = attacks::run_filtered(23, 1, None, None).expect("grid");
+    let (doc, text) = grid(ScenarioCfg::default(), 1);
+    let cells = doc.as_arr().expect("the document is the cell array").len();
     assert!(
-        cells.len() >= 16,
-        "grid must cover at least 16 pattern x victim cells, got {}",
-        cells.len()
+        cells >= 16,
+        "grid must cover at least 16 pattern x victim cells, got {cells}"
     );
-    assert_eq!(single, grid(4), "thread count must not change any byte");
+    let (doc4, text4) = grid(ScenarioCfg::default(), 4);
+    assert_eq!(
+        doc.to_string_pretty(),
+        doc4.to_string_pretty(),
+        "thread count must not change any byte"
+    );
+    assert_eq!(text, text4, "thread count must not change any byte");
 }
 
 /// Every victim classifies a change exactly as the PR 5 defense matrix
@@ -110,14 +118,21 @@ fn classification_matches_the_defense_matrix_semantics() {
 /// deterministic.
 #[test]
 fn flagship_cell_produces_silent_corruption() {
-    let cells = attacks::run_filtered(23, 2, Some("two_sided"), Some("l2p")).expect("valid names");
+    let flagship = ScenarioCfg {
+        pattern: Some("two_sided".to_owned()),
+        victim: Some("l2p".to_owned()),
+        ..ScenarioCfg::default()
+    };
+    let (doc, _) = grid(flagship, 2);
+    let cells = doc.as_arr().expect("the document is the cell array");
     assert_eq!(cells.len(), 1);
     let cell = &cells[0];
-    assert!(
-        cell.error.is_none(),
-        "flagship cell must run: {:?}",
-        cell.error
+    assert_eq!(
+        cell.get("error"),
+        Some(&Json::Null),
+        "flagship cell must run: {cell:?}"
     );
-    assert!(cell.flips > 0, "flagship cell must flip bits");
-    assert!(cell.silent > 0, "flagship cell must corrupt silently");
+    let count = |key: &str| cell.get(key).and_then(Json::as_u64).expect(key);
+    assert!(count("flips") > 0, "flagship cell must flip bits");
+    assert!(count("silent") > 0, "flagship cell must corrupt silently");
 }

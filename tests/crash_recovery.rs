@@ -6,7 +6,6 @@ use ssdhammer::core::{
     find_attack_sites, setup_entries, AttackPipeline, CrossBank, L2pEntries, TwoSided,
 };
 use ssdhammer::dram::{DramGeneration, DramGeometry, DramModule, MappingKind, ModuleProfile};
-use ssdhammer::flash::FlashGeometry;
 use ssdhammer::ftl::{Ftl, FtlConfig};
 use ssdhammer::nvme::{Ssd, SsdConfig};
 use ssdhammer::simkit::{Lba, SimClock, SimDuration, BLOCK_SIZE};
@@ -16,12 +15,10 @@ fn eager_config(seed: u64) -> SsdConfig {
     profile.hc_first = 1000;
     profile.row_vulnerable_prob = 1.0;
     profile.weak_cells_per_row = 8.0;
-    let mut config = SsdConfig::test_small(seed);
-    config.dram_geometry = DramGeometry::tiny_test();
-    config.dram_profile = profile;
-    config.dram_mapping = MappingKind::Linear;
-    config.flash_geometry = FlashGeometry::mib64();
-    config
+    SsdConfig {
+        dram_profile: profile,
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 fn fresh_dram() -> DramModule {

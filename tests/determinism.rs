@@ -13,12 +13,10 @@ fn eager_config(seed: u64) -> SsdConfig {
     profile.hc_first = 1000;
     profile.row_vulnerable_prob = 1.0;
     profile.weak_cells_per_row = 8.0;
-    let mut config = SsdConfig::test_small(seed);
-    config.dram_geometry = DramGeometry::tiny_test();
-    config.dram_profile = profile;
-    config.dram_mapping = MappingKind::Linear;
-    config.flash_geometry = FlashGeometry::mib64();
-    config
+    SsdConfig {
+        dram_profile: profile,
+        ..SsdConfig::test_small(seed)
+    }
 }
 
 /// The Figure 1 pipeline at a fixed rate/duration, bound to the device's

@@ -5,8 +5,7 @@
 use std::sync::Arc;
 
 use ssdhammer::core::{find_attack_sites, setup_entries, snapshot_mappings};
-use ssdhammer::dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
-use ssdhammer::flash::FlashGeometry;
+use ssdhammer::dram::{DramGeneration, HammerOptions, ModuleProfile};
 use ssdhammer::ftl::FtlConfig;
 use ssdhammer::nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer::simkit::Lba;
@@ -20,10 +19,7 @@ fn eager_config(seed: u64) -> SsdConfig {
         ..ModuleProfile::from_min_rate("eager", DramGeneration::Ddr3, 2021, 1)
     };
     SsdConfig {
-        dram_geometry: DramGeometry::tiny_test(),
         dram_profile: profile,
-        dram_mapping: MappingKind::Linear,
-        flash_geometry: FlashGeometry::mib64(),
         ..SsdConfig::test_small(seed)
     }
 }
@@ -101,6 +97,7 @@ fn redirection_changes_data_served_over_nvme() {
         &[site.above_lbas[0], site.below_lbas[0]],
         400_000,
         1_500_000.0,
+        HammerOptions::default(),
     )
     .unwrap();
     let after = read_all(&mut ssd);
@@ -162,7 +159,12 @@ fn amplification_scales_activation_rate() {
         };
         let mut ssd = Ssd::build(config);
         let report = ssd
-            .hammer_device_reads(&[Lba(0), Lba(512)], 100_000, 1_000_000.0)
+            .hammer_device_reads(
+                &[Lba(0), Lba(512)],
+                100_000,
+                1_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         report.achieved_rate
     };

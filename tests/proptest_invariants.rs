@@ -574,7 +574,7 @@ fn fs_decoders_never_panic_on_garbage() {
 /// after hammering always reads back exactly (rewrites recharge cells).
 #[test]
 fn rewrites_always_restore_data() {
-    use ssdhammer::dram::{DramGeneration, DramModule, ModuleProfile};
+    use ssdhammer::dram::{DramGeneration, DramModule, HammerOptions, ModuleProfile};
     use ssdhammer::simkit::SimClock;
     let mut rng = seeded(110);
     for case in 0..10 {
@@ -605,7 +605,7 @@ fn rewrites_always_restore_data() {
         }
         for &r in &rows {
             let a = [enc(r.saturating_sub(1)), enc((r + 1).min(63))];
-            let _ = m.run_hammer(&a, 50_000, 5_000_000.0);
+            let _ = m.run_hammer(&a, 50_000, 5_000_000.0, HammerOptions::default());
         }
         for &r in &rows {
             let addr = enc(r);
