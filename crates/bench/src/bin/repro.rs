@@ -3,9 +3,10 @@
 //! results as JSON.
 //!
 //! Subcommands are declared once in the [`COMMANDS`] registry — an
-//! experiment's [`Scenario`], a help line, whether `all` runs it, and the
-//! check that rejects arguments it cannot run — and everything else
-//! (dispatch, `repro help`, the usage string, the `all` loop) is
+//! experiment's [`Scenario`], a help line, whether `all` runs it, the
+//! optional flags it reads, and the check that rejects arguments it cannot
+//! run — and everything else (dispatch, `repro help`, the usage string,
+//! the `all` loop, the rejection of a flag no selected command reads) is
 //! generated from that table. Every subcommand runs its scenario
 //! once and prints the document (`--json`) or the text report from that
 //! one [`Output`]; an output that carries a telemetry snapshot is also
@@ -43,6 +44,10 @@ struct Cmd {
     help: &'static str,
     /// Whether `repro all` includes this command.
     in_all: bool,
+    /// The flags beyond `--seed`, `--threads` and `--json` the scenario
+    /// reads, with their values' placeholders, as `repro help` shows them.
+    /// Any other given flag exits 2.
+    flags: &'static str,
     /// Exits 2 on a command line the scenario cannot run, before any
     /// experiment runs.
     check: Option<fn(&ScenarioCfg)>,
@@ -55,84 +60,98 @@ static COMMANDS: &[Cmd] = &[
         scenario: &table1::Table1Scenario,
         help: "Table 1  — minimal access rate to trigger bitflips",
         in_all: true,
+        flags: "--checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &fig1::Fig1Scenario,
         help: "Figure 1 — two-sided FTL rowhammer redirects an LBA",
         in_all: true,
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &fig2::Fig2Scenario,
         help: "Figure 2 — direct vs helper-VM setups",
         in_all: true,
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &fig3::Fig3Scenario,
         help: "Figure 3 — end-to-end ext4 indirect-block exploit",
         in_all: true,
+        flags: "--full",
         check: None,
     },
     Cmd {
         scenario: &sec43::Sec43Scenario,
         help: "§4.3     — probability of success",
         in_all: true,
+        flags: "--checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &sec5::Sec5Scenario,
         help: "§5       — mitigation matrix",
         in_all: true,
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &sec23::Sec23Scenario,
         help: "§2.3     — NVMe-rate feasibility",
         in_all: true,
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &ablations::AblationsScenario,
         help: "design-choice ablations (DESIGN.md §5)",
         in_all: true,
+        flags: "--checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &sec32::EscalationScenario,
         help: "§3.2     — privilege escalation via polyglot blocks",
         in_all: true,
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &faults::FaultsScenario,
         help: "fault-injection plane vs the FTL recovery stack",
         in_all: true,
+        flags: "--checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &defenses::DefensesScenario,
         help: "defense-in-depth matrix — attack success per defense layer",
         in_all: true,
+        flags: "--checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &attacks::AttacksScenario,
         help: "pattern x victim campaign grid (--pattern/--victim filter)",
         in_all: true,
+        flags: "--pattern P --victim V --checkpoint F --resume --abort-after N",
         check: Some(check_grid_filter),
     },
     Cmd {
         scenario: &torture::TortureScenario,
         help: "power-cut torture — crash-point enumeration x recovery oracle",
         in_all: false,
+        flags: "--full --checkpoint F --resume --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &fuzz::FuzzScenario,
         help: "model-based fuzz — random op soak vs the shadow oracle",
         in_all: false,
+        flags: "--full --soak N --replay DIR --checkpoint F --resume --abort-after N",
         check: None,
     },
 ];
@@ -146,8 +165,13 @@ fn main() {
         json: false,
         cfg: ScenarioCfg::default(),
     };
+    // The given flags that only some commands read, in command-line order.
+    let mut given: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !matches!(a.as_str(), "--seed" | "--threads" | "--json") {
+            given.push(a);
+        }
         match a.as_str() {
             "--seed" => ctx.seed = value(&mut it, "--seed needs a number"),
             "--pattern" => ctx.cfg.pattern = Some(value(&mut it, "--pattern needs a name")),
@@ -193,6 +217,17 @@ fn main() {
             None => die(&format!("unknown experiment '{name}'")),
         },
     };
+    let reads = |c: &Cmd, flag: &str| c.flags.split(' ').any(|f| f == flag);
+    if let Some(flag) = given.iter().find(|f| !cmds.iter().any(|c| reads(c, f))) {
+        die(&if name == "all" {
+            format!("no experiment all runs reads {flag}")
+        } else {
+            format!("{name} does not read {flag}")
+        });
+    }
+    if ctx.cfg.resume && ctx.cfg.checkpoint.is_none() {
+        die("--resume needs --checkpoint");
+    }
     for check in cmds.iter().filter_map(|c| c.check) {
         check(&ctx.cfg);
     }
@@ -245,11 +280,14 @@ fn check_grid_filter(cfg: &ScenarioCfg) {
 }
 
 fn print_help() {
-    println!("repro <experiment> [--seed N] [--threads N] [--json] [--full]");
+    println!("repro <experiment> [--seed N] [--threads N] [--json] [flags]");
     println!();
-    println!("experiments:");
+    println!("experiments, each with the flags it reads (any other exits 2):");
     for c in COMMANDS {
         println!("  {:<13} {}", c.scenario.name(), c.help);
+        if !c.flags.is_empty() {
+            println!("  {:<13} {}", "", c.flags);
+        }
     }
     let skipped: Vec<&str> = COMMANDS
         .iter()
@@ -266,19 +304,18 @@ fn print_help() {
     println!("  --threads N   worker threads for campaign experiments; output is");
     println!("                bit-identical for any N (default 1)");
     println!("  --json        print structured JSON instead of tables");
-    println!("  --full        fig3: run the paper-prototype-scale configuration");
-    println!("                (1 GiB SSD, 5% spray cap, 5-minute hammer bursts);");
-    println!("                torture: larger workload with a sampled crash schedule");
-    println!("  --pattern P   attacks only: run a single hammer pattern's cells");
-    println!("  --victim V    attacks only: run a single victim structure's cells");
-    println!("  --soak N      fuzz only: run N episodes (default 24, or 64 with --full)");
-    println!("  --replay DIR  fuzz only: replay persisted corpus cases instead of soaking");
-    println!();
-    println!("campaign flags (table1, prob, ablations, faults, defenses, attacks,");
-    println!("torture, fuzz; a resumed run prints what an uninterrupted one does):");
+    println!("  --full        run the paper-prototype-scale configuration (fig3:");
+    println!("                1 GiB SSD, 5% spray cap, 5-minute hammer bursts;");
+    println!("                torture: larger workload with a sampled crash");
+    println!("                schedule; fuzz: 64 episodes)");
+    println!("  --pattern P   run a single hammer pattern's cells");
+    println!("  --victim V    run a single victim structure's cells");
+    println!("  --soak N      run N episodes (default 24, or 64 with --full)");
+    println!("  --replay DIR  replay persisted corpus cases instead of soaking");
     println!("  --checkpoint F  persist completed shards to F after each one (one");
     println!("                experiment; attacks: the unfiltered grid only)");
-    println!("  --resume      restore completed shards from --checkpoint first");
+    println!("  --resume      restore completed shards from --checkpoint first;");
+    println!("                a resumed run prints what an uninterrupted one does");
     println!("  --abort-after N  stop launching shards after N (kill simulation);");
     println!("                the partial report is marked degraded");
 }
@@ -295,7 +332,7 @@ fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     let names: Vec<&str> = COMMANDS.iter().map(|c| c.scenario.name()).collect();
     eprintln!(
-        "usage: repro [{}|all] [--seed N] [--threads N] [--json] [--full]",
+        "usage: repro [{}|all] [--seed N] [--threads N] [--json] [flags]",
         names.join("|")
     );
     std::process::exit(2);

@@ -58,7 +58,6 @@ fn build_ssd(seed: u64) -> Ssd {
     profile.weak_cells_per_row = 6.0;
     let mut config = SsdConfig::test_small(seed);
     config.dram_profile = profile;
-    config.model.clone_from(&"fig1 demo device".to_owned());
     Ssd::build(config)
 }
 

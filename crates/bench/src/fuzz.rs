@@ -704,80 +704,95 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
 /// Runs the soak campaign under `cfg` (episode count from `soak`/`full`;
 /// the campaign flags checkpoint, resume, or abort it): supervised
 /// episodes, divergences auto-shrunk and bucketed into the structured
-/// result document. The document is bit-identical for any `threads`, and —
-/// when checkpointed, killed, and resumed — bit-identical to an
-/// uninterrupted run.
-fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+/// result document, its text report, and the `supervisor.*` and `fuzz.*`
+/// counters. The document is bit-identical for any `threads`, and — when
+/// checkpointed, killed, and resumed — bit-identical to an uninterrupted
+/// run.
+fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let episodes = episode_count(cfg);
     let target = SsdFuzz::default();
-    let registry = Telemetry::new();
+    let tel = Telemetry::new();
     let sup = Supervisor::new(seed)
         .with_tag("fuzz")
         .with_threads(threads)
         .with_max_retries(1)
-        .attach_telemetry(&registry);
+        .attach_telemetry(&tel);
     let codec = JsonCodec {
         encode: encode_outcome,
         decode: decode_outcome,
     };
     let report = cfg.run_campaign(sup, episodes, codec, |ctx| run_one(&target, ctx.trial.seed));
-    count_outcomes(&registry, &report);
-    document(seed, episodes, &report)
+    let tally = SoakTally::of(&report);
+    tel.counter("fuzz.episodes").add(tally.pass + tally.fail);
+    tel.counter("fuzz.divergences").add(tally.fail);
+    tel.counter("fuzz.shrink_execs").add(tally.shrink_execs);
+    tel.counter("fuzz.hammer.bursts").add(tally.hammer_bursts);
+    let json = document(seed, episodes, &report, tally);
+    Output {
+        text: render(&json),
+        json,
+        telemetry: Some(tel.snapshot()),
+    }
 }
 
-/// Registers and bumps the `fuzz.*` counters from the merged report.
-fn count_outcomes(registry: &Telemetry, report: &SupervisedReport<EpisodeOutcome>) {
-    let mut divergences = 0u64;
-    let mut shrink_execs = 0u64;
-    let mut bursts = 0u64;
-    for o in report.values() {
-        bursts += o.hammer_bursts;
-        if let Some(f) = &o.failure {
-            divergences += 1;
-            shrink_execs += f.shrink_execs as u64;
+/// Outcome counts over the completed episodes: the document's summary and
+/// the `fuzz.*` counters both read this one tally.
+#[derive(Debug, Default)]
+struct SoakTally {
+    pass: u64,
+    fail: u64,
+    hammer_bursts: u64,
+    shrink_execs: u64,
+    /// Divergences per failure signature.
+    buckets: std::collections::BTreeMap<String, u64>,
+}
+
+impl SoakTally {
+    fn of(report: &SupervisedReport<EpisodeOutcome>) -> SoakTally {
+        let mut t = SoakTally::default();
+        for o in report.values() {
+            t.hammer_bursts += o.hammer_bursts;
+            match &o.failure {
+                None => t.pass += 1,
+                Some(f) => {
+                    t.fail += 1;
+                    t.shrink_execs += f.shrink_execs as u64;
+                    *t.buckets.entry(f.signature.clone()).or_insert(0) += 1;
+                }
+            }
         }
+        t
     }
-    registry
-        .counter("fuzz.episodes")
-        .add(report.values().count() as u64);
-    registry.counter("fuzz.divergences").add(divergences);
-    registry.counter("fuzz.shrink_execs").add(shrink_execs);
-    registry.counter("fuzz.hammer.bursts").add(bursts);
 }
 
 /// Assembles the soak result document. `resumed` is deliberately omitted:
 /// it differs between a resumed and an uninterrupted run, and the
 /// document must not.
-fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome>) -> Json {
-    let mut pass = 0u64;
-    let mut bursts = 0u64;
-    let mut shrink_execs = 0u64;
-    let mut buckets: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut failures = Vec::new();
-    for (i, outcome) in report.outcomes.iter().enumerate() {
-        let ssdhammer_simkit::supervisor::ShardOutcome::Ok(o) = outcome else {
-            continue;
-        };
-        bursts += o.hammer_bursts;
-        match &o.failure {
-            None => pass += 1,
-            Some(f) => {
-                *buckets.entry(f.signature.clone()).or_insert(0) += 1;
-                shrink_execs += f.shrink_execs as u64;
-                failures.push(Json::obj([
-                    ("episode", Json::from(i)),
-                    ("seed", Json::from(o.seed)),
-                    ("signature", Json::str(f.signature.as_str())),
-                    ("detail", Json::str(f.detail.as_str())),
-                    ("original_len", Json::from(f.original_len)),
-                    ("minimized_len", Json::from(f.ops.len())),
-                    ("shrink_execs", Json::from(f.shrink_execs)),
-                    ("ops", Json::Arr(f.ops.iter().map(encode_op).collect())),
-                ]));
-            }
-        }
-    }
-    let fail = failures.len() as u64;
+fn document(
+    seed: u64,
+    episodes: usize,
+    report: &SupervisedReport<EpisodeOutcome>,
+    tally: SoakTally,
+) -> Json {
+    let failures: Vec<Json> = report
+        .outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, outcome)| {
+            let o = outcome.value()?;
+            let f = o.failure.as_ref()?;
+            Some(Json::obj([
+                ("episode", Json::from(i)),
+                ("seed", Json::from(o.seed)),
+                ("signature", Json::str(f.signature.as_str())),
+                ("detail", Json::str(f.detail.as_str())),
+                ("original_len", Json::from(f.original_len)),
+                ("minimized_len", Json::from(f.ops.len())),
+                ("shrink_execs", Json::from(f.shrink_execs)),
+                ("ops", Json::Arr(f.ops.iter().map(encode_op).collect())),
+            ]))
+        })
+        .collect();
     Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("mode", Json::str("soak")),
@@ -788,10 +803,10 @@ fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome
         (
             "summary",
             Json::obj([
-                ("pass", Json::from(pass)),
-                ("fail", Json::from(fail)),
-                ("hammer_bursts", Json::from(bursts)),
-                ("shrink_execs", Json::from(shrink_execs)),
+                ("pass", Json::from(tally.pass)),
+                ("fail", Json::from(tally.fail)),
+                ("hammer_bursts", Json::from(tally.hammer_bursts)),
+                ("shrink_execs", Json::from(tally.shrink_execs)),
                 ("timeouts", Json::from(report.timeouts)),
                 ("panics", Json::from(report.panics)),
                 ("skipped", Json::from(report.skipped)),
@@ -799,7 +814,8 @@ fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome
                 (
                     "buckets",
                     Json::Obj(
-                        buckets
+                        tally
+                            .buckets
                             .into_iter()
                             .map(|(k, v)| (k, Json::from(v)))
                             .collect(),
@@ -828,10 +844,11 @@ fn case_from_json(doc: &Json) -> Option<(String, Vec<FuzzOp>)> {
 }
 
 /// Replays every corpus case under `dir` (sorted by filename) against the
-/// current stack and reports per-case verdicts. Each case must pass: a
-/// corpus case is a minimized repro of a past or planted divergence, and
-/// replaying clean proves the stack (with its defenses on) still holds.
-fn run_replay(dir: &Path) -> Json {
+/// current stack and reports per-case verdicts and the
+/// `fuzz.corpus_replayed` counter. Each case must pass: a corpus case is a
+/// minimized repro of a past or planted divergence, and replaying clean
+/// proves the stack (with its defenses on) still holds.
+fn run_replay(dir: &Path) -> Output {
     let target = SsdFuzz::default();
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .map(|entries| {
@@ -874,7 +891,7 @@ fn run_replay(dir: &Path) -> Json {
     registry
         .counter("fuzz.corpus_replayed")
         .add(rows.len() as u64);
-    Json::obj([
+    let json = Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("mode", Json::str("replay")),
         ("cases", Json::from(rows.len())),
@@ -887,7 +904,12 @@ fn run_replay(dir: &Path) -> Json {
             ]),
         ),
         ("results", Json::Arr(rows)),
-    ])
+    ]);
+    Output {
+        text: render(&json),
+        json,
+        telemetry: Some(registry.snapshot()),
+    }
 }
 
 /// Renders a campaign (soak or replay) document as text.
@@ -969,12 +991,10 @@ impl Scenario for FuzzScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let json = match &cfg.replay {
+        match &cfg.replay {
             Some(dir) => run_replay(dir),
             None => run_soak(seed, threads, &cfg),
-        };
-        let text = render(&json);
-        Output::new(json, text)
+        }
     }
 }
 
@@ -991,6 +1011,7 @@ mod tests {
                 ..ScenarioCfg::default()
             },
         )
+        .json
     }
 
     #[test]
@@ -1065,7 +1086,7 @@ mod tests {
     #[test]
     fn corpus_replays_clean() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-        let doc = run_replay(&dir);
+        let doc = run_replay(&dir).json;
         let summary = doc.get("summary").expect("summary");
         let replayed = summary.get("replayed").and_then(Json::as_u64).unwrap_or(0);
         assert!(replayed > 0, "committed corpus must not be empty");
@@ -1090,7 +1111,7 @@ mod tests {
             r#"{{"schema":"{CASE_SCHEMA}","name":"past-span","seed":0,"signature":"","ops":[{{"op":"write","lba":{SPAN},"fill":1}}]}}"#
         );
         std::fs::write(dir.join("past-span.json"), case).unwrap();
-        let doc = run_replay(&dir);
+        let doc = run_replay(&dir).json;
         let _ = std::fs::remove_dir_all(&dir);
         let results = doc.get("results").and_then(Json::as_arr).expect("results");
         assert_eq!(
@@ -1115,7 +1136,8 @@ mod tests {
                 abort_after: Some(2),
                 ..ScenarioCfg::default()
             },
-        );
+        )
+        .json;
         assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
         let resumed = run_soak(
             7,
@@ -1127,7 +1149,7 @@ mod tests {
                 ..ScenarioCfg::default()
             },
         );
-        assert_eq!(resumed.to_string(), uninterrupted);
+        assert_eq!(resumed.json.to_string(), uninterrupted);
         let _ = std::fs::remove_file(&path);
     }
 }

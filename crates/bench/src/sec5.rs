@@ -4,10 +4,10 @@
 //! the TRR sampler) and the one-location/open-page interaction.
 
 use ssdhammer_core::{
-    diff_mappings, find_attack_sites, setup_entries, snapshot_host_mappings, AttackError,
-    AttackPipeline, CrossBank, Hammerer, L2pEntries, ManySided, OneLocation, SameBank, TwoSided,
+    find_attack_sites, AttackError, AttackPipeline, AttackSite, CrossBank, Hammerer, L2pEntries,
+    ManySided, OneLocation, SameBank, TwoSided,
 };
-use ssdhammer_dram::{EccConfig, HammerOptions, ModuleProfile, TrrConfig};
+use ssdhammer_dram::{EccConfig, ModuleProfile, RowKey, TrrConfig};
 use ssdhammer_ftl::L2pLayout;
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
@@ -44,9 +44,15 @@ fn base_config(seed: u64) -> SsdConfig {
     }
 }
 
-fn attack(config: SsdConfig, hammerer: impl Hammerer + 'static) -> (u64, usize) {
+/// Hammers `site`, or else the weakest site recon finds, through the
+/// pipeline; returns the flips and the host-visible redirections.
+fn attack(
+    config: SsdConfig,
+    hammerer: impl Hammerer + 'static,
+    site: Option<AttackSite>,
+) -> (u64, usize) {
     let mut ssd = Ssd::build(config);
-    let Some(site) = find_attack_sites(ssd.ftl(), 4).first().cloned() else {
+    let Some(site) = site.or_else(|| find_attack_sites(ssd.ftl(), 4).first().cloned()) else {
         return (0, 0);
     };
     let outcome = AttackPipeline::new(hammerer, L2pEntries::default(), CrossBank)
@@ -80,24 +86,19 @@ fn attack_many_sided(config: SsdConfig) -> (u64, usize) {
 /// Attack against a keyed-hash L2P with the attacker's recon blinded to the
 /// key: it assumes a linear layout and hammers/checks the wrong LBAs.
 fn attack_blind(config: SsdConfig) -> (u64, usize) {
-    let mut ssd = Ssd::build(config);
-    let guessed_victim: Vec<Lba> = (512..768).map(Lba).collect();
-    let guessed_aggressors = [Lba(256), Lba(768)];
-    setup_entries(ssd.ftl_mut(), &guessed_victim).expect("setup");
-    let before = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
-    let report = ssd
-        .hammer_device_reads(
-            &guessed_aggressors,
-            500_000,
-            1_000_000.0,
-            HammerOptions::default(),
-        )
-        .expect("hammer");
-    let after = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
-    (
-        report.flips.len() as u64,
-        diff_mappings(&guessed_victim, &before, &after).len(),
-    )
+    // The linear layout puts the entries of LBAs 256n..256n+255 in row n,
+    // so rows 1 and 3 would sandwich the victim row 2.
+    let row = |row| RowKey { bank: 0, row };
+    let guessed = AttackSite {
+        victim: row(2),
+        above: row(1),
+        below: row(3),
+        victim_lbas: (512..768).map(Lba).collect(),
+        above_lbas: vec![Lba(256)],
+        below_lbas: vec![Lba(768)],
+        weakest_threshold: 0,
+    };
+    attack(config, TwoSided, Some(guessed))
 }
 
 /// Runs the full mitigation matrix.
@@ -114,25 +115,25 @@ fn run(seed: u64) -> Vec<Sec5Row> {
 
     push(
         "baseline (no mitigation)",
-        attack(base_config(seed), TwoSided),
+        attack(base_config(seed), TwoSided, None),
     );
 
     let mut ecc = base_config(seed);
     ecc.ecc = Some(EccConfig::default());
-    push("SEC-DED ECC", attack(ecc, TwoSided));
+    push("SEC-DED ECC", attack(ecc, TwoSided, None));
 
     let mut trr = base_config(seed);
     trr.trr = Some(TrrConfig::default());
-    push("TRR vs double-sided", attack(trr.clone(), TwoSided));
+    push("TRR vs double-sided", attack(trr.clone(), TwoSided, None));
     push("TRR vs many-sided (6 pairs)", attack_many_sided(trr));
 
     let mut refresh = base_config(seed);
     refresh.dram_profile = ModuleProfile::demo_ddr4().with_refresh_multiplier(16);
-    push("16x refresh rate", attack(refresh, TwoSided));
+    push("16x refresh rate", attack(refresh, TwoSided, None));
 
     let mut limited = base_config(seed);
     limited.controller.rate_limit_iops = Some(50_000.0);
-    push("IOPS rate limit (50K/s)", attack(limited, TwoSided));
+    push("IOPS rate limit (50K/s)", attack(limited, TwoSided, None));
 
     let mut hashed = base_config(seed);
     hashed.ftl.l2p_layout = L2pLayout::Hashed { key: 0x5EC6_E7B1 };
@@ -140,7 +141,7 @@ fn run(seed: u64) -> Vec<Sec5Row> {
 
     push(
         "one-location on open-page ctrl",
-        attack(base_config(seed), OneLocation),
+        attack(base_config(seed), OneLocation, None),
     );
     rows
 }

@@ -206,19 +206,20 @@ fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
 /// Runs the full campaign under `cfg` (`full` picks the larger workload
 /// and a sampling crash schedule; the campaign flags checkpoint, resume,
 /// or abort it): census, crash-schedule enumeration, one supervised shard
-/// per crash point, merged into the structured result document. The
-/// document is bit-identical for any `threads`, and — when checkpointed,
-/// killed, and resumed — bit-identical to an uninterrupted run.
-fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
+/// per crash point, merged into the structured result document, its text
+/// report, and the `supervisor.*` and `torture.*` counters. The document
+/// is bit-identical for any `threads`, and — when checkpointed, killed,
+/// and resumed — bit-identical to an uninterrupted run.
+fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let crossings = census(cfg.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
-    let registry = Telemetry::new();
+    let tel = Telemetry::new();
     let sup = Supervisor::new(seed)
         .with_tag("torture")
         .with_threads(threads)
         .with_sim_budget(SimDuration::from_secs(600))
         .with_max_retries(1)
-        .attach_telemetry(&registry);
+        .attach_telemetry(&tel);
     let codec = JsonCodec {
         encode: CrashOutcome::to_json,
         decode: decode_outcome,
@@ -229,36 +230,45 @@ fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Json {
     let report = cfg.run_campaign(sup, plan.points.len(), codec, |ctx| {
         run_crash_point(cfg.full, &plan.points[ctx.trial.index], ctx.clock())
     });
-    let doc = document(seed, cfg.full, &crossings, &plan, &report);
-    count_verdicts(&registry, &plan, &report);
-    doc
+    let v = Verdicts::tally(&report);
+    let points = plan.points.len() as u64;
+    tel.counter("torture.crash_points").add(points);
+    tel.counter("torture.clean").add(v.clean);
+    tel.counter("torture.loud_degraded").add(v.loud_degraded);
+    tel.counter("torture.silent_corruption")
+        .add(v.silent_corruption);
+    tel.counter("torture.not_triggered").add(v.not_triggered);
+    let json = document(seed, cfg.full, &crossings, &plan, &report, &v);
+    Output {
+        text: render(&json),
+        json,
+        telemetry: Some(tel.snapshot()),
+    }
 }
 
-/// Registers and bumps the `torture.*` counters from the merged report.
-fn count_verdicts(
-    registry: &Telemetry,
-    plan: &TorturePlan,
-    report: &SupervisedReport<CrashOutcome>,
-) {
-    let mut clean = 0u64;
-    let mut loud = 0u64;
-    let mut silent = 0u64;
-    let mut not_triggered = 0u64;
-    for outcome in report.values() {
-        match outcome.verdict {
-            CrashVerdict::Clean => clean += 1,
-            CrashVerdict::LoudDegraded { .. } => loud += 1,
-            CrashVerdict::SilentCorruption { .. } => silent += 1,
-            CrashVerdict::NotTriggered => not_triggered += 1,
+/// Verdict counts over the completed shards: the document's summary and
+/// the `torture.*` counters both read this one tally.
+#[derive(Debug, Default)]
+struct Verdicts {
+    clean: u64,
+    loud_degraded: u64,
+    silent_corruption: u64,
+    not_triggered: u64,
+}
+
+impl Verdicts {
+    fn tally(report: &SupervisedReport<CrashOutcome>) -> Verdicts {
+        let mut v = Verdicts::default();
+        for outcome in report.values() {
+            match outcome.verdict {
+                CrashVerdict::Clean => v.clean += 1,
+                CrashVerdict::LoudDegraded { .. } => v.loud_degraded += 1,
+                CrashVerdict::SilentCorruption { .. } => v.silent_corruption += 1,
+                CrashVerdict::NotTriggered => v.not_triggered += 1,
+            }
         }
+        v
     }
-    registry
-        .counter("torture.crash_points")
-        .add(plan.points.len() as u64);
-    registry.counter("torture.clean").add(clean);
-    registry.counter("torture.loud_degraded").add(loud);
-    registry.counter("torture.silent_corruption").add(silent);
-    registry.counter("torture.not_triggered").add(not_triggered);
 }
 
 /// Assembles the structured result document. `resumed` is deliberately
@@ -270,11 +280,8 @@ fn document(
     crossings: &[SiteCrossings],
     plan: &TorturePlan,
     report: &SupervisedReport<CrashOutcome>,
+    verdicts: &Verdicts,
 ) -> Json {
-    let mut clean = 0u64;
-    let mut loud = 0u64;
-    let mut silent = 0u64;
-    let mut not_triggered = 0u64;
     let rows: Vec<Json> = report
         .outcomes
         .iter()
@@ -287,12 +294,6 @@ fn document(
                 ("shard", Json::str(o.status())),
             ];
             if let ShardOutcome::Ok(out) = o {
-                match out.verdict {
-                    CrashVerdict::Clean => clean += 1,
-                    CrashVerdict::LoudDegraded { .. } => loud += 1,
-                    CrashVerdict::SilentCorruption { .. } => silent += 1,
-                    CrashVerdict::NotTriggered => not_triggered += 1,
-                }
                 fields.push(("verdict", out.verdict.to_json()));
             }
             Json::obj(fields)
@@ -324,10 +325,10 @@ fn document(
         (
             "summary",
             Json::obj([
-                ("clean", Json::from(clean)),
-                ("loud_degraded", Json::from(loud)),
-                ("silent_corruption", Json::from(silent)),
-                ("not_triggered", Json::from(not_triggered)),
+                ("clean", Json::from(verdicts.clean)),
+                ("loud_degraded", Json::from(verdicts.loud_degraded)),
+                ("silent_corruption", Json::from(verdicts.silent_corruption)),
+                ("not_triggered", Json::from(verdicts.not_triggered)),
                 ("timeouts", Json::from(report.timeouts)),
                 ("panics", Json::from(report.panics)),
                 ("skipped", Json::from(report.skipped)),
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn every_enumerated_point_fires_and_none_corrupts_silently() {
-        let doc = run_supervised(7, 4, &ScenarioCfg::default());
+        let doc = run_supervised(7, 4, &ScenarioCfg::default()).json;
         let results = doc.get("results").and_then(Json::as_arr).expect("results");
         assert!(!results.is_empty());
         // Coverage: enumerated sites == sites fired. A `not_triggered`
@@ -485,8 +486,12 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_document() {
-        let one = run_supervised(11, 1, &ScenarioCfg::default()).to_string();
-        let four = run_supervised(11, 4, &ScenarioCfg::default()).to_string();
+        let one = run_supervised(11, 1, &ScenarioCfg::default())
+            .json
+            .to_string();
+        let four = run_supervised(11, 4, &ScenarioCfg::default())
+            .json
+            .to_string();
         assert_eq!(one, four);
     }
 
@@ -501,7 +506,8 @@ mod tests {
                 abort_after: Some(0),
                 ..ScenarioCfg::default()
             },
-        );
+        )
+        .json;
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
         let summary = doc.get("summary").expect("summary");
         let total = doc
@@ -522,7 +528,9 @@ mod tests {
         path.push(format!("ssdhammer-torture-resume-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let uninterrupted = run_supervised(7, 2, &ScenarioCfg::default()).to_string();
+        let uninterrupted = run_supervised(7, 2, &ScenarioCfg::default())
+            .json
+            .to_string();
         let killed = run_supervised(
             7,
             2,
@@ -531,7 +539,8 @@ mod tests {
                 abort_after: Some(5),
                 ..ScenarioCfg::default()
             },
-        );
+        )
+        .json;
         assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
         let resumed = run_supervised(
             7,
@@ -542,7 +551,7 @@ mod tests {
                 ..ScenarioCfg::default()
             },
         );
-        assert_eq!(resumed.to_string(), uninterrupted);
+        assert_eq!(resumed.json.to_string(), uninterrupted);
         let _ = std::fs::remove_file(&path);
     }
 }
@@ -559,8 +568,6 @@ impl Scenario for TortureScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let json = run_supervised(seed, threads, &cfg);
-        let text = render(&json);
-        Output::new(json, text)
+        run_supervised(seed, threads, &cfg)
     }
 }

@@ -1,6 +1,7 @@
 //! `repro`'s argument errors: each rejected command line exits with
-//! status 2 before any experiment runs, and an unknown attack-grid filter
-//! prints both registries so the user can pick a valid name.
+//! status 2 before any experiment runs. An unknown attack-grid filter
+//! prints both registries so the user can pick a valid name, and a flag
+//! that no selected experiment reads names the flag.
 
 use std::process::{Command, Output};
 
@@ -62,4 +63,27 @@ fn a_checkpoint_needs_the_whole_grid_of_one_experiment() {
         stderr.contains("--checkpoint needs a single experiment, not all"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_flag_no_selected_experiment_reads_exits_2() {
+    for (args, message) in [
+        (
+            &["fig1", "--pattern", "two_sided"][..],
+            "fig1 does not read --pattern",
+        ),
+        (
+            &["prob", "--replay", "corpus"][..],
+            "prob does not read --replay",
+        ),
+        (&["table1", "--full"][..], "table1 does not read --full"),
+        (
+            &["all", "--soak", "3"][..],
+            "no experiment all runs reads --soak",
+        ),
+        (&["faults", "--resume"][..], "--resume needs --checkpoint"),
+    ] {
+        let stderr = rejected(args);
+        assert!(stderr.contains(message), "{stderr}");
+    }
 }

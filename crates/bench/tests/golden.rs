@@ -3,10 +3,14 @@
 //! under `tests/golden/`. A change that moves any simulated value fails
 //! here. If the change is meant, it is a declared re-baseline: regenerate
 //! the file with the command the failure prints and record the changed
-//! outputs in CHANGES.md.
+//! outputs in CHANGES.md. The torture and fuzz campaigns' telemetry files
+//! are also checked against their documents: each campaign counter equals
+//! the summary figure it counts.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use ssdhammer_simkit::json::Json;
 
 /// The flags every golden run shares.
 const COMMON: &[&str] = &["--seed", "7", "--threads", "2"];
@@ -90,14 +94,41 @@ fn deterministic_repro_outputs_match_the_golden_files() {
         ),
     ));
 
+    let mut miscounts = Vec::new();
     for (file, args) in [
         ("all.txt", &["all", "--full"][..]),
         ("torture.json", &["torture", "--full", "--json"][..]),
         ("fuzz.json", &["fuzz", "--soak", "16", "--json"][..]),
     ] {
-        let (_, stdout) = run_repro(file, args);
+        let (dir, stdout) = run_repro(file, args);
         let regenerate = format!("{} > crates/bench/tests/golden/{file}", command(args));
         mismatches.extend(mismatch(file, &stdout, &regenerate));
+        let campaign = args[0];
+        if campaign == "all" {
+            continue;
+        }
+        // The campaign's counters, written beside its document.
+        let side = format!("{campaign}-telemetry.json");
+        let telemetry = std::fs::read_to_string(dir.join(&side))
+            .unwrap_or_else(|e| panic!("repro {campaign} writes {side}: {e}"));
+        let golden = format!("{campaign}.telemetry.json");
+        mismatches.extend(mismatch(
+            &golden,
+            &telemetry,
+            &format!("{regenerate} && mv {side} crates/bench/tests/golden/{golden}"),
+        ));
+        let (doc, telemetry) = (parse(&stdout), parse(&telemetry));
+        for (counter, want) in summary_counts(campaign, &doc) {
+            let got = telemetry
+                .get("counters")
+                .and_then(|c| c.get(counter))
+                .and_then(Json::as_u64);
+            if got != Some(want) {
+                miscounts.push(format!(
+                    "{side}: {counter} is {got:?}, the document says {want}"
+                ));
+            }
+        }
     }
 
     assert!(
@@ -106,4 +137,46 @@ fn deterministic_repro_outputs_match_the_golden_files() {
          files above and record the changed outputs in CHANGES.md.",
         mismatches.join("\n\n")
     );
+    assert!(miscounts.is_empty(), "{}", miscounts.join("\n"));
+}
+
+fn parse(text: &str) -> Json {
+    Json::parse(text).unwrap_or_else(|e| panic!("not JSON ({e:?}): {text}"))
+}
+
+/// The counters a `torture` or `fuzz` run must report, each with the
+/// figure of its document `doc` it counts.
+fn summary_counts(campaign: &str, doc: &Json) -> Vec<(&'static str, u64)> {
+    let figure = |path: &[&str]| {
+        path.iter()
+            .try_fold(doc, |j, key| j.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("{campaign} document lacks {}", path.join(".")))
+    };
+    let summary = |key: &str| figure(&["summary", key]);
+    let mut counts = if campaign == "torture" {
+        let points = figure(&["plan", "crash_points"]);
+        vec![
+            ("torture.crash_points", points),
+            ("supervisor.shards", points),
+            ("torture.clean", summary("clean")),
+            ("torture.loud_degraded", summary("loud_degraded")),
+            ("torture.silent_corruption", summary("silent_corruption")),
+            ("torture.not_triggered", summary("not_triggered")),
+        ]
+    } else {
+        vec![
+            ("fuzz.episodes", summary("pass") + summary("fail")),
+            ("supervisor.shards", figure(&["episodes"])),
+            ("fuzz.divergences", summary("fail")),
+            ("fuzz.shrink_execs", summary("shrink_execs")),
+            ("fuzz.hammer.bursts", summary("hammer_bursts")),
+        ]
+    };
+    counts.extend([
+        ("supervisor.timeouts", summary("timeouts")),
+        ("supervisor.panics", summary("panics")),
+        ("supervisor.retries", summary("retries")),
+    ]);
+    counts
 }

@@ -159,16 +159,6 @@ impl ToJson for Redirection {
     }
 }
 
-/// Snapshots ground-truth mappings of `lbas` without disturbing the device
-/// (diagnostic peek; bypasses ECC).
-///
-/// # Errors
-///
-/// Propagates FTL/DRAM errors.
-pub fn snapshot_mappings(ftl: &Ftl, lbas: &[Lba]) -> Result<Vec<Option<Ppn>>, FtlError> {
-    ftl.peek_mappings(lbas)
-}
-
 /// Snapshots the *host-visible* mapping states of `lbas`, reading each entry
 /// through the device path (activations + ECC, including scrub-on-correct).
 ///
@@ -177,7 +167,10 @@ pub fn snapshot_mappings(ftl: &Ftl, lbas: &[Lba]) -> Result<Vec<Option<Ppn>>, Ft
 /// Propagates only addressing errors; per-entry ECC failures and L2P
 /// integrity-plane detections become [`MappingState::Unreadable`] — a loud
 /// failure the host observes, not a silent redirection.
-pub fn snapshot_host_mappings(ftl: &mut Ftl, lbas: &[Lba]) -> Result<Vec<MappingState>, FtlError> {
+pub(crate) fn snapshot_host_mappings(
+    ftl: &mut Ftl,
+    lbas: &[Lba],
+) -> Result<Vec<MappingState>, FtlError> {
     lbas.iter()
         .map(|&l| match ftl.entry_read(l) {
             Ok(Some(ppn)) => Ok(MappingState::Mapped(ppn)),
@@ -185,20 +178,6 @@ pub fn snapshot_host_mappings(ftl: &mut Ftl, lbas: &[Lba]) -> Result<Vec<Mapping
             Err(FtlError::Dram(_) | FtlError::L2pIntegrity { .. }) => Ok(MappingState::Unreadable),
             Err(e) => Err(e),
         })
-        .collect()
-}
-
-/// Diffs two mapping snapshots taken over the same `lbas`.
-#[must_use]
-pub fn diff_mappings(
-    lbas: &[Lba],
-    before: &[MappingState],
-    after: &[MappingState],
-) -> Vec<Redirection> {
-    lbas.iter()
-        .zip(before.iter().zip(after))
-        .filter(|(_, (b, a))| b != a)
-        .map(|(&lba, (&from, &to))| Redirection { lba, from, to })
         .collect()
 }
 
@@ -511,30 +490,6 @@ mod tests {
         assert_eq!(plan.opts.dwell_factor, 8.0);
         assert_eq!(plan.rate_scale, 0.125);
         assert_eq!(plan.opts.label, "rowpress");
-    }
-
-    #[test]
-    fn diff_detects_only_changes() {
-        let lbas = [Lba(1), Lba(2), Lba(3)];
-        let before = [
-            MappingState::Mapped(Ppn(10)),
-            MappingState::Mapped(Ppn(20)),
-            MappingState::Unmapped,
-        ];
-        let after = [
-            MappingState::Mapped(Ppn(10)),
-            MappingState::Mapped(Ppn(99)),
-            MappingState::Unmapped,
-        ];
-        let d = diff_mappings(&lbas, &before, &after);
-        assert_eq!(
-            d,
-            vec![Redirection {
-                lba: Lba(2),
-                from: MappingState::Mapped(Ppn(20)),
-                to: MappingState::Mapped(Ppn(99)),
-            }]
-        );
     }
 
     #[test]

@@ -49,12 +49,11 @@ pub mod recon;
 pub mod spray;
 
 pub use attack::{
-    diff_mappings, expected_time_to_success, make_hammerer, make_placement, make_victim,
-    pattern_names, placement_names, probe_sites, setup_entries, snapshot_host_mappings,
-    snapshot_mappings, victim_names, AttackError, AttackOutcome, AttackPipeline, BadBlockTable,
-    ChangeKind, CrossBank, HammerPlan, Hammerer, JournalCache, L2pEntries, ManySided, MappingState,
-    Observation, OneLocation, OneSided, Placement, Redirection, RowPress, SameBank, TwoSided,
-    Victim, VictimChange, WearCounters,
+    expected_time_to_success, make_hammerer, make_placement, make_victim, pattern_names,
+    placement_names, probe_sites, setup_entries, victim_names, AttackError, AttackOutcome,
+    AttackPipeline, BadBlockTable, ChangeKind, CrossBank, HammerPlan, Hammerer, JournalCache,
+    L2pEntries, ManySided, MappingState, Observation, OneLocation, OneSided, Placement,
+    Redirection, RowPress, SameBank, TwoSided, Victim, VictimChange, WearCounters,
 };
 pub use polyglot::{executable_payload, is_valid_executable, polyglot_block};
 pub use probability::AttackParams;

@@ -206,6 +206,7 @@ pub fn clear_spray<S: BlockDevice>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssdhammer_fs::InodeMap;
     use ssdhammer_simkit::RamDisk;
 
     const ROOT: Credentials = Credentials::root();
@@ -238,8 +239,8 @@ mod tests {
         assert_eq!(report.files.len(), 20);
         assert_eq!(report.exhausted_at, None);
         assert_eq!(report.blocks_consumed(), 40);
-        let st = fs.stat(report.files[0].ino).unwrap();
-        assert_eq!(st.addressing, AddressingMode::Indirect);
+        let inode = fs.read_inode(report.files[0].ino).unwrap();
+        assert!(matches!(inode.map, InodeMap::Indirect { .. }));
         // Blocks 0..12 are holes.
         let hole = fs
             .read_file_block(report.files[0].ino, ATTACKER, 0)

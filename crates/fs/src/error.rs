@@ -22,8 +22,6 @@ pub enum FsError {
     InvalidName,
     /// Offset beyond the maximum file size for its addressing mode.
     FileTooLarge,
-    /// Directory still has entries.
-    DirectoryNotEmpty,
     /// On-disk metadata failed validation (bad magic, checksum mismatch,
     /// impossible pointer). The payload describes what failed.
     Corrupted(String),
@@ -48,7 +46,6 @@ impl core::fmt::Display for FsError {
             FsError::NoSpace => write!(f, "no space left on device"),
             FsError::InvalidName => write!(f, "invalid file name"),
             FsError::FileTooLarge => write!(f, "file too large"),
-            FsError::DirectoryNotEmpty => write!(f, "directory not empty"),
             FsError::Corrupted(why) => write!(f, "filesystem corrupted: {why}"),
             FsError::Io(e) => write!(f, "i/o error: {e}"),
         }

@@ -16,18 +16,18 @@
 //!   sorted by hash, the hash being the CRC-32C of a name. Every other
 //!   block is a leaf of 64-byte entries, and each entry lives in the leaf
 //!   whose hash range covers its name; a fresh directory is an index and
-//!   one empty leaf. `lookup`, `create`, `mkdir`, `unlink`, `rmdir` and
-//!   `rename` read the index and that one leaf, so their cost does not grow
-//!   with the directory. An insert takes the leaf's first free slot; a full
-//!   leaf first splits at its median hash into a newly appended block
-//!   (entries with equal hashes stay together); an unlink clears its slot
-//!   and never merges leaves. `readdir`, fsck and `rmdir`'s emptiness check
-//!   walk the leaves in index order. The index and the leaf are read and
-//!   validated on every operation, not cached, so a redirected LBA under
-//!   either is still followed or reported as corrupted. A directory grows
-//!   until its index holds [`DIR_INDEX_LIMIT`] leaves or its extent map
-//!   holds [`EXTENTS_PER_LEAF`] extents, whichever comes first, and then
-//!   returns [`FsError::NoSpace`].
+//!   one empty leaf. `lookup`, `create`, `mkdir` and `unlink` read the
+//!   index and that one leaf, so their cost does not grow with the
+//!   directory. An insert takes the leaf's first free slot; a full leaf
+//!   first splits at its median hash into a newly appended block (entries
+//!   with equal hashes stay together); an unlink clears its slot and never
+//!   merges leaves. `readdir` and fsck walk the leaves in index order. The
+//!   index and the leaf are read and validated on every operation, not
+//!   cached, so a redirected LBA under either is still followed or
+//!   reported as corrupted. A directory grows until its index holds
+//!   [`DIR_INDEX_LIMIT`] leaves or its extent map holds
+//!   [`EXTENTS_PER_LEAF`] extents, whichever comes first, and then returns
+//!   [`FsError::NoSpace`].
 //! * Directories always use extent addressing; regular files choose
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
@@ -74,23 +74,6 @@ impl Credentials {
     pub const fn is_root(&self) -> bool {
         self.uid == 0
     }
-}
-
-/// Metadata returned by [`FileSystem::stat`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stat {
-    /// The inode number.
-    pub ino: Ino,
-    /// File type.
-    pub ftype: FileType,
-    /// Permission bits.
-    pub perms: u16,
-    /// Owner.
-    pub uid: u32,
-    /// Size in bytes.
-    pub size: u64,
-    /// Addressing mode of the block map.
-    pub addressing: AddressingMode,
 }
 
 /// An ext4-like filesystem over a block device.
@@ -939,40 +922,6 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(ino)
     }
 
-    /// Unlinks the `ftype` entry at `path` and frees its inode and blocks,
-    /// clearing the slot in the leaf its name hashes to.
-    fn remove_entry(&mut self, path: &str, cred: Credentials, ftype: FileType) -> FsResult<()> {
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let parent = self.read_inode(parent_ino)?;
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        let mut leaf = self.dir_leaf(&parent, name)?;
-        let Some((slot, entry)) = leaf.hit.take() else {
-            return Err(FsError::NotFound);
-        };
-        match (entry.ftype, ftype) {
-            (FileType::Directory, FileType::Regular) => return Err(FsError::IsADirectory),
-            (FileType::Regular, FileType::Directory) => return Err(FsError::NotADirectory),
-            _ => {}
-        }
-        let inode = self.read_inode(entry.ino)?;
-        if ftype == FileType::Directory {
-            let mut empty = true;
-            self.dir_walk(&inode, |_, _| {
-                empty = false;
-                true
-            })?;
-            if !empty {
-                return Err(FsError::DirectoryNotEmpty);
-            }
-        }
-        leaf.slot_mut(slot).fill(0);
-        self.write_raw(leaf.fsb, &leaf.block)?;
-        self.release_blocks(&inode)?;
-        self.free_ino(entry.ino)
-    }
-
     // ---- public operations -------------------------------------------------
 
     /// Creates a regular file. Returns its inode number.
@@ -1033,23 +982,6 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(out)
     }
 
-    /// File metadata by inode.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::NotFound`] and corruption errors.
-    pub fn stat(&mut self, ino: Ino) -> FsResult<Stat> {
-        let inode = self.read_inode(ino)?;
-        Ok(Stat {
-            ino,
-            ftype: inode.ftype,
-            perms: inode.perms,
-            uid: inode.uid,
-            size: inode.size,
-            addressing: inode.map.mode(),
-        })
-    }
-
     /// Writes the 4 KiB block at file-logical index `logical`, allocating as
     /// needed (sparse files supported: unwritten lower blocks remain holes).
     ///
@@ -1103,22 +1035,30 @@ impl<S: BlockDevice> FileSystem<S> {
         }
     }
 
-    /// Removes a regular file, freeing its blocks.
+    /// Removes a regular file, freeing its inode and blocks: clears its
+    /// slot in the leaf its name hashes to.
     ///
     /// # Errors
     ///
     /// [`FsError::IsADirectory`] for directories, permission and I/O errors.
     pub fn unlink(&mut self, path: &str, cred: Credentials) -> FsResult<()> {
-        self.remove_entry(path, cred, FileType::Regular)
-    }
-
-    /// Removes an empty directory.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::DirectoryNotEmpty`], permission, and I/O errors.
-    pub fn rmdir(&mut self, path: &str, cred: Credentials) -> FsResult<()> {
-        self.remove_entry(path, cred, FileType::Directory)
+        let (parent_ino, name) = self.resolve_parent(path)?;
+        let parent = self.read_inode(parent_ino)?;
+        if !Self::can_write(&parent, cred) {
+            return Err(FsError::PermissionDenied);
+        }
+        let mut leaf = self.dir_leaf(&parent, name)?;
+        let Some((slot, entry)) = leaf.hit.take() else {
+            return Err(FsError::NotFound);
+        };
+        if entry.ftype == FileType::Directory {
+            return Err(FsError::IsADirectory);
+        }
+        let inode = self.read_inode(entry.ino)?;
+        leaf.slot_mut(slot).fill(0);
+        self.write_raw(leaf.fsb, &leaf.block)?;
+        self.release_blocks(&inode)?;
+        self.free_ino(entry.ino)
     }
 
     /// All filesystem blocks a file references (data + its metadata blocks:
@@ -1155,205 +1095,6 @@ impl<S: BlockDevice> FileSystem<S> {
             }
         }
         Ok(out)
-    }
-
-    /// Renames a file or directory. The destination must not exist.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::Exists`] if `to` exists, [`FsError::PermissionDenied`]
-    /// without write access to both parents, plus path/I-O errors.
-    pub fn rename(&mut self, from: &str, to: &str, cred: Credentials) -> FsResult<()> {
-        let (from_parent_ino, from_name) = self.resolve_parent(from)?;
-        let (to_parent_ino, to_name) = self.resolve_parent(to)?;
-        let from_parent = self.read_inode(from_parent_ino)?;
-        let mut to_parent = self.read_inode(to_parent_ino)?;
-        if !Self::can_write(&from_parent, cred) || !Self::can_write(&to_parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        let mut from_leaf = self.dir_leaf(&from_parent, from_name)?;
-        let Some((slot, entry)) = from_leaf.hit.take() else {
-            return Err(FsError::NotFound);
-        };
-        let mut to_leaf = self.dir_leaf(&to_parent, to_name)?;
-        if to_leaf.hit.is_some() {
-            return Err(FsError::Exists);
-        }
-        from_leaf.slot_mut(slot).fill(0);
-        self.write_raw(from_leaf.fsb, &from_leaf.block)?;
-        // Within one directory the leaf just written may be the one the new
-        // name hashes to, so the insert reads it afresh.
-        if to_parent_ino == from_parent_ino {
-            to_leaf = self.dir_leaf(&to_parent, to_name)?;
-        }
-        let slot = self.dir_make_room(to_parent_ino, &mut to_parent, &mut to_leaf)?;
-        let moved = Dirent {
-            ino: entry.ino,
-            ftype: entry.ftype,
-            name: to_name.to_owned(),
-        };
-        to_leaf.slot_mut(slot).copy_from_slice(&moved.encode());
-        self.write_raw(to_leaf.fsb, &to_leaf.block)
-    }
-
-    /// Changes permission bits. Only the owner or root may do this.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::PermissionDenied`] plus path/I-O errors.
-    pub fn chmod(&mut self, path: &str, cred: Credentials, perms: u16) -> FsResult<()> {
-        let ino = self.lookup(path)?;
-        let mut inode = self.read_inode(ino)?;
-        if !cred.is_root() && cred.uid != inode.uid {
-            return Err(FsError::PermissionDenied);
-        }
-        inode.perms = perms;
-        self.write_inode(ino, &inode)
-    }
-
-    /// Changes ownership. Root only.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::PermissionDenied`] plus path/I-O errors.
-    pub fn chown(&mut self, path: &str, cred: Credentials, uid: u32) -> FsResult<()> {
-        if !cred.is_root() {
-            return Err(FsError::PermissionDenied);
-        }
-        let ino = self.lookup(path)?;
-        let mut inode = self.read_inode(ino)?;
-        inode.uid = uid;
-        self.write_inode(ino, &inode)
-    }
-
-    /// Truncates a regular file to `blocks` 4 KiB blocks, freeing everything
-    /// beyond (holes included — they were never allocated).
-    ///
-    /// # Errors
-    ///
-    /// Permission and I/O errors; [`FsError::IsADirectory`] for directories.
-    pub fn truncate(&mut self, ino: Ino, cred: Credentials, blocks: u32) -> FsResult<()> {
-        let mut inode = self.read_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::IsADirectory);
-        }
-        if !Self::can_write(&inode, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        match &mut inode.map {
-            InodeMap::Extents { inline, leaf } => {
-                let mut freed = Vec::new();
-                let trim = |extents: &mut Vec<Extent>, freed: &mut Vec<FsBlock>| {
-                    extents.retain_mut(|e| {
-                        if e.logical >= blocks {
-                            for i in 0..e.len {
-                                freed.push(e.start + i);
-                            }
-                            false
-                        } else {
-                            let keep = blocks - e.logical;
-                            if e.len > keep {
-                                for i in keep..e.len {
-                                    freed.push(e.start + i);
-                                }
-                                e.len = keep;
-                            }
-                            true
-                        }
-                    });
-                };
-                trim(inline, &mut freed);
-                if let Some(leaf_block) = *leaf {
-                    let mut extents = self.read_extent_leaf(leaf_block)?;
-                    trim(&mut extents, &mut freed);
-                    if extents.is_empty() {
-                        freed.push(leaf_block);
-                        *leaf = None;
-                    } else {
-                        self.write_extent_leaf(leaf_block, &extents)?;
-                    }
-                }
-                self.free_blocks(&freed)?;
-            }
-            InodeMap::Indirect {
-                direct,
-                single,
-                double,
-            } => {
-                let mut freed = Vec::new();
-                for (i, d) in direct.iter_mut().enumerate() {
-                    if i as u32 >= blocks && *d != 0 {
-                        freed.push(*d);
-                        *d = 0;
-                    }
-                }
-                if *single != 0 {
-                    let cut = blocks.saturating_sub(DIRECT_PTRS as u32);
-                    let mut ptrs = self.read_raw(*single)?;
-                    let mut any_left = false;
-                    for i in 0..PTRS_PER_BLOCK {
-                        let p = read_ptr(&ptrs, i);
-                        if p == 0 {
-                            continue;
-                        }
-                        if (i as u32) >= cut {
-                            freed.push(p);
-                            write_ptr(&mut ptrs, i, 0);
-                        } else {
-                            any_left = true;
-                        }
-                    }
-                    if any_left {
-                        self.write_raw(*single, &ptrs)?;
-                    } else {
-                        freed.push(*single);
-                        *single = 0;
-                    }
-                }
-                if *double != 0 {
-                    let cut = blocks.saturating_sub((DIRECT_PTRS + PTRS_PER_BLOCK) as u32);
-                    let mut outer = self.read_raw(*double)?;
-                    let mut outer_left = false;
-                    for oi in 0..PTRS_PER_BLOCK {
-                        let mid = read_ptr(&outer, oi);
-                        if mid == 0 {
-                            continue;
-                        }
-                        let mut inner = self.read_raw(mid)?;
-                        let mut inner_left = false;
-                        for ii in 0..PTRS_PER_BLOCK {
-                            let p = read_ptr(&inner, ii);
-                            if p == 0 {
-                                continue;
-                            }
-                            let logical = (oi * PTRS_PER_BLOCK + ii) as u32;
-                            if logical >= cut {
-                                freed.push(p);
-                                write_ptr(&mut inner, ii, 0);
-                            } else {
-                                inner_left = true;
-                            }
-                        }
-                        if inner_left {
-                            self.write_raw(mid, &inner)?;
-                            outer_left = true;
-                        } else {
-                            freed.push(mid);
-                            write_ptr(&mut outer, oi, 0);
-                        }
-                    }
-                    if outer_left {
-                        self.write_raw(*double, &outer)?;
-                    } else {
-                        freed.push(*double);
-                        *double = 0;
-                    }
-                }
-                self.free_blocks(&freed)?;
-            }
-        }
-        inode.size = inode.size.min(u64::from(blocks) * BLOCK_SIZE as u64);
-        self.write_inode(ino, &inode)
     }
 
     /// Whether `b` is marked allocated in the block bitmap (fsck helper).
@@ -1477,9 +1218,9 @@ mod tests {
         for i in 0..20u32 {
             assert_eq!(f.read_file_block(ino, ROOT, i).unwrap()[0], i as u8);
         }
-        let st = f.stat(ino).unwrap();
-        assert_eq!(st.size, 20 * 4096);
-        assert_eq!(st.addressing, AddressingMode::Extents);
+        let inode = f.read_inode(ino).unwrap();
+        assert_eq!(inode.size, 20 * 4096);
+        assert!(matches!(inode.map, InodeMap::Extents { .. }));
     }
 
     #[test]
@@ -1633,18 +1374,6 @@ mod tests {
     }
 
     #[test]
-    fn rmdir_requires_empty() {
-        let mut f = fs();
-        f.mkdir("/d", ROOT, 0o755).unwrap();
-        f.create("/d/x", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        assert_eq!(f.rmdir("/d", ROOT).unwrap_err(), FsError::DirectoryNotEmpty);
-        f.unlink("/d/x", ROOT).unwrap();
-        f.rmdir("/d", ROOT).unwrap();
-        assert_eq!(f.lookup("/d").unwrap_err(), FsError::NotFound);
-    }
-
-    #[test]
     fn extents_only_policy_blocks_indirect_creation() {
         let mut f = fs();
         f.set_extents_only(true).unwrap();
@@ -1769,12 +1498,6 @@ mod tests {
         f.create("/d", ROOT, 0o644, AddressingMode::Extents)
             .unwrap();
         assert_eq!(names(&mut f), ["d", "b", "dup"]);
-        // Renaming within the directory reuses the slot it frees.
-        let b = f.lookup("/b").unwrap();
-        f.rename("/b", "/e", ROOT).unwrap();
-        assert_eq!(f.lookup("/b").unwrap_err(), FsError::NotFound);
-        assert_eq!(f.lookup("/e").unwrap(), b);
-        assert_eq!(names(&mut f), ["d", "e", "dup"]);
         assert!(f.fsck().unwrap().is_clean());
     }
 
@@ -1887,7 +1610,6 @@ mod tests {
             f.unlink(&format!("/d/{name}"), ROOT).unwrap();
         }
         assert_eq!(f.read_inode(ino).unwrap().size / BLOCK_SIZE as u64, blocks);
-        f.rmdir("/d", ROOT).unwrap();
         assert!(f.fsck().unwrap().is_clean());
     }
 
@@ -1905,130 +1627,6 @@ mod tests {
             }
         }
         assert_eq!(result.unwrap_err(), FsError::NoSpace);
-    }
-
-    #[test]
-    fn rename_moves_between_directories() {
-        let mut f = fs();
-        f.mkdir("/a", ROOT, 0o755).unwrap();
-        f.mkdir("/b", ROOT, 0o755).unwrap();
-        let ino = f
-            .create("/a/x", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        f.write_file_block(ino, ROOT, 0, &block_of(9)).unwrap();
-        f.rename("/a/x", "/b/y", ROOT).unwrap();
-        assert_eq!(f.lookup("/a/x").unwrap_err(), FsError::NotFound);
-        let moved = f.lookup("/b/y").unwrap();
-        assert_eq!(moved, ino);
-        assert_eq!(f.read_file_block(moved, ROOT, 0).unwrap()[0], 9);
-        // Same-directory rename also works.
-        f.rename("/b/y", "/b/z", ROOT).unwrap();
-        assert!(f.lookup("/b/z").is_ok());
-        // Destination collision rejected.
-        f.create("/b/w", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        assert_eq!(f.rename("/b/z", "/b/w", ROOT).unwrap_err(), FsError::Exists);
-        // Unprivileged rename out of a protected dir fails.
-        assert_eq!(
-            f.rename("/b/z", "/b/q", ALICE).unwrap_err(),
-            FsError::PermissionDenied
-        );
-    }
-
-    #[test]
-    fn chmod_and_chown_enforce_ownership() {
-        let mut f = fs();
-        f.mkdir("/home", ROOT, 0o777).unwrap();
-        let ino = f
-            .create("/home/a", ALICE, 0o600, AddressingMode::Extents)
-            .unwrap();
-        f.write_file_block(ino, ALICE, 0, &block_of(1)).unwrap();
-        // Bob can't chmod Alice's file; Alice can.
-        assert_eq!(
-            f.chmod("/home/a", BOB, 0o644).unwrap_err(),
-            FsError::PermissionDenied
-        );
-        f.chmod("/home/a", ALICE, 0o644).unwrap();
-        assert!(f.read_file_block(ino, BOB, 0).is_ok());
-        // Only root chowns.
-        assert_eq!(
-            f.chown("/home/a", ALICE, BOB.uid).unwrap_err(),
-            FsError::PermissionDenied
-        );
-        f.chown("/home/a", ROOT, BOB.uid).unwrap();
-        assert_eq!(f.stat(ino).unwrap().uid, BOB.uid);
-    }
-
-    #[test]
-    fn truncate_extents_frees_tail() {
-        let mut f = fs();
-        let ino = f
-            .create("/t", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        for i in 0..30u32 {
-            f.write_file_block(ino, ROOT, i, &block_of(7)).unwrap();
-        }
-        f.truncate(ino, ROOT, 10).unwrap();
-        assert_eq!(f.stat(ino).unwrap().size, 10 * 4096);
-        for i in 0..10u32 {
-            assert_eq!(f.read_file_block(ino, ROOT, i).unwrap()[0], 7);
-        }
-        for i in 10..30u32 {
-            assert_eq!(f.read_file_block(ino, ROOT, i).unwrap(), block_of(0));
-        }
-        assert!(f.fsck().unwrap().is_clean());
-    }
-
-    #[test]
-    fn truncate_indirect_frees_pointer_blocks() {
-        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
-        let ino = f
-            .create("/t", ROOT, 0o644, AddressingMode::Indirect)
-            .unwrap();
-        // Spans direct + single + double indirect ranges.
-        for i in [0u32, 5, 12, 100, (DIRECT_PTRS + PTRS_PER_BLOCK + 3) as u32] {
-            f.write_file_block(ino, ROOT, i, &block_of(3)).unwrap();
-        }
-        f.truncate(ino, ROOT, 6).unwrap();
-        assert_eq!(f.read_file_block(ino, ROOT, 5).unwrap()[0], 3);
-        for i in [12u32, 100, (DIRECT_PTRS + PTRS_PER_BLOCK + 3) as u32] {
-            assert_eq!(f.read_file_block(ino, ROOT, i).unwrap(), block_of(0));
-        }
-        let inode = f.read_inode(ino).unwrap();
-        let InodeMap::Indirect { single, double, .. } = inode.map else {
-            panic!();
-        };
-        assert_eq!(single, 0, "empty single-indirect block must be freed");
-        assert_eq!(double, 0, "empty double-indirect tree must be freed");
-        assert!(f.fsck().unwrap().is_clean());
-        // Truncate to zero empties everything.
-        f.truncate(ino, ROOT, 0).unwrap();
-        assert_eq!(f.stat(ino).unwrap().size, 0);
-        assert!(f.fsck().unwrap().is_clean());
-    }
-
-    #[test]
-    fn truncate_spilled_extent_leaf() {
-        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
-        let ino = f
-            .create("/frag", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        let other = f
-            .create("/other", ROOT, 0o644, AddressingMode::Extents)
-            .unwrap();
-        for i in 0..40u32 {
-            f.write_file_block(ino, ROOT, i, &block_of(3)).unwrap();
-            f.write_file_block(other, ROOT, i, &block_of(4)).unwrap();
-        }
-        // The leaf exists; truncating to zero must free it too.
-        f.truncate(ino, ROOT, 0).unwrap();
-        let inode = f.read_inode(ino).unwrap();
-        let InodeMap::Extents { inline, leaf } = &inode.map else {
-            panic!();
-        };
-        assert!(inline.is_empty());
-        assert!(leaf.is_none());
-        assert!(f.fsck().unwrap().is_clean());
     }
 
     #[test]

@@ -159,15 +159,6 @@ impl InodeMap {
             },
         }
     }
-
-    /// The addressing mode of this map.
-    #[must_use]
-    pub fn mode(&self) -> AddressingMode {
-        match self {
-            InodeMap::Extents { .. } => AddressingMode::Extents,
-            InodeMap::Indirect { .. } => AddressingMode::Indirect,
-        }
-    }
 }
 
 /// An in-memory inode.

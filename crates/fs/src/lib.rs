@@ -56,7 +56,7 @@ mod fsck;
 mod layout;
 
 pub use error::{FsError, FsResult};
-pub use fs::{Credentials, FileSystem, Stat, EXTENTS_PER_LEAF};
+pub use fs::{Credentials, FileSystem, EXTENTS_PER_LEAF};
 pub use fsck::{FsckIssue, FsckReport};
 pub use layout::{
     AddressingMode, DirIndex, Dirent, DirentRef, Extent, FileType, FsBlock, Ino, Inode, InodeMap,

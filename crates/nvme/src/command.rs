@@ -96,13 +96,6 @@ pub enum Command {
         /// Namespace-relative block address.
         lba: Lba,
     },
-    /// Flush (no-op for the simulated device; completes in order).
-    Flush {
-        /// Target namespace.
-        ns: NsId,
-    },
-    /// Identify-controller: returns capacity and model information.
-    Identify,
     /// Get-log-page (SMART / health information): returns the device's
     /// [`HealthLog`] — grown bad blocks, scrub repairs, uncorrectable
     /// reads, L2P integrity counters, and the read-only degradation flag.
@@ -226,17 +219,6 @@ impl core::fmt::Display for NvmeError {
 
 impl std::error::Error for NvmeError {}
 
-/// Controller-model data returned by [`Command::Identify`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdentifyData {
-    /// Device model string.
-    pub model: String,
-    /// Total exported capacity in blocks (across namespaces and free space).
-    pub capacity_blocks: u64,
-    /// Logical block size in bytes.
-    pub block_size: u32,
-}
-
 /// SMART-style health log returned by [`Command::GetLogPage`] — the
 /// counters an administrator (or an attack-detection daemon) would poll to
 /// notice a device under rowhammer pressure. All counts are cumulative
@@ -277,10 +259,6 @@ pub enum CmdResult {
     Write,
     /// Trim completed.
     Trim,
-    /// Flush completed.
-    Flush,
-    /// Identify payload.
-    Identify(IdentifyData),
     /// Get-log-page payload.
     HealthLog(HealthLog),
     /// Hammer burst completed; the DRAM-level disturbance report.

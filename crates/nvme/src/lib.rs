@@ -58,7 +58,7 @@ mod command;
 mod ssd;
 
 pub use command::{
-    CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, InterfaceGen, NsId,
-    NvmeError, QpId, QueuePairHandle, RetryPolicy,
+    CmdResult, Command, Completion, ControllerConfig, HealthLog, InterfaceGen, NsId, NvmeError,
+    QpId, QueuePairHandle, RetryPolicy,
 };
 pub use ssd::{Namespace, Ssd, SsdConfig};

@@ -17,8 +17,8 @@ use ssdhammer_simkit::{
 };
 
 use crate::command::{
-    CmdResult, Command, Completion, ControllerConfig, HealthLog, IdentifyData, NsId, NvmeError,
-    QpId, QueuePairHandle, RetryPolicy,
+    CmdResult, Command, Completion, ControllerConfig, HealthLog, NsId, NvmeError, QpId,
+    QueuePairHandle, RetryPolicy,
 };
 
 // Background patrol-scrubber schedule. Every `SCRUB_INTERVAL` of simulated
@@ -79,8 +79,6 @@ pub struct SsdConfig {
     /// Manufacturing-variation seed (weak cells, factory bad blocks) — also
     /// the root seed of the fault plane's per-site random streams.
     pub seed: u64,
-    /// Model string reported by Identify.
-    pub model: String,
 }
 
 impl SsdConfig {
@@ -103,7 +101,6 @@ impl SsdConfig {
             controller: ControllerConfig::default(),
             fault_plane: FaultPlaneConfig::new(),
             seed,
-            model: "ssdhammer prototype 1GiB".to_owned(),
         }
     }
 
@@ -125,7 +122,6 @@ impl SsdConfig {
             controller: ControllerConfig::default(),
             fault_plane: FaultPlaneConfig::new(),
             seed,
-            model: "ssdhammer test 64MiB".to_owned(),
         }
     }
 }
@@ -244,7 +240,6 @@ pub struct Ssd {
     ftl: Ftl,
     clock: SimClock,
     controller: ControllerConfig,
-    model: String,
     namespaces: BTreeMap<NsId, NamespaceInfo>,
     next_ns: u32,
     allocated_blocks: u64,
@@ -354,7 +349,6 @@ impl Ssd {
             ftl,
             clock,
             controller: config.controller,
-            model: config.model.clone(),
             namespaces: BTreeMap::new(),
             next_ns: 1,
             allocated_blocks: 0,
@@ -822,7 +816,7 @@ impl Ssd {
     /// [`Ssd::drain_completions`]:** a roundtrip per command forfeits the
     /// queue-depth parallelism the interface model rewards (and that the
     /// attack's throughput argument depends on). Prefer batching; this
-    /// remains for one-off control commands like `Identify`.
+    /// remains for one-off control commands like `GetLogPage`.
     ///
     /// # Errors
     ///
@@ -978,21 +972,6 @@ impl Ssd {
                 self.trim_block(ns, lba)?;
                 (CmdResult::Trim, None)
             }
-            Command::Flush { ns } => {
-                // Flush checkpoints any buffered L2P journal tail so an
-                // orderly shutdown loses nothing at the next remount.
-                self.ns_info(ns)?;
-                self.ftl.flush()?;
-                (CmdResult::Flush, None)
-            }
-            Command::Identify => (
-                CmdResult::Identify(IdentifyData {
-                    model: self.model.clone(),
-                    capacity_blocks: self.ftl.capacity_lbas(),
-                    block_size: BLOCK_SIZE as u32,
-                }),
-                None,
-            ),
             Command::GetLogPage => (CmdResult::HealthLog(self.health_log()), None),
             Command::VendorHammer { .. } => unreachable!("handled in execute"),
         })
@@ -1349,8 +1328,8 @@ mod tests {
         assert!(buf.iter().all(|&b| b == 0), "trimmed LBA reads zeroes");
         // Queue pairs are volatile: the remounted device starts with none.
         let qp = s.create_queue_pair(8);
-        let c = s.roundtrip(qp, Command::Identify).unwrap();
-        assert!(matches!(c.result, CmdResult::Identify(_)));
+        let c = s.roundtrip(qp, Command::GetLogPage).unwrap();
+        assert!(matches!(c.result, CmdResult::HealthLog(_)));
     }
 
     #[test]
@@ -1404,18 +1383,6 @@ mod tests {
         let after = s.snapshot_telemetry();
         assert_eq!(after.counter("nvme.completions"), Some(32));
         assert_eq!(after.gauge("nvme.iops"), Some(0.0));
-    }
-
-    #[test]
-    fn identify_reports_capacity() {
-        let mut s = ssd();
-        let qp = s.create_queue_pair(32);
-        let c = s.roundtrip(qp, Command::Identify).unwrap();
-        let CmdResult::Identify(id) = c.result else {
-            panic!("expected identify data");
-        };
-        assert_eq!(id.capacity_blocks, s.ftl().capacity_lbas());
-        assert_eq!(id.block_size, 4096);
     }
 
     #[test]
@@ -1542,9 +1509,9 @@ mod tests {
         let mut s = ssd();
         s.create_namespace(16).unwrap();
         let qp = s.create_queue_pair(2);
-        s.submit(qp, Command::Identify).unwrap();
-        s.submit(qp, Command::Identify).unwrap();
-        assert_eq!(s.submit(qp, Command::Identify), Err(NvmeError::QueueFull));
+        s.submit(qp, Command::GetLogPage).unwrap();
+        s.submit(qp, Command::GetLogPage).unwrap();
+        assert_eq!(s.submit(qp, Command::GetLogPage), Err(NvmeError::QueueFull));
         s.process(qp).unwrap();
         assert!(s.pop_completion(qp).unwrap().is_some());
     }
@@ -1864,7 +1831,7 @@ mod tests {
         let id: QpId = h.into();
         assert_eq!(id, h.id());
         // Both the handle and the raw id address the same queue.
-        s.submit(h, Command::Identify).unwrap();
+        s.submit(h, Command::GetLogPage).unwrap();
         s.process(id).unwrap();
         assert!(s.pop_completion(h).unwrap().is_some());
     }
@@ -2113,7 +2080,7 @@ mod tests {
         // Let enough simulated time pass that the patrol owes a full sweep,
         // then drive any command through the controller to pump it.
         s.clock().advance(SimDuration::from_millis(500));
-        let _ = s.roundtrip(qp, Command::Identify).unwrap();
+        let _ = s.roundtrip(qp, Command::GetLogPage).unwrap();
         let c = s.roundtrip(qp, Command::GetLogPage).unwrap();
         let CmdResult::HealthLog(log) = c.result else {
             panic!("expected health log");

@@ -100,26 +100,29 @@ fn main() {
 /// under the linear layout and checks redirection on the LBAs that *would*
 /// be the victims.
 fn attack_blind(config: SsdConfig) -> (u64, usize) {
-    use ssdhammer::core::{diff_mappings, snapshot_host_mappings};
-    use ssdhammer::dram::HammerOptions;
-    use ssdhammer::simkit::Lba;
+    use ssdhammer::dram::RowKey;
 
     let mut ssd = Ssd::build(config);
     // Attacker's (wrong) linear-layout model: entries of LBA n..n+255 share
     // a row; pick the guessed victim chunk and its neighbors.
-    let guessed_victim: Vec<Lba> = (512..768).map(Lba).collect();
-    let guessed_aggressors = [Lba(256), Lba(768)];
-    setup_entries(ssd.ftl_mut(), &guessed_victim).expect("setup");
-    let before = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
-    let report = ssd
-        .hammer_device_reads(
-            &guessed_aggressors,
-            500_000,
-            1_000_000.0,
-            HammerOptions::default(),
-        )
+    let row = |row| RowKey { bank: 0, row };
+    let guessed = AttackSite {
+        victim: row(2),
+        above: row(1),
+        below: row(3),
+        victim_lbas: (512..768).map(Lba).collect(),
+        above_lbas: vec![Lba(256)],
+        below_lbas: vec![Lba(768)],
+        weakest_threshold: 0,
+    };
+    let outcome = AttackPipeline::new(TwoSided, L2pEntries::default(), CrossBank)
+        .with_rate(1_000_000.0)
+        .with_duration(SimDuration::from_millis(500))
+        .with_sites(vec![guessed])
+        .run(&mut ssd)
         .expect("hammer");
-    let after = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
-    let redirs = diff_mappings(&guessed_victim, &before, &after);
-    (report.flips.len() as u64, redirs.len())
+    (
+        outcome.report.flips.len() as u64,
+        outcome.redirections().len(),
+    )
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ssdhammer::core::{find_attack_sites, setup_entries, snapshot_mappings};
+use ssdhammer::core::{find_attack_sites, setup_entries};
 use ssdhammer::dram::{DramGeneration, HammerOptions, ModuleProfile};
 use ssdhammer::ftl::FtlConfig;
 use ssdhammer::nvme::{CmdResult, Command, Ssd, SsdConfig};
@@ -35,7 +35,7 @@ fn per_command_nvme_reads_flip_l2p_bits() {
         .expect("one namespace over the whole device");
     let site = find_attack_sites(ssd.ftl(), 1).pop().expect("site");
     setup_entries(ssd.ftl_mut(), &site.victim_lbas).unwrap();
-    let before = snapshot_mappings(ssd.ftl(), &site.victim_lbas).unwrap();
+    let before = ssd.ftl().peek_mappings(&site.victim_lbas).unwrap();
 
     let qp = ssd.create_queue_pair(64);
     let aggressors = [site.above_lbas[0], site.below_lbas[0]];
@@ -57,7 +57,7 @@ fn per_command_nvme_reads_flip_l2p_bits() {
         }
     }
 
-    let after = snapshot_mappings(ssd.ftl(), &site.victim_lbas).unwrap();
+    let after = ssd.ftl().peek_mappings(&site.victim_lbas).unwrap();
     assert_ne!(
         before, after,
         "per-command reads should corrupt the victim row's L2P entries"
