@@ -4,7 +4,7 @@
 //!
 //! The four sweeps' ten points run as the shards of one supervised
 //! campaign, so the report is bit-identical for any `--threads` value and
-//! honours `--checkpoint`, `--resume` and `--abort-after`.
+//! honours `--abort-after`.
 
 use ssdhammer_core::{
     cross_partition_sites, find_attack_sites, setup_entries, AttackPipeline, LbaRange,
@@ -12,7 +12,7 @@ use ssdhammer_core::{
 use ssdhammer_dram::{DramGeneration, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
 use ssdhammer_simkit::{Lba, SimDuration};
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
@@ -290,17 +290,13 @@ impl Ablations {
     }
 }
 
-/// The ablations campaign under `cfg`'s campaign flags: one supervised
+/// The ablations campaign under `cfg`'s `--abort-after`: one supervised
 /// shard per sweep point.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<AblationPoint> {
     let sup = Supervisor::new(seed)
         .with_tag("ablations")
         .with_threads(threads);
-    let codec = JsonCodec {
-        encode: AblationPoint::to_json,
-        decode: AblationPoint::from_json,
-    };
-    cfg.run_campaign(sup, POINTS, codec, |ctx| point(seed, ctx.trial.index))
+    cfg.run_campaign(sup, POINTS, |ctx| point(seed, ctx.trial.index))
 }
 
 /// Renders all ablations as one report.
@@ -432,50 +428,6 @@ impl ToJson for Ablations {
             ("mapping_census", self.mapping_census.to_json()),
             ("victim_activity", self.victim_activity.to_json()),
         ])
-    }
-}
-
-impl ToJson for AblationPoint {
-    /// A one-key object naming the point's sweep, keyed as in [`Ablations`].
-    fn to_json(&self) -> Json {
-        let (sweep, row) = match self {
-            AblationPoint::Amplification(r) => ("amplification", r.to_json()),
-            AblationPoint::FastPath(r) => ("fast_path", r.to_json()),
-            AblationPoint::MappingCensus(r) => ("mapping_census", r.to_json()),
-            AblationPoint::VictimActivity(r) => ("victim_activity", r.to_json()),
-        };
-        Json::obj([(sweep, row)])
-    }
-}
-
-impl AblationPoint {
-    /// Decodes a checkpointed point; `None` makes the supervisor re-run the
-    /// shard live.
-    fn from_json(j: &Json) -> Option<AblationPoint> {
-        let (sweep, r) = j.as_obj()?.first()?;
-        let count = |key: &str| usize::try_from(r.get(key)?.as_u64()?).ok();
-        let text = |key: &str| Some(r.get(key)?.as_str()?.to_owned());
-        Some(match sweep.as_str() {
-            "amplification" => AblationPoint::Amplification(AmplificationRow {
-                amplification: u32::try_from(r.get("amplification")?.as_u64()?).ok()?,
-                act_rate: r.get("act_rate")?.as_f64()?,
-                flips: count("flips")?,
-            }),
-            "fast_path" => AblationPoint::FastPath(FastPathRow {
-                config: text("config")?,
-                mean_latency_us: r.get("mean_latency_us")?.as_f64()?,
-            }),
-            "mapping_census" => AblationPoint::MappingCensus(MappingCensusRow {
-                mapping: text("mapping")?,
-                total_sites: count("total_sites")?,
-                cross_partition_sites: count("cross_partition_sites")?,
-            }),
-            "victim_activity" => AblationPoint::VictimActivity(VictimActivityRow {
-                scenario: text("scenario")?,
-                victim_row_flips: count("victim_row_flips")?,
-            }),
-            _ => return None,
-        })
     }
 }
 

@@ -11,15 +11,13 @@
 //! instead of a result — that, too, is a finding.
 //!
 //! Cells run as the shards of one supervised campaign, so the output
-//! document is bit-identical for any `--threads` value — and, with
-//! `--checkpoint`/`--resume`, bit-identical whether or not the campaign
-//! was killed and resumed partway.
+//! document is bit-identical for any `--threads` value.
 
 use ssdhammer_core::{pattern_names, victim_names, AttackError, AttackPipeline};
 use ssdhammer_dram::{DramGeneration, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
@@ -48,36 +46,6 @@ pub struct GridCell {
     pub loud: u64,
     /// Typed pipeline error, when the combination cannot run.
     pub error: Option<String>,
-}
-
-impl GridCell {
-    /// Decodes a checkpointed cell; registry names map back to their
-    /// `&'static str` entries. `None` (undecodable) makes the supervisor
-    /// re-run the shard live.
-    fn from_json(j: &Json) -> Option<GridCell> {
-        let interned = |names: &[&'static str], v: &str| names.iter().find(|n| **n == v).copied();
-        let pattern = interned(pattern_names(), j.get("pattern").and_then(Json::as_str)?)?;
-        let victim = interned(victim_names(), j.get("victim").and_then(Json::as_str)?)?;
-        let placement = interned(
-            &["same_bank", "cross_bank"],
-            j.get("placement").and_then(Json::as_str)?,
-        )?;
-        Some(GridCell {
-            pattern,
-            victim,
-            placement,
-            sites_used: usize::try_from(j.get("sites_used").and_then(Json::as_u64)?).ok()?,
-            flips: j.get("flips").and_then(Json::as_u64)?,
-            achieved_rate: j.get("achieved_rate").and_then(Json::as_f64)?,
-            changes: j.get("changes").and_then(Json::as_u64)?,
-            silent: j.get("silent").and_then(Json::as_u64)?,
-            loud: j.get("loud").and_then(Json::as_u64)?,
-            error: j
-                .get("error")
-                .and_then(Json::as_str)
-                .map(ToString::to_string),
-        })
-    }
 }
 
 impl ToJson for GridCell {
@@ -163,18 +131,6 @@ fn run_cell(seed: u64, pattern: &'static str, victim: &'static str) -> GridCell 
     cell
 }
 
-/// Why a [`ScenarioCfg`] selects no attack grid the campaign can run.
-#[derive(Debug)]
-pub enum GridError {
-    /// `cfg.pattern` or `cfg.victim` names nothing in its registry.
-    Unknown(AttackError),
-    /// A checkpoint for a filtered grid. A checkpoint knows its seed, tag
-    /// and cell count but not the filter, and every single-pattern filter
-    /// has the same cell count, so resuming under another filter would
-    /// restore the wrong cells.
-    FilteredCheckpoint,
-}
-
 /// The (pattern, victim) cells `cfg` selects, in grid order: every
 /// registry pattern crossed with every victim, restricted to one
 /// pattern's or one victim's cells by `cfg.pattern` and `cfg.victim`.
@@ -183,25 +139,21 @@ pub enum GridError {
 ///
 /// # Errors
 ///
-/// [`GridError::Unknown`] when a filter names nothing in the registries;
-/// [`GridError::FilteredCheckpoint`] when `cfg` names a checkpoint and a
-/// filter.
-pub fn grid_cells(cfg: &ScenarioCfg) -> Result<Vec<(&'static str, &'static str)>, GridError> {
-    if cfg.checkpoint.is_some() && (cfg.pattern.is_some() || cfg.victim.is_some()) {
-        return Err(GridError::FilteredCheckpoint);
-    }
+/// [`AttackError::UnknownPattern`] or [`AttackError::UnknownVictim`] when
+/// a filter names nothing in its registry.
+pub fn grid_cells(cfg: &ScenarioCfg) -> Result<Vec<(&'static str, &'static str)>, AttackError> {
     let patterns: Vec<&'static str> = match cfg.pattern.as_deref() {
         Some(p) => vec![*pattern_names()
             .iter()
             .find(|n| **n == p)
-            .ok_or_else(|| GridError::Unknown(AttackError::UnknownPattern(p.to_owned())))?],
+            .ok_or_else(|| AttackError::UnknownPattern(p.to_owned()))?],
         None => pattern_names().to_vec(),
     };
     let victims: Vec<&'static str> = match cfg.victim.as_deref() {
         Some(v) => vec![*victim_names()
             .iter()
             .find(|n| **n == v)
-            .ok_or_else(|| GridError::Unknown(AttackError::UnknownVictim(v.to_owned())))?],
+            .ok_or_else(|| AttackError::UnknownVictim(v.to_owned()))?],
         None => victim_names().to_vec(),
     };
     Ok(patterns
@@ -216,16 +168,12 @@ fn campaign(
     seed: u64,
     threads: usize,
     cfg: &ScenarioCfg,
-) -> Result<SupervisedReport<GridCell>, GridError> {
+) -> Result<SupervisedReport<GridCell>, AttackError> {
     let cells = grid_cells(cfg)?;
     let sup = Supervisor::new(seed)
         .with_tag("attack-grid")
         .with_threads(threads);
-    let codec = JsonCodec {
-        encode: GridCell::to_json,
-        decode: GridCell::from_json,
-    };
-    Ok(cfg.run_campaign(sup, cells.len(), codec, |ctx| {
+    Ok(cfg.run_campaign(sup, cells.len(), |ctx| {
         let (p, v) = cells[ctx.trial.index];
         run_cell(ctx.trial.seed, p, v)
     }))
@@ -268,7 +216,7 @@ mod tests {
     fn grid(
         threads: usize,
         (pattern, victim): (Option<&str>, Option<&str>),
-    ) -> Result<Vec<GridCell>, GridError> {
+    ) -> Result<Vec<GridCell>, AttackError> {
         let cfg = ScenarioCfg {
             pattern: pattern.map(str::to_owned),
             victim: victim.map(str::to_owned),
@@ -306,66 +254,11 @@ mod tests {
         assert_eq!(one.len(), 1);
         assert!(matches!(
             grid(1, (Some("nope"), None)),
-            Err(GridError::Unknown(AttackError::UnknownPattern(_)))
+            Err(AttackError::UnknownPattern(_))
         ));
         assert!(matches!(
             grid(1, (None, Some("nope"))),
-            Err(GridError::Unknown(AttackError::UnknownVictim(_)))
-        ));
-    }
-
-    #[test]
-    fn grid_cells_survive_a_checkpoint_round_trip() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("ssdhammer-attacks-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let uninterrupted = grid(2, (None, None)).expect("grid");
-        let killed = campaign(
-            11,
-            2,
-            &ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                abort_after: Some(3),
-                ..ScenarioCfg::default()
-            },
-        )
-        .expect("killed grid");
-        assert!(killed.degraded());
-        assert_eq!(killed.values().count(), 3);
-        let resumed = campaign(
-            11,
-            1,
-            &ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..ScenarioCfg::default()
-            },
-        )
-        .expect("resumed grid");
-        assert!(!resumed.degraded());
-        assert_eq!(resumed.resumed, 3);
-        let resumed_cells: Vec<GridCell> = resumed.values().cloned().collect();
-        assert_eq!(
-            resumed_cells.to_json().to_string(),
-            uninterrupted.to_json().to_string()
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn a_filtered_grid_refuses_to_resume_a_checkpoint() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("ssdhammer-attacks-filter-{}", std::process::id()));
-        let resume = ScenarioCfg {
-            checkpoint: Some(path),
-            resume: true,
-            pattern: Some("one_sided".to_owned()),
-            ..ScenarioCfg::default()
-        };
-        assert!(matches!(
-            campaign(11, 1, &resume),
-            Err(GridError::FilteredCheckpoint)
+            Err(AttackError::UnknownVictim(_))
         ));
     }
 
@@ -399,7 +292,7 @@ impl Scenario for AttacksScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg).unwrap_or_else(|e| panic!("{e:?}"));
+        let report = campaign(seed, threads, &cfg).unwrap_or_else(|e| panic!("{e}"));
         let cells: Vec<GridCell> = report.values().cloned().collect();
         campaign_output(&report, cells.to_json(), render(&cells))
     }

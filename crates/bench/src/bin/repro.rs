@@ -17,7 +17,6 @@
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 
-use ssdhammer_bench::attacks::GridError;
 use ssdhammer_bench::scenario::{Output, Scenario, ScenarioCfg};
 use ssdhammer_bench::{
     ablations, attacks, defenses, faults, fig1, fig2, fig3, fuzz, sec23, sec32, sec43, sec5,
@@ -30,7 +29,7 @@ struct Ctx {
     seed: u64,
     threads: usize,
     json: bool,
-    /// Everything a scenario reads: `--full`, the campaign flags, the
+    /// Everything a scenario reads: `--full`, `--abort-after`, the
     /// attack-grid filters and the fuzz modes.
     cfg: ScenarioCfg,
 }
@@ -60,7 +59,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &table1::Table1Scenario,
         help: "Table 1  — minimal access rate to trigger bitflips",
         in_all: true,
-        flags: "--checkpoint F --resume --abort-after N",
+        flags: "--abort-after N",
         check: None,
     },
     Cmd {
@@ -88,7 +87,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &sec43::Sec43Scenario,
         help: "§4.3     — probability of success",
         in_all: true,
-        flags: "--checkpoint F --resume --abort-after N",
+        flags: "--abort-after N",
         check: None,
     },
     Cmd {
@@ -109,7 +108,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &ablations::AblationsScenario,
         help: "design-choice ablations (DESIGN.md §5)",
         in_all: true,
-        flags: "--checkpoint F --resume --abort-after N",
+        flags: "--abort-after N",
         check: None,
     },
     Cmd {
@@ -123,36 +122,36 @@ static COMMANDS: &[Cmd] = &[
         scenario: &faults::FaultsScenario,
         help: "fault-injection plane vs the FTL recovery stack",
         in_all: true,
-        flags: "--checkpoint F --resume --abort-after N",
+        flags: "--abort-after N",
         check: None,
     },
     Cmd {
         scenario: &defenses::DefensesScenario,
         help: "defense-in-depth matrix — attack success per defense layer",
         in_all: true,
-        flags: "--checkpoint F --resume --abort-after N",
+        flags: "--abort-after N",
         check: None,
     },
     Cmd {
         scenario: &attacks::AttacksScenario,
         help: "pattern x victim campaign grid (--pattern/--victim filter)",
         in_all: true,
-        flags: "--pattern P --victim V --checkpoint F --resume --abort-after N",
+        flags: "--pattern P --victim V --abort-after N",
         check: Some(check_grid_filter),
     },
     Cmd {
         scenario: &torture::TortureScenario,
         help: "power-cut torture — crash-point enumeration x recovery oracle",
         in_all: false,
-        flags: "--full --checkpoint F --resume --abort-after N",
+        flags: "--full --abort-after N",
         check: None,
     },
     Cmd {
         scenario: &fuzz::FuzzScenario,
         help: "model-based fuzz — random op soak vs the shadow oracle",
         in_all: false,
-        flags: "--full --soak N --replay DIR --checkpoint F --resume --abort-after N",
-        check: None,
+        flags: "--full --soak N --replay DIR --abort-after N",
+        check: Some(check_replay),
     },
 ];
 
@@ -180,10 +179,6 @@ fn main() {
                 ctx.threads =
                     value::<NonZeroUsize>(&mut it, "--threads needs a positive number").get();
             }
-            "--checkpoint" => {
-                ctx.cfg.checkpoint = Some(value(&mut it, "--checkpoint needs a path"));
-            }
-            "--resume" => ctx.cfg.resume = true,
             "--abort-after" => {
                 ctx.cfg.abort_after = Some(value(&mut it, "--abort-after needs a number"));
             }
@@ -207,10 +202,6 @@ fn main() {
     let name = experiment.as_deref().unwrap_or("all");
     let cmds: Vec<&Cmd> = match name {
         "help" => return print_help(),
-        // One checkpoint file holds one campaign.
-        "all" if ctx.cfg.checkpoint.is_some() => {
-            die("--checkpoint needs a single experiment, not all")
-        }
         "all" => COMMANDS.iter().filter(|c| c.in_all).collect(),
         _ => match COMMANDS.iter().find(|c| c.scenario.name() == name) {
             Some(cmd) => vec![cmd],
@@ -224,9 +215,6 @@ fn main() {
         } else {
             format!("{name} does not read {flag}")
         });
-    }
-    if ctx.cfg.resume && ctx.cfg.checkpoint.is_none() {
-        die("--resume needs --checkpoint");
     }
     for check in cmds.iter().filter_map(|c| c.check) {
         check(&ctx.cfg);
@@ -264,18 +252,27 @@ fn run_cmd(cmd: &Cmd, ctx: &Ctx) {
 /// Rejects attack-grid filters [`attacks::grid_cells`] cannot run; an
 /// unknown name also prints both registries.
 fn check_grid_filter(cfg: &ScenarioCfg) {
-    match attacks::grid_cells(cfg) {
-        Ok(_) => {}
-        Err(GridError::Unknown(e)) => {
-            eprintln!("repro: {e}");
-            eprintln!("patterns: {}", pattern_names().join(", "));
-            eprintln!("victims:  {}", victim_names().join(", "));
-            std::process::exit(2);
-        }
-        // The checkpoint does not record the filter.
-        Err(GridError::FilteredCheckpoint) => {
-            die("--checkpoint covers the whole grid; drop --pattern/--victim")
-        }
+    if let Err(e) = attacks::grid_cells(cfg) {
+        eprintln!("repro: {e}");
+        eprintln!("patterns: {}", pattern_names().join(", "));
+        eprintln!("victims:  {}", victim_names().join(", "));
+        std::process::exit(2);
+    }
+}
+
+/// Rejects the soak's flags with `--replay`, which replays the corpus
+/// cases and runs no soak.
+fn check_replay(cfg: &ScenarioCfg) {
+    if cfg.replay.is_none() {
+        return;
+    }
+    let soak_flags = [
+        ("--soak", cfg.soak.is_some()),
+        ("--full", cfg.full),
+        ("--abort-after", cfg.abort_after.is_some()),
+    ];
+    if let Some((flag, _)) = soak_flags.iter().find(|(_, given)| *given) {
+        die(&format!("fuzz --replay does not read {flag}"));
     }
 }
 
@@ -311,11 +308,8 @@ fn print_help() {
     println!("  --pattern P   run a single hammer pattern's cells");
     println!("  --victim V    run a single victim structure's cells");
     println!("  --soak N      run N episodes (default 24, or 64 with --full)");
-    println!("  --replay DIR  replay persisted corpus cases instead of soaking");
-    println!("  --checkpoint F  persist completed shards to F after each one (one");
-    println!("                experiment; attacks: the unfiltered grid only)");
-    println!("  --resume      restore completed shards from --checkpoint first;");
-    println!("                a resumed run prints what an uninterrupted one does");
+    println!("  --replay DIR  replay persisted corpus cases instead of soaking (reads");
+    println!("                none of --soak, --full, --abort-after)");
     println!("  --abort-after N  stop launching shards after N (kill simulation);");
     println!("                the partial report is marked degraded");
 }

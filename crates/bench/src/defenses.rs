@@ -13,8 +13,7 @@
 //! are usable by the paper's exploit chain.
 //!
 //! Trials run as the shards of one supervised campaign, so the output is
-//! bit-identical for any `--threads` value and honours `--checkpoint`,
-//! `--resume` and `--abort-after`.
+//! bit-identical for any `--threads` value and honours `--abort-after`.
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
 use ssdhammer_dram::{ModuleProfile, ParaConfig, TrrConfig};
@@ -22,7 +21,7 @@ use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimDuration;
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
@@ -77,32 +76,6 @@ struct TrialOutcome {
     loud: u64,
     repairs: u64,
     degraded: bool,
-}
-
-impl ToJson for TrialOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("flips", Json::from(self.flips)),
-            ("silent", Json::from(self.silent)),
-            ("loud", Json::from(self.loud)),
-            ("repairs", Json::from(self.repairs)),
-            ("degraded", Json::from(self.degraded)),
-        ])
-    }
-}
-
-impl TrialOutcome {
-    /// Decodes a checkpointed trial; `None` makes the supervisor re-run the
-    /// shard live.
-    fn from_json(j: &Json) -> Option<TrialOutcome> {
-        Some(TrialOutcome {
-            flips: j.get("flips")?.as_u64()?,
-            silent: j.get("silent")?.as_u64()?,
-            loud: j.get("loud")?.as_u64()?,
-            repairs: j.get("repairs")?.as_u64()?,
-            degraded: j.get("degraded")?.as_bool()?,
-        })
-    }
 }
 
 /// A flash geometry small enough that the tiny test DRAM holds both the
@@ -197,17 +170,13 @@ fn attack_trial(config: SsdConfig) -> TrialOutcome {
     }
 }
 
-/// The defense campaign under `cfg`'s campaign flags: one supervised shard
+/// The defense campaign under `cfg`'s `--abort-after`: one supervised shard
 /// per (defense, trial) pair, defense-major, each seeded from its position.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<TrialOutcome> {
     let sup = Supervisor::new(seed)
         .with_tag("defenses")
         .with_threads(threads);
-    let codec = JsonCodec {
-        encode: TrialOutcome::to_json,
-        decode: TrialOutcome::from_json,
-    };
-    cfg.run_campaign(sup, DEFENSES.len() * TRIALS, codec, |ctx| {
+    cfg.run_campaign(sup, DEFENSES.len() * TRIALS, |ctx| {
         attack_trial(configure(ctx.trial.index / TRIALS, ctx.trial.seed))
     })
 }

@@ -6,8 +6,7 @@
 //! surfaced as (honest) failures.
 //!
 //! Scenarios run as the shards of one supervised campaign, so the output
-//! is bit-identical for any `--threads` value and honours `--checkpoint`,
-//! `--resume` and `--abort-after`.
+//! is bit-identical for any `--threads` value and honours `--abort-after`.
 
 use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
 use ssdhammer_flash::{FlashArray, FlashGeometry};
@@ -15,7 +14,7 @@ use ssdhammer_ftl::{Ftl, FtlConfig, FtlError};
 use ssdhammer_nvme::{Command, ControllerConfig, NsId, RetryPolicy, Ssd, SsdConfig};
 use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
 use ssdhammer_simkit::{Lba, SimClock, BLOCK_SIZE};
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
@@ -44,20 +43,6 @@ impl ToJson for FaultRow {
             ("failed", Json::from(self.failed)),
             ("degraded", Json::from(self.degraded)),
         ])
-    }
-}
-
-impl FaultRow {
-    /// Decodes a checkpointed row; `None` makes the supervisor re-run the
-    /// shard live.
-    fn from_json(j: &Json) -> Option<FaultRow> {
-        Some(FaultRow {
-            scenario: j.get("scenario")?.as_str()?.to_owned(),
-            injected: j.get("injected")?.as_u64()?,
-            recovered: j.get("recovered")?.as_u64()?,
-            failed: j.get("failed")?.as_u64()?,
-            degraded: j.get("degraded")?.as_bool()?,
-        })
     }
 }
 
@@ -309,7 +294,7 @@ fn write_cmd(ns: NsId, lba: u64, fill: u8) -> Command {
     }
 }
 
-/// The fault campaign under `cfg`'s campaign flags: one supervised shard
+/// The fault campaign under `cfg`'s `--abort-after`: one supervised shard
 /// per scenario, each seeded from its position.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<FaultRow> {
     const SCENARIOS: [fn(u64) -> FaultRow; 5] = [
@@ -322,11 +307,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Fa
     let sup = Supervisor::new(seed)
         .with_tag("faults")
         .with_threads(threads);
-    let codec = JsonCodec {
-        encode: FaultRow::to_json,
-        decode: FaultRow::from_json,
-    };
-    cfg.run_campaign(sup, SCENARIOS.len(), codec, |ctx| {
+    cfg.run_campaign(sup, SCENARIOS.len(), |ctx| {
         SCENARIOS[ctx.trial.index](ctx.trial.seed)
     })
 }

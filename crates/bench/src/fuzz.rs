@@ -19,9 +19,9 @@
 //! read-only flag and free-block count) into a state the shadow accepts.
 //!
 //! On divergence the engine ([`ssdhammer_simkit::fuzz`]) auto-shrinks the
-//! sequence to a minimal repro (ddmin over ops, then per-op parameters),
-//! buckets failures by signature, and the campaign document carries the
-//! minimized cases in the same JSON shape as the committed `corpus/`
+//! sequence to a minimal repro (ddmin over ops, then per-op parameters);
+//! the campaign buckets failures by signature, and its document carries
+//! the minimized cases in the same JSON shape as the committed `corpus/`
 //! directory, which `repro fuzz --replay corpus/` re-executes as
 //! regression tests.
 //!
@@ -46,7 +46,7 @@ use ssdhammer_simkit::faultplane::{FaultPlaneConfig, FaultSpec};
 use ssdhammer_simkit::fuzz::{run_episode, Failure, FuzzCase, FuzzTarget, ShadowDisk, Verdict};
 use ssdhammer_simkit::json::Json;
 use ssdhammer_simkit::rng::{Rng, SimRng};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
 use ssdhammer_simkit::torture::{census_config, measure_crossings, SiteCrossings};
 use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
@@ -612,77 +612,11 @@ fn episode_count(cfg: &ScenarioCfg) -> usize {
 
 /// One supervised shard's result: did the episode diverge, and if so into
 /// what minimized case.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 struct EpisodeOutcome {
     seed: u64,
     hammer_bursts: u64,
-    failure: Option<MinimizedCase>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MinimizedCase {
-    signature: String,
-    detail: String,
-    ops: Vec<FuzzOp>,
-    original_len: usize,
-    shrink_execs: usize,
-}
-
-impl MinimizedCase {
-    fn from_case(case: &FuzzCase<FuzzOp>) -> MinimizedCase {
-        MinimizedCase {
-            signature: case.failure.signature.clone(),
-            detail: case.failure.detail.clone(),
-            ops: case.ops.clone(),
-            original_len: case.original_len,
-            shrink_execs: case.shrink_execs,
-        }
-    }
-}
-
-fn encode_outcome(o: &EpisodeOutcome) -> Json {
-    let mut fields = vec![
-        ("seed", Json::from(o.seed)),
-        ("hammer_bursts", Json::from(o.hammer_bursts)),
-    ];
-    if let Some(f) = &o.failure {
-        fields.push((
-            "failure",
-            Json::obj([
-                ("signature", Json::str(f.signature.as_str())),
-                ("detail", Json::str(f.detail.as_str())),
-                ("original_len", Json::from(f.original_len)),
-                ("shrink_execs", Json::from(f.shrink_execs)),
-                ("ops", Json::Arr(f.ops.iter().map(encode_op).collect())),
-            ]),
-        ));
-    }
-    Json::obj(fields)
-}
-
-fn decode_outcome(j: &Json) -> Option<EpisodeOutcome> {
-    let seed = j.get("seed").and_then(Json::as_u64)?;
-    let hammer_bursts = j.get("hammer_bursts").and_then(Json::as_u64)?;
-    let failure = match j.get("failure") {
-        None => None,
-        Some(f) => Some(MinimizedCase {
-            signature: f.get("signature").and_then(Json::as_str)?.to_string(),
-            detail: f.get("detail").and_then(Json::as_str)?.to_string(),
-            original_len: f.get("original_len").and_then(Json::as_u64)? as usize,
-            shrink_execs: f.get("shrink_execs").and_then(Json::as_u64)? as usize,
-            ops: f
-                .get("ops")
-                .and_then(Json::as_arr)?
-                .iter()
-                .map(decode_op)
-                .collect::<Option<Vec<_>>>()?,
-        }),
-    };
-    Some(EpisodeOutcome {
-        seed,
-        hammer_bursts,
-        failure,
-    })
+    failure: Option<FuzzCase<FuzzOp>>,
 }
 
 /// Runs one supervised episode: generate, execute, shrink on divergence.
@@ -692,8 +626,7 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
         .iter()
         .filter(|op| matches!(op, FuzzOp::Hammer(_)))
         .count() as u64;
-    let failure = run_episode(target, seed, OPS_PER_EPISODE, SHRINK_BUDGET)
-        .map(|case| MinimizedCase::from_case(&case));
+    let failure = run_episode(target, seed, OPS_PER_EPISODE, SHRINK_BUDGET);
     EpisodeOutcome {
         seed,
         hammer_bursts,
@@ -701,27 +634,27 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
     }
 }
 
+/// The soak's supervisor. It grants no retry: a retry re-derives the
+/// episode seed, so a different episode would run in place of the one
+/// that panicked, and a panic is a finding.
+fn supervisor(seed: u64, threads: usize, tel: &Telemetry) -> Supervisor {
+    Supervisor::new(seed)
+        .with_tag("fuzz")
+        .with_threads(threads)
+        .attach_telemetry(tel)
+}
+
 /// Runs the soak campaign under `cfg` (episode count from `soak`/`full`;
-/// the campaign flags checkpoint, resume, or abort it): supervised
-/// episodes, divergences auto-shrunk and bucketed into the structured
-/// result document, its text report, and the `supervisor.*` and `fuzz.*`
-/// counters. The document is bit-identical for any `threads`, and — when
-/// checkpointed, killed, and resumed — bit-identical to an uninterrupted
-/// run.
+/// `abort_after` stops it early): supervised episodes, divergences
+/// auto-shrunk and bucketed into the structured result document, its text
+/// report, and the `supervisor.*` and `fuzz.*` counters. The document is
+/// bit-identical for any `threads`.
 fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let episodes = episode_count(cfg);
     let target = SsdFuzz::default();
     let tel = Telemetry::new();
-    let sup = Supervisor::new(seed)
-        .with_tag("fuzz")
-        .with_threads(threads)
-        .with_max_retries(1)
-        .attach_telemetry(&tel);
-    let codec = JsonCodec {
-        encode: encode_outcome,
-        decode: decode_outcome,
-    };
-    let report = cfg.run_campaign(sup, episodes, codec, |ctx| run_one(&target, ctx.trial.seed));
+    let sup = supervisor(seed, threads, &tel);
+    let report = cfg.run_campaign(sup, episodes, |ctx| run_one(&target, ctx.trial.seed));
     let tally = SoakTally::of(&report);
     tel.counter("fuzz.episodes").add(tally.pass + tally.fail);
     tel.counter("fuzz.divergences").add(tally.fail);
@@ -757,7 +690,7 @@ impl SoakTally {
                 Some(f) => {
                     t.fail += 1;
                     t.shrink_execs += f.shrink_execs as u64;
-                    *t.buckets.entry(f.signature.clone()).or_insert(0) += 1;
+                    *t.buckets.entry(f.failure.signature.clone()).or_insert(0) += 1;
                 }
             }
         }
@@ -765,9 +698,7 @@ impl SoakTally {
     }
 }
 
-/// Assembles the soak result document. `resumed` is deliberately omitted:
-/// it differs between a resumed and an uninterrupted run, and the
-/// document must not.
+/// Assembles the soak result document.
 fn document(
     seed: u64,
     episodes: usize,
@@ -784,8 +715,8 @@ fn document(
             Some(Json::obj([
                 ("episode", Json::from(i)),
                 ("seed", Json::from(o.seed)),
-                ("signature", Json::str(f.signature.as_str())),
-                ("detail", Json::str(f.detail.as_str())),
+                ("signature", Json::str(f.failure.signature.as_str())),
+                ("detail", Json::str(f.failure.detail.as_str())),
                 ("original_len", Json::from(f.original_len)),
                 ("minimized_len", Json::from(f.ops.len())),
                 ("shrink_execs", Json::from(f.shrink_execs)),
@@ -1122,34 +1053,14 @@ mod tests {
     }
 
     #[test]
-    fn aborted_soak_resumes_bit_identical() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("ssdhammer-fuzz-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let uninterrupted = soak(7, 2, 6).to_string();
-        let killed = run_soak(
-            7,
-            2,
-            &ScenarioCfg {
-                soak: Some(6),
-                checkpoint: Some(path.clone()),
-                abort_after: Some(2),
-                ..ScenarioCfg::default()
-            },
-        )
-        .json;
-        assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
-        let resumed = run_soak(
-            7,
-            1,
-            &ScenarioCfg {
-                soak: Some(6),
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..ScenarioCfg::default()
-            },
-        );
-        assert_eq!(resumed.json.to_string(), uninterrupted);
-        let _ = std::fs::remove_file(&path);
+    fn a_panicking_episode_is_a_finding_not_a_retry() {
+        // A retry re-derives the episode seed, so it would run a different
+        // episode in place of the one that panicked: the soak's supervisor
+        // reports the panic instead.
+        let report = supervisor(7, 1, &Telemetry::new()).run(1, |ctx| {
+            assert!(ctx.attempt > 0, "the first attempt panics");
+        });
+        assert_eq!((report.panics, report.retries), (1, 0));
+        assert!(report.degraded());
     }
 }

@@ -14,38 +14,31 @@
 //! Every *campaign* scenario — one that runs many independent trials —
 //! takes the same path: its shards run on a
 //! [`Supervisor`] through [`ScenarioCfg::run_campaign`], the single place
-//! the `--checkpoint`/`--resume`/`--abort-after` flags reach the runner,
-//! and [`campaign_output`] marks partial results the same way in every
-//! report and fails the run on a shard that panicked or timed out.
+//! the `--abort-after` flag reaches the runner, and [`campaign_output`]
+//! marks partial results the same way in every report and fails the run
+//! on a shard that panicked or timed out.
 
 use std::fmt;
 use std::path::PathBuf;
 
 use ssdhammer_simkit::json::Json;
-use ssdhammer_simkit::supervisor::{
-    JsonCodec, ShardCtx, ShardOutcome, SupervisedReport, Supervisor,
-};
+use ssdhammer_simkit::supervisor::{ShardCtx, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::TelemetrySnapshot;
 
 /// Options shared by every scenario. Scenarios ignore fields that do not
 /// apply to them (`fig3`, `torture` and `fuzz` distinguish `full`; only
 /// `attacks` reads the grid filters; only `fuzz` reads `soak` and
-/// `replay`); the checkpoint/resume/abort flags drive every campaign
-/// scenario through [`ScenarioCfg::run_campaign`].
+/// `replay`); `abort_after` drives every campaign scenario through
+/// [`ScenarioCfg::run_campaign`].
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioCfg {
     /// Run the paper-prototype-scale configuration where one exists
     /// (fig3's 1 GiB case study, torture's sampling schedule) instead of
     /// the fast demo.
     pub full: bool,
-    /// Persist completed campaign shards to this checkpoint file
-    /// (`--checkpoint`).
-    pub checkpoint: Option<PathBuf>,
-    /// Restore completed shards from the checkpoint before running
-    /// (`--resume`).
-    pub resume: bool,
-    /// Stop launching new shards after this many (`--abort-after`; CI's
-    /// simulated kill for checkpoint/resume round-trips).
+    /// Stop launching new shards after this many (`--abort-after`, a
+    /// simulated kill: the report covers the shards that ran and is
+    /// marked partial).
     pub abort_after: Option<usize>,
     /// Episode-count override for the fuzz campaign (`--soak N`).
     pub soak: Option<usize>,
@@ -61,20 +54,12 @@ pub struct ScenarioCfg {
 }
 
 impl ScenarioCfg {
-    /// Runs a campaign's `trials` shards on `sup` under this cfg's campaign
-    /// flags: `abort_after` stops launching shards, and `checkpoint` (with
-    /// `resume`) persists and restores completed shards through `codec`.
-    ///
-    /// # Panics
-    ///
-    /// When the checkpoint file cannot be read, validated against this
-    /// campaign, or written — the run cannot keep the promise the flag
-    /// asked for.
+    /// Runs a campaign's `trials` shards on `sup`, which stops launching
+    /// shards after `abort_after` of them.
     pub fn run_campaign<T, F>(
         &self,
         sup: Supervisor,
         trials: usize,
-        codec: JsonCodec<T>,
         shard: F,
     ) -> SupervisedReport<T>
     where
@@ -85,12 +70,7 @@ impl ScenarioCfg {
             Some(n) => sup.with_stop_after(n),
             None => sup,
         };
-        match &self.checkpoint {
-            Some(path) => sup
-                .run_checkpointed(trials, path, self.resume, codec, shard)
-                .unwrap_or_else(|e| panic!("{e}")),
-            None => sup.run(trials, shard),
-        }
+        sup.run(trials, shard)
     }
 }
 
@@ -120,8 +100,7 @@ impl Output {
 }
 
 /// A campaign scenario's output. When every shard completed it is
-/// `(json, text)` itself, so a resumed campaign prints exactly what an
-/// uninterrupted one does. When the campaign stopped early
+/// `(json, text)` itself. When the campaign stopped early
 /// (`--abort-after`), both cover only the completed shards: the document
 /// is wrapped with the partial-result marker
 /// `{"degraded": true, "skipped": n, "result": json}`, and the report
@@ -188,11 +167,7 @@ mod tests {
             abort_after: stop_after,
             ..ScenarioCfg::default()
         };
-        let codec = JsonCodec {
-            encode: |v| Json::from(*v),
-            decode: |j| j.as_u64().map(|v| v as usize),
-        };
-        cfg.run_campaign(Supervisor::new(3).with_threads(2), 3, codec, |ctx| {
+        cfg.run_campaign(Supervisor::new(3).with_threads(2), 3, |ctx| {
             assert!(!(fail && ctx.trial.index == 1), "injected shard failure");
             ctx.trial.index
         })

@@ -4,7 +4,7 @@
 
 use ssdhammer_core::AttackParams;
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport};
+use ssdhammer_simkit::supervisor::SupervisedReport;
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
 
@@ -40,20 +40,15 @@ fn params() -> AttackParams {
     AttackParams::paper_example(1 << 18)
 }
 
-/// The Monte-Carlo campaign under `cfg`'s campaign flags: one supervised
+/// The Monte-Carlo campaign under `cfg`'s `--abort-after`: one supervised
 /// shard per [`AttackParams::MC_CHUNK_TRIALS`]-trial chunk, returning the
 /// chunk's useful-flip hits. The estimate — every bit of it — is identical
 /// for any thread count.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<u64> {
     let params = params();
-    let codec = JsonCodec {
-        encode: |hits| Json::from(*hits),
-        decode: Json::as_u64,
-    };
     cfg.run_campaign(
         AttackParams::mc_supervisor(seed, threads),
         AttackParams::mc_chunks(MC_TRIALS),
-        codec,
         |ctx| params.mc_chunk_hits(MC_TRIALS, ctx.trial),
     )
 }

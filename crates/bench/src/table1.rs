@@ -11,7 +11,7 @@ use ssdhammer_dram::{
     hammer::measure_min_flip_rate, DramGeometry, DramModule, MappingKind, ModuleProfile,
 };
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
 use ssdhammer_simkit::SimClock;
 
 use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
@@ -44,24 +44,7 @@ impl ToJson for Table1Row {
     }
 }
 
-impl Table1Row {
-    /// Decodes a checkpointed row; `None` makes the supervisor re-run the
-    /// shard live.
-    fn from_json(j: &Json) -> Option<Table1Row> {
-        Some(Table1Row {
-            year: u16::try_from(j.get("year")?.as_u64()?).ok()?,
-            refs: j.get("refs")?.as_str()?.to_owned(),
-            module: j.get("module")?.as_str()?.to_owned(),
-            paper_kaps: u32::try_from(j.get("paper_kaps")?.as_u64()?).ok()?,
-            measured_kaps: match j.get("measured_kaps")? {
-                Json::Null => None,
-                m => Some(m.as_f64()?),
-            },
-        })
-    }
-}
-
-/// The Table 1 campaign under `cfg`'s campaign flags: one supervised shard
+/// The Table 1 campaign under `cfg`'s `--abort-after`: one supervised shard
 /// per module row. Each row builds its own module and clock from `seed`,
 /// and rows merge in table order.
 fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Table1Row> {
@@ -69,11 +52,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Ta
     let sup = Supervisor::new(seed)
         .with_tag("table1")
         .with_threads(threads);
-    let codec = JsonCodec {
-        encode: Table1Row::to_json,
-        decode: Table1Row::from_json,
-    };
-    cfg.run_campaign(sup, profiles.len(), codec, |ctx| {
+    cfg.run_campaign(sup, profiles.len(), |ctx| {
         let (year, refs, profile) = &profiles[ctx.trial.index];
         let paper_kaps = profile.min_flip_rate_kaps;
         let factory = move || {

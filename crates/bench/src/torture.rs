@@ -29,14 +29,14 @@
 //! [`TorturePlan::enumerate`] turns the census into the schedule —
 //! exhaustive in the default configuration, seeded stratified sampling at
 //! `--full` scale. Each point then replays as one shard under a
-//! [`Supervisor`]: panics are isolated with the shard's seed captured,
-//! shards that overrun the simulated-time budget become typed timeouts,
-//! and `--checkpoint`/`--resume` persist completed shards so an
-//! interrupted campaign finishes bit-identical to an uninterrupted one.
+//! [`Supervisor`]: a panic is isolated with the shard's seed captured and
+//! counted as a finding (the replay is deterministic, so the campaign does
+//! not retry it), and a shard that overruns the simulated-time budget
+//! becomes a typed timeout.
 
 use ssdhammer_ftl::CRASH_SITES;
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
 use ssdhammer_simkit::torture::{CrashPoint, CrashVerdict, SiteCrossings, TorturePlan};
 use ssdhammer_simkit::{SimClock, SimDuration};
@@ -46,28 +46,6 @@ use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// Structured-result schema identifier.
 pub const SCHEMA: &str = "ssdhammer-torture-v1";
-
-/// One torture shard's result: which crossing was cut and what the oracle
-/// concluded about the recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashOutcome {
-    /// The crash site that was cut.
-    pub site: String,
-    /// Which crossing of the site was cut (per-site consult index).
-    pub index: u64,
-    /// The oracle's verdict on the recovered device.
-    pub verdict: CrashVerdict,
-}
-
-impl ToJson for CrashOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("site", Json::str(self.site.as_str())),
-            ("index", Json::from(self.index)),
-            ("verdict", self.verdict.to_json()),
-        ])
-    }
-}
 
 /// Every site the campaign registers: the five in-operation
 /// [`CRASH_SITES`] plus the pre-operation `ftl.power_loss` gate.
@@ -144,7 +122,7 @@ fn census(full: bool) -> Vec<SiteCrossings> {
 /// Replays the workload with power cut at `point` and judges the run,
 /// advancing `clock` by the device's simulated time so the shard's
 /// sim-time watchdog sees it.
-fn run_crash_point(full: bool, point: &CrashPoint, clock: &SimClock) -> CrashOutcome {
+fn run_crash_point(full: bool, point: &CrashPoint, clock: &SimClock) -> CrashVerdict {
     let site = torture_sites()
         .iter()
         .position(|&s| s == point.site)
@@ -157,11 +135,7 @@ fn run_crash_point(full: bool, point: &CrashPoint, clock: &SimClock) -> CrashOut
     ops.extend(workload(full));
     let run = SsdFuzz::default().run(&ops);
     clock.advance(run.elapsed);
-    CrashOutcome {
-        site: point.site.clone(),
-        index: point.index,
-        verdict: judge(run),
-    }
+    judge(run)
 }
 
 /// Maps an executor run onto the campaign's verdicts.
@@ -180,54 +154,31 @@ fn judge(run: Run) -> CrashVerdict {
 
 // ---- campaign ---------------------------------------------------------------
 
-fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
-    let site = j.get("site").and_then(Json::as_str)?.to_string();
-    let index = j.get("index").and_then(Json::as_u64)?;
-    let v = j.get("verdict")?;
-    let detail = v
-        .get("detail")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_string();
-    let verdict = match v.get("status").and_then(Json::as_str)? {
-        "clean" => CrashVerdict::Clean,
-        "loud_degraded" => CrashVerdict::LoudDegraded { detail },
-        "silent_corruption" => CrashVerdict::SilentCorruption { detail },
-        "not_triggered" => CrashVerdict::NotTriggered,
-        _ => return None,
-    };
-    Some(CrashOutcome {
-        site,
-        index,
-        verdict,
-    })
+/// The campaign's supervisor: a sim-time watchdog, and no retry, since a
+/// crash-point replay that panics would panic again.
+fn supervisor(seed: u64, threads: usize, tel: &Telemetry) -> Supervisor {
+    Supervisor::new(seed)
+        .with_tag("torture")
+        .with_threads(threads)
+        .with_sim_budget(SimDuration::from_secs(600))
+        .attach_telemetry(tel)
 }
 
 /// Runs the full campaign under `cfg` (`full` picks the larger workload
-/// and a sampling crash schedule; the campaign flags checkpoint, resume,
-/// or abort it): census, crash-schedule enumeration, one supervised shard
-/// per crash point, merged into the structured result document, its text
-/// report, and the `supervisor.*` and `torture.*` counters. The document
-/// is bit-identical for any `threads`, and — when checkpointed, killed,
-/// and resumed — bit-identical to an uninterrupted run.
+/// and a sampling crash schedule; `abort_after` stops it early): census,
+/// crash-schedule enumeration, one supervised shard per crash point,
+/// merged into the structured result document, its text report, and the
+/// `supervisor.*` and `torture.*` counters. The document is bit-identical
+/// for any `threads`.
 fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let crossings = census(cfg.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
     let tel = Telemetry::new();
-    let sup = Supervisor::new(seed)
-        .with_tag("torture")
-        .with_threads(threads)
-        .with_sim_budget(SimDuration::from_secs(600))
-        .with_max_retries(1)
-        .attach_telemetry(&tel);
-    let codec = JsonCodec {
-        encode: CrashOutcome::to_json,
-        decode: decode_outcome,
-    };
+    let sup = supervisor(seed, threads, &tel);
     // Every shard replays the *same* workload — only the injected cut
     // differs — so the shard closure ignores `ctx.trial.seed` and keys off
     // the trial index alone. The shard clock feeds the watchdog.
-    let report = cfg.run_campaign(sup, plan.points.len(), codec, |ctx| {
+    let report = cfg.run_campaign(sup, plan.points.len(), |ctx| {
         run_crash_point(cfg.full, &plan.points[ctx.trial.index], ctx.clock())
     });
     let v = Verdicts::tally(&report);
@@ -257,10 +208,10 @@ struct Verdicts {
 }
 
 impl Verdicts {
-    fn tally(report: &SupervisedReport<CrashOutcome>) -> Verdicts {
+    fn tally(report: &SupervisedReport<CrashVerdict>) -> Verdicts {
         let mut v = Verdicts::default();
-        for outcome in report.values() {
-            match outcome.verdict {
+        for verdict in report.values() {
+            match verdict {
                 CrashVerdict::Clean => v.clean += 1,
                 CrashVerdict::LoudDegraded { .. } => v.loud_degraded += 1,
                 CrashVerdict::SilentCorruption { .. } => v.silent_corruption += 1,
@@ -271,15 +222,13 @@ impl Verdicts {
     }
 }
 
-/// Assembles the structured result document. `resumed` is deliberately
-/// omitted: it differs between a resumed and an uninterrupted run of the
-/// same campaign, and the document must not.
+/// Assembles the structured result document.
 fn document(
     seed: u64,
     full: bool,
     crossings: &[SiteCrossings],
     plan: &TorturePlan,
-    report: &SupervisedReport<CrashOutcome>,
+    report: &SupervisedReport<CrashVerdict>,
     verdicts: &Verdicts,
 ) -> Json {
     let rows: Vec<Json> = report
@@ -293,8 +242,8 @@ fn document(
                 ("index", Json::from(p.index)),
                 ("shard", Json::str(o.status())),
             ];
-            if let ShardOutcome::Ok(out) = o {
-                fields.push(("verdict", out.verdict.to_json()));
+            if let ShardOutcome::Ok(verdict) = o {
+                fields.push(("verdict", verdict.to_json()));
             }
             Json::obj(fields)
         })
@@ -426,7 +375,12 @@ mod tests {
         // The default schedule enumerates every crossing of every site.
         let plan = TorturePlan::enumerate(&crossings, plan_limit(false), 7);
         assert!(plan.exhaustive, "default config must be exhaustive");
-        assert_eq!(plan.sites().len(), torture_sites().len());
+        for site in torture_sites() {
+            assert!(
+                plan.points.iter().any(|p| p.site == site),
+                "no crash point at {site}"
+            );
+        }
     }
 
     #[test]
@@ -523,36 +477,14 @@ mod tests {
     }
 
     #[test]
-    fn aborted_campaign_resumes_bit_identical() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("ssdhammer-torture-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let uninterrupted = run_supervised(7, 2, &ScenarioCfg::default())
-            .json
-            .to_string();
-        let killed = run_supervised(
-            7,
-            2,
-            &ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                abort_after: Some(5),
-                ..ScenarioCfg::default()
-            },
-        )
-        .json;
-        assert_eq!(killed.get("degraded").and_then(Json::as_bool), Some(true));
-        let resumed = run_supervised(
-            7,
-            1,
-            &ScenarioCfg {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..ScenarioCfg::default()
-            },
-        );
-        assert_eq!(resumed.json.to_string(), uninterrupted);
-        let _ = std::fs::remove_file(&path);
+    fn a_panicking_crash_point_is_a_finding_not_a_retry() {
+        // The replay is deterministic, so a retry could only repeat the
+        // panic: the campaign's supervisor reports it on the first attempt.
+        let report = supervisor(7, 1, &Telemetry::new()).run(1, |ctx| {
+            assert!(ctx.attempt > 0, "the first attempt panics");
+        });
+        assert_eq!((report.panics, report.retries), (1, 0));
+        assert!(report.degraded());
     }
 }
 

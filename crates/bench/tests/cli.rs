@@ -52,20 +52,6 @@ fn unknown_grid_filters_exit_2_and_list_the_registries() {
 }
 
 #[test]
-fn a_checkpoint_needs_the_whole_grid_of_one_experiment() {
-    let stderr = rejected(&["attacks", "--pattern", "two_sided", "--checkpoint", "F"]);
-    assert!(
-        stderr.contains("--checkpoint covers the whole grid"),
-        "{stderr}"
-    );
-    let stderr = rejected(&["all", "--checkpoint", "F"]);
-    assert!(
-        stderr.contains("--checkpoint needs a single experiment, not all"),
-        "{stderr}"
-    );
-}
-
-#[test]
 fn a_flag_no_selected_experiment_reads_exits_2() {
     for (args, message) in [
         (
@@ -81,7 +67,18 @@ fn a_flag_no_selected_experiment_reads_exits_2() {
             &["all", "--soak", "3"][..],
             "no experiment all runs reads --soak",
         ),
-        (&["faults", "--resume"][..], "--resume needs --checkpoint"),
+        (
+            &["fuzz", "--replay", "corpus", "--soak", "3"][..],
+            "fuzz --replay does not read --soak",
+        ),
+        (
+            &["fuzz", "--replay", "corpus", "--full"][..],
+            "fuzz --replay does not read --full",
+        ),
+        (
+            &["fuzz", "--replay", "corpus", "--abort-after", "0"][..],
+            "fuzz --replay does not read --abort-after",
+        ),
     ] {
         let stderr = rejected(args);
         assert!(stderr.contains(message), "{stderr}");

@@ -15,9 +15,8 @@
 //!   delta debugging (ddmin) over ops, then per-op parameter shrinking
 //!   via [`FuzzTarget::shrink_op`], re-executing deterministically at
 //!   every step and only accepting reductions that preserve the failure
-//!   *signature* (so a shrink never walks from one bug into another).
-//! * **Triage** — [`bucket`] groups cases by signature; equal signatures
-//!   are the same bug for reporting and corpus-dedup purposes.
+//!   *signature* (so a shrink never walks from one bug into another);
+//!   equal signatures are the same bug for reporting and corpus dedup.
 //!
 //! The [`ShadowDisk`] here is the oracle state: what the host knows an
 //! acknowledged operation history implies about device contents — one
@@ -29,8 +28,6 @@
 //!
 //! Everything is a pure function of its inputs: same target, same seed,
 //! same budget — same minimized case, at any thread count.
-
-use std::collections::BTreeMap;
 
 use crate::rng::{seeded, SimRng};
 
@@ -318,18 +315,6 @@ pub fn shrink<T: FuzzTarget>(
     }
 }
 
-/// Groups failing cases by signature: the triage view (`signature → how
-/// many episodes hit it`). Deterministically ordered.
-pub fn bucket<'a, Op: 'a>(
-    cases: impl IntoIterator<Item = &'a FuzzCase<Op>>,
-) -> BTreeMap<String, usize> {
-    let mut buckets = BTreeMap::new();
-    for case in cases {
-        *buckets.entry(case.failure.signature.clone()).or_insert(0) += 1;
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,24 +413,6 @@ mod tests {
         assert!(case.shrink_execs <= 5);
         // Budget-exhausted shrinks still reproduce.
         assert!(matches!(ByteTarget.execute(&case.ops), Verdict::Fail(_)));
-    }
-
-    #[test]
-    fn bucketing_groups_by_signature() {
-        let mk = |sig: &str| FuzzCase::<u8> {
-            seed: 0,
-            ops: vec![],
-            failure: Failure {
-                signature: sig.into(),
-                detail: String::new(),
-            },
-            original_len: 0,
-            shrink_execs: 0,
-        };
-        let cases = [mk("a"), mk("b"), mk("a")];
-        let buckets = bucket(cases.iter());
-        assert_eq!(buckets.get("a"), Some(&2));
-        assert_eq!(buckets.get("b"), Some(&1));
     }
 
     #[test]

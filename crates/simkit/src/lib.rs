@@ -33,11 +33,12 @@
 //! * [`supervisor`] — the one campaign runner behind `repro --threads N`:
 //!   deterministic sharding (results are bit-identical for any thread
 //!   count), a sim-time budget watchdog, `catch_unwind` panic isolation
-//!   with seeded retry, and checkpoint/resume of long campaigns.
+//!   with seeded retry, and a stop-after limit that simulates a killed
+//!   campaign.
 //! * [`fuzz`] — seeded model-based fuzzing: generate op interleavings,
 //!   differentially check them against a shadow model (the one oracle
-//!   state both the fuzz and torture campaigns use), auto-shrink
-//!   divergences with delta debugging, and bucket failures by signature.
+//!   state both the fuzz and torture campaigns use), and auto-shrink
+//!   divergences with delta debugging, keeping each failure's signature.
 //! * [`json`] — a dependency-free JSON document model used to export
 //!   telemetry snapshots and experiment results.
 //!

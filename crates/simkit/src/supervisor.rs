@@ -26,7 +26,7 @@
 //! Monte-Carlo estimator for the pattern).
 //!
 //! On top of that sharding, the supervisor adds the robustness layers a
-//! long campaign needs:
+//! campaign needs:
 //!
 //! * **Sim-time budget watchdog** — each shard receives a fresh
 //!   [`ShardCtx`] carrying a [`SimClock`] and an optional budget; shards
@@ -41,12 +41,6 @@
 //!   [`Supervisor::with_max_retries`] times, each attempt reseeded with
 //!   [`rng::derive_seed`]`(trial_seed, "retry", attempt)` so retries are
 //!   themselves reproducible.
-//! * **Checkpoint/resume** — [`Supervisor::run_checkpointed`] persists
-//!   every completed shard to a JSON checkpoint file (atomic
-//!   write-then-rename); rerunning with `resume = true` restores completed
-//!   shards from the file and only executes the remainder. Because shard
-//!   seeds are positional, a resumed campaign's merged report is
-//!   bit-identical to an uninterrupted one at any thread count.
 //!
 //! The merged [`SupervisedReport`] keeps per-shard outcomes in trial order
 //! and exposes a [`SupervisedReport::degraded`] flag scenario JSON can
@@ -79,21 +73,15 @@
 //! assert_eq!(report.outcomes[4].value(), Some(&8));
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::clock::SimClock;
-use crate::json::Json;
 use crate::rng;
 use crate::telemetry::{CounterHandle, Telemetry};
 use crate::time::SimDuration;
-
-/// Checkpoint file schema identifier.
-pub const CHECKPOINT_SCHEMA: &str = "ssdhammer-supervisor-ckpt-v1";
 
 /// A shard's position in its campaign and the seed it runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,11 +211,6 @@ pub struct SupervisedReport<T> {
     pub skipped: usize,
     /// Total retry attempts performed across all shards.
     pub retries: usize,
-    /// Shards restored from a checkpoint instead of re-running. Excluded
-    /// from [`SupervisedReport::degraded`] — and callers must exclude it
-    /// from deterministic scenario output, since it differs between a
-    /// resumed and an uninterrupted run of the same campaign.
-    pub resumed: usize,
 }
 
 impl<T> SupervisedReport<T> {
@@ -266,70 +249,6 @@ impl<T> SupervisedReport<T> {
     }
 }
 
-/// A `(encode, decode)` pair teaching the checkpoint writer how to persist
-/// shard values through [`Json`]. Plain function pointers so the codec is
-/// `Copy` and trivially shareable across worker threads.
-pub struct JsonCodec<T> {
-    /// Serializes one completed shard value.
-    pub encode: fn(&T) -> Json,
-    /// Deserializes one checkpointed value; `None` marks the entry
-    /// undecodable, and the shard re-runs live.
-    pub decode: fn(&Json) -> Option<T>,
-}
-
-impl<T> Clone for JsonCodec<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for JsonCodec<T> {}
-
-/// Why a checkpointed run could not use (or persist) its checkpoint file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SupervisorError {
-    /// Reading or writing the checkpoint file failed at the I/O layer.
-    Io {
-        /// The checkpoint path involved.
-        path: PathBuf,
-        /// The underlying error message.
-        message: String,
-    },
-    /// The checkpoint file exists but does not parse as checkpoint JSON.
-    Corrupt {
-        /// The checkpoint path involved.
-        path: PathBuf,
-        /// What failed to parse.
-        message: String,
-    },
-    /// The checkpoint belongs to a different campaign (seed, tag, or trial
-    /// count mismatch) — resuming it would silently mix seed streams.
-    Mismatch {
-        /// The checkpoint path involved.
-        path: PathBuf,
-        /// Which field diverged.
-        message: String,
-    },
-}
-
-impl fmt::Display for SupervisorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SupervisorError::Io { path, message } => {
-                write!(f, "checkpoint i/o failed at {}: {message}", path.display())
-            }
-            SupervisorError::Corrupt { path, message } => {
-                write!(f, "corrupt checkpoint {}: {message}", path.display())
-            }
-            SupervisorError::Mismatch { path, message } => {
-                write!(f, "checkpoint mismatch at {}: {message}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for SupervisorError {}
-
 /// Telemetry handles bound by [`Supervisor::attach_telemetry`].
 #[derive(Clone)]
 struct SupervisorTel {
@@ -337,11 +256,9 @@ struct SupervisorTel {
     timeouts: CounterHandle,
     panics: CounterHandle,
     retries: CounterHandle,
-    resumed: CounterHandle,
-    dropped: CounterHandle,
 }
 
-/// A supervised, checkpointable, deterministically sharded campaign.
+/// A supervised, deterministically sharded campaign.
 ///
 /// See the [module docs](self) for the robustness layers.
 #[derive(Clone)]
@@ -403,11 +320,10 @@ impl Supervisor {
         self
     }
 
-    /// Stops launching new shards once `n` have started live; the rest
-    /// report [`ShardOutcome::Skipped`]. Checkpoint-restored shards do not
-    /// count. `n = 0` therefore aborts before the first live shard: every
-    /// non-cached shard is skipped and the workload closure never runs.
-    /// Used to simulate a killed campaign in resume tests.
+    /// Stops launching new shards once `n` have started; the rest report
+    /// [`ShardOutcome::Skipped`]. `n = 0` therefore aborts before the
+    /// first shard: every shard is skipped and the workload closure never
+    /// runs. Used to simulate a killed campaign (`repro --abort-after`).
     #[must_use]
     pub fn with_stop_after(mut self, n: usize) -> Self {
         self.stop_after = Some(n);
@@ -423,8 +339,6 @@ impl Supervisor {
             timeouts: registry.counter("supervisor.timeouts"),
             panics: registry.counter("supervisor.panics"),
             retries: registry.counter("supervisor.retries"),
-            resumed: registry.counter("supervisor.resumed"),
-            dropped: registry.counter("supervisor.checkpoint.dropped"),
         });
         self
     }
@@ -442,95 +356,14 @@ impl Supervisor {
         T: Send,
         F: Fn(&ShardCtx) -> T + Sync,
     {
-        self.run_inner(trials, BTreeMap::new(), None, &f)
-    }
-
-    /// Like [`Supervisor::run`], but persists every completed shard to the
-    /// checkpoint file at `path` (atomic write-then-rename after each
-    /// completion). With `resume = true` an existing checkpoint for the
-    /// same campaign restores completed shards instead of re-running them;
-    /// a missing file starts fresh. The merged report is bit-identical
-    /// whether or not the campaign was interrupted and resumed.
-    ///
-    /// # Errors
-    ///
-    /// [`SupervisorError`] when the checkpoint file cannot be read,
-    /// parsed, validated against this campaign, or written.
-    pub fn run_checkpointed<T, F>(
-        &self,
-        trials: usize,
-        path: &Path,
-        resume: bool,
-        codec: JsonCodec<T>,
-        f: F,
-    ) -> Result<SupervisedReport<T>, SupervisorError>
-    where
-        T: Send,
-        F: Fn(&ShardCtx) -> T + Sync,
-    {
-        let cached: BTreeMap<usize, T> = if resume {
-            self.load_checkpoint(trials, path, codec)?
-        } else {
-            BTreeMap::new()
-        };
-        let done: BTreeMap<usize, Json> = cached
-            .iter()
-            .map(|(&i, v)| (i, (codec.encode)(v)))
-            .collect();
-        let writer = CkptWriter {
-            path,
-            encode: codec.encode,
-            state: Mutex::new(CkptState {
-                seed: self.seed,
-                tag: self.tag.to_string(),
-                trials,
-                done,
-                error: None,
-            }),
-        };
-        let report = self.run_inner(trials, cached, Some(&writer), &f);
-        writer.flush();
-        let state = writer
-            .state
-            .into_inner()
-            .expect("checkpoint state poisoned");
-        match state.error {
-            Some(message) => Err(SupervisorError::Io {
-                path: path.to_path_buf(),
-                message,
-            }),
-            None => Ok(report),
-        }
-    }
-
-    fn run_inner<T, F>(
-        &self,
-        trials: usize,
-        cached: BTreeMap<usize, T>,
-        writer: Option<&CkptWriter<'_, T>>,
-        f: &F,
-    ) -> SupervisedReport<T>
-    where
-        T: Send,
-        F: Fn(&ShardCtx) -> T + Sync,
-    {
-        let resumed = cached.len();
-        let cached = Mutex::new(cached);
-        let live_started = AtomicUsize::new(0);
+        let started = AtomicUsize::new(0);
         let shards: Vec<(ShardOutcome<T>, u32)> = shard_in_order(self.threads, trials, |index| {
             let trial = Trial {
                 index,
                 seed: self.trial_seed(index),
             };
-            if let Some(v) = cached
-                .lock()
-                .expect("supervisor cache poisoned")
-                .remove(&trial.index)
-            {
-                return (ShardOutcome::Ok(v), 0);
-            }
             if let Some(limit) = self.stop_after {
-                if live_started.fetch_add(1, Ordering::SeqCst) >= limit {
+                if started.fetch_add(1, Ordering::SeqCst) >= limit {
                     return (
                         ShardOutcome::Skipped {
                             index: trial.index,
@@ -540,11 +373,7 @@ impl Supervisor {
                     );
                 }
             }
-            let (outcome, attempts) = self.supervise(trial, f);
-            if let (Some(w), ShardOutcome::Ok(v)) = (writer, &outcome) {
-                w.record(trial.index, v);
-            }
-            (outcome, attempts)
+            self.supervise(trial, &f)
         });
         let mut report = SupervisedReport {
             outcomes: Vec::with_capacity(shards.len()),
@@ -552,7 +381,6 @@ impl Supervisor {
             panics: 0,
             skipped: 0,
             retries: 0,
-            resumed,
         };
         for (outcome, retries) in shards {
             match &outcome {
@@ -569,7 +397,6 @@ impl Supervisor {
             tel.timeouts.add(report.timeouts as u64);
             tel.panics.add(report.panics as u64);
             tel.retries.add(report.retries as u64);
-            tel.resumed.add(report.resumed as u64);
         }
         report
     }
@@ -631,105 +458,6 @@ impl Supervisor {
             }
         }
     }
-
-    /// Loads and validates a checkpoint; absent file means "start fresh".
-    fn load_checkpoint<T>(
-        &self,
-        trials: usize,
-        path: &Path,
-        codec: JsonCodec<T>,
-    ) -> Result<BTreeMap<usize, T>, SupervisorError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(BTreeMap::new());
-            }
-            Err(e) => {
-                return Err(SupervisorError::Io {
-                    path: path.to_path_buf(),
-                    message: e.to_string(),
-                })
-            }
-        };
-        let doc = Json::parse(&text).map_err(|e| SupervisorError::Corrupt {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        let corrupt = |message: &str| SupervisorError::Corrupt {
-            path: path.to_path_buf(),
-            message: message.to_string(),
-        };
-        let mismatch = |message: String| SupervisorError::Mismatch {
-            path: path.to_path_buf(),
-            message,
-        };
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| corrupt("missing schema"))?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(mismatch(format!(
-                "schema {schema:?}, expected {CHECKPOINT_SCHEMA:?}"
-            )));
-        }
-        let seed = doc
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| corrupt("missing seed"))?;
-        if seed != self.seed {
-            return Err(mismatch(format!(
-                "seed {seed}, campaign uses {}",
-                self.seed
-            )));
-        }
-        let tag = doc
-            .get("tag")
-            .and_then(Json::as_str)
-            .ok_or_else(|| corrupt("missing tag"))?;
-        if tag != self.tag {
-            return Err(mismatch(format!(
-                "tag {tag:?}, campaign uses {:?}",
-                self.tag
-            )));
-        }
-        let total = doc
-            .get("trials")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| corrupt("missing trials"))?;
-        if total != trials as u64 {
-            return Err(mismatch(format!("{total} trials, campaign runs {trials}")));
-        }
-        let done = doc
-            .get("done")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| corrupt("missing done map"))?;
-        let mut cached = BTreeMap::new();
-        let mut dropped = 0u64;
-        for (key, value) in done {
-            // Undecodable keys or values simply re-run live: a checkpoint
-            // can lose work, never invent it. Each discarded entry bumps
-            // `supervisor.checkpoint.dropped` so the silent re-run is
-            // observable in telemetry.
-            let Ok(index) = key.parse::<usize>() else {
-                dropped += 1;
-                continue;
-            };
-            if index >= trials {
-                dropped += 1;
-                continue;
-            }
-            match (codec.decode)(value) {
-                Some(v) => {
-                    cached.insert(index, v);
-                }
-                None => dropped += 1,
-            }
-        }
-        if let Some(tel) = &self.tel {
-            tel.dropped.add(dropped);
-        }
-        Ok(cached)
-    }
 }
 
 /// Runs `f(0..trials)` on up to `threads` workers and returns the results
@@ -783,86 +511,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Mutable checkpoint file state, rewritten after every completed shard.
-struct CkptState {
-    seed: u64,
-    tag: String,
-    trials: usize,
-    done: BTreeMap<usize, Json>,
-    error: Option<String>,
-}
-
-/// Shared checkpoint writer: serializes completed shards under a mutex and
-/// replaces the file atomically (write to `<path>.tmp`, then rename).
-struct CkptWriter<'a, T> {
-    path: &'a Path,
-    encode: fn(&T) -> Json,
-    state: Mutex<CkptState>,
-}
-
-impl<T> CkptWriter<'_, T> {
-    fn record(&self, index: usize, value: &T) {
-        let encoded = (self.encode)(value);
-        let mut state = self.state.lock().expect("checkpoint state poisoned");
-        state.done.insert(index, encoded);
-        Self::write(self.path, &mut state);
-    }
-
-    /// Final write, covering the no-live-shards case (e.g. a fully
-    /// resumed campaign) so the file always reflects the full done set.
-    fn flush(&self) {
-        let mut state = self.state.lock().expect("checkpoint state poisoned");
-        Self::write(self.path, &mut state);
-    }
-
-    fn write(path: &Path, state: &mut CkptState) {
-        let doc = Json::obj([
-            ("schema", Json::str(CHECKPOINT_SCHEMA)),
-            ("seed", Json::from(state.seed)),
-            ("tag", Json::str(state.tag.as_str())),
-            ("trials", Json::from(state.trials)),
-            (
-                "done",
-                Json::Obj(
-                    state
-                        .done
-                        .iter()
-                        .map(|(i, v)| (i.to_string(), v.clone()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let tmp = path.with_extension("tmp");
-        let attempt =
-            std::fs::write(&tmp, doc.to_string_pretty()).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = attempt {
-            if state.error.is_none() {
-                state.error = Some(e.to_string());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-
-    fn tmp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "ssdhammer-supervisor-{name}-{}",
-            std::process::id()
-        ));
-        p
-    }
-
-    fn u64_codec() -> JsonCodec<u64> {
-        JsonCodec {
-            encode: |v| Json::from(*v),
-            decode: Json::as_u64,
-        }
-    }
 
     #[test]
     fn clean_run_merges_in_trial_order() {
@@ -870,7 +522,6 @@ mod tests {
             .with_threads(4)
             .run(16, |ctx| ctx.trial.index as u64 * 3);
         assert!(!report.degraded());
-        assert_eq!(report.resumed, 0);
         let values: Vec<u64> = report.values().copied().collect();
         assert_eq!(values, (0..16).map(|i| i * 3).collect::<Vec<_>>());
         assert_eq!(report.into_complete(), values);
@@ -1025,74 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_is_bit_identical_to_uninterrupted() {
-        let path = tmp_path("resume");
-        let _ = std::fs::remove_file(&path);
-        let shard = |ctx: &ShardCtx| ctx.trial.seed ^ 0xABCD;
-
-        let uninterrupted = Supervisor::new(33).with_threads(2).run(10, shard);
-
-        // First run dies after 4 live shards.
-        let partial = Supervisor::new(33)
-            .with_threads(2)
-            .with_stop_after(4)
-            .run_checkpointed(10, &path, false, u64_codec(), shard)
-            .expect("checkpointed run");
-        assert_eq!(partial.skipped, 6);
-        assert!(partial.degraded());
-
-        // Resume completes the rest; merged outcomes match the
-        // uninterrupted run exactly.
-        let resumed = Supervisor::new(33)
-            .with_threads(2)
-            .run_checkpointed(10, &path, true, u64_codec(), shard)
-            .expect("resumed run");
-        assert_eq!(resumed.resumed, 4);
-        assert!(!resumed.degraded());
-        assert_eq!(resumed.outcomes, uninterrupted.outcomes);
-
-        // The finished checkpoint decodes back to all ten shards.
-        let text = std::fs::read_to_string(&path).expect("checkpoint readable");
-        let doc = Json::parse(&text).expect("checkpoint parses");
-        assert_eq!(
-            doc.get("done").and_then(Json::as_obj).map(<[_]>::len),
-            Some(10)
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mismatched_checkpoint_is_rejected() {
-        let path = tmp_path("mismatch");
-        let _ = std::fs::remove_file(&path);
-        let shard = |ctx: &ShardCtx| ctx.trial.seed;
-        Supervisor::new(1)
-            .run_checkpointed(3, &path, false, u64_codec(), shard)
-            .expect("fresh run");
-        let err = Supervisor::new(2)
-            .run_checkpointed(3, &path, true, u64_codec(), shard)
-            .expect_err("seed mismatch must be rejected");
-        assert!(matches!(err, SupervisorError::Mismatch { .. }));
-        let err = Supervisor::new(1)
-            .run_checkpointed(4, &path, true, u64_codec(), shard)
-            .expect_err("trial-count mismatch must be rejected");
-        assert!(matches!(err, SupervisorError::Mismatch { .. }));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn missing_resume_file_starts_fresh() {
-        let path = tmp_path("fresh");
-        let _ = std::fs::remove_file(&path);
-        let report = Supervisor::new(3)
-            .run_checkpointed(4, &path, true, u64_codec(), |ctx| ctx.trial.seed)
-            .expect("resume from nothing");
-        assert_eq!(report.resumed, 0);
-        assert_eq!(report.values().count(), 4);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn telemetry_counts_after_merge() {
         let registry = Telemetry::new();
         let report = Supervisor::new(13)
@@ -1113,14 +696,13 @@ mod tests {
             registry.counter_value("supervisor.retries"),
             Some(report.retries as u64)
         );
-        assert_eq!(registry.counter_value("supervisor.resumed"), Some(0));
         assert_eq!(registry.counter_value("supervisor.timeouts"), Some(0));
     }
 
     #[test]
     fn stop_after_zero_skips_every_shard() {
         // The abort boundary: stop-after 0 must abort *before* the first
-        // live shard, so the workload closure never runs at all.
+        // shard, so the workload closure never runs at all.
         let report = Supervisor::new(17)
             .with_threads(2)
             .with_stop_after(0)
@@ -1135,7 +717,7 @@ mod tests {
 
     #[test]
     fn stop_after_boundary_is_exact() {
-        // stop_after(n) runs exactly n live shards, skipping the rest —
+        // stop_after(n) runs exactly n shards, skipping the rest —
         // no off-by-one on either side.
         for n in [1usize, 3, 7, 8] {
             let report = Supervisor::new(17)
@@ -1144,72 +726,5 @@ mod tests {
             assert_eq!(report.values().count(), n.min(8), "stop_after({n})");
             assert_eq!(report.skipped, 8 - n.min(8), "stop_after({n})");
         }
-    }
-
-    #[test]
-    fn checkpointed_stop_after_zero_runs_nothing_and_resumes_cleanly() {
-        let path = tmp_path("abort-zero");
-        let _ = std::fs::remove_file(&path);
-        let shard = |ctx: &ShardCtx| ctx.trial.seed;
-        let aborted = Supervisor::new(29)
-            .with_stop_after(0)
-            .run_checkpointed(5, &path, false, u64_codec(), shard)
-            .expect("aborted run");
-        assert_eq!(aborted.skipped, 5);
-        assert_eq!(aborted.values().count(), 0);
-        // Nothing completed, so a resume re-runs the whole campaign and
-        // matches an uninterrupted one exactly.
-        let resumed = Supervisor::new(29)
-            .run_checkpointed(5, &path, true, u64_codec(), shard)
-            .expect("resumed run");
-        assert_eq!(resumed.resumed, 0);
-        assert_eq!(resumed.outcomes, Supervisor::new(29).run(5, shard).outcomes);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn undecodable_checkpoint_entries_bump_dropped_counter() {
-        let path = tmp_path("dropped");
-        let _ = std::fs::remove_file(&path);
-        let shard = |ctx: &ShardCtx| ctx.trial.seed;
-        Supervisor::new(41)
-            .run_checkpointed(4, &path, false, u64_codec(), shard)
-            .expect("seed checkpoint");
-
-        // Corrupt the done map: a non-numeric key, an out-of-range index,
-        // and a value the codec rejects. All three must drop (and re-run),
-        // each observable on supervisor.checkpoint.dropped.
-        let text = std::fs::read_to_string(&path).expect("checkpoint readable");
-        let doc = Json::parse(&text).expect("checkpoint parses");
-        let mut done: Vec<(String, Json)> = doc
-            .get("done")
-            .and_then(Json::as_obj)
-            .expect("done map")
-            .to_vec();
-        done.retain(|(k, _)| k == "0");
-        done.push(("not-a-number".to_string(), Json::from(1u64)));
-        done.push(("99".to_string(), Json::from(2u64)));
-        done.push(("1".to_string(), Json::from("not-a-u64")));
-        let doc = Json::obj([
-            ("schema", Json::from(CHECKPOINT_SCHEMA)),
-            ("seed", Json::from(41u64)),
-            ("tag", Json::from("trial")),
-            ("trials", Json::from(4u64)),
-            ("done", Json::Obj(done)),
-        ]);
-        std::fs::write(&path, doc.to_string_pretty()).expect("rewrite checkpoint");
-
-        let registry = Telemetry::new();
-        let report = Supervisor::new(41)
-            .attach_telemetry(&registry)
-            .run_checkpointed(4, &path, true, u64_codec(), shard)
-            .expect("resumed run");
-        assert_eq!(report.resumed, 1, "only the intact entry restores");
-        assert_eq!(report.values().count(), 4);
-        assert_eq!(
-            registry.counter_value("supervisor.checkpoint.dropped"),
-            Some(3)
-        );
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -59,23 +59,6 @@ pub struct CrashPoint {
     pub index: u64,
 }
 
-impl CrashPoint {
-    /// `site@index` label for reports and shard labels.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("{}@{}", self.site, self.index)
-    }
-}
-
-impl ToJson for CrashPoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("site", Json::str(self.site.as_str())),
-            ("index", Json::from(self.index)),
-        ])
-    }
-}
-
 /// How many times a workload crossed one site, from the census pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteCrossings {
@@ -180,18 +163,6 @@ impl TorturePlan {
         }
     }
 
-    /// Number of distinct sites the plan cuts at.
-    #[must_use]
-    pub fn sites(&self) -> Vec<&str> {
-        let mut sites: Vec<&str> = Vec::new();
-        for p in &self.points {
-            if !sites.contains(&p.site.as_str()) {
-                sites.push(&p.site);
-            }
-        }
-        sites
-    }
-
     /// Largest-remainder proportional quotas with a floor of one point per
     /// crossed site; quotas never exceed a site's crossing count and sum
     /// to `min(limit, …)` deterministically.
@@ -290,12 +261,6 @@ impl CrashVerdict {
             CrashVerdict::NotTriggered => "not_triggered",
         }
     }
-
-    /// True for the verdict the torture campaign exists to catch.
-    #[must_use]
-    pub fn is_silent(&self) -> bool {
-        matches!(self, CrashVerdict::SilentCorruption { .. })
-    }
 }
 
 impl ToJson for CrashVerdict {
@@ -335,9 +300,15 @@ mod tests {
         let plan = TorturePlan::enumerate(&census(&[("a.x", 3), ("b.y", 0), ("c.z", 2)]), 5, 1);
         assert!(plan.exhaustive);
         assert_eq!(plan.total_crossings, 5);
-        let labels: Vec<String> = plan.points.iter().map(CrashPoint::label).collect();
-        assert_eq!(labels, ["a.x@0", "a.x@1", "a.x@2", "c.z@0", "c.z@1"]);
-        assert_eq!(plan.sites(), ["a.x", "c.z"]);
+        let points: Vec<(&str, u64)> = plan
+            .points
+            .iter()
+            .map(|p| (p.site.as_str(), p.index))
+            .collect();
+        assert_eq!(
+            points,
+            [("a.x", 0), ("a.x", 1), ("a.x", 2), ("c.z", 0), ("c.z", 1)]
+        );
     }
 
     #[test]
@@ -346,9 +317,8 @@ mod tests {
         let plan = TorturePlan::enumerate(&c, 16, 42);
         assert!(!plan.exhaustive);
         assert_eq!(plan.points.len(), 16);
-        // Every crossed site contributes at least one point.
-        assert_eq!(plan.sites().len(), 3);
-        // Indices are in range and unique per site.
+        // Every crossed site contributes at least one point; indices are
+        // in range and unique per site.
         for s in &c {
             let mut idx: Vec<u64> = plan
                 .points
@@ -356,6 +326,7 @@ mod tests {
                 .filter(|p| p.site == s.site)
                 .map(|p| p.index)
                 .collect();
+            assert!(!idx.is_empty(), "{}: no point", s.site);
             assert!(idx.iter().all(|&i| i < s.crossings), "{}: {idx:?}", s.site);
             let n = idx.len();
             idx.dedup();
@@ -387,8 +358,8 @@ mod tests {
     fn tiny_budget_takes_first_sites() {
         let c = census(&[("a.x", 9), ("b.y", 9), ("c.z", 9)]);
         let plan = TorturePlan::enumerate(&c, 2, 3);
-        assert_eq!(plan.points.len(), 2);
-        assert_eq!(plan.sites(), ["a.x", "b.y"]);
+        let sites: Vec<&str> = plan.points.iter().map(|p| p.site.as_str()).collect();
+        assert_eq!(sites, ["a.x", "b.y"]);
     }
 
     #[test]
@@ -425,7 +396,7 @@ mod tests {
         let silent = CrashVerdict::SilentCorruption {
             detail: "lba 3 stale".to_string(),
         };
-        assert!(silent.is_silent());
+        assert_eq!(silent.status(), "silent_corruption");
         assert_eq!(
             silent.to_json().to_string(),
             r#"{"status":"silent_corruption","detail":"lba 3 stale"}"#
