@@ -778,18 +778,24 @@ fn case_from_json(doc: &Json) -> Option<(String, Vec<FuzzOp>)> {
 /// current stack and reports per-case verdicts and the
 /// `fuzz.corpus_replayed` counter. Each case must pass: a corpus case is a
 /// minimized repro of a past or planted divergence, and replaying clean
-/// proves the stack (with its defenses on) still holds.
+/// proves the stack (with its defenses on) still holds. A directory that
+/// cannot be read or holds no `.json` case replays nothing, so the run is
+/// degraded and its `corpus_error` says which.
 fn run_replay(dir: &Path) -> Output {
     let target = SsdFuzz::default();
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                .collect()
-        })
-        .unwrap_or_default();
+    let listed = std::fs::read_dir(dir).map(|entries| {
+        entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect::<Vec<_>>()
+    });
+    let corpus_error = match &listed {
+        Ok(files) if files.is_empty() => Some(format!("{} holds no .json case", dir.display())),
+        Ok(_) => None,
+        Err(e) => Some(format!("{} cannot be read: {e}", dir.display())),
+    };
+    let mut files = listed.unwrap_or_default();
     files.sort();
     let mut rows = Vec::new();
     let mut diverged = 0u64;
@@ -822,11 +828,12 @@ fn run_replay(dir: &Path) -> Output {
     registry
         .counter("fuzz.corpus_replayed")
         .add(rows.len() as u64);
-    let json = Json::obj([
+    let degraded = diverged > 0 || corpus_error.is_some();
+    let mut json = Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("mode", Json::str("replay")),
         ("cases", Json::from(rows.len())),
-        ("degraded", Json::from(diverged > 0)),
+        ("degraded", Json::from(degraded)),
         (
             "summary",
             Json::obj([
@@ -836,6 +843,9 @@ fn run_replay(dir: &Path) -> Output {
         ),
         ("results", Json::Arr(rows)),
     ]);
+    if let Some(error) = corpus_error {
+        json.push("corpus_error", Json::str(error));
+    }
     Output {
         text: render(&json),
         json,
@@ -854,6 +864,9 @@ fn render(doc: &Json) -> String {
             get_u64(doc, "cases"),
             summary.map_or(0, |s| get_u64(s, "diverged")),
         ));
+        if let Some(error) = doc.get("corpus_error").and_then(Json::as_str) {
+            out.push_str(&format!("corpus {error}\n"));
+        }
         if let Some(results) = doc.get("results").and_then(Json::as_arr) {
             for r in results {
                 out.push_str(&format!(

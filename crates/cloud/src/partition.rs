@@ -8,6 +8,7 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use ssdhammer_core::LbaRange;
 use ssdhammer_nvme::{Namespace, NsId, Ssd};
@@ -111,8 +112,8 @@ impl BlockDevice for PartitionView {
             .expect("namespace exists for the view's lifetime") // lint:allow(P1) -- BlockDevice::capacity_blocks is an infallible trait signature; the view validated its namespace at construction
     }
 
-    fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
-        self.with_view(|view| view.read(lba, buf))
+    fn read(&mut self, lba: Lba) -> StorageResult<Arc<[u8]>> {
+        self.with_view(|view| view.read(lba))
     }
 
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
@@ -150,11 +151,8 @@ mod tests {
         let mut vb = PartitionView::new(shared.clone(), b);
         va.write(Lba(0), &[1u8; BLOCK_SIZE]).unwrap();
         vb.write(Lba(0), &[2u8; BLOCK_SIZE]).unwrap();
-        let mut buf = [0u8; BLOCK_SIZE];
-        va.read(Lba(0), &mut buf).unwrap();
-        assert_eq!(buf[0], 1);
-        vb.read(Lba(0), &mut buf).unwrap();
-        assert_eq!(buf[0], 2);
+        assert_eq!(va.read(Lba(0)).unwrap()[0], 1);
+        assert_eq!(vb.read(Lba(0)).unwrap()[0], 2);
         assert_eq!(va.capacity_blocks(), 100);
     }
 
@@ -163,7 +161,6 @@ mod tests {
         let shared = SharedSsd::new(Ssd::build(SsdConfig::test_small(1)));
         let (a, _) = shared.create_partition(10).unwrap();
         let mut va = PartitionView::new(shared, a);
-        let mut buf = [0u8; BLOCK_SIZE];
-        assert!(va.read(Lba(10), &mut buf).is_err());
+        assert!(va.read(Lba(10)).is_err());
     }
 }

@@ -461,9 +461,7 @@ mod tests {
         // The payload is visible through the attacker's own partition.
         let mut ssd = s.borrow_mut();
         let mut view = ssd.namespace(attacker.ns).unwrap();
-        let mut buf = [0u8; BLOCK_SIZE];
-        view.read(Lba(100), &mut buf).unwrap();
-        assert_eq!(buf, payload);
+        assert_eq!(view.read(Lba(100)).unwrap()[..], payload);
     }
 
     #[test]

@@ -8,9 +8,17 @@
 //! * **No caching**: every metadata and data access goes to the device, so
 //!   when the FTL under the device redirects an LBA, the filesystem
 //!   faithfully follows the corrupted pointer chain — the behaviour §4.2
-//!   exploits. Nothing is kept between operations, and within one operation
-//!   each metadata block is read once: an allocation reads each bitmap block
-//!   once, and a directory operation resolves the extent map once.
+//!   exploits. Within one operation each metadata block is read once: an
+//!   allocation reads each bitmap block once, and a directory operation
+//!   resolves the extent map once. A read returns the device's page
+//!   ([`BlockDevice::read`]); read-only uses index it in place, and a
+//!   read-modify-write copies it once into the block it writes.
+//! * **The last verified extent leaf is remembered** with its page: when a
+//!   read of a leaf returns that same page (`Arc::ptr_eq`), its bytes are
+//!   the ones already verified (devices never mutate a page they handed
+//!   out), so the checksum and decode are skipped. The device read itself
+//!   still happens, and any other page (a rewrite, a redirection, a
+//!   read-disturbed or decrypted copy) is verified in full.
 //! * **Hash-indexed directories** (ext4's `dir_index`, one level deep). A
 //!   directory's logical block 0 is a [`DirIndex`]: `(hash, leaf)` pairs
 //!   sorted by hash, the hash being the CRC-32C of a name. Every other
@@ -32,9 +40,11 @@
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
 
+use std::sync::Arc;
+
 use ssdhammer_simkit::record::word;
 use ssdhammer_simkit::telemetry::{CounterHandle, Telemetry};
-use ssdhammer_simkit::{BlockDevice, Lba, BLOCK_SIZE};
+use ssdhammer_simkit::{BlockDevice, Lba, StorageError, BLOCK_SIZE};
 
 use crate::error::{FsError, FsResult};
 use crate::layout::{
@@ -48,6 +58,9 @@ pub const EXTENTS_PER_LEAF: usize = (BLOCK_SIZE - 12 - 4) / 12;
 
 /// Entry slots per directory leaf.
 const DIRENTS_PER_LEAF: usize = BLOCK_SIZE / DIRENT_SIZE;
+
+/// A block as the device returned it: a shared page nothing mutates.
+type Page = Arc<[u8; BLOCK_SIZE]>;
 
 /// Who is performing an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,13 +112,14 @@ pub struct FileSystem<S: BlockDevice> {
     dev: S,
     sb: SuperBlock,
     pub(crate) tel: FsHandles,
-    /// Reusable block buffer for leaf routines (bitmap bit tests and
-    /// updates, inode table access) that never nest another scratch use.
-    /// The device overwrites every byte on a successful read, so stale
-    /// contents are never observable; reusing one allocation avoids a 4 KiB
-    /// zero on every `read_inode`/`write_inode`, which each path operation
-    /// calls several times.
+    /// The block a read-modify-write builds ([`FileSystem::rewrite`]):
+    /// bitmap updates, inode writes and indirect-pointer updates copy the
+    /// page they read into it once, change it and write it back. Reads that
+    /// only inspect a block index the device's page instead.
     scratch: Box<[u8; BLOCK_SIZE]>,
+    /// The last extent leaf that passed verification: its page and its
+    /// extents.
+    leaf_memo: Option<(Page, Arc<[Extent]>)>,
 }
 
 /// Handles into the shared [`Telemetry`] registry (metric names `fs.*`).
@@ -153,6 +167,7 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
+            leaf_memo: None,
         };
         // Reserve the metadata blocks in the block bitmap.
         for b in 0..sb.data_start {
@@ -175,9 +190,8 @@ impl<S: BlockDevice> FileSystem<S> {
     ///
     /// [`FsError::Corrupted`] when the superblock fails validation.
     pub fn mount(mut dev: S) -> FsResult<Self> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        dev.read(Lba(0), &mut buf)?;
-        let sb = SuperBlock::decode(&buf)?;
+        let page = read_page(&mut dev, 0)?;
+        let sb = SuperBlock::decode(&page)?;
         if u64::from(sb.total_blocks) != dev.capacity_blocks() {
             return Err(FsError::Corrupted(
                 "superblock size does not match device".into(),
@@ -188,6 +202,7 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
+            leaf_memo: None,
         })
     }
 
@@ -235,30 +250,10 @@ impl<S: BlockDevice> FileSystem<S> {
 
     // ---- low-level device access -------------------------------------------
 
-    fn read_raw(&mut self, block: FsBlock) -> FsResult<[u8; BLOCK_SIZE]> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        self.read_raw_into(block, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Reads `block` into a caller-owned buffer. The device overwrites every
-    /// byte on success (unmapped reads fill with zeros), so the buffer does
-    /// not need to be cleared between reads — hot paths reuse one stack
-    /// buffer instead of paying a 4 KiB zero + copy per access.
-    fn read_raw_into(&mut self, block: FsBlock, buf: &mut [u8; BLOCK_SIZE]) -> FsResult<()> {
+    /// Reads `block`: the device's page, not a copy.
+    fn read_block(&mut self, block: FsBlock) -> FsResult<Page> {
         self.tel.block_reads.incr();
-        self.dev.read(Lba(u64::from(block)), buf)?;
-        Ok(())
-    }
-
-    /// Reads `block` into the persistent scratch buffer. Only for leaf
-    /// routines that finish with the data before any other device access —
-    /// callers must not hold scratch contents across a nested read.
-    fn read_scratch(&mut self, block: FsBlock) -> FsResult<()> {
-        self.tel.block_reads.incr();
-        self.dev
-            .read(Lba(u64::from(block)), &mut self.scratch[..])?;
-        Ok(())
+        read_page(&mut self.dev, block)
     }
 
     fn write_raw(&mut self, block: FsBlock, buf: &[u8; BLOCK_SIZE]) -> FsResult<()> {
@@ -267,13 +262,28 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(())
     }
 
+    /// Writes `page`, as read from `block`, back to it with `edit` applied:
+    /// the one copy a read-modify-write makes, into the scratch block.
+    fn rewrite(
+        &mut self,
+        block: FsBlock,
+        page: &[u8; BLOCK_SIZE],
+        edit: impl FnOnce(&mut [u8; BLOCK_SIZE]),
+    ) -> FsResult<()> {
+        *self.scratch = *page;
+        edit(&mut self.scratch);
+        self.tel.block_writes.incr();
+        self.dev.write(Lba(u64::from(block)), &self.scratch[..])?;
+        Ok(())
+    }
+
     // ---- bitmaps -----------------------------------------------------------
 
     fn bitmap_get(&mut self, start: u32, index: u32) -> FsResult<bool> {
         let block = start + index / (BLOCK_SIZE as u32 * 8);
         let bit = index % (BLOCK_SIZE as u32 * 8);
-        self.read_scratch(block)?;
-        Ok(self.scratch[(bit / 8) as usize] & (1 << (bit % 8)) != 0)
+        let page = self.read_block(block)?;
+        Ok(page[(bit / 8) as usize] & (1 << (bit % 8)) != 0)
     }
 
     /// Sets or clears the bits `indices` of the bitmap starting at block
@@ -284,18 +294,18 @@ impl<S: BlockDevice> FileSystem<S> {
         sorted.sort_unstable();
         for run in sorted.chunk_by(|a, b| a / BITS == b / BITS) {
             let block = start + run[0] / BITS;
-            self.read_scratch(block)?;
-            for &index in run {
-                let bit = index % BITS;
-                let byte = &mut self.scratch[(bit / 8) as usize];
-                if value {
-                    *byte |= 1 << (bit % 8);
-                } else {
-                    *byte &= !(1 << (bit % 8));
+            let page = self.read_block(block)?;
+            self.rewrite(block, &page, |bitmap| {
+                for &index in run {
+                    let bit = index % BITS;
+                    let byte = &mut bitmap[(bit / 8) as usize];
+                    if value {
+                        *byte |= 1 << (bit % 8);
+                    } else {
+                        *byte &= !(1 << (bit % 8));
+                    }
                 }
-            }
-            self.tel.block_writes.incr();
-            self.dev.write(Lba(u64::from(block)), &self.scratch[..])?;
+            })?;
         }
         Ok(())
     }
@@ -304,24 +314,19 @@ impl<S: BlockDevice> FileSystem<S> {
     /// starting at block `start`, reading each bitmap block at most once.
     fn alloc_bit(&mut self, start: u32, first: u32, limit: u32) -> FsResult<u32> {
         const BITS: u32 = BLOCK_SIZE as u32 * 8;
-        let mut buf = [0u8; BLOCK_SIZE];
         for bb in first / BITS..limit.div_ceil(BITS) {
-            self.read_raw_into(start + bb, &mut buf)?;
-            for (byte_idx, byte) in buf.iter_mut().enumerate() {
-                let base = bb * BITS + byte_idx as u32 * 8;
-                // Bits below `first` count as taken.
-                let below = first.saturating_sub(base).min(8);
-                let bit = (*byte | ((1u16 << below) - 1) as u8).trailing_ones();
-                if bit == 8 {
-                    continue;
-                }
-                if base + bit >= limit {
-                    return Err(FsError::NoSpace);
-                }
-                *byte |= 1 << bit;
-                self.write_raw(start + bb, &buf)?;
-                return Ok(base + bit);
+            let page = self.read_block(start + bb)?;
+            // Bits below `first` count as taken.
+            let Some(bit) = lowest_clear_bit(&page, first.saturating_sub(bb * BITS)) else {
+                continue;
+            };
+            if bb * BITS + bit >= limit {
+                return Err(FsError::NoSpace);
             }
+            self.rewrite(start + bb, &page, |bitmap| {
+                bitmap[(bit / 8) as usize] |= 1 << (bit % 8);
+            })?;
+            return Ok(bb * BITS + bit);
         }
         Err(FsError::NoSpace)
     }
@@ -378,21 +383,18 @@ impl<S: BlockDevice> FileSystem<S> {
             return Err(FsError::NotFound);
         }
         let block = self.sb.inode_table_start + ino.0 / INODES_PER_BLOCK as u32;
-        let offset = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        self.read_scratch(block)?;
-        let mut ibuf = [0u8; INODE_SIZE];
-        ibuf.copy_from_slice(&self.scratch[offset..offset + INODE_SIZE]);
-        Inode::decode(&ibuf)
+        let page = self.read_block(block)?;
+        let (inodes, _) = page.as_chunks::<INODE_SIZE>();
+        Inode::decode(&inodes[ino.0 as usize % INODES_PER_BLOCK])
     }
 
     fn write_inode(&mut self, ino: Ino, inode: &Inode) -> FsResult<()> {
         let block = self.sb.inode_table_start + ino.0 / INODES_PER_BLOCK as u32;
         let offset = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
-        self.read_scratch(block)?;
-        self.scratch[offset..offset + INODE_SIZE].copy_from_slice(&inode.encode());
-        self.tel.block_writes.incr();
-        self.dev.write(Lba(u64::from(block)), &self.scratch[..])?;
-        Ok(())
+        let page = self.read_block(block)?;
+        self.rewrite(block, &page, |table| {
+            table[offset..offset + INODE_SIZE].copy_from_slice(&inode.encode());
+        })
     }
 
     // ---- permissions -------------------------------------------------------
@@ -442,8 +444,7 @@ impl<S: BlockDevice> FileSystem<S> {
                     }
                     // No checksum verification — the indirect block's
                     // pointers are trusted as read (§4.2).
-                    let mut ptrs = [0u8; BLOCK_SIZE];
-                    self.read_raw_into(*single, &mut ptrs)?;
+                    let ptrs = self.read_block(*single)?;
                     return Ok(nonzero(read_ptr(&ptrs, l)));
                 }
                 let l = l - PTRS_PER_BLOCK;
@@ -451,13 +452,12 @@ impl<S: BlockDevice> FileSystem<S> {
                     if *double == 0 {
                         return Ok(None);
                     }
-                    let mut ptrs = [0u8; BLOCK_SIZE];
-                    self.read_raw_into(*double, &mut ptrs)?;
-                    let mid = read_ptr(&ptrs, l / PTRS_PER_BLOCK);
+                    let outer = self.read_block(*double)?;
+                    let mid = read_ptr(&outer, l / PTRS_PER_BLOCK);
                     if mid == 0 {
                         return Ok(None);
                     }
-                    self.read_raw_into(mid, &mut ptrs)?;
+                    let ptrs = self.read_block(mid)?;
                     return Ok(nonzero(read_ptr(&ptrs, l % PTRS_PER_BLOCK)));
                 }
                 Err(FsError::FileTooLarge)
@@ -497,9 +497,8 @@ impl<S: BlockDevice> FileSystem<S> {
                     } else {
                         *single
                     };
-                    let mut ptrs = self.read_raw(single_block)?;
-                    write_ptr(&mut ptrs, li, data);
-                    self.write_raw(single_block, &ptrs)?;
+                    let ptrs = self.read_block(single_block)?;
+                    self.rewrite(single_block, &ptrs, |p| write_ptr(p, li, data))?;
                 } else if l - DIRECT_PTRS - PTRS_PER_BLOCK < PTRS_PER_BLOCK * PTRS_PER_BLOCK {
                     let li = l - DIRECT_PTRS - PTRS_PER_BLOCK;
                     let double_block = if *double == 0 {
@@ -510,17 +509,17 @@ impl<S: BlockDevice> FileSystem<S> {
                     } else {
                         *double
                     };
-                    let mut outer = self.read_raw(double_block)?;
+                    let outer = self.read_block(double_block)?;
                     let mut mid = read_ptr(&outer, li / PTRS_PER_BLOCK);
                     if mid == 0 {
                         mid = self.alloc_block()?;
                         self.write_raw(mid, &[0u8; BLOCK_SIZE])?;
-                        write_ptr(&mut outer, li / PTRS_PER_BLOCK, mid);
-                        self.write_raw(double_block, &outer)?;
+                        self.rewrite(double_block, &outer, |p| {
+                            write_ptr(p, li / PTRS_PER_BLOCK, mid);
+                        })?;
                     }
-                    let mut inner = self.read_raw(mid)?;
-                    write_ptr(&mut inner, li % PTRS_PER_BLOCK, data);
-                    self.write_raw(mid, &inner)?;
+                    let inner = self.read_block(mid)?;
+                    self.rewrite(mid, &inner, |p| write_ptr(p, li % PTRS_PER_BLOCK, data))?;
                 } else {
                     self.free_blocks(&[data])?;
                     return Err(FsError::FileTooLarge);
@@ -564,7 +563,7 @@ impl<S: BlockDevice> FileSystem<S> {
                 b
             }
         };
-        let mut extents = self.read_extent_leaf(leaf_block)?;
+        let mut extents = self.read_extent_leaf(leaf_block)?.to_vec();
         for e in extents.iter_mut() {
             if e.logical + e.len == logical && e.start + e.len == data {
                 e.len += 1;
@@ -607,20 +606,27 @@ impl<S: BlockDevice> FileSystem<S> {
     }
 
     /// Reads and verifies a depth-1 extent leaf block (checksummed like
-    /// ext4's).
-    fn read_extent_leaf(&mut self, block: FsBlock) -> FsResult<Vec<Extent>> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        self.read_raw_into(block, &mut buf)?;
-        let entries = Self::check_extent_leaf(&buf)?;
-        let (records, _) = buf[12..12 + entries * 12].as_chunks::<12>();
-        Ok(records
+    /// ext4's). The block is always read; a page that is the last verified
+    /// leaf's page has the same bytes, so it reuses that leaf's extents.
+    fn read_extent_leaf(&mut self, block: FsBlock) -> FsResult<Arc<[Extent]>> {
+        let page = self.read_block(block)?;
+        if let Some((seen, extents)) = &self.leaf_memo {
+            if Arc::ptr_eq(seen, &page) {
+                return Ok(Arc::clone(extents));
+            }
+        }
+        let entries = Self::check_extent_leaf(&page)?;
+        let (records, _) = page[12..12 + entries * 12].as_chunks::<12>();
+        let extents: Arc<[Extent]> = records
             .iter()
             .map(|e| Extent {
                 logical: word(e, 0),
                 len: word(e, 1),
                 start: word(e, 2),
             })
-            .collect())
+            .collect();
+        self.leaf_memo = Some((page, Arc::clone(&extents)));
+        Ok(extents)
     }
 
     /// An extent map's whole extent list: the inline extents, then the
@@ -628,7 +634,7 @@ impl<S: BlockDevice> FileSystem<S> {
     fn all_extents(&mut self, inline: &[Extent], leaf: Option<FsBlock>) -> FsResult<Vec<Extent>> {
         let mut all = inline.to_vec();
         if let Some(leaf_block) = leaf {
-            all.extend(self.read_extent_leaf(leaf_block)?);
+            all.extend_from_slice(&self.read_extent_leaf(leaf_block)?);
         }
         Ok(all)
     }
@@ -682,10 +688,9 @@ impl<S: BlockDevice> FileSystem<S> {
         extents: Option<&[Extent]>,
     ) -> FsResult<(FsBlock, DirIndex)> {
         let fsb = self.dir_block(dir, extents, 0)?;
-        let mut buf = [0u8; BLOCK_SIZE];
-        self.read_raw_into(fsb, &mut buf)?;
+        let page = self.read_block(fsb)?;
         let blocks = u32::try_from(dir.size / BLOCK_SIZE as u64).unwrap_or(u32::MAX);
-        Ok((fsb, DirIndex::decode(&buf, blocks)?))
+        Ok((fsb, DirIndex::decode(&page, blocks)?))
     }
 
     /// Reads `dir`'s index and the one leaf `name` hashes to, finding the
@@ -702,11 +707,10 @@ impl<S: BlockDevice> FileSystem<S> {
             hash,
             pos,
             fsb,
-            block: Box::new([0u8; BLOCK_SIZE]),
+            block: self.read_block(fsb)?,
             hit: None,
             free: None,
         };
-        self.read_raw_into(fsb, &mut leaf.block)?;
         for slot in 0..DIRENTS_PER_LEAF {
             match DirentRef::decode(leaf.slot(slot))? {
                 Some(d) if d.name == name => {
@@ -730,11 +734,10 @@ impl<S: BlockDevice> FileSystem<S> {
     ) -> FsResult<DirIndex> {
         let extents = self.dir_extents(dir)?;
         let (_, index) = self.dir_index(dir, extents.as_deref())?;
-        let mut buf = [0u8; BLOCK_SIZE];
         for pos in 0..index.entries.len() {
             let fsb = self.dir_block(dir, extents.as_deref(), index.entries[pos].1)?;
-            self.read_raw_into(fsb, &mut buf)?;
-            for slot in buf.chunks_exact(DIRENT_SIZE) {
+            let page = self.read_block(fsb)?;
+            for slot in page.chunks_exact(DIRENT_SIZE) {
                 if let Some(d) = DirentRef::decode(slot)? {
                     if visit(pos, d) {
                         return Ok(index);
@@ -805,7 +808,7 @@ impl<S: BlockDevice> FileSystem<S> {
             FsError::FileTooLarge => FsError::NoSpace,
             e => e,
         })?;
-        let mut moved = Box::new([0u8; BLOCK_SIZE]);
+        let mut moved = [0u8; BLOCK_SIZE];
         let mut count = 0;
         let mut first_moved = DIRENTS_PER_LEAF;
         for (slot, &hash) in hashes.iter().enumerate() {
@@ -828,7 +831,7 @@ impl<S: BlockDevice> FileSystem<S> {
         }
         leaf.pos += 1;
         leaf.fsb = fsb;
-        leaf.block = moved;
+        leaf.block = Arc::new(moved);
         Ok(count)
     }
 
@@ -1031,7 +1034,7 @@ impl<S: BlockDevice> FileSystem<S> {
         }
         match self.map_block(&inode, logical)? {
             None => Ok([0u8; BLOCK_SIZE]),
-            Some(fsb) => self.read_raw(fsb),
+            Some(fsb) => Ok(*self.read_block(fsb)?),
         }
     }
 
@@ -1082,14 +1085,16 @@ impl<S: BlockDevice> FileSystem<S> {
                 out.extend(direct.iter().copied().filter(|&b| b != 0));
                 if *single != 0 {
                     out.push(*single);
-                    out.extend(nonzero_ptrs(&self.read_raw(*single)?));
+                    let ptrs = self.read_block(*single)?;
+                    out.extend(nonzero_ptrs(&ptrs));
                 }
                 if *double != 0 {
                     out.push(*double);
-                    let outer = self.read_raw(*double)?;
+                    let outer = self.read_block(*double)?;
                     for mid in nonzero_ptrs(&outer) {
                         out.push(mid);
-                        out.extend(nonzero_ptrs(&self.read_raw(mid)?));
+                        let ptrs = self.read_block(mid)?;
+                        out.extend(nonzero_ptrs(&ptrs));
                     }
                 }
             }
@@ -1127,7 +1132,8 @@ fn extent_find(extents: &[Extent], logical: u32) -> Option<FsBlock> {
 
 /// What one directory operation read: the index, and the leaf a name
 /// hashes to with its bytes as read, so the operation writes back the
-/// block it read.
+/// block it read. The leaf is the device's page until its first slot
+/// change, which copies it.
 struct DirLeaf {
     index_fsb: FsBlock,
     index: DirIndex,
@@ -1136,7 +1142,7 @@ struct DirLeaf {
     /// Position of the leaf's entry in `index`.
     pos: usize,
     fsb: FsBlock,
-    block: Box<[u8; BLOCK_SIZE]>,
+    block: Page,
     /// The named entry and its slot.
     hit: Option<(usize, Dirent)>,
     /// The leaf's first free slot (before the entry, with one).
@@ -1149,8 +1155,33 @@ impl DirLeaf {
     }
 
     fn slot_mut(&mut self, slot: usize) -> &mut [u8] {
-        &mut self.block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]
+        &mut Arc::make_mut(&mut self.block)[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]
     }
+}
+
+/// Reads `block` of `dev` as one block-sized page.
+fn read_page<S: BlockDevice>(dev: &mut S, block: FsBlock) -> FsResult<Page> {
+    let page = dev.read(Lba(u64::from(block)))?;
+    Page::try_from(page).map_err(|page| {
+        FsError::Io(StorageError::BadBufferLen {
+            got: page.len(),
+            expected: BLOCK_SIZE,
+        })
+    })
+}
+
+/// The lowest clear bit at or above `from` in one bitmap block, testing 64
+/// bits at a time. Bit `i` is bit `i % 8` of byte `i / 8`.
+fn lowest_clear_bit(bitmap: &[u8; BLOCK_SIZE], from: u32) -> Option<u32> {
+    let (words, _) = bitmap.as_chunks::<8>();
+    let first = (from / 64) as usize;
+    words.iter().enumerate().skip(first).find_map(|(i, word)| {
+        let mut taken = u64::from_le_bytes(*word);
+        if i == first {
+            taken |= (1u64 << (from % 64)) - 1;
+        }
+        (taken != u64::MAX).then(|| i as u32 * 64 + taken.trailing_ones())
+    })
 }
 
 fn nonzero(b: FsBlock) -> Option<FsBlock> {
@@ -1203,6 +1234,35 @@ mod tests {
             FileSystem::mount(RamDisk::new(64)),
             Err(FsError::Corrupted(_))
         ));
+    }
+
+    /// A device whose pages are not one block long breaks the read
+    /// contract; the filesystem reports it as an I/O error.
+    #[test]
+    fn a_short_page_is_an_io_error() {
+        #[derive(Debug)]
+        struct ShortPages(RamDisk);
+        impl BlockDevice for ShortPages {
+            fn capacity_blocks(&self) -> u64 {
+                self.0.capacity_blocks()
+            }
+            fn read(&mut self, lba: Lba) -> ssdhammer_simkit::StorageResult<Arc<[u8]>> {
+                Ok(self.0.read(lba)?[..512].into())
+            }
+            fn write(&mut self, lba: Lba, buf: &[u8]) -> ssdhammer_simkit::StorageResult<()> {
+                self.0.write(lba, buf)
+            }
+            fn trim(&mut self, lba: Lba) -> ssdhammer_simkit::StorageResult<()> {
+                self.0.trim(lba)
+            }
+        }
+        assert_eq!(
+            FileSystem::mount(ShortPages(fs().into_device())).unwrap_err(),
+            FsError::Io(StorageError::BadBufferLen {
+                got: 512,
+                expected: BLOCK_SIZE
+            })
+        );
     }
 
     #[test]
@@ -1412,12 +1472,133 @@ mod tests {
         for i in 0..40u32 {
             assert_eq!(f.read_file_block(ino, ROOT, i).unwrap()[0], 3);
         }
-        // Corrupt one pointer inside the leaf: reads must now fail loudly.
-        let mut buf = f.read_raw(leaf).unwrap();
+        // The lookups verified the leaf and remember its page.
+        let page = f.read_block(leaf).unwrap();
+        let memo = f.leaf_memo.as_ref().map(|(seen, _)| Arc::clone(seen));
+        assert!(memo.is_some_and(|seen| Arc::ptr_eq(&seen, &page)));
+        // Corrupt one pointer inside the leaf: reads must now fail loudly,
+        // every time, although the leaf was verified just before.
+        let mut buf = *page;
         buf[20] ^= 0x04;
         f.write_raw(leaf, &buf).unwrap();
-        let err = f.read_file_block(ino, ROOT, 39).unwrap_err();
-        assert!(matches!(err, FsError::Corrupted(_)), "got {err:?}");
+        for _ in 0..2 {
+            let err = f.read_file_block(ino, ROOT, 39).unwrap_err();
+            assert!(matches!(err, FsError::Corrupted(_)), "got {err:?}");
+        }
+    }
+
+    /// An unchanged extent leaf is decoded once; a leaf rewritten because
+    /// its directory grew shows the new extents on the next read.
+    #[test]
+    fn a_rewritten_extent_leaf_shows_its_new_extents() {
+        let mut f = fs();
+        f.mkdir("/d", ROOT, 0o755).unwrap();
+        let dir = f.lookup("/d").unwrap();
+        let pad = f
+            .create("/pad", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        // A pad block after each entry keeps the directory's blocks apart.
+        let mut entries = 0u32;
+        let mut add = |f: &mut FileSystem<RamDisk>| {
+            f.create(
+                &format!("/d/e{entries}"),
+                ROOT,
+                0o644,
+                AddressingMode::Extents,
+            )
+            .unwrap();
+            f.write_file_block(pad, ROOT, entries, &block_of(1))
+                .unwrap();
+            entries += 1;
+        };
+        let leaf = loop {
+            add(&mut f);
+            if let InodeMap::Extents {
+                leaf: Some(leaf), ..
+            } = f.read_inode(dir).unwrap().map
+            {
+                break leaf;
+            }
+        };
+        let blocks = |f: &mut FileSystem<RamDisk>| {
+            (f.read_inode(dir).unwrap().size / BLOCK_SIZE as u64) as u32
+        };
+        let grown = blocks(&mut f);
+        let before = f.read_extent_leaf(leaf).unwrap();
+        assert!(Arc::ptr_eq(&before, &f.read_extent_leaf(leaf).unwrap()));
+        assert_eq!(extent_find(&before, grown), None);
+        while blocks(&mut f) == grown {
+            add(&mut f);
+        }
+        let after = f.read_extent_leaf(leaf).unwrap();
+        assert!(extent_find(&after, grown).is_some(), "{after:?}");
+        for i in 0..entries {
+            assert!(f.lookup(&format!("/d/e{i}")).is_ok(), "e{i}");
+        }
+    }
+
+    /// `alloc_bit` returns what a bit-by-bit scan finds, the lowest clear
+    /// bit in `first..limit`, or `NoSpace`, and sets that one bit.
+    #[test]
+    fn alloc_bit_matches_a_bitwise_scan() {
+        use ssdhammer_simkit::rng::{seeded, Rng};
+        const BITS: u32 = BLOCK_SIZE as u32 * 8;
+        // Two otherwise unused data blocks of a fresh filesystem.
+        const START: FsBlock = 1024;
+        let mut f = fs();
+        let mut check = |bitmap: &[u8], first: u32, limit: u32| {
+            for (i, block) in bitmap.as_chunks::<BLOCK_SIZE>().0.iter().enumerate() {
+                f.write_raw(START + i as u32, block).unwrap();
+            }
+            let taken = |i: u32| bitmap[(i / 8) as usize] & (1 << (i % 8)) != 0;
+            let want = (first..limit).find(|&i| !taken(i));
+            let got = f.alloc_bit(START, first, limit);
+            assert_eq!(
+                got,
+                want.ok_or(FsError::NoSpace),
+                "first {first} limit {limit}"
+            );
+            let mut after = bitmap.to_vec();
+            if let Some(i) = want {
+                after[(i / 8) as usize] |= 1 << (i % 8);
+            }
+            for (i, block) in after.chunks_exact(BLOCK_SIZE).enumerate() {
+                assert_eq!(f.read_block(START + i as u32).unwrap()[..], *block);
+            }
+        };
+        let mut bitmap = vec![0u8; 2 * BLOCK_SIZE];
+        // `first` inside a word: inode 0 is reserved, so bit 0 stays clear.
+        check(&bitmap, 1, BITS);
+        check(&bitmap, 70, BITS);
+        // `limit` ends mid-word: bits 0..100 taken, bit 100 clear.
+        for i in 0..100 {
+            bitmap[i / 8] |= 1 << (i % 8);
+        }
+        check(&bitmap, 0, 100);
+        check(&bitmap, 0, 101);
+        // The scan runs on into the next bitmap block.
+        bitmap[..BLOCK_SIZE].fill(0xFF);
+        bitmap[BLOCK_SIZE] = 0b0001_1111;
+        check(&bitmap, 3, 2 * BITS);
+        check(&bitmap, 3, BITS + 5);
+        // Seeded random bitmaps: every bit below a random mark taken, the
+        // rest three-quarters taken; `limit` near the answer or far from it.
+        let mut rng = seeded(0xB17);
+        for _ in 0..500 {
+            let mark = rng.gen_range(0..2 * BITS);
+            for (i, byte) in bitmap.iter_mut().enumerate() {
+                let below_mark = mark.saturating_sub(i as u32 * 8).min(8);
+                *byte = rng.gen::<u8>() | rng.gen::<u8>() | ((1u16 << below_mark) - 1) as u8;
+            }
+            let first = rng.gen_range(0..2 * BITS);
+            let near = first.max(mark) + rng.gen_range(1..130);
+            let limit = if rng.gen_bool(0.5) {
+                near.min(2 * BITS)
+            } else {
+                rng.gen_range(first + 1..2 * BITS + 1)
+            };
+            check(&bitmap, first, limit);
+        }
     }
 
     #[test]
@@ -1443,7 +1624,7 @@ mod tests {
             panic!()
         };
         // Tamper: point the victim's 13th block at the secret.
-        let mut ptrs = f.read_raw(single).unwrap();
+        let mut ptrs = *f.read_block(single).unwrap();
         write_ptr(&mut ptrs, 0, secret_block);
         f.write_raw(single, &ptrs).unwrap();
         // Alice reads the (0666) victim file and receives root's 0600 data:
@@ -1557,7 +1738,8 @@ mod tests {
             let dir = f.read_inode(ino).unwrap();
             let blocks = (dir.size / BLOCK_SIZE as u64) as u32;
             let at = f.map_block(&dir, 0).unwrap().unwrap();
-            let mut index = DirIndex::decode(&f.read_raw(at).unwrap(), blocks).unwrap();
+            let page = f.read_block(at).unwrap();
+            let mut index = DirIndex::decode(&page, blocks).unwrap();
             assert!(index.entries.len() >= 3, "{what}: {index:?}");
             tamper(&mut index, blocks);
             f.write_raw(at, &index.encode()).unwrap();

@@ -386,9 +386,8 @@ mod tests {
         };
         // Redirect pointer 0 to a wildly out-of-range block, simulating a
         // high-bit L2P-style flip.
-        let mut buf = [0u8; BLOCK_SIZE];
         let mut dev_view = f.into_device();
-        dev_view.read(Lba(u64::from(single)), &mut buf).unwrap();
+        let mut buf = dev_view.read(Lba(u64::from(single))).unwrap().to_vec();
         buf[0..4].copy_from_slice(&0xFFFF_FF00u32.to_le_bytes());
         dev_view.write(Lba(u64::from(single)), &buf).unwrap();
         let mut f = FileSystem::mount(dev_view).unwrap();
@@ -418,11 +417,10 @@ mod tests {
             panic!()
         };
         let stolen = inline[0].start;
-        let mut buf = [0u8; BLOCK_SIZE];
         let mut dev = f.into_device();
-        dev.read(Lba(u64::from(single)), &mut buf).unwrap();
+        let mut buf = dev.read(Lba(u64::from(single))).unwrap().to_vec();
         buf[0..4].copy_from_slice(&stolen.to_le_bytes());
-        dev.write(Lba(u64::from(single)), &buf.clone()).unwrap();
+        dev.write(Lba(u64::from(single)), &buf).unwrap();
         let mut f = FileSystem::mount(dev).unwrap();
         let report = f.fsck().unwrap();
         assert!(
@@ -448,11 +446,11 @@ mod tests {
             self.inner.capacity_blocks()
         }
 
-        fn read(&mut self, lba: Lba, buf: &mut [u8]) -> ssdhammer_simkit::StorageResult<()> {
+        fn read(&mut self, lba: Lba) -> ssdhammer_simkit::StorageResult<std::sync::Arc<[u8]>> {
             if lba.as_u64() == self.poisoned {
                 return Err(StorageError::Uncorrectable { lba });
             }
-            self.inner.read(lba, buf)
+            self.inner.read(lba)
         }
 
         fn write(&mut self, lba: Lba, buf: &[u8]) -> ssdhammer_simkit::StorageResult<()> {
@@ -507,9 +505,8 @@ mod tests {
             panic!()
         };
         let at = Lba(u64::from(inline[0].start));
-        let mut buf = [0u8; BLOCK_SIZE];
-        f.device_mut().read(at, &mut buf).unwrap();
-        let index = DirIndex::decode(&buf, blocks).unwrap();
+        let page = f.device_mut().read(at).unwrap();
+        let index = DirIndex::decode(page[..].try_into().unwrap(), blocks).unwrap();
         assert!(index.entries.len() >= 2, "{index:?}");
         let (first, second) = (index.entries[0].1, index.entries[1].1);
         for (leaves, finding) in [

@@ -1056,8 +1056,8 @@ impl Ftl {
     /// The page is copied into `buf` straight from the flash array
     /// ([`FlashArray::read_page_into`]) and no page handle is taken: the
     /// form for callers that keep the bytes in a buffer of their own (the
-    /// block-device views). [`Ftl::read_shared`] is the same read
-    /// returning the page itself.
+    /// fault campaigns, the fuzz executor and the host-time probes).
+    /// [`Ftl::read_shared`] is the same read returning the page itself.
     ///
     /// # Errors
     ///

@@ -229,9 +229,7 @@ impl SsdHandles {
 /// let ns = ssd.create_namespace(1024)?;
 /// let mut view = ssd.namespace(ns)?;
 /// view.write(Lba(0), &[9u8; BLOCK_SIZE])?;
-/// let mut out = [0u8; BLOCK_SIZE];
-/// view.read(Lba(0), &mut out)?;
-/// assert_eq!(out[0], 9);
+/// assert_eq!(view.read(Lba(0))?[0], 9);
 /// # Ok(())
 /// # }
 /// ```
@@ -537,6 +535,29 @@ impl Ssd {
             return Err(NvmeError::OutOfRange { ns, lba });
         }
         Ok((Lba(info.start.as_u64() + lba.as_u64()), info.key))
+    }
+
+    /// Reads one namespace block: the read command's and the view's path.
+    /// The data is the stored page itself unless the block is a mapped
+    /// block of an encrypted namespace, which is decrypted into a private
+    /// copy (the stored page is never mutated).
+    fn read_block(&mut self, ns: NsId, lba: Lba) -> Result<BlockRead, NvmeError> {
+        let (device_lba, key) = self.locate(ns, lba)?;
+        let (outcome, page) = self.ftl.read_shared(device_lba)?;
+        let (mapped, ready) = read_status(ns, lba, outcome)?;
+        let data = match key.filter(|_| mapped) {
+            Some(key) => {
+                let mut plain = page.to_vec();
+                apply_cipher(key, lba, &mut plain);
+                plain.into()
+            }
+            None => page,
+        };
+        Ok(BlockRead {
+            data,
+            mapped,
+            ready,
+        })
     }
 
     /// Writes one namespace block, encrypted under the tenant key if the
@@ -951,18 +972,11 @@ impl Ssd {
     fn execute_inner(&mut self, cmd: Command) -> Result<(CmdResult, Option<SimTime>), NvmeError> {
         Ok(match cmd {
             Command::Read { ns, lba } => {
-                let (device_lba, key) = self.locate(ns, lba)?;
-                let (outcome, page) = self.ftl.read_shared(device_lba)?;
-                let (mapped, ready) = read_status(ns, lba, outcome)?;
-                // Decrypt into a copy: the page may be the stored one.
-                let data = match key.filter(|_| mapped) {
-                    Some(key) => {
-                        let mut plain = page.to_vec();
-                        apply_cipher(key, lba, &mut plain);
-                        plain.into()
-                    }
-                    None => page,
-                };
+                let BlockRead {
+                    data,
+                    mapped,
+                    ready,
+                } = self.read_block(ns, lba)?;
                 (CmdResult::Read { data, mapped }, ready)
             }
             Command::Write { ns, lba, data } => {
@@ -1194,6 +1208,17 @@ impl Ssd {
     pub const IO_CORES: u32 = 4;
 }
 
+/// One namespace block read ([`Ssd::read_block`]).
+struct BlockRead {
+    /// The block's bytes.
+    data: Arc<[u8]>,
+    /// Whether the block was mapped.
+    mapped: bool,
+    /// When its flash read completes; `None` for a read that touched no
+    /// flash.
+    ready: Option<SimTime>,
+}
+
 /// Whether a host read returned the stored block, and when its flash read
 /// completes. A DIF guard mismatch fails as [`NvmeError::Integrity`].
 /// Only a mapped read returns stored ciphertext, so only a mapped read is
@@ -1236,8 +1261,8 @@ fn storage_error(e: NvmeError, lba: Lba, capacity: u64) -> StorageError {
 
 /// A [`BlockDevice`] view over one namespace, suitable for mounting a
 /// filesystem on. It shares the NVMe executor's data path: namespace
-/// translation, the tenant cipher, the FTL write and trim, and the error
-/// classification. It does not share the executor's queue, command
+/// translation, the tenant cipher, the FTL read, write and trim, and the
+/// error classification. It does not share the executor's queue, command
 /// overhead, flash wait or `nvme.*` accounting, so a view I/O costs only
 /// the FTL's DRAM time on the simulated clock.
 #[derive(Debug)]
@@ -1262,19 +1287,13 @@ impl BlockDevice for Namespace<'_> {
         self.blocks
     }
 
-    /// Copies the block into `buf`; the read command instead hands out the
-    /// stored page ([`Ftl::read_shared`]).
-    fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
-        self.check_access(lba, buf.len())?;
-        let ssd = &mut *self.ssd;
-        let read = ssd.locate(self.ns, lba).and_then(|(device_lba, key)| {
-            let (mapped, _) = read_status(self.ns, lba, ssd.ftl.read(device_lba, buf)?)?;
-            if let Some(key) = key.filter(|_| mapped) {
-                apply_cipher(key, lba, buf);
-            }
-            Ok(())
-        });
-        read.map_err(|e| storage_error(e, lba, self.blocks))
+    /// The read command's page ([`Ftl::read_shared`]): the stored page, or
+    /// a decrypted copy of it.
+    fn read(&mut self, lba: Lba) -> StorageResult<Arc<[u8]>> {
+        self.ssd
+            .read_block(self.ns, lba)
+            .map(|read| read.data)
+            .map_err(|e| storage_error(e, lba, self.blocks))
     }
 
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
@@ -1695,13 +1714,10 @@ mod tests {
         let mut view = s.namespace(ns).unwrap();
         assert_eq!(view.capacity_blocks(), 64);
         view.write(Lba(5), &[1u8; BLOCK_SIZE]).unwrap();
-        let mut out = [0u8; BLOCK_SIZE];
-        view.read(Lba(5), &mut out).unwrap();
-        assert_eq!(out[0], 1);
+        assert_eq!(view.read(Lba(5)).unwrap()[0], 1);
         view.trim(Lba(5)).unwrap();
-        view.read(Lba(5), &mut out).unwrap();
-        assert_eq!(out[0], 0);
-        let err = view.read(Lba(64), &mut out).unwrap_err();
+        assert_eq!(view.read(Lba(5)).unwrap()[0], 0);
+        let err = view.read(Lba(64)).unwrap_err();
         assert!(matches!(err, StorageError::OutOfRange { .. }));
     }
 
@@ -2173,15 +2189,13 @@ mod tests {
             "{:?}",
             c.result
         );
-        let mut out = [0u8; BLOCK_SIZE];
         let mut view = s.namespace(ns).unwrap();
         assert_eq!(
-            view.read(Lba(5), &mut out),
+            view.read(Lba(5)),
             Err(StorageError::Uncorrectable { lba: Lba(5) })
         );
         assert_eq!(view.write(Lba(5), &[1u8; BLOCK_SIZE]), Ok(()));
-        view.read(Lba(5), &mut out).unwrap();
-        assert_eq!(out, [1u8; BLOCK_SIZE]);
+        assert_eq!(view.read(Lba(5)).unwrap()[..], [1u8; BLOCK_SIZE]);
         poison(&mut s);
         let c = s.roundtrip(qp, Command::Trim { ns, lba: Lba(5) }).unwrap();
         assert!(c.is_ok(), "{:?}", c.result);

@@ -2,6 +2,7 @@
 //! filesystem, and test doubles.
 
 use core::fmt;
+use std::sync::Arc;
 
 use crate::units::{Lba, BLOCK_SIZE};
 
@@ -69,25 +70,34 @@ pub type StorageResult<T> = Result<T, StorageError>;
 /// simulated SSD, a tenant partition view over one, or the in-memory
 /// [`RamDisk`] test double. All blocks are [`BLOCK_SIZE`] bytes.
 ///
+/// A read returns the block as a shared page rather than filling a
+/// caller's buffer, so a reader that only inspects a block copies nothing;
+/// a caller copies the page only to modify it.
+///
 /// [`Namespace`]: https://docs.rs/ssdhammer-nvme
 pub trait BlockDevice {
     /// Number of addressable blocks.
     fn capacity_blocks(&self) -> u64;
 
-    /// Reads the block at `lba` into `buf`.
+    /// Reads the block at `lba`: a page of exactly [`BLOCK_SIZE`] bytes.
+    ///
+    /// The page is a snapshot. A later write or trim of `lba` does not
+    /// change it, so the caller may keep it as long as it likes. A device
+    /// that stores its blocks as shared pages hands out the stored page
+    /// itself, and those pages are never mutated in place.
     ///
     /// # Errors
     ///
     /// [`StorageError::OutOfRange`] if `lba` exceeds capacity,
-    /// [`StorageError::BadBufferLen`] if `buf` is not exactly one block,
     /// [`StorageError::Uncorrectable`] if the device cannot return the data.
-    fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()>;
+    fn read(&mut self, lba: Lba) -> StorageResult<Arc<[u8]>>;
 
     /// Writes `buf` to the block at `lba`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`BlockDevice::read`].
+    /// Same conditions as [`BlockDevice::read`], plus
+    /// [`StorageError::BadBufferLen`] if `buf` is not exactly one block.
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()>;
 
     /// Discards the mapping of the block at `lba` (NVMe deallocate / TRIM).
@@ -138,18 +148,21 @@ pub trait BlockDevice {
 ///
 /// # fn main() -> Result<(), ssdhammer_simkit::StorageError> {
 /// let mut disk = RamDisk::new(128);
-/// let block = [0xABu8; BLOCK_SIZE];
-/// disk.write(Lba(3), &block)?;
-/// let mut out = [0u8; BLOCK_SIZE];
-/// disk.read(Lba(3), &mut out)?;
-/// assert_eq!(out, block);
+/// disk.write(Lba(3), &[0xABu8; BLOCK_SIZE])?;
+/// let page = disk.read(Lba(3))?;
+/// // The page is a snapshot: rewriting the block leaves it as it was read.
+/// disk.write(Lba(3), &[0u8; BLOCK_SIZE])?;
+/// assert_eq!(page[..], [0xABu8; BLOCK_SIZE]);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RamDisk {
-    blocks: std::collections::BTreeMap<u64, Box<[u8]>>,
+    blocks: std::collections::BTreeMap<u64, Arc<[u8]>>,
     capacity: u64,
+    /// What every unwritten block reads as: one all-zero page, shared
+    /// (empty in the zero-capacity `Default` disk, which serves no read).
+    zeroes: Arc<[u8]>,
 }
 
 impl RamDisk {
@@ -159,6 +172,7 @@ impl RamDisk {
         RamDisk {
             blocks: std::collections::BTreeMap::new(),
             capacity,
+            zeroes: vec![0u8; BLOCK_SIZE].into(),
         }
     }
 
@@ -167,6 +181,16 @@ impl RamDisk {
     pub fn populated_blocks(&self) -> usize {
         self.blocks.len()
     }
+
+    fn check_lba(&self, lba: Lba) -> StorageResult<()> {
+        if lba.as_u64() >= self.capacity {
+            return Err(StorageError::OutOfRange {
+                lba,
+                capacity: self.capacity,
+            });
+        }
+        Ok(())
+    }
 }
 
 impl BlockDevice for RamDisk {
@@ -174,13 +198,10 @@ impl BlockDevice for RamDisk {
         self.capacity
     }
 
-    fn read(&mut self, lba: Lba, buf: &mut [u8]) -> StorageResult<()> {
-        self.check_access(lba, buf.len())?;
-        match self.blocks.get(&lba.as_u64()) {
-            Some(data) => buf.copy_from_slice(data),
-            None => buf.fill(0),
-        }
-        Ok(())
+    fn read(&mut self, lba: Lba) -> StorageResult<Arc<[u8]>> {
+        self.check_lba(lba)?;
+        let page = self.blocks.get(&lba.as_u64()).unwrap_or(&self.zeroes);
+        Ok(Arc::clone(page))
     }
 
     fn write(&mut self, lba: Lba, buf: &[u8]) -> StorageResult<()> {
@@ -190,12 +211,7 @@ impl BlockDevice for RamDisk {
     }
 
     fn trim(&mut self, lba: Lba) -> StorageResult<()> {
-        if lba.as_u64() >= self.capacity {
-            return Err(StorageError::OutOfRange {
-                lba,
-                capacity: self.capacity,
-            });
-        }
+        self.check_lba(lba)?;
         self.blocks.remove(&lba.as_u64());
         Ok(())
     }
@@ -208,9 +224,10 @@ mod tests {
     #[test]
     fn unwritten_blocks_read_zero() {
         let mut d = RamDisk::new(4);
-        let mut buf = [7u8; BLOCK_SIZE];
-        d.read(Lba(0), &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
+        let page = d.read(Lba(0)).unwrap();
+        assert_eq!(page.len(), BLOCK_SIZE);
+        assert!(page.iter().all(|&b| b == 0));
+        assert!(Arc::ptr_eq(&page, &d.read(Lba(3)).unwrap()));
     }
 
     #[test]
@@ -219,27 +236,24 @@ mod tests {
         let mut block = [0u8; BLOCK_SIZE];
         block[100] = 42;
         d.write(Lba(2), &block).unwrap();
-        let mut out = [0u8; BLOCK_SIZE];
-        d.read(Lba(2), &mut out).unwrap();
-        assert_eq!(out[100], 42);
+        assert_eq!(d.read(Lba(2)).unwrap()[100], 42);
     }
 
     #[test]
     fn trim_restores_zero() {
         let mut d = RamDisk::new(4);
         d.write(Lba(1), &[1u8; BLOCK_SIZE]).unwrap();
+        let before = d.read(Lba(1)).unwrap();
         d.trim(Lba(1)).unwrap();
-        let mut out = [9u8; BLOCK_SIZE];
-        d.read(Lba(1), &mut out).unwrap();
-        assert!(out.iter().all(|&b| b == 0));
+        assert!(d.read(Lba(1)).unwrap().iter().all(|&b| b == 0));
         assert_eq!(d.populated_blocks(), 0);
+        assert!(before.iter().all(|&b| b == 1), "a read page is a snapshot");
     }
 
     #[test]
     fn out_of_range_is_rejected() {
         let mut d = RamDisk::new(4);
-        let mut buf = [0u8; BLOCK_SIZE];
-        let err = d.read(Lba(4), &mut buf).unwrap_err();
+        let err = d.read(Lba(4)).unwrap_err();
         assert!(matches!(err, StorageError::OutOfRange { .. }));
         assert!(matches!(
             d.trim(Lba(99)),
@@ -250,8 +264,8 @@ mod tests {
     #[test]
     fn short_buffer_is_rejected() {
         let mut d = RamDisk::new(4);
-        let mut small = [0u8; 512];
-        let err = d.read(Lba(0), &mut small).unwrap_err();
+        let small = [0u8; 512];
+        let err = d.write(Lba(0), &small).unwrap_err();
         assert_eq!(
             err,
             StorageError::BadBufferLen {

@@ -6,9 +6,11 @@
 //! filesystem, the workload replayers, the spray phase) may rely on exactly
 //! these behaviors.
 
+use std::sync::Arc;
+
 use ssdhammer::cloud::{PartitionView, SharedSsd};
 use ssdhammer::dram::ModuleProfile;
-use ssdhammer::nvme::{Ssd, SsdConfig};
+use ssdhammer::nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer::prelude::{BlockDevice, Lba, RamDisk, BLOCK_SIZE};
 use ssdhammer::simkit::StorageError;
 
@@ -18,35 +20,46 @@ fn conformance(dev: &mut impl BlockDevice) {
     assert!(cap >= 4, "conformance needs at least 4 blocks, got {cap}");
     let last = Lba(cap - 1);
 
-    // Fresh (never-written) blocks read as zero.
-    let mut buf = [0xAAu8; BLOCK_SIZE];
-    dev.read(Lba(0), &mut buf).unwrap();
+    // Fresh (never-written) blocks read as zero, one block long.
+    let page = dev.read(Lba(0)).unwrap();
+    assert_eq!(page.len(), BLOCK_SIZE);
     assert!(
-        buf.iter().all(|&b| b == 0),
+        page.iter().all(|&b| b == 0),
         "unwritten blocks must read zero"
     );
 
     // Write/read round-trips, including the last addressable block.
+    let mut block = [0u8; BLOCK_SIZE];
+    block[0] = 0xC4;
+    block[BLOCK_SIZE - 1] = 0x7E;
     for lba in [Lba(0), last] {
-        let mut block = [0u8; BLOCK_SIZE];
-        block[0] = 0xC4;
-        block[BLOCK_SIZE - 1] = 0x7E;
         dev.write(lba, &block).unwrap();
-        let mut out = [0u8; BLOCK_SIZE];
-        dev.read(lba, &mut out).unwrap();
-        assert_eq!(out, block, "round-trip at {lba}");
+        assert_eq!(dev.read(lba).unwrap()[..], block, "round-trip at {lba}");
     }
 
-    // Trim discards the mapping; the block reads as zero again.
+    // A page that was read is a snapshot: rewriting the block leaves it as
+    // it was read.
+    let page = dev.read(Lba(0)).unwrap();
+    let rewrite = [0x5Au8; BLOCK_SIZE];
+    dev.write(Lba(0), &rewrite).unwrap();
+    assert_eq!(dev.read(Lba(0)).unwrap()[..], rewrite);
+    assert_eq!(page[..], block, "a rewrite changed a page already read");
+
+    // Trim discards the mapping; the block reads as zero again, and a page
+    // read before the trim keeps its bytes.
+    let page = dev.read(Lba(0)).unwrap();
     dev.trim(Lba(0)).unwrap();
-    let mut out = [0xFFu8; BLOCK_SIZE];
-    dev.read(Lba(0), &mut out).unwrap();
-    assert!(out.iter().all(|&b| b == 0), "trimmed blocks must read zero");
+    let trimmed = dev.read(Lba(0)).unwrap();
+    assert!(
+        trimmed.iter().all(|&b| b == 0),
+        "trimmed blocks must read zero"
+    );
+    assert_eq!(page[..], rewrite, "a trim changed a page already read");
 
     // Every operation rejects addresses at or beyond capacity.
-    let mut block = [0u8; BLOCK_SIZE];
+    let block = [0u8; BLOCK_SIZE];
     assert!(matches!(
-        dev.read(Lba(cap), &mut block),
+        dev.read(Lba(cap)),
         Err(StorageError::OutOfRange { .. })
     ));
     assert!(matches!(
@@ -58,12 +71,8 @@ fn conformance(dev: &mut impl BlockDevice) {
         Err(StorageError::OutOfRange { .. })
     ));
 
-    // Reads and writes reject buffers that are not exactly one block.
-    let mut small = [0u8; 512];
-    assert!(matches!(
-        dev.read(Lba(1), &mut small),
-        Err(StorageError::BadBufferLen { .. })
-    ));
+    // Writes reject buffers that are not exactly one block.
+    let small = [0u8; 512];
     assert!(matches!(
         dev.write(Lba(1), &small),
         Err(StorageError::BadBufferLen { .. })
@@ -92,6 +101,51 @@ fn namespace_view_conforms() {
     let ns = ssd.create_namespace(64).unwrap();
     let mut view = ssd.namespace(ns).unwrap();
     conformance(&mut view);
+}
+
+/// The namespace view hands out the stored page: two reads of an
+/// unchanged mapped block are the same page, holding what a read command
+/// returns.
+#[test]
+fn namespace_view_reads_the_stored_page() {
+    let mut ssd = quiet_ssd(9);
+    let ns = ssd.create_namespace(64).unwrap();
+    let block = [0x3Cu8; BLOCK_SIZE];
+    let (first, second) = {
+        let mut view = ssd.namespace(ns).unwrap();
+        view.write(Lba(7), &block).unwrap();
+        (view.read(Lba(7)).unwrap(), view.read(Lba(7)).unwrap())
+    };
+    assert!(Arc::ptr_eq(&first, &second));
+    assert_eq!(first[..], block);
+    let qp = ssd.create_queue_pair(1);
+    let done = ssd
+        .roundtrip(qp, Command::Read { ns, lba: Lba(7) })
+        .unwrap();
+    let CmdResult::Read { data, mapped } = done.result else {
+        panic!("read command failed: {:?}", done.result);
+    };
+    assert!(mapped);
+    assert_eq!(data[..], first[..]);
+}
+
+/// On an encrypted namespace the view decrypts into a copy of its own: it
+/// returns the plaintext, and the stored page keeps the ciphertext.
+#[test]
+fn encrypted_namespace_view_decrypts_a_copy() {
+    let mut ssd = quiet_ssd(9);
+    let ns = ssd.create_encrypted_namespace(64, 0x5EC2E7).unwrap();
+    let block = [0x3Cu8; BLOCK_SIZE];
+    ssd.namespace(ns).unwrap().write(Lba(7), &block).unwrap();
+    let device_lba = ssd.translate(ns, Lba(7)).unwrap();
+    let (_, stored) = ssd.ftl_mut().read_shared(device_lba).unwrap();
+    let ciphertext = stored.to_vec();
+    assert_ne!(ciphertext[..], block);
+    let page = ssd.namespace(ns).unwrap().read(Lba(7)).unwrap();
+    assert_eq!(page[..], block);
+    assert_eq!(stored[..], ciphertext[..], "the view decrypted in place");
+    let (_, again) = ssd.ftl_mut().read_shared(device_lba).unwrap();
+    assert!(Arc::ptr_eq(&again, &stored));
 }
 
 /// A partition that does not start at device LBA 0, so the view's
@@ -140,9 +194,11 @@ fn ssd_read_only_degradation_rejects_writes_but_serves_reads() {
         view.trim(Lba(0)),
         Err(StorageError::Rejected { .. })
     ));
-    let mut out = [0u8; BLOCK_SIZE];
-    view.read(Lba(0), &mut out).unwrap();
-    assert_eq!(out[0], 0x42, "reads keep working after degradation");
+    assert_eq!(
+        view.read(Lba(0)).unwrap()[0],
+        0x42,
+        "reads keep working after degradation"
+    );
 }
 
 /// Unrecoverable media reads surface as `StorageError::Uncorrectable` with
@@ -180,11 +236,10 @@ fn assert_uncorrectable_reads(dev: &mut impl BlockDevice) {
     for lba in 0..32u64 {
         dev.write(Lba(lba), &block).unwrap();
     }
-    let mut out = [0u8; BLOCK_SIZE];
     let mut uncorrectable = 0;
     for lba in 0..32u64 {
-        match dev.read(Lba(lba), &mut out) {
-            Ok(()) => {}
+        match dev.read(Lba(lba)) {
+            Ok(_) => {}
             Err(StorageError::Uncorrectable { lba: reported }) => {
                 assert_eq!(reported, Lba(lba));
                 uncorrectable += 1;
@@ -216,9 +271,8 @@ fn power_loss_rejects_all_operations() {
         view.write(Lba(4), &block),
         Err(StorageError::Rejected { .. })
     ));
-    let mut out = [0u8; BLOCK_SIZE];
     assert!(matches!(
-        view.read(Lba(0), &mut out),
+        view.read(Lba(0)),
         Err(StorageError::Rejected { .. })
     ));
     assert!(matches!(
@@ -292,9 +346,8 @@ fn namespace_view_honors_integrity_degradation() {
     corrupt_beyond_repair(&mut ssd, Lba(1));
 
     // Consuming the poisoned entry is loud, never a silent redirection.
-    let mut out = [0u8; BLOCK_SIZE];
     assert!(matches!(
-        ssd.namespace(ns).unwrap().read(Lba(1), &mut out),
+        ssd.namespace(ns).unwrap().read(Lba(1)),
         Err(StorageError::Uncorrectable { lba: Lba(1) })
     ));
     assert!(ssd.ftl().is_read_only(), "divergence degrades the device");
@@ -310,6 +363,9 @@ fn namespace_view_honors_integrity_degradation() {
         Err(StorageError::Rejected { .. })
     ));
     // … while intact blocks are still served.
-    view.read(Lba(3), &mut out).unwrap();
-    assert_eq!(out[0], 4, "intact reads keep working after degradation");
+    assert_eq!(
+        view.read(Lba(3)).unwrap()[0],
+        4,
+        "intact reads keep working after degradation"
+    );
 }

@@ -474,15 +474,13 @@ fn fs_allocation_follows_the_lowest_free_policy() {
                     .flat_map(|e| e.start..e.start + e.len)
                     .collect();
                 assert_eq!(on_disk, dir.blocks, "{ctx}: blocks");
-                let mut buf = [0u8; BLOCK_SIZE];
-                fs.device_mut()
-                    .read(Lba(u64::from(dir.blocks[0])), &mut buf)
+                let page = fs.device_mut().read(Lba(u64::from(dir.blocks[0]))).unwrap();
+                let index = DirIndex::decode(page[..].try_into().unwrap(), dir.blocks.len() as u32)
                     .unwrap();
-                let index = DirIndex::decode(&buf, dir.blocks.len() as u32).unwrap();
                 assert_eq!(index.entries, dir.index, "{ctx}: index");
                 for (logical, want) in dir.leaves.iter().enumerate().skip(1) {
                     let b = dir.blocks[logical];
-                    fs.device_mut().read(Lba(u64::from(b)), &mut buf).unwrap();
+                    let buf = fs.device_mut().read(Lba(u64::from(b))).unwrap();
                     for (slot, want) in want.iter().enumerate() {
                         let off = slot * DIRENT_SIZE;
                         let got = Dirent::decode(&buf[off..off + DIRENT_SIZE])
@@ -642,9 +640,8 @@ fn shadow_model_agrees_with_ramdisk_for_any_op_sequence() {
                 shadow.commit_write(p, fill);
             }
             // The shadow must accept the device at every step.
-            let mut buf = [0u8; BLOCK_SIZE];
             for l in 0..SPAN {
-                disk.read(Lba(l), &mut buf).unwrap();
+                let buf = disk.read(Lba(l)).unwrap();
                 assert!(
                     shadow.acceptable(l, &buf),
                     "case {case} lba {l}: device holds {:#04x}, shadow allows {}",
@@ -656,7 +653,7 @@ fn shadow_model_agrees_with_ramdisk_for_any_op_sequence() {
             // LBA, any *other* uniform fill must be rejected.
             let wrong = [fill.wrapping_add(1).max(1); BLOCK_SIZE];
             if pending != Some(lba) {
-                disk.read(Lba(lba), &mut buf).unwrap();
+                let buf = disk.read(Lba(lba)).unwrap();
                 if buf[0] != wrong[0] {
                     assert!(!shadow.acceptable(lba, &wrong), "case {case} lba {lba}");
                 }
