@@ -3,8 +3,8 @@
 //! mapping structure, and victim-activity as an accidental defense.
 //!
 //! The four sweeps' ten points run as the shards of one supervised
-//! campaign, so the report is bit-identical for any `--threads` value and
-//! honours `--abort-after`.
+//! campaign, so the report is bit-identical for any `--threads` value; a
+//! point whose shard panics fails the run.
 
 use ssdhammer_core::{
     cross_partition_sites, find_attack_sites, setup_entries, AttackPipeline, LbaRange,
@@ -12,10 +12,10 @@ use ssdhammer_core::{
 use ssdhammer_dram::{DramGeneration, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::Supervisor;
 use ssdhammer_simkit::{Lba, SimDuration};
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 fn demo_profile(min_rate_kaps: u32) -> ModuleProfile {
     let mut p = ModuleProfile::from_min_rate("ablation", DramGeneration::Ddr4, 2020, min_rate_kaps);
@@ -276,10 +276,10 @@ pub struct Ablations {
 
 impl Ablations {
     /// Sorts campaign points into their sweeps.
-    fn from_points<'a>(points: impl IntoIterator<Item = &'a AblationPoint>) -> Ablations {
+    fn from_points(points: Vec<AblationPoint>) -> Ablations {
         let mut out = Ablations::default();
         for p in points {
-            match p.clone() {
+            match p {
                 AblationPoint::Amplification(r) => out.amplification.push(r),
                 AblationPoint::FastPath(r) => out.fast_path.push(r),
                 AblationPoint::MappingCensus(r) => out.mapping_census.push(r),
@@ -290,13 +290,14 @@ impl Ablations {
     }
 }
 
-/// The ablations campaign under `cfg`'s `--abort-after`: one supervised
-/// shard per sweep point.
-fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<AblationPoint> {
-    let sup = Supervisor::new(seed)
+/// The ablations campaign: one supervised shard per sweep point, in point
+/// order.
+fn campaign(seed: u64, threads: usize) -> Vec<AblationPoint> {
+    Supervisor::new(seed)
         .with_tag("ablations")
-        .with_threads(threads);
-    cfg.run_campaign(sup, POINTS, |ctx| point(seed, ctx.trial.index))
+        .with_threads(threads)
+        .run(POINTS, |ctx| point(seed, ctx.trial.index))
+        .into_complete()
 }
 
 /// Renders all ablations as one report.
@@ -344,7 +345,7 @@ mod tests {
     /// All four sweeps share one campaign run.
     #[test]
     fn every_ablation_shows_its_effect() {
-        let r = Ablations::from_points(&campaign(5, 1, &ScenarioCfg::default()).into_complete());
+        let r = Ablations::from_points(campaign(5, 1));
 
         // A1: amplification crosses the testbed threshold, and the rate
         // scales linearly with the knob.
@@ -443,9 +444,8 @@ impl Scenario for AblationsScenario {
         "ablations"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg);
-        let r = Ablations::from_points(report.values());
-        campaign_output(&report, r.to_json(), render(&r))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let r = Ablations::from_points(campaign(seed, threads));
+        Output::new(r.to_json(), render(&r))
     }
 }

@@ -11,16 +11,17 @@
 //! instead of a result — that, too, is a finding.
 //!
 //! Cells run as the shards of one supervised campaign, so the output
-//! document is bit-identical for any `--threads` value.
+//! document is bit-identical for any `--threads` value; a cell whose shard
+//! panics fails the run.
 
 use ssdhammer_core::{pattern_names, victim_names, AttackError, AttackPipeline};
 use ssdhammer_dram::{DramGeneration, MappingKind, ModuleProfile};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::Supervisor;
 use ssdhammer_simkit::SimDuration;
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// One (pattern, victim) cell of the campaign grid.
 #[derive(Debug, Clone)]
@@ -163,20 +164,18 @@ pub fn grid_cells(cfg: &ScenarioCfg) -> Result<Vec<(&'static str, &'static str)>
 }
 
 /// The grid campaign under `cfg`: one supervised shard per cell of
-/// [`grid_cells`], each on a device seeded from its position.
-fn campaign(
-    seed: u64,
-    threads: usize,
-    cfg: &ScenarioCfg,
-) -> Result<SupervisedReport<GridCell>, AttackError> {
+/// [`grid_cells`], each on a device seeded from its position, in cell
+/// order.
+fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Result<Vec<GridCell>, AttackError> {
     let cells = grid_cells(cfg)?;
-    let sup = Supervisor::new(seed)
+    Ok(Supervisor::new(seed)
         .with_tag("attack-grid")
-        .with_threads(threads);
-    Ok(cfg.run_campaign(sup, cells.len(), |ctx| {
-        let (p, v) = cells[ctx.trial.index];
-        run_cell(ctx.trial.seed, p, v)
-    }))
+        .with_threads(threads)
+        .run(cells.len(), |ctx| {
+            let (p, v) = cells[ctx.trial.index];
+            run_cell(ctx.trial.seed, p, v)
+        })
+        .into_complete())
 }
 
 /// Renders the grid as a table.
@@ -222,7 +221,7 @@ mod tests {
             victim: victim.map(str::to_owned),
             ..ScenarioCfg::default()
         };
-        Ok(campaign(11, threads, &cfg)?.into_complete())
+        campaign(11, threads, &cfg)
     }
 
     #[test]
@@ -292,8 +291,7 @@ impl Scenario for AttacksScenario {
     }
 
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        let cells: Vec<GridCell> = report.values().cloned().collect();
-        campaign_output(&report, cells.to_json(), render(&cells))
+        let cells = campaign(seed, threads, &cfg).unwrap_or_else(|e| panic!("{e}"));
+        Output::new(cells.to_json(), render(&cells))
     }
 }

@@ -29,8 +29,8 @@ struct Ctx {
     seed: u64,
     threads: usize,
     json: bool,
-    /// Everything a scenario reads: `--full`, `--abort-after`, the
-    /// attack-grid filters and the fuzz modes.
+    /// Everything a scenario reads: `--full`, the attack-grid filters and
+    /// the fuzz modes.
     cfg: ScenarioCfg,
 }
 
@@ -59,7 +59,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &table1::Table1Scenario,
         help: "Table 1  — minimal access rate to trigger bitflips",
         in_all: true,
-        flags: "--abort-after N",
+        flags: "",
         check: None,
     },
     Cmd {
@@ -87,7 +87,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &sec43::Sec43Scenario,
         help: "§4.3     — probability of success",
         in_all: true,
-        flags: "--abort-after N",
+        flags: "",
         check: None,
     },
     Cmd {
@@ -108,7 +108,7 @@ static COMMANDS: &[Cmd] = &[
         scenario: &ablations::AblationsScenario,
         help: "design-choice ablations (DESIGN.md §5)",
         in_all: true,
-        flags: "--abort-after N",
+        flags: "",
         check: None,
     },
     Cmd {
@@ -122,35 +122,35 @@ static COMMANDS: &[Cmd] = &[
         scenario: &faults::FaultsScenario,
         help: "fault-injection plane vs the FTL recovery stack",
         in_all: true,
-        flags: "--abort-after N",
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &defenses::DefensesScenario,
         help: "defense-in-depth matrix — attack success per defense layer",
         in_all: true,
-        flags: "--abort-after N",
+        flags: "",
         check: None,
     },
     Cmd {
         scenario: &attacks::AttacksScenario,
         help: "pattern x victim campaign grid (--pattern/--victim filter)",
         in_all: true,
-        flags: "--pattern P --victim V --abort-after N",
+        flags: "--pattern P --victim V",
         check: Some(check_grid_filter),
     },
     Cmd {
         scenario: &torture::TortureScenario,
         help: "power-cut torture — crash-point enumeration x recovery oracle",
         in_all: false,
-        flags: "--full --abort-after N",
+        flags: "--full",
         check: None,
     },
     Cmd {
         scenario: &fuzz::FuzzScenario,
         help: "model-based fuzz — random op soak vs the shadow oracle",
         in_all: false,
-        flags: "--full --soak N --replay DIR --abort-after N",
+        flags: "--full --soak N --replay DIR",
         check: Some(check_replay),
     },
 ];
@@ -178,9 +178,6 @@ fn main() {
             "--threads" => {
                 ctx.threads =
                     value::<NonZeroUsize>(&mut it, "--threads needs a positive number").get();
-            }
-            "--abort-after" => {
-                ctx.cfg.abort_after = Some(value(&mut it, "--abort-after needs a number"));
             }
             "--soak" => {
                 ctx.cfg.soak =
@@ -266,11 +263,7 @@ fn check_replay(cfg: &ScenarioCfg) {
     if cfg.replay.is_none() {
         return;
     }
-    let soak_flags = [
-        ("--soak", cfg.soak.is_some()),
-        ("--full", cfg.full),
-        ("--abort-after", cfg.abort_after.is_some()),
-    ];
+    let soak_flags = [("--soak", cfg.soak.is_some()), ("--full", cfg.full)];
     if let Some((flag, _)) = soak_flags.iter().find(|(_, given)| *given) {
         die(&format!("fuzz --replay does not read {flag}"));
     }
@@ -309,9 +302,7 @@ fn print_help() {
     println!("  --victim V    run a single victim structure's cells");
     println!("  --soak N      run N episodes (default 24, or 64 with --full)");
     println!("  --replay DIR  replay persisted corpus cases instead of soaking (reads");
-    println!("                none of --soak, --full, --abort-after)");
-    println!("  --abort-after N  stop launching shards after N (kill simulation);");
-    println!("                the partial report is marked degraded");
+    println!("                neither --soak nor --full)");
 }
 
 /// The value after a flag, parsed; a missing or malformed value exits 2

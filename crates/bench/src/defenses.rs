@@ -13,7 +13,8 @@
 //! are usable by the paper's exploit chain.
 //!
 //! Trials run as the shards of one supervised campaign, so the output is
-//! bit-identical for any `--threads` value and honours `--abort-after`.
+//! bit-identical for any `--threads` value; a trial whose shard panics
+//! fails the run.
 
 use ssdhammer_core::{find_attack_sites, AttackPipeline};
 use ssdhammer_dram::{ModuleProfile, ParaConfig, TrrConfig};
@@ -21,10 +22,10 @@ use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{FtlConfig, IntegrityMode};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{ShardOutcome, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::Supervisor;
 use ssdhammer_simkit::SimDuration;
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// Independent attack trials per defense configuration.
 const TRIALS: usize = 3;
@@ -170,20 +171,21 @@ fn attack_trial(config: SsdConfig) -> TrialOutcome {
     }
 }
 
-/// The defense campaign under `cfg`'s `--abort-after`: one supervised shard
-/// per (defense, trial) pair, defense-major, each seeded from its position.
-fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<TrialOutcome> {
-    let sup = Supervisor::new(seed)
+/// The defense campaign: one supervised shard per (defense, trial) pair,
+/// defense-major, each seeded from its position; returns the matrix.
+fn campaign(seed: u64, threads: usize) -> Vec<DefenseRow> {
+    let trials = Supervisor::new(seed)
         .with_tag("defenses")
-        .with_threads(threads);
-    cfg.run_campaign(sup, DEFENSES.len() * TRIALS, |ctx| {
-        attack_trial(configure(ctx.trial.index / TRIALS, ctx.trial.seed))
-    })
+        .with_threads(threads)
+        .run(DEFENSES.len() * TRIALS, |ctx| {
+            attack_trial(configure(ctx.trial.index / TRIALS, ctx.trial.seed))
+        })
+        .into_complete();
+    matrix(&trials)
 }
 
-/// Sums per-trial outcomes, in shard order (`None` for a shard that did not
-/// complete), into one row per defense.
-fn matrix<'a>(trials: impl Iterator<Item = Option<&'a TrialOutcome>>) -> Vec<DefenseRow> {
+/// Sums per-trial outcomes, in shard order, into one row per defense.
+fn matrix(trials: &[TrialOutcome]) -> Vec<DefenseRow> {
     let mut rows: Vec<DefenseRow> = DEFENSES
         .iter()
         .map(|&defense| DefenseRow {
@@ -198,8 +200,7 @@ fn matrix<'a>(trials: impl Iterator<Item = Option<&'a TrialOutcome>>) -> Vec<Def
             degraded: 0,
         })
         .collect();
-    for (i, t) in trials.enumerate() {
-        let Some(t) = t else { continue };
+    for (i, t) in trials.iter().enumerate() {
         let row = &mut rows[i / TRIALS];
         row.trials += 1;
         row.successes += u64::from(t.silent > 0);
@@ -210,11 +211,7 @@ fn matrix<'a>(trials: impl Iterator<Item = Option<&'a TrialOutcome>>) -> Vec<Def
         row.degraded += u64::from(t.degraded);
     }
     for row in &mut rows {
-        row.success_probability = if row.trials > 0 {
-            row.successes as f64 / row.trials as f64
-        } else {
-            0.0
-        };
+        row.success_probability = row.successes as f64 / row.trials as f64;
     }
     rows
 }
@@ -244,14 +241,9 @@ fn render(rows: &[DefenseRow]) -> String {
 mod tests {
     use super::*;
 
-    fn run(seed: u64, threads: usize) -> Vec<DefenseRow> {
-        let trials = campaign(seed, threads, &ScenarioCfg::default()).into_complete();
-        matrix(trials.iter().map(Some))
-    }
-
     #[test]
     fn matrix_separates_the_defenses() {
-        let rows = run(7, 1);
+        let rows = campaign(7, 1);
         assert_eq!(rows.len(), 6);
         let get = |name: &str| rows.iter().find(|r| r.defense.starts_with(name)).unwrap();
         // Undefended, the attack succeeds every trial.
@@ -281,7 +273,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let json = |threads| run(7, threads).to_json().to_string();
+        let json = |threads| campaign(7, threads).to_json().to_string();
         assert_eq!(json(1), json(4));
     }
 }
@@ -297,9 +289,8 @@ impl Scenario for DefensesScenario {
         "defenses"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg);
-        let rows = matrix(report.outcomes.iter().map(ShardOutcome::value));
-        campaign_output(&report, rows.to_json(), render(&rows))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let rows = campaign(seed, threads);
+        Output::new(rows.to_json(), render(&rows))
     }
 }

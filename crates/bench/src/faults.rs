@@ -6,7 +6,8 @@
 //! surfaced as (honest) failures.
 //!
 //! Scenarios run as the shards of one supervised campaign, so the output
-//! is bit-identical for any `--threads` value and honours `--abort-after`.
+//! is bit-identical for any `--threads` value; a scenario whose shard
+//! panics fails the run.
 
 use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
 use ssdhammer_flash::{FlashArray, FlashGeometry};
@@ -14,10 +15,10 @@ use ssdhammer_ftl::{Ftl, FtlConfig, FtlError};
 use ssdhammer_nvme::{Command, ControllerConfig, NsId, RetryPolicy, Ssd, SsdConfig};
 use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::Supervisor;
 use ssdhammer_simkit::{Lba, SimClock, BLOCK_SIZE};
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// One fault-injection scenario's outcome.
 #[derive(Debug, Clone)]
@@ -82,14 +83,14 @@ fn read_retry(seed: u64) -> FaultRow {
         },
         &faults,
     );
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let buf = vec![0u8; BLOCK_SIZE];
     let mut recovered = 0u64;
     let mut failed = 0u64;
     for lba in 0..200u64 {
         ftl.write(Lba(lba % 100), &buf).expect("write");
     }
     for lba in 0..100u64 {
-        match ftl.read(Lba(lba), &mut buf) {
+        match ftl.read_shared(Lba(lba)) {
             Ok(_) => recovered += 1,
             Err(_) => failed += 1,
         }
@@ -118,9 +119,8 @@ fn ecc_escalation(seed: u64) -> FaultRow {
     for lba in 0..100u64 {
         ftl.write(Lba(lba), &buf).expect("write");
     }
-    let mut out = vec![0u8; BLOCK_SIZE];
     for lba in 0..100u64 {
-        let _ = ftl.read(Lba(lba), &mut out);
+        let _ = ftl.read_shared(Lba(lba));
     }
     let tel = ftl.shared_telemetry();
     FaultRow {
@@ -294,9 +294,9 @@ fn write_cmd(ns: NsId, lba: u64, fill: u8) -> Command {
     }
 }
 
-/// The fault campaign under `cfg`'s `--abort-after`: one supervised shard
-/// per scenario, each seeded from its position.
-fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<FaultRow> {
+/// The fault campaign: one supervised shard per scenario, each seeded from
+/// its position, in scenario order.
+fn campaign(seed: u64, threads: usize) -> Vec<FaultRow> {
     const SCENARIOS: [fn(u64) -> FaultRow; 5] = [
         read_retry,
         ecc_escalation,
@@ -304,12 +304,13 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Fa
         journal_replay,
         nvme_timeout,
     ];
-    let sup = Supervisor::new(seed)
+    Supervisor::new(seed)
         .with_tag("faults")
-        .with_threads(threads);
-    cfg.run_campaign(sup, SCENARIOS.len(), |ctx| {
-        SCENARIOS[ctx.trial.index](ctx.trial.seed)
-    })
+        .with_threads(threads)
+        .run(SCENARIOS.len(), |ctx| {
+            SCENARIOS[ctx.trial.index](ctx.trial.seed)
+        })
+        .into_complete()
 }
 
 /// Renders the scenario table.
@@ -335,13 +336,9 @@ fn render(rows: &[FaultRow]) -> String {
 mod tests {
     use super::*;
 
-    fn run(seed: u64, threads: usize) -> Vec<FaultRow> {
-        campaign(seed, threads, &ScenarioCfg::default()).into_complete()
-    }
-
     #[test]
     fn scenarios_inject_and_mostly_recover() {
-        let rows = run(7, 1);
+        let rows = campaign(7, 1);
         assert_eq!(rows.len(), 5);
         for r in &rows {
             assert!(r.injected > 0, "{}: no faults injected", r.scenario);
@@ -355,7 +352,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let json = |threads| run(7, threads).to_json().to_string();
+        let json = |threads| campaign(7, threads).to_json().to_string();
         assert_eq!(json(1), json(4));
     }
 }
@@ -371,9 +368,8 @@ impl Scenario for FaultsScenario {
         "faults"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg);
-        let rows: Vec<FaultRow> = report.values().cloned().collect();
-        campaign_output(&report, rows.to_json(), render(&rows))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let rows = campaign(seed, threads);
+        Output::new(rows.to_json(), render(&rows))
     }
 }

@@ -25,6 +25,10 @@
 //! directory, which `repro fuzz --replay corpus/` re-executes as
 //! regression tests.
 //!
+//! Soak episodes run once each, as the shards of one supervised campaign,
+//! so the document is bit-identical for any `--threads` value; an episode
+//! that panics is a finding (`panics`, `degraded`), not a failed run.
+//!
 //! The device under fuzz is deliberately *invulnerable* (no weak DRAM
 //! cells) and fault-free except for the one armed cut (and, in torture's
 //! workload, one program failure): any divergence is a stack bug, not an
@@ -460,27 +464,26 @@ impl Exec {
     /// divergence buckets apart from a steady-state one. The device's
     /// typed error, if any, comes back for the caller to judge.
     fn read(&self, ssd: &mut Ssd, lba: u64, stage: &str) -> Result<Result<(), FtlError>, Failure> {
-        let mut buf = vec![0u8; BLOCK_SIZE];
         let fail = |kind: &str, detail: String| {
             Err(Failure {
                 signature: format!("{stage}.{kind}"),
                 detail,
             })
         };
-        match ssd.ftl_mut().read(Lba(lba), &mut buf) {
-            Ok(ReadOutcome::Wild { entry }) => fail(
+        match ssd.ftl_mut().read_shared(Lba(lba)) {
+            Ok((ReadOutcome::Wild { entry }, _)) => fail(
                 "wild_entry",
                 format!("lba {lba}: wild L2P entry {entry:#x}"),
             ),
-            Ok(ReadOutcome::GuardMismatch { ppn }) => fail(
+            Ok((ReadOutcome::GuardMismatch { ppn }, _)) => fail(
                 "guard_mismatch",
                 format!("lba {lba}: guard mismatch at {ppn}"),
             ),
-            Ok(_) if !self.shadow.acceptable(lba, &buf) => fail(
+            Ok((_, page)) if !self.shadow.acceptable(lba, &page) => fail(
                 "divergence",
                 format!(
                     "lba {lba}: read fill {:#04x}, shadow allows {}",
-                    buf[0],
+                    page[0],
                     self.shadow.describe(lba)
                 ),
             ),
@@ -634,27 +637,20 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
     }
 }
 
-/// The soak's supervisor. It grants no retry: a retry re-derives the
-/// episode seed, so a different episode would run in place of the one
-/// that panicked, and a panic is a finding.
-fn supervisor(seed: u64, threads: usize, tel: &Telemetry) -> Supervisor {
-    Supervisor::new(seed)
-        .with_tag("fuzz")
-        .with_threads(threads)
-        .attach_telemetry(tel)
-}
-
-/// Runs the soak campaign under `cfg` (episode count from `soak`/`full`;
-/// `abort_after` stops it early): supervised episodes, divergences
-/// auto-shrunk and bucketed into the structured result document, its text
-/// report, and the `supervisor.*` and `fuzz.*` counters. The document is
-/// bit-identical for any `threads`.
+/// Runs the soak campaign under `cfg` (episode count from `soak`/`full`):
+/// supervised episodes, each run once (a panic is a finding),
+/// divergences auto-shrunk and bucketed into the structured result
+/// document, its text report, and the `supervisor.*` and `fuzz.*`
+/// counters. The document is bit-identical for any `threads`.
 fn run_soak(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let episodes = episode_count(cfg);
     let target = SsdFuzz::default();
     let tel = Telemetry::new();
-    let sup = supervisor(seed, threads, &tel);
-    let report = cfg.run_campaign(sup, episodes, |ctx| run_one(&target, ctx.trial.seed));
+    let report = Supervisor::new(seed)
+        .with_tag("fuzz")
+        .with_threads(threads)
+        .attach_telemetry(&tel)
+        .run(episodes, |ctx| run_one(&target, ctx.trial.seed));
     let tally = SoakTally::of(&report);
     tel.counter("fuzz.episodes").add(tally.pass + tally.fail);
     tel.counter("fuzz.divergences").add(tally.fail);
@@ -1063,17 +1059,5 @@ mod tests {
             Some("unreadable")
         );
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
-    }
-
-    #[test]
-    fn a_panicking_episode_is_a_finding_not_a_retry() {
-        // A retry re-derives the episode seed, so it would run a different
-        // episode in place of the one that panicked: the soak's supervisor
-        // reports the panic instead.
-        let report = supervisor(7, 1, &Telemetry::new()).run(1, |ctx| {
-            assert!(ctx.attempt > 0, "the first attempt panics");
-        });
-        assert_eq!((report.panics, report.retries), (1, 0));
-        assert!(report.degraded());
     }
 }

@@ -12,34 +12,28 @@
 //! shards work but never changes output bytes.
 //!
 //! Every *campaign* scenario — one that runs many independent trials —
-//! takes the same path: its shards run on a
-//! [`Supervisor`] through [`ScenarioCfg::run_campaign`], the single place
-//! the `--abort-after` flag reaches the runner, and [`campaign_output`]
-//! marks partial results the same way in every report and fails the run
-//! on a shard that panicked or timed out.
+//! runs each trial once, as a shard of one
+//! [`Supervisor`](ssdhammer_simkit::supervisor::Supervisor) campaign. Six
+//! of them need every shard and build their output from
+//! [`SupervisedReport::into_complete`](ssdhammer_simkit::supervisor::SupervisedReport::into_complete),
+//! so a shard that panicked or timed out fails the run; torture and fuzz
+//! count such a shard as a finding in their documents.
 
-use std::fmt;
 use std::path::PathBuf;
 
 use ssdhammer_simkit::json::Json;
-use ssdhammer_simkit::supervisor::{ShardCtx, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::TelemetrySnapshot;
 
 /// Options shared by every scenario. Scenarios ignore fields that do not
 /// apply to them (`fig3`, `torture` and `fuzz` distinguish `full`; only
 /// `attacks` reads the grid filters; only `fuzz` reads `soak` and
-/// `replay`); `abort_after` drives every campaign scenario through
-/// [`ScenarioCfg::run_campaign`].
+/// `replay`).
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioCfg {
     /// Run the paper-prototype-scale configuration where one exists
     /// (fig3's 1 GiB case study, torture's sampling schedule) instead of
     /// the fast demo.
     pub full: bool,
-    /// Stop launching new shards after this many (`--abort-after`, a
-    /// simulated kill: the report covers the shards that ran and is
-    /// marked partial).
-    pub abort_after: Option<usize>,
     /// Episode-count override for the fuzz campaign (`--soak N`).
     pub soak: Option<usize>,
     /// Replay a directory of persisted fuzz corpus cases instead of
@@ -51,27 +45,6 @@ pub struct ScenarioCfg {
     /// Run only this victim structure's cells of the attack grid
     /// (`--victim V`, a `victim_names` registry entry).
     pub victim: Option<String>,
-}
-
-impl ScenarioCfg {
-    /// Runs a campaign's `trials` shards on `sup`, which stops launching
-    /// shards after `abort_after` of them.
-    pub fn run_campaign<T, F>(
-        &self,
-        sup: Supervisor,
-        trials: usize,
-        shard: F,
-    ) -> SupervisedReport<T>
-    where
-        T: Send,
-        F: Fn(&ShardCtx) -> T + Sync,
-    {
-        let sup = match self.abort_after {
-            Some(n) => sup.with_stop_after(n),
-            None => sup,
-        };
-        sup.run(trials, shard)
-    }
 }
 
 /// What one scenario run produced: the structured document, the text
@@ -99,50 +72,6 @@ impl Output {
     }
 }
 
-/// A campaign scenario's output. When every shard completed it is
-/// `(json, text)` itself. When the campaign stopped early
-/// (`--abort-after`), both cover only the completed shards: the document
-/// is wrapped with the partial-result marker
-/// `{"degraded": true, "skipped": n, "result": json}`, and the report
-/// ends with a warning line.
-///
-/// # Panics
-///
-/// On the first shard that panicked or timed out, as
-/// [`SupervisedReport::into_complete`] does: a failed shard fails the run
-/// instead of printing a smaller result.
-#[must_use]
-pub fn campaign_output<T: fmt::Debug>(
-    report: &SupervisedReport<T>,
-    json: Json,
-    mut text: String,
-) -> Output {
-    // Only shards a stopped campaign never launched may be missing from a
-    // printed report: the first shard that ran and failed fails the run,
-    // printing its outcome (index and seed replay it).
-    if let Some(failed) = report.outcomes.iter().find(|o| {
-        matches!(
-            o,
-            ShardOutcome::Panicked { .. } | ShardOutcome::Timeout { .. }
-        )
-    }) {
-        panic!("campaign shard failed: {failed:?}");
-    }
-    if report.skipped == 0 {
-        return Output::new(json, text);
-    }
-    text.push_str(&format!(
-        "WARNING: partial results ({} shards skipped)\n",
-        report.skipped
-    ));
-    let json = Json::obj([
-        ("degraded", Json::from(true)),
-        ("skipped", Json::from(report.skipped)),
-        ("result", json),
-    ]);
-    Output::new(json, text)
-}
-
 /// A reproducible experiment with a uniform entry signature.
 ///
 /// `Sync` is a supertrait so `&'static dyn Scenario` can sit in the
@@ -155,43 +84,4 @@ pub trait Scenario: Sync {
     /// telemetry. Byte-identical for a fixed `(cfg, seed)` regardless of
     /// `threads`.
     fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Three shards; shard 1 panics when `fail` is set.
-    fn report(fail: bool, stop_after: Option<usize>) -> SupervisedReport<usize> {
-        let cfg = ScenarioCfg {
-            abort_after: stop_after,
-            ..ScenarioCfg::default()
-        };
-        cfg.run_campaign(Supervisor::new(3).with_threads(2), 3, |ctx| {
-            assert!(!(fail && ctx.trial.index == 1), "injected shard failure");
-            ctx.trial.index
-        })
-    }
-
-    #[test]
-    #[should_panic(expected = "Panicked { index: 1")]
-    fn a_panicked_shard_fails_the_output() {
-        let _ = campaign_output(&report(true, None), Json::Null, String::new());
-    }
-
-    #[test]
-    fn skipped_shards_only_mark_the_output_partial() {
-        let partial = campaign_output(&report(false, Some(1)), Json::Null, String::new());
-        let doc = &partial.json;
-        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("skipped").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            partial.text,
-            "WARNING: partial results (2 shards skipped)\n"
-        );
-
-        let complete = campaign_output(&report(false, None), Json::Null, String::from("ok\n"));
-        assert_eq!(complete.json, Json::Null);
-        assert_eq!(complete.text, "ok\n");
-    }
 }

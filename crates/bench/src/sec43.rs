@@ -1,12 +1,15 @@
 //! Experiment E5 — **§4.3**: probability of success. Closed form,
 //! Monte-Carlo cross-check, and the cumulative-success curve (7 % per
 //! cycle, >50 % after 10 cycles with the paper's parameters).
+//!
+//! The Monte-Carlo chunks run as the shards of one supervised campaign, so
+//! the estimate is bit-identical for any `--threads` value; a chunk whose
+//! shard panics fails the run.
 
 use ssdhammer_core::AttackParams;
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::SupervisedReport;
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// Monte-Carlo trials behind the estimate.
 const MC_TRIALS: u32 = 400_000;
@@ -40,23 +43,22 @@ fn params() -> AttackParams {
     AttackParams::paper_example(1 << 18)
 }
 
-/// The Monte-Carlo campaign under `cfg`'s `--abort-after`: one supervised
-/// shard per [`AttackParams::MC_CHUNK_TRIALS`]-trial chunk, returning the
-/// chunk's useful-flip hits. The estimate — every bit of it — is identical
-/// for any thread count.
-fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<u64> {
+/// The Monte-Carlo campaign: one supervised shard per
+/// [`AttackParams::MC_CHUNK_TRIALS`]-trial chunk, returning every chunk's
+/// useful-flip hits in chunk order (a chunk whose shard panics fails the
+/// run). The estimate — every bit of it — is identical for any thread
+/// count.
+fn campaign(seed: u64, threads: usize) -> Vec<u64> {
     let params = params();
-    cfg.run_campaign(
-        AttackParams::mc_supervisor(seed, threads),
-        AttackParams::mc_chunks(MC_TRIALS),
-        |ctx| params.mc_chunk_hits(MC_TRIALS, ctx.trial),
-    )
+    AttackParams::mc_supervisor(seed, threads)
+        .run(AttackParams::mc_chunks(MC_TRIALS), |ctx| {
+            params.mc_chunk_hits(MC_TRIALS, ctx.trial)
+        })
+        .into_complete()
 }
 
-/// The reproduced numbers from per-chunk hits in chunk order (`None` for a
-/// chunk that did not complete): the Monte-Carlo estimate covers the
-/// completed chunks' trials.
-fn result(chunk_hits: impl IntoIterator<Item = Option<u64>>) -> Sec43Result {
+/// The reproduced numbers from every chunk's hits in chunk order.
+fn result(chunk_hits: &[u64]) -> Sec43Result {
     let params = params();
     Sec43Result {
         analytic: params.useful_flip_probability(),
@@ -88,8 +90,7 @@ mod tests {
 
     #[test]
     fn paper_numbers_reproduce() {
-        let hits = campaign(11, 1, &ScenarioCfg::default()).into_complete();
-        let r = result(hits.into_iter().map(Some));
+        let r = result(&campaign(11, 1));
         assert!(
             (r.analytic - 0.0703).abs() < 0.001,
             "analytic {}",
@@ -115,9 +116,8 @@ impl Scenario for Sec43Scenario {
         "prob"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg);
-        let r = result(report.outcomes.iter().map(|o| o.value().copied()));
-        campaign_output(&report, r.to_json(), render(&r))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let r = result(&campaign(seed, threads));
+        Output::new(r.to_json(), render(&r))
     }
 }

@@ -6,15 +6,19 @@
 //! *measured* through the full simulator (refresh windows, row-buffer
 //! policy, address mapping) by binary search. The measured column should
 //! match the paper's reported rate in ordering and rough magnitude.
+//!
+//! Rows run as the shards of one supervised campaign, so the table is
+//! bit-identical for any `--threads` value; a row whose shard panics fails
+//! the run.
 
 use ssdhammer_dram::{
     hammer::measure_min_flip_rate, DramGeometry, DramModule, MappingKind, ModuleProfile,
 };
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::Supervisor;
 use ssdhammer_simkit::SimClock;
 
-use crate::scenario::{campaign_output, Output, Scenario, ScenarioCfg};
+use crate::scenario::{Output, Scenario, ScenarioCfg};
 
 /// One reproduced row of Table 1.
 #[derive(Debug, Clone)]
@@ -44,15 +48,15 @@ impl ToJson for Table1Row {
     }
 }
 
-/// The Table 1 campaign under `cfg`'s `--abort-after`: one supervised shard
-/// per module row. Each row builds its own module and clock from `seed`,
-/// and rows merge in table order.
-fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Table1Row> {
+/// The Table 1 campaign: one supervised shard per module row. Each row
+/// builds its own module and clock from `seed`, rows merge in table order,
+/// and a row whose shard panics fails the run.
+fn campaign(seed: u64, threads: usize) -> Vec<Table1Row> {
     let profiles = ModuleProfile::table1();
     let sup = Supervisor::new(seed)
         .with_tag("table1")
         .with_threads(threads);
-    cfg.run_campaign(sup, profiles.len(), |ctx| {
+    sup.run(profiles.len(), |ctx| {
         let (year, refs, profile) = &profiles[ctx.trial.index];
         let paper_kaps = profile.min_flip_rate_kaps;
         let factory = move || {
@@ -72,6 +76,7 @@ fn campaign(seed: u64, threads: usize, cfg: &ScenarioCfg) -> SupervisedReport<Ta
             measured_kaps: measured.map(|m| m.min_rate / 1000.0),
         }
     })
+    .into_complete()
 }
 
 /// Formats the reproduced table like the paper's.
@@ -101,7 +106,7 @@ mod tests {
     use super::*;
 
     fn run(seed: u64) -> Vec<Table1Row> {
-        campaign(seed, 1, &ScenarioCfg::default()).into_complete()
+        campaign(seed, 1)
     }
 
     #[test]
@@ -158,9 +163,8 @@ impl Scenario for Table1Scenario {
         "table1"
     }
 
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
-        let report = campaign(seed, threads, &cfg);
-        let rows: Vec<Table1Row> = report.values().cloned().collect();
-        campaign_output(&report, rows.to_json(), render(&rows))
+    fn run(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> Output {
+        let rows = campaign(seed, threads);
+        Output::new(rows.to_json(), render(&rows))
     }
 }

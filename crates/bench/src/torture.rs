@@ -29,10 +29,9 @@
 //! [`TorturePlan::enumerate`] turns the census into the schedule —
 //! exhaustive in the default configuration, seeded stratified sampling at
 //! `--full` scale. Each point then replays as one shard under a
-//! [`Supervisor`]: a panic is isolated with the shard's seed captured and
-//! counted as a finding (the replay is deterministic, so the campaign does
-//! not retry it), and a shard that overruns the simulated-time budget
-//! becomes a typed timeout.
+//! [`Supervisor`], once: a panic is isolated with the shard's seed
+//! captured and counted as a finding, and a shard that overruns the
+//! simulated-time budget becomes a typed timeout.
 
 use ssdhammer_ftl::CRASH_SITES;
 use ssdhammer_simkit::json::{Json, ToJson};
@@ -154,18 +153,8 @@ fn judge(run: Run) -> CrashVerdict {
 
 // ---- campaign ---------------------------------------------------------------
 
-/// The campaign's supervisor: a sim-time watchdog, and no retry, since a
-/// crash-point replay that panics would panic again.
-fn supervisor(seed: u64, threads: usize, tel: &Telemetry) -> Supervisor {
-    Supervisor::new(seed)
-        .with_tag("torture")
-        .with_threads(threads)
-        .with_sim_budget(SimDuration::from_secs(600))
-        .attach_telemetry(tel)
-}
-
 /// Runs the full campaign under `cfg` (`full` picks the larger workload
-/// and a sampling crash schedule; `abort_after` stops it early): census,
+/// and a sampling crash schedule): census,
 /// crash-schedule enumeration, one supervised shard per crash point,
 /// merged into the structured result document, its text report, and the
 /// `supervisor.*` and `torture.*` counters. The document is bit-identical
@@ -174,13 +163,17 @@ fn run_supervised(seed: u64, threads: usize, cfg: &ScenarioCfg) -> Output {
     let crossings = census(cfg.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(cfg.full), seed);
     let tel = Telemetry::new();
-    let sup = supervisor(seed, threads, &tel);
     // Every shard replays the *same* workload — only the injected cut
     // differs — so the shard closure ignores `ctx.trial.seed` and keys off
-    // the trial index alone. The shard clock feeds the watchdog.
-    let report = cfg.run_campaign(sup, plan.points.len(), |ctx| {
-        run_crash_point(cfg.full, &plan.points[ctx.trial.index], ctx.clock())
-    });
+    // the trial index alone. The shard clock feeds the sim-time watchdog.
+    let report = Supervisor::new(seed)
+        .with_tag("torture")
+        .with_threads(threads)
+        .with_sim_budget(SimDuration::from_secs(600))
+        .attach_telemetry(&tel)
+        .run(plan.points.len(), |ctx| {
+            run_crash_point(cfg.full, &plan.points[ctx.trial.index], ctx.clock())
+        });
     let v = Verdicts::tally(&report);
     let points = plan.points.len() as u64;
     tel.counter("torture.crash_points").add(points);
@@ -447,44 +440,6 @@ mod tests {
             .json
             .to_string();
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn abort_after_zero_aborts_before_the_first_shard() {
-        // The boundary: `--abort-after 0` must skip every shard — zero
-        // crash points replay, the run reports fully skipped/degraded.
-        let doc = run_supervised(
-            7,
-            2,
-            &ScenarioCfg {
-                abort_after: Some(0),
-                ..ScenarioCfg::default()
-            },
-        )
-        .json;
-        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
-        let summary = doc.get("summary").expect("summary");
-        let total = doc
-            .get("plan")
-            .and_then(|p| p.get("crash_points"))
-            .and_then(Json::as_u64)
-            .expect("crash points");
-        assert!(total > 0);
-        assert_eq!(summary.get("skipped").and_then(Json::as_u64), Some(total));
-        for key in ["clean", "loud_degraded", "silent_corruption"] {
-            assert_eq!(summary.get(key).and_then(Json::as_u64), Some(0), "{key}");
-        }
-    }
-
-    #[test]
-    fn a_panicking_crash_point_is_a_finding_not_a_retry() {
-        // The replay is deterministic, so a retry could only repeat the
-        // panic: the campaign's supervisor reports it on the first attempt.
-        let report = supervisor(7, 1, &Telemetry::new()).run(1, |ctx| {
-            assert!(ctx.attempt > 0, "the first attempt panics");
-        });
-        assert_eq!((report.panics, report.retries), (1, 0));
-        assert!(report.degraded());
     }
 }
 

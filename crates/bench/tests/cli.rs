@@ -1,7 +1,8 @@
 //! `repro`'s argument errors: each rejected command line exits with
 //! status 2 before any experiment runs. An unknown attack-grid filter
 //! prints both registries so the user can pick a valid name, and a flag
-//! that no selected experiment reads names the flag. A corpus replay that
+//! that no selected experiment reads, or that no experiment reads at all,
+//! names the flag. A corpus replay that
 //! finds no case to replay reports a degraded run.
 
 use std::path::Path;
@@ -79,8 +80,8 @@ fn a_flag_no_selected_experiment_reads_exits_2() {
             "fuzz --replay does not read --full",
         ),
         (
-            &["fuzz", "--replay", "corpus", "--abort-after", "0"][..],
-            "fuzz --replay does not read --abort-after",
+            &["faults", "--abort-after", "1"][..],
+            "unknown argument '--abort-after'",
         ),
     ] {
         let stderr = rejected(args);

@@ -4,33 +4,39 @@
 //! byte-identical for any thread count.
 
 use ssdhammer_bench::scenario::{Scenario, ScenarioCfg};
-use ssdhammer_bench::{ablations, sec43, table1};
+use ssdhammer_bench::{ablations, attacks, defenses, faults, fuzz, sec43, table1, torture};
 
-/// `scenario`'s pretty-printed document and text report at `threads`.
-fn printed(scenario: &dyn Scenario, seed: u64, threads: usize) -> (String, String) {
-    let out = scenario.run(ScenarioCfg::default(), seed, threads);
-    (out.json.to_string_pretty(), out.text)
+/// Every campaign scenario with the cfg it runs under here (a short soak
+/// keeps the fuzz campaign quick).
+fn campaigns() -> Vec<(&'static dyn Scenario, ScenarioCfg)> {
+    let short_soak = ScenarioCfg {
+        soak: Some(4),
+        ..ScenarioCfg::default()
+    };
+    vec![
+        (&table1::Table1Scenario, ScenarioCfg::default()),
+        (&sec43::Sec43Scenario, ScenarioCfg::default()),
+        (&ablations::AblationsScenario, ScenarioCfg::default()),
+        (&faults::FaultsScenario, ScenarioCfg::default()),
+        (&defenses::DefensesScenario, ScenarioCfg::default()),
+        (&attacks::AttacksScenario, ScenarioCfg::default()),
+        (&torture::TortureScenario, ScenarioCfg::default()),
+        (&fuzz::FuzzScenario, short_soak),
+    ]
 }
 
 #[test]
-fn sec43_json_is_byte_identical_across_thread_counts() {
-    let base = printed(&sec43::Sec43Scenario, 11, 1);
-    for threads in [2, 8] {
-        let other = printed(&sec43::Sec43Scenario, 11, threads);
-        assert_eq!(base, other, "§4.3 output diverged at {threads} threads");
+fn every_campaign_prints_the_same_bytes_at_1_and_4_threads() {
+    for (scenario, cfg) in campaigns() {
+        let printed = |threads| {
+            let out = scenario.run(cfg.clone(), 7, threads);
+            (out.json.to_string_pretty(), out.text)
+        };
+        assert_eq!(
+            printed(1),
+            printed(4),
+            "{} output diverged at 4 threads",
+            scenario.name()
+        );
     }
-}
-
-#[test]
-fn table1_json_is_byte_identical_across_thread_counts() {
-    let base = printed(&table1::Table1Scenario, 3, 1);
-    let four = printed(&table1::Table1Scenario, 3, 4);
-    assert_eq!(base, four, "Table 1 output diverged at 4 threads");
-}
-
-#[test]
-fn ablations_json_is_byte_identical_across_thread_counts() {
-    let base = printed(&ablations::AblationsScenario, 5, 1);
-    let four = printed(&ablations::AblationsScenario, 5, 4);
-    assert_eq!(base, four, "ablations output diverged at 4 threads");
 }

@@ -181,23 +181,21 @@ impl AttackParams {
         u64::from(self.mc_hits(Self::mc_chunk_trials(trials, chunk.index), chunk.seed))
     }
 
-    /// The chunked estimate of a `trials`-trial campaign from its per-chunk
-    /// hits in chunk order, `None` for a chunk that did not complete: the
-    /// hit rate over the completed chunks' trials (`0.0` when none did).
+    /// The chunked estimate of a `trials`-trial campaign from every
+    /// chunk's hits in chunk order: the hit rate over all `trials`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `chunk_hits` holds one count per chunk
+    /// ([`Self::mc_chunks`]).
     #[must_use]
-    pub fn mc_estimate(trials: u32, chunk_hits: impl IntoIterator<Item = Option<u64>>) -> f64 {
-        let (mut hits, mut covered) = (0u64, 0u32);
-        for (index, chunk) in chunk_hits.into_iter().enumerate() {
-            if let Some(h) = chunk {
-                hits += h;
-                covered += Self::mc_chunk_trials(trials, index);
-            }
-        }
-        if covered == 0 {
-            0.0
-        } else {
-            hits as f64 / f64::from(covered)
-        }
+    pub fn mc_estimate(trials: u32, chunk_hits: &[u64]) -> f64 {
+        assert_eq!(
+            chunk_hits.len(),
+            Self::mc_chunks(trials),
+            "one count per chunk"
+        );
+        chunk_hits.iter().sum::<u64>() as f64 / f64::from(trials)
     }
 
     /// Trials chunk `index` of a `trials`-trial estimate covers: a full
@@ -280,14 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_estimate_covers_only_completed_chunks() {
-        // Two full chunks and a 100-trial tail; the middle chunk is missing.
+    fn chunked_estimate_is_the_hit_rate_over_every_trial() {
+        // Two full chunks and a 100-trial tail.
         let trials = 2 * AttackParams::MC_CHUNK_TRIALS + 100;
         assert_eq!(AttackParams::mc_chunks(trials), 3);
-        let partial = AttackParams::mc_estimate(trials, [Some(800), None, Some(10)]);
-        let covered = f64::from(AttackParams::MC_CHUNK_TRIALS + 100);
-        assert_eq!(partial.to_bits(), (810.0 / covered).to_bits());
-        assert_eq!(AttackParams::mc_estimate(trials, [None, None, None]), 0.0);
+        let estimate = AttackParams::mc_estimate(trials, &[800, 5, 10]);
+        assert_eq!(estimate.to_bits(), (815.0 / f64::from(trials)).to_bits());
     }
 
     #[test]

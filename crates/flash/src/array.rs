@@ -413,44 +413,9 @@ impl FlashArray {
         self.read(ppn, false)
     }
 
-    /// [`FlashArray::read_page`] into a caller-provided buffer of exactly
-    /// one page, for a caller that needs the bytes in its own buffer (the
-    /// FTL's copying host read, `Ftl::read`): one copy, and no write to the
-    /// stored page's reference count. Semantics, timing, and read-disturb
-    /// accounting are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FlashArray::read_page`], plus [`FlashError::BadBufferLen`]
-    /// when `buf` is not exactly one page.
-    pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut [u8]) -> Result<SimTime, FlashError> {
-        if buf.len() != self.geometry.page_bytes as usize {
-            return Err(FlashError::BadBufferLen {
-                got: buf.len(),
-                expected: self.geometry.page_bytes as usize,
-            });
-        }
-        let seed = self.seed;
-        let (stored, errors, done) = self.sense(ppn, true)?;
-        buf.copy_from_slice(stored);
-        disturb(seed, ppn, errors, buf);
-        Ok(done)
-    }
-
+    /// Charges one read of `ppn` and returns the stored page, or a
+    /// read-disturbed copy of it.
     fn read(&mut self, ppn: Ppn, inject: bool) -> Result<(Arc<[u8]>, SimTime), FlashError> {
-        let seed = self.seed;
-        let (stored, errors, done) = self.sense(ppn, inject)?;
-        if errors == 0 {
-            return Ok((Arc::clone(stored), done));
-        }
-        let mut data = stored.to_vec();
-        disturb(seed, ppn, errors, &mut data);
-        Ok((data.into(), done))
-    }
-
-    /// Charges one read of `ppn` and returns the stored bytes with the
-    /// number of read-disturb bit errors the caller's copy must carry.
-    fn sense(&mut self, ppn: Ppn, inject: bool) -> Result<(&Arc<[u8]>, u64, SimTime), FlashError> {
         let block = self.checked_block(ppn)?;
         let done = self.schedule(
             self.geometry.channel_of(block),
@@ -469,17 +434,19 @@ impl FlashArray {
                 return Err(FlashError::ReadFailed { ppn, bits });
             }
         }
-        let mut errors = 0;
-        if excess > 0 {
-            // One more flipped bit per further `limit/8` reads, up to 32.
-            errors = (1 + excess / (self.read_disturb_limit / 8).max(1)).min(32);
-            self.tel.read_disturb_errors.add(errors);
-        }
         let stored = match &self.pages[ppn.as_u64() as usize] {
             Some(p) => &p.data,
             None => &self.erased,
         };
-        Ok((stored, errors, done))
+        if excess == 0 {
+            return Ok((Arc::clone(stored), done));
+        }
+        // One more flipped bit per further `limit/8` reads, up to 32.
+        let errors = (1 + excess / (self.read_disturb_limit / 8).max(1)).min(32);
+        self.tel.read_disturb_errors.add(errors);
+        let mut data = stored.to_vec();
+        disturb(self.seed, ppn, errors, &mut data);
+        Ok((data.into(), done))
     }
 
     /// Reads a page's OOB area. Erased pages read as all-`0xFF`.

@@ -482,72 +482,6 @@ fn dif_guard(lba: Lba, data: &[u8]) -> u32 {
     !state
 }
 
-/// Where a host read delivers its page: a caller's buffer ([`Ftl::read`])
-/// or a page handle ([`Ftl::read_shared`]; `None` stands for the FTL's zero
-/// page). `Ftl::read_to` is generic over it, so both forms run one read.
-trait ReadSink {
-    /// Rejects a sink that cannot hold one block.
-    fn check_len(&self) -> Result<(), FtlError>;
-    /// Senses `ppn` from flash into the sink.
-    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError>;
-    /// Takes the page the recovery ladder returned.
-    fn recovered(&mut self, page: Arc<[u8]>);
-    /// Serves zeroes.
-    fn zero(&mut self);
-    /// The bytes sensed.
-    fn bytes(&self) -> &[u8];
-}
-
-impl ReadSink for [u8] {
-    fn check_len(&self) -> Result<(), FtlError> {
-        if self.len() == BLOCK_SIZE {
-            Ok(())
-        } else {
-            Err(FtlError::BadBufferLen { got: self.len() })
-        }
-    }
-
-    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError> {
-        nand.read_page_into(ppn, self)
-    }
-
-    fn recovered(&mut self, page: Arc<[u8]>) {
-        self.copy_from_slice(&page);
-    }
-
-    fn zero(&mut self) {
-        self.fill(0);
-    }
-
-    fn bytes(&self) -> &[u8] {
-        self
-    }
-}
-
-impl ReadSink for Option<Arc<[u8]>> {
-    fn check_len(&self) -> Result<(), FtlError> {
-        Ok(())
-    }
-
-    fn sense(&mut self, nand: &mut FlashArray, ppn: Ppn) -> Result<SimTime, FlashError> {
-        let (page, done) = nand.read_page(ppn)?;
-        *self = Some(page);
-        Ok(done)
-    }
-
-    fn recovered(&mut self, page: Arc<[u8]>) {
-        *self = Some(page);
-    }
-
-    fn zero(&mut self) {
-        *self = None;
-    }
-
-    fn bytes(&self) -> &[u8] {
-        self.as_deref().unwrap_or_default()
-    }
-}
-
 impl Ftl {
     /// Assembles an FTL over the given DRAM and flash. Initializes the L2P
     /// table in DRAM (all entries unmapped).
@@ -1053,66 +987,58 @@ impl Ftl {
 
     /// Reads one block into `buf`. Returns what the mapping resolved to.
     ///
-    /// The page is copied into `buf` straight from the flash array
-    /// ([`FlashArray::read_page_into`]) and no page handle is taken: the
-    /// form for callers that keep the bytes in a buffer of their own (the
-    /// fault campaigns, the fuzz executor and the host-time probes).
-    /// [`Ftl::read_shared`] is the same read returning the page itself.
+    /// [`Ftl::read_shared`] followed by one copy of the page into `buf`,
+    /// for a caller that keeps the bytes in a buffer of its own. `buf` is
+    /// checked before the device is touched, so a bad length reads
+    /// nothing.
     ///
     /// # Errors
     ///
-    /// Out-of-range LBAs, bad buffer sizes, or substrate errors.
+    /// Out-of-range LBAs, bad buffer sizes, or the errors of
+    /// [`Ftl::read_shared`].
     pub fn read(&mut self, lba: Lba, buf: &mut [u8]) -> Result<ReadOutcome, FtlError> {
-        self.read_to(lba, buf)
+        self.check_lba(lba)?;
+        if buf.len() != BLOCK_SIZE {
+            return Err(FtlError::BadBufferLen { got: buf.len() });
+        }
+        let (outcome, page) = self.read_shared(lba)?;
+        buf.copy_from_slice(&page);
+        Ok(outcome)
     }
 
-    /// Reads one block without copying it: returns what the mapping
-    /// resolved to and the page as a shared handle. A clean mapped read
-    /// returns the flash page's own handle ([`FlashArray::read_page`]);
-    /// unmapped, wild and guard-mismatch reads return one all-zero page the
-    /// FTL holds; only a read whose bytes differ from the stored ones (read
-    /// disturb, or the recovery ladder's silent corruption) returns a
-    /// private copy. Stored pages are never mutated, so the handle keeps
-    /// what was read after the LBA is rewritten and its block erased.
+    /// The one host read: returns what the mapping resolved to and the
+    /// page as a shared handle, without copying it. Range and power
+    /// checks, the amplified L2P lookup, unmapped and wild entries, the
+    /// recovery ladder, the DIF guard and read refresh all happen here.
     ///
-    /// Checks, lookups, flash time, recovery, DIF and read refresh are
-    /// those of [`Ftl::read`]: both forms run one implementation.
+    /// A clean mapped read returns the flash page's own handle
+    /// ([`FlashArray::read_page`]); unmapped, wild and guard-mismatch reads
+    /// return one all-zero page the FTL holds (`zeroes`); only a read whose
+    /// bytes differ from the stored ones (read disturb, or the recovery
+    /// ladder's silent corruption) returns a private copy. Stored pages are
+    /// never mutated, so the handle keeps what was read after the LBA is
+    /// rewritten and its block erased.
     ///
     /// # Errors
     ///
-    /// Out-of-range LBAs or substrate errors.
+    /// Out-of-range LBAs, [`FtlError::PowerLoss`], or substrate errors.
     pub fn read_shared(&mut self, lba: Lba) -> Result<(ReadOutcome, Arc<[u8]>), FtlError> {
-        let mut page = None;
-        let outcome = self.read_to(lba, &mut page)?;
-        Ok((outcome, page.unwrap_or_else(|| Arc::clone(&self.zeroes))))
-    }
-
-    /// The one host read behind [`Ftl::read`] and [`Ftl::read_shared`]:
-    /// range and power checks, the amplified L2P lookup, unmapped and wild
-    /// entries, the recovery ladder, the DIF guard and read refresh.
-    fn read_to<S: ReadSink + ?Sized>(
-        &mut self,
-        lba: Lba,
-        sink: &mut S,
-    ) -> Result<ReadOutcome, FtlError> {
         self.check_lba(lba)?;
-        sink.check_len()?;
         if !self.powered {
             return Err(FtlError::PowerLoss);
         }
         self.tel.host_reads.incr();
         match self.amplified_get(lba)? {
             None => {
-                sink.zero();
-                if self.config.unmapped_fast_path {
-                    Ok(ReadOutcome::Unmapped)
+                let outcome = if self.config.unmapped_fast_path {
+                    ReadOutcome::Unmapped
                 } else {
                     let completed = self.nand.charge_dummy_read(lba.as_u64());
-                    Ok(ReadOutcome::SlowUnmapped { completed })
-                }
+                    ReadOutcome::SlowUnmapped { completed }
+                };
+                Ok((outcome, Arc::clone(&self.zeroes)))
             }
             Some(ppn) if ppn.as_u64() >= self.nand.geometry().total_pages() => {
-                sink.zero();
                 self.tel.redirections_detected.incr();
                 self.tel.registry.trace(
                     self.clock.now(),
@@ -1123,34 +1049,34 @@ impl Ftl {
                         ppn.as_u64()
                     ),
                 );
-                Ok(ReadOutcome::Wild {
-                    entry: ppn.as_u64(),
-                })
+                Ok((
+                    ReadOutcome::Wild {
+                        entry: ppn.as_u64(),
+                    },
+                    Arc::clone(&self.zeroes),
+                ))
             }
             Some(ppn) => {
-                let completed = match sink.sense(&mut self.nand, ppn) {
+                let (page, completed) = match self.nand.read_page(ppn) {
                     Err(FlashError::ReadFailed { bits, .. }) => {
-                        let (page, done) = self.recover_failed_read(ppn, bits)?;
-                        sink.recovered(page);
-                        done
+                        self.recover_failed_read(ppn, bits)?
                     }
                     read => read?,
                 };
                 if self.config.dif {
                     let oob = self.nand.read_oob(ppn)?;
                     let (_, _, stored_guard) = decode_oob(&oob);
-                    if stored_guard != dif_guard(lba, sink.bytes()) {
+                    if stored_guard != dif_guard(lba, &page) {
                         // The page's guard was computed for a different
                         // (LBA, data) pair: a misdirected mapping (or
                         // corrupted data). Fail loudly, leak nothing.
-                        sink.zero();
                         self.tel.redirections_detected.incr();
                         self.tel.registry.trace(
                             self.clock.now(),
                             "ftl.redirection",
                             format!("lba {} guard mismatch at {ppn}", lba.as_u64()),
                         );
-                        return Ok(ReadOutcome::GuardMismatch { ppn });
+                        return Ok((ReadOutcome::GuardMismatch { ppn }, Arc::clone(&self.zeroes)));
                     }
                 }
                 // Stay ahead of read disturb: relocate heavily-read blocks.
@@ -1166,7 +1092,7 @@ impl Ftl {
                         self.tel.read_refreshes.incr();
                     }
                 }
-                Ok(ReadOutcome::Mapped { ppn, completed })
+                Ok((ReadOutcome::Mapped { ppn, completed }, page))
             }
         }
     }
@@ -2060,6 +1986,18 @@ mod tests {
             ftl.write(Lba(0), &[0u8; 100]),
             Err(FtlError::BadBufferLen { got: 100 })
         );
+        // A read checks its buffer before it touches the device.
+        ftl.write(Lba(0), &block(0xAB)).unwrap();
+        let (host_reads, flash_reads) = (
+            counter(&ftl, "ftl.host_reads"),
+            counter(&ftl, "flash.reads"),
+        );
+        assert_eq!(
+            ftl.read(Lba(0), &mut [0u8; 100]),
+            Err(FtlError::BadBufferLen { got: 100 })
+        );
+        assert_eq!(counter(&ftl, "ftl.host_reads"), host_reads);
+        assert_eq!(counter(&ftl, "flash.reads"), flash_reads);
     }
 
     #[test]

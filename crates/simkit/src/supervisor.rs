@@ -37,15 +37,15 @@
 //!   [`std::panic::catch_unwind`]; a panic is captured together with the
 //!   shard's index and seed so the failure replays deterministically in a
 //!   debugger, and the rest of the campaign keeps running.
-//! * **Bounded seeded retry** — a panicked shard is retried up to
-//!   [`Supervisor::with_max_retries`] times, each attempt reseeded with
-//!   [`rng::derive_seed`]`(trial_seed, "retry", attempt)` so retries are
-//!   themselves reproducible.
+//!
+//! Every shard runs exactly once: a shard is a pure function of its seed,
+//! so rerunning it could only repeat its panic, and rerunning it on
+//! another seed would be a different trial.
 //!
 //! The merged [`SupervisedReport`] keeps per-shard outcomes in trial order
 //! and exposes a [`SupervisedReport::degraded`] flag scenario JSON can
-//! surface when partial results were aggregated; callers that need every
-//! shard take [`SupervisedReport::into_complete`].
+//! surface when a shard failed; callers that need every shard take
+//! [`SupervisedReport::into_complete`].
 //!
 //! # Examples
 //!
@@ -97,11 +97,8 @@ pub struct Trial {
 /// Per-shard context handed to supervised closures.
 #[derive(Debug, Clone)]
 pub struct ShardCtx {
-    /// The shard's position and (attempt-specific) seed. On retry the seed
-    /// is re-derived; the index never changes.
+    /// The shard's position and seed.
     pub trial: Trial,
-    /// Which attempt this is: `0` for the first run, `1..` for retries.
-    pub attempt: u32,
     clock: SimClock,
     budget: Option<SimDuration>,
 }
@@ -139,30 +136,20 @@ pub enum ShardOutcome<T> {
     Timeout {
         /// Trial index for deterministic replay.
         index: usize,
-        /// Seed of the attempt that timed out.
+        /// The shard's seed.
         seed: u64,
         /// Simulated time the shard consumed.
         sim_elapsed: SimDuration,
     },
-    /// Every attempt of the shard panicked.
+    /// The shard panicked.
     Panicked {
         /// Trial index for deterministic replay.
         index: usize,
-        /// Seed of the *first* attempt — replaying `(index, seed)`
-        /// reproduces the original panic.
+        /// The shard's seed — replaying `(index, seed)` reproduces the
+        /// panic.
         seed: u64,
-        /// Attempts made (first run plus retries).
-        attempts: u32,
         /// The panic payload, when it was a string.
         message: String,
-    },
-    /// The shard never ran: the campaign stopped first
-    /// ([`Supervisor::with_stop_after`]).
-    Skipped {
-        /// Trial index.
-        index: usize,
-        /// The seed the shard would have used.
-        seed: u64,
     },
 }
 
@@ -185,15 +172,13 @@ impl<T> ShardOutcome<T> {
         }
     }
 
-    /// Short status tag for reports: `ok`, `timeout`, `panicked`,
-    /// `skipped`.
+    /// Short status tag for reports: `ok`, `timeout`, `panicked`.
     #[must_use]
     pub fn status(&self) -> &'static str {
         match self {
             ShardOutcome::Ok(_) => "ok",
             ShardOutcome::Timeout { .. } => "timeout",
             ShardOutcome::Panicked { .. } => "panicked",
-            ShardOutcome::Skipped { .. } => "skipped",
         }
     }
 }
@@ -205,11 +190,13 @@ pub struct SupervisedReport<T> {
     pub outcomes: Vec<ShardOutcome<T>>,
     /// Shards that exceeded the simulated-time budget.
     pub timeouts: usize,
-    /// Shards whose every attempt panicked.
+    /// Shards that panicked.
     pub panics: usize,
-    /// Shards skipped because the campaign stopped early.
+    /// Always 0: every shard runs. Kept, with [`Self::retries`], because
+    /// the benchmark and torture's and fuzz's documents read it.
     pub skipped: usize,
-    /// Total retry attempts performed across all shards.
+    /// Always 0: no shard is retried. Kept, with [`Self::skipped`],
+    /// because the benchmark and torture's and fuzz's documents read it.
     pub retries: usize,
 }
 
@@ -218,7 +205,7 @@ impl<T> SupervisedReport<T> {
     /// JSON marker for partial-result aggregation.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        self.timeouts + self.panics + self.skipped > 0
+        self.timeouts + self.panics > 0
     }
 
     /// Completed values in trial order (failed shards absent).
@@ -255,7 +242,6 @@ struct SupervisorTel {
     shards: CounterHandle,
     timeouts: CounterHandle,
     panics: CounterHandle,
-    retries: CounterHandle,
 }
 
 /// A supervised, deterministically sharded campaign.
@@ -267,14 +253,12 @@ pub struct Supervisor {
     tag: &'static str,
     threads: usize,
     sim_budget: Option<SimDuration>,
-    max_retries: u32,
-    stop_after: Option<usize>,
     tel: Option<SupervisorTel>,
 }
 
 impl Supervisor {
-    /// A supervisor rooted at `seed`, single-threaded, no budget, no
-    /// retries, default tag `"trial"`.
+    /// A supervisor rooted at `seed`, single-threaded, no budget, default
+    /// tag `"trial"`.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Supervisor {
@@ -282,8 +266,6 @@ impl Supervisor {
             tag: "trial",
             threads: 1,
             sim_budget: None,
-            max_retries: 0,
-            stop_after: None,
             tel: None,
         }
     }
@@ -313,37 +295,22 @@ impl Supervisor {
         self
     }
 
-    /// Number of seeded retries granted to a panicking shard.
-    #[must_use]
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Stops launching new shards once `n` have started; the rest report
-    /// [`ShardOutcome::Skipped`]. `n = 0` therefore aborts before the
-    /// first shard: every shard is skipped and the workload closure never
-    /// runs. Used to simulate a killed campaign (`repro --abort-after`).
-    #[must_use]
-    pub fn with_stop_after(mut self, n: usize) -> Self {
-        self.stop_after = Some(n);
-        self
-    }
-
     /// Binds the `supervisor.*` counters on `registry`; totals are added
     /// after the deterministic merge, on the calling thread.
     #[must_use]
     pub fn attach_telemetry(mut self, registry: &Telemetry) -> Self {
+        // No shard is retried; the counter stays bound at 0 so telemetry
+        // files keep the key.
+        let _ = registry.counter("supervisor.retries");
         self.tel = Some(SupervisorTel {
             shards: registry.counter("supervisor.shards"),
             timeouts: registry.counter("supervisor.timeouts"),
             panics: registry.counter("supervisor.panics"),
-            retries: registry.counter("supervisor.retries"),
         });
         self
     }
 
-    /// The seed shard `index` will receive on its first attempt.
+    /// The seed shard `index` runs with.
     #[must_use]
     pub fn trial_seed(&self, index: usize) -> u64 {
         rng::derive_seed(self.seed, self.tag, index as u64)
@@ -356,106 +323,54 @@ impl Supervisor {
         T: Send,
         F: Fn(&ShardCtx) -> T + Sync,
     {
-        let started = AtomicUsize::new(0);
-        let shards: Vec<(ShardOutcome<T>, u32)> = shard_in_order(self.threads, trials, |index| {
-            let trial = Trial {
-                index,
-                seed: self.trial_seed(index),
-            };
-            if let Some(limit) = self.stop_after {
-                if started.fetch_add(1, Ordering::SeqCst) >= limit {
-                    return (
-                        ShardOutcome::Skipped {
-                            index: trial.index,
-                            seed: trial.seed,
-                        },
-                        0,
-                    );
-                }
-            }
-            self.supervise(trial, &f)
+        let outcomes = shard_in_order(self.threads, trials, |index| {
+            self.supervise(
+                Trial {
+                    index,
+                    seed: self.trial_seed(index),
+                },
+                &f,
+            )
         });
-        let mut report = SupervisedReport {
-            outcomes: Vec::with_capacity(shards.len()),
-            timeouts: 0,
-            panics: 0,
+        let count = |status| outcomes.iter().filter(|o| o.status() == status).count();
+        let report = SupervisedReport {
+            timeouts: count("timeout"),
+            panics: count("panicked"),
             skipped: 0,
             retries: 0,
+            outcomes,
         };
-        for (outcome, retries) in shards {
-            match &outcome {
-                ShardOutcome::Ok(_) => {}
-                ShardOutcome::Timeout { .. } => report.timeouts += 1,
-                ShardOutcome::Panicked { .. } => report.panics += 1,
-                ShardOutcome::Skipped { .. } => report.skipped += 1,
-            }
-            report.retries += retries as usize;
-            report.outcomes.push(outcome);
-        }
         if let Some(tel) = &self.tel {
             tel.shards.add(report.outcomes.len() as u64);
             tel.timeouts.add(report.timeouts as u64);
             tel.panics.add(report.panics as u64);
-            tel.retries.add(report.retries as u64);
         }
         report
     }
 
-    /// One shard: run under `catch_unwind`, retry panics with re-derived
-    /// seeds, and apply the sim-time watchdog to the surviving attempt.
-    fn supervise<T, F>(&self, trial: Trial, f: &F) -> (ShardOutcome<T>, u32)
+    /// One shard: run once under `catch_unwind`, then apply the sim-time
+    /// watchdog.
+    fn supervise<T, F>(&self, trial: Trial, f: &F) -> ShardOutcome<T>
     where
         F: Fn(&ShardCtx) -> T + Sync,
     {
-        let mut attempt = 0u32;
-        loop {
-            let seed = if attempt == 0 {
-                trial.seed
-            } else {
-                rng::derive_seed(trial.seed, "retry", u64::from(attempt))
-            };
-            let ctx = ShardCtx {
-                trial: Trial {
-                    index: trial.index,
-                    seed,
-                },
-                attempt,
-                clock: SimClock::new(),
-                budget: self.sim_budget,
-            };
-            match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                Ok(value) => {
-                    let sim_elapsed = ctx.sim_elapsed();
-                    if self
-                        .sim_budget
-                        .is_some_and(|b| sim_elapsed.as_nanos() > b.as_nanos())
-                    {
-                        return (
-                            ShardOutcome::Timeout {
-                                index: trial.index,
-                                seed,
-                                sim_elapsed,
-                            },
-                            attempt,
-                        );
-                    }
-                    return (ShardOutcome::Ok(value), attempt);
-                }
-                Err(payload) => {
-                    if attempt >= self.max_retries {
-                        return (
-                            ShardOutcome::Panicked {
-                                index: trial.index,
-                                seed: trial.seed,
-                                attempts: attempt + 1,
-                                message: panic_message(payload.as_ref()),
-                            },
-                            attempt,
-                        );
-                    }
-                    attempt += 1;
-                }
-            }
+        let ctx = ShardCtx {
+            trial,
+            clock: SimClock::new(),
+            budget: self.sim_budget,
+        };
+        match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            Ok(_) if ctx.over_budget() => ShardOutcome::Timeout {
+                index: trial.index,
+                seed: trial.seed,
+                sim_elapsed: ctx.sim_elapsed(),
+            },
+            Ok(value) => ShardOutcome::Ok(value),
+            Err(payload) => ShardOutcome::Panicked {
+                index: trial.index,
+                seed: trial.seed,
+                message: panic_message(payload.as_ref()),
+            },
         }
     }
 }
@@ -580,50 +495,15 @@ mod tests {
             ShardOutcome::Panicked {
                 index,
                 seed,
-                attempts,
                 message,
             } => {
                 assert_eq!(*index, 2);
                 assert_eq!(*seed, Supervisor::new(9).trial_seed(2));
-                assert_eq!(*attempts, 1);
                 assert!(message.contains("boom at shard 2"), "got {message:?}");
             }
             other => panic!("expected panic outcome, got {other:?}"),
         }
         assert_eq!(report.values().count(), 5);
-    }
-
-    #[test]
-    fn retries_are_seeded_and_bounded() {
-        // Succeed only when handed a retry seed (attempt > 0); the retry
-        // seed itself must be the documented derivation.
-        let report = Supervisor::new(11).with_max_retries(2).run(3, |ctx| {
-            if ctx.attempt == 0 {
-                panic!("first attempt fails");
-            }
-            assert_eq!(
-                ctx.trial.seed,
-                rng::derive_seed(
-                    Supervisor::new(11).trial_seed(ctx.trial.index),
-                    "retry",
-                    u64::from(ctx.attempt)
-                )
-            );
-            99u64
-        });
-        assert_eq!(report.panics, 0);
-        assert_eq!(report.retries, 3);
-        assert_eq!(report.values().count(), 3);
-
-        let exhausted = Supervisor::new(11)
-            .with_max_retries(2)
-            .run(1, |_ctx: &ShardCtx| -> u64 { panic!("always") });
-        assert_eq!(exhausted.panics, 1);
-        assert_eq!(exhausted.retries, 2);
-        match &exhausted.outcomes[0] {
-            ShardOutcome::Panicked { attempts, .. } => assert_eq!(*attempts, 3),
-            other => panic!("expected panic outcome, got {other:?}"),
-        }
     }
 
     #[test]
@@ -657,21 +537,16 @@ mod tests {
     #[test]
     fn outcomes_identical_across_thread_counts() {
         let run = |threads| {
-            Supervisor::new(21)
-                .with_threads(threads)
-                .with_max_retries(1)
-                .run(12, |ctx| {
-                    if ctx.trial.index % 5 == 0 && ctx.attempt == 0 {
-                        panic!("flaky shard");
-                    }
-                    ctx.trial.seed
-                })
+            Supervisor::new(21).with_threads(threads).run(12, |ctx| {
+                assert!(ctx.trial.index % 5 != 0, "failing shard");
+                ctx.trial.seed
+            })
         };
         let one = run(1);
+        assert_eq!(one.panics, 3);
         for threads in [2, 4] {
             let many = run(threads);
             assert_eq!(one.outcomes, many.outcomes, "diverged at {threads} threads");
-            assert_eq!(one.retries, many.retries);
         }
     }
 
@@ -680,51 +555,14 @@ mod tests {
         let registry = Telemetry::new();
         let report = Supervisor::new(13)
             .attach_telemetry(&registry)
-            .with_max_retries(1)
             .run(5, |ctx| {
-                if ctx.trial.index == 0 {
-                    panic!("unrecoverable");
-                }
-                if ctx.trial.index == 1 && ctx.attempt == 0 {
-                    panic!("recoverable");
-                }
+                assert!(ctx.trial.index != 0, "failing shard");
                 ctx.trial.index
             });
+        assert_eq!(report.panics, 1);
         assert_eq!(registry.counter_value("supervisor.shards"), Some(5));
         assert_eq!(registry.counter_value("supervisor.panics"), Some(1));
-        assert_eq!(
-            registry.counter_value("supervisor.retries"),
-            Some(report.retries as u64)
-        );
+        assert_eq!(registry.counter_value("supervisor.retries"), Some(0));
         assert_eq!(registry.counter_value("supervisor.timeouts"), Some(0));
-    }
-
-    #[test]
-    fn stop_after_zero_skips_every_shard() {
-        // The abort boundary: stop-after 0 must abort *before* the first
-        // shard, so the workload closure never runs at all.
-        let report = Supervisor::new(17)
-            .with_threads(2)
-            .with_stop_after(0)
-            .run(8, |_ctx: &ShardCtx| -> u64 {
-                panic!("no shard may start when stop_after is 0")
-            });
-        assert_eq!(report.skipped, 8);
-        assert_eq!(report.panics, 0);
-        assert_eq!(report.values().count(), 0);
-        assert!(report.degraded());
-    }
-
-    #[test]
-    fn stop_after_boundary_is_exact() {
-        // stop_after(n) runs exactly n shards, skipping the rest —
-        // no off-by-one on either side.
-        for n in [1usize, 3, 7, 8] {
-            let report = Supervisor::new(17)
-                .with_stop_after(n)
-                .run(8, |ctx| ctx.trial.index as u64);
-            assert_eq!(report.values().count(), n.min(8), "stop_after({n})");
-            assert_eq!(report.skipped, 8 - n.min(8), "stop_after({n})");
-        }
     }
 }
