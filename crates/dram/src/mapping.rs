@@ -40,6 +40,11 @@ pub enum MappingKind {
 
 /// A concrete, invertible address mapping for a given geometry.
 ///
+/// The shifts and masks of both directions are derived once at
+/// construction, so a decode or encode is a handful of bit operations and
+/// one multiply. `Linear` is the XOR/swizzle form with an empty bank XOR
+/// and an empty swizzle, so both kinds share one branch-free decode.
+///
 /// # Examples
 ///
 /// ```
@@ -55,6 +60,24 @@ pub enum MappingKind {
 pub struct AddressMapping {
     geometry: DramGeometry,
     kind: MappingKind,
+    /// Capacity in bytes.
+    total_bytes: u64,
+    /// Column (byte-in-row) bits of an address.
+    col_bits: u32,
+    /// Shift of the row field: column plus bank bits.
+    row_shift: u32,
+    /// Global bank count − 1.
+    bank_mask: u32,
+    /// Rows per bank − 1.
+    row_mask: u32,
+    /// Low row bits XORed into the bank field (`0` for `Linear`).
+    bank_xor: u32,
+    /// Low row bits the affine swizzle remaps (`0` for `Linear`).
+    swizzle_mask: u32,
+    row_mul: u32,
+    row_add: u32,
+    /// Inverse of `row_mul` modulo `swizzle_mask + 1`.
+    row_mul_inv: u32,
 }
 
 impl MappingKind {
@@ -80,10 +103,40 @@ impl AddressMapping {
     #[must_use]
     pub fn new(geometry: DramGeometry, kind: MappingKind) -> Self {
         geometry.validate().expect("invalid geometry"); // lint:allow(P1) -- documented `# Panics` constructor contract
-        if let MappingKind::XorSwizzle { row_mul, .. } = kind {
-            assert!(row_mul % 2 == 1, "row multiplier must be odd");
+        let bank_mask = geometry.total_banks() - 1;
+        let (bank_xor, swizzle_mask, row_mul, row_add, row_mul_inv) = match kind {
+            MappingKind::Linear => (0, 0, 1, 0, 1),
+            MappingKind::XorSwizzle {
+                row_mul,
+                row_add,
+                swizzle_bits,
+            } => {
+                assert!(row_mul % 2 == 1, "row multiplier must be odd");
+                let k = swizzle_bits.min(geometry.row_bits());
+                let mask = (1u32 << k) - 1;
+                (
+                    bank_mask,
+                    mask,
+                    row_mul,
+                    row_add,
+                    mod_inverse_pow2(row_mul, k),
+                )
+            }
+        };
+        AddressMapping {
+            geometry,
+            kind,
+            total_bytes: geometry.total_bytes().as_u64(),
+            col_bits: geometry.col_bits(),
+            row_shift: geometry.col_bits() + geometry.bank_bits(),
+            bank_mask,
+            row_mask: geometry.rows_per_bank - 1,
+            bank_xor,
+            swizzle_mask,
+            row_mul,
+            row_add,
+            row_mul_inv,
         }
-        AddressMapping { geometry, kind }
     }
 
     /// The geometry this mapping addresses.
@@ -98,6 +151,11 @@ impl AddressMapping {
         self.kind
     }
 
+    /// Capacity in bytes: every address below it decodes.
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
     /// Decodes a physical byte address into its DRAM location.
     ///
     /// # Panics
@@ -105,39 +163,24 @@ impl AddressMapping {
     /// Panics if `addr` is outside the geometry's capacity.
     #[must_use]
     pub fn decode(&self, addr: DramAddr) -> Location {
-        let g = &self.geometry;
         let a = addr.as_u64();
         assert!(
-            a < g.total_bytes().as_u64(),
+            a < self.total_bytes,
             "address {addr} beyond DRAM capacity {}",
-            g.total_bytes()
+            self.geometry.total_bytes()
         );
-        let col = (a & (u64::from(g.row_bytes) - 1)) as u32;
-        let bank_field = ((a >> g.col_bits()) & (u64::from(g.total_banks()) - 1)) as u32;
-        let row_field =
-            ((a >> (g.col_bits() + g.bank_bits())) & (u64::from(g.rows_per_bank) - 1)) as u32;
-        match self.kind {
-            MappingKind::Linear => Location {
-                bank: bank_field,
-                row: row_field,
-                col,
-            },
-            MappingKind::XorSwizzle {
-                row_mul,
-                row_add,
-                swizzle_bits,
-            } => {
-                let bank_mask = g.total_banks() - 1;
-                let bank = bank_field ^ (row_field & bank_mask);
-                let k = swizzle_bits.min(g.row_bits());
-                let low_mask = (1u32 << k) - 1;
-                let low = row_mul
-                    .wrapping_mul(row_field & low_mask)
-                    .wrapping_add(row_add)
-                    & low_mask;
-                let row = (row_field & !low_mask) | low;
-                Location { bank, row, col }
-            }
+        let col = (a & ((1u64 << self.col_bits) - 1)) as u32;
+        let bank_field = (a >> self.col_bits) as u32 & self.bank_mask;
+        let row_field = (a >> self.row_shift) as u32 & self.row_mask;
+        let low = self
+            .row_mul
+            .wrapping_mul(row_field & self.swizzle_mask)
+            .wrapping_add(self.row_add)
+            & self.swizzle_mask;
+        Location {
+            bank: bank_field ^ (row_field & self.bank_xor),
+            row: (row_field & !self.swizzle_mask) | low,
+            col,
         }
     }
 
@@ -153,28 +196,17 @@ impl AddressMapping {
         assert!(loc.bank < g.total_banks(), "bank {} out of range", loc.bank);
         assert!(loc.row < g.rows_per_bank, "row {} out of range", loc.row);
         assert!(loc.col < g.row_bytes, "col {} out of range", loc.col);
-        let (bank_field, row_field) = match self.kind {
-            MappingKind::Linear => (loc.bank, loc.row),
-            MappingKind::XorSwizzle {
-                row_mul,
-                row_add,
-                swizzle_bits,
-            } => {
-                let bank_mask = g.total_banks() - 1;
-                let k = swizzle_bits.min(g.row_bits());
-                let low_mask = (1u32 << k) - 1;
-                // Invert the affine map on the low bits: odd multipliers are
-                // units mod 2^k.
-                let inv = mod_inverse_pow2(row_mul, k);
-                let low = inv.wrapping_mul((loc.row & low_mask).wrapping_sub(row_add)) & low_mask;
-                let row_field = (loc.row & !low_mask) | low;
-                let bank_field = loc.bank ^ (row_field & bank_mask);
-                (bank_field, row_field)
-            }
-        };
+        // Invert the affine map on the low bits: odd multipliers are units
+        // mod 2^k.
+        let low = self
+            .row_mul_inv
+            .wrapping_mul((loc.row & self.swizzle_mask).wrapping_sub(self.row_add))
+            & self.swizzle_mask;
+        let row_field = (loc.row & !self.swizzle_mask) | low;
+        let bank_field = loc.bank ^ (row_field & self.bank_xor);
         DramAddr(
-            (u64::from(row_field) << (g.col_bits() + g.bank_bits()))
-                | (u64::from(bank_field) << g.col_bits())
+            (u64::from(row_field) << self.row_shift)
+                | (u64::from(bank_field) << self.col_bits)
                 | u64::from(loc.col),
         )
     }

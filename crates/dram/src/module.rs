@@ -33,7 +33,7 @@ use ssdhammer_simkit::telemetry::{CounterHandle, Telemetry};
 use ssdhammer_simkit::{DramAddr, SimClock, SimDuration, SimTime};
 
 use crate::ecc::{EccConfig, EccOutcome, ECC_WORD_BITS};
-use crate::geometry::{DramGeometry, RowKey};
+use crate::geometry::{DramGeometry, Location, RowKey};
 use crate::mapping::AddressMapping;
 use crate::para::ParaConfig;
 use crate::profile::{ModuleProfile, RowPolicy};
@@ -100,7 +100,7 @@ pub struct FlipEvent {
 }
 
 /// Handles into the shared registry, resolved once so the hot path is a
-/// single atomic add per metric.
+/// plain add per metric.
 #[derive(Debug, Clone)]
 struct DramHandles {
     registry: Telemetry,
@@ -222,7 +222,9 @@ pub struct DramModule {
     /// Cached weak-cell lists, dense by global row index (`None` = not
     /// yet derived).
     remaining_weak: Vec<Option<Box<[WeakCell]>>>,
-    window_idx: u64,
+    /// End of the current refresh window: the first access at or after it
+    /// rolls the window.
+    window_end: SimTime,
     /// Per-row activation counts this refresh window (struct-of-arrays;
     /// `acts[i]`/`discount[i]` are only meaningful when `stamp[i] == gen`).
     acts: Vec<u64>,
@@ -330,6 +332,7 @@ impl DramModuleBuilder {
         rows.resize_with(total_rows, || None);
         let mut remaining_weak = Vec::new();
         remaining_weak.resize_with(total_rows, || None);
+        let window_end = SimTime::ZERO + self.profile.refresh_interval;
         DramModule {
             mapping,
             profile: self.profile,
@@ -341,7 +344,7 @@ impl DramModuleBuilder {
             timing_enabled: self.timing_enabled,
             rows,
             remaining_weak,
-            window_idx: 0,
+            window_end,
             acts: vec![0; total_rows],
             discount: vec![0.0; total_rows],
             stamp: vec![0; total_rows],
@@ -449,25 +452,8 @@ impl DramModule {
     pub fn read(&mut self, addr: DramAddr, buf: &mut [u8]) -> Result<(), DramError> {
         let loc = self.checked_decode(addr, buf.len())?;
         self.tick_window();
-        let key = loc.row_key();
-        // Pressure accumulated up to now may flip cells an instant before the
-        // activation refreshes the row.
-        self.evaluate_victim(key);
-        let hit = self.activate(key);
-        self.charge_access_time(hit);
-        self.tel.reads.incr();
-        let start_bit = u64::from(loc.col) * 8;
-        let end_bit = start_bit + buf.len() as u64 * 8;
-        // Serve data. Unwritten rows read as zero.
-        let Some(row_data) = self.rows[self.row_index(key)].as_deref() else {
-            buf.fill(0);
-            return Ok(());
-        };
-        buf.copy_from_slice(&row_data.bytes[loc.col as usize..loc.col as usize + buf.len()]);
-        if self.ecc.is_some() {
-            self.apply_ecc(addr, key, start_bit, end_bit, buf)?;
-        }
-        Ok(())
+        self.access(loc.row_key());
+        self.serve(addr, loc, buf)
     }
 
     /// Writes `data` starting at `addr`. The range must not cross a row
@@ -484,9 +470,7 @@ impl DramModule {
         let loc = self.checked_decode(addr, data.len())?;
         self.tick_window();
         let key = loc.row_key();
-        self.evaluate_victim(key);
-        let hit = self.activate(key);
-        self.charge_access_time(hit);
+        self.access(key);
         self.tel.writes.incr();
         let row_bytes = self.mapping.geometry().row_bytes as usize;
         let i = self.row_index(key);
@@ -518,6 +502,44 @@ impl DramModule {
     pub fn read_u32(&mut self, addr: DramAddr) -> Result<u32, DramError> {
         let mut buf = [0u8; 4];
         self.read(addr, &mut buf)?;
+        Ok(u32::from_le_bytes(buf))
+    }
+
+    /// One amplified lookup: reads the little-endian `u32` at `addr`, then
+    /// forces `extra` activations of its row, in one pass.
+    ///
+    /// Equal in value, clock, counters and flips to [`DramModule::read_u32`]
+    /// followed (when `extra > 0` and the read succeeded) by
+    /// [`DramModule::force_activations`]`(addr, extra)` — the FTL's L2P
+    /// lookup under the paper's 5× amplification (§4.1). The forced
+    /// activations reuse the read's address decode and pressure: unless the
+    /// read's own access time crossed a refresh-window boundary, the row's
+    /// neighbours have not changed since the read evaluated it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`DramModule::read`].
+    pub fn read_u32_amplified(&mut self, addr: DramAddr, extra: u64) -> Result<u32, DramError> {
+        let mut buf = [0u8; 4];
+        let loc = self.checked_decode(addr, buf.len())?;
+        self.tick_window();
+        let key = loc.row_key();
+        let (hit, raw) = self.access(key);
+        self.serve(addr, loc, &mut buf)?;
+        if extra > 0 {
+            if self.tick_window() {
+                // A fresh window holds no pressure to evaluate.
+                self.force(key, extra, None);
+            } else {
+                // A miss refreshed the row, so nothing is left to flip; a
+                // hit left its pressure as the read found it, but ECC
+                // scrubbing may have recharged a flipped cell.
+                if hit {
+                    self.apply_flips(key, raw);
+                }
+                self.force(key, extra, Some(raw));
+            }
+        }
         Ok(u32::from_le_bytes(buf))
     }
 
@@ -653,7 +675,7 @@ impl DramModule {
             // Open-page single row: at most one ACT (if the row was not
             // already open).
             let key = keys[0];
-            self.activate(key);
+            self.activate(key, None);
             *activations += 1;
             return;
         }
@@ -714,15 +736,7 @@ impl DramModule {
         self.tick_window();
         let key = loc.row_key();
         self.evaluate_victim(key);
-        let lane = self.row_index(key);
-        self.touch_lane(lane);
-        self.acts[lane] += n;
-        self.tel.activations.add(n);
-        self.discount[lane] = self.raw_pressure(key);
-        self.open_rows[key.bank as usize] = key.row;
-        if self.timing_enabled {
-            self.clock.advance(T_ROW_MISS * n);
-        }
+        self.force(key, n, None);
         Ok(())
     }
 
@@ -766,45 +780,107 @@ impl DramModule {
         }
     }
 
-    fn checked_decode(
-        &self,
-        addr: DramAddr,
-        len: usize,
-    ) -> Result<crate::geometry::Location, DramError> {
-        let g = self.mapping.geometry();
+    fn checked_decode(&self, addr: DramAddr, len: usize) -> Result<Location, DramError> {
         let Some(end) = addr.as_u64().checked_add(len as u64) else {
             return Err(DramError::OutOfRange { addr });
         };
-        if end > g.total_bytes().as_u64() {
+        if end > self.mapping.total_bytes() {
             return Err(DramError::OutOfRange { addr });
         }
         let loc = self.mapping.decode(addr);
         assert!(
-            loc.col as usize + len <= g.row_bytes as usize,
+            loc.col as usize + len <= self.mapping.geometry().row_bytes as usize,
             "access at {addr} (+{len}) crosses a row boundary"
         );
         Ok(loc)
     }
 
     /// Rolls the refresh window forward if the clock has crossed a boundary,
-    /// settling outstanding disturbance first.
-    fn tick_window(&mut self) {
-        let idx = self.clock.now().window_index(self.profile.refresh_interval);
-        if idx != self.window_idx {
-            self.settle_window();
-            self.count_mitigations();
-            // Bumping the generation invalidates every `acts`/`discount`
-            // lane at once — the O(1) equivalent of clearing both maps.
-            self.gen += 1;
-            self.acted.clear();
-            self.window_idx = idx;
-            self.tel.refresh_windows.incr();
+    /// settling outstanding disturbance first. Returns whether it rolled.
+    fn tick_window(&mut self) -> bool {
+        let now = self.clock.now();
+        if now < self.window_end {
+            return false;
+        }
+        self.settle_window();
+        self.count_mitigations();
+        // Bumping the generation invalidates every `acts`/`discount`
+        // lane at once — the O(1) equivalent of clearing both maps.
+        self.gen += 1;
+        self.acted.clear();
+        let window = self.profile.refresh_interval;
+        self.window_end = now.window_start(window) + window;
+        self.tel.refresh_windows.incr();
+        true
+    }
+
+    /// One timed access to `key` in the current window: pressure
+    /// accumulated up to now may flip cells an instant before the
+    /// activation refreshes the row, then the row is activated (on a
+    /// row-buffer miss) and the access time charged. Returns whether the
+    /// access hit the row buffer, and the row's raw pressure before it.
+    fn access(&mut self, key: RowKey) -> (bool, f64) {
+        // With no row acted on this window, no lane holds pressure.
+        let raw = if self.acted.is_empty() {
+            0.0
+        } else {
+            self.raw_pressure(key)
+        };
+        self.apply_flips(key, raw);
+        let hit = self.activate(key, Some(raw));
+        self.charge_access_time(hit);
+        (hit, raw)
+    }
+
+    /// Serves a read of `buf.len()` bytes at `loc` (already activated):
+    /// unwritten rows read as zero, and ECC applies when configured.
+    fn serve(&mut self, addr: DramAddr, loc: Location, buf: &mut [u8]) -> Result<(), DramError> {
+        self.tel.reads.incr();
+        let key = loc.row_key();
+        let Some(row_data) = self.rows[self.row_index(key)].as_deref() else {
+            buf.fill(0);
+            return Ok(());
+        };
+        buf.copy_from_slice(&row_data.bytes[loc.col as usize..loc.col as usize + buf.len()]);
+        if self.ecc.is_some() {
+            let start_bit = u64::from(loc.col) * 8;
+            let end_bit = start_bit + buf.len() as u64 * 8;
+            self.apply_ecc(addr, key, start_bit, end_bit, buf)?;
+        }
+        Ok(())
+    }
+
+    /// Forces `n` activations of `key` without a victim evaluation (the
+    /// caller has done it). `raw`, when given, is the row's raw pressure in
+    /// the current window, taken with no other row activated since.
+    fn force(&mut self, key: RowKey, n: u64, raw: Option<f64>) {
+        let lane = self.row_index(key);
+        self.touch_lane(lane);
+        self.acts[lane] += n;
+        self.tel.activations.add(n);
+        self.set_discount(key, lane, raw);
+        self.open_rows[key.bank as usize] = key.row;
+        if self.timing_enabled {
+            self.clock.advance(T_ROW_MISS * n);
         }
     }
 
+    /// Records the pressure `key`'s activation just refreshed away, so only
+    /// *future* pressure counts. Without TRR a row's raw pressure sums its
+    /// neighbours' activations only, so its own activation leaves a known
+    /// `raw` valid; TRR's tracked set counts the row's own activations, so
+    /// under TRR it is always recomputed.
+    fn set_discount(&mut self, key: RowKey, lane: usize, raw: Option<f64>) {
+        self.discount[lane] = match raw {
+            Some(p) if self.trr.is_none() => p,
+            _ => self.raw_pressure(key),
+        };
+    }
+
     /// Activates `key` if a row-buffer miss, counting pressure on neighbors.
-    /// Returns true on a row-buffer hit.
-    fn activate(&mut self, key: RowKey) -> bool {
+    /// `raw` is as for [`DramModule::force`]. Returns true on a row-buffer
+    /// hit.
+    fn activate(&mut self, key: RowKey, raw: Option<f64>) -> bool {
         let hit = self.profile.row_policy == RowPolicy::OpenPage
             && self.open_rows[key.bank as usize] == key.row;
         if hit {
@@ -816,10 +892,7 @@ impl DramModule {
         self.touch_lane(lane);
         self.acts[lane] += 1;
         self.tel.activations.incr();
-        // Activation refreshes this row: remember the pressure it has
-        // already absorbed so only *future* pressure counts.
-        let p = self.raw_pressure(key);
-        self.discount[lane] = p;
+        self.set_discount(key, lane, raw);
         false
     }
 
@@ -926,29 +999,28 @@ impl DramModule {
         p
     }
 
-    /// Effective pressure: raw pressure minus what the row's own last
-    /// activation already refreshed away.
-    fn effective_pressure(&self, victim: RowKey) -> f64 {
-        let raw = self.raw_pressure(victim);
-        let i = self.row_index(victim);
-        let discount = if self.stamp[i] == self.gen {
-            self.discount[i]
-        } else {
-            0.0
-        };
-        (raw - discount).max(0.0)
-    }
-
     /// Applies any flips that current pressure causes on `victim`.
     fn evaluate_victim(&mut self, victim: RowKey) {
         if self.acted.is_empty() {
             return;
         }
-        let pressure = self.effective_pressure(victim);
+        let raw = self.raw_pressure(victim);
+        self.apply_flips(victim, raw);
+    }
+
+    /// Applies the flips that raw pressure `raw` causes on `victim`, less
+    /// what the row's own last activation already refreshed away.
+    fn apply_flips(&mut self, victim: RowKey, raw: f64) {
+        let vi = self.row_index(victim);
+        let discount = if self.stamp[vi] == self.gen {
+            self.discount[vi]
+        } else {
+            0.0
+        };
+        let pressure = (raw - discount).max(0.0);
         if pressure <= 0.0 {
             return;
         }
-        let vi = self.row_index(victim);
         // Only materialized rows hold observable data.
         if self.rows[vi].is_none() {
             return;
@@ -986,7 +1058,7 @@ impl DramModule {
                 } else {
                     FlipDirection::ZeroToOne
                 };
-                let addr = self.mapping.encode(crate::geometry::Location {
+                let addr = self.mapping.encode(Location {
                     bank: victim.bank,
                     row: victim.row,
                     col: (cell.bit / 8) as u32,
@@ -1355,6 +1427,37 @@ mod tests {
             m.clock().advance(SimDuration::from_millis(64));
         }
         assert_eq!(counter(&m, "dram.flips"), 0);
+    }
+
+    #[test]
+    fn refresh_window_rolls_once_at_each_boundary() {
+        let w = ModuleProfile::invulnerable().refresh_interval.as_nanos();
+        // Built on a clock already halfway through its fourth window.
+        let clock = SimClock::new();
+        clock.advance_to(SimTime::from_nanos(w * 7 / 2));
+        let mut m = DramModule::builder(DramGeometry::tiny_test())
+            .profile(ModuleProfile::invulnerable())
+            .mapping(MappingKind::Linear)
+            .without_timing()
+            .build(clock.clone());
+        let mut buf = [0u8; 4];
+        let mut windows_after = |t: u64| {
+            clock.advance_to(SimTime::from_nanos(t));
+            m.read(DramAddr(0), &mut buf).unwrap();
+            counter(&m, "dram.refresh_windows")
+        };
+        assert_eq!(
+            windows_after(w * 7 / 2),
+            1,
+            "a jump over windows rolls once"
+        );
+        assert_eq!(windows_after(w * 4 - 1), 1);
+        assert_eq!(
+            windows_after(w * 4),
+            2,
+            "the boundary opens the next window"
+        );
+        assert_eq!(windows_after(w * 9), 3);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Model-level invariants of the DRAM simulator that go beyond the unit
-//! tests: distance-2 (half-double) coupling, ECC corner cases, and config
-//! serialization.
+//! tests: distance-2 (half-double) coupling, ECC corner cases, config
+//! serialization, and the single-pass amplified lookup against the
+//! separate read and forced activations it fuses.
 
 use ssdhammer_dram::{
-    DramGeneration, DramGeometry, DramModule, EccConfig, HammerOptions, Location, MappingKind,
-    ModuleProfile, RowKey,
+    DramError, DramGeneration, DramGeometry, DramModule, EccConfig, HammerOptions, Location,
+    MappingKind, ModuleProfile, ParaConfig, RowKey, RowPolicy, TrrConfig,
 };
-use ssdhammer_simkit::{DramAddr, SimClock};
+use ssdhammer_simkit::rng::{seeded, Rng};
+use ssdhammer_simkit::{DramAddr, SimClock, SimDuration, SimTime};
 
 fn eager(distance2: f64) -> ModuleProfile {
     let mut p = ModuleProfile::from_min_rate("eager", DramGeneration::Lpddr4, 2021, 1);
@@ -210,4 +212,245 @@ fn hammer_report_flips_match_the_counter() {
         let loc = m.mapping().decode(f.addr);
         assert_eq!(loc.row_key(), f.row);
     }
+}
+
+/// Defenses and controller modes of one differential run.
+#[derive(Debug, Clone, Copy)]
+struct Knobs {
+    ecc: bool,
+    trr: bool,
+    para: bool,
+    closed_page: bool,
+    timed: bool,
+}
+
+impl Knobs {
+    /// Every on/off combination of the five knobs.
+    fn all() -> impl Iterator<Item = Knobs> {
+        (0..32u32).map(|bits| Knobs {
+            ecc: bits & 1 != 0,
+            trr: bits & 2 != 0,
+            para: bits & 4 != 0,
+            closed_page: bits & 8 != 0,
+            timed: bits & 16 != 0,
+        })
+    }
+}
+
+/// Short refresh windows, so a sequence straddles many boundaries.
+const WINDOW: SimDuration = SimDuration::from_micros(40);
+
+/// A module whose cells flip after a few dozen activations, with
+/// distance-2 coupling on, so lookups on adjacent rows flip each other
+/// within one window.
+fn differential_module(k: Knobs) -> DramModule {
+    let mut profile = eager(0.3);
+    profile.hc_first = 24;
+    // Enough weak cells that two flips share an ECC word.
+    profile.weak_cells_per_row = 64.0;
+    profile.refresh_interval = WINDOW;
+    if k.closed_page {
+        profile.row_policy = RowPolicy::ClosedPage;
+    }
+    let mut b = DramModule::builder(DramGeometry::tiny_test())
+        .profile(profile)
+        .mapping(MappingKind::default_xor())
+        .seed(5);
+    if k.ecc {
+        b = b.ecc(EccConfig::default());
+    }
+    if k.trr {
+        // One tracked row with a low threshold: a row's own forced
+        // activations often change which neighbour the sampler tracks.
+        b = b.trr(TrrConfig {
+            sampler_size: 1,
+            detection_threshold: 4,
+        });
+    }
+    if k.para {
+        b = b.para(ParaConfig {
+            refresh_probability: 0.01,
+        });
+    }
+    if !k.timed {
+        b = b.without_timing();
+    }
+    b.build(SimClock::new())
+}
+
+/// One step of a differential sequence.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Write(DramAddr, u32),
+    Read(DramAddr),
+    /// An entry read plus this many forced activations of its row.
+    Lookup(DramAddr, u64),
+    /// Advance the clock to this instant (never backwards).
+    IdleTo(SimTime),
+}
+
+/// What one differential run exercised, summed over its steps.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Lookups whose read began within a miss latency of a window end.
+    straddles: u64,
+    flips: u64,
+    row_hits: u64,
+    refresh_windows: u64,
+    errors: u64,
+}
+
+/// Draws the next step: accesses cluster on seven adjacent rows of bank 0
+/// (each one another's aggressor and victim) plus one row of bank 1, and
+/// often repeat the previous row so the row buffer hits.
+fn next_step(rng: &mut impl Rng, m: &DramModule, prev: &mut u32) -> Step {
+    let row = if rng.gen_bool(0.3) {
+        *prev
+    } else {
+        rng.gen_range(0u32..8)
+    };
+    *prev = row;
+    let (bank, row) = if row == 7 { (1, 9) } else { (0, 8 + row) };
+    let col = rng.gen_range(0u32..256) * 4;
+    let addr = m.mapping().encode(Location { bank, row, col });
+    match rng.gen_range(0u32..100) {
+        0..=9 => {
+            let value = match rng.gen_range(0u32..3) {
+                0 => u32::MAX,
+                1 => 0,
+                _ => rng.gen(),
+            };
+            Step::Write(addr, value)
+        }
+        10..=24 => Step::Read(addr),
+        25..=87 => Step::Lookup(addr, [0, 1, 4, 4][rng.gen_range(0usize..4)]),
+        _ => {
+            let now = m.clock().now().as_nanos();
+            let end = (now / WINDOW.as_nanos() + 1) * WINDOW.as_nanos();
+            // Mostly land just short of the window end, so the next read's
+            // own access time crosses it.
+            let to = if rng.gen_bool(0.7) {
+                end - rng.gen_range(0u64..50)
+            } else {
+                now + rng.gen_range(0u64..5_000)
+            };
+            Step::IdleTo(SimTime::from_nanos(to.max(now)))
+        }
+    }
+}
+
+/// Drives `fused` and `reference` through one seeded sequence: amplified
+/// lookups go through [`DramModule::read_u32_amplified`] on `fused` and
+/// through `read_u32` then `force_activations` (each with its own decode,
+/// window check and pressure evaluation) on `reference`. Values and clock
+/// must agree after every step; counters, flip trace and array contents at
+/// the end.
+fn differential_run(k: Knobs, seed: u64, steps: usize) -> Coverage {
+    let mut fused = differential_module(k);
+    let mut reference = differential_module(k);
+    // Rows start charged in both orientations' vulnerable state.
+    let filled = [
+        (0u32, 7u32),
+        (0, 8),
+        (0, 9),
+        (0, 10),
+        (0, 11),
+        (0, 12),
+        (0, 13),
+        (0, 14),
+        (0, 15),
+        (1, 8),
+        (1, 9),
+        (1, 10),
+    ];
+    for (i, (bank, row)) in filled.into_iter().enumerate() {
+        let addr = fused.mapping().encode(Location { bank, row, col: 0 });
+        let fill = [[0xFF; 1024], [0x00; 1024], [0xA5; 1024]][i % 3];
+        fused.write(addr, &fill).unwrap();
+        reference.write(addr, &fill).unwrap();
+    }
+    let mut rng = seeded(seed);
+    let mut prev = 0;
+    let mut cov = Coverage::default();
+    for i in 0..steps {
+        let step = next_step(&mut rng, &fused, &mut prev);
+        let (a, b): (Result<u32, DramError>, Result<u32, DramError>) = match step {
+            Step::Write(addr, v) => (
+                fused.write_u32(addr, v).map(|()| v),
+                reference.write_u32(addr, v).map(|()| v),
+            ),
+            Step::Read(addr) => (fused.read_u32(addr), reference.read_u32(addr)),
+            Step::Lookup(addr, extra) => {
+                let now = fused.clock().now().as_nanos();
+                let to_end = WINDOW.as_nanos() - now % WINDOW.as_nanos();
+                if k.timed && extra > 0 && to_end <= 45 {
+                    cov.straddles += 1;
+                }
+                let want = reference.read_u32(addr);
+                if want.is_ok() && extra > 0 {
+                    reference.force_activations(addr, extra).unwrap();
+                }
+                (fused.read_u32_amplified(addr, extra), want)
+            }
+            Step::IdleTo(t) => {
+                fused.clock().advance_to(t);
+                reference.clock().advance_to(t);
+                (Ok(0), Ok(0))
+            }
+        };
+        assert_eq!(a, b, "{k:?} seed {seed} step {i} {step:?}: values differ");
+        assert_eq!(
+            fused.clock().now(),
+            reference.clock().now(),
+            "{k:?} seed {seed} step {i} {step:?}: clocks differ"
+        );
+        cov.errors += u64::from(a.is_err());
+    }
+    let (fs, rs) = (
+        fused.shared_telemetry().snapshot(),
+        reference.shared_telemetry().snapshot(),
+    );
+    assert_eq!(
+        fs.counters, rs.counters,
+        "{k:?} seed {seed}: counters differ"
+    );
+    assert_eq!(fs.trace, rs.trace, "{k:?} seed {seed}: flip events differ");
+    assert_eq!(fs.trace_dropped, rs.trace_dropped);
+    // One tiny-geometry row at a time.
+    let (mut x, mut y) = ([0u8; 1024], [0u8; 1024]);
+    for off in (0..DramGeometry::tiny_test().total_bytes().as_u64()).step_by(x.len()) {
+        fused.peek(DramAddr(off), &mut x).unwrap();
+        reference.peek(DramAddr(off), &mut y).unwrap();
+        assert_eq!(x, y, "{k:?} seed {seed}: array contents differ at {off}");
+    }
+    cov.flips = fs.counter("dram.flips").unwrap_or(0);
+    cov.row_hits = fs.counter("dram.row_hits").unwrap_or(0);
+    cov.refresh_windows = fs.counter("dram.refresh_windows").unwrap_or(0);
+    cov
+}
+
+/// The single-pass amplified lookup is indistinguishable from the entry
+/// read followed by forced activations, under every combination of ECC,
+/// TRR, PARA, closed-page and untimed operation, across refresh-window
+/// boundaries (including ones the read's own access time crosses) and
+/// row-buffer hits.
+#[test]
+fn amplified_lookup_matches_read_then_forced_activations() {
+    let mut total = Coverage::default();
+    for k in Knobs::all() {
+        for seed in [1u64, 2, 3] {
+            let cov = differential_run(k, seed, 3_000);
+            assert!(cov.refresh_windows > 10, "{k:?}: {cov:?}");
+            if k.timed {
+                assert!(cov.straddles > 0, "{k:?}: {cov:?}");
+            }
+            if !k.closed_page {
+                assert!(cov.row_hits > 0, "{k:?}: {cov:?}");
+            }
+            total.flips += cov.flips;
+            total.errors += cov.errors;
+            total.straddles += cov.straddles;
+        }
+    }
+    assert!(total.flips > 0 && total.errors > 0, "{total:?}");
 }

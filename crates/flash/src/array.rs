@@ -211,6 +211,8 @@ pub struct FlashArray {
     pages: Vec<Option<PageData>>,
     /// What every erased page reads as: one all-`0xFF` page, shared.
     erased: Arc<[u8]>,
+    /// What every erased page's OOB area reads as: all `0xFF`, shared.
+    erased_oob: Box<[u8]>,
     /// The last page programmed: a new page with the same bytes shares its
     /// storage instead of holding a copy (fills of one payload are common).
     last_programmed: Option<Ppn>,
@@ -269,6 +271,7 @@ impl FlashArray {
             clock,
             pages,
             erased: vec![0xFF; geometry.page_bytes as usize].into(),
+            erased_oob: vec![0xFF; geometry.oob_bytes as usize].into(),
             last_programmed: None,
             blocks,
             tel: FlashHandles::bind(Telemetry::new()),
@@ -449,16 +452,17 @@ impl FlashArray {
         Ok((data.into(), done))
     }
 
-    /// Reads a page's OOB area. Erased pages read as all-`0xFF`.
+    /// The OOB area of a page as stored, read in place; erased pages read
+    /// as all-`0xFF`.
     ///
     /// # Errors
     ///
     /// [`FlashError::OutOfRange`] or [`FlashError::BadBlock`].
-    pub fn read_oob(&mut self, ppn: Ppn) -> Result<Box<[u8]>, FlashError> {
+    pub fn read_oob(&self, ppn: Ppn) -> Result<&[u8], FlashError> {
         let _ = self.checked_block(ppn)?;
         Ok(match &self.pages[ppn.as_u64() as usize] {
-            Some(p) => p.oob.clone(),
-            None => vec![0xFFu8; self.geometry.oob_bytes as usize].into_boxed_slice(),
+            Some(p) => &p.oob,
+            None => &self.erased_oob,
         })
     }
 

@@ -647,8 +647,7 @@ impl Ftl {
             let filled = ftl.nand.next_page(block)?;
             let first = geometry.first_page(block).as_u64();
             for p in first..first + u64::from(filled) {
-                let oob = ftl.nand.read_oob(Ppn(p))?;
-                let (lba, seq, _) = decode_oob(&oob);
+                let (lba, seq, _) = decode_oob(ftl.nand.read_oob(Ppn(p))?);
                 if lba.as_u64() >= ftl.exported_lbas {
                     continue; // stale, foreign, or journal metadata
                 }
@@ -666,8 +665,7 @@ impl Ftl {
             let filled = ftl.nand.next_page(block)?;
             let first = geometry.first_page(block).as_u64();
             for p in first..first + u64::from(filled) {
-                let oob = ftl.nand.read_oob(Ppn(p))?;
-                let (marker, _, _) = decode_oob(&oob);
+                let (marker, _, _) = decode_oob(ftl.nand.read_oob(Ppn(p))?);
                 if marker.as_u64() != journal::JOURNAL_LBA_MARKER {
                     continue; // burned or torn journal slot
                 }
@@ -850,14 +848,22 @@ impl Ftl {
         }
     }
 
-    /// L2P read on the host path, with configured activation amplification.
+    /// L2P read on the host path, with configured activation amplification:
+    /// the entry read, then `hammer_amplification − 1` forced activations
+    /// of its row.
     fn amplified_get(&mut self, lba: Lba) -> Result<Option<Ppn>, FtlError> {
         self.tel.l2p_reads.incr();
+        let extra = u64::from(self.config.hammer_amplification) - 1;
+        if self.integrity.is_none() {
+            // Nothing reads DRAM between the entry and its forced
+            // activations, so both take one DRAM pass.
+            return Ok(self.table.get_amplified(&mut self.dram, lba, extra)?);
+        }
+        // The integrity plane reads the entry's code and mirror first.
         let entry = self.get_verified(lba)?;
-        let amp = u64::from(self.config.hammer_amplification);
-        if amp > 1 {
+        if extra > 0 {
             self.dram
-                .force_activations(self.table.entry_addr(lba), amp - 1)?;
+                .force_activations(self.table.entry_addr(lba), extra)?;
         }
         Ok(entry)
     }
@@ -878,7 +884,7 @@ impl Ftl {
             ) if !self.read_only => {
                 let mut stale = 0;
                 for p in 0..self.valid.len() as u64 {
-                    if self.valid[p as usize] && decode_oob(&self.nand.read_oob(Ppn(p))?).0 == lba {
+                    if self.valid[p as usize] && decode_oob(self.nand.read_oob(Ppn(p))?).0 == lba {
                         self.mark_invalid(Ppn(p));
                         stale += 1;
                     }
@@ -1064,8 +1070,7 @@ impl Ftl {
                     read => read?,
                 };
                 if self.config.dif {
-                    let oob = self.nand.read_oob(ppn)?;
-                    let (_, _, stored_guard) = decode_oob(&oob);
+                    let (_, _, stored_guard) = decode_oob(self.nand.read_oob(ppn)?);
                     if stored_guard != dif_guard(lba, &page) {
                         // The page's guard was computed for a different
                         // (LBA, data) pair: a misdirected mapping (or
@@ -1642,8 +1647,7 @@ impl Ftl {
                 continue;
             }
             let src = Ppn(p);
-            let oob = self.nand.read_oob(src)?;
-            let (lba, _, guard) = decode_oob(&oob);
+            let (lba, _, guard) = decode_oob(self.nand.read_oob(src)?);
             match self.read_page_recovered(src) {
                 Ok((data, _)) => {
                     // No journal entry: the relocated page's OOB (with its

@@ -169,7 +169,23 @@ impl L2pTable {
     ///
     /// Propagates DRAM errors (including ECC-uncorrectable reads).
     pub fn get(&self, dram: &mut DramModule, lba: Lba) -> Result<Option<Ppn>, DramError> {
-        let raw = dram.read_u32(self.entry_addr(lba))?;
+        self.get_amplified(dram, lba, 0)
+    }
+
+    /// Reads `lba`'s entry like [`L2pTable::get`], then activates its DRAM
+    /// row `extra` more times, in one DRAM pass
+    /// ([`DramModule::read_u32_amplified`]). A failed read forces nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DRAM errors (including ECC-uncorrectable reads).
+    pub(crate) fn get_amplified(
+        &self,
+        dram: &mut DramModule,
+        lba: Lba,
+        extra: u64,
+    ) -> Result<Option<Ppn>, DramError> {
+        let raw = dram.read_u32_amplified(self.entry_addr(lba), extra)?;
         Ok((raw != INVALID_ENTRY).then(|| Ppn(u64::from(raw))))
     }
 

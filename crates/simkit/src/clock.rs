@@ -1,16 +1,18 @@
 //! The shared simulated clock.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A cloneable handle to the simulation's single timeline.
+/// A cloneable handle to one simulated device's timeline.
 ///
 /// Every component that models latency holds a clone of the same `SimClock`
 /// and calls [`SimClock::advance`] with its modeled cost. Handles are cheap to
-/// clone (an `Arc` internally) and the clock is `Send + Sync`, though the
-/// simulation itself is single-threaded and deterministic.
+/// clone (an `Rc` internally) and every advance is a plain load and store:
+/// a simulated device is single-threaded, so its clock stays on the thread
+/// that built it. Campaigns run one device per shard, each on its worker's
+/// own clock (see [`crate::supervisor`]).
 ///
 /// # Examples
 ///
@@ -22,9 +24,17 @@ use crate::time::{SimDuration, SimTime};
 /// clock.advance(SimDuration::from_micros(50));
 /// assert_eq!(view.now().as_nanos(), 50_000);
 /// ```
+///
+/// A clock cannot move to another thread, so no two threads ever advance
+/// one timeline:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>(_: T) {}
+/// assert_send(ssdhammer_simkit::SimClock::new());
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct SimClock {
-    now_ns: Arc<AtomicU64>,
+    now_ns: Rc<Cell<u64>>,
 }
 
 impl SimClock {
@@ -37,12 +47,13 @@ impl SimClock {
     /// The current simulated instant.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now_ns.load(Ordering::Relaxed))
+        SimTime::from_nanos(self.now_ns.get())
     }
 
     /// Moves the timeline forward by `d` and returns the new instant.
     pub fn advance(&self, d: SimDuration) -> SimTime {
-        let new = self.now_ns.fetch_add(d.as_nanos(), Ordering::Relaxed) + d.as_nanos();
+        let new = self.now_ns.get() + d.as_nanos();
+        self.now_ns.set(new);
         SimTime::from_nanos(new)
     }
 
@@ -52,18 +63,9 @@ impl SimClock {
     /// Useful for host-side rate shaping: "the next request may not be issued
     /// before `t`".
     pub fn advance_to(&self, t: SimTime) -> SimTime {
-        let target = t.as_nanos();
-        let mut cur = self.now_ns.load(Ordering::Relaxed);
-        while cur < target {
-            match self
-                .now_ns
-                .compare_exchange(cur, target, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return t,
-                Err(actual) => cur = actual,
-            }
-        }
-        SimTime::from_nanos(cur)
+        let new = self.now_ns.get().max(t.as_nanos());
+        self.now_ns.set(new);
+        SimTime::from_nanos(new)
     }
 
     /// Elapsed simulated time since `start`.

@@ -18,9 +18,9 @@
 //! derive deterministic fault *magnitudes* (e.g. how many bits a failed
 //! flash read flipped) from the same stream.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::rng::derive_seed;
 use crate::telemetry::{CounterHandle, Telemetry};
@@ -117,8 +117,8 @@ impl FaultPlaneConfig {
 #[derive(Debug)]
 struct SiteState {
     spec: FaultSpec,
-    consults: AtomicU64,
-    fires: AtomicU64,
+    consults: Cell<u64>,
+    fires: Cell<u64>,
 }
 
 /// Telemetry handles, resolved lazily when a registry is attached.
@@ -133,15 +133,16 @@ struct PlaneTel {
 struct PlaneInner {
     seed: u64,
     sites: BTreeMap<String, SiteState>,
-    tel: Mutex<PlaneTel>,
+    tel: RefCell<PlaneTel>,
 }
 
-/// Seeded, shareable fault-decision engine. Cloning is cheap (`Arc`);
+/// Seeded, shareable fault-decision engine. Cloning is cheap (`Rc`);
 /// clones share counters, so a plane threaded through several device
-/// layers yields one coherent fault stream per site.
+/// layers yields one coherent fault stream per site. Like the device it
+/// drives, a plane stays on the thread that made it.
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
-    inner: Arc<PlaneInner>,
+    inner: Rc<PlaneInner>,
 }
 
 impl FaultPlane {
@@ -156,17 +157,17 @@ impl FaultPlane {
                     name.clone(),
                     SiteState {
                         spec: *spec,
-                        consults: AtomicU64::new(0),
-                        fires: AtomicU64::new(0),
+                        consults: Cell::new(0),
+                        fires: Cell::new(0),
                     },
                 )
             })
             .collect();
         FaultPlane {
-            inner: Arc::new(PlaneInner {
+            inner: Rc::new(PlaneInner {
                 seed,
                 sites,
-                tel: Mutex::new(PlaneTel::default()),
+                tel: RefCell::new(PlaneTel::default()),
             }),
         }
     }
@@ -192,7 +193,7 @@ impl FaultPlane {
     /// Binds `fault.*` counters (`fault.consults`, `fault.injected`, and a
     /// `fault.<site>.fired` counter per configured site) onto `registry`.
     pub fn attach_telemetry(&self, registry: &Telemetry) {
-        let mut tel = self.inner.tel.lock().expect("fault telemetry poisoned");
+        let mut tel = self.inner.tel.borrow_mut();
         tel.consults = Some(registry.counter("fault.consults"));
         tel.injected = Some(registry.counter("fault.injected"));
         tel.per_site = self
@@ -217,12 +218,10 @@ impl FaultPlane {
             return None;
         }
         let state = self.inner.sites.get(site)?;
-        let index = state.consults.fetch_add(1, Ordering::Relaxed);
-        {
-            let tel = self.inner.tel.lock().expect("fault telemetry poisoned");
-            if let Some(c) = &tel.consults {
-                c.incr();
-            }
+        let index = state.consults.get();
+        state.consults.set(index + 1);
+        if let Some(c) = &self.inner.tel.borrow().consults {
+            c.incr();
         }
         if let Some((start, end)) = state.spec.window {
             if index < start || index >= end {
@@ -230,7 +229,7 @@ impl FaultPlane {
             }
         }
         if let Some(cap) = state.spec.max_fires {
-            if state.fires.load(Ordering::Relaxed) >= cap {
+            if state.fires.get() >= cap {
                 return None;
             }
         }
@@ -241,8 +240,8 @@ impl FaultPlane {
         if fraction >= state.spec.probability {
             return None;
         }
-        state.fires.fetch_add(1, Ordering::Relaxed);
-        let tel = self.inner.tel.lock().expect("fault telemetry poisoned");
+        state.fires.set(state.fires.get() + 1);
+        let tel = self.inner.tel.borrow();
         if let Some(c) = &tel.injected {
             c.incr();
         }
@@ -260,19 +259,13 @@ impl FaultPlane {
     /// How many times `site` has been consulted.
     #[must_use]
     pub fn consults(&self, site: &str) -> u64 {
-        self.inner
-            .sites
-            .get(site)
-            .map_or(0, |s| s.consults.load(Ordering::Relaxed))
+        self.inner.sites.get(site).map_or(0, |s| s.consults.get())
     }
 
     /// How many times `site` has fired.
     #[must_use]
     pub fn fired(&self, site: &str) -> u64 {
-        self.inner
-            .sites
-            .get(site)
-            .map_or(0, |s| s.fires.load(Ordering::Relaxed))
+        self.inner.sites.get(site).map_or(0, |s| s.fires.get())
     }
 }
 

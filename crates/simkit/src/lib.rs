@@ -7,7 +7,8 @@
 //!
 //! * [`SimClock`] / [`SimTime`] / [`SimDuration`] — the simulated timeline.
 //!   All rates reported by experiments (IOPS, DRAM activations per second)
-//!   are measured against this clock, never the host wall clock.
+//!   are measured against this clock, never the host wall clock. A clock,
+//!   like the device it times, stays on the thread that made it.
 //! * [`ByteSize`], [`Lba`], [`DramAddr`], [`BLOCK_SIZE`] — units and address
 //!   newtypes that keep logical, physical, and DRAM address spaces apart in
 //!   the type system.
@@ -22,7 +23,8 @@
 //!   paper's end-to-end exploit rides on).
 //! * [`stats`] — the log-bucketed latency histogram telemetry records into.
 //! * [`telemetry`] — the shared, stack-wide metrics registry and bounded
-//!   event trace every layer records into.
+//!   event trace every layer records into; single-threaded cells, one
+//!   registry per device.
 //! * [`faultplane`] — the seeded fault-injection plane device crates
 //!   consult at their failure points; identical seeds replay identical
 //!   fault sequences.
@@ -32,9 +34,8 @@
 //!   crate, through the fuzz executor).
 //! * [`supervisor`] — the one campaign runner behind `repro --threads N`:
 //!   deterministic sharding (results are bit-identical for any thread
-//!   count), a sim-time budget watchdog, `catch_unwind` panic isolation
-//!   with seeded retry, and a stop-after limit that simulates a killed
-//!   campaign.
+//!   count), a sim-time budget watchdog and `catch_unwind` panic
+//!   isolation; each shard builds its device on its worker thread.
 //! * [`fuzz`] — seeded model-based fuzzing: generate op interleavings,
 //!   differentially check them against a shadow model (the one oracle
 //!   state both the fuzz and torture campaigns use), and auto-shrink

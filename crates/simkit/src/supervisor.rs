@@ -3,10 +3,11 @@
 //! Every multi-trial experiment in the workspace — Monte-Carlo sweeps,
 //! per-module measurement campaigns, the attack grid, the torture and fuzz
 //! campaigns — runs its trials as the shards of one [`Supervisor`]. Each
-//! shard builds its own simulated device from a seed and shares no state,
-//! so shards spread across [`std::thread`] workers while the output stays
-//! **bit-identical regardless of thread count**, which the repro suite
-//! asserts (see the `--threads` flag on the `repro` binary).
+//! shard builds its own simulated device from a seed on the worker thread
+//! that runs it and shares no state (a device's clock and registry are not
+//! `Send`), so shards spread across [`std::thread`] workers while the
+//! output stays **bit-identical regardless of thread count**, which the
+//! repro suite asserts (see the `--threads` flag on the `repro` binary).
 //!
 //! The determinism rule is simple and worth stating once:
 //!
@@ -29,10 +30,11 @@
 //! campaign needs:
 //!
 //! * **Sim-time budget watchdog** — each shard receives a fresh
-//!   [`ShardCtx`] carrying a [`SimClock`] and an optional budget; shards
-//!   that consume more simulated time than the budget come back as typed
-//!   [`ShardOutcome::Timeout`] results instead of values. Cooperative
-//!   shards poll [`ShardCtx::over_budget`] to bail out early.
+//!   [`ShardCtx`] carrying a [`SimClock`] made on its worker thread and an
+//!   optional budget; shards that consume more simulated time than the
+//!   budget come back as typed [`ShardOutcome::Timeout`] results instead
+//!   of values. Cooperative shards poll [`ShardCtx::over_budget`] to bail
+//!   out early.
 //! * **Panic isolation** — shard closures run under
 //!   [`std::panic::catch_unwind`]; a panic is captured together with the
 //!   shard's index and seed so the failure replays deterministically in a
@@ -318,19 +320,23 @@ impl Supervisor {
 
     /// Runs `trials` supervised shards and merges their outcomes in trial
     /// order — bit-identical for any thread count.
+    ///
+    /// Workers capture only the campaign seed, tag and simulated-time
+    /// budget; each shard builds its device, clock and registry on the
+    /// worker thread, and the `supervisor.*` totals are added here on the
+    /// calling thread.
     pub fn run<T, F>(&self, trials: usize, f: F) -> SupervisedReport<T>
     where
         T: Send,
         F: Fn(&ShardCtx) -> T + Sync,
     {
+        let (seed, tag, budget) = (self.seed, self.tag, self.sim_budget);
         let outcomes = shard_in_order(self.threads, trials, |index| {
-            self.supervise(
-                Trial {
-                    index,
-                    seed: self.trial_seed(index),
-                },
-                &f,
-            )
+            let trial = Trial {
+                index,
+                seed: rng::derive_seed(seed, tag, index as u64),
+            };
+            supervise(trial, budget, &f)
         });
         let count = |status| outcomes.iter().filter(|o| o.status() == status).count();
         let report = SupervisedReport {
@@ -347,31 +353,31 @@ impl Supervisor {
         }
         report
     }
+}
 
-    /// One shard: run once under `catch_unwind`, then apply the sim-time
-    /// watchdog.
-    fn supervise<T, F>(&self, trial: Trial, f: &F) -> ShardOutcome<T>
-    where
-        F: Fn(&ShardCtx) -> T + Sync,
-    {
-        let ctx = ShardCtx {
-            trial,
-            clock: SimClock::new(),
-            budget: self.sim_budget,
-        };
-        match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-            Ok(_) if ctx.over_budget() => ShardOutcome::Timeout {
-                index: trial.index,
-                seed: trial.seed,
-                sim_elapsed: ctx.sim_elapsed(),
-            },
-            Ok(value) => ShardOutcome::Ok(value),
-            Err(payload) => ShardOutcome::Panicked {
-                index: trial.index,
-                seed: trial.seed,
-                message: panic_message(payload.as_ref()),
-            },
-        }
+/// One shard: run once under `catch_unwind`, then apply the sim-time
+/// watchdog.
+fn supervise<T, F>(trial: Trial, budget: Option<SimDuration>, f: &F) -> ShardOutcome<T>
+where
+    F: Fn(&ShardCtx) -> T,
+{
+    let ctx = ShardCtx {
+        trial,
+        clock: SimClock::new(),
+        budget,
+    };
+    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+        Ok(_) if ctx.over_budget() => ShardOutcome::Timeout {
+            index: trial.index,
+            seed: trial.seed,
+            sim_elapsed: ctx.sim_elapsed(),
+        },
+        Ok(value) => ShardOutcome::Ok(value),
+        Err(payload) => ShardOutcome::Panicked {
+            index: trial.index,
+            seed: trial.seed,
+            message: panic_message(payload.as_ref()),
+        },
     }
 }
 

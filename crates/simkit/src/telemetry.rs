@@ -11,10 +11,17 @@
 //! A [`Telemetry`] value is a cheap clone of a shared registry. Layers
 //! resolve named instruments once at construction time and keep the returned
 //! handles ([`CounterHandle`], [`GaugeHandle`], [`HistogramHandle`]), so the
-//! hot path is an atomic add — no map lookup, no lock. Metric names follow a
-//! `layer.metric` scheme (`dram.activations`, `ftl.l2p_reads`,
-//! `nvme.qp1.submissions`); resolving the same name twice yields handles to
-//! the same underlying cell.
+//! hot path is a plain load and store on a [`Cell`] — no map lookup, no lock,
+//! no atomic. Metric names follow a `layer.metric` scheme
+//! (`dram.activations`, `ftl.l2p_reads`, `nvme.qp1.submissions`); resolving
+//! the same name twice yields handles to the same underlying cell.
+//!
+//! A registry and its handles belong to the thread that made them, like the
+//! simulated device that records into them: neither is `Send`, so a device
+//! and its registry can never be shared between threads and its counters
+//! never need atomics. A campaign builds one device and registry per shard
+//! on the worker thread, and merges plain values (see
+//! [`crate::supervisor`]).
 //!
 //! Structured events ([`TraceEvent`]) carry a simulated timestamp and go into
 //! a bounded ring: once full, the oldest events are dropped and counted in
@@ -24,6 +31,7 @@
 //! [`Telemetry::snapshot`] freezes everything into a [`TelemetrySnapshot`],
 //! which renders to JSON via [`TelemetrySnapshot::to_json`] — this is what
 //! `ssdhammer-bench`'s `repro` binary writes next to each figure's results.
+//! A snapshot is plain data and may cross threads.
 //!
 //! # Examples
 //!
@@ -40,10 +48,23 @@
 //! assert_eq!(snap.counter("dram.activations"), Some(128));
 //! assert_eq!(snap.trace.len(), 1);
 //! ```
+//!
+//! Neither a registry nor a handle can move to another thread:
+//!
+//! ```compile_fail
+//! fn assert_send<T: Send>(_: T) {}
+//! assert_send(ssdhammer_simkit::telemetry::Telemetry::new());
+//! ```
+//!
+//! ```compile_fail
+//! fn assert_send<T: Send>(_: T) {}
+//! let t = ssdhammer_simkit::telemetry::Telemetry::new();
+//! assert_send(t.counter("dram.activations"));
+//! ```
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::json::Json;
 use crate::stats::LatencyHistogram;
@@ -55,7 +76,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// A handle to a named monotonic counter. Cloning is cheap and both clones
 /// address the same cell.
 #[derive(Debug, Clone)]
-pub struct CounterHandle(Arc<AtomicU64>);
+pub struct CounterHandle(Rc<Cell<u64>>);
 
 impl CounterHandle {
     /// Adds one.
@@ -65,48 +86,47 @@ impl CounterHandle {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.set(self.0.get() + n);
     }
 
     /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 }
 
-/// A handle to a named gauge holding an `f64` (stored as bits in an atomic,
-/// so the registry stays lock-free on the write path).
+/// A handle to a named gauge holding an `f64`.
 #[derive(Debug, Clone)]
-pub struct GaugeHandle(Arc<AtomicU64>);
+pub struct GaugeHandle(Rc<Cell<f64>>);
 
 impl GaugeHandle {
     /// Sets the gauge.
     pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
+        self.0.set(v);
     }
 
     /// Current value.
     #[must_use]
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        self.0.get()
     }
 }
 
 /// A handle to a named simulated-time latency histogram.
 #[derive(Debug, Clone)]
-pub struct HistogramHandle(Arc<Mutex<LatencyHistogram>>);
+pub struct HistogramHandle(Rc<RefCell<LatencyHistogram>>);
 
 impl HistogramHandle {
     /// Records one duration sample.
     pub fn record(&self, d: SimDuration) {
-        self.0.lock().expect("histogram poisoned").record(d);
+        self.0.borrow_mut().record(d);
     }
 
     /// A point-in-time copy of the distribution.
     #[must_use]
     pub fn read(&self) -> LatencyHistogram {
-        self.0.lock().expect("histogram poisoned").clone()
+        self.0.borrow().clone()
     }
 }
 
@@ -146,19 +166,20 @@ impl TraceRing {
 
 #[derive(Debug)]
 struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Mutex<LatencyHistogram>>>>,
-    trace: Mutex<TraceRing>,
+    counters: RefCell<BTreeMap<String, Rc<Cell<u64>>>>,
+    gauges: RefCell<BTreeMap<String, Rc<Cell<f64>>>>,
+    histograms: RefCell<BTreeMap<String, Rc<RefCell<LatencyHistogram>>>>,
+    trace: RefCell<TraceRing>,
 }
 
 /// The shared registry every layer of the stack records into.
 ///
 /// Cloning a `Telemetry` produces another view of the *same* registry;
-/// a fresh, private registry comes from [`Telemetry::new`].
+/// a fresh, private registry comes from [`Telemetry::new`]. A registry
+/// stays on the thread that made it (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    inner: Arc<Registry>,
+    inner: Rc<Registry>,
 }
 
 impl Default for Telemetry {
@@ -179,11 +200,11 @@ impl Telemetry {
     #[must_use]
     pub fn with_trace_capacity(capacity: usize) -> Self {
         Telemetry {
-            inner: Arc::new(Registry {
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                trace: Mutex::new(TraceRing {
+            inner: Rc::new(Registry {
+                counters: RefCell::new(BTreeMap::new()),
+                gauges: RefCell::new(BTreeMap::new()),
+                histograms: RefCell::new(BTreeMap::new()),
+                trace: RefCell::new(TraceRing {
                     events: std::collections::VecDeque::new(),
                     capacity,
                     dropped: 0,
@@ -195,58 +216,46 @@ impl Telemetry {
     /// Whether two handles view the same underlying registry.
     #[must_use]
     pub fn same_registry(&self, other: &Telemetry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
+        Rc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Resolves (creating on first use) the counter named `name`.
     #[must_use]
     pub fn counter(&self, name: &str) -> CounterHandle {
-        let mut map = self.inner.counters.lock().expect("counters poisoned");
-        CounterHandle(Arc::clone(map.entry(name.to_owned()).or_default()))
+        let mut map = self.inner.counters.borrow_mut();
+        CounterHandle(Rc::clone(map.entry(name.to_owned()).or_default()))
     }
 
     /// Resolves (creating on first use) the gauge named `name`.
     #[must_use]
     pub fn gauge(&self, name: &str) -> GaugeHandle {
-        let mut map = self.inner.gauges.lock().expect("gauges poisoned");
-        GaugeHandle(Arc::clone(
-            map.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0.0f64.to_bits()))),
-        ))
+        let mut map = self.inner.gauges.borrow_mut();
+        GaugeHandle(Rc::clone(map.entry(name.to_owned()).or_default()))
     }
 
     /// Resolves (creating on first use) the latency histogram named `name`.
     #[must_use]
     pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut map = self.inner.histograms.lock().expect("histograms poisoned");
-        HistogramHandle(Arc::clone(
+        let mut map = self.inner.histograms.borrow_mut();
+        HistogramHandle(Rc::clone(
             map.entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Mutex::new(LatencyHistogram::new()))),
+                .or_insert_with(|| Rc::new(RefCell::new(LatencyHistogram::new()))),
         ))
     }
 
     /// Records a structured trace event at simulated time `time`.
     pub fn trace(&self, time: SimTime, kind: impl Into<String>, detail: impl Into<String>) {
-        self.inner
-            .trace
-            .lock()
-            .expect("trace poisoned")
-            .push(TraceEvent {
-                time,
-                kind: kind.into(),
-                detail: detail.into(),
-            });
+        self.inner.trace.borrow_mut().push(TraceEvent {
+            time,
+            kind: kind.into(),
+            detail: detail.into(),
+        });
     }
 
     /// The current value of a counter, if it has been created.
     #[must_use]
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.inner
-            .counters
-            .lock()
-            .expect("counters poisoned")
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
+        self.inner.counters.borrow().get(name).map(|c| c.get())
     }
 
     /// Trace events whose kind equals `kind`, oldest first.
@@ -254,8 +263,7 @@ impl Telemetry {
     pub fn trace_events(&self, kind: &str) -> Vec<TraceEvent> {
         self.inner
             .trace
-            .lock()
-            .expect("trace poisoned")
+            .borrow()
             .events
             .iter()
             .filter(|e| e.kind == kind)
@@ -269,33 +277,25 @@ impl Telemetry {
         let counters = self
             .inner
             .counters
-            .lock()
-            .expect("counters poisoned")
+            .borrow()
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         let gauges = self
             .inner
             .gauges
-            .lock()
-            .expect("gauges poisoned")
+            .borrow()
             .iter()
-            .map(|(k, v)| (k.clone(), f64::from_bits(v.load(Ordering::Relaxed))))
+            .map(|(k, v)| (k.clone(), v.get()))
             .collect();
         let histograms = self
             .inner
             .histograms
-            .lock()
-            .expect("histograms poisoned")
+            .borrow()
             .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    HistogramSummary::of(&v.lock().expect("histogram poisoned")),
-                )
-            })
+            .map(|(k, v)| (k.clone(), HistogramSummary::of(&v.borrow())))
             .collect();
-        let ring = self.inner.trace.lock().expect("trace poisoned");
+        let ring = self.inner.trace.borrow();
         TelemetrySnapshot {
             counters,
             gauges,

@@ -184,19 +184,19 @@ pub const ALLOWLIST: &[(Rule, &str, &str)] = &[
     (
         Rule::R1,
         "crates/simkit/src/telemetry.rs",
-        "lock-free counters use Relaxed adds and aggregate loads; increments \
-         are commutative, so per-run totals are order-independent",
+        "the registry and its handles are Rc/Cell values, which are !Send: \
+         the compiler already forbids one crossing campaign worker threads",
     ),
     (
         Rule::R1,
         "crates/simkit/src/clock.rs",
-        "the monotonic sim clock advances a single logical timeline; its \
-         Relaxed counter never feeds a cross-thread result value",
+        "the sim clock is an Rc<Cell<u64>>, which is !Send: each shard's \
+         timeline stays on the worker thread that made it",
     ),
     (
         Rule::R1,
         "crates/simkit/src/faultplane.rs",
-        "consult/fire counters are commutative Relaxed adds; fault draws are \
+        "per-site state is Rc/Cell, which is !Send, and fault draws are \
          keyed off positional indices, never arrival order",
     ),
     (
@@ -220,8 +220,9 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 
 /// Crates whose library code must return errors instead of panicking (P1).
 /// `simkit` is infrastructure, not simulation: its remaining panics are
-/// mutex-poisoning `expect`s that cannot trip unless another thread already
-/// panicked, so it is deliberately outside the P1 set.
+/// the supervisor's mutex-poisoning `expect`s, which cannot trip unless
+/// another thread already panicked, so it is deliberately outside the P1
+/// set.
 const SIM_CRATES: &[&str] = &["dram", "flash", "ftl", "nvme", "fs", "core", "cloud"];
 
 /// Which build target a file belongs to, derived from its path.
