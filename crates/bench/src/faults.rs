@@ -265,7 +265,7 @@ fn nvme_timeout(seed: u64) -> FaultRow {
     for round in 0..4u64 {
         let cmds: Vec<Command> = (0..32u64).map(|i| write_cmd(ns, i, round as u8)).collect();
         ssd.submit_batch(qp, &cmds).expect("submit");
-        ssd.process(qp).expect("process");
+        ssd.process_all();
         ssd.drain_completions_into(qp, &mut completions)
             .expect("drain");
         for c in completions.drain(..) {

@@ -4,7 +4,7 @@
 //! SSD.
 
 use ssdhammer_core::LbaRange;
-use ssdhammer_dram::HammerReport;
+use ssdhammer_dram::{HammerOptions, HammerReport};
 use ssdhammer_fs::{
     AddressingMode, Credentials, FileSystem, FsBlock, FsError, FsResult, Ino, InodeMap,
 };
@@ -396,14 +396,12 @@ impl AttackerVm {
         if let Some(&lba) = device_lbas.iter().find(|&&l| !self.range.contains(l)) {
             return Err(CloudError::OutsidePartition { lba });
         }
-        let relative: Vec<Lba> = device_lbas
-            .iter()
-            .map(|&l| self.range.to_relative(l))
-            .collect();
-        Ok(self
-            .shared
-            .borrow_mut()
-            .hammer_reads(self.ns, &relative, requests, request_rate)?)
+        Ok(self.shared.borrow_mut().hammer_device_reads(
+            device_lbas,
+            requests,
+            request_rate,
+            HammerOptions::default(),
+        )?)
     }
 }
 

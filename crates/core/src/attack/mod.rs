@@ -17,11 +17,12 @@
 //!   many-sided patterns).
 //!
 //! Hammering still goes through the NVMe controller
-//! ([`Ssd::hammer_device_reads`]) so interface service rates and §5's
-//! rate-limit mitigation apply exactly as they would to per-command
-//! submission, and victims observe their state back through the *device*
-//! path, so ECC correction and ECC-uncorrectable failures are visible the
-//! way the firmware would see them.
+//! ([`Ssd::hammer_device_reads`]), which caps a burst's read rate at
+//! [`Ssd::max_iops`] (interface service rate, §5's rate-limit mitigation,
+//! scrubber duty) and counts its reads as NVMe commands, and victims
+//! observe their state back through the *device* path, so ECC correction
+//! and ECC-uncorrectable failures are visible the way the firmware would
+//! see them.
 //!
 //! Every stage is also name-keyed ([`pattern_names`], [`victim_names`],
 //! [`placement_names`]; [`make_hammerer`], [`make_victim`],

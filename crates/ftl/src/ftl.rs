@@ -18,7 +18,7 @@ use ssdhammer_simkit::{DramAddr, Lba, SimClock, SimTime, BLOCK_SIZE};
 
 use crate::integrity::{IntegrityMode, IntegrityPlane, VerifyOutcome};
 use crate::journal::{self, JournalEntry};
-use crate::l2p::{L2pLayout, L2pTable};
+use crate::l2p::{decode_entry, encode_entry, L2pLayout, L2pTable};
 use crate::meta::{MetaKind, MetaPlane};
 
 /// Errors surfaced by FTL operations.
@@ -469,11 +469,6 @@ fn decode_oob(oob: &[u8]) -> (Lba, u64, u32) {
     }
 }
 
-/// Decodes a raw 32-bit L2P word into the mapping it represents.
-fn decode_entry(raw: u32) -> Option<Ppn> {
-    (raw != crate::l2p::INVALID_ENTRY).then(|| Ppn(u64::from(raw)))
-}
-
 /// The DIF guard: CRC-32C over the LBA and the block payload.
 fn dif_guard(lba: Lba, data: &[u8]) -> u32 {
     let mut state = !0u32;
@@ -694,9 +689,7 @@ impl Ftl {
             }
             // Guard against corrupted journal payloads: a mapping outside
             // the array is treated as a trim rather than indexed blindly.
-            let mapped = (e.ppn != crate::l2p::INVALID_ENTRY
-                && u64::from(e.ppn) < geometry.total_pages())
-            .then(|| Ppn(u64::from(e.ppn)));
+            let mapped = decode_entry(e.ppn).filter(|p| p.as_u64() < geometry.total_pages());
             max_seq = max_seq.max(e.seq);
             let slot = winners.entry(e.lba).or_insert((e.seq, mapped));
             if e.seq >= slot.0 {
@@ -908,8 +901,7 @@ impl Ftl {
     fn l2p_set(&mut self, lba: Lba, ppn: Option<Ppn>) -> Result<(), FtlError> {
         self.table.set(&mut self.dram, lba, ppn)?;
         if let Some(plane) = self.integrity {
-            let raw = ppn.map_or(crate::l2p::INVALID_ENTRY, |p| p.as_u64() as u32);
-            plane.record(&mut self.dram, self.table.slot_of(lba), raw)?;
+            plane.record(&mut self.dram, self.table.slot_of(lba), encode_entry(ppn))?;
         }
         Ok(())
     }
@@ -953,7 +945,7 @@ impl Ftl {
         let Some(plane) = self.integrity else {
             return Ok(entry);
         };
-        let raw = entry.map_or(crate::l2p::INVALID_ENTRY, |p| p.as_u64() as u32);
+        let raw = encode_entry(entry);
         let slot = self.table.slot_of(lba);
         let addr = self.table.entry_addr(lba);
         match plane.verify(&mut self.dram, slot, addr, raw)? {
@@ -1290,8 +1282,7 @@ impl Ftl {
         self.check_lba(lba)?;
         let mut buf = [0u8; 4];
         self.dram.peek(self.table.entry_addr(lba), &mut buf)?;
-        let raw = u32::from_le_bytes(buf);
-        Ok((raw != crate::l2p::INVALID_ENTRY).then(|| Ppn(u64::from(raw))))
+        Ok(decode_entry(u32::from_le_bytes(buf)))
     }
 
     /// Current number of free blocks (diagnostics).
@@ -1390,10 +1381,7 @@ impl Ftl {
         let mut raw = Vec::new();
         self.table
             .peek_batch(&self.dram, lbas.iter().copied(), &mut raw)?;
-        Ok(raw
-            .into_iter()
-            .map(|r| (r != crate::l2p::INVALID_ENTRY).then(|| Ppn(u64::from(r))))
-            .collect())
+        Ok(raw.into_iter().map(decode_entry).collect())
     }
 
     // ---- internals ---------------------------------------------------------
@@ -1409,16 +1397,22 @@ impl Ftl {
             return Err(FtlError::ReadOnly);
         }
         if self.fault_plane.fires("ftl.power_loss") {
-            self.powered = false;
-            self.tel.power_losses.incr();
-            self.tel.registry.trace(
-                self.clock.now(),
-                "ftl.power_loss",
-                "power cut; device offline until remount",
-            );
-            return Err(FtlError::PowerLoss);
+            return Err(self.cut_power("power cut; device offline until remount"));
         }
         Ok(())
+    }
+
+    /// Cuts power now: the device goes offline until [`Ftl::recover`], the
+    /// cut is counted (`recovery.power_losses`) and traced
+    /// (`ftl.power_loss`, with `detail`), and the returned
+    /// [`FtlError::PowerLoss`] is what the in-flight operation surfaces.
+    fn cut_power(&mut self, detail: impl Into<String>) -> FtlError {
+        self.powered = false;
+        self.tel.power_losses.incr();
+        self.tel
+            .registry
+            .trace(self.clock.now(), "ftl.power_loss", detail);
+        FtlError::PowerLoss
     }
 
     /// Consults one [`CRASH_SITES`] site: when it fires, power is cut at
@@ -1426,14 +1420,7 @@ impl Ftl {
     /// the in-flight operation surfaces [`FtlError::PowerLoss`].
     fn crash_point(&mut self, site: &'static str) -> Result<(), FtlError> {
         if self.fault_plane.fires(site) {
-            self.powered = false;
-            self.tel.power_losses.incr();
-            self.tel.registry.trace(
-                self.clock.now(),
-                "ftl.power_loss",
-                format!("power cut at {site}"),
-            );
-            return Err(FtlError::PowerLoss);
+            return Err(self.cut_power(format!("power cut at {site}")));
         }
         Ok(())
     }
@@ -1683,7 +1670,7 @@ impl Ftl {
         let entry = JournalEntry {
             lba: lba.as_u64(),
             seq,
-            ppn: ppn.map_or(crate::l2p::INVALID_ENTRY, |p| p.as_u64() as u32),
+            ppn: encode_entry(ppn),
         };
         // A cut here lands mid write-through: the DRAM mirror never sees
         // this entry, and neither does the journal buffer — the mutation
@@ -1726,14 +1713,7 @@ impl Ftl {
                     Ok(_) | Err(FlashError::ProgramFailed { .. }) => {}
                     Err(e) => return Err(e.into()),
                 }
-                self.powered = false;
-                self.tel.power_losses.incr();
-                self.tel.registry.trace(
-                    self.clock.now(),
-                    "ftl.power_loss",
-                    "power cut at ftl.crash.journal_append",
-                );
-                return Err(FtlError::PowerLoss);
+                return Err(self.cut_power("power cut at ftl.crash.journal_append"));
             }
             let page = journal::encode_page(&self.journal_buf[..take], page_bytes);
             match self.nand.program_page(ppn, &page, &marker) {

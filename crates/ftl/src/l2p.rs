@@ -22,6 +22,19 @@ use ssdhammer_simkit::{DramAddr, Lba};
 /// Sentinel entry value meaning "unmapped".
 pub const INVALID_ENTRY: u32 = 0xFFFF_FFFF;
 
+/// The raw 32-bit entry for a mapping: [`INVALID_ENTRY`] when unmapped,
+/// else the page number's low 32 bits (a checked store goes through
+/// [`L2pTable::set`]).
+pub(crate) fn encode_entry(ppn: Option<Ppn>) -> u32 {
+    ppn.map_or(INVALID_ENTRY, |p| p.as_u64() as u32)
+}
+
+/// The mapping a raw 32-bit entry represents: `None` for [`INVALID_ENTRY`].
+/// A bit-flipped entry decodes to whatever page number it now holds.
+pub(crate) fn decode_entry(raw: u32) -> Option<Ppn> {
+    (raw != INVALID_ENTRY).then(|| Ppn(u64::from(raw)))
+}
+
 /// Placement policy of L2P entries in DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L2pLayout {
@@ -185,8 +198,9 @@ impl L2pTable {
         lba: Lba,
         extra: u64,
     ) -> Result<Option<Ppn>, DramError> {
-        let raw = dram.read_u32_amplified(self.entry_addr(lba), extra)?;
-        Ok((raw != INVALID_ENTRY).then(|| Ppn(u64::from(raw))))
+        Ok(decode_entry(
+            dram.read_u32_amplified(self.entry_addr(lba), extra)?,
+        ))
     }
 
     /// Reads many entries through the non-disturbing DRAM backdoor: no row

@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use ssdhammer_dram::HammerOptions;
 use ssdhammer_ftl::FtlError;
 use ssdhammer_simkit::{Lba, SimDuration, SimTime};
 
@@ -36,7 +35,7 @@ impl core::fmt::Display for QpId {
 /// call sites no longer thread a bare [`QpId`] plus out-of-band knowledge
 /// of the depth they asked for. The handle is `Copy` and converts into
 /// [`QpId`] wherever one is expected, so it can be passed directly to
-/// `submit`, `submit_batch`, `process`, and `drain_completions`.
+/// `submit`, `submit_batch`, `pop_completion`, and `drain_completions`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueuePairHandle {
     id: QpId,
@@ -103,36 +102,6 @@ pub enum Command {
     /// rowhammered shows up as climbing repair/uncorrectable counts long
     /// before data is lost.
     GetLogPage,
-    /// Vendor-specific aggregated hammer burst: `requests` reads issued
-    /// round-robin over *device* LBAs at up to `rate` requests/second
-    /// (further bounded by the controller's IOPS ceiling and any rate
-    /// limit). This is how the attack's hammer loops ride the batched queue
-    /// path without simulating a million individual submissions; it counts
-    /// as `requests` commands in the device's submission/completion
-    /// accounting.
-    VendorHammer {
-        /// Device (FTL) LBAs to read round-robin.
-        lbas: Box<[Lba]>,
-        /// Total reads to issue across the burst.
-        requests: u64,
-        /// Requested submission rate, commands/second.
-        rate: f64,
-        /// Per-burst DRAM knobs: open-row dwell and the pattern label for
-        /// per-pattern activation telemetry.
-        opts: HammerOptions,
-    },
-}
-
-impl Command {
-    /// I/O commands this submission represents in the device's accounting:
-    /// one for ordinary commands, `requests` for an aggregated hammer burst.
-    #[must_use]
-    pub fn io_units(&self) -> u64 {
-        match self {
-            Command::VendorHammer { requests, .. } => *requests,
-            _ => 1,
-        }
-    }
 }
 
 /// Errors surfaced on the NVMe surface.
@@ -261,8 +230,6 @@ pub enum CmdResult {
     Trim,
     /// Get-log-page payload.
     HealthLog(HealthLog),
-    /// Hammer burst completed; the DRAM-level disturbance report.
-    Hammer(ssdhammer_dram::HammerReport),
     /// Command failed.
     Error(NvmeError),
 }

@@ -10,9 +10,10 @@
 //! first-class:
 //!
 //! * [`Ssd`] assembles DRAM + flash + FTL from an [`SsdConfig`] and exposes
-//!   queue pairs, a command set (read/write/trim/flush/identify), and
-//!   namespaces. Namespaces are partitions of one shared FTL — the
-//!   multi-tenant arrangement the cloud case study exploits (§4.1).
+//!   queue pairs, a command set (read/write/trim and a SMART-style
+//!   get-log-page), and namespaces. Namespaces are partitions of one
+//!   shared FTL — the multi-tenant arrangement the cloud case study
+//!   exploits (§4.1).
 //! * [`InterfaceGen`] encodes PCIe 3/4/5-era controller overheads, so
 //!   achievable IOPS land where the paper cites (~1.5 M on PCIe 4.0, >2 M
 //!   on PCIe 5.0).
@@ -23,9 +24,10 @@
 //!   are enqueued in bulk, serviced round-robin across queue pairs (one
 //!   command per active queue per round), and drained per queue.
 //!   [`Ssd::max_iops`] reports the multi-queue ceiling this unlocks.
-//! * [`Ssd::hammer_reads`] is the aggregated attack path; it rides the same
-//!   batch machinery as a [`Command::VendorHammer`] burst and honours the
-//!   same service-rate bounds as per-command submission.
+//! * [`Ssd::hammer_reads`] is the aggregated attack path: a controller call
+//!   that runs a burst of reads at no more than [`Ssd::max_iops`] (the
+//!   bound queued commands meet) and counts them in `nvme.submissions` and
+//!   `nvme.completions`, without a queue pair or command ids.
 //! * [`Namespace`] implements [`ssdhammer_simkit::BlockDevice`], so the
 //!   ext4-like filesystem mounts on one namespace. The view and the
 //!   read/write/trim commands share one data path: namespace translation,

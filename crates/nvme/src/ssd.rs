@@ -245,9 +245,6 @@ pub struct Ssd {
     queues: BTreeMap<QpId, QueuePair>,
     next_qp: u32,
     next_cid: u64,
-    /// Lazily created internal queue pair the aggregated hammer path
-    /// submits its vendor bursts on.
-    hammer_qp: Option<QueuePairHandle>,
     /// Earliest instant the controller may begin the next command
     /// (service-rate / rate-limit modeling).
     next_service: SimTime,
@@ -353,7 +350,6 @@ impl Ssd {
             queues: BTreeMap::new(),
             next_qp: 1,
             next_cid: 1,
-            hammer_qp: None,
             next_service: now,
             scrubber: config.scrubber,
             next_scrub: now + SCRUB_INTERVAL,
@@ -673,36 +669,20 @@ impl Ssd {
         if queue.depth - queue.sq.len() < cmds.len() {
             return Err(NvmeError::QueueFull);
         }
-        let mut units = 0u64;
         for (i, cmd) in cmds.iter().enumerate() {
-            units += cmd.io_units();
             queue.sq.push_back((first_cid + i as u64, cmd.clone()));
         }
         self.next_cid += cmds.len() as u64;
-        queue.submissions.add(units);
+        queue.submissions.add(cmds.len() as u64);
         queue.sq_depth.set(queue.sq.len() as f64);
-        self.tel.submissions.add(units);
+        self.tel.submissions.add(cmds.len() as u64);
         Ok(first_cid..self.next_cid)
     }
 
-    /// Services every queued command of `qp`, moving completions to the
-    /// completion queue. Advances simulated time per the controller's
-    /// service rate and each command's execution cost.
-    ///
-    /// # Errors
-    ///
-    /// [`NvmeError::InvalidQueue`] for unknown queues.
-    pub fn process(&mut self, qp: impl Into<QpId>) -> Result<(), NvmeError> {
-        let qp = qp.into();
-        if !self.queues.contains_key(&qp) {
-            return Err(NvmeError::InvalidQueue { qp });
-        }
-        while self.service_one(qp) {}
-        Ok(())
-    }
-
     /// Services **all** active queue pairs to completion round-robin,
-    /// returning the number of commands serviced.
+    /// returning the number of commands serviced. Each command moves to
+    /// its queue's completion queue, and simulated time advances per the
+    /// controller's service rate and the command's execution cost.
     ///
     /// Each round takes one command from every active queue, visiting
     /// queues in ascending [`QpId`] order (NVMe's mandatory arbitration
@@ -738,8 +718,6 @@ impl Ssd {
         let Some((cid, cmd)) = queue.sq.pop_front() else {
             return false;
         };
-        let units = cmd.io_units();
-        let aggregated = units > 1;
         let completion = if self.fault_plane.fires("nvme.abort") {
             // Controller-level abort: the command never reaches execution.
             let now = self.clock.now();
@@ -759,18 +737,11 @@ impl Ssd {
         } else {
             self.execute_with_retry(cid, cmd)
         };
-        self.tel.completions.add(units);
-        // Aggregated hammer bursts span whole refresh windows; folding a
-        // multi-second burst into the per-command latency distribution
-        // would swamp it, so only per-command operations are recorded.
-        if !aggregated {
-            self.tel.service_latency.record(completion.latency());
-        }
+        self.tel.completions.incr();
+        self.tel.service_latency.record(completion.latency());
         if let Some(queue) = self.queues.get_mut(&qp) {
-            queue.completions.add(units);
-            if !aggregated {
-                queue.latency.record(completion.latency());
-            }
+            queue.completions.incr();
+            queue.latency.record(completion.latency());
             queue.sq_depth.set(queue.sq.len() as f64);
             queue.cq.push_back(completion);
         }
@@ -831,7 +802,8 @@ impl Ssd {
         drop(buf);
     }
 
-    /// Convenience: submit one command and process it synchronously.
+    /// Convenience: submit one command, serve every active queue
+    /// ([`Ssd::process_all`]) and pop the command's completion.
     ///
     /// **Deprecated in favor of [`Ssd::submit_batch`] +
     /// [`Ssd::drain_completions`]:** a roundtrip per command forfeits the
@@ -849,9 +821,9 @@ impl Ssd {
     ) -> Result<Completion, NvmeError> {
         let qp = qp.into();
         self.submit(qp, cmd)?;
-        self.process(qp)?;
+        self.process_all();
         self.pop_completion(qp)?.ok_or(NvmeError::Protocol {
-            expected: "completion present after process",
+            expected: "completion present after process_all",
         })
     }
 
@@ -928,15 +900,6 @@ impl Ssd {
 
     /// Executes one command at the controller's service rate.
     fn execute(&mut self, cid: u64, cmd: Command) -> Completion {
-        if let Command::VendorHammer {
-            lbas,
-            requests,
-            rate,
-            opts,
-        } = cmd
-        {
-            return self.execute_hammer(cid, &lbas, requests, rate, opts);
-        }
         self.pump_scrubber();
         let submitted = self.clock.now();
         // Service-rate shaping: fixed interface overhead plus any configured
@@ -987,59 +950,7 @@ impl Ssd {
                 (CmdResult::Trim, None)
             }
             Command::GetLogPage => (CmdResult::HealthLog(self.health_log()), None),
-            Command::VendorHammer { .. } => unreachable!("handled in execute"),
         })
-    }
-
-    /// Executes an aggregated hammer burst. Unlike per-command execution,
-    /// the burst's timing is accounted wholesale by the FTL/DRAM layers
-    /// (`requests / rate` of simulated time), with the requested rate
-    /// clamped to the controller's multi-queue IOPS ceiling and any rate
-    /// limit — the same bound per-command submission would hit.
-    /// With the scrubber enabled, the burst is additionally sliced into
-    /// scrub-interval-sized sub-bursts so patrol chunks genuinely interleave
-    /// with the attack stream — the defense races the hammer inside the
-    /// burst, not just at its boundaries.
-    fn execute_hammer(
-        &mut self,
-        cid: u64,
-        lbas: &[Lba],
-        requests: u64,
-        rate: f64,
-        opts: HammerOptions,
-    ) -> Completion {
-        let submitted = self.clock.now();
-        self.pump_scrubber();
-        let effective = rate.min(self.max_iops());
-        let slice = self.scrubber.then(|| {
-            let per_interval = SCRUB_INTERVAL.as_nanos() as f64 / 1e9 * effective;
-            (per_interval as u64).max(1)
-        });
-        let mut remaining = requests;
-        let mut merged: Option<HammerReport> = None;
-        let result = loop {
-            let n = slice.map_or(remaining, |s| remaining.min(s));
-            match self.ftl.hammer_reads(lbas, n, effective, opts) {
-                Ok(report) => {
-                    merged = Some(match merged.take() {
-                        None => report,
-                        Some(acc) => merge_hammer_reports(acc, report),
-                    });
-                    remaining -= n;
-                    self.pump_scrubber();
-                    if remaining == 0 {
-                        break CmdResult::Hammer(merged.take().unwrap_or_default());
-                    }
-                }
-                Err(e) => break CmdResult::Error(e.into()),
-            }
-        };
-        Completion {
-            cid,
-            submitted,
-            completed: self.clock.now(),
-            result,
-        }
     }
 
     /// Assembles the SMART-style health log from the device's telemetry —
@@ -1064,9 +975,9 @@ impl Ssd {
 
     /// Issues `requests` read commands round-robin over namespace-relative
     /// `lbas` at the highest rate the controller allows, bounded by
-    /// `requested_rate`. This is the aggregated fast path the attack
-    /// workloads use; it honours the interface service rate and any
-    /// configured rate limit, exactly like per-command submission would.
+    /// `requested_rate`: the aggregated fast path the attack workloads use.
+    /// It translates `lbas` to device LBAs and runs the burst as
+    /// [`Ssd::hammer_device_reads`] does, under the same rate bounds.
     ///
     /// Returns the DRAM-level hammer report.
     ///
@@ -1101,8 +1012,14 @@ impl Ssd {
     /// hosts that address the whole drive (e.g. Figure 2 (a) with one
     /// partition), with per-burst [`HammerOptions`]: an open-row dwell
     /// multiplier (RowPress-style patterns) and a pattern label for
-    /// per-pattern DRAM activation telemetry. Applies the same controller
-    /// rate bounds.
+    /// per-pattern DRAM activation telemetry.
+    ///
+    /// The FTL and DRAM account the burst's time wholesale (`requests /
+    /// rate`), with the rate capped at [`Ssd::max_iops`]. With the scrubber
+    /// on, the burst is sliced at scrub intervals so patrol chunks race the
+    /// hammer inside the burst. It counts as `requests` commands in
+    /// `nvme.submissions` and `nvme.completions`, also when the FTL rejects
+    /// it, and takes no queue pair or command id.
     ///
     /// # Errors
     ///
@@ -1120,39 +1037,34 @@ impl Ssd {
     ) -> Result<HammerReport, NvmeError> {
         assert!(requested_rate > 0.0, "rate must be positive");
         assert!(!lbas.is_empty(), "need at least one LBA");
-        // The hammer loop is a batch submission like any other: the burst
-        // rides an internal queue pair as a vendor command, so the attack
-        // path and the host I/O path share submission, arbitration, and
-        // completion accounting.
-        let qp = self.hammer_queue();
-        let batch = [Command::VendorHammer {
-            lbas: lbas.into(),
-            requests,
-            rate: requested_rate,
-            opts,
-        }];
-        self.submit_batch(qp, &batch)?;
-        self.process(qp)?;
-        let completion = self.pop_completion(qp)?.ok_or(NvmeError::Protocol {
-            expected: "completion present after process",
-        })?;
-        match completion.result {
-            CmdResult::Hammer(report) => Ok(report),
-            CmdResult::Error(e) => Err(e),
-            other => unreachable!("hammer burst returned {other:?}"),
-        }
-    }
-
-    /// The internal queue pair hammer bursts ride on, created on first use.
-    fn hammer_queue(&mut self) -> QueuePairHandle {
-        match self.hammer_qp {
-            Some(h) => h,
-            None => {
-                let h = self.create_queue_pair(1);
-                self.hammer_qp = Some(h);
-                h
+        self.tel.submissions.add(requests);
+        self.pump_scrubber();
+        let effective = requested_rate.min(self.max_iops());
+        let slice = self.scrubber.then(|| {
+            let per_interval = SCRUB_INTERVAL.as_nanos() as f64 / 1e9 * effective;
+            (per_interval as u64).max(1)
+        });
+        let mut remaining = requests;
+        let mut merged: Option<HammerReport> = None;
+        let result = loop {
+            let n = slice.map_or(remaining, |s| remaining.min(s));
+            match self.ftl.hammer_reads(lbas, n, effective, opts) {
+                Ok(report) => {
+                    merged = Some(match merged {
+                        None => report,
+                        Some(acc) => merge_hammer_reports(acc, report),
+                    });
+                    remaining -= n;
+                    self.pump_scrubber();
+                    if remaining == 0 {
+                        break Ok(merged.unwrap_or_default());
+                    }
+                }
+                Err(e) => break Err(e.into()),
             }
-        }
+        };
+        self.tel.completions.add(requests);
+        result
     }
 
     /// The maximum command rate this controller can sustain: the interface
@@ -1163,8 +1075,9 @@ impl Ssd {
     /// controller's I/O cores busy, so the ceiling scales with the number
     /// of saturated queues up to [`Self::IO_CORES`] (§2.3's
     /// feasibility numbers assume exactly this multi-queue driving). A
-    /// single queue — or none, for the aggregated hammer path's internal
-    /// queue — leaves the ceiling at the single-core roundtrip rate.
+    /// single queue, or none, leaves the ceiling at the single-core
+    /// roundtrip rate. Hammer bursts ([`Ssd::hammer_device_reads`]) run at
+    /// no more than this ceiling.
     #[must_use]
     pub fn max_iops(&self) -> f64 {
         let interface = self.controller.interface.command_overhead().rate_per_sec();
@@ -1184,15 +1097,10 @@ impl Ssd {
     /// (the controller always services commands) and at most
     /// [`Self::IO_CORES`].
     fn queue_parallelism(&self) -> f64 {
-        // The internal hammer queue is excluded: a vendor burst's rate is
-        // already accounted wholesale, and its bookkeeping queue is not a
-        // host queue driving the interface.
-        let internal = self.hammer_qp.map(|h| h.id());
         let per_queue: f64 = self
             .queues
-            .iter()
-            .filter(|(&id, _)| Some(id) != internal)
-            .map(|(_, q)| (q.depth as f64 / f64::from(Self::QD_SATURATION)).min(1.0))
+            .values()
+            .map(|q| (q.depth as f64 / f64::from(Self::QD_SATURATION)).min(1.0))
             .sum();
         per_queue.clamp(1.0, f64::from(Self::IO_CORES))
     }
@@ -1531,7 +1439,7 @@ mod tests {
         s.submit(qp, Command::GetLogPage).unwrap();
         s.submit(qp, Command::GetLogPage).unwrap();
         assert_eq!(s.submit(qp, Command::GetLogPage), Err(NvmeError::QueueFull));
-        s.process(qp).unwrap();
+        s.process_all();
         assert!(s.pop_completion(qp).unwrap().is_some());
     }
 
@@ -1542,7 +1450,7 @@ mod tests {
         let qp = s.create_queue_pair(8);
         let c1 = s.submit(qp, Command::Read { ns, lba: Lba(0) }).unwrap();
         let c2 = s.submit(qp, Command::Read { ns, lba: Lba(1) }).unwrap();
-        s.process(qp).unwrap();
+        s.process_all();
         assert_eq!(s.pop_completion(qp).unwrap().unwrap().cid, c1);
         assert_eq!(s.pop_completion(qp).unwrap().unwrap().cid, c2);
         assert!(s.pop_completion(qp).unwrap().is_none());
@@ -1565,11 +1473,11 @@ mod tests {
             )
             .unwrap();
             if i % 64 == 63 {
-                s.process(qp).unwrap();
+                s.process_all();
                 while s.pop_completion(qp).unwrap().is_some() {}
             }
         }
-        s.process(qp).unwrap();
+        s.process_all();
         let elapsed = s.clock().elapsed_since(t0);
         let iops = n as f64 / elapsed.as_secs_f64();
         assert!(
@@ -1695,11 +1603,11 @@ mod tests {
             )
             .unwrap();
             if i % 64 == 63 {
-                s.process(qp).unwrap();
+                s.process_all();
                 while s.pop_completion(qp).unwrap().is_some() {}
             }
         }
-        s.process(qp).unwrap();
+        s.process_all();
         let iops = n as f64 / s.clock().elapsed_since(t0).as_secs_f64();
         assert!(
             iops > 1_000_000.0,
@@ -1848,8 +1756,8 @@ mod tests {
         assert_eq!(id, h.id());
         // Both the handle and the raw id address the same queue.
         s.submit(h, Command::GetLogPage).unwrap();
-        s.process(id).unwrap();
-        assert!(s.pop_completion(h).unwrap().is_some());
+        s.process_all();
+        assert!(s.pop_completion(id).unwrap().is_some());
     }
 
     #[test]
@@ -1860,12 +1768,12 @@ mod tests {
         let cmds: Vec<Command> = (0..5).map(|i| Command::Read { ns, lba: Lba(i) }).collect();
         // Five commands cannot fit a depth-4 queue: nothing is enqueued.
         assert_eq!(s.submit_batch(qp, &cmds), Err(NvmeError::QueueFull));
-        s.process(qp).unwrap();
+        s.process_all();
         assert!(s.drain_completions(qp).unwrap().is_empty());
         // Four fit, with contiguous ascending cids.
         let cids = s.submit_batch(qp, &cmds[..4]).unwrap();
         assert_eq!(cids.end - cids.start, 4, "contiguous ascending cid range");
-        s.process(qp).unwrap();
+        s.process_all();
         let done = s.drain_completions(qp).unwrap();
         assert_eq!(
             done.iter().map(|c| c.cid).collect::<Vec<_>>(),
@@ -1973,31 +1881,44 @@ mod tests {
     }
 
     #[test]
-    fn hammer_burst_rides_the_batch_path() {
+    fn hammer_burst_is_counted_as_reads_on_no_queue_pair() {
         let mut s = ssd();
         s.create_namespace(1024).unwrap();
-        let report = s
-            .hammer_device_reads(
-                &[Lba(0), Lba(512)],
-                5_000,
-                1_000_000.0,
-                HammerOptions::default(),
-            )
-            .unwrap();
+        let burst = |s: &mut Ssd, lbas: &[Lba], requests| {
+            s.hammer_device_reads(lbas, requests, 1_000_000.0, HammerOptions::default())
+        };
+        let report = burst(&mut s, &[Lba(0), Lba(512)], 5_000).unwrap();
         assert!(report.activations > 0);
         let snap = s.snapshot_telemetry();
         // The burst counts as 5 000 commands in device accounting...
         assert_eq!(snap.counter("nvme.submissions").unwrap(), 5_000);
         assert_eq!(snap.counter("nvme.completions").unwrap(), 5_000);
-        // ...carried by the internal hammer queue pair.
-        let internal = s.hammer_qp.expect("hammer queue created on first use");
-        assert_eq!(
-            snap.counter(&format!("nvme.qp{}.completions", internal.id().0)),
-            Some(5_000)
-        );
-        // The internal queue does not inflate the host's IOPS ceiling.
+        // ...registers no queue pair...
+        let mut names = snap
+            .counters
+            .iter()
+            .map(|(k, _)| k)
+            .chain(snap.gauges.iter().map(|(k, _)| k))
+            .chain(snap.histograms.iter().map(|(k, _)| k));
+        assert!(names.all(|k| !k.starts_with("nvme.qp")), "{snap:?}");
+        // ...and leaves the IOPS ceiling at the single-core rate.
         let base = Ssd::build(SsdConfig::test_small(1)).max_iops();
         assert!((s.max_iops() - base).abs() < 1e-6);
+
+        // A burst the FTL rejects still counts its requests.
+        let past = Lba(s.ftl().capacity_lbas());
+        assert!(burst(&mut s, &[Lba(0), past], 300).is_err());
+        let snap = s.snapshot_telemetry();
+        assert_eq!(snap.counter("nvme.submissions"), Some(5_300));
+        assert_eq!(snap.counter("nvme.completions"), Some(5_300));
+
+        // A burst takes no command id: host commands on either side of it
+        // get consecutive ids.
+        let qp = s.create_queue_pair(8);
+        let first = s.submit(qp, Command::GetLogPage).unwrap();
+        burst(&mut s, &[Lba(0)], 10).unwrap();
+        let second = s.submit(qp, Command::GetLogPage).unwrap();
+        assert_eq!(second, first + 1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn persistent_timeouts_surface_as_per_command_errors() {
     let qp = ssd.create_queue_pair(8);
     let cmds: Vec<Command> = (0..4).map(|i| write_cmd(ns, i, 0xAB)).collect();
     let cids = ssd.submit_batch(qp, &cmds).unwrap();
-    ssd.process(qp).unwrap();
+    ssd.process_all();
     let completions = ssd.drain_completions(qp).unwrap();
     assert_eq!(completions.len(), 4);
     for (c, cid) in completions.iter().zip(cids) {
@@ -61,7 +61,7 @@ fn transient_timeouts_recover_within_the_retry_budget() {
     let qp = ssd.create_queue_pair(32);
     let cmds: Vec<Command> = (0..32).map(|i| write_cmd(ns, i, 0x5A)).collect();
     ssd.submit_batch(qp, &cmds).unwrap();
-    ssd.process(qp).unwrap();
+    ssd.process_all();
     let completions = ssd.drain_completions(qp).unwrap();
     assert!(
         completions.iter().all(|c| c.is_ok()),
@@ -83,7 +83,7 @@ fn retried_commands_pay_their_backoff_on_the_sim_clock() {
     let ns = ssd.create_namespace(64).unwrap();
     let qp = ssd.create_queue_pair(4);
     ssd.submit(qp, write_cmd(ns, 0, 1)).unwrap();
-    ssd.process(qp).unwrap();
+    ssd.process_all();
     let c = ssd.drain_completions(qp).unwrap().pop().unwrap();
     assert!(c.is_ok(), "two timeouts, then success");
     // Two burned deadlines + backoffs (one, then two base backoffs) are all
@@ -146,7 +146,7 @@ fn fault_telemetry_reports_consults_and_fires() {
     let qp = ssd.create_queue_pair(16);
     let cmds: Vec<Command> = (0..16).map(|i| write_cmd(ns, i, 7)).collect();
     ssd.submit_batch(qp, &cmds).unwrap();
-    ssd.process(qp).unwrap();
+    ssd.process_all();
     let snap = ssd.snapshot_telemetry();
     let consults = snap.counter("fault.consults").unwrap_or(0);
     let injected = snap.counter("fault.injected").unwrap_or(0);
@@ -166,7 +166,7 @@ fn identical_seeds_produce_identical_faulted_telemetry() {
         for round in 0..4u64 {
             let cmds: Vec<Command> = (0..16).map(|i| write_cmd(ns, i, round as u8)).collect();
             ssd.submit_batch(qp, &cmds).unwrap();
-            ssd.process(qp).unwrap();
+            ssd.process_all();
             ssd.drain_completions(qp).unwrap();
         }
         ssd.snapshot_telemetry().to_json().to_string()

@@ -108,15 +108,6 @@ pub trait BlockDevice {
     /// [`StorageError::OutOfRange`] if `lba` exceeds capacity.
     fn trim(&mut self, lba: Lba) -> StorageResult<()>;
 
-    /// Persists outstanding state. A no-op for most simulated devices.
-    ///
-    /// # Errors
-    ///
-    /// Devices with failure injection may report errors here.
-    fn flush(&mut self) -> StorageResult<()> {
-        Ok(())
-    }
-
     /// Validates an `(lba, buf)` pair against capacity and block size.
     ///
     /// # Errors

@@ -77,8 +77,6 @@ fn conformance(dev: &mut impl BlockDevice) {
         dev.write(Lba(1), &small),
         Err(StorageError::BadBufferLen { .. })
     ));
-
-    dev.flush().unwrap();
 }
 
 fn quiet_ssd(seed: u64) -> Ssd {
